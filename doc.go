@@ -60,7 +60,8 @@
 //	internal/liveness                     membership views: alive/suspect/dead states,
 //	                                      incarnation numbers, anti-entropy merges
 //	internal/wire                         frame encoding + message-type codec registry
-//	internal/topology                     overlay generators + graph partitions
+//	internal/topology                     overlay generators, graph partitions,
+//	                                      point-to-point hop distance (Graph.Hops)
 //	internal/par, internal/stats,         worker pool, counters/tables, churn and
 //	internal/workload, internal/costmodel query workloads, the paper's cost models
 //
@@ -72,6 +73,19 @@
 // protocol stack across real OS processes. SimOptions.Transport selects
 // between the in-memory two for simulations; cmd/p2pnode deploys the TCP
 // one.
+//
+// Transport is 22 methods: the static overlay (Len, Neighbors, Degree,
+// Graph), membership (Liveness, Online, SetOnline, OnlineCount,
+// OnlineIDs), messaging (SetHandler, SetDrop, Send, SendNew, Flood,
+// SelectiveWalk, RandomWalk), metering (Counter, Bytes), serialization
+// with handlers (Exec, After, Settle) and the partition hook
+// (SetLinkFilter). Graph hands out the immutable topology.Graph the
+// transport was built on; questions that need no transport state go to
+// it directly — core's closer-summary-peer comparison (§4.1) is one
+// Graph.Hops call, an early-exit bounded BFS on pooled scratch arrays
+// that allocates nothing and may run from any dispatch group at once.
+// The optional interfaces are p2p.DispatchGrouper (DispatchGroups,
+// SetGroupBy), p2p.OriginScheduler and p2p.Localizer.
 //
 // # The wire layer and the codec-registration contract
 //
@@ -423,7 +437,13 @@
 // when they surface instead of re-heapifying on every retransmit-timer
 // cancel), and the topology graph compacts its adjacency and latency
 // rows into two flat backing arrays (topology.Graph.Compact), dropping
-// the per-edge map that dominated memory at 100k nodes.
+// the per-edge map that dominated memory at 100k nodes. A fourth cost sat
+// outside the engine, in the driver: Construct asked for one hop distance
+// per find/adopt and got a radius-6 BFS ball — nearly the whole power-law
+// overlay — as a map. That question is now a point-to-point
+// topology.Graph.Hops (CI benchgates BenchmarkHops at 0 allocs/op), which
+// took the 100k-peer, 1-region scale point from 436 s to 2.4 s at an
+// unchanged report hash.
 //
 // In sharded mode p2p.Network routes every After and delivery to the
 // owning region's engine and shards its message/byte accounting into

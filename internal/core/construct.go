@@ -80,7 +80,7 @@ func (s *System) wireDispatchGroups() {
 	for i, sp := range s.sps {
 		seeds[i] = int(sp)
 	}
-	part := topology.NearestSeeds(gt.Graph(), seeds)
+	part := topology.NearestSeeds(s.net.Graph(), seeds)
 	d := gt.DispatchGroups()
 	gt.SetGroupBy(func(id p2p.NodeID) int {
 		if part[id] < 0 {
@@ -173,14 +173,16 @@ func (s *System) findDomain(p *Peer) {
 	p.adopt(spID, s.hopsTo(p.id, spID))
 }
 
+// hopsCap bounds the hop-distance search of hopsTo: summary peers farther
+// than this all compare as hopsCap+1.
+const hopsCap = 6
+
 // hopsTo estimates the hop distance between two nodes (used for the
 // closer-summary-peer comparison; the paper notes latency or any other
-// metric works).
+// metric works). Safe from handlers of any dispatch group: the graph is
+// immutable and Hops keeps no shared state.
 func (s *System) hopsTo(a, b p2p.NodeID) int {
-	if d, ok := s.net.HopsWithin(a, 6)[b]; ok {
-		return d
-	}
-	return 7
+	return s.net.Graph().Hops(int(a), int(b), hopsCap)
 }
 
 // adopt makes p a partner of spID, shipping its local summary.

@@ -177,6 +177,42 @@ func TestClosestSPAdoption(t *testing.T) {
 	}
 }
 
+// TestHopsToMatchesBallLookup pins hopsTo to the value it had when it
+// read one entry out of a radius-6 BFS ball (absent = 7), for every pair
+// of the determinism fixtures — the seed-99 Barabási–Albert overlay and
+// the disjoint stars of the equivalence suites — and of a path long enough
+// that distances of exactly 6 and beyond occur. Every report hash rests on
+// these values.
+func TestHopsToMatchesBallLookup(t *testing.T) {
+	ba, err := topology.BarabasiAlbert(400, 2, nil, rand.New(rand.NewSource(99)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stars, _ := topology.DisjointStars(equivClusters, equivSize, 0.05)
+	path := topology.NewGraph(10)
+	for i := 0; i+1 < path.Len(); i++ {
+		path.AddEdge(i, i+1, 0.01)
+	}
+	for name, g := range map[string]*topology.Graph{"ba": ba, "stars": stars, "path": path} {
+		sys, err := NewSystem(p2p.NewNetwork(sim.New(), g, 99), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := 0; a < g.Len(); a++ {
+			ball := g.BFSWithin(a, 6)
+			for b := 0; b < g.Len(); b++ {
+				want, ok := ball[b]
+				if !ok {
+					want = 7
+				}
+				if got := sys.hopsTo(p2p.NodeID(a), p2p.NodeID(b)); got != want {
+					t.Fatalf("%s: hopsTo(%d,%d) = %d, want %d", name, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPushAndReconciliationThreshold(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Alpha = 0.5

@@ -314,9 +314,8 @@ func (s *System) nextGossipTarget(p *Peer) p2p.NodeID {
 	tick := p.gossipTick
 	p.gossipTick++
 	var cands []p2p.NodeID
-	gt, grouper := s.net.(p2p.DispatchGrouper)
-	if grouper && tick%gossipProbeEvery == gossipProbeEvery-1 {
-		for _, nb := range gt.Graph().Neighbors(int(p.id)) {
+	if tick%gossipProbeEvery == gossipProbeEvery-1 {
+		for _, nb := range s.net.Graph().Neighbors(int(p.id)) {
 			cands = append(cands, p2p.NodeID(nb))
 		}
 		if p.role == RoleSummaryPeer {

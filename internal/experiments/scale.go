@@ -78,8 +78,13 @@ type ScaleRunResult struct {
 
 // ScaleResult is the machine-readable outcome (BENCH_scale.json).
 type ScaleResult struct {
-	Seed int64            `json:"seed"`
-	Runs []ScaleRunResult `json:"runs"`
+	Seed int64 `json:"seed"`
+	// The machine the sweep ran on: a multi-region wall-clock means
+	// nothing without the core count that capped it.
+	NumCPU     int              `json:"num_cpu"`
+	GOMAXPROCS int              `json:"gomaxprocs"`
+	GoVersion  string           `json:"go_version"`
+	Runs       []ScaleRunResult `json:"runs"`
 }
 
 // scaleDomains picks the domain count for an overlay size: one summary
@@ -215,7 +220,7 @@ func ScaleExperiment(cfg Config) (*stats.Table, *ScaleResult, error) {
 		}
 		return scaleModes
 	}
-	res := &ScaleResult{Seed: cfg.Seed}
+	res := &ScaleResult{Seed: cfg.Seed, NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
 	var series []*stats.Series
 	colOf := make(map[string]*stats.Series)
 	for _, r := range regionCounts {

@@ -305,16 +305,6 @@ func (t *ChannelTransport) SetLinkFilter(fn LinkFilter) { t.gate.set(fn) }
 // Degree returns the node's static overlay degree.
 func (t *ChannelTransport) Degree(id NodeID) int { return t.graph.Degree(int(id)) }
 
-// HopsWithin returns BFS hop distances from src, bounded by radius.
-func (t *ChannelTransport) HopsWithin(src NodeID, radius int) map[NodeID]int {
-	dist := t.graph.BFSWithin(int(src), radius)
-	out := make(map[NodeID]int, len(dist))
-	for v, d := range dist {
-		out[NodeID(v)] = d
-	}
-	return out
-}
-
 // latencyBetween picks the edge latency when adjacent, DirectLatency
 // otherwise (virtual seconds).
 func (t *ChannelTransport) latencyBetween(a, b NodeID) float64 {

@@ -168,10 +168,17 @@ func TestTransportParity(t *testing.T) {
 		t.Errorf("walk paths differ: %d vs %d nodes", len(wn.Path), len(wc.Path))
 	}
 
-	dn := net.HopsWithin(0, 4)
-	dc := ct.HopsWithin(0, 4)
-	if len(dn) != len(dc) {
-		t.Errorf("HopsWithin: network %d nodes, channel %d", len(dn), len(dc))
+	// Hop distances are asked of the graph itself, so parity is identity:
+	// every transport must hand back the topology it was built on.
+	tcp, err := NewTCPTransport(g, TCPConfig{Listen: "127.0.0.1:0", Local: []NodeID{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	for _, tr := range []Transport{net, ct, tcp} {
+		if tr.Graph() != g {
+			t.Errorf("%T.Graph() is not the construction graph", tr)
+		}
 	}
 }
 

@@ -174,6 +174,11 @@ func (n *Network) Neighbors(id NodeID) []NodeID {
 func (n *Network) Degree(id NodeID) int { return n.graph.Degree(int(id)) }
 
 // HopsWithin returns BFS hop distances from src, bounded by radius.
+//
+// Deprecated: no longer part of Transport and unused by the protocol
+// stack, which asks Graph().Hops for the one distance it needs. Kept only
+// because the bench module's tracing decorator still names it; it goes
+// with that decorator's HopsWithin span.
 func (n *Network) HopsWithin(src NodeID, radius int) map[NodeID]int {
 	dist := n.graph.BFSWithin(int(src), radius)
 	out := make(map[NodeID]int, len(dist))

@@ -1265,16 +1265,6 @@ func (t *TCPTransport) SetLinkFilter(fn LinkFilter) { t.gate.set(fn) }
 // Degree returns the node's static overlay degree.
 func (t *TCPTransport) Degree(id NodeID) int { return t.graph.Degree(int(id)) }
 
-// HopsWithin returns BFS hop distances from src, bounded by radius.
-func (t *TCPTransport) HopsWithin(src NodeID, radius int) map[NodeID]int {
-	dist := t.graph.BFSWithin(int(src), radius)
-	out := make(map[NodeID]int, len(dist))
-	for v, d := range dist {
-		out[NodeID(v)] = d
-	}
-	return out
-}
-
 // charge accounts n payload-less transmissions (walks and floods) under
 // group 0, like the channel transport; WireStats books them as frameless.
 func (t *TCPTransport) charge(typ string, n int64) {

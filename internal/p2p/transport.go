@@ -35,9 +35,13 @@ type Transport interface {
 	// the selection criterion of the §4.1 selective walk and of the
 	// degree-based summary-peer election.
 	Degree(id NodeID) int
-	// HopsWithin returns BFS hop distances from src over the static
-	// topology, bounded by radius (nodes farther than radius are absent).
-	HopsWithin(src NodeID, radius int) map[NodeID]int
+	// Graph exposes the static overlay topology (immutable once the
+	// transport exists, so safe to read from any goroutine). Protocol code
+	// asks it the questions that need no transport state: hop distances
+	// (topology.Graph.Hops, the §4.1 closer-summary-peer comparison), the
+	// nearest-seed partition behind dispatch-group wiring, and the static
+	// neighbor list the liveness keepalive probes.
+	Graph() *topology.Graph
 
 	// Liveness exposes the transport's membership view — the single truth
 	// behind Online/SetOnline. In-memory transports hold one ground-truth
@@ -180,9 +184,9 @@ type OriginScheduler interface {
 // handler dispatch into concurrently running groups (ChannelTransport with
 // ChannelConfig.Dispatchers > 1). Protocol wiring uses it to align dispatch
 // groups with protocol regions — internal/core maps every domain onto one
-// group (via topology.NearestSeeds over Graph), so independent domains
-// reconcile and answer queries in parallel while each domain's handlers
-// stay serialized.
+// group (via topology.NearestSeeds over Transport.Graph), so independent
+// domains reconcile and answer queries in parallel while each domain's
+// handlers stay serialized.
 type DispatchGrouper interface {
 	// DispatchGroups returns the number of dispatch groups (>= 1).
 	DispatchGroups() int
@@ -192,8 +196,6 @@ type DispatchGrouper interface {
 	// returns false, which is safe — any mapping preserves per-node
 	// serialization; the choice only affects parallelism.
 	SetGroupBy(fn func(NodeID) int) bool
-	// Graph exposes the overlay topology the grouping is computed from.
-	Graph() *topology.Graph
 }
 
 // Localizer is the optional interface of transports that host only a

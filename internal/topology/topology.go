@@ -7,6 +7,15 @@
 // generator is provided as an alternative flat random model, plus the graph
 // metrics used to sanity-check generated overlays (degree statistics,
 // connectivity, clustering).
+//
+// Hop distances come in two shapes over one level-by-level BFS routine:
+// Graph.Hops answers "how far is b from a, up to max" and stops the moment
+// b is discovered — the protocol's closer-summary-peer comparison (§4.1) —
+// while Graph.BFSWithin materialises the whole ball for the TTL-bounded
+// flooding baselines. Searches run on pooled scratch arrays, so Hops
+// allocates nothing in steady state, and they only read the graph, so any
+// number of goroutines may search one concurrently (nothing mutates a
+// graph once its generator has returned).
 package topology
 
 import (
@@ -15,6 +24,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // Graph is an undirected overlay with per-edge latencies. Latencies are
@@ -201,24 +211,113 @@ func (g *Graph) Connected() bool {
 	return count == g.n
 }
 
+// bfsScratch is the reusable working set of one breadth-first search: an
+// epoch-stamped visited array (seen[v] == epoch means the current search
+// discovered v, so starting a search is an increment, not an O(N) clear)
+// and the queue, which holds every discovered node in BFS order. Scratches
+// are pooled, so steady-state searches allocate nothing, and each search
+// owns its scratch exclusively — any number of goroutines may search one
+// graph at once.
+type bfsScratch struct {
+	seen  []uint32
+	queue []int32
+	epoch uint32
+}
+
+var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
+
+// start begins a search of an n-node graph from src: the queue holds src
+// alone and nothing else is seen.
+func (sc *bfsScratch) start(n, src int) {
+	if len(sc.seen) < n {
+		sc.seen = make([]uint32, n)
+		sc.queue = make([]int32, 0, n)
+		sc.epoch = 0
+	}
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: stamps of old searches would alias epoch 1 onwards
+		for i := range sc.seen {
+			sc.seen[i] = 0
+		}
+		sc.epoch = 1
+	}
+	sc.seen[src] = sc.epoch
+	sc.queue = append(sc.queue[:0], int32(src))
+}
+
+// expand runs one BFS level — the package's one traversal routine: every
+// not yet seen neighbor of queue[from:to] is stamped and appended to the
+// queue. It reports whether target was among them, returning at once when
+// it is (pass -1 to exhaust the level).
+func (g *Graph) expand(sc *bfsScratch, from, to, target int) bool {
+	seen, epoch, queue := sc.seen, sc.epoch, sc.queue
+	for _, u := range queue[from:to] {
+		for _, v := range g.adj[u] {
+			if seen[v] == epoch {
+				continue
+			}
+			seen[v] = epoch
+			queue = append(queue, int32(v))
+			if v == target {
+				sc.queue = queue
+				return true
+			}
+		}
+	}
+	sc.queue = queue
+	return false
+}
+
+// Hops returns the hop distance from a to b over the static topology, or
+// max+1 when b is farther than max hops (or unreachable). It is a bounded
+// BFS that returns the moment b is discovered, so the §4.1 "which summary
+// peer is closer" question costs the few levels between a client and a
+// hub, not the whole radius-max ball. Steady state allocates nothing, and
+// concurrent calls on one graph are safe.
+func (g *Graph) Hops(a, b, max int) int {
+	sc := bfsPool.Get().(*bfsScratch)
+	d := g.hops(sc, a, b, max)
+	bfsPool.Put(sc)
+	return d
+}
+
+// hops is Hops on a caller-owned scratch.
+func (g *Graph) hops(sc *bfsScratch, a, b, max int) int {
+	if a == b {
+		return 0
+	}
+	sc.start(g.n, a)
+	for h, from := 1, 0; h <= max && from < len(sc.queue); h++ {
+		to := len(sc.queue)
+		if g.expand(sc, from, to, b) {
+			return h
+		}
+		from = to
+	}
+	return max + 1
+}
+
 // BFSWithin returns the set of nodes reachable from src within the given
 // number of hops (src included at distance 0). It backs the TTL-bounded
 // flooding baselines.
 func (g *Graph) BFSWithin(src, hops int) map[int]int {
-	dist := map[int]int{src: 0}
-	frontier := []int{src}
-	for h := 0; h < hops && len(frontier) > 0; h++ {
-		var next []int
-		for _, u := range frontier {
-			for _, v := range g.adj[u] {
-				if _, ok := dist[v]; !ok {
-					dist[v] = h + 1
-					next = append(next, v)
-				}
-			}
-		}
-		frontier = next
+	sc := bfsPool.Get().(*bfsScratch)
+	sc.start(g.n, src)
+	// bounds[h] is the queue offset where distance h begins.
+	bounds := []int{0}
+	for h := 0; h < hops && bounds[h] < len(sc.queue); h++ {
+		to := len(sc.queue)
+		g.expand(sc, bounds[h], to, -1)
+		bounds = append(bounds, to)
 	}
+	bounds = append(bounds, len(sc.queue))
+	dist := make(map[int]int, len(sc.queue))
+	for h := 0; h+1 < len(bounds); h++ {
+		for _, v := range sc.queue[bounds[h]:bounds[h+1]] {
+			dist[int(v)] = h
+		}
+	}
+	bfsPool.Put(sc)
 	return dist
 }
 
@@ -572,16 +671,20 @@ func (g *Graph) AvgPathLengthSample(samples int, rng *rand.Rand) float64 {
 	if g.n < 2 || samples < 1 {
 		return 0
 	}
+	sc := bfsPool.Get().(*bfsScratch)
 	var sum, count float64
 	for s := 0; s < samples; s++ {
-		src := rng.Intn(g.n)
-		for _, d := range g.BFSWithin(src, g.n) {
-			if d > 0 {
-				sum += float64(d)
-				count++
-			}
+		sc.start(g.n, rng.Intn(g.n))
+		for h, from := 1, 0; from < len(sc.queue); h++ {
+			to := len(sc.queue)
+			g.expand(sc, from, to, -1)
+			level := float64(len(sc.queue) - to) // nodes at distance h
+			sum += float64(h) * level
+			count += level
+			from = to
 		}
 	}
+	bfsPool.Put(sc)
 	if count == 0 {
 		return 0
 	}
