@@ -270,27 +270,14 @@ func TestSimulationValidation(t *testing.T) {
 	if _, err := NewSimulation(SimOptions{Peers: 20, Regions: 4, Transport: TransportChannel}); err == nil {
 		t.Error("Regions on the channel transport accepted")
 	}
-	if _, err := NewSimulation(SimOptions{Peers: 20, Window: "sideways", Regions: 4}); err == nil {
-		t.Error("unknown window mode accepted")
-	}
-	if _, err := NewSimulation(SimOptions{Peers: 20, Window: "dynamic", Transport: TransportChannel}); err == nil {
-		t.Error("Window on the channel transport accepted")
-	}
-	if _, err := NewSimulation(SimOptions{Peers: 20, Speculate: true, Transport: TransportChannel}); err == nil {
-		t.Error("Speculate on the channel transport accepted")
-	}
 }
 
 // TestSimulationRegions runs the full lifecycle — construct, churn,
-// queries — on the sequential engine and on the region-sharded kernel in
-// every window/speculation mode and requires bit-identical observable
-// state.
+// queries — on the sequential engine and on the region-sharded kernel
+// and requires bit-identical observable state.
 func TestSimulationRegions(t *testing.T) {
-	run := func(regions int, window string, speculate bool) (string, map[string]int64, float64) {
-		s, err := NewSimulation(SimOptions{
-			Peers: 300, SummaryPeers: 6, Seed: 17,
-			Regions: regions, Window: window, Speculate: speculate,
-		})
+	run := func(regions int) (string, map[string]int64, float64) {
+		s, err := NewSimulation(SimOptions{Peers: 300, SummaryPeers: 6, Seed: 17, Regions: regions})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,18 +301,10 @@ func TestSimulationRegions(t *testing.T) {
 		}
 		return s.Describe(), s.MessageCounts(), s.Now()
 	}
-	baseDesc, baseCounts, baseNow := run(1, "", false)
-	cases := []struct {
-		regions   int
-		window    string
-		speculate bool
-	}{
-		{2, "", false}, {4, "", false},
-		{4, "dynamic", false}, {4, "fixed", true}, {4, "dynamic", true},
-	}
-	for _, c := range cases {
-		name := fmt.Sprintf("%d regions window=%q speculate=%v", c.regions, c.window, c.speculate)
-		desc, counts, now := run(c.regions, c.window, c.speculate)
+	baseDesc, baseCounts, baseNow := run(1)
+	for _, regions := range []int{2, 4} {
+		name := fmt.Sprintf("%d regions", regions)
+		desc, counts, now := run(regions)
 		if desc != baseDesc {
 			t.Errorf("%s: Describe diverged:\n%s\nvs sequential:\n%s", name, desc, baseDesc)
 		}

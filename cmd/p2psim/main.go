@@ -8,7 +8,7 @@
 //	p2psim [-peers 1000] [-sps 10] [-alpha 0.3] [-hours 6] [-queries 50]
 //	       [-hit 0.10] [-graceful 0.8] [-mode balanced|precise|max-recall]
 //	       [-transport sim|channel] [-loss 0.0] [-shards 1] [-dispatchers 1]
-//	       [-regions 1] [-window fixed|dynamic] [-speculate] [-v]
+//	       [-regions 1] [-v]
 //	       [-seed 1] [-runs 1] [-parallel 0]
 //
 // Flags:
@@ -37,16 +37,8 @@
 //	              transport only): domains map onto regions and intra-region
 //	              events run in parallel under conservative time windows,
 //	              bit-identical to the sequential engine; 1 = one heap
-//	-window       window-bound scheme of the sharded kernel (sim transport,
-//	              regions > 1): fixed = the conservative global lookahead,
-//	              dynamic = per-region bounds derived from the other
-//	              regions' earliest-output times at each barrier. Pure
-//	              wall-clock knob; results stay bit-identical
-//	-speculate    let regions execute past their committed window while a
-//	              frontier proof shows no cross-region event can land below
-//	              their clock (safe overrun — no rollbacks, bit-identical)
-//	-v            print the sharded kernel's window/speculation counters
-//	              after the run (regions > 1)
+//	-v            print the sharded kernel's window counters after the
+//	              run (regions > 1)
 //	-seed         random seed of the first replica
 //	-runs         independently seeded replicas (seed, seed+1, ...)
 //	-parallel     concurrent replicas (0 = one per CPU)
@@ -71,8 +63,7 @@ type options struct {
 	peers, sps, queries int
 	shards, dispatchers int
 	regions             int
-	window              string
-	speculate, verbose  bool
+	verbose             bool
 	alpha, hours        float64
 	hit, graceful, loss float64
 	mode                p2psum.RoutingMode
@@ -107,8 +98,6 @@ func runOne(o options) (*runResult, error) {
 		Shards:       o.shards,
 		Dispatchers:  o.dispatchers,
 		Regions:      o.regions,
-		Window:       o.window,
-		Speculate:    o.speculate,
 	})
 	if err != nil {
 		return nil, err
@@ -179,19 +168,9 @@ func printDetail(o options, r *runResult, modeName string) {
 
 	if o.verbose && r.hasKernel {
 		k := r.kernel
-		fmt.Printf("\nsharded kernel (%d regions, %s windows, speculate=%v):\n",
-			o.regions, windowName(o.window), o.speculate)
-		fmt.Printf("  windows=%d dynamic-extensions=%d speculative-committed=%d rollbacks=%d replays=%d causality-violations=%d\n",
-			k.Windows, k.DynamicExtensions, k.SpecCommitted, k.Rollbacks, k.ReplayEvents, k.CausalityViolations)
+		fmt.Printf("\nsharded kernel (%d regions):\n", o.regions)
+		fmt.Printf("  windows=%d causality-violations=%d\n", k.Windows, k.CausalityViolations)
 	}
-}
-
-// windowName spells the effective window mode ("" defaults to fixed).
-func windowName(w string) string {
-	if w == "" {
-		return "fixed"
-	}
-	return w
 }
 
 func main() {
@@ -208,9 +187,7 @@ func main() {
 	shards := flag.Int("shards", 1, "global-summary store shards per domain (data-level runs; 1 = single tree)")
 	dispatchers := flag.Int("dispatchers", 1, "dispatch groups of the channel transport (channel only; domains map onto groups, 1 = single dispatcher)")
 	regions := flag.Int("regions", 1, "per-region event queues of the discrete-event engine (sim only; bit-identical to the sequential engine, 1 = one heap)")
-	window := flag.String("window", "", "window-bound scheme of the sharded kernel: fixed (default) or dynamic (sim only, regions > 1; bit-identical either way)")
-	speculate := flag.Bool("speculate", false, "frontier-proven speculative overrun past committed windows (sim only, regions > 1; bit-identical)")
-	verbose := flag.Bool("v", false, "print the sharded kernel's window/speculation counters after the run")
+	verbose := flag.Bool("v", false, "print the sharded kernel's window counters after the run")
 	seed := flag.Int64("seed", 1, "random seed (first replica)")
 	runs := flag.Int("runs", 1, "independently seeded replicas (seed, seed+1, ...)")
 	parallel := flag.Int("parallel", 0, "concurrent replicas (0 = one per CPU)")
@@ -218,8 +195,7 @@ func main() {
 
 	o := options{
 		peers: *peers, sps: *sps, queries: *queries, shards: *shards,
-		dispatchers: *dispatchers, regions: *regions,
-		window: *window, speculate: *speculate, verbose: *verbose,
+		dispatchers: *dispatchers, regions: *regions, verbose: *verbose,
 		alpha: *alpha, hours: *hours,
 		hit: *hit, graceful: *graceful, loss: *loss,
 		seed: *seed,

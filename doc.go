@@ -370,64 +370,24 @@
 // deterministic order (timestamp first, source region second), and
 // after every run the region clocks are equalized to the global
 // maximum, so driver-scheduled work observes one clock. The result is
-// bit-identical to the sequential engine at every region count and in
-// every kernel mode below — equivalence tests diff full protocol
-// fingerprints at 1/2/4/8 regions across all modes, and the scale
-// experiment (RunScaleScenario, BENCH_scale.json) enforces a report
-// hash across region counts and modes while recording the wall-clock
+// bit-identical to the sequential engine at every region count —
+// equivalence tests diff full protocol fingerprints at 1/2/4/8 regions,
+// and the scale experiment (RunScaleScenario, BENCH_scale.json) enforces
+// a report hash across region counts while recording the wall-clock
 // speedup.
 //
-// How far a window may run is the kernel's speed lever, pulled three
-// ways (SimOptions.Window/Speculate, p2psim -window/-speculate):
-//
-//   - Fixed windows (the PR 7 baseline): every window spans
-//     [T, T+lookahead) where the lookahead is the minimum latency of
-//     any cross-region link — an event executing inside the window
-//     cannot cause an effect in another region before the window
-//     closes.
-//
-//   - Dynamic windows (the EOT/EIT protocol): at each barrier every
-//     region publishes its earliest-output time, and the coordinator
-//     solves the fixpoint EST(s) = min(nextAt(s), min over q != s of
-//     EST(q) + max(outBound(q), inBound(s))) — the earliest any region
-//     could execute anything, including an empty region woken
-//     transitively by someone else's output. Region r then runs to its
-//     earliest-input time EIT(r) = min over s != r of EST(s) +
-//     max(outBound(s), inBound(r)), where out/inBound are per-region
-//     minimum crossing latencies from the topology
-//     (topology.RegionLatencyBounds). Quiet or latency-distant senders
-//     no longer throttle everyone to the global minimum; still
-//     conservative, no rollback.
-//
-//   - Speculative overrun: a region that exhausts its committed window
-//     keeps executing while a proof holds. The safe tier — the only
-//     one the protocol stack enables — reads the other regions' live
-//     frontier promises (monotone atomics published before every
-//     event) and every inbox's staged-arrival minimum, and commits an
-//     event only when nothing anywhere could land below it; commits
-//     are final, no journal. One arrival class escapes that proof —
-//     the cascade of the region's own in-window sends, which land in
-//     inboxes it already read — so each region also tracks a
-//     self-echo cap (the minimum over its own staged sends of arrival
-//     plus the target's cheapest outgoing link) and never overruns
-//     past it in either tier. The optimistic tier (sim.SpecOptions with
-//     a RegionState client whose state can rewind — the raw-kernel
-//     tests and p2p.Network.BookState) runs past the proof into a
-//     journal: pops are recorded with counters snapshotted at entry,
-//     and at the barrier a straggler (a staged arrival below the
-//     region's speculative clock) triggers rollback — journal events
-//     re-queued at their original (time, seq, id), speculation-born
-//     events recycled for identical re-creation, the region's
-//     spec-tagged staged sends purged from every inbox, counters and
-//     clock restored, RegionState.Rollback applied — then replay
-//     re-executes them deterministically. Whether a rollback happens
-//     is wall-clock dependent; the replayed outcome is not.
-//
-// core.System state cannot rewind, so the full protocol stack only
-// ever uses fixed/dynamic windows and the safe overrun tier — all
-// three pure wall-clock knobs with bit-identical results
-// (internal/sim/spec.go carries the frontier memory-model proof, and
-// fuzz + straggler-rollback tests pin the optimistic tier).
+// There is one window rule: every window spans [T, T+lookahead), where
+// T is the earliest pending event anywhere and the lookahead is the
+// minimum latency of any cross-region link (capped by the direct-send
+// latency, since any node pair may exchange one). An event executing
+// inside the window cannot cause an effect in another region before the
+// window closes, so within a window the regions share nothing and run on
+// their own workers; a window with work in only one region runs inline
+// on the coordinator. The rule is conservative — nothing is ever undone —
+// and FuzzShardedWindows pins its causality argument: random
+// cross-region schedules, including arrivals exactly on a window
+// boundary, replay bit-identically to the sequential engine with zero
+// clamped handoffs (ShardedStats.CausalityViolations).
 //
 // Three engine-level costs were flattened for that scale: event structs
 // are pooled per engine (a freelist reuses fired events, so the steady
@@ -553,33 +513,7 @@
 //	sim.Sharded inboxes        one mutex per region's staging inbox:
 //	                           cross-region Schedule appends under it,
 //	                           the window barrier swaps the slice out
-//	                           under it and sorts outside it. Each inbox
-//	                           mirrors its minimum staged arrival in an
-//	                           atomic (minBits, updated under the mutex,
-//	                           reset at drain) so overrunning regions
-//	                           bound-check without taking any lock.
-//	sim regionRun.frontier     one atomic per region: the earliest-output
-//	                           promise, stored by the owning worker
-//	                           before each speculative commit and read
-//	                           cross-region by other regions' overrun
-//	                           proofs; stale reads are conservative
-//	                           (frontiers only move up mid-window).
-//	sim regionRun.echo         one atomic per region: the self-echo cap,
-//	                           CAS-min'd by whoever stages a send on the
-//	                           region's behalf (normally its own worker;
-//	                           contract-bending protocol paths may stage
-//	                           remotely), reloaded each overrun iteration
-//	                           and reset to +Inf at the barrier drain.
-//	sim regionRun journal      NO lock: the speculation journal, counter
-//	                           snapshots and specActive flag are written
-//	                           by the owning region's worker during a
-//	                           window and consumed by the coordinator at
-//	                           the barrier (the WaitGroup barrier orders
-//	                           the handoff).
-//	p2p regionBook commit-buf  under regionBook.mu like the live ledgers:
-//	                           the snapshot clones taken by BookState
-//	                           (Snapshot/Rollback/Commit) for optimistic
-//	                           runs whose driver state can rewind.
+//	                           under it and sorts outside it.
 //	p2p regionBook.mu          one mutex per region in sharded-Network
 //	                           mode: the region's message/byte counters
 //	                           and message-ID allocation. Counter() and

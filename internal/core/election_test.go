@@ -72,7 +72,7 @@ func runElectionScenario(t *testing.T, regions int) (*System, string) {
 	t.Helper()
 	const clusters, size = 3, 8
 	g, hubs := topology.DisjointStars(clusters, size, 0.05)
-	net := regionNet(t, g, 21, regions, kernelMode{})
+	net := regionNet(t, g, 21, regions)
 	cfg := DefaultConfig()
 	cfg.ProactiveElection = true
 	sys, err := NewSystem(net, cfg)

@@ -22,17 +22,9 @@ import (
 // (NearestSeeds collapses everything into region 0, pinning the sharded
 // kernel's degenerate mode to the sequential behaviour).
 
-// kernelMode configures the sharded kernel's window scheme and overrun
-// for an equivalence run; the zero value is PR 7's fixed conservative
-// windows.
-type kernelMode struct {
-	window    sim.WindowMode
-	speculate bool
-}
-
 // regionNet builds the transport for one equivalence run: the plain
 // sequential Network for regions == 0, the sharded kernel otherwise.
-func regionNet(t *testing.T, g *topology.Graph, seed int64, regions int, mode kernelMode) *p2p.Network {
+func regionNet(t *testing.T, g *topology.Graph, seed int64, regions int) *p2p.Network {
 	t.Helper()
 	if regions == 0 {
 		return p2p.NewNetwork(sim.New(), g, seed)
@@ -41,19 +33,17 @@ func regionNet(t *testing.T, g *topology.Graph, seed int64, regions int, mode ke
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetWindowMode(mode.window)
-	net.SetSpeculation(mode.speculate)
 	return net
 }
 
 // runRegionStarScenario drives a churny multi-domain protocol scenario
 // (graceful and silent departures, modification pushes crossing the α
 // threshold, rejoins) over 8 star domains and fingerprints the outcome.
-func runRegionStarScenario(t *testing.T, regions int, mode kernelMode) dispatchFingerprint {
+func runRegionStarScenario(t *testing.T, regions int) dispatchFingerprint {
 	t.Helper()
 	const clusters, size = 8, 8
 	g, hubs := topology.DisjointStars(clusters, size, 0.05)
-	net := regionNet(t, g, 11, regions, mode)
+	net := regionNet(t, g, 11, regions)
 	cfg := DefaultConfig()
 	cfg.Alpha = 0.3
 	cfg.DataLevel = true
@@ -158,7 +148,7 @@ func fingerprintSystem(net *p2p.Network, sys *System) dispatchFingerprint {
 }
 
 func TestRegionShardingEquivalenceStars(t *testing.T) {
-	base := runRegionStarScenario(t, 0, kernelMode{}) // sequential engine
+	base := runRegionStarScenario(t, 0) // sequential engine
 	if base.stats.Reconciliations < 8 {
 		t.Fatalf("scenario too tame: only %d reconciliations", base.stats.Reconciliations)
 	}
@@ -166,30 +156,20 @@ func TestRegionShardingEquivalenceStars(t *testing.T) {
 		t.Fatalf("coverage = %v after rejoins, want 1", base.coverage)
 	}
 	for _, regions := range []int{1, 2, 4, 8} {
-		got := runRegionStarScenario(t, regions, kernelMode{})
+		got := runRegionStarScenario(t, regions)
 		diffFingerprints(t, fmt.Sprintf("regions=%d vs sequential", regions), base, got)
 	}
 }
 
-// TestRegionShardingEquivalenceModes: dynamic windows and speculative
-// overrun are pure wall-clock optimizations — the full protocol outcome
-// (reports, counters, trees, coverage) stays bit-identical to the
-// sequential engine in every mode at every region count.
+// TestRegionShardingEquivalenceModes is the former window/overrun mode
+// table collapsed to its region-count loop: the parallel kernel has one
+// mode left, and at few and at many regions it matches the sequential
+// engine.
 func TestRegionShardingEquivalenceModes(t *testing.T) {
-	base := runRegionStarScenario(t, 0, kernelMode{}) // sequential engine
-	modes := []struct {
-		name string
-		mode kernelMode
-	}{
-		{"dynamic", kernelMode{window: sim.WindowDynamic}},
-		{"fixed+speculate", kernelMode{speculate: true}},
-		{"dynamic+speculate", kernelMode{window: sim.WindowDynamic, speculate: true}},
-	}
-	for _, m := range modes {
-		for _, regions := range []int{2, 8} {
-			got := runRegionStarScenario(t, regions, m.mode)
-			diffFingerprints(t, fmt.Sprintf("%s regions=%d vs sequential", m.name, regions), base, got)
-		}
+	base := runRegionStarScenario(t, 0) // sequential engine
+	for _, regions := range []int{2, 8} {
+		got := runRegionStarScenario(t, regions)
+		diffFingerprints(t, fmt.Sprintf("regions=%d vs sequential", regions), base, got)
 	}
 }
 
@@ -205,7 +185,7 @@ func runRegionDomainScenario(t *testing.T, regions int) dispatchFingerprint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := regionNet(t, g, 7, regions, kernelMode{window: sim.WindowDynamic, speculate: true})
+	net := regionNet(t, g, 7, regions)
 	cfg := DefaultConfig()
 	sys, err := NewSystem(net, cfg)
 	if err != nil {

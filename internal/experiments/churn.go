@@ -59,13 +59,14 @@ type ChurnRateResult struct {
 // ChurnResult is the machine-readable outcome of the churn experiment
 // (serialized to BENCH_churn.json by cmd/experiments).
 type ChurnResult struct {
-	Peers             int               `json:"peers"`
-	Domains           int               `json:"domains"`
-	SimHours          float64           `json:"sim_hours"`
-	Alpha             float64           `json:"alpha"`
-	GossipIntervalSec float64           `json:"gossip_interval_sec"`
-	Seed              int64             `json:"seed"`
-	Rates             []ChurnRateResult `json:"rates"`
+	Peers             int     `json:"peers"`
+	Domains           int     `json:"domains"`
+	SimHours          float64 `json:"sim_hours"`
+	Alpha             float64 `json:"alpha"`
+	GossipIntervalSec float64 `json:"gossip_interval_sec"`
+	Seed              int64   `json:"seed"`
+	Machine
+	Rates []ChurnRateResult `json:"rates"`
 }
 
 // churnGossipEvery is the virtual-second spacing of the scheduled gossip
@@ -217,6 +218,7 @@ func ChurnExperiment(cfg Config) (*stats.Table, *ChurnResult, error) {
 		Alpha:             cfg.Alphas[0],
 		GossipIntervalSec: churnGossipEvery,
 		Seed:              cfg.Seed,
+		Machine:           thisMachine(),
 		Rates:             make([]ChurnRateResult, len(rates)),
 	}
 	err := forEach(cfg.Workers, len(rates), func(i int) error {

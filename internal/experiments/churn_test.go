@@ -11,6 +11,7 @@ func TestChurnExperimentQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkMachine(t, res.Machine)
 	rates := churnRates(cfg)
 	if len(res.Rates) != len(rates) {
 		t.Fatalf("got %d rate results, want %d", len(res.Rates), len(rates))

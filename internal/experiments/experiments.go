@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"p2psum/internal/bk"
 	"p2psum/internal/cells"
@@ -102,6 +103,21 @@ func Quick() Config {
 		ScaleRegions:    []int{1, 4},
 		GatewayClients:  []int{50, 200},
 	}
+}
+
+// Machine records the box a BENCH_*.json file was measured on: a
+// wall-clock or throughput figure means nothing without the core count
+// that capped it. The result structs embed it, so its fields sit at the
+// top level of each file.
+type Machine struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// thisMachine describes the running process.
+func thisMachine() Machine {
+	return Machine{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
 }
 
 // ParamsTable renders Table 3 (simulation parameters).

@@ -72,10 +72,11 @@ type FaultsPoint struct {
 // FaultsResult is the machine-readable outcome of the faults experiment
 // (serialized to BENCH_faults.json by cmd/experiments).
 type FaultsResult struct {
-	Peers   int           `json:"peers"`
-	Domains int           `json:"domains"`
-	Seed    int64         `json:"seed"`
-	Points  []FaultsPoint `json:"points"`
+	Peers   int   `json:"peers"`
+	Domains int   `json:"domains"`
+	Seed    int64 `json:"seed"`
+	Machine
+	Points []FaultsPoint `json:"points"`
 }
 
 // faultsFleet sizes the overlay: the quick configuration runs the 1000-peer
@@ -404,6 +405,7 @@ func FaultsExperiment(cfg Config) (*stats.Table, *FaultsResult, error) {
 		Peers:   n,
 		Domains: domains,
 		Seed:    cfg.Seed,
+		Machine: thisMachine(),
 		Points:  make([]FaultsPoint, len(partFracs)+len(crowdFracs)+len(advWaves)),
 	}
 	runners := make([]func() (FaultsPoint, error), 0, len(res.Points))

@@ -14,6 +14,7 @@ func TestFaultsExperimentQuick(t *testing.T) {
 	if table == nil || len(table.Series) == 0 {
 		t.Fatal("empty faults table")
 	}
+	checkMachine(t, res.Machine)
 	if len(res.Points) != 9 {
 		t.Fatalf("points = %d, want 9 (3 scenarios x 3 severities)", len(res.Points))
 	}

@@ -64,12 +64,13 @@ type GatewayPoint struct {
 // GatewayResult is the machine-readable outcome of the gateway experiment
 // (serialized to BENCH_gateway.json by cmd/experiments).
 type GatewayResult struct {
-	Spokes    int            `json:"spokes"`
-	Shards    int            `json:"shards"`
-	Distinct  int            `json:"distinct_queries"`
-	PerClient int            `json:"queries_per_client"`
-	Seed      int64          `json:"seed"`
-	Points    []GatewayPoint `json:"points"`
+	Spokes    int   `json:"spokes"`
+	Shards    int   `json:"shards"`
+	Distinct  int   `json:"distinct_queries"`
+	PerClient int   `json:"queries_per_client"`
+	Seed      int64 `json:"seed"`
+	Machine
+	Points []GatewayPoint `json:"points"`
 }
 
 // gatewayDiseases is the duplicate-heavy query pool (and the spokes' data
@@ -285,7 +286,7 @@ func GatewayExperiment(cfg Config) (*stats.Table, *GatewayResult, error) {
 	}
 	res := &GatewayResult{
 		Spokes: spokes, Shards: cfg.Shards, Distinct: distinct,
-		PerClient: perClient, Seed: cfg.Seed,
+		PerClient: perClient, Seed: cfg.Seed, Machine: thisMachine(),
 	}
 	if res.Shards <= 1 {
 		res.Shards = 4

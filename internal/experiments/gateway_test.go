@@ -14,6 +14,7 @@ func TestGatewayExperimentQuick(t *testing.T) {
 	if table == nil || len(table.Series) == 0 {
 		t.Fatal("empty gateway table")
 	}
+	checkMachine(t, res.Machine)
 	if got, want := len(res.Points), len(cfg.GatewayClients); got != want {
 		t.Fatalf("points = %d, want %d", got, want)
 	}

@@ -12,7 +12,6 @@ import (
 
 	"p2psum/internal/core"
 	"p2psum/internal/p2p"
-	"p2psum/internal/sim"
 	"p2psum/internal/stats"
 	"p2psum/internal/topology"
 )
@@ -29,20 +28,25 @@ import (
 // differences measure the kernel, not scheduler contention; cfg.Workers
 // is deliberately ignored.
 
-// ScaleRunResult is one (peers, regions, mode) measurement.
+// scaleReps is how many times every (peers, regions) point runs. One
+// sample cannot carry a verdict — four sweeps of the same code read the
+// 10k-peer 1-region point at 0.125–0.148 s — so the point reports the
+// median with its min/max.
+const scaleReps = 3
+
+// ScaleRunResult is one (peers, regions) measurement.
 type ScaleRunResult struct {
 	Peers   int `json:"peers"`
 	Domains int `json:"domains"`
 	Regions int `json:"regions"`
-	// Mode is the kernel configuration: "fixed" (conservative global
-	// lookahead), "dynamic" (per-region EOT/EIT window bounds) or "spec"
-	// (dynamic windows plus frontier-proven speculative overrun). All
-	// modes must reproduce the same ReportHash.
-	Mode string `json:"mode"`
-	// WallSec is the end-to-end wall-clock of construct + waves
-	// (graph generation and setup excluded).
-	WallSec float64 `json:"wall_sec"`
-	// Speedup is WallSec(regions=1) / WallSec at this region count.
+	// WallSec is the end-to-end wall-clock of construct + waves (graph
+	// generation and setup excluded): the median of scaleReps runs, with
+	// the fastest and slowest beside it.
+	WallSec    float64 `json:"wall_sec"`
+	WallSecMin float64 `json:"wall_sec_min"`
+	WallSecMax float64 `json:"wall_sec_max"`
+	// Speedup is median WallSec(regions=1) / median WallSec at this
+	// region count.
 	Speedup float64 `json:"speedup"`
 	// Events is the number of discrete events the kernel executed.
 	Events uint64 `json:"events"`
@@ -61,30 +65,22 @@ type ScaleRunResult struct {
 	MaxRSSKB int64 `json:"max_rss_kb"`
 	// ReportHash fingerprints every domain report plus the per-type
 	// message/byte counters and coverage; equal hashes across region
-	// counts and kernel modes prove the parallel kernel changed nothing
-	// observable.
+	// counts prove the parallel kernel changed nothing observable.
 	ReportHash string `json:"report_hash"`
-	// Kernel counters (see sim.ShardedStats): barrier-separated windows,
-	// windows the dynamic planner extended past the fixed bound, and
-	// events committed past a committed window end by the overrun proof.
-	Windows           uint64 `json:"windows"`
-	DynamicExtensions uint64 `json:"dynamic_extensions"`
-	SpecCommitted     uint64 `json:"spec_committed"`
+	// Windows is the kernel's barrier-separated window count (see
+	// sim.ShardedStats).
+	Windows uint64 `json:"windows"`
 	// Violations counts cross-region handoffs the kernel clamped to the
-	// target's clock; zero in every mode on this workload (the hash
-	// identity would catch the drift a clamp implies).
+	// target's clock; zero on this workload (the hash identity would
+	// catch the drift a clamp implies).
 	Violations uint64 `json:"causality_violations"`
 }
 
 // ScaleResult is the machine-readable outcome (BENCH_scale.json).
 type ScaleResult struct {
 	Seed int64 `json:"seed"`
-	// The machine the sweep ran on: a multi-region wall-clock means
-	// nothing without the core count that capped it.
-	NumCPU     int              `json:"num_cpu"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	GoVersion  string           `json:"go_version"`
-	Runs       []ScaleRunResult `json:"runs"`
+	Machine
+	Runs []ScaleRunResult `json:"runs"`
 }
 
 // scaleDomains picks the domain count for an overlay size: one summary
@@ -115,34 +111,14 @@ func scaleHash(net *p2p.Network, sys *core.System) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// scaleMode is one kernel configuration of the mode sweep.
-type scaleMode struct {
-	name      string
-	window    sim.WindowMode
-	speculate bool
-}
-
-// scaleModes are the kernel configurations compared at every region
-// count above one: the PR 7 fixed conservative windows, dynamic EOT/EIT
-// window bounds, and dynamic windows plus frontier-proven speculative
-// overrun. With a single region the kernel is sequential and the modes
-// coincide, so only "fixed" runs there.
-var scaleModes = []scaleMode{
-	{name: "fixed", window: sim.WindowFixed},
-	{name: "dynamic", window: sim.WindowDynamic},
-	{name: "spec", window: sim.WindowDynamic, speculate: true},
-}
-
-// runScalePoint measures one (peers, regions, mode) run over a pre-built
-// graph.
-func runScalePoint(cfg Config, g *topology.Graph, peers, regions int, mode scaleMode) (ScaleRunResult, error) {
-	out := ScaleRunResult{Peers: peers, Domains: scaleDomains(peers), Regions: regions, Mode: mode.name}
+// runScalePoint measures one run of a (peers, regions) point over a
+// pre-built graph.
+func runScalePoint(cfg Config, g *topology.Graph, peers, regions int) (ScaleRunResult, error) {
+	out := ScaleRunResult{Peers: peers, Domains: scaleDomains(peers), Regions: regions}
 	net, err := p2p.NewShardedNetwork(g, cfg.Seed, regions)
 	if err != nil {
 		return out, err
 	}
-	net.SetWindowMode(mode.window)
-	net.SetSpeculation(mode.speculate)
 	sysCfg := core.DefaultConfig()
 	sysCfg.Alpha = cfg.Alphas[0]
 	sys, err := core.NewSystem(net, sysCfg)
@@ -183,8 +159,6 @@ func runScalePoint(cfg Config, g *topology.Graph, peers, regions int, mode scale
 	out.ReportHash = scaleHash(net, sys)
 	if ks, ok := net.KernelStats(); ok {
 		out.Windows = ks.Windows
-		out.DynamicExtensions = ks.DynamicExtensions
-		out.SpecCommitted = ks.SpecCommitted
 		out.Violations = ks.CausalityViolations
 	}
 
@@ -199,11 +173,35 @@ func runScalePoint(cfg Config, g *topology.Graph, peers, regions int, mode scale
 	return out, nil
 }
 
-// ScaleExperiment sweeps overlay size × region count × kernel mode,
-// verifying that every run reproduces the single-region reports
-// bit-for-bit, and reports wall-clock speedup, per-peer message cost
-// and memory. Sizes run ascending so each size's first run records a
-// meaningful RSS high-water mark.
+// measureScalePoint runs a point scaleReps times and reports the first
+// run's record (its RSS high-water mark is the one that still means
+// something) with the median, fastest and slowest wall-clock.
+func measureScalePoint(cfg Config, g *topology.Graph, peers, regions int) (ScaleRunResult, error) {
+	var out ScaleRunResult
+	walls := make([]float64, 0, scaleReps)
+	for rep := 0; rep < scaleReps; rep++ {
+		run, err := runScalePoint(cfg, g, peers, regions)
+		if err != nil {
+			return out, err
+		}
+		if rep == 0 {
+			out = run
+		} else if run.ReportHash != out.ReportHash {
+			return out, fmt.Errorf("experiments: %d peers, %d regions: reports diverge between repeats (%s vs %s)",
+				peers, regions, out.ReportHash[:12], run.ReportHash[:12])
+		}
+		walls = append(walls, run.WallSec)
+	}
+	sort.Float64s(walls)
+	out.WallSecMin, out.WallSec, out.WallSecMax = walls[0], walls[scaleReps/2], walls[scaleReps-1]
+	return out, nil
+}
+
+// ScaleExperiment sweeps overlay size × region count, verifying that
+// every run reproduces the first region count's reports bit-for-bit, and
+// reports wall-clock speedup, per-peer message cost and memory. Sizes
+// run ascending so each size's first run records a meaningful RSS
+// high-water mark.
 func ScaleExperiment(cfg Config) (*stats.Table, *ScaleResult, error) {
 	sizes := append([]int(nil), cfg.ScalePeers...)
 	sort.Ints(sizes)
@@ -211,28 +209,10 @@ func ScaleExperiment(cfg Config) (*stats.Table, *ScaleResult, error) {
 	if len(sizes) == 0 || len(regionCounts) == 0 {
 		return nil, nil, fmt.Errorf("experiments: empty scale sweep (%v peers × %v regions)", sizes, regionCounts)
 	}
-	// One wall-clock series per (region count, kernel mode) column; a
-	// single region runs the sequential degenerate kernel where the modes
-	// coincide, so it gets one column.
-	modesFor := func(regions int) []scaleMode {
-		if regions <= 1 {
-			return scaleModes[:1]
-		}
-		return scaleModes
-	}
-	res := &ScaleResult{Seed: cfg.Seed, NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
-	var series []*stats.Series
-	colOf := make(map[string]*stats.Series)
-	for _, r := range regionCounts {
-		for _, m := range modesFor(r) {
-			name := fmt.Sprintf("@%dr %s", r, m.name)
-			if r <= 1 {
-				name = fmt.Sprintf("@%dr", r)
-			}
-			s := &stats.Series{Name: name}
-			series = append(series, s)
-			colOf[fmt.Sprintf("%d/%s", r, m.name)] = s
-		}
+	res := &ScaleResult{Seed: cfg.Seed, Machine: thisMachine()}
+	series := make([]*stats.Series, len(regionCounts))
+	for i, r := range regionCounts {
+		series[i] = &stats.Series{Name: fmt.Sprintf("@%dr", r)}
 	}
 	msgSeries := &stats.Series{Name: "msgs/peer"}
 	var notes []string
@@ -241,46 +221,31 @@ func ScaleExperiment(cfg Config) (*stats.Table, *ScaleResult, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		var base ScaleRunResult
-		first := true
-		for _, regions := range regionCounts {
-			for _, mode := range modesFor(regions) {
-				run, err := runScalePoint(cfg, g, peers, regions, mode)
-				if err != nil {
-					return nil, nil, err
-				}
-				if first {
-					base = run
-					first = false
-				} else if run.ReportHash != base.ReportHash {
-					return nil, nil, fmt.Errorf("experiments: %d peers: reports diverge between %d regions/%s and %d regions/%s (%s vs %s)",
-						peers, base.Regions, base.Mode, regions, mode.name, base.ReportHash[:12], run.ReportHash[:12])
-				}
-				if base.WallSec > 0 {
-					run.Speedup = base.WallSec / run.WallSec
-				}
-				colOf[fmt.Sprintf("%d/%s", regions, mode.name)].Add(float64(peers), run.WallSec)
-				res.Runs = append(res.Runs, run)
-				last := regions == regionCounts[len(regionCounts)-1] &&
-					mode.name == modesFor(regions)[len(modesFor(regions))-1].name
-				if last {
-					msgSeries.Add(float64(peers), run.MsgsPerPeer)
-					notes = append(notes, fmt.Sprintf(
-						"%d peers / %d domains: %d events, %.1f msgs/peer, %d reconciliations, heap %.0f MB, rss %d MB, best speedup %.2fx",
-						peers, run.Domains, run.Events, run.MsgsPerPeer, run.Reconciliations,
-						run.HeapMB, run.MaxRSSKB/1024, bestSpeedup(res.Runs, peers)))
-					notes = append(notes, fmt.Sprintf(
-						"%d peers @%dr kernel: fixed %d windows; dynamic extended %d of %d; spec committed %d past-window events in %d windows",
-						peers, regions,
-						windowsOf(res.Runs, peers, regions, "fixed"),
-						dynExtOf(res.Runs, peers, regions), windowsOf(res.Runs, peers, regions, "dynamic"),
-						run.SpecCommitted, run.Windows))
-				}
+		var base, run ScaleRunResult
+		for i, regions := range regionCounts {
+			if run, err = measureScalePoint(cfg, g, peers, regions); err != nil {
+				return nil, nil, err
 			}
+			if i == 0 {
+				base = run
+			} else if run.ReportHash != base.ReportHash {
+				return nil, nil, fmt.Errorf("experiments: %d peers: reports diverge between %d and %d regions (%s vs %s)",
+					peers, base.Regions, regions, base.ReportHash[:12], run.ReportHash[:12])
+			}
+			run.Speedup = base.WallSec / run.WallSec
+			series[i].Add(float64(peers), run.WallSec)
+			res.Runs = append(res.Runs, run)
 		}
+		msgSeries.Add(float64(peers), run.MsgsPerPeer)
+		note := fmt.Sprintf("%d peers / %d domains: %d events, %.1f msgs/peer, %d reconciliations, heap %.0f MB, rss %d MB",
+			peers, run.Domains, run.Events, run.MsgsPerPeer, run.Reconciliations, run.HeapMB, run.MaxRSSKB/1024)
+		if best := bestSpeedup(res.Runs, peers); best > 0 {
+			note += fmt.Sprintf(", best multi-region speedup %.2fx", best)
+		}
+		notes = append(notes, note)
 	}
 	t := stats.NewTable(
-		fmt.Sprintf("Scale: construct + 3 reconcile waves, regions %v x {fixed,dynamic,spec} windows (reports bit-identical per size)", regionCounts),
+		fmt.Sprintf("Scale: construct + 3 reconcile waves, regions %v, median wall-clock s of %d runs (reports bit-identical per size)", regionCounts, scaleReps),
 		"peers", append(series, msgSeries)...)
 	t.Decimal = 2
 	for _, n := range notes {
@@ -290,32 +255,13 @@ func ScaleExperiment(cfg Config) (*stats.Table, *ScaleResult, error) {
 	return t, res, nil
 }
 
-// windowsOf returns the window count of the (peers, regions, mode) run.
-func windowsOf(runs []ScaleRunResult, peers, regions int, mode string) uint64 {
-	for _, r := range runs {
-		if r.Peers == peers && r.Regions == regions && r.Mode == mode {
-			return r.Windows
-		}
-	}
-	return 0
-}
-
-// dynExtOf returns the dynamic-extension count of the (peers, regions,
-// "dynamic") run.
-func dynExtOf(runs []ScaleRunResult, peers, regions int) uint64 {
-	for _, r := range runs {
-		if r.Peers == peers && r.Regions == regions && r.Mode == "dynamic" {
-			return r.DynamicExtensions
-		}
-	}
-	return 0
-}
-
-// bestSpeedup returns the best measured speedup for a size.
+// bestSpeedup returns the best speedup any multi-region run measured for
+// a size — below 1 when every one lost to the base — or 0 when the sweep
+// had no multi-region run.
 func bestSpeedup(runs []ScaleRunResult, peers int) float64 {
-	best := 1.0
+	best := 0.0
 	for _, r := range runs {
-		if r.Peers == peers && r.Speedup > best {
+		if r.Peers == peers && r.Regions > 1 && r.Speedup > best {
 			best = r.Speedup
 		}
 	}

@@ -1,7 +1,6 @@
 package p2p
 
 import (
-	"math"
 	"math/rand"
 	"sync"
 
@@ -48,12 +47,6 @@ type regionBook struct {
 	counter *stats.Counter
 	bytes   *stats.Counter
 	nextMsg uint64
-	// Commit-buffer for the kernel's optimistic speculation (BookState):
-	// Snapshot clones the live ledgers here, Rollback swaps them back,
-	// Commit discards them. nil outside an optimistic window.
-	snapCounter *stats.Counter
-	snapBytes   *stats.Counter
-	snapNextMsg uint64
 }
 
 // NewShardedNetwork builds a Network whose events execute on a sharded
@@ -114,94 +107,16 @@ func (n *Network) SetGroupBy(fn func(NodeID) int) bool {
 		}
 		part[i] = g
 	}
-	if n.shard.SetPartition(part, n.lookaheadFor(part)) != nil {
-		return false
-	}
-	// Tighten the kernel's per-region earliest-output/earliest-input
-	// bounds from the topology: a region whose cheapest crossing is dear
-	// lets its neighbors stride further than the global lookahead. Capped
-	// by DirectLatency for the same reason the lookahead is.
-	gOut, gIn := topology.RegionLatencyBounds(n.graph, part, d)
-	out := make([]sim.Time, d)
-	in := make([]sim.Time, d)
-	for r := 0; r < d; r++ {
-		out[r] = sim.Time(math.Min(gOut[r], n.DirectLatency))
-		in[r] = sim.Time(math.Min(gIn[r], n.DirectLatency))
-	}
-	if err := n.shard.SetBounds(out, in); err != nil {
-		panic(err) // bounds are positive and sized by construction
-	}
-	return true
+	return n.shard.SetPartition(part, n.lookaheadFor(part)) == nil
 }
 
-// SetWindowMode selects the sharded kernel's window-bound scheme (fixed
-// conservative lookahead vs per-region dynamic bounds); a no-op on a
-// sequential Network. Configure it before traffic starts.
-func (n *Network) SetWindowMode(m sim.WindowMode) {
-	if n.shard != nil {
-		n.shard.SetWindowMode(m)
-	}
-}
-
-// SetSpeculation enables frontier-proven speculative overrun on the
-// sharded kernel: regions keep executing past their committed window
-// while they can prove no cross-region event can land below their
-// clock. The protocol stack's summary state cannot rewind, so this
-// never enables the kernel's optimistic (journaled) tier — results stay
-// bit-identical to the sequential engine by construction. A no-op on a
-// sequential Network or with on == false; configure before traffic.
-func (n *Network) SetSpeculation(on bool) {
-	if n.shard != nil && on {
-		n.shard.Speculate(sim.SpecOptions{})
-	}
-}
-
-// KernelStats returns the sharded kernel's window/speculation counters
-// and whether this Network runs a sharded kernel at all.
+// KernelStats returns the sharded kernel's window counters and whether
+// this Network runs a sharded kernel at all.
 func (n *Network) KernelStats() (sim.ShardedStats, bool) {
 	if n.shard == nil {
 		return sim.ShardedStats{}, false
 	}
 	return n.shard.Stats(), true
-}
-
-// BookState adapts the per-region traffic ledgers to sim.RegionState so
-// a kernel-level driver whose own state can rewind may run optimistic
-// speculation with the books staying consistent: message counts, byte
-// tallies and the region's message-id counter all roll back with the
-// journal, so replayed sends are charged once and re-assigned the same
-// ids. The full protocol stack does NOT install this (core's summary
-// state is not rewindable); it exists for tests and rewindable clients
-// driving the Network directly.
-func (n *Network) BookState() sim.RegionState { return bookState{n} }
-
-type bookState struct{ n *Network }
-
-// Snapshot clones region r's ledgers into the commit-buffer.
-func (b bookState) Snapshot(r int) {
-	bk := &b.n.books[r]
-	bk.mu.Lock()
-	bk.snapCounter = bk.counter.Clone()
-	bk.snapBytes = bk.bytes.Clone()
-	bk.snapNextMsg = bk.nextMsg
-	bk.mu.Unlock()
-}
-
-// Rollback restores region r's ledgers from the commit-buffer.
-func (b bookState) Rollback(r int) {
-	bk := &b.n.books[r]
-	bk.mu.Lock()
-	bk.counter, bk.bytes, bk.nextMsg = bk.snapCounter, bk.snapBytes, bk.snapNextMsg
-	bk.snapCounter, bk.snapBytes = nil, nil
-	bk.mu.Unlock()
-}
-
-// Commit discards region r's commit-buffer; the live ledgers stand.
-func (b bookState) Commit(r int) {
-	bk := &b.n.books[r]
-	bk.mu.Lock()
-	bk.snapCounter, bk.snapBytes = nil, nil
-	bk.mu.Unlock()
 }
 
 // lookaheadFor computes the conservative window width for a partition:

@@ -11,30 +11,17 @@ import (
 
 // Sharded is the parallel event kernel: the node set is partitioned into
 // regions, each region owns a sequential Engine (heap + clock), and the
-// kernel advances every region in barrier-separated time windows inside
-// which regions cannot affect each other.
+// kernel advances every region in barrier-separated time windows
+// [min, min+lookahead) inside which regions cannot affect each other.
 //
-// The window bound comes in two flavors (SetWindowMode):
-//
-//   - WindowFixed (PR 7): every window spans [min, min+lookahead), the
-//     global conservative bound — lookahead is the minimum latency of any
-//     cross-region link, so an event executing at t >= windowStart that
-//     sends across regions delivers at t+lat >= windowEnd.
-//   - WindowDynamic: at each barrier every region publishes an
-//     earliest-output-time bound EOT(s) = nextAt(s) + outBound(s) (its
-//     next pending event time plus the minimum latency of any link
-//     leaving its partition). Region r's window then ends at its
-//     earliest-input-time EIT(r) = min over s != r of
-//     nextAt(s) + max(outBound(s), inBound(r)) — so a region whose
-//     latency-close neighbors are quiet strides far past the static
-//     lookahead with zero rollback machinery.
-//
-// Speculate layers optimistic overrun on either mode: a region that
-// exhausts its committed window keeps executing while it can prove, from
-// the other regions' live frontier promises and its own staged-arrival
-// minimum, that no cross-region event can land below its clock; with a
-// RegionState client it may run even past that proof into a journal that
-// a straggler discards and replays (see spec.go).
+// The conservation argument: lookahead is chosen (by the caller, e.g.
+// p2p.Network.SetGroupBy) as the minimum latency of any cross-region
+// link. An event executing at time t >= windowStart that sends across
+// regions schedules the delivery at t + lat >= windowStart + lookahead
+// = windowEnd — always a later window. So within one window the regions
+// share nothing, and intra-region events run in parallel across region
+// worker goroutines while keeping the sequential engine's exact
+// (time, seq) order inside each region.
 //
 // Cross-region handoff: Schedule routes same-region events straight onto
 // the owner's heap (only the owning worker, or the idle driver, touches
@@ -48,30 +35,41 @@ type Sharded struct {
 	inboxes   []regionInbox
 	partition []int32
 	lookahead Time
-	// outBound/inBound are the per-region minimum latencies of links
-	// leaving/entering each region's partition (default: lookahead).
-	outBound []Time
-	inBound  []Time
-	mode     WindowMode
-	// spec/specState/specHorizon configure overrun (see Speculate).
-	spec        bool
-	specState   RegionState
-	specHorizon Time
-	started     bool
-	running     bool // inside run(): staging comes from worker context
-	staged      atomic.Int64
-	runs        []regionRun
+	started   bool
+	running   bool // inside run(): staging comes from worker context
+	staged    atomic.Int64
+	// work[r] hands region r's persistent worker the end of the window
+	// to execute (workerStop terminates it); workers says whether they
+	// are running, wg is the window barrier.
+	work    []chan Time
+	workers bool
+	wg      sync.WaitGroup
 	// Coordinator scratch, reused across windows: the barrier allocates
 	// nothing in steady state (BenchmarkWindowBarrier gates allocs at 0).
-	eot      []Time
-	ends     []Time
-	act      []int
-	runLimit Time
-	workers  bool
-	wg       sync.WaitGroup
-	sorter   stagedSorter
-	stats    ShardedStats
+	act    []int
+	sorter stagedSorter
+	stats  ShardedStats
 }
+
+// ShardedStats counts what the parallel kernel did across Run/RunUntil
+// calls. Read it from driver context via Stats().
+type ShardedStats struct {
+	// Windows is the number of barrier-separated execution windows.
+	Windows uint64
+	// CausalityViolations counts in-run cross-region handoffs that
+	// arrived below their target's committed clock and were clamped to
+	// it. Zero under the pure kernel contract (every send based on the
+	// sending region's own clock plus at least the lookahead — the sim
+	// tests assert it); the protocol stack's documented
+	// contract-bending paths (drop callbacks sending on behalf of a
+	// remote region, reading that region's clock mirror mid-window)
+	// produce a few, absorbed by the same clamp the sequential engine
+	// applies to past schedules.
+	CausalityViolations uint64
+}
+
+// Stats returns the kernel counters. Driver context only.
+func (s *Sharded) Stats() ShardedStats { return s.stats }
 
 // stagedSorter orders one inbox's drained entries by (time, source
 // region). It lives on the Sharded struct so the sort.Stable interface
@@ -90,46 +88,10 @@ func (d *stagedSorter) Swap(i, j int) {
 	d.entries[i], d.entries[j] = d.entries[j], d.entries[i]
 }
 
-// regionRun is one region's worker channel plus speculation state. The
-// frontier and specCommitted fields are written by the owning worker
-// (coordinator between windows); journal bookkeeping is worker-written
-// during a window and coordinator-consumed at the barrier.
-type regionRun struct {
-	// frontier is the region's earliest-output promise as float64 bits:
-	// nothing it emits from here on arrives anywhere below this time.
-	frontier atomic.Uint64
-	// echo is the region's self-echo cap as float64 bits (+Inf when it
-	// staged nothing this window): the minimum over its own in-window
-	// cross-region sends of arrival + outBound(target) — the earliest a
-	// cascade of its own output can re-enter any region. Both overrun
-	// tiers stop below it: the frontier/inbox proof covers everyone
-	// else's output, but a region's own sends land in inboxes it has
-	// already read, so a stale bound would let it outrun its own echo
-	// (the optimistic tier cannot rely on barrier validation either —
-	// the echo of a journal committed this window only materializes a
-	// window later, after the straggler check has passed).
-	echo atomic.Uint64
-	work chan Time
-	// committedEnd/specMax bound this window's committed run and
-	// optimistic overrun; specCommitted counts frontier-proven events.
-	committedEnd  Time
-	specMax       Time
-	specCommitted uint64
-	// specActive marks optimistic (journaled) execution; the journal
-	// holds popped-but-unvalidated events in execution order.
-	specActive bool
-	journal    []*event
-	snapSeq    uint64
-	snapID     uint64
-	snapEvents uint64
-	snapNow    Time
-}
-
 // stagedEvent is one cross-region handoff awaiting the window barrier.
 type stagedEvent struct {
 	at    Time
 	src   int32 // sending region: part of the deterministic drain order
-	spec  bool  // staged by journaled execution: purged if the sender rolls back
 	inRun bool  // staged from worker context (causality accounting applies)
 	fn    func()
 }
@@ -138,12 +100,7 @@ type regionInbox struct {
 	mu      sync.Mutex
 	entries []stagedEvent
 	spare   []stagedEvent // swap buffer: drain allocates nothing
-	// minBits mirrors the minimum staged arrival time (float64 bits,
-	// +Inf when empty) for lock-free overrun bound checks.
-	minBits atomic.Uint64
 }
-
-var infBits = math.Float64bits(math.Inf(1))
 
 // DefaultLookahead is the window width before SetPartition provides the
 // real minimum cross-region latency. With the initial single-region
@@ -166,21 +123,14 @@ func NewSharded(nodes, regions int) (*Sharded, error) {
 		inboxes:   make([]regionInbox, regions),
 		partition: make([]int32, nodes),
 		lookahead: DefaultLookahead,
-		outBound:  make([]Time, regions),
-		inBound:   make([]Time, regions),
-		runs:      make([]regionRun, regions),
-		eot:       make([]Time, regions),
-		ends:      make([]Time, regions),
+		work:      make([]chan Time, regions),
 		act:       make([]int, 0, regions),
 	}
 	for i := range s.regions {
 		e := New()
 		e.nowBits = new(atomic.Uint64)
 		s.regions[i] = e
-		s.outBound[i] = DefaultLookahead
-		s.inBound[i] = DefaultLookahead
-		s.inboxes[i].minBits.Store(infBits)
-		s.runs[i].work = make(chan Time, 1)
+		s.work[i] = make(chan Time, 1)
 	}
 	return s, nil
 }
@@ -191,14 +141,13 @@ func (s *Sharded) Regions() int { return len(s.regions) }
 // RegionOf returns the region owning a node.
 func (s *Sharded) RegionOf(node int) int { return int(s.partition[node]) }
 
-// Lookahead returns the fixed-mode window width.
+// Lookahead returns the window width.
 func (s *Sharded) Lookahead() Time { return s.lookahead }
 
 // SetPartition installs a node→region mapping and the lookahead bound
-// (the minimum cross-region link latency), which also becomes the
-// default per-region in/out bound until SetBounds tightens it. It must
-// be called before any event is scheduled: events already routed under
-// the old mapping would sit on the wrong heaps.
+// (the minimum cross-region link latency). It must be called before any
+// event is scheduled: events already routed under the old mapping would
+// sit on the wrong heaps.
 func (s *Sharded) SetPartition(part []int, lookahead Time) error {
 	if len(part) != len(s.partition) {
 		return fmt.Errorf("sim: partition covers %d nodes, kernel has %d", len(part), len(s.partition))
@@ -216,11 +165,6 @@ func (s *Sharded) SetPartition(part []int, lookahead Time) error {
 		s.partition[i] = int32(r)
 	}
 	s.lookahead = lookahead
-	for i := range s.outBound {
-		s.outBound[i] = lookahead
-		s.inBound[i] = lookahead
-		s.regions[i].outBound = lookahead
-	}
 	return nil
 }
 
@@ -281,33 +225,9 @@ func (s *Sharded) Schedule(src, dst int, at Time, fn func()) uint64 {
 	}
 	ib := &s.inboxes[rd]
 	ib.mu.Lock()
-	ib.entries = append(ib.entries, stagedEvent{
-		at: at, src: rs,
-		spec:  s.running && s.runs[rs].specActive,
-		inRun: s.running,
-		fn:    fn,
-	})
-	if at < Time(math.Float64frombits(ib.minBits.Load())) {
-		ib.minBits.Store(math.Float64bits(float64(at)))
-	}
+	ib.entries = append(ib.entries, stagedEvent{at: at, src: rs, inRun: s.running, fn: fn})
 	ib.mu.Unlock()
 	s.staged.Add(1)
-	if s.spec && s.running {
-		// Tighten the sender's self-echo cap: this send's cascade can
-		// re-enter a region no earlier than its arrival plus the
-		// target's cheapest outgoing link. Atomic min — the write is
-		// normally the sending worker's own, but the protocol stack's
-		// contract-bending paths may stage on behalf of a remote region.
-		echo := math.Float64bits(float64(at + s.outBound[rd]))
-		em := &s.runs[rs].echo
-		for {
-			old := em.Load()
-			if math.Float64frombits(old) <= math.Float64frombits(echo) ||
-				em.CompareAndSwap(old, echo) {
-				break
-			}
-		}
-	}
 	return 0
 }
 
@@ -331,7 +251,6 @@ func (s *Sharded) drainInboxes() {
 		entries := ib.entries
 		ib.entries = ib.spare[:0]
 		ib.spare = entries
-		ib.minBits.Store(infBits)
 		ib.mu.Unlock()
 		if len(entries) == 0 {
 			continue
@@ -367,32 +286,97 @@ func (s *Sharded) minNext() (Time, bool) {
 	return m, ok
 }
 
-// run is the coordinator loop: drain inboxes, plan the next window from
-// the earliest event time, execute it across the participating regions,
-// validate/commit any speculation, repeat. The window start always
-// snaps to the earliest pending event, so idle stretches cost no empty
-// windows.
+// window executes [min, end) across the regions whose next event falls
+// inside it: inline on the coordinator when only one region has work
+// (the common case for sparse traffic — no handoff, no wakeup),
+// otherwise fanned to the persistent per-region workers with a
+// WaitGroup barrier.
+func (s *Sharded) window(end Time) {
+	s.stats.Windows++
+	s.act = s.act[:0]
+	for r, e := range s.regions {
+		if t, ok := e.nextAt(); ok && t < end {
+			s.act = append(s.act, r)
+		}
+	}
+	if len(s.act) == 1 {
+		s.regions[s.act[0]].runWindow(end)
+		return
+	}
+	s.startWorkers()
+	s.wg.Add(len(s.act))
+	for _, r := range s.act {
+		s.work[r] <- end
+	}
+	s.wg.Wait()
+}
+
+// startWorkers lazily spawns the persistent per-region workers the first
+// time a run hits a multi-participant window. They live until the run
+// ends (stopWorkers), parked on their work channel between windows, so
+// the steady-state barrier spawns no goroutines.
+func (s *Sharded) startWorkers() {
+	if s.workers {
+		return
+	}
+	s.workers = true
+	for r := range s.work {
+		go s.workerLoop(r)
+	}
+}
+
+// workerStop is the sentinel window end that terminates a worker; no
+// real window end is negative.
+const workerStop Time = -1
+
+func (s *Sharded) workerLoop(r int) {
+	for end := range s.work[r] {
+		if end == workerStop {
+			return
+		}
+		s.regions[r].runWindow(end)
+		s.wg.Done()
+	}
+}
+
+// stopWorkers terminates the persistent workers at the end of a run.
+func (s *Sharded) stopWorkers() {
+	if !s.workers {
+		return
+	}
+	for r := range s.work {
+		s.work[r] <- workerStop
+	}
+	s.workers = false
+}
+
+// run is the coordinator loop: drain inboxes, open the next window at
+// the earliest pending event, execute it across the regions that have
+// work in it, repeat. The window start always snaps to the earliest
+// pending event, so idle stretches cost no empty windows.
 func (s *Sharded) run(horizon Time) {
 	s.started = true
 	s.running = true
 	// limit is the exclusive window bound that still admits events at
 	// exactly the horizon, matching the sequential RunUntil contract
 	// (execute events with at <= horizon).
-	s.runLimit = Time(math.Nextafter(float64(horizon), math.Inf(1)))
+	limit := Time(math.Nextafter(float64(horizon), math.Inf(1)))
 	s.drainInboxes()
 	for {
 		min, ok := s.minNext()
 		if !ok || min > horizon {
 			break
 		}
-		s.planWindow(min)
-		s.window()
-		s.validateSpec()
+		end := min + s.lookahead
+		if end > limit {
+			end = limit
+		}
+		s.window(end)
 		s.drainInboxes()
 	}
 	s.stopWorkers()
 	s.running = false
-	// Equalize the clocks at the global frontier so driver-context
+	// Equalize the clocks at the most advanced one so driver-context
 	// scheduling after the run bases its delays on the same time a
 	// sequential engine would report.
 	m := s.Now()

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,7 +58,7 @@ func runProgram(k kernel, lookahead Time) []rec {
 				delay = lookahead + Time(h%97)/1000
 			}
 			k.Schedule(node, next, at+delay, hop(next, step+1, at+delay))
-			if h%5 == 0 { // occasional terminal echo: extra cross traffic
+			if h%5 == 0 { // occasional terminal hop: extra cross traffic
 				n2 := int((h >> 17) % nodes)
 				d2 := lookahead + Time((h>>7)%89)/500
 				k.Schedule(node, n2, at+d2, hop(n2, maxStep, at+d2))
@@ -77,37 +79,73 @@ func runProgram(k kernel, lookahead Time) []rec {
 	return trace
 }
 
-func TestShardedMatchesSequential(t *testing.T) {
-	const lookahead = Time(0.05)
+// shardedFor builds the standard 32-node / 8-virtual-domain kernel the
+// equivalence program runs on.
+func shardedFor(t testing.TB, regions int, lookahead Time) *Sharded {
+	t.Helper()
+	s, err := NewSharded(32, regions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := make([]int, 32)
+	for i := range part {
+		part[i] = (i % 8) % regions
+	}
+	if err := s.SetPartition(part, lookahead); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// sameTrace fails the test unless got replays want event for event.
+func sameTrace(t *testing.T, label string, got, want []rec) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d events, sequential had %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: event %d = %+v, sequential %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// checkShardedMatchesSequential runs the equivalence program at the given
+// lookahead on 1/2/4/8 regions: same trace and event count as the
+// sequential engine, windows counted, no handoff ever clamped.
+func checkShardedMatchesSequential(t *testing.T, lookahead Time) {
+	t.Helper()
 	want := runProgram(seqKernel{New()}, lookahead)
 	if len(want) < 5000 {
 		t.Fatalf("program too small to be meaningful: %d events", len(want))
 	}
 	for _, regions := range []int{1, 2, 4, 8} {
-		s, err := NewSharded(32, regions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		part := make([]int, 32)
-		for i := range part {
-			part[i] = (i % 8) % regions
-		}
-		if err := s.SetPartition(part, lookahead); err != nil {
-			t.Fatal(err)
-		}
-		got := runProgram(s, lookahead)
-		if len(got) != len(want) {
-			t.Fatalf("regions=%d: %d events, sequential had %d", regions, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("regions=%d: event %d = %+v, sequential %+v", regions, i, got[i], want[i])
-			}
-		}
+		label := fmt.Sprintf("regions=%d", regions)
+		s := shardedFor(t, regions, lookahead)
+		sameTrace(t, label, runProgram(s, lookahead), want)
 		if got, want := s.Executed(), uint64(len(want)); got != want {
-			t.Fatalf("regions=%d: Executed=%d want %d", regions, got, want)
+			t.Fatalf("%s: Executed=%d want %d", label, got, want)
+		}
+		st := s.Stats()
+		if st.CausalityViolations != 0 {
+			t.Fatalf("%s: %d causality violations", label, st.CausalityViolations)
+		}
+		if st.Windows == 0 {
+			t.Fatalf("%s: kernel ran no windows", label)
 		}
 	}
+}
+
+func TestShardedMatchesSequential(t *testing.T) {
+	checkShardedMatchesSequential(t, 0.05)
+}
+
+// TestShardedDynamicMatchesSequential is what remains of the test that
+// also pinned dynamic-window striding: the same equivalence at a
+// lookahead a fifth of TestShardedMatchesSequential's, so several times
+// the barriers.
+func TestShardedDynamicMatchesSequential(t *testing.T) {
+	checkShardedMatchesSequential(t, 0.01)
 }
 
 // TestShardedTieOrder: same-time events within one region keep their
@@ -294,6 +332,83 @@ func TestShardedConcurrentAfterCancelStress(t *testing.T) {
 	}
 }
 
+// fuzzProgram drives a seed-derived cascade whose cross-region delays are
+// at least the lookahead (exactly the lookahead when the jitter is 0 —
+// an arrival on the window boundary), then compares sharded execution
+// against the sequential engine.
+func fuzzProgram(t *testing.T, seed uint64, regions int) {
+	const nodes = 24
+	const steps = 60
+	lookahead := 0.02 + Time(seed%17)/500
+	part := make([]int, nodes)
+	for i := range part {
+		part[i] = i % regions
+	}
+	run := func(k kernel) []rec {
+		var mu sync.Mutex
+		var trace []rec
+		var hop func(node, step int, at Time) func()
+		hop = func(node, step int, at Time) func() {
+			return func() {
+				mu.Lock()
+				trace = append(trace, rec{at: at, node: node})
+				mu.Unlock()
+				if step >= steps {
+					return
+				}
+				g := uint64(node+1)*0x9e3779b97f4a7c15 + uint64(step+1)*2654435761 + seed
+				g ^= g >> 29
+				dst := int(g % nodes)
+				var delay Time
+				if part[dst] == part[node] {
+					delay = 0.0005 + Time(g%31)/20000
+				} else {
+					delay = lookahead + Time(g%101)/2000
+				}
+				k.Schedule(node, dst, at+delay, hop(dst, step+1, at+delay))
+			}
+		}
+		for i := 0; i < nodes; i++ {
+			at := 0.003 + Time(i)*0.007
+			k.Schedule(i, i, at, hop(i, 0, at))
+		}
+		k.Run()
+		sort.Slice(trace, func(i, j int) bool {
+			if trace[i].at != trace[j].at {
+				return trace[i].at < trace[j].at
+			}
+			return trace[i].node < trace[j].node
+		})
+		return trace
+	}
+	want := run(seqKernel{New()})
+	s, err := NewSharded(nodes, regions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetPartition(part, lookahead); err != nil {
+		t.Fatal(err)
+	}
+	sameTrace(t, fmt.Sprintf("seed=%#x regions=%d", seed, regions), run(s), want)
+	if v := s.Stats().CausalityViolations; v != 0 {
+		t.Fatalf("seed=%#x regions=%d: %d causality violations", seed, regions, v)
+	}
+}
+
+// FuzzShardedWindows drives random cross-region send schedules through
+// the windowed kernel and asserts it never admits a causality violation:
+// execution stays bit-identical to the sequential engine.
+func FuzzShardedWindows(f *testing.F) {
+	for _, seed := range []uint64{1, 0xdeadbeef, 42, 0x9e3779b97f4a7c15} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) {
+		for _, regions := range []int{2, 5} {
+			fuzzProgram(t, seed, regions)
+		}
+	})
+}
+
 // BenchmarkEventDispatch is the hot-path gate: schedule + dispatch of
 // one event must not allocate once the freelist is warm (CI enforces
 // allocs/op == 0 via benchgate).
@@ -310,6 +425,49 @@ func BenchmarkEventDispatch(b *testing.B) {
 		e.After(1, fn)
 		e.Step()
 	}
+}
+
+// BenchmarkWindowBarrier measures one full coordinator cycle — inbox
+// drain, window plan, inline region execution, barrier bookkeeping — via
+// a two-region ping-pong where every hop is its own window. The staging
+// slabs and event structs are pooled, so the steady-state barrier must
+// not allocate (CI gates allocs/op == 0 via benchgate).
+func BenchmarkWindowBarrier(b *testing.B) {
+	const lookahead = Time(0.05)
+	s, err := NewSharded(2, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.SetPartition([]int{0, 1}, lookahead); err != nil {
+		b.Fatal(err)
+	}
+	var at Time
+	var node int
+	var left int
+	var hop func()
+	hop = func() {
+		if left == 0 {
+			return
+		}
+		left--
+		src := node
+		node = 1 - node
+		at += lookahead + 0.01
+		s.Schedule(src, node, at, hop)
+	}
+	warm := func(n int) {
+		left = n
+		at += 1
+		s.Schedule(node, node, at, hop)
+		s.Run()
+	}
+	warm(512)
+	if math.IsInf(float64(at), 0) {
+		b.Fatal("clock overflow in warmup")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	warm(b.N)
 }
 
 // BenchmarkCancelChurn models the reconciliation retransmit pattern: a

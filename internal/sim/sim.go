@@ -88,15 +88,6 @@ type Engine struct {
 	// nowBits mirrors now for cross-goroutine reads (set only on region
 	// engines inside a Sharded kernel; nil on a standalone Engine).
 	nowBits *atomic.Uint64
-	// frontier/outBound publish the region's earliest-output-time promise
-	// (next emission arrives no earlier than frontier) for the sharded
-	// kernel's speculative overrun; nil/0 on a standalone Engine.
-	frontier *atomic.Uint64
-	outBound Time
-	// journaling diverts bookkeeping for speculative execution: scheduled
-	// event ids are recorded in journalIDs so a rollback can cancel them.
-	journaling bool
-	journalIDs []uint64
 }
 
 // New creates an engine at time zero.
@@ -159,9 +150,6 @@ func (e *Engine) At(at Time, fn func()) uint64 {
 	ev.at, ev.seq, ev.fn, ev.id, ev.off = at, e.seq, fn, e.nextID, false
 	heap.Push(&e.queue, ev)
 	e.pending[ev.id] = ev
-	if e.journaling {
-		e.journalIDs = append(e.journalIDs, ev.id)
-	}
 	return ev.id
 }
 
@@ -207,41 +195,6 @@ func (e *Engine) nextAt() (Time, bool) {
 	return 0, false
 }
 
-// popLive removes the next live event from the heap and advances the
-// clock to it WITHOUT running or recycling it: the sharded kernel's
-// speculative overrun executes the callback itself and keeps the struct
-// (fn intact) in its journal so a rollback can re-push it unchanged.
-func (e *Engine) popLive() *event {
-	ev := e.peekLive()
-	if ev == nil {
-		return nil
-	}
-	heap.Pop(&e.queue)
-	delete(e.pending, ev.id)
-	e.setNow(ev.at)
-	e.events++
-	return ev
-}
-
-// repush returns a previously popped event — at/seq/id intact — to the
-// heap and pending map. The sharded kernel's rollback path re-queues
-// journaled pops with it so replay order is bit-identical.
-func (e *Engine) repush(ev *event) {
-	heap.Push(&e.queue, ev)
-	e.pending[ev.id] = ev
-}
-
-// publish stores the earliest-output-time promise implied by executing an
-// event at time at: nothing this region emits from here on can arrive
-// anywhere before at + outBound. Store-release ordering (Go atomics are
-// sequentially consistent) makes every send staged before the previous
-// publish visible to a reader that acquires this value.
-func (e *Engine) publish(at Time) {
-	if e.frontier != nil {
-		e.frontier.Store(math.Float64bits(float64(at + e.outBound)))
-	}
-}
-
 // Step executes the next event. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
 	ev := e.peekLive()
@@ -270,7 +223,6 @@ func (e *Engine) runWindow(end Time) {
 		}
 		heap.Pop(&e.queue)
 		delete(e.pending, ev.id)
-		e.publish(ev.at)
 		e.setNow(ev.at)
 		e.events++
 		fn := ev.fn

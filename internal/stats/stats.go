@@ -59,16 +59,6 @@ func (c *Counter) Names() []string {
 // Reset clears every count.
 func (c *Counter) Reset() { c.counts = make(map[string]int64) }
 
-// Clone returns an independent copy (used by the sharded transport's
-// commit-buffered region books to snapshot before speculation).
-func (c *Counter) Clone() *Counter {
-	out := &Counter{counts: make(map[string]int64, len(c.counts))}
-	for name, n := range c.counts {
-		out.counts[name] = n
-	}
-	return out
-}
-
 // Merge folds another counter's tallies into c (used by transports that
 // shard their counters and merge on read).
 func (c *Counter) Merge(o *Counter) {

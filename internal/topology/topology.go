@@ -140,43 +140,6 @@ func (g *Graph) Compact() {
 	}
 }
 
-// RegionLatencyBounds computes, for a node→region partition, each
-// region's cheapest cross-region link in each direction: out[r] is the
-// minimum latency over edges leaving region r, in[r] over edges entering
-// it — +Inf for a region with no cross-region edges (callers cap with
-// their off-graph direct-send latency). One positional sweep over the
-// CSR adjacency/latency runs; both directions of every undirected edge
-// are visited, so out and in see each crossing once per orientation. The
-// sharded simulation kernel uses these as its per-region
-// earliest-output/earliest-input bounds for dynamic windows and
-// speculative overrun.
-func RegionLatencyBounds(g *Graph, part []int, regions int) (out, in []float64) {
-	out = make([]float64, regions)
-	in = make([]float64, regions)
-	for r := 0; r < regions; r++ {
-		out[r] = math.Inf(1)
-		in[r] = math.Inf(1)
-	}
-	for u := 0; u < g.n; u++ {
-		pu := part[u]
-		adj := g.adj[u]
-		lat := g.lat[u]
-		for i, v := range adj {
-			pv := part[v]
-			if pv == pu {
-				continue
-			}
-			if l := lat[i]; l < out[pu] {
-				out[pu] = l
-			}
-			if l := lat[i]; l < in[pv] {
-				in[pv] = l
-			}
-		}
-	}
-	return out, in
-}
-
 // MaxDegree returns the largest node degree.
 func (g *Graph) MaxDegree() int {
 	max := 0

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -398,56 +397,5 @@ func TestDisjointStars(t *testing.T) {
 		if owners[v] != v/5 {
 			t.Errorf("node %d owned by %d, want %d", v, owners[v], v/5)
 		}
-	}
-}
-
-func TestRegionLatencyBounds(t *testing.T) {
-	// Three regions: 0 <-> 1 linked both cheap and dear, region 2 has a
-	// single outbound crossing, region 3 fully isolated.
-	g := NewGraph(8)
-	part := []int{0, 0, 1, 1, 2, 2, 3, 3}
-	mustEdge := func(u, v int, l float64) {
-		t.Helper()
-		if err := g.AddEdge(u, v, l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustEdge(0, 1, 0.010) // intra region 0: must not count
-	mustEdge(0, 2, 0.050) // region 0 <-> 1
-	mustEdge(1, 3, 0.020) // region 0 <-> 1, cheaper
-	mustEdge(4, 2, 0.080) // region 2 <-> 1
-	mustEdge(4, 5, 0.001) // intra region 2
-	mustEdge(6, 7, 0.003) // intra region 3 (isolated from the rest)
-	g.Compact()
-	out, in := RegionLatencyBounds(g, part, 4)
-	wantOut := []float64{0.020, 0.020, 0.080, math.Inf(1)}
-	wantIn := []float64{0.020, 0.020, 0.080, math.Inf(1)}
-	for r := range wantOut {
-		if out[r] != wantOut[r] {
-			t.Errorf("out[%d] = %v, want %v", r, out[r], wantOut[r])
-		}
-		if in[r] != wantIn[r] {
-			t.Errorf("in[%d] = %v, want %v", r, in[r], wantIn[r])
-		}
-	}
-}
-
-func TestRegionLatencyBoundsAsymmetric(t *testing.T) {
-	// With only one crossing, both its endpoint regions see it and
-	// uninvolved regions stay unbounded.
-	g := NewGraph(4)
-	part := []int{0, 1, 2, 2}
-	if err := g.AddEdge(0, 1, 0.042); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddEdge(2, 3, 0.005); err != nil {
-		t.Fatal(err)
-	}
-	out, in := RegionLatencyBounds(g, part, 3)
-	if out[0] != 0.042 || in[0] != 0.042 || out[1] != 0.042 || in[1] != 0.042 {
-		t.Errorf("regions 0/1 bounds = out %v in %v, want 0.042 everywhere", out[:2], in[:2])
-	}
-	if !math.IsInf(out[2], 1) || !math.IsInf(in[2], 1) {
-		t.Errorf("isolated region bounds = out %v in %v, want +Inf", out[2], in[2])
 	}
 }

@@ -89,18 +89,6 @@ type SimOptions struct {
 	// bit-identical to the single-heap engine. 0 or 1 keeps the
 	// sequential engine.
 	Regions int
-	// Window selects the sharded kernel's window-bound scheme: "fixed"
-	// (or "", the default) uses the conservative global lookahead,
-	// "dynamic" derives per-region window ends from every other region's
-	// earliest-output-time bound, letting latency-distant regions stride
-	// further per barrier. Pure wall-clock knob — results stay
-	// bit-identical. TransportSim only; a no-op with Regions <= 1.
-	Window string
-	// Speculate lets regions execute past their committed window while a
-	// frontier proof shows no cross-region event can land below their
-	// clock (the kernel's safe overrun tier — no rollbacks, results stay
-	// bit-identical). TransportSim only; a no-op with Regions <= 1.
-	Speculate bool
 }
 
 // TransportKind names a Transport implementation.
@@ -165,13 +153,6 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 	if opts.Regions < 0 {
 		return nil, guardf("p2psum: Regions %d must be >= 0", opts.Regions)
 	}
-	window := sim.WindowFixed
-	if opts.Window != "" {
-		var err error
-		if window, err = sim.ParseWindowMode(opts.Window); err != nil {
-			return nil, err
-		}
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var g *topology.Graph
 	var err error
@@ -199,9 +180,6 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 		if opts.Regions > 1 {
 			return nil, guardf("p2psum: Regions requires TransportSim")
 		}
-		if opts.Window != "" || opts.Speculate {
-			return nil, guardf("p2psum: Window/Speculate require TransportSim")
-		}
 		ccfg := p2p.DefaultChannelConfig()
 		ccfg.LossRate = opts.LossRate
 		ccfg.Dispatchers = opts.Dispatchers
@@ -218,8 +196,6 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 			if err != nil {
 				return nil, err
 			}
-			snet.SetWindowMode(window)
-			snet.SetSpeculation(opts.Speculate)
 			shard = snet.Sharded()
 			net = snet
 		} else {
@@ -478,12 +454,12 @@ func (s *Simulation) MessageBytes() map[string]int64 {
 // TotalBytes returns the total traffic volume so far.
 func (s *Simulation) TotalBytes() int64 { return s.net.Bytes().Total() }
 
-// KernelStatsSnapshot carries the sharded event kernel's window and
-// speculation counters (see sim.ShardedStats for field semantics).
+// KernelStatsSnapshot carries the sharded event kernel's window counters
+// (see sim.ShardedStats for field semantics).
 type KernelStatsSnapshot = sim.ShardedStats
 
-// KernelStats returns the sharded kernel's window/speculation counters;
-// ok is false on the sequential engine and the channel transport.
+// KernelStats returns the sharded kernel's window counters; ok is false
+// on the sequential engine and the channel transport.
 func (s *Simulation) KernelStats() (KernelStatsSnapshot, bool) {
 	if s.shard == nil {
 		return KernelStatsSnapshot{}, false
