@@ -13,6 +13,7 @@ import (
 	"p2psum/internal/query"
 	"p2psum/internal/saintetiq"
 	"p2psum/internal/summarystore"
+	"p2psum/internal/wire"
 )
 
 // Relational substrate re-exports.
@@ -338,15 +339,32 @@ func TopKSummaries(t *Tree, q Query, k int) ([]GradedSummary, error) {
 // (dominant interpretation first).
 func RankClasses(a *Answer) []AnswerClass { return query.RankClasses(a) }
 
-// EncodeSummary serializes a hierarchy for shipping or persistence.
-func EncodeSummary(t *Tree) ([]byte, error) { return t.EncodeGob() }
+// EncodeSummary serializes a hierarchy for shipping or persistence, in the
+// wire encoding the protocol messages carry.
+func EncodeSummary(t *Tree) ([]byte, error) {
+	e := wire.GetEnc()
+	defer e.Release()
+	t.AppendWire(e)
+	return append([]byte(nil), e.Bytes()...), nil
+}
 
-// DecodeSummary reconstructs a serialized hierarchy.
-func DecodeSummary(b []byte) (*Tree, error) { return saintetiq.DecodeGob(b) }
+// DecodeSummary reconstructs a serialized hierarchy; trailing bytes are an
+// error.
+func DecodeSummary(b []byte) (*Tree, error) {
+	d := wire.NewDec(b)
+	t, err := saintetiq.DecodeWire(d)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.Done(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
 
 // SaveSummary writes a hierarchy to a file.
 func SaveSummary(t *Tree, path string) error {
-	blob, err := t.EncodeGob()
+	blob, err := EncodeSummary(t)
 	if err != nil {
 		return err
 	}
@@ -359,7 +377,7 @@ func LoadSummary(path string) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return saintetiq.DecodeGob(blob)
+	return DecodeSummary(blob)
 }
 
 // EstimateCount estimates how many records satisfy the query, straight

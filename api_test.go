@@ -487,7 +487,7 @@ func TestSaveLoadSummaryAndEstimateCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/summary.gob"
+	path := t.TempDir() + "/summary.sum"
 	if err := SaveSummary(tree, path); err != nil {
 		t.Fatal(err)
 	}
@@ -495,10 +495,10 @@ func TestSaveLoadSummaryAndEstimateCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.LeafCount() != tree.LeafCount() {
+	if back.LeafCount() != tree.LeafCount() || !back.LeavesEqual(tree) {
 		t.Error("persistence round trip changed the tree")
 	}
-	if _, err := LoadSummary(t.TempDir() + "/missing.gob"); err == nil {
+	if _, err := LoadSummary(t.TempDir() + "/missing.sum"); err == nil {
 		t.Error("missing file accepted")
 	}
 	// Count estimation matches ground truth at the descriptor level.

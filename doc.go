@@ -74,14 +74,18 @@
 // between the in-memory two for simulations; cmd/p2pnode deploys the TCP
 // one.
 //
-// Transport is 22 methods: the static overlay (Len, Neighbors, Degree,
+// Transport is 21 methods: the static overlay (Len, Neighbors, Degree,
 // Graph), membership (Liveness, Online, SetOnline, OnlineCount,
-// OnlineIDs), messaging (SetHandler, SetDrop, Send, SendNew, Flood,
+// OnlineIDs), messaging (SetHandler, SetDrop, SendNew, Flood,
 // SelectiveWalk, RandomWalk), metering (Counter, Bytes), serialization
 // with handlers (Exec, After, Settle) and the partition hook
-// (SetLinkFilter). Graph hands out the immutable topology.Graph the
-// transport was built on; questions that need no transport state go to
-// it directly — core's closer-summary-peer comparison (§4.1) is one
+// (SetLinkFilter). The static-overlay and membership methods and
+// SetLinkFilter — ten of the 21 — do not depend on how a message moves, so
+// they are written once, on the overlay core all three transports embed
+// (internal/p2p/overlay.go); Counter and Bytes come the same way from the
+// one ledger type beside it. Graph hands out the immutable topology.Graph
+// the transport was built on; questions that need no transport state go
+// to it directly — core's closer-summary-peer comparison (§4.1) is one
 // Graph.Hops call, an early-exit bounded BFS on pooled scratch arrays
 // that allocates nothing and may run from any dispatch group at once.
 // The optional interfaces are p2p.DispatchGrouper (DispatchGroups,
@@ -406,8 +410,8 @@
 // unchanged report hash.
 //
 // In sharded mode p2p.Network routes every After and delivery to the
-// owning region's engine and shards its message/byte accounting into
-// per-region books, merged on read. Two determinism caveats are part of
+// owning region's engine and charges traffic to one ledger per region,
+// merged on read. Two determinism caveats are part of
 // the contract (asserted or documented in internal/p2p/region.go):
 // periodic gossip stays rejected, and driver-context sends that
 // synchronously mutate other peers' state are only safe because the
@@ -451,21 +455,6 @@
 //	                           fan out under read locks — cross-domain and
 //	                           cross-shard querying never serializes on one
 //	                           lock.
-//	p2p dispatchGroup.mu       PER-GROUP bookkeeping (one per dispatch
-//	                           group, shared by ChannelTransport and
-//	                           TCPTransport through the dispatch engine):
-//	                           the group's pending-work count and its
-//	                           message/byte counters. Groups never contend
-//	                           on shared accounting; Counter/Bytes merge
-//	                           the shards into a snapshot on read, and
-//	                           Settle/Close verify quiescence under all
-//	                           group locks at once.
-//	p2p dispatchGroup.cond     signals the group's pending==0 to
-//	                           Settle/Close.
-//	p2p dispatchEngine.mu      the engine lock: groupOf[], armed timers,
-//	                           dispatcher goroutine ids, closed.
-//	p2p dispatchEngine.execMu  serializes concurrent Exec barriers so two
-//	                           drivers cannot interleave group parking.
 //	liveness.View.mu           one RWMutex per transport's membership view:
 //	                           entries (state/incarnation/SP claim) and the
 //	                           version counter. Handlers, drivers, timers
@@ -480,30 +469,9 @@
 //	                           transport or System call — the installed
 //	                           LinkFilter closes over immutable maps and
 //	                           takes no lock at all.
-//	p2p.ChannelTransport.mu    handler[], drop, rng (online state moved to
-//	                           the liveness view). Held only for short
-//	                           critical sections, never across a handler
-//	                           call.
-//	p2p.TCPTransport.mu        same inventory as ChannelTransport.mu, plus
-//	                           connMu (connection table + reconnect loops),
-//	                           wireMu (socket frame counters),
-//	                           statusMu/barrierMu (the distributed settle
-//	                           and barrier exchanges).
-//	p2p tcpConn.qmu            one connection's coalescing batch: senders
-//	                           append units under it, the writer swaps the
-//	                           batch out under it; NEVER held across the
-//	                           socket write (appending never blocks on
-//	                           I/O). qcond wakes the writer.
-//	p2p tcpConn flow counters  per-direction flowRate meters (each its own
-//	                           small mutex: window fold + lifetime total)
-//	                           plus atomics for unit/flush counts,
-//	                           last-receive time and keepalive RTT — read
-//	                           by PeerStats without touching qmu or the
-//	                           transport locks, cheap enough for a signal
-//	                           handler.
-//	p2p.Network                NO locks of its own (the discrete-event
-//	                           engine is single-threaded); its liveness
-//	                           view locks as above.
+//	internal/p2p               its locks (ledger.mu, the dispatch engine's,
+//	                           the TCP connection's) are tabled in that
+//	                           package's own comment.
 //	sim.Engine (per region)    NO lock: each region's heap, clock and
 //	                           event pool are owned by exactly one window
 //	                           worker while a window runs and by the idle
@@ -514,11 +482,6 @@
 //	                           cross-region Schedule appends under it,
 //	                           the window barrier swaps the slice out
 //	                           under it and sorts outside it.
-//	p2p regionBook.mu          one mutex per region in sharded-Network
-//	                           mode: the region's message/byte counters
-//	                           and message-ID allocation. Counter() and
-//	                           Bytes() merge the books into a snapshot on
-//	                           read, like the dispatch groups' shards.
 //	par.ForEach                owns its worker pool; results slots are
 //	                           index-addressed so workers never share.
 //

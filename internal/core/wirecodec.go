@@ -13,8 +13,8 @@ import (
 // so importing core is enough) makes every transport charge these message
 // types their real encoded frame length, and lets the TCP transport carry
 // them between processes. The encodings are versioned at the frame layer
-// (wire.FrameVersion); summaries travel as their saintetiq gob encoding
-// embedded as a blob — one serialization for summaries everywhere.
+// (wire.FrameVersion); summaries are written inline by saintetiq's
+// AppendWire — the one serialization summaries have anywhere.
 //
 // Contract for adding a payload: register exactly one codec per message
 // type, encode every field (the round-trip tests in wirecodec_test.go

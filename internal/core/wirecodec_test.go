@@ -240,37 +240,6 @@ func TestGossipCodecRejectsBadDelta(t *testing.T) {
 	}
 }
 
-// TestTreeWireMatchesGob: the compact wire encoding and the gob encoding
-// reconstruct the same hierarchy (leaf-level equality plus canonical
-// re-encoding).
-func TestTreeWireMatchesGob(t *testing.T) {
-	tr := randTree(t, 21, 60, 7)
-	gobBytes, err := tr.EncodeGob()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromGob, err := saintetiq.DecodeGob(gobBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e wire.Enc
-	tr.AppendWire(&e)
-	fromWire, err := saintetiq.DecodeWire(wire.NewDec(e.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fromGob.LeavesEqual(fromWire) {
-		t.Fatal("wire and gob decodes diverge at the leaf level")
-	}
-	if !treesEqual(fromGob, fromWire) {
-		t.Fatal("wire and gob decodes re-encode differently")
-	}
-	// The wire encoding is the compact one (it is charged per message).
-	if len(e.Bytes()) >= len(gobBytes) {
-		t.Errorf("wire encoding (%d B) not smaller than gob (%d B)", e.Len(), len(gobBytes))
-	}
-}
-
 // truncationPayloads builds one representative payload per core message
 // type for the corruption test.
 func truncationPayloads(t *testing.T) map[string]any {
@@ -292,8 +261,8 @@ func truncationPayloads(t *testing.T) map[string]any {
 
 // BenchmarkLocalsumEncode guards the Send hot path: every data-level
 // message is charged its real encoded frame length, so encoding a whole
-// summary must stay cheap (this is why summaries use the reflection-free
-// wire encoding, not gob, on the wire).
+// summary must stay cheap (this is why the summary encoding is
+// reflection-free).
 func BenchmarkLocalsumEncode(b *testing.B) {
 	c, ok := wire.Lookup(MsgLocalsum)
 	if !ok {

@@ -590,12 +590,8 @@ func StorageTable(cfg Config) (*stats.Table, error) {
 	if err := tr.IncorporateStore(store, 1); err != nil {
 		return nil, err
 	}
-	size, err := tr.EncodedSize()
-	if err != nil {
-		return nil, err
-	}
 	t.AddNote("measured: %d nodes, depth %d, avg branching %.1f, %.1f KB encoded",
-		tr.NodeCount(), tr.Depth(), tr.AvgBranching(), float64(size)/1024)
+		tr.NodeCount(), tr.Depth(), tr.AvgBranching(), float64(tr.EncodedSize())/1024)
 	return t, nil
 }
 

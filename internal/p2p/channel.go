@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"p2psum/internal/liveness"
-	"p2psum/internal/stats"
 	"p2psum/internal/topology"
 )
 
@@ -66,9 +65,9 @@ func DefaultChannelConfig() ChannelConfig {
 // the destination group's inbox; drop callbacks are routed to the sender's
 // group (they mutate sender-side protocol state, see SetDrop). The
 // transport bookkeeping is sharded the same way: each group counts its own
-// pending work and tallies its own message/byte counters under its own
-// lock, and Counter/Bytes merge the shards into a snapshot on read — at
-// high message rates groups never contend on shared accounting.
+// pending work and charges its own ledger, and Counter/Bytes merge the
+// ledgers into a snapshot on read — at high message rates groups never
+// contend on shared accounting.
 //
 // Unlike Network, runs are not deterministic: wall-clock scheduling decides
 // the delivery interleaving of same-window messages. Use it for scenarios
@@ -78,21 +77,14 @@ func DefaultChannelConfig() ChannelConfig {
 // Close must be called when the transport is no longer needed, or the
 // dispatcher goroutines leak.
 type ChannelTransport struct {
-	graph *topology.Graph
+	overlay
+	books // one ledger per dispatch group
 	cfg   ChannelConfig
 	eng   *dispatchEngine
 
-	view *liveness.View
-
-	mu      sync.Mutex // guards handler, drop, rng
-	handler []Handler
-	drop    func(*Message)
+	mu      sync.Mutex // guards rng
 	rng     *rand.Rand
 	nextMsg atomic.Uint64
-
-	// gate holds the partition hook (SetLinkFilter): severed links route
-	// deliveries to the drop callback and vanish from Neighbors.
-	gate linkGate
 }
 
 // NewChannelTransport builds a concurrent transport over the graph. All
@@ -107,14 +99,13 @@ func NewChannelTransport(graph *topology.Graph, seed int64, cfg ChannelConfig) *
 	}
 	n := graph.Len()
 	t := &ChannelTransport{
-		graph:   graph,
+		overlay: overlay{graph: graph, view: liveness.NewView(n, nil)},
 		cfg:     cfg,
-		view:    liveness.NewView(n, nil),
-		handler: make([]Handler, n),
 		rng:     rand.New(rand.NewSource(seed)),
 	}
 	t.eng = newDispatchEngine(n, cfg.Dispatchers, cfg.GroupBy, t.deliver)
 	t.cfg.Dispatchers = t.eng.groupCount()
+	t.books = newBooks(t.cfg.Dispatchers)
 	return t
 }
 
@@ -143,48 +134,17 @@ func (t *ChannelTransport) SetGroupBy(fn func(NodeID) int) bool {
 	return t.eng.remap(fn)
 }
 
-// deliver hands one work item to its destination handler, or routes the
-// drop callback: callbacks mutate the *sender's* protocol state (§4.3
-// failure detection), so when sender and receiver live in different groups
-// the callback is forwarded to the sender's dispatcher instead of running
-// here. The forward rides its own goroutine so two dispatchers can never
-// deadlock on each other's full inboxes; the work item stays accounted as
-// pending until the owning group has run the callback.
+// deliver hands one message to its destination handler, or — destination
+// offline, handler-less or behind a severed link — to the engine's drop
+// routing (§4.3 failure detection in the sender's group).
 func (t *ChannelTransport) deliver(g int, env envelope) {
 	msg := env.msg
-	if env.isDrop {
-		t.mu.Lock()
-		drop := t.drop
-		t.mu.Unlock()
-		if drop != nil {
-			drop(msg)
-		}
+	if h := t.eng.handlerOf(msg.To); h != nil && t.deliverable(msg.From, msg.To) {
+		h(msg)
 		t.eng.finishPending(g)
 		return
 	}
-	up := t.view.Online(int(msg.To)) && !t.gate.severed(msg.From, msg.To)
-	t.mu.Lock()
-	h := t.handler[msg.To]
-	drop := t.drop
-	t.mu.Unlock()
-	gFrom := g
-	if msg.From >= 0 && int(msg.From) < t.graph.Len() {
-		gFrom = t.eng.groupFor(msg.From)
-	}
-	switch {
-	case up && h != nil:
-		h(msg)
-	case drop == nil:
-	case gFrom == g:
-		drop(msg)
-	default:
-		// Transfer the pending count to the sender's group before the
-		// forward, so quiescence checks never see the item unaccounted.
-		t.eng.movePending(gFrom, g)
-		go func() { t.eng.groups[gFrom].inbox <- envelope{msg: msg, isDrop: true} }()
-		return
-	}
-	t.eng.finishPending(g)
+	t.eng.routeDrop(g, msg)
 }
 
 // Exec submits fn to the dispatch layer and blocks until it has run,
@@ -230,28 +190,8 @@ func (t *ChannelTransport) After(owner NodeID, delaySeconds float64, fn func()) 
 // transport panics.
 func (t *ChannelTransport) Close() { t.eng.closeEngine() }
 
-// Graph returns the overlay topology.
-func (t *ChannelTransport) Graph() *topology.Graph { return t.graph }
-
-// Len returns the number of nodes.
-func (t *ChannelTransport) Len() int { return t.graph.Len() }
-
-// Counter returns a merged snapshot of the per-group message counters.
-// Each dispatch group tallies its own traffic under its own lock, so the
-// snapshot is safe to take while messages fly; successive calls return
-// fresh (monotonically growing) snapshots.
-func (t *ChannelTransport) Counter() *stats.Counter { return t.eng.mergedCounter() }
-
-// Bytes returns a merged snapshot of the per-group traffic volume
-// counters (same contract as Counter).
-func (t *ChannelTransport) Bytes() *stats.Counter { return t.eng.mergedVolume() }
-
 // SetHandler installs the message handler of a node.
-func (t *ChannelTransport) SetHandler(id NodeID, h Handler) {
-	t.mu.Lock()
-	t.handler[id] = h
-	t.mu.Unlock()
-}
+func (t *ChannelTransport) SetHandler(id NodeID, h Handler) { t.eng.setHandler(id, h) }
 
 // SetDrop installs the drop callback (§4.3 failure detection). The
 // callback runs serialized with the handlers of the dispatch group of the
@@ -259,75 +199,12 @@ func (t *ChannelTransport) SetHandler(id NodeID, h Handler) {
 // state, so that is the serialization it needs. With a single group this
 // is indistinguishable from the old "serialized with all handlers"
 // contract.
-func (t *ChannelTransport) SetDrop(fn func(*Message)) {
-	t.mu.Lock()
-	t.drop = fn
-	t.mu.Unlock()
-}
-
-// Liveness returns the transport's membership view — the ground truth of
-// the whole overlay on this in-memory transport.
-func (t *ChannelTransport) Liveness() *liveness.View { return t.view }
-
-// Online reports whether the node is currently connected.
-func (t *ChannelTransport) Online(id NodeID) bool { return t.view.Online(int(id)) }
-
-// SetOnline flips a node's connectivity in the liveness view.
-func (t *ChannelTransport) SetOnline(id NodeID, up bool) {
-	if up {
-		t.view.MarkAlive(int(id))
-	} else {
-		t.view.MarkDead(int(id))
-	}
-}
-
-// OnlineCount returns the number of connected nodes.
-func (t *ChannelTransport) OnlineCount() int { return t.view.OnlineCount() }
-
-// OnlineIDs returns the sorted ids of online nodes.
-func (t *ChannelTransport) OnlineIDs() []NodeID { return onlineNodeIDs(t.view) }
-
-// Neighbors returns the online neighbors of a node, in ascending id order.
-// Links severed by the installed LinkFilter are not traversable.
-func (t *ChannelTransport) Neighbors(id NodeID) []NodeID {
-	var out []NodeID
-	for _, v := range t.graph.Neighbors(int(id)) {
-		if t.view.Online(v) && !t.gate.severed(id, NodeID(v)) {
-			out = append(out, NodeID(v))
-		}
-	}
-	return out
-}
-
-// SetLinkFilter installs the partition hook (see Transport.SetLinkFilter).
-func (t *ChannelTransport) SetLinkFilter(fn LinkFilter) { t.gate.set(fn) }
-
-// Degree returns the node's static overlay degree.
-func (t *ChannelTransport) Degree(id NodeID) int { return t.graph.Degree(int(id)) }
-
-// latencyBetween picks the edge latency when adjacent, DirectLatency
-// otherwise (virtual seconds).
-func (t *ChannelTransport) latencyBetween(a, b NodeID) float64 {
-	if t.graph.HasEdge(int(a), int(b)) {
-		return t.graph.Latency(int(a), int(b))
-	}
-	return t.cfg.DirectLatency
-}
-
-// charge accounts n payload-less transmissions (walks and floods). They
-// are driver-side traversals without a destination group, so they tally
-// under group 0 — invisible once Counter/Bytes merge the shards.
-func (t *ChannelTransport) charge(typ string, n int64) {
-	t.eng.chargeBulk(0, typ, n)
-}
+func (t *ChannelTransport) SetDrop(fn func(*Message)) { t.eng.setDrop(fn) }
 
 // Send counts the message and launches its delivery: a goroutine sleeps
 // the scaled link latency and hands the message to the dispatcher of the
 // destination's group. Lossy links (LossRate > 0) may swallow it silently
-// after counting. Messages whose payload is serializable (nil, or with a
-// registered wire codec) are charged their real encoded frame length; the
-// Sizer estimate remains the fallback, so in-memory and TCP runs report
-// comparable byte counts.
+// after counting.
 func (t *ChannelTransport) Send(msg *Message) {
 	if msg.To < 0 || int(msg.To) >= t.graph.Len() {
 		panic(fmt.Sprintf("p2p: send to out-of-range node %d", msg.To))
@@ -347,7 +224,7 @@ func (t *ChannelTransport) Send(msg *Message) {
 		if lost {
 			// Lost on the wire: counted as sent, never delivered. The
 			// charge goes to the destination group like a delivered send.
-			t.eng.chargeMessage(t.eng.groupFor(msg.To), msg.Type, size)
+			t.books[t.eng.groupFor(msg.To)].charge(msg.Type, 1, size)
 			return
 		}
 	}
@@ -355,8 +232,8 @@ func (t *ChannelTransport) Send(msg *Message) {
 	if !ok {
 		panic("p2p: send on closed ChannelTransport")
 	}
-	t.eng.chargeMessage(g, msg.Type, size)
-	lat := t.latencyBetween(msg.From, msg.To)
+	t.books[g].charge(msg.Type, 1, size)
+	lat := t.latencyBetween(msg.From, msg.To, t.cfg.DirectLatency)
 	delay := time.Duration(lat * float64(t.cfg.LatencyScale))
 	go func() {
 		if delay > 0 {
@@ -372,19 +249,21 @@ func (t *ChannelTransport) SendNew(typ string, from, to NodeID, ttl int, payload
 }
 
 // Flood delivers a message of the given type from src to every node within
-// ttl hops using Gnutella-style constrained broadcast (§6.2.3).
+// ttl hops using Gnutella-style constrained broadcast (§6.2.3). Floods and
+// walks are driver-side traversals without a destination group, so their
+// hops are charged to group 0's ledger — invisible once Counter/Bytes merge.
 func (t *ChannelTransport) Flood(typ string, src NodeID, ttl int, payload any, visit func(NodeID)) map[NodeID]bool {
-	return runFlood(t, typ, src, ttl, visit)
+	return t.flood(t.books[0].chargeHops, typ, src, ttl, visit)
 }
 
 // SelectiveWalk performs the §4.1 find-protocol walk.
 func (t *ChannelTransport) SelectiveWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	return runWalk(t, typ, src, maxHops, accept, selectiveChoice(t.Degree))
+	return t.walk(t.books[0].chargeHops, typ, src, maxHops, accept, t.selective)
 }
 
 // RandomWalk is the blind baseline: uniform random unvisited neighbor.
 func (t *ChannelTransport) RandomWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	return runWalk(t, typ, src, maxHops, accept, func(cands []NodeID) NodeID {
+	return t.walk(t.books[0].chargeHops, typ, src, maxHops, accept, func(cands []NodeID) NodeID {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		return cands[t.rng.Intn(len(cands))]

@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -129,56 +130,50 @@ func TestChannelTransportLoss(t *testing.T) {
 	}
 }
 
-// TestTransportParity pins both transports to identical traversal
+// TestTransportParity pins all three transports to identical traversal
 // semantics: floods and selective walks are deterministic given the same
-// graph and online state, so reach sets and message charges must match.
+// graph and online state, so reach sets, paths and message charges must
+// match — and every transport must hand back the topology it was built on.
 func TestTransportParity(t *testing.T) {
 	g := testGraph(t, 200, 5)
 	net := NewNetwork(sim.New(), g, 5)
 	ct := NewChannelTransport(g, 5, ChannelConfig{})
 	defer ct.Close()
-
-	for _, tr := range []Transport{net, ct} {
-		tr.SetOnline(7, false)
-		tr.SetOnline(13, false)
-	}
-
-	fn := net.Flood("f", 0, 3, nil, nil)
-	fc := ct.Flood("f", 0, 3, nil, nil)
-	if len(fn) != len(fc) {
-		t.Fatalf("flood reach: network %d, channel %d", len(fn), len(fc))
-	}
-	for id := range fn {
-		if !fc[id] {
-			t.Fatalf("flood reach sets differ at node %d", id)
-		}
-	}
-	if a, b := net.Counter().Get("f"), ct.Counter().Get("f"); a != b {
-		t.Errorf("flood charge: network %d, channel %d", a, b)
-	}
-
-	accept := func(id NodeID) bool { return id == 150 }
-	wn := net.SelectiveWalk("w", 3, 400, accept)
-	wc := ct.SelectiveWalk("w", 3, 400, accept)
-	if wn.Found != wc.Found || wn.Messages != wc.Messages {
-		t.Errorf("selective walk: network (%d, %d msgs), channel (%d, %d msgs)",
-			wn.Found, wn.Messages, wc.Found, wc.Messages)
-	}
-	if len(wn.Path) != len(wc.Path) {
-		t.Errorf("walk paths differ: %d vs %d nodes", len(wn.Path), len(wc.Path))
-	}
-
-	// Hop distances are asked of the graph itself, so parity is identity:
-	// every transport must hand back the topology it was built on.
 	tcp, err := NewTCPTransport(g, TCPConfig{Listen: "127.0.0.1:0", Local: []NodeID{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tcp.Close()
-	for _, tr := range []Transport{net, ct, tcp} {
+
+	accept := func(id NodeID) bool { return id == 150 }
+	var refFlood map[NodeID]bool
+	var refWalk WalkResult
+	var refCounts, refBytes string
+	for i, tr := range []Transport{net, ct, tcp} {
 		if tr.Graph() != g {
 			t.Errorf("%T.Graph() is not the construction graph", tr)
 		}
+		tr.SetOnline(7, false)
+		tr.SetOnline(13, false)
+		flood := tr.Flood("f", 0, 3, nil, nil)
+		walk := tr.SelectiveWalk("w", 3, 400, accept)
+		counts, bytes := tr.Counter().String(), tr.Bytes().String()
+		if i == 0 {
+			refFlood, refWalk, refCounts, refBytes = flood, walk, counts, bytes
+			continue
+		}
+		if !reflect.DeepEqual(flood, refFlood) {
+			t.Errorf("%T flood reach set differs from Network's (%d vs %d nodes)", tr, len(flood), len(refFlood))
+		}
+		if !reflect.DeepEqual(walk, refWalk) {
+			t.Errorf("%T selective walk %+v, Network %+v", tr, walk, refWalk)
+		}
+		if counts != refCounts || bytes != refBytes {
+			t.Errorf("%T charged %s / %s, Network %s / %s", tr, counts, bytes, refCounts, refBytes)
+		}
+	}
+	if refWalk.Found != 150 || refCounts == "" {
+		t.Fatalf("parity script did no work: walk %+v, counts %q", refWalk, refCounts)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"p2psum/internal/stats"
 )
 
 // This file holds the dispatch engine: the handler-serialization machinery
@@ -15,31 +13,28 @@ import (
 // engine is single-threaded.
 //
 // The engine owns the dispatch groups — each a serialized execution lane
-// with its own inbox, dispatcher goroutine, pending-work count and message
-// counters — plus the timers, the Exec barrier and the Settle/Close
-// quiescence logic. What it does NOT own is delivery policy: the embedding
-// transport supplies a deliver callback that looks up handlers, routes
-// drop notifications (possibly across processes) and retires the pending
-// count, because that is where the transports genuinely differ.
+// with its own inbox, dispatcher goroutine and pending-work count — plus
+// the handler table, the drop callback and its routing to the sender's
+// group, the timers, the Exec barrier and the Settle/Close quiescence
+// logic. What it does NOT own is delivery policy: the embedding transport
+// supplies a deliver callback that decides whether a message reaches its
+// handler (loss and latency on the channel transport; frame accounting,
+// drop echoes and socket routing on TCP) and retires or hands on the
+// pending count, because that is where the transports genuinely differ.
 //
-// Bookkeeping is sharded per group (the PR 3 follow-up named in ROADMAP):
-// every group counts its own pending work and tallies its own message/byte
-// counters under its own lock, and readers merge across groups. At high
-// message rates the groups therefore never contend on shared accounting —
-// the old single transport-wide mutex is gone.
+// Pending work is counted per group under the group's own lock (traffic is
+// booked per group too, in the transport's books), so at high message
+// rates the groups never contend on shared accounting.
 
 // dispatchGroup is one serialized execution lane: an inbox drained by a
-// dedicated dispatcher goroutine, plus the group's own share of the
-// transport bookkeeping (pending-work count, message and byte counters),
-// each guarded by the group's own lock.
+// dedicated dispatcher goroutine, plus the group's pending-work count
+// guarded by the group's own lock.
 type dispatchGroup struct {
 	inbox chan envelope
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending int // work items sent to this group but not yet fully handled
-	counter *stats.Counter
-	volume  *stats.Counter
 }
 
 // envelope is one dispatcher work item: a delivered message, a (possibly
@@ -66,11 +61,17 @@ type execBarrier struct {
 // transports. See the file comment for the division of labour with the
 // embedding transport.
 type dispatchEngine struct {
-	// deliver handles message and drop envelopes; the transport must retire
-	// the group's pending count (finishPending) or transfer it
-	// (movePending) before returning control to the dispatcher loop's next
-	// iteration.
+	// deliver handles message envelopes; the transport must retire the
+	// group's pending count (finishPending) or hand it on (routeDrop)
+	// before returning control to the dispatcher loop's next iteration.
 	deliver func(g int, env envelope)
+
+	// hmu guards the handler table and the drop callback. It is a lock of
+	// its own, not mu: every delivery reads the table, and mu is already
+	// taken once per message by beginSend.
+	hmu     sync.Mutex
+	handler []Handler
+	drop    func(*Message)
 
 	mu      sync.Mutex               // guards groupOf, timers, dispIDs, closed
 	groupOf []int                    // node -> dispatch group index
@@ -95,6 +96,7 @@ func newDispatchEngine(n, d int, groupBy func(NodeID) int, deliver func(g int, e
 	}
 	e := &dispatchEngine{
 		deliver: deliver,
+		handler: make([]Handler, n),
 		groupOf: make([]int, n),
 		timers:  make(map[*time.Timer]struct{}),
 		dispIDs: make(map[uint64]struct{}),
@@ -107,11 +109,7 @@ func newDispatchEngine(n, d int, groupBy func(NodeID) int, deliver func(g int, e
 	}
 	e.assignGroups(groupBy)
 	for g := range e.groups {
-		grp := &dispatchGroup{
-			inbox:   make(chan envelope, max(n, 1)),
-			counter: stats.NewCounter(),
-			volume:  stats.NewCounter(),
-		}
+		grp := &dispatchGroup{inbox: make(chan envelope, max(n, 1))}
 		grp.cond = sync.NewCond(&grp.mu)
 		e.groups[g] = grp
 	}
@@ -195,20 +193,6 @@ func (e *dispatchEngine) addPending(g int) {
 	grp.mu.Unlock()
 }
 
-// beginSendGroup is addPending with the closed check of beginSend, for
-// work arriving from outside the dispatch layer (socket readers, drop
-// echoes) that could otherwise race Close and enqueue on a closed inbox.
-func (e *dispatchEngine) beginSendGroup(g int) bool {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return false
-	}
-	e.addPending(g)
-	e.mu.Unlock()
-	return true
-}
-
 // finishPending retires one pending work item of group g, waking
 // Settle/Close at quiescence.
 func (e *dispatchEngine) finishPending(g int) {
@@ -230,48 +214,75 @@ func (e *dispatchEngine) movePending(to, from int) {
 	e.finishPending(from)
 }
 
-// chargeMessage tallies one message of the given encoded size under group
-// g's counters.
-func (e *dispatchEngine) chargeMessage(g int, typ string, size int64) {
-	grp := e.groups[g]
-	grp.mu.Lock()
-	grp.counter.Inc(typ)
-	grp.volume.Add(typ, size)
-	grp.mu.Unlock()
+// setHandler installs the message handler of a node.
+func (e *dispatchEngine) setHandler(id NodeID, h Handler) {
+	e.hmu.Lock()
+	e.handler[id] = h
+	e.hmu.Unlock()
 }
 
-// chargeBulk tallies n payload-less transmissions (walks and floods) under
-// group g's counters.
-func (e *dispatchEngine) chargeBulk(g int, typ string, n int64) {
-	grp := e.groups[g]
-	grp.mu.Lock()
-	grp.counter.Add(typ, n)
-	grp.volume.Add(typ, n*BaseMessageBytes)
-	grp.mu.Unlock()
+// setDrop installs the drop callback.
+func (e *dispatchEngine) setDrop(fn func(*Message)) {
+	e.hmu.Lock()
+	e.drop = fn
+	e.hmu.Unlock()
 }
 
-// mergedCounter merges the per-group message counters into a fresh
-// snapshot. Safe to call while dispatchers are running: each group is read
-// under its own lock.
-func (e *dispatchEngine) mergedCounter() *stats.Counter {
-	out := stats.NewCounter()
-	for _, g := range e.groups {
-		g.mu.Lock()
-		out.Merge(g.counter)
-		g.mu.Unlock()
+// handlerOf returns the node's installed handler (nil when none).
+func (e *dispatchEngine) handlerOf(id NodeID) Handler {
+	e.hmu.Lock()
+	defer e.hmu.Unlock()
+	return e.handler[id]
+}
+
+// dropFn returns the installed drop callback (nil when none).
+func (e *dispatchEngine) dropFn() func(*Message) {
+	e.hmu.Lock()
+	defer e.hmu.Unlock()
+	return e.drop
+}
+
+// routeDrop consumes the pending work item group g's dispatcher holds for
+// an undeliverable msg by running the drop callback where it belongs:
+// callbacks mutate the *sender's* protocol state (§4.3 failure detection),
+// so when sender and receiver live in different groups the callback is
+// forwarded to the sender's dispatcher instead of running here. The pending
+// count moves to the sender's group before the forward, so quiescence
+// checks never see the item unaccounted. Must be called on g's dispatcher.
+func (e *dispatchEngine) routeDrop(g int, msg *Message) {
+	drop := e.dropFn()
+	gFrom := g
+	if msg.From >= 0 && int(msg.From) < len(e.groupOf) {
+		gFrom = e.groupFor(msg.From)
 	}
-	return out
+	switch {
+	case drop == nil:
+	case gFrom == g:
+		drop(msg)
+	default:
+		e.movePending(gFrom, g)
+		e.forwardDrop(gFrom, msg)
+		return
+	}
+	e.finishPending(g)
 }
 
-// mergedVolume merges the per-group byte counters into a fresh snapshot.
-func (e *dispatchEngine) mergedVolume() *stats.Counter {
-	out := stats.NewCounter()
-	for _, g := range e.groups {
-		g.mu.Lock()
-		out.Merge(g.volume)
-		g.mu.Unlock()
+// submitDrop is routeDrop for callers outside the dispatch layer (socket
+// readers, failed sends), which hold no pending item yet: it counts one for
+// the sender's group — with beginSend's closed check, since such callers
+// can race Close and must not enqueue on a closed inbox — and forwards the
+// drop there.
+func (e *dispatchEngine) submitDrop(msg *Message) {
+	if g, ok := e.beginSend(msg.From); ok {
+		e.forwardDrop(g, msg)
 	}
-	return out
+}
+
+// forwardDrop enqueues a drop envelope (already counted as pending) on
+// group g. The forward rides its own goroutine so a dispatcher enqueueing
+// into a full inbox — its own or another dispatcher's — can never deadlock.
+func (e *dispatchEngine) forwardDrop(g int, msg *Message) {
+	go func() { e.groups[g].inbox <- envelope{msg: msg, isDrop: true} }()
 }
 
 // dispatch drains one group's inbox: message handlers, rerouted drop
@@ -294,6 +305,11 @@ func (e *dispatchEngine) dispatch(g int, started chan<- struct{}) {
 			close(env.done)
 		case env.timer != nil:
 			env.timer()
+			e.finishPending(g)
+		case env.isDrop:
+			if drop := e.dropFn(); drop != nil {
+				drop(env.msg)
+			}
 			e.finishPending(g)
 		default:
 			e.deliver(g, env)

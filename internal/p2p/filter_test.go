@@ -19,142 +19,100 @@ func cutAB(a, b NodeID) LinkFilter {
 	}
 }
 
-func TestLinkFilterNetwork(t *testing.T) {
-	eng := sim.New()
-	net := NewNetwork(eng, lineGraph(t, 3), 1)
-	var delivered, dropped []uint64
-	for id := 0; id < 3; id++ {
-		net.SetHandler(NodeID(id), func(msg *Message) {
-			delivered = append(delivered, msg.ID)
+// TestLinkFilter runs one script over every transport. tr is the transport
+// (process) hosting the sender, node 0; far is the one hosting nodes 1 and
+// 2 — tr itself in memory, the second process on TCP.
+func TestLinkFilter(t *testing.T) {
+	const typ = "tcp-test" // registered codec, so the frame can cross a socket
+	rigs := []struct {
+		name  string
+		build func(t *testing.T) (tr, far Transport)
+	}{
+		{"Network", func(t *testing.T) (Transport, Transport) {
+			n := NewNetwork(sim.New(), lineGraph(t, 3), 1)
+			return n, n
+		}},
+		{"Channel", func(t *testing.T) (Transport, Transport) {
+			ct := NewChannelTransport(lineGraph(t, 3), 1, DefaultChannelConfig())
+			t.Cleanup(ct.Close)
+			return ct, ct
+		}},
+		{"TCP", func(t *testing.T) (Transport, Transport) {
+			a, b := tcpPair(t, 3, 1)
+			return a, b
+		}},
+	}
+	for _, rig := range rigs {
+		t.Run(rig.name, func(t *testing.T) {
+			tr, far := rig.build(t)
+			var mu sync.Mutex
+			var delivered, dropped int
+			far.SetHandler(1, func(*Message) {
+				mu.Lock()
+				delivered++
+				mu.Unlock()
+			})
+			tr.SetDrop(func(*Message) {
+				mu.Lock()
+				dropped++
+				mu.Unlock()
+			})
+			// send ships one message 0 → 1 and checks the running totals.
+			send := func(phase string, wantDelivered, wantDropped int) {
+				t.Helper()
+				tr.SendNew(typ, 0, 1, 0, tcpTestPayload{N: 1, Text: phase})
+				tr.Settle()
+				mu.Lock()
+				defer mu.Unlock()
+				if delivered != wantDelivered || dropped != wantDropped {
+					t.Fatalf("%s: delivered=%d dropped=%d, want %d and %d",
+						phase, delivered, dropped, wantDelivered, wantDropped)
+				}
+			}
+			acceptLast := func(id NodeID) bool { return id == 2 }
+
+			// Every process installs the same scripted cut, like a real drill.
+			tr.SetLinkFilter(cutAB(0, 1))
+			far.SetLinkFilter(cutAB(0, 1))
+			if nbs := tr.Neighbors(0); len(nbs) != 0 {
+				t.Fatalf("Neighbors(0) across the cut = %v, want none", nbs)
+			}
+			if nbs := tr.Neighbors(1); len(nbs) != 1 || nbs[0] != 2 {
+				t.Fatalf("Neighbors(1) = %v, want [2]", nbs)
+			}
+			if reached := tr.Flood("f", 0, 3, nil, nil); len(reached) != 1 {
+				t.Fatalf("flood crossed the cut: reached %v", reached)
+			}
+			if w := tr.SelectiveWalk("w", 0, 5, acceptLast); w.Found != -1 || w.Messages != 0 {
+				t.Fatalf("walk crossed the cut: %+v", w)
+			}
+			send("severed send", 0, 1)
+			if c := tr.Counter().Get(typ); c != 1 {
+				t.Fatalf("severed send counted %d, want 1 (bytes hit the wire)", c)
+			}
+
+			// Cut on the receiving side only: on TCP the frame crosses the
+			// socket, is dropped at delivery and echoes back to the sender's
+			// drop callback (in memory both sides are the same gate).
+			tr.SetLinkFilter(nil)
+			far.SetLinkFilter(cutAB(0, 1))
+			send("receiver-side cut", 0, 2)
+
+			// Heal: the link is traversable and traffic flows again.
+			far.SetLinkFilter(nil)
+			if nbs := tr.Neighbors(0); len(nbs) != 1 || nbs[0] != 1 {
+				t.Fatalf("healed Neighbors(0) = %v, want [1]", nbs)
+			}
+			if reached := tr.Flood("f", 0, 3, nil, nil); len(reached) != 3 {
+				t.Fatalf("healed flood reached %v, want all three nodes", reached)
+			}
+			if w := tr.SelectiveWalk("w", 0, 5, acceptLast); w.Found != 2 {
+				t.Fatalf("healed walk: %+v, want node 2 found", w)
+			}
+			send("healed send", 1, 2)
+			if c := tr.Counter().Get(typ); c != 3 {
+				t.Fatalf("counted %d sends, want 3", c)
+			}
 		})
-	}
-	net.SetDrop(func(msg *Message) { dropped = append(dropped, msg.ID) })
-
-	net.SetLinkFilter(cutAB(0, 1))
-	if nbs := net.Neighbors(0); len(nbs) != 0 {
-		t.Fatalf("Neighbors(0) across the cut = %v, want none", nbs)
-	}
-	if nbs := net.Neighbors(1); len(nbs) != 1 || nbs[0] != 2 {
-		t.Fatalf("Neighbors(1) = %v, want [2]", nbs)
-	}
-	net.SendNew("x", 0, 1, 0, nil)
-	net.Settle()
-	if len(delivered) != 0 || len(dropped) != 1 {
-		t.Fatalf("severed send: delivered=%v dropped=%v, want the drop path", delivered, dropped)
-	}
-	if c := net.Counter().Get("x"); c != 1 {
-		t.Fatalf("severed send counted %d, want 1 (bytes hit the wire)", c)
-	}
-
-	net.SetLinkFilter(nil)
-	if nbs := net.Neighbors(0); len(nbs) != 1 || nbs[0] != 1 {
-		t.Fatalf("healed Neighbors(0) = %v, want [1]", nbs)
-	}
-	net.SendNew("x", 0, 1, 0, nil)
-	net.Settle()
-	if len(delivered) != 1 || len(dropped) != 1 {
-		t.Fatalf("healed send: delivered=%v dropped=%v, want one delivery", delivered, dropped)
-	}
-}
-
-func TestLinkFilterChannel(t *testing.T) {
-	tr := NewChannelTransport(lineGraph(t, 3), 1, DefaultChannelConfig())
-	defer tr.Close()
-	var mu sync.Mutex
-	var delivered, dropped int
-	for id := 0; id < 3; id++ {
-		tr.SetHandler(NodeID(id), func(*Message) {
-			mu.Lock()
-			delivered++
-			mu.Unlock()
-		})
-	}
-	tr.SetDrop(func(*Message) {
-		mu.Lock()
-		dropped++
-		mu.Unlock()
-	})
-
-	tr.SetLinkFilter(cutAB(1, 2))
-	if nbs := tr.Neighbors(1); len(nbs) != 1 || nbs[0] != 0 {
-		t.Fatalf("Neighbors(1) = %v, want [0]", nbs)
-	}
-	tr.SendNew("x", 1, 2, 0, nil)
-	tr.Settle()
-	mu.Lock()
-	d, dr := delivered, dropped
-	mu.Unlock()
-	if d != 0 || dr != 1 {
-		t.Fatalf("severed send: delivered=%d dropped=%d, want the drop path", d, dr)
-	}
-
-	tr.SetLinkFilter(nil)
-	tr.SendNew("x", 1, 2, 0, nil)
-	tr.Settle()
-	mu.Lock()
-	d, dr = delivered, dropped
-	mu.Unlock()
-	if d != 1 || dr != 1 {
-		t.Fatalf("healed send: delivered=%d dropped=%d, want one delivery", d, dr)
-	}
-	if c := tr.Counter().Get("x"); c != 2 {
-		t.Fatalf("counted %d sends, want 2", c)
-	}
-}
-
-func TestLinkFilterTCP(t *testing.T) {
-	a, b := tcpPair(t, 2, 1)
-	var mu sync.Mutex
-	var delivered, dropped int
-	b.SetHandler(1, func(*Message) {
-		mu.Lock()
-		delivered++
-		mu.Unlock()
-	})
-	a.SetDrop(func(*Message) {
-		mu.Lock()
-		dropped++
-		mu.Unlock()
-	})
-
-	// Both processes install the same scripted cut, like a real drill.
-	a.SetLinkFilter(cutAB(0, 1))
-	b.SetLinkFilter(cutAB(0, 1))
-	if nbs := a.Neighbors(0); len(nbs) != 0 {
-		t.Fatalf("Neighbors(0) across the cut = %v, want none", nbs)
-	}
-	a.SendNew("tcp-test", 0, 1, 0, tcpTestPayload{N: 1, Text: "severed"})
-	a.Settle()
-	mu.Lock()
-	d, dr := delivered, dropped
-	mu.Unlock()
-	if d != 0 || dr != 1 {
-		t.Fatalf("severed send: delivered=%d dropped=%d, want the sender-side drop path", d, dr)
-	}
-	if c := a.Counter().Get("tcp-test"); c != 1 {
-		t.Fatalf("severed send counted %d, want 1", c)
-	}
-
-	// Receiver-side cut only: the frame crosses the socket and is dropped
-	// at delivery, echoing back to the sender's drop callback.
-	a.SetLinkFilter(nil)
-	a.SendNew("tcp-test", 0, 1, 0, tcpTestPayload{N: 2, Text: "receiver cut"})
-	a.Settle()
-	mu.Lock()
-	d, dr = delivered, dropped
-	mu.Unlock()
-	if d != 0 || dr != 2 {
-		t.Fatalf("receiver-side cut: delivered=%d dropped=%d, want a drop echo", d, dr)
-	}
-
-	// Heal: traffic flows again.
-	b.SetLinkFilter(nil)
-	a.SendNew("tcp-test", 0, 1, 0, tcpTestPayload{N: 3, Text: "healed"})
-	a.Settle()
-	mu.Lock()
-	d, dr = delivered, dropped
-	mu.Unlock()
-	if d != 1 || dr != 2 {
-		t.Fatalf("healed send: delivered=%d dropped=%d, want one delivery", d, dr)
 	}
 }

@@ -6,18 +6,66 @@
 // The package deliberately knows nothing about summaries: protocol logic
 // lives in internal/core (summary management) and internal/routing (query
 // routing); p2p only moves messages and counts them. Protocol layers
-// depend on the Transport interface; the two concrete transports are
-// Network (deterministic, discrete-event) and ChannelTransport
-// (concurrent, real-time).
+// depend on the Transport interface; the three concrete transports are
+// Network (deterministic, discrete-event), ChannelTransport (concurrent,
+// real-time) and TCPTransport (real sockets between OS processes). All
+// three embed one overlay core (overlay.go) — topology, membership,
+// partition gate and traffic books are written once — and the two
+// goroutine-backed ones share one dispatch engine (engine.go).
+//
+// # Which lock protects what
+//
+//	ledger.mu                  one mutex per ledger (overlay.go) — one
+//	                           ledger per region of a Network, per
+//	                           dispatch group of a ChannelTransport or
+//	                           TCPTransport: that lane's message and byte
+//	                           counters. Lanes never contend on shared
+//	                           accounting; Counter/Bytes merge the ledgers
+//	                           into a fresh snapshot on read.
+//	dispatchEngine             (engine.go, shared by ChannelTransport and
+//	                           TCPTransport) mu: groupOf[], armed timers,
+//	                           dispatcher goroutine ids, closed. hmu: the
+//	                           handler table and the drop callback, held
+//	                           only to read or set them, never across a
+//	                           call. execMu: serializes concurrent Exec
+//	                           barriers so two drivers cannot interleave
+//	                           group parking. dispatchGroup.mu/cond, one
+//	                           per group: the group's pending-work count;
+//	                           Settle/Close verify quiescence under mu and
+//	                           all group locks at once.
+//	linkGate                   NO lock: the installed LinkFilter is one
+//	                           atomic pointer to an immutable closure.
+//	Network                    NO locks of its own beyond its ledgers (the
+//	                           event kernel runs handlers on one goroutine
+//	                           per region); message ids are per-region
+//	                           atomics. Its liveness view locks itself.
+//	ChannelTransport.mu        the loss/random-walk rng.
+//	TCPTransport               connMu (connection table + reconnect loops),
+//	                           wireMu (socket frame counters and the
+//	                           sent/handled tallies of the distributed
+//	                           settle), statusMu/barrierMu (the settle and
+//	                           barrier exchanges).
+//	tcpConn.qmu                one connection's coalescing batch: senders
+//	                           append units under it, the writer swaps the
+//	                           batch out under it; NEVER held across the
+//	                           socket write (appending never blocks on
+//	                           I/O). qcond wakes the writer.
+//	tcpConn flow counters      per-direction flowRate meters (each its own
+//	                           small mutex: window fold + lifetime total)
+//	                           plus atomics for unit/flush counts,
+//	                           last-receive time and keepalive RTT — read
+//	                           by PeerStats without touching qmu or the
+//	                           transport locks, cheap enough for a signal
+//	                           handler.
 package p2p
 
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"p2psum/internal/liveness"
 	"p2psum/internal/sim"
-	"p2psum/internal/stats"
 	"p2psum/internal/topology"
 )
 
@@ -38,9 +86,9 @@ type Message struct {
 // Handler consumes messages delivered to a node.
 type Handler func(msg *Message)
 
-// Sizer is implemented by payloads that know their wire size; the network
-// charges them to the byte counters (the paper's §6.1.1 storage model sets
-// the unit: ~512 bytes per summary node).
+// Sizer is implemented by payloads that can estimate their wire size. The
+// estimate is only charged for payloads without a registered wire codec
+// (see ledger for the accounting rule).
 type Sizer interface {
 	WireSize() int
 }
@@ -53,15 +101,21 @@ const BaseMessageBytes = 64
 // traffic per type — the unit of every cost figure in the paper ("the cost
 // of query routing, which is measured in term of the number of exchanged
 // messages"). It is the deterministic, sim-backed Transport.
+//
+// Events run either on one sequential engine (NewNetwork) or on a
+// region-sharded kernel (NewShardedNetwork, see region.go); exactly one of
+// engine and shard is non-nil. Traffic is charged to one ledger per region
+// — the sequential Network is the one-region case.
 type Network struct {
+	overlay
+	books
 	engine  *sim.Engine
-	graph   *topology.Graph
+	shard   *sim.Sharded
 	rng     *rand.Rand
-	view    *liveness.View
 	handler []Handler
-	counter *stats.Counter
-	bytes   *stats.Counter
-	nextMsg uint64
+	// nextMsg counts sends per region; message ids are striped over the
+	// regions, so they are unique without global state.
+	nextMsg []atomic.Uint64
 	// DirectLatency is used for node pairs without an overlay edge (e.g. a
 	// query sent straight to a relevant peer found in a summary).
 	DirectLatency float64
@@ -70,108 +124,33 @@ type Network struct {
 	// failures (§4.3: "a partner who has tried to send push or query
 	// messages to SP will detect its departure").
 	drop func(msg *Message)
-	// shard/books switch the network into parallel mode (see region.go):
-	// events run on a region-sharded kernel instead of engine, and
-	// traffic is charged to per-region books merged on read. Exactly one
-	// of engine and shard is non-nil.
-	shard *sim.Sharded
-	books []regionBook
-	// gate holds the partition hook (SetLinkFilter); severed links route
-	// deliveries to the drop callback and vanish from Neighbors. In
-	// sharded mode a cut is deterministic only when it is domain-aligned
-	// like every other cross-region interaction (see region.go).
-	gate linkGate
 }
 
 // NewNetwork builds a network over the graph. All nodes start online.
 func NewNetwork(engine *sim.Engine, graph *topology.Graph, seed int64) *Network {
-	n := &Network{
-		engine:        engine,
-		graph:         graph,
-		rng:           rand.New(rand.NewSource(seed)),
-		view:          liveness.NewView(graph.Len(), nil),
-		handler:       make([]Handler, graph.Len()),
-		counter:       stats.NewCounter(),
-		bytes:         stats.NewCounter(),
-		DirectLatency: 0.100,
-	}
+	n := newNetwork(graph, seed, 1)
+	n.engine = engine
 	return n
 }
 
-// Engine returns the underlying event engine (nil in sharded mode; use
-// Sharded then).
-func (n *Network) Engine() *sim.Engine { return n.engine }
-
-// Graph returns the overlay topology.
-func (n *Network) Graph() *topology.Graph { return n.graph }
-
-// Len returns the number of nodes.
-func (n *Network) Len() int { return n.graph.Len() }
-
-// Counter exposes the per-type message counters. In sharded mode the
-// per-region books are merged into a fresh snapshot on every call.
-func (n *Network) Counter() *stats.Counter {
-	if n.books == nil {
-		return n.counter
+// newNetwork builds the kernel-independent part of a Network with the
+// given region count.
+func newNetwork(graph *topology.Graph, seed int64, regions int) *Network {
+	return &Network{
+		overlay:       overlay{graph: graph, view: liveness.NewView(graph.Len(), nil)},
+		books:         newBooks(regions),
+		rng:           rand.New(rand.NewSource(seed)),
+		handler:       make([]Handler, graph.Len()),
+		nextMsg:       make([]atomic.Uint64, regions),
+		DirectLatency: 0.100,
 	}
-	return mergedBooks(n.books, func(b *regionBook) *stats.Counter { return b.counter })
 }
-
-// Bytes exposes the per-type traffic volume counters (merged on read in
-// sharded mode, like Counter). Payloads implementing Sizer are charged
-// their wire size; everything else costs BaseMessageBytes.
-func (n *Network) Bytes() *stats.Counter {
-	if n.books == nil {
-		return n.bytes
-	}
-	return mergedBooks(n.books, func(b *regionBook) *stats.Counter { return b.bytes })
-}
-
-// Rand returns the network's deterministic random source.
-func (n *Network) Rand() *rand.Rand { return n.rng }
 
 // SetHandler installs the message handler of a node.
 func (n *Network) SetHandler(id NodeID, h Handler) { n.handler[id] = h }
 
 // SetDrop installs the drop callback (§4.3 failure detection).
 func (n *Network) SetDrop(fn func(*Message)) { n.drop = fn }
-
-// SetLinkFilter installs the partition hook (see Transport.SetLinkFilter).
-func (n *Network) SetLinkFilter(fn LinkFilter) { n.gate.set(fn) }
-
-// Liveness returns the network's membership view — the ground truth of the
-// whole overlay on this in-memory transport.
-func (n *Network) Liveness() *liveness.View { return n.view }
-
-// Online reports whether the node is currently connected.
-func (n *Network) Online(id NodeID) bool { return n.view.Online(int(id)) }
-
-// SetOnline flips a node's connectivity in the liveness view.
-func (n *Network) SetOnline(id NodeID, up bool) {
-	if up {
-		n.view.MarkAlive(int(id))
-	} else {
-		n.view.MarkDead(int(id))
-	}
-}
-
-// OnlineCount returns the number of connected nodes.
-func (n *Network) OnlineCount() int { return n.view.OnlineCount() }
-
-// Neighbors returns the online neighbors of a node, in ascending id order
-// (the graph's adjacency order is already deterministic).
-func (n *Network) Neighbors(id NodeID) []NodeID {
-	var out []NodeID
-	for _, v := range n.graph.Neighbors(int(id)) {
-		if n.view.Online(v) && !n.gate.severed(id, NodeID(v)) {
-			out = append(out, NodeID(v))
-		}
-	}
-	return out
-}
-
-// Degree returns the node's static overlay degree.
-func (n *Network) Degree(id NodeID) int { return n.graph.Degree(int(id)) }
 
 // HopsWithin returns BFS hop distances from src, bounded by radius.
 //
@@ -199,13 +178,7 @@ func (n *Network) Exec(fn func()) { fn() }
 // with handlers regardless of which node owns the timer; in sharded
 // mode the timer runs in the owner's region, at that region's clock.
 func (n *Network) After(owner NodeID, delaySeconds float64, fn func()) {
-	if n.shard != nil {
-		r := n.shard.RegionOf(int(owner))
-		at := n.shard.RegionNow(r) + sim.Seconds(delaySeconds)
-		n.shard.Schedule(int(owner), int(owner), at, fn)
-		return
-	}
-	n.engine.After(sim.Seconds(delaySeconds), fn)
+	n.AfterFrom(owner, owner, delaySeconds, fn)
 }
 
 // AfterFrom schedules fn in owner's region from code executing in
@@ -214,12 +187,12 @@ func (n *Network) After(owner NodeID, delaySeconds float64, fn func()) {
 // message, stamped with the origin region's clock; same-region (and
 // sequential mode) matches After.
 func (n *Network) AfterFrom(origin, owner NodeID, delaySeconds float64, fn func()) {
-	if n.shard != nil {
-		at := n.shard.RegionNow(n.shard.RegionOf(int(origin))) + sim.Seconds(delaySeconds)
-		n.shard.Schedule(int(origin), int(owner), at, fn)
+	if n.shard == nil {
+		n.engine.After(sim.Seconds(delaySeconds), fn)
 		return
 	}
-	n.engine.After(sim.Seconds(delaySeconds), fn)
+	at := n.shard.RegionNow(n.regionOf(origin)) + sim.Seconds(delaySeconds)
+	n.shard.Schedule(int(origin), int(owner), at, fn)
 }
 
 // Settle runs the event kernel to quiescence, delivering every in-flight
@@ -232,67 +205,50 @@ func (n *Network) Settle() {
 	n.engine.Run()
 }
 
-// Now returns the current virtual time (the global frontier in sharded
-// mode).
-func (n *Network) Now() sim.Time {
-	if n.shard != nil {
-		return n.shard.Now()
+// regionOf returns the region — and so the ledger — of a node (0 on the
+// sequential Network).
+func (n *Network) regionOf(id NodeID) int {
+	if n.shard == nil {
+		return 0
 	}
-	return n.engine.Now()
+	return n.shard.RegionOf(int(id))
 }
 
-// latencyBetween picks the edge latency when adjacent, DirectLatency
-// otherwise.
-func (n *Network) latencyBetween(a, b NodeID) float64 {
-	if l, ok := n.graph.LatencyOK(int(a), int(b)); ok {
-		return l
-	}
-	return n.DirectLatency
+// chargeFrom returns the walk/flood charge of a traversal originating at
+// src: its hops go to the origin's region ledger.
+func (n *Network) chargeFrom(src NodeID) func(typ string, k int64) {
+	return n.books[n.regionOf(src)].chargeHops
 }
 
-// charge accounts n payload-less transmissions (walks and floods).
-func (n *Network) charge(typ string, k int64) {
-	n.counter.Add(typ, k)
-	n.bytes.Add(typ, k*BaseMessageBytes)
-}
-
-// Send schedules delivery of msg from msg.From to msg.To, counting it under
-// msg.Type. Messages to offline or handler-less nodes are counted as sent
-// (the bytes hit the wire) but trigger Drop instead of a handler. Messages
-// whose payload is serializable (nil, or with a registered wire codec) are
-// charged their real encoded frame length; the Sizer estimate remains the
-// fallback, so discrete-event and TCP runs report comparable byte counts.
+// Send schedules delivery of msg from msg.From to msg.To after the link
+// latency, charging it to the sender's region ledger under msg.Type.
+// Messages to offline or handler-less nodes are counted as sent (the bytes
+// hit the wire) but trigger Drop instead of a handler. On the sharded
+// kernel the delivery goes directly onto the destination region's heap
+// when sender and receiver share a region, and is staged at the next
+// window barrier otherwise.
 func (n *Network) Send(msg *Message) {
 	if msg.To < 0 || int(msg.To) >= n.graph.Len() {
 		panic(fmt.Sprintf("p2p: send to out-of-range node %d", msg.To))
 	}
-	if n.shard != nil {
-		n.sendSharded(msg)
-		return
+	src := n.regionOf(msg.From)
+	if seq := n.nextMsg[src].Add(1); msg.ID == 0 {
+		msg.ID = seq*uint64(len(n.books)) + uint64(src)
 	}
-	n.nextMsg++
-	if msg.ID == 0 {
-		msg.ID = n.nextMsg
-	}
-	n.counter.Inc(msg.Type)
-	n.bytes.Add(msg.Type, messageWireSize(msg))
-	lat := n.latencyBetween(msg.From, msg.To)
-	n.engine.After(sim.Seconds(lat), func() { n.deliver(msg) })
+	n.books[src].charge(msg.Type, 1, messageWireSize(msg))
+	lat := n.latencyBetween(msg.From, msg.To, n.DirectLatency)
+	n.AfterFrom(msg.From, msg.To, lat, func() { n.deliver(msg) })
 }
 
 // deliver hands msg to its destination handler, or to the drop callback
 // when the node is offline or handler-less — or when the link filter
-// severs the link at delivery time (a message in flight when a partition
-// lands is lost to it, like a packet on a cut cable).
+// severs the link at delivery time.
 func (n *Network) deliver(msg *Message) {
-	if n.gate.severed(msg.From, msg.To) ||
-		!n.view.Online(int(msg.To)) || n.handler[msg.To] == nil {
-		if n.drop != nil {
-			n.drop(msg)
-		}
-		return
+	if h := n.handler[msg.To]; h != nil && n.deliverable(msg.From, msg.To) {
+		h(msg)
+	} else if n.drop != nil {
+		n.drop(msg)
 	}
-	n.handler[msg.To](msg)
 }
 
 // SendNew builds and sends a message.
@@ -304,7 +260,7 @@ func (n *Network) SendNew(typ string, from, to NodeID, ttl int, payload any) {
 // ttl hops using Gnutella-style constrained broadcast. It returns the nodes
 // reached and counts every transmission (§6.2.3).
 func (n *Network) Flood(typ string, src NodeID, ttl int, payload any, visit func(NodeID)) map[NodeID]bool {
-	return runFlood(n.linkFor(src), typ, src, ttl, visit)
+	return n.flood(n.chargeFrom(src), typ, src, ttl, visit)
 }
 
 // WalkResult is the outcome of a walk.
@@ -322,7 +278,7 @@ type WalkResult struct {
 // neighbor until accept returns true or maxHops is exhausted. Ties break on
 // the lower node id; dead ends backtrack.
 func (n *Network) SelectiveWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	return runWalk(n.linkFor(src), typ, src, maxHops, accept, selectiveChoice(n.Degree))
+	return n.walk(n.chargeFrom(src), typ, src, maxHops, accept, n.selective)
 }
 
 // RandomWalk is the blind baseline: uniform random unvisited neighbor.
@@ -330,20 +286,7 @@ func (n *Network) SelectiveWalk(typ string, src NodeID, maxHops int, accept func
 // driver-context only (walks from concurrent region workers would race
 // on the source).
 func (n *Network) RandomWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	return runWalk(n.linkFor(src), typ, src, maxHops, accept, func(cands []NodeID) NodeID {
+	return n.walk(n.chargeFrom(src), typ, src, maxHops, accept, func(cands []NodeID) NodeID {
 		return cands[n.rng.Intn(len(cands))]
 	})
-}
-
-// OnlineIDs returns the sorted ids of online nodes.
-func (n *Network) OnlineIDs() []NodeID { return onlineNodeIDs(n.view) }
-
-// onlineNodeIDs converts the view's ascending online ids to NodeIDs.
-func onlineNodeIDs(v *liveness.View) []NodeID {
-	ids := v.OnlineIDs()
-	out := make([]NodeID, len(ids))
-	for i, id := range ids {
-		out[i] = NodeID(id)
-	}
-	return out
 }

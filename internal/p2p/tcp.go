@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"p2psum/internal/liveness"
-	"p2psum/internal/stats"
 	"p2psum/internal/topology"
 	"p2psum/internal/wire"
 )
@@ -56,17 +55,12 @@ import (
 // should therefore partition driver duties by locality (see Localizer),
 // which internal/core's construction already does.
 type TCPTransport struct {
-	graph *topology.Graph
+	overlay
+	books // one ledger per dispatch group
 	cfg   TCPConfig
 	eng   *dispatchEngine
 	ln    net.Listener
 	laddr string
-
-	view *liveness.View
-
-	mu      sync.Mutex // guards handler, drop
-	handler []Handler
-	drop    func(*Message)
 
 	local  []bool   // id -> hosted in this process
 	hostOf []string // id -> remote process address ("" when local)
@@ -93,12 +87,6 @@ type TCPTransport struct {
 
 	nextMsg atomic.Uint64
 	wg      sync.WaitGroup
-
-	// gate holds the partition hook (SetLinkFilter): frames for severed
-	// links never reach the socket — they are charged as sent and routed
-	// to the §4.3 drop path in the sender's process, exactly like a frame
-	// for a dead connection.
-	gate linkGate
 }
 
 // TCPConfig configures a TCPTransport.
@@ -376,9 +364,8 @@ func NewTCPTransport(graph *topology.Graph, cfg TCPConfig) (*TCPTransport, error
 	}
 	n := graph.Len()
 	t := &TCPTransport{
-		graph:        graph,
+		overlay:      overlay{graph: graph},
 		cfg:          cfg,
-		handler:      make([]Handler, n),
 		local:        make([]bool, n),
 		hostOf:       make([]string, n),
 		conns:        make(map[string]*tcpConn),
@@ -409,6 +396,7 @@ func NewTCPTransport(graph *topology.Graph, cfg TCPConfig) (*TCPTransport, error
 	t.ln = ln
 	t.laddr = ln.Addr().String()
 	t.eng = newDispatchEngine(n, cfg.Dispatchers, cfg.GroupBy, t.deliver)
+	t.books = newBooks(t.eng.groupCount())
 	t.wg.Add(1)
 	go t.acceptLoop()
 	if cfg.KeepAlive > 0 || cfg.MaxBacklogAge > 0 {
@@ -1102,66 +1090,35 @@ func (t *TCPTransport) markHandled(origin string) {
 }
 
 // dropToSender runs the drop callback for msg in its (local) sender's
-// dispatch group. The forward rides its own goroutine so a dispatcher
-// enqueueing into its own full inbox cannot deadlock. Drop echoes arrive
-// from socket readers, which outlive the dispatchers during Close, so the
-// pending count goes through the closed-checked path.
+// dispatch group; a remote sender's process runs its own.
 func (t *TCPTransport) dropToSender(msg *Message) {
-	if msg.From < 0 || !t.IsLocal(msg.From) {
-		return
+	if t.IsLocal(msg.From) {
+		t.eng.submitDrop(msg)
 	}
-	g := t.eng.groupFor(msg.From)
-	if !t.eng.beginSendGroup(g) {
-		return // transport closed underneath the reader
-	}
-	go func() { t.eng.groups[g].inbox <- envelope{msg: msg, isDrop: true} }()
 }
 
 // --- delivery --------------------------------------------------------------
 
 // deliver implements the transport's delivery policy on the dispatch
-// engine: run the local handler, or route the drop notification — to the
-// local sender's group like the channel transport, or back over the socket
-// when the sender lives in another process.
+// engine: run the local handler, or route the drop notification — through
+// the engine to a local sender's group, or back over the socket when the
+// sender lives in another process.
 func (t *TCPTransport) deliver(g int, env envelope) {
 	msg := env.msg
-	if env.isDrop {
-		t.mu.Lock()
-		drop := t.drop
-		t.mu.Unlock()
-		if drop != nil {
-			drop(msg)
-		}
-		t.eng.finishPending(g)
-		return
-	}
-	up := t.view.Online(int(msg.To)) && !t.gate.severed(msg.From, msg.To)
-	t.mu.Lock()
-	h := t.handler[msg.To]
-	drop := t.drop
-	t.mu.Unlock()
-	if up && h != nil {
+	if h := t.eng.handlerOf(msg.To); h != nil && t.deliverable(msg.From, msg.To) {
 		h(msg)
 		t.markHandled(env.origin)
 		t.eng.finishPending(g)
 		return
 	}
-	// Destination offline or handler-less: failure detection (§4.3). The
-	// frame itself is processed either way.
+	// Destination offline, handler-less or cut off: failure detection
+	// (§4.3). The frame itself is processed either way.
 	t.markHandled(env.origin)
-	switch {
-	case msg.From >= 0 && t.IsLocal(msg.From):
-		if drop != nil {
-			gFrom := t.eng.groupFor(msg.From)
-			if gFrom == g {
-				drop(msg)
-			} else {
-				t.eng.movePending(gFrom, g)
-				go func() { t.eng.groups[gFrom].inbox <- envelope{msg: msg, isDrop: true} }()
-				return
-			}
-		}
-	case env.origin != "":
+	if t.IsLocal(msg.From) {
+		t.eng.routeDrop(g, msg)
+		return
+	}
+	if env.origin != "" {
 		// Bounce the frame to the sender's process; its transport runs the
 		// drop callback in the sender's group.
 		if size, ok := frameSize(msg); ok {
@@ -1172,12 +1129,6 @@ func (t *TCPTransport) deliver(g int, env envelope) {
 }
 
 // --- Transport interface ---------------------------------------------------
-
-// Len returns the number of overlay nodes.
-func (t *TCPTransport) Len() int { return t.graph.Len() }
-
-// Graph exposes the shared overlay topology.
-func (t *TCPTransport) Graph() *topology.Graph { return t.graph }
 
 // DispatchGroups returns the number of dispatch groups (>= 1).
 func (t *TCPTransport) DispatchGroups() int { return t.eng.groupCount() }
@@ -1192,83 +1143,20 @@ func (t *TCPTransport) SetGroupBy(fn func(NodeID) int) bool {
 	return t.eng.remap(fn)
 }
 
-// Counter returns a merged snapshot of the per-group message counters
-// (see ChannelTransport.Counter).
-func (t *TCPTransport) Counter() *stats.Counter { return t.eng.mergedCounter() }
-
-// Bytes returns a merged snapshot of the per-type traffic volumes. Every
-// serializable message is charged its encoded frame length, so the total
-// equals the sum of frame lengths that crossed sockets plus those
-// delivered locally (cross-check with WireStats).
-func (t *TCPTransport) Bytes() *stats.Counter { return t.eng.mergedVolume() }
-
 // SetHandler installs the message handler of a node (consulted only for
 // local nodes).
-func (t *TCPTransport) SetHandler(id NodeID, h Handler) {
-	t.mu.Lock()
-	t.handler[id] = h
-	t.mu.Unlock()
-}
+func (t *TCPTransport) SetHandler(id NodeID, h Handler) { t.eng.setHandler(id, h) }
 
 // SetDrop installs the drop callback (§4.3 failure detection). It runs in
 // the dispatch group of the message's sender — also when the drop happened
 // in another process and was echoed back.
-func (t *TCPTransport) SetDrop(fn func(*Message)) {
-	t.mu.Lock()
-	t.drop = fn
-	t.mu.Unlock()
-}
+func (t *TCPTransport) SetDrop(fn func(*Message)) { t.eng.setDrop(fn) }
 
-// Liveness returns this process's membership view: authoritative for the
-// local nodes, convergent on the remote ones through the protocol layer's
-// liveness gossip (remote nodes default to alive until evidence arrives).
-func (t *TCPTransport) Liveness() *liveness.View { return t.view }
-
-// Online reports this process's view of a node's connectivity.
-func (t *TCPTransport) Online(id NodeID) bool { return t.view.Online(int(id)) }
-
-// SetOnline flips a node's connectivity in this process's view.
-func (t *TCPTransport) SetOnline(id NodeID, up bool) {
-	if up {
-		t.view.MarkAlive(int(id))
-	} else {
-		t.view.MarkDead(int(id))
-	}
-}
-
-// OnlineCount returns the number of nodes online in this process's view.
-func (t *TCPTransport) OnlineCount() int { return t.view.OnlineCount() }
-
-// OnlineIDs returns the sorted ids of nodes online in this process's view.
-func (t *TCPTransport) OnlineIDs() []NodeID { return onlineNodeIDs(t.view) }
-
-// Neighbors returns the online neighbors of a node, in ascending id order.
-// Links severed by the installed LinkFilter are not traversable.
-func (t *TCPTransport) Neighbors(id NodeID) []NodeID {
-	var out []NodeID
-	for _, v := range t.graph.Neighbors(int(id)) {
-		if t.view.Online(v) && !t.gate.severed(id, NodeID(v)) {
-			out = append(out, NodeID(v))
-		}
-	}
-	return out
-}
-
-// SetLinkFilter installs the partition hook (see Transport.SetLinkFilter).
-// On a TCP deployment every process installs the same scripted filter: an
-// outbound frame on a severed link is charged and dropped before the
-// socket, and a frame that slipped out before the cut is dropped (and
-// drop-echoed to its origin) at delivery time on the receiving side, so
-// both directions degrade even if installation is not simultaneous.
-func (t *TCPTransport) SetLinkFilter(fn LinkFilter) { t.gate.set(fn) }
-
-// Degree returns the node's static overlay degree.
-func (t *TCPTransport) Degree(id NodeID) int { return t.graph.Degree(int(id)) }
-
-// charge accounts n payload-less transmissions (walks and floods) under
-// group 0, like the channel transport; WireStats books them as frameless.
-func (t *TCPTransport) charge(typ string, n int64) {
-	t.eng.chargeBulk(0, typ, n)
+// chargeHops accounts n payload-less transmissions (walks and floods) to
+// group 0's ledger, like the channel transport; WireStats books them as
+// frameless.
+func (t *TCPTransport) chargeHops(typ string, n int64) {
+	t.books[0].chargeHops(typ, n)
 	t.chargeFrameless(n, n*BaseMessageBytes)
 }
 
@@ -1311,6 +1199,9 @@ func (t *TCPTransport) Send(msg *Message) {
 		msg.ID = id
 	}
 	size, framed := frameSize(msg)
+	if !framed {
+		size = sizerEstimate(msg)
+	}
 
 	if t.IsLocal(msg.To) {
 		if framed {
@@ -1340,24 +1231,18 @@ func (t *TCPTransport) Send(msg *Message) {
 		if !ok {
 			panic("p2p: send on closed TCPTransport")
 		}
-		t.eng.chargeMessage(g, msg.Type, size)
+		t.books[g].charge(msg.Type, 1, size)
 		go func() { t.eng.groups[g].inbox <- envelope{msg: msg} }()
 		return
 	}
 
 	addr := t.hostOf[msg.To]
-	g := t.chargeGroupOf(msg)
+	t.books[t.chargeGroupOf(msg)].charge(msg.Type, 1, size)
 	if !framed {
-		size = int64(BaseMessageBytes)
-		if s, ok := msg.Payload.(Sizer); ok {
-			size += int64(s.WireSize())
-		}
-		t.eng.chargeMessage(g, msg.Type, size)
 		t.chargeFrameless(1, size)
 		t.dropToSender(msg)
 		return
 	}
-	t.eng.chargeMessage(g, msg.Type, size)
 	if t.gate.severed(msg.From, msg.To) {
 		// Partitioned link: the frame is charged as sent but never reaches
 		// the socket — the sender observes the same §4.3 drop evidence a
@@ -1391,20 +1276,20 @@ func (t *TCPTransport) SendNew(typ string, from, to NodeID, ttl int, payload any
 // ttl hops using Gnutella-style constrained broadcast, traversing the
 // shared topology in this process (§6.2.3 accounting semantics).
 func (t *TCPTransport) Flood(typ string, src NodeID, ttl int, payload any, visit func(NodeID)) map[NodeID]bool {
-	return runFlood(t, typ, src, ttl, visit)
+	return t.flood(t.chargeHops, typ, src, ttl, visit)
 }
 
 // SelectiveWalk performs the §4.1 find-protocol walk over the shared
 // topology; the accept callback only sees local protocol state.
 func (t *TCPTransport) SelectiveWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	return runWalk(t, typ, src, maxHops, accept, selectiveChoice(t.Degree))
+	return t.walk(t.chargeHops, typ, src, maxHops, accept, t.selective)
 }
 
 // RandomWalk is the blind baseline walk (same locality caveat as
 // SelectiveWalk). The choice is pseudo-random per call.
 func (t *TCPTransport) RandomWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
 	step := t.nextMsg.Add(1)
-	return runWalk(t, typ, src, maxHops, accept, func(cands []NodeID) NodeID {
+	return t.walk(t.chargeHops, typ, src, maxHops, accept, func(cands []NodeID) NodeID {
 		step = step*6364136223846793005 + 1442695040888963407
 		return cands[int(step>>33)%len(cands)]
 	})

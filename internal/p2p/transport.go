@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"p2psum/internal/liveness"
 	"p2psum/internal/stats"
@@ -15,7 +14,9 @@ import (
 // floods the overlay, and meters every transmission. The protocol layers
 // depend only on this interface, never on a concrete implementation.
 //
-// Two implementations ship with the package:
+// Three implementations ship with the package; they share one overlay core
+// (overlay.go: topology, membership, partition gate, traffic books, flood
+// and walk) and differ only in how a message moves:
 //
 //   - Network runs over the deterministic discrete-event engine of
 //     internal/sim — the stand-in for the paper's SimJava setup (§6.2.1).
@@ -25,6 +26,9 @@ import (
 //     per-link latencies and optional packet loss. It expresses scenarios
 //     the discrete-event engine cannot (wall-clock interleavings, lossy
 //     links) at the price of determinism.
+//
+//   - TCPTransport hosts part of the overlay in this process and ships wire
+//     frames to the processes hosting the rest over real sockets.
 type Transport interface {
 	// Len returns the number of overlay nodes.
 	Len() int
@@ -67,11 +71,10 @@ type Transport interface {
 	// to an offline or handler-less node is discarded; protocols use it to
 	// detect failures (§4.3).
 	SetDrop(fn func(*Message))
-	// Send delivers msg to msg.To after the link latency, counting it
-	// under msg.Type. Messages to offline nodes are counted as sent (the
-	// bytes hit the wire) but trigger the drop callback instead.
-	Send(msg *Message)
-	// SendNew builds and sends a message.
+	// SendNew builds a message and delivers it to its destination after
+	// the link latency, counting it under typ. Messages to offline nodes
+	// are counted as sent (the bytes hit the wire) but trigger the drop
+	// callback instead.
 	SendNew(typ string, from, to NodeID, ttl int, payload any)
 	// Flood delivers a message of the given type from src to every node
 	// within ttl hops using Gnutella-style constrained broadcast,
@@ -84,13 +87,11 @@ type Transport interface {
 	RandomWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult
 
 	// Counter exposes the per-type message counters — the unit of every
-	// cost figure in the paper. Transports with sharded bookkeeping
-	// return a merged snapshot per call; read it again for fresh totals.
+	// cost figure in the paper. Every call returns a merged snapshot of
+	// the transport's ledgers; read it again for fresh totals.
 	Counter() *stats.Counter
 	// Bytes exposes the per-type traffic volume counters (same snapshot
-	// contract as Counter). A message whose payload is serializable — nil,
-	// or carrying a registered wire codec — is charged its real encoded
-	// frame length; the Sizer estimate is the fallback.
+	// contract as Counter; the ledger type states what a message costs).
 	Bytes() *stats.Counter
 
 	// Exec runs fn serialized with message handlers and returns when fn
@@ -141,28 +142,6 @@ type Transport interface {
 // goroutines); to change a partition, build a new closure and install it
 // with SetLinkFilter.
 type LinkFilter func(from, to NodeID) bool
-
-// linkGate is the shared atomic holder for a transport's installed
-// LinkFilter. The zero value is an open gate (no filter, no overhead
-// beyond one atomic load).
-type linkGate struct {
-	fn atomic.Pointer[LinkFilter]
-}
-
-// set installs fn (nil removes the filter).
-func (g *linkGate) set(fn LinkFilter) {
-	if fn == nil {
-		g.fn.Store(nil)
-		return
-	}
-	g.fn.Store(&fn)
-}
-
-// severed reports whether the installed filter cuts from → to.
-func (g *linkGate) severed(from, to NodeID) bool {
-	p := g.fn.Load()
-	return p != nil && (*p)(from, to)
-}
 
 // OriginScheduler is the optional interface of transports whose After
 // needs to know the calling context. Transport.After(owner, ...) assumes
@@ -366,126 +345,25 @@ func decodeFrameWith(b []byte, parse func([]byte) (*wire.Frame, error)) (*Messag
 	return msg, nil
 }
 
-// messageWireSize returns the byte size a transport charges for msg: the
-// real encoded frame length when the payload is serializable (making the
-// paper's cost figures byte-accurate and identical across transports), the
-// BaseMessageBytes + Sizer estimate otherwise. The measurement runs the
+// messageWireSize returns the byte size a transport charges for msg (the
+// rule stated on ledger): the real encoded frame length when the payload is
+// serializable, the Sizer estimate otherwise. The measurement runs the
 // codec against a counting Enc — one allocation-free tree walk for
-// data-level payloads, the same asymptotics as the old Sizer's NodeCount()
-// walk; protocol-level payloads cost a few header bytes to count.
+// data-level payloads; protocol-level payloads cost a few header bytes to
+// count.
 func messageWireSize(msg *Message) int64 {
 	if size, ok := frameSize(msg); ok {
 		return size
 	}
+	return sizerEstimate(msg)
+}
+
+// sizerEstimate is the accounted size of a message whose payload has no
+// registered codec: BaseMessageBytes plus the payload's own Sizer estimate.
+func sizerEstimate(msg *Message) int64 {
 	size := BaseMessageBytes
 	if s, ok := msg.Payload.(Sizer); ok {
 		size += s.WireSize()
 	}
 	return int64(size)
-}
-
-// linkView is the minimal overlay view the shared walk and flood
-// traversals need: neighbor lookup plus a metered charge per transmission.
-// Both transports implement it, so the §4.1/§6.2.3 traversal semantics are
-// identical by construction.
-type linkView interface {
-	Neighbors(id NodeID) []NodeID
-	// charge accounts n payload-less transmissions of the given type.
-	charge(typ string, n int64)
-}
-
-// runFlood is the Gnutella-style constrained broadcast shared by both
-// transports: each node forwards to all its neighbors except the sender,
-// and duplicate deliveries (cycles) are transmitted but not re-forwarded.
-// This is the paper's "pure flooding algorithm" cost behaviour (§6.2.3).
-func runFlood(v linkView, typ string, src NodeID, ttl int, visit func(NodeID)) map[NodeID]bool {
-	type hop struct {
-		node NodeID
-		from NodeID
-		ttl  int
-	}
-	reached := map[NodeID]bool{src: true}
-	if visit != nil {
-		visit(src)
-	}
-	queue := []hop{{node: src, from: src, ttl: ttl}}
-	for len(queue) > 0 {
-		h := queue[0]
-		queue = queue[1:]
-		if h.ttl == 0 {
-			continue
-		}
-		for _, nb := range v.Neighbors(h.node) {
-			if nb == h.from {
-				continue
-			}
-			v.charge(typ, 1) // transmission on the wire
-			if reached[nb] {
-				continue // duplicate: received, dropped, not re-forwarded
-			}
-			reached[nb] = true
-			if visit != nil {
-				visit(nb)
-			}
-			queue = append(queue, hop{node: nb, from: h.node, ttl: h.ttl - 1})
-		}
-	}
-	return reached
-}
-
-// runWalk is the TTL-bounded walk shared by both transports: move to the
-// neighbor picked by choose until accept returns true or maxHops is
-// exhausted; dead ends backtrack.
-func runWalk(v linkView, typ string, src NodeID, maxHops int, accept func(NodeID) bool, choose func([]NodeID) NodeID) WalkResult {
-	res := WalkResult{Found: -1, Path: []NodeID{src}}
-	if accept(src) {
-		res.Found = src
-		return res
-	}
-	visited := map[NodeID]bool{src: true}
-	stack := []NodeID{src}
-	cur := src
-	for res.Messages < maxHops {
-		var cands []NodeID
-		for _, nb := range v.Neighbors(cur) {
-			if !visited[nb] {
-				cands = append(cands, nb)
-			}
-		}
-		if len(cands) == 0 {
-			// Backtrack.
-			if len(stack) <= 1 {
-				return res
-			}
-			stack = stack[:len(stack)-1]
-			cur = stack[len(stack)-1]
-			continue
-		}
-		next := choose(cands)
-		visited[next] = true
-		v.charge(typ, 1)
-		res.Messages++
-		res.Path = append(res.Path, next)
-		stack = append(stack, next)
-		cur = next
-		if accept(cur) {
-			res.Found = cur
-			return res
-		}
-	}
-	return res
-}
-
-// selectiveChoice picks the highest-degree candidate, ties breaking on the
-// lower node id — the §4.1 find-protocol criterion.
-func selectiveChoice(degree func(NodeID) int) func([]NodeID) NodeID {
-	return func(cands []NodeID) NodeID {
-		best := cands[0]
-		for _, c := range cands[1:] {
-			if degree(c) > degree(best) || (degree(c) == degree(best) && c < best) {
-				best = c
-			}
-		}
-		return best
-	}
 }

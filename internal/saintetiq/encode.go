@@ -1,8 +1,6 @@
 package saintetiq
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -13,136 +11,27 @@ import (
 // Wire format: summaries travel in localsum and reconciliation messages
 // (paper §4), so they need a compact, self-contained serialization. The
 // tree is flattened preorder with parent indexes; vocabularies ride along
-// so a received summary can be checked against the local CBK.
-
-type wireAttr struct {
-	Name    string
-	Labels  []string
-	Numeric bool
-}
-
-type wireNode struct {
-	Parent   int // index into the flat array, -1 for the root
-	Key      string
-	Count    float64
-	Counts   [][]float64
-	Grades   [][]float64
-	Measures []cells.Measure
-	Peers    []PeerID
-}
-
-type wireTree struct {
-	Cfg   Config
-	Attrs []wireAttr
-	Nodes []wireNode
-}
-
-// EncodeGob serializes the hierarchy.
-func (t *Tree) EncodeGob() ([]byte, error) {
-	w := wireTree{Cfg: t.cfg}
-	for _, a := range t.attrs {
-		w.Attrs = append(w.Attrs, wireAttr{Name: a.name, Labels: a.labels, Numeric: a.numeric})
-	}
-	index := make(map[*Node]int)
-	t.Walk(func(n *Node) bool {
-		parent := -1
-		if n.parent != nil {
-			parent = index[n.parent]
-		}
-		index[n] = len(w.Nodes)
-		w.Nodes = append(w.Nodes, wireNode{
-			Parent:   parent,
-			Key:      n.key,
-			Count:    n.count,
-			Counts:   n.counts,
-			Grades:   n.grades,
-			Measures: n.measures,
-			Peers:    n.PeerIDs(),
-		})
-		return true
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, fmt.Errorf("saintetiq: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeGob reconstructs a hierarchy serialized by EncodeGob.
-func DecodeGob(b []byte) (*Tree, error) {
-	var w wireTree
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&w); err != nil {
-		return nil, fmt.Errorf("saintetiq: decode: %w", err)
-	}
-	if len(w.Nodes) == 0 {
-		return nil, fmt.Errorf("saintetiq: decode: empty tree")
-	}
-	t := &Tree{cfg: w.Cfg, byKey: make(map[string]*Node)}
-	for _, a := range w.Attrs {
-		info := attrInfo{name: a.Name, labels: a.Labels, numeric: a.Numeric, indexOf: make(map[string]int, len(a.Labels))}
-		for j, lab := range a.Labels {
-			info.indexOf[lab] = j
-		}
-		t.attrs = append(t.attrs, info)
-	}
-	nodes := make([]*Node, len(w.Nodes))
-	for i, wn := range w.Nodes {
-		n := &Node{
-			id:       i,
-			key:      wn.Key,
-			count:    wn.Count,
-			counts:   wn.Counts,
-			grades:   wn.Grades,
-			measures: wn.Measures,
-			peers:    make(map[PeerID]struct{}, len(wn.Peers)),
-		}
-		if len(n.counts) != len(t.attrs) || len(n.grades) != len(t.attrs) || len(n.measures) != len(t.attrs) {
-			return nil, fmt.Errorf("saintetiq: decode: node %d arity mismatch", i)
-		}
-		for _, p := range wn.Peers {
-			n.peers[p] = struct{}{}
-		}
-		nodes[i] = n
-		if wn.Parent >= 0 {
-			if wn.Parent >= i {
-				return nil, fmt.Errorf("saintetiq: decode: node %d has forward parent %d", i, wn.Parent)
-			}
-			n.parent = nodes[wn.Parent]
-			n.parent.children = append(n.parent.children, n)
-		} else if i != 0 {
-			return nil, fmt.Errorf("saintetiq: decode: node %d is a second root", i)
-		}
-		if n.key != "" {
-			t.byKey[n.key] = n
-		}
-	}
-	t.root = nodes[0]
-	t.nextID = len(nodes)
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
+// so a received summary can be checked against the local CBK. There is one
+// encoding — what is shipped, what is persisted and what the transports
+// charge are the same bytes.
 
 // EncodedSize returns the serialized size in bytes (the message-size unit of
-// the §6.1.1 storage model).
-func (t *Tree) EncodedSize() (int, error) {
-	b, err := t.EncodeGob()
-	if err != nil {
-		return 0, err
-	}
-	return len(b), nil
+// the §6.1.1 storage model), measured with a counting encoder: no buffer is
+// built.
+func (t *Tree) EncodedSize() int {
+	ce := wire.GetCountEnc()
+	defer ce.Release()
+	t.AppendWire(ce)
+	return ce.Len()
 }
 
 // AppendWire serializes the hierarchy into the compact wire encoding used
 // by the protocol codecs (internal/core registers it with internal/wire).
-// Unlike EncodeGob it is reflection-free — every message transport charges
-// summaries their real encoded length, so this runs on the Send hot path —
-// and sparse: only positively-counted descriptors are written, so a leaf
-// costs its intent rather than the full vocabulary. The layout is
-// versioned by the surrounding frame (wire.FrameVersion); attribute
-// vocabularies ride along like in the gob format, so a received summary
-// can be checked against the local CBK.
+// It is reflection-free — every message transport charges summaries their
+// real encoded length, so this runs on the Send hot path — and sparse: only
+// positively-counted descriptors are written, so a leaf costs its intent
+// rather than the full vocabulary. The layout is versioned by the
+// surrounding frame (wire.FrameVersion).
 func (t *Tree) AppendWire(e *wire.Enc) {
 	e.Varint(int64(t.cfg.MaxChildren))
 	e.Varint(int64(t.cfg.MaxSplitRounds))

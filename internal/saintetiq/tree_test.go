@@ -9,6 +9,7 @@ import (
 	"p2psum/internal/bk"
 	"p2psum/internal/cells"
 	"p2psum/internal/data"
+	"p2psum/internal/wire"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
@@ -277,16 +278,18 @@ func TestClone(t *testing.T) {
 	}
 }
 
+// TestGobRoundTrip pins the one summary encoding (AppendWire/DecodeWire):
+// shape, weight and peer extent survive, junk and truncated input do not
+// decode.
 func TestGobRoundTrip(t *testing.T) {
 	tr := New(bk.Medical(), DefaultConfig())
 	if err := tr.IncorporateStore(medicalStore(t, 50, 400), 5); err != nil {
 		t.Fatal(err)
 	}
-	b, err := tr.EncodeGob()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeGob(b)
+	var e wire.Enc
+	tr.AppendWire(&e)
+	b := e.Bytes()
+	back, err := DecodeWire(wire.NewDec(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +303,16 @@ func TestGobRoundTrip(t *testing.T) {
 	if !back.Root().HasPeer(5) {
 		t.Error("round trip lost peer extent")
 	}
-	if sz, err := tr.EncodedSize(); err != nil || sz <= 0 {
-		t.Errorf("EncodedSize = %d (%v)", sz, err)
+	if sz := tr.EncodedSize(); sz != len(b) {
+		t.Errorf("EncodedSize = %d, encoding is %d bytes", sz, len(b))
 	}
-	if _, err := DecodeGob([]byte("junk")); err == nil {
+	if _, err := DecodeWire(wire.NewDec([]byte("junk"))); err == nil {
 		t.Error("junk decoded")
+	}
+	for _, cut := range []int{0, 1, len(b) / 2, len(b) - 1} {
+		if _, err := DecodeWire(wire.NewDec(b[:cut])); err == nil {
+			t.Errorf("encoding truncated to %d of %d bytes decoded", cut, len(b))
+		}
 	}
 }
 

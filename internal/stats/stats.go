@@ -56,9 +56,6 @@ func (c *Counter) Names() []string {
 	return out
 }
 
-// Reset clears every count.
-func (c *Counter) Reset() { c.counts = make(map[string]int64) }
-
 // Merge folds another counter's tallies into c (used by transports that
 // shard their counters and merge on read).
 func (c *Counter) Merge(o *Counter) {

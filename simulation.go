@@ -439,9 +439,9 @@ func (s *Simulation) MessageCounts() map[string]int64 {
 // TotalMessages returns the total number of messages exchanged so far.
 func (s *Simulation) TotalMessages() int64 { return s.net.Counter().Total() }
 
-// MessageBytes returns the cumulative traffic volume per message type.
-// Data-level summary payloads are charged the paper's 512 bytes per
-// summary node; bare protocol messages cost a small constant.
+// MessageBytes returns the cumulative traffic volume per message type:
+// every message is charged the length of its encoded wire frame, on every
+// transport (walk and flood hops cost a small constant).
 func (s *Simulation) MessageBytes() map[string]int64 {
 	out := make(map[string]int64)
 	b := s.net.Bytes()
