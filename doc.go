@@ -50,7 +50,8 @@
 //	├── summarystore.Single               one tree, one RWMutex (the paper's layout)
 //	└── summarystore.Sharded              per-shard trees + locks, descriptor-range
 //	internal/saintetiq                    summary hierarchies (§3.2) over internal/cells,
-//	                                      internal/fuzzy, internal/bk, internal/data
+//	                                      internal/fuzzy, internal/bk, internal/data;
+//	                                      peer extents are sorted slices, encoded as is
 //	internal/p2p.Transport                overlay substrate interface
 //	├── p2p.Network                       deterministic, discrete-event (internal/sim),
 //	                                      sequential or region-sharded (parallel windows)

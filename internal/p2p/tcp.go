@@ -1221,11 +1221,7 @@ func (t *TCPTransport) Send(msg *Message) {
 			t.ws.LocalBytes += size
 			t.wireMu.Unlock()
 		} else {
-			size = int64(BaseMessageBytes)
-			if s, ok := msg.Payload.(Sizer); ok {
-				size += int64(s.WireSize())
-			}
-			t.chargeFrameless(1, size)
+			t.chargeFrameless(1, size) // the sizerEstimate taken above
 		}
 		g, ok := t.eng.beginSend(msg.To)
 		if !ok {

@@ -281,8 +281,10 @@ func appendFrame(e *wire.Enc, msg *Message) bool {
 }
 
 // frameSize measures the encoded frame length of msg without building the
-// bytes (pooled counting Enc all the way down, no allocation). It must
-// agree exactly with len(encodeFrame(msg)) — TestByteAccounting pins that.
+// bytes (pooled counting Enc all the way down, no allocation — tree payloads
+// included: saintetiq.AppendWire walks the hierarchy without a scratch map
+// or slice). It must agree exactly with len(encodeFrame(msg)) —
+// TestByteAccounting pins that.
 func frameSize(msg *Message) (int64, bool) {
 	has := msg.Payload != nil
 	payloadLen := 0

@@ -2,6 +2,7 @@ package saintetiq
 
 import (
 	"fmt"
+	"slices"
 
 	"p2psum/internal/cells"
 )
@@ -44,14 +45,18 @@ func (t *Tree) LeafCell(n *Node) (*cells.Cell, []PeerID) {
 		Measures: make([]cells.Measure, len(t.attrs)),
 	}
 	for a := range t.attrs {
-		idx := n.LabelIndexes(a)
-		// A leaf has exactly one descriptor per attribute by construction.
-		j := idx[0]
+		j := n.leafLabel(a)
 		c.Labels[a] = t.attrs[a].labels[j]
 		c.Grades[a] = n.grades[a][j]
 		c.Measures[a] = n.measures[a]
 	}
 	return c, n.PeerIDs()
+}
+
+// leafLabel returns the descriptor of a leaf on attribute a: a leaf has
+// exactly one per attribute by construction.
+func (n *Node) leafLabel(a int) int {
+	return slices.IndexFunc(n.counts[a], func(c float64) bool { return c > 0 })
 }
 
 // Merge incorporates every leaf of src into t (Merging(src, t)). Peer
@@ -80,11 +85,16 @@ func (t *Tree) MergeLeaves(src *Tree, leaves []*Node) error {
 	if err := t.CompatibleWith(src); err != nil {
 		return err
 	}
+	// The vocabularies agree, so a leaf is its own contribution: its label
+	// indexes, key and extent carry over without a detour through strings.
+	con := contribution{labels: make([]int, len(t.attrs)), grades: make([]float64, len(t.attrs))}
 	for _, leaf := range leaves {
-		c, peers := src.LeafCell(leaf)
-		if err := t.Incorporate(c, peers...); err != nil {
-			return err
+		con.count, con.measures, con.peers = leaf.count, leaf.measures, leaf.peers
+		for a := range t.attrs {
+			con.labels[a] = leaf.leafLabel(a)
+			con.grades[a] = leaf.grades[a][con.labels[a]]
 		}
+		t.incorporate(leaf.key, &con)
 	}
 	return nil
 }
@@ -111,13 +121,8 @@ func (t *Tree) LeavesEqual(o *Tree) bool {
 		if !ok {
 			return false
 		}
-		if !approxEq(a.count, b.count, tol) || len(a.peers) != len(b.peers) {
+		if !approxEq(a.count, b.count, tol) || !slices.Equal(a.peers, b.peers) {
 			return false
-		}
-		for p := range a.peers {
-			if _, ok := b.peers[p]; !ok {
-				return false
-			}
 		}
 		for at := range t.attrs {
 			for j := range t.attrs[at].labels {
@@ -146,22 +151,12 @@ func (t *Tree) Clone() *Tree {
 }
 
 func (t *Tree) cloneNode(n *Node, parent *Node) *Node {
-	c := &Node{
-		id:       n.id,
-		key:      n.key,
-		count:    n.count,
-		counts:   make([][]float64, len(n.counts)),
-		grades:   make([][]float64, len(n.grades)),
-		measures: append([]cells.Measure(nil), n.measures...),
-		peers:    make(map[PeerID]struct{}, len(n.peers)),
-		parent:   parent,
-	}
+	c := t.blankNode(n.id, n.key)
+	c.count, c.parent, c.peers = n.count, parent, slices.Clone(n.peers)
+	copy(c.measures, n.measures)
 	for a := range n.counts {
-		c.counts[a] = append([]float64(nil), n.counts[a]...)
-		c.grades[a] = append([]float64(nil), n.grades[a]...)
-	}
-	for p := range n.peers {
-		c.peers[p] = struct{}{}
+		copy(c.counts[a], n.counts[a])
+		copy(c.grades[a], n.grades[a])
 	}
 	if c.key != "" {
 		t.byKey[c.key] = c

@@ -10,21 +10,32 @@
 // peers owning at least one of those tuples. Nodes form a tree ordered by
 // the generalization relation of Definition 2: the root is the most general
 // summary, the leaves are single grid cells.
+//
+// The paper's maintenance cost model rests on two costs of the hierarchy
+// itself, and the code keeps to them. Incorporating a cell is a walk that
+// scores K children per level (§3.2.3): every child's class term is computed
+// once and each candidate partition substitutes one or two terms, O(K·L + K²)
+// for L descriptors, without copying a count matrix (score.go). Merging(S1,
+// S2) costs the leaves of S1 (§6.1.1): a leaf is re-incorporated directly,
+// not through a cell of label strings (merge.go). And because every transport
+// charges a summary its real encoded length, a tree is sized on each Send: one
+// preorder recursion over nodes whose peer extents are kept as ascending
+// slices, so nothing is sorted, indexed or allocated to encode (encode.go).
 package saintetiq
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"p2psum/internal/cells"
 )
 
-// PeerID identifies a peer in peer extents. The zero value NoPeer marks
-// single-database summaries that carry no provenance.
+// PeerID identifies a peer in peer extents. The zero value is a real peer;
+// single-database summaries that carry no provenance pass no id, or NoPeer.
 type PeerID int
 
-// NoPeer is the absent peer id.
+// NoPeer is the absent peer id; Incorporate ignores it.
 const NoPeer PeerID = -1
 
 // Node is one summary of the hierarchy.
@@ -32,11 +43,11 @@ type Node struct {
 	id  int
 	key string // cell key for leaves, "" for internal nodes
 
-	count    float64             // extent: total tuple weight below this node
-	counts   [][]float64         // attr x label: weighted descriptor counts
-	grades   [][]float64         // attr x label: max membership grade seen
-	measures []cells.Measure     // attr: weighted stats of numeric attributes
-	peers    map[PeerID]struct{} // peer extent (Definition 3)
+	count    float64         // extent: total tuple weight below this node
+	counts   [][]float64     // attr x label: weighted descriptor counts
+	grades   [][]float64     // attr x label: max membership grade seen
+	measures []cells.Measure // attr: weighted stats of numeric attributes
+	peers    []PeerID        // peer extent (Definition 3), strictly ascending
 
 	parent   *Node
 	children []*Node
@@ -84,24 +95,35 @@ func (n *Node) Grade(a, j int) float64 { return n.grades[a][j] }
 // Measure returns the aggregated measure of attribute a.
 func (n *Node) Measure(a int) cells.Measure { return n.measures[a] }
 
-// PeerIDs returns the sorted peer extent.
-func (n *Node) PeerIDs() []PeerID {
-	out := make([]PeerID, 0, len(n.peers))
-	for p := range n.peers {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// PeerIDs returns a copy of the peer extent, ascending.
+func (n *Node) PeerIDs() []PeerID { return slices.Clone(n.peers) }
 
 // HasPeer reports whether p belongs to the node's peer extent.
 func (n *Node) HasPeer(p PeerID) bool {
-	_, ok := n.peers[p]
+	_, ok := slices.BinarySearch(n.peers, p)
 	return ok
+}
+
+// addPeer inserts p into the extent, keeping it ascending and duplicate-free.
+// An extent is a small set (at most the domain) that is written rarely and
+// enumerated in order by every encode, merge and query.
+func (n *Node) addPeer(p PeerID) {
+	if i, ok := slices.BinarySearch(n.peers, p); !ok {
+		n.peers = slices.Insert(n.peers, i, p)
+	}
 }
 
 // PeerCount returns the size of the peer extent.
 func (n *Node) PeerCount() int { return len(n.peers) }
+
+// size returns the number of nodes in the subtree rooted at n.
+func (n *Node) size() int {
+	s := 1
+	for _, c := range n.children {
+		s += c.size()
+	}
+	return s
+}
 
 // Depth returns the node's depth (root = 0).
 func (n *Node) Depth() int {
@@ -134,7 +156,7 @@ func (n *Node) apply(c *contribution) {
 	}
 	for _, p := range c.peers {
 		if p != NoPeer {
-			n.peers[p] = struct{}{}
+			n.addPeer(p)
 		}
 	}
 }

@@ -63,12 +63,8 @@ func (t *Tree) Measure() Quality {
 	if speW > 0 {
 		q.Specificity = speSum / speW
 	}
-	if len(t.root.children) > 0 {
-		children := make([]nodeStat, len(t.root.children))
-		for i, c := range t.root.children {
-			children[i] = statOf(c)
-		}
-		q.RootScore = t.partitionScore(statOf(t.root), children)
+	if terms, parent := classTerms(t.root, nil); len(terms) > 0 {
+		q.RootScore = (sumExcept(terms, -1, -1) - parent) / float64(len(terms))
 	}
 	return q
 }

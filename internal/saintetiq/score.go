@@ -1,5 +1,7 @@
 package saintetiq
 
+import "math"
+
 // Operator selection (Cobweb, following Fisher 1987 as §3.2.2 prescribes):
 // when a new cell reaches an internal node, the four restructuring options
 // are scored with a category-utility partition score generalized to weighted
@@ -36,199 +38,169 @@ func (o operator) String() string {
 	}
 }
 
-// nodeStat is the per-candidate view used during scoring: the real children
-// plus the hypothetical placement of the new contribution.
-type nodeStat struct {
-	count  float64
-	counts [][]float64
-}
-
-func statOf(n *Node) nodeStat { return nodeStat{count: n.count, counts: n.counts} }
-
-// statPlus returns the node's stat with the contribution folded in
-// (without mutating the node).
-func (t *Tree) statPlus(n *Node, con *contribution) nodeStat {
-	counts := make([][]float64, len(t.attrs))
-	for a := range t.attrs {
-		counts[a] = append([]float64(nil), n.counts[a]...)
-		counts[a][con.labels[a]] += con.count
+// classTerm is one class's share of the intra-class sum, P(z) Σ_a Σ_d P(d|z)²
+// with P(z) = z.count / total, for the class made of node a, plus node b when
+// non-nil (a hypothetical fusion), plus the contribution when non-nil (a
+// hypothetical hosting; a nil a then leaves the contribution as a singleton
+// class). The counts are added up on the fly, so scoring copies nothing.
+func classTerm(a, b *Node, con *contribution, total float64) float64 {
+	var count float64
+	if a != nil {
+		count = a.count
 	}
-	return nodeStat{count: n.count + con.count, counts: counts}
-}
-
-// statOfContribution views the contribution itself as a singleton class.
-func (t *Tree) statOfContribution(con *contribution) nodeStat {
-	counts := make([][]float64, len(t.attrs))
-	for a := range t.attrs {
-		counts[a] = make([]float64, len(t.attrs[a].labels))
-		counts[a][con.labels[a]] = con.count
+	if b != nil {
+		count += b.count
 	}
-	return nodeStat{count: con.count, counts: counts}
-}
-
-// intraScore computes Σ_a Σ_d P(d|z)² weighted by P(z) = z.count / total.
-func intraScore(s nodeStat, total float64) float64 {
-	if s.count <= 0 || total <= 0 {
+	if con != nil {
+		count += con.count
+	}
+	if count <= 0 || total <= 0 {
 		return 0
 	}
-	pz := s.count / total
 	var sum float64
-	for a := range s.counts {
-		for _, c := range s.counts[a] {
+	if a == nil {
+		for range con.labels {
+			p := con.count / count
+			sum += p * p
+		}
+		return count / total * sum
+	}
+	for at, row := range a.counts {
+		bump := -1
+		if con != nil {
+			bump = con.labels[at]
+		}
+		for l, c := range row {
+			if b != nil {
+				c += b.counts[at][l]
+			}
+			if l == bump {
+				c += con.count
+			}
 			if c > 0 {
-				p := c / s.count
+				p := c / count
 				sum += p * p
 			}
 		}
 	}
-	return pz * sum
+	return count / total * sum
 }
 
-// partitionScore computes CU for a candidate partition given the parent's
-// (already updated) totals. The parent term Σ P(d|parent)² is constant
-// across candidates at a given node, so comparisons only need the intra-
-// class part normalized by K; we keep the full formula for interpretability.
-func (t *Tree) partitionScore(parentStat nodeStat, children []nodeStat) float64 {
-	k := float64(len(children))
-	if k == 0 {
-		return 0
+// classTerms appends the term of every child of n to terms and returns them
+// with the parent term Σ_a Σ_d P(d|n)² (n is its own class with P = 1).
+func classTerms(n *Node, terms []float64) ([]float64, float64) {
+	for _, c := range n.children {
+		terms = append(terms, classTerm(c, nil, nil, n.count))
 	}
-	total := parentStat.count
-	var intra float64
-	for _, c := range children {
-		intra += intraScore(c, total)
-	}
-	var parent float64
-	for a := range parentStat.counts {
-		for _, c := range parentStat.counts[a] {
-			if c > 0 {
-				p := c / total
-				parent += p * p
-			}
+	return terms, classTerm(n, nil, nil, n.count)
+}
+
+// sumExcept adds the terms in child order, leaving out indexes i and j
+// (-1 leaves nothing out). Candidate partitions are always summed in this
+// order, whatever was substituted, so a score depends on the partition alone.
+func sumExcept(terms []float64, i, j int) float64 {
+	var sum float64
+	for x, v := range terms {
+		if x != i && x != j {
+			sum += v
 		}
 	}
-	return (intra - parent) / k
+	return sum
 }
 
-// chooseOperator scores host/create/merge/split for the contribution at node
-// n (whose aggregates already include it) and returns the chosen operator
-// plus the indexes of the children involved (best, second). Split is only
-// offered for internal best children and while the per-placement split
-// budget lasts. Ties break deterministically in the order host, create,
-// merge, split.
-func (t *Tree) chooseOperator(n *Node, con *contribution, round int) (op operator, best, second int) {
-	parent := statOf(n) // n already includes the contribution
-	k := len(n.children)
+// operatorScores holds the CU of each restructuring option at one node:
+//
+//	CU = (Σ class terms − parent term) / K
+//
+// An option that is not on offer scores -Inf.
+type operatorScores struct {
+	host, runnerUp, create, merge, split float64
+}
 
-	// Baseline child stats.
-	base := make([]nodeStat, k)
-	for i, c := range n.children {
-		base[i] = statOf(c)
-	}
+// scoreOperators scores host/create/merge/split for the contribution at node
+// n (whose aggregates already include it) and returns the indexes of the two
+// best hosts. Every child's term is computed once; each of the K host
+// candidates, create, merge and split substitutes one or two terms, which
+// makes a placement O(K·L + K²) without a single allocation at usual arities.
+// Split is only offered for internal best children and while the
+// per-placement split budget lasts.
+func (t *Tree) scoreOperators(n *Node, con *contribution, round int) (s operatorScores, best, second int) {
+	var buf [16]float64
+	terms, parent := classTerms(n, buf[:0])
+	total, k := n.count, float64(len(terms))
 
-	// Host candidates: CU with the contribution added to child i.
 	best, second = -1, -1
-	var bestScore, secondScore float64
-	candidate := make([]nodeStat, k)
-	copy(candidate, base)
 	for i, c := range n.children {
-		candidate[i] = t.statPlus(c, con)
-		score := t.partitionScore(parent, candidate)
-		candidate[i] = base[i]
-		if best < 0 || score > bestScore {
-			second, secondScore = best, bestScore
-			best, bestScore = i, score
-		} else if second < 0 || score > secondScore {
-			second, secondScore = i, score
+		plain := terms[i]
+		terms[i] = classTerm(c, nil, con, total)
+		score := (sumExcept(terms, -1, -1) - parent) / k
+		terms[i] = plain
+		if best < 0 || score > s.host {
+			second, s.runnerUp = best, s.host
+			best, s.host = i, score
+		} else if second < 0 || score > s.runnerUp {
+			second, s.runnerUp = i, score
 		}
 	}
 
-	// Create candidate: the contribution as a new singleton child.
-	createScore := t.partitionScore(parent, append(append([]nodeStat(nil), base...), t.statOfContribution(con)))
+	// Create: the contribution as a new singleton child.
+	single := classTerm(nil, nil, con, total)
+	s.create = (sumExcept(terms, -1, -1) + single - parent) / (k + 1)
 
-	op, bestOp := opHost, bestScore
-	if createScore > bestOp {
-		op, bestOp = opCreate, createScore
+	// Merge: fuse best and second, host into the fusion.
+	s.merge, s.split = math.Inf(-1), math.Inf(-1)
+	if len(terms) >= 3 && second >= 0 {
+		fused := classTerm(n.children[best], n.children[second], con, total)
+		s.merge = (sumExcept(terms, best, second) + fused - parent) / (k - 1)
 	}
 
-	// Merge candidate: fuse best and second, host into the fusion.
-	if k >= 3 && second >= 0 {
-		merged := t.statPlus(mergedStat(base[best], base[second]), con)
-		var rest []nodeStat
-		for i := range base {
-			if i != best && i != second {
-				rest = append(rest, base[i])
-			}
-		}
-		mergeScore := t.partitionScore(parent, append(rest, merged))
-		if mergeScore > bestOp {
-			op, bestOp = opMerge, mergeScore
-		}
-	}
-
-	// Split candidate: replace the best child by its children.
+	// Split: replace the best child by its children, the contribution hosted
+	// into its best grandchild (approximated by the singleton-create view,
+	// which lower-bounds the split benefit and keeps the evaluation O(K)).
 	if best >= 0 && !n.children[best].IsLeaf() && round < t.cfg.MaxSplitRounds {
-		var split []nodeStat
-		for i := range base {
-			if i != best {
-				split = append(split, base[i])
-			}
+		grand := n.children[best].children
+		intra := sumExcept(terms, best, -1)
+		for _, gc := range grand {
+			intra += classTerm(gc, nil, nil, total)
 		}
-		for _, gc := range n.children[best].children {
-			split = append(split, statOf(gc))
-		}
-		// Score the split partition with the contribution hosted into its
-		// best grandchild (approximated by the singleton-create view, which
-		// lower-bounds the split benefit and keeps the evaluation O(K)).
-		splitScore := t.partitionScore(parent, append(split, t.statOfContribution(con)))
-		if splitScore > bestOp {
-			op = opSplit
-		}
+		s.split = (intra + single - parent) / (k + float64(len(grand)))
 	}
+	return s, best, second
+}
 
-	if op == opMerge || op == opHost {
-		return op, best, second
+// chooseOperator returns the best-scoring operator for the contribution at
+// node n plus the indexes of the children involved (best, second). Ties
+// break deterministically in the order host, create, merge, split.
+func (t *Tree) chooseOperator(n *Node, con *contribution, round int) (op operator, best, second int) {
+	s, best, second := t.scoreOperators(n, con, round)
+	top := s.host
+	if s.create > top {
+		op, top = opCreate, s.create
+	}
+	if s.merge > top {
+		op, top = opMerge, s.merge
+	}
+	if s.split > top {
+		op = opSplit
 	}
 	return op, best, second
 }
 
-// mergedStat is the hypothetical fusion of two child stats.
-func mergedStat(a, b nodeStat) *Node {
-	// Reuse the contribution plumbing via a throwaway node-like holder.
-	n := &Node{count: a.count + b.count, counts: make([][]float64, len(a.counts))}
-	for i := range a.counts {
-		n.counts[i] = make([]float64, len(a.counts[i]))
-		for j := range a.counts[i] {
-			n.counts[i][j] = a.counts[i][j] + b.counts[i][j]
-		}
-	}
-	return n
-}
-
 // closestPair returns the pair of children of n whose fusion maximizes the
-// partition score (used by the arity cap).
-func (t *Tree) closestPair(n *Node) (int, int) {
-	parent := statOf(n)
-	base := make([]nodeStat, len(n.children))
-	for i, c := range n.children {
-		base[i] = statOf(c)
-	}
-	bi, bj, bestScore := 0, 1, 0.0
+// partition score (used by the arity cap), and that score.
+func (t *Tree) closestPair(n *Node) (bi, bj int, bestScore float64) {
+	var buf [16]float64
+	terms, parent := classTerms(n, buf[:0])
+	bi, bj = 0, 1
 	first := true
-	for i := 0; i < len(base); i++ {
-		for j := i + 1; j < len(base); j++ {
-			var cand []nodeStat
-			for k := range base {
-				if k != i && k != j {
-					cand = append(cand, base[k])
-				}
-			}
-			cand = append(cand, statOf(mergedStat(base[i], base[j])))
-			score := t.partitionScore(parent, cand)
+	for i := range terms {
+		for j := i + 1; j < len(terms); j++ {
+			fused := classTerm(n.children[i], n.children[j], nil, n.count)
+			score := (sumExcept(terms, i, j) + fused - parent) / float64(len(terms)-1)
 			if first || score > bestScore {
 				bi, bj, bestScore, first = i, j, score, false
 			}
 		}
 	}
-	return bi, bj
+	return bi, bj, bestScore
 }

@@ -3,6 +3,7 @@ package saintetiq
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -81,21 +82,35 @@ func New(b *bk.BK, cfg Config) *Tree {
 }
 
 func (t *Tree) newNode(key string) *Node {
-	n := &Node{
-		id:       t.nextID,
-		key:      key,
-		counts:   make([][]float64, len(t.attrs)),
-		grades:   make([][]float64, len(t.attrs)),
-		measures: make([]cells.Measure, len(t.attrs)),
-		peers:    make(map[PeerID]struct{}),
-	}
-	for a := range t.attrs {
-		n.counts[a] = make([]float64, len(t.attrs[a].labels))
-		n.grades[a] = make([]float64, len(t.attrs[a].labels))
+	n := t.blankNode(t.nextID, key)
+	for a := range n.measures {
 		n.measures[a] = cells.NewMeasure()
 	}
 	t.nextID++
 	return n
+}
+
+// blankNode allocates a node with zeroed aggregates. The attr x label
+// matrices of one node share one header slice and one flat backing array.
+func (t *Tree) blankNode(id int, key string) *Node {
+	labels := 0
+	for a := range t.attrs {
+		labels += len(t.attrs[a].labels)
+	}
+	na := len(t.attrs)
+	rows := make([][]float64, 2*na) // counts rows, then grades rows
+	flat := make([]float64, 2*labels)
+	for i := range rows {
+		l := len(t.attrs[i%na].labels)
+		rows[i], flat = flat[:l:l], flat[l:]
+	}
+	return &Node{
+		id:       id,
+		key:      key,
+		counts:   rows[:na:na],
+		grades:   rows[na:],
+		measures: make([]cells.Measure, na),
+	}
 }
 
 // NumAttrs returns the number of summarized attributes.
@@ -146,11 +161,7 @@ func (t *Tree) LeafCount() int { return len(t.byKey) }
 func (t *Tree) Leaf(key string) *Node { return t.byKey[key] }
 
 // NodeCount returns the total number of nodes.
-func (t *Tree) NodeCount() int {
-	n := 0
-	t.Walk(func(*Node) bool { n++; return true })
-	return n
-}
+func (t *Tree) NodeCount() int { return t.root.size() }
 
 // Depth returns the maximum leaf depth.
 func (t *Tree) Depth() int {
@@ -241,9 +252,13 @@ func (t *Tree) Incorporate(c *cells.Cell, peers ...PeerID) error {
 	if err != nil {
 		return err
 	}
-	t.stats.Incorporations++
+	t.incorporate(c.Key(), con)
+	return nil
+}
 
-	key := c.Key()
+// incorporate places the contribution of the cell with the given key.
+func (t *Tree) incorporate(key string, con *contribution) {
+	t.stats.Incorporations++
 	if leaf, ok := t.byKey[key]; ok {
 		// Stabilized fast path: the combination exists; sorting the cell
 		// into the tree is a pure walk (no structural operator).
@@ -252,7 +267,7 @@ func (t *Tree) Incorporate(c *cells.Cell, peers ...PeerID) error {
 		for p := leaf.parent; p != nil; p = p.parent {
 			p.apply(con)
 		}
-		return nil
+		return
 	}
 
 	if len(t.byKey) == 0 {
@@ -262,10 +277,9 @@ func (t *Tree) Incorporate(c *cells.Cell, peers ...PeerID) error {
 		leaf := t.leafFor(key, con)
 		t.attach(t.root, leaf)
 		t.stats.Creates++
-		return nil
+		return
 	}
 	t.insert(t.root, key, con)
-	return nil
 }
 
 // IncorporateStore folds a whole mapped store in (leaf order is
@@ -362,9 +376,7 @@ func (t *Tree) demoteLeaf(leaf *Node, key string, con *contribution) {
 		copy(oldLeaf.grades[a], leaf.grades[a])
 		oldLeaf.measures[a] = leaf.measures[a]
 	}
-	for p := range leaf.peers {
-		oldLeaf.peers[p] = struct{}{}
-	}
+	oldLeaf.peers = slices.Clone(leaf.peers)
 	t.byKey[oldLeaf.key] = oldLeaf
 
 	leaf.key = "" // becomes internal
@@ -387,11 +399,9 @@ func (t *Tree) mergeChildren(n *Node, i, j int) *Node {
 		m.measures[at] = a.measures[at]
 		m.measures[at].Merge(b.measures[at])
 	}
-	for p := range a.peers {
-		m.peers[p] = struct{}{}
-	}
-	for p := range b.peers {
-		m.peers[p] = struct{}{}
+	m.peers = slices.Clone(a.peers)
+	for _, p := range b.peers {
+		m.addPeer(p)
 	}
 	t.detach(n, a)
 	t.detach(n, b)
@@ -419,7 +429,7 @@ func (t *Tree) enforceArity(n *Node) {
 		return
 	}
 	for len(n.children) > t.cfg.MaxChildren {
-		i, j := t.closestPair(n)
+		i, j, _ := t.closestPair(n)
 		t.mergeChildren(n, i, j)
 		t.stats.Merges++
 	}

@@ -14,7 +14,7 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 
-func paperStore(t *testing.T) *cells.Store {
+func paperStore(t testing.TB) *cells.Store {
 	t.Helper()
 	m, err := cells.NewMapper(bk.PaperExample(), data.PatientSchema())
 	if err != nil {
@@ -25,7 +25,7 @@ func paperStore(t *testing.T) *cells.Store {
 	return s
 }
 
-func medicalStore(t *testing.T, seed int64, n int) *cells.Store {
+func medicalStore(t testing.TB, seed int64, n int) *cells.Store {
 	t.Helper()
 	m, err := cells.NewMapper(bk.Medical(), data.PatientSchema())
 	if err != nil {
