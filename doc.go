@@ -397,18 +397,19 @@
 // Three engine-level costs were flattened for that scale: event structs
 // are pooled per engine (a freelist reuses fired events, so the steady
 // state allocates nothing — CI benchgates BenchmarkEventDispatch at 0
-// allocs/op), Engine.Cancel is a lazy O(1) tombstone (the fired flag
-// flips and the pending map forgets the id; the heap pops tombstones
-// when they surface instead of re-heapifying on every retransmit-timer
-// cancel), and the topology graph compacts its adjacency and latency
-// rows into two flat backing arrays (topology.Graph.Compact), dropping
-// the per-edge map that dominated memory at 100k nodes. A fourth cost sat
-// outside the engine, in the driver: Construct asked for one hop distance
-// per find/adopt and got a radius-6 BFS ball — nearly the whole power-law
-// overlay — as a map. That question is now a point-to-point
-// topology.Graph.Hops (CI benchgates BenchmarkHops at 0 allocs/op), which
-// took the 100k-peer, 1-region scale point from 436 s to 2.4 s at an
-// unchanged report hash.
+// allocs/op), the queue is a typed binary heap that compares (time,
+// sequence) fields directly — no container/heap interface dispatch, no
+// per-event handle map, no cancel tombstones, since a timer that can
+// turn obsolete (the reconciliation timeout) checks a sequence number
+// when it fires instead of being cancelled — and the topology graph
+// compacts its adjacency and latency rows into two flat backing arrays
+// (topology.Graph.Compact), dropping the per-edge map that dominated
+// memory at 100k nodes. A fourth cost sat outside the engine, in the
+// driver: Construct asked for one hop distance per find/adopt and got a
+// radius-6 BFS ball — nearly the whole power-law overlay — as a map.
+// That question is now a point-to-point topology.Graph.Hops (CI
+// benchgates BenchmarkHops at 0 allocs/op), which took the 100k-peer,
+// 1-region scale point from 436 s to 2.4 s at an unchanged report hash.
 //
 // In sharded mode p2p.Network routes every After and delivery to the
 // owning region's engine and charges traffic to one ledger per region,
@@ -425,6 +426,9 @@
 //	core.System.statsMu        protects System.stats: handler paths of
 //	                           different dispatch groups bump counters
 //	                           concurrently; Stats() snapshots under it.
+//	                           It also guards the summary-peer roster
+//	                           (System.sps) that elections append to and
+//	                           a confirmed death snapshots to notify.
 //	core.Peer.sp / spHops      atomics: written by the owning peer's
 //	                           handlers/Exec, read cross-group by find
 //	                           walks and join scans.

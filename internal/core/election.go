@@ -278,12 +278,26 @@ func (s *System) promote(p *Peer, dead p2p.NodeID) {
 func (s *System) onConfirmedDead(dead p2p.NodeID) {
 	// The caller is the confirmation timer, which runs in dead's dispatch
 	// group: dead is the origin for the cross-group handoffs below.
-	for _, o := range s.peers {
-		if !p2p.IsLocal(s.net, o.id) {
+	//
+	//
+	// Only summary peers hold cooperation lists, so the eviction goes to
+	// the roster alone: O(summary peers) events per confirmation. Roles
+	// only ever move client -> summary peer and every promotion lands in
+	// s.sps (under statsMu, possibly from another dispatch group's
+	// election), so a snapshot taken here names every peer that can hold
+	// dead now. A peer promoted after the snapshot but before the
+	// eviction fires starts from an empty CooperationList and gains
+	// members only through messages, which have positive latency — it
+	// cannot hold dead by then.
+	s.statsMu.Lock()
+	sps := append([]p2p.NodeID(nil), s.sps...)
+	s.statsMu.Unlock()
+	for _, id := range sps {
+		if !p2p.IsLocal(s.net, id) {
 			continue
 		}
-		o := o
-		s.afterFrom(dead, o.id, 0, func() {
+		o := s.peers[id]
+		s.afterFrom(dead, id, 0, func() {
 			if o.role == RoleSummaryPeer && o.cl.Has(dead) && !s.net.Online(dead) {
 				o.cl.Remove(dead)
 			}

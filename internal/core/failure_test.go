@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"p2psum/internal/liveness"
 	"p2psum/internal/p2p"
+	"p2psum/internal/sim"
 )
 
 // TestFailureInjectionLiveness hammers a domain with random concurrent
@@ -115,5 +118,103 @@ func TestReportAndDescribe(t *testing.T) {
 	}
 	if sys.Describe() == "" {
 		t.Error("Describe empty")
+	}
+}
+
+// TestConfirmedDeathNotifiesSummaryPeersOnly pins the cost of a §4.3
+// silent failure: once the suspicion confirms, every summary peer's
+// cooperation list has dropped the dead client, and the confirmation
+// itself costs the timer plus one eviction event per summary peer — not
+// one event per peer of the overlay. Both election modes take the same
+// path for a client (only a summary peer's death starts an election).
+func TestConfirmedDeathNotifiesSummaryPeersOnly(t *testing.T) {
+	for _, proactive := range []bool{false, true} {
+		t.Run(fmt.Sprintf("proactive=%v", proactive), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.ProactiveElection = proactive
+			cfg.SuspectTimeout = 10
+			sys, e := newTestSystem(t, 320, 5, cfg)
+			sps := sys.ElectSummaryPeers(8)
+			if err := sys.Construct(); err != nil {
+				t.Fatal(err)
+			}
+			e.Run()
+			victim := p2p.NodeID(-1)
+			for id := 0; id < sys.net.Len() && victim < 0; id++ {
+				p := sys.Peer(p2p.NodeID(id))
+				if sp := p.SummaryPeer(); p.Role() == RoleClient && sp >= 0 && sys.Peer(sp).CooperationList().Has(p.ID()) {
+					victim = p.ID()
+				}
+			}
+			if victim < 0 {
+				t.Fatal("no client sits in a cooperation list after Construct")
+			}
+			before, t0 := e.Executed(), e.Now()
+			sys.Leave(victim, false)
+			e.Run()
+			if e.Now() < t0+sim.Time(cfg.SuspectTimeout) {
+				t.Fatalf("run stopped at %v, before the suspicion could confirm", e.Now())
+			}
+			if got := sys.net.Liveness().StateOf(int(victim)); got != liveness.Dead {
+				t.Fatalf("victim state %s after the timeout, want dead", got)
+			}
+			for _, sp := range sys.SummaryPeers() {
+				if sys.Peer(sp).CooperationList().Has(victim) {
+					t.Errorf("summary peer %d still lists dead client %d", sp, victim)
+				}
+			}
+			if cost, max := e.Executed()-before, uint64(len(sps)+2); cost > max {
+				t.Errorf("confirming one death ran %d events, want <= %d (summary peers + timer)", cost, max)
+			}
+		})
+	}
+}
+
+// TestConfirmedSummaryPeerDeathElectsOneSuccessor: with the eviction
+// fan-out narrowed to the summary-peer roster, a silently failed summary
+// peer still confirms into exactly one election, and every surviving
+// member of its domain adopts the one successor.
+func TestConfirmedSummaryPeerDeathElectsOneSuccessor(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ProactiveElection = true
+	cfg.SuspectTimeout = 10
+	sys, e := newTestSystem(t, 320, 5, cfg)
+	sps := sys.ElectSummaryPeers(8)
+	if err := sys.Construct(); err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	dead := sps[0]
+	var members []p2p.NodeID
+	for id := 0; id < sys.net.Len(); id++ {
+		if nid := p2p.NodeID(id); nid != dead && sys.DomainOf(nid) == dead {
+			members = append(members, nid)
+		}
+	}
+	if len(members) == 0 {
+		t.Fatal("the failing summary peer has an empty domain")
+	}
+	sys.Leave(dead, false)
+	e.Run()
+	if got := sys.Stats().Elections; got != 1 {
+		t.Fatalf("Elections = %d, want 1", got)
+	}
+	after := sys.SummaryPeers()
+	if len(after) != len(sps)+1 {
+		t.Fatalf("summary peers %v after the election, want the %d originals plus one", after, len(sps))
+	}
+	var successor p2p.NodeID = -1
+	for _, sp := range after {
+		if !containsID(sps, sp) {
+			successor = sp
+		}
+	}
+	if successor < 0 || sys.Peer(successor).Role() != RoleSummaryPeer {
+		t.Fatalf("no promoted successor among %v", after)
+	}
+	for _, m := range members {
+		if sys.net.Online(m) && sys.DomainOf(m) != successor {
+			t.Errorf("member %d of the dead domain adopted %d, want successor %d", m, sys.DomainOf(m), successor)
+		}
 	}
 }

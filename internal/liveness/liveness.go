@@ -379,11 +379,22 @@ type Change struct {
 // after, ascending by id, together with the view's current version — the
 // delta a partner that has merged everything up to version after still
 // needs. Since(0) returns every entry: a fresh view stamps everything at
-// version 1.
+// version 1. It allocates at most once: the matching entries are counted
+// first and copied into one slice of exactly that length, and nothing
+// (a nil slice) is allocated when nothing changed.
 func (v *View) Since(after uint64) ([]Change, uint64) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	var out []Change
+	n := 0
+	for _, ver := range v.vers {
+		if ver > after {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, v.version
+	}
+	out := make([]Change, 0, n)
 	for id, ver := range v.vers {
 		if ver > after {
 			out = append(out, Change{ID: id, E: v.entries[id]})

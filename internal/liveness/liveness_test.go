@@ -306,3 +306,22 @@ func TestMergeChangesMatchesMerge(t *testing.T) {
 		t.Errorf("out-of-range ids had an effect: changed=%v newer=%v", changed, newer)
 	}
 }
+
+// BenchmarkViewSince is the delta-gossip tail on the hot path: a
+// 500-entry view with a third of its entries changed since the partner's
+// base. Since must allocate exactly one slice of the delta's size (CI
+// gates allocs/op == 1 via benchgate).
+func BenchmarkViewSince(b *testing.B) {
+	v := NewView(500, nil)
+	base := v.Version()
+	for id := 0; id < 500; id += 3 {
+		v.MarkDead(id)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d, _ := v.Since(base); len(d) != 167 {
+			b.Fatalf("delta has %d entries, want 167", len(d))
+		}
+	}
+}

@@ -200,42 +200,30 @@ func (s *Sharded) Executed() uint64 {
 func (s *Sharded) Pending() int {
 	n := int(s.staged.Load())
 	for _, e := range s.regions {
-		n += len(e.pending)
+		n += e.Pending()
 	}
 	return n
 }
 
 // Schedule routes an event owned by node dst, originating at node src,
 // to dst's region at absolute time at. Same-region events go straight
-// onto the owner's heap and return a handle usable with Cancel;
-// cross-region events are staged for the next window barrier and return
-// 0 (they cannot be cancelled).
+// onto the owner's heap; cross-region events are staged for the next
+// window barrier.
 //
 // Callers must hold the conservative-execution contract: Schedule is
 // invoked either from an event executing in src's region worker, or from
 // the driver goroutine while no window is running.
-func (s *Sharded) Schedule(src, dst int, at Time, fn func()) uint64 {
+func (s *Sharded) Schedule(src, dst int, at Time, fn func()) {
 	rs, rd := s.partition[src], s.partition[dst]
 	if rs == rd {
-		e := s.regions[rd]
-		if at < e.now {
-			at = e.now
-		}
-		return e.At(at, fn)
+		s.regions[rd].At(at, fn)
+		return
 	}
 	ib := &s.inboxes[rd]
 	ib.mu.Lock()
 	ib.entries = append(ib.entries, stagedEvent{at: at, src: rs, inRun: s.running, fn: fn})
 	ib.mu.Unlock()
 	s.staged.Add(1)
-	return 0
-}
-
-// Cancel drops a same-region event by the handle Schedule returned.
-// Like Schedule, it may only be called from the owning region's worker
-// or from the idle driver.
-func (s *Sharded) Cancel(region int, id uint64) {
-	s.regions[region].Cancel(id)
 }
 
 // drainInboxes moves staged cross-region events onto their target heaps
@@ -274,7 +262,7 @@ func (s *Sharded) drainInboxes() {
 	}
 }
 
-// minNext returns the earliest live event time across regions.
+// minNext returns the earliest event time across regions.
 func (s *Sharded) minNext() (Time, bool) {
 	var m Time
 	ok := false

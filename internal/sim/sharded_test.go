@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -16,14 +15,14 @@ import (
 
 // kernel abstracts Engine vs Sharded for the equivalence program.
 type kernel interface {
-	Schedule(src, dst int, at Time, fn func()) uint64
+	Schedule(src, dst int, at Time, fn func())
 	Run()
 }
 
 type seqKernel struct{ e *Engine }
 
-func (k seqKernel) Schedule(src, dst int, at Time, fn func()) uint64 { return k.e.At(at, fn) }
-func (k seqKernel) Run()                                             { k.e.Run() }
+func (k seqKernel) Schedule(src, dst int, at Time, fn func()) { k.e.At(at, fn) }
+func (k seqKernel) Run()                                      { k.e.Run() }
 
 type rec struct {
 	at   Time
@@ -234,104 +233,6 @@ func TestShardedRepartitionRejectedAfterScheduling(t *testing.T) {
 	}
 }
 
-// TestCancelLazyDelete: Cancel is O(1) — the pending entry disappears
-// immediately, the heap slot is reclaimed only when it surfaces.
-func TestCancelLazyDelete(t *testing.T) {
-	e := New()
-	ids := make([]uint64, 100)
-	for i := range ids {
-		ids[i] = e.After(Time(i+1), func() { t.Fatal("cancelled event ran") })
-	}
-	for _, id := range ids {
-		e.Cancel(id)
-	}
-	if got := e.Pending(); got != 0 {
-		t.Fatalf("Pending=%d after cancelling all, want 0", got)
-	}
-	if len(e.queue) != 100 {
-		t.Fatalf("heap len %d, want 100 lazy tombstones", len(e.queue))
-	}
-	ran := false
-	e.After(200, func() { ran = true })
-	e.Run()
-	if !ran {
-		t.Fatal("live event did not run")
-	}
-	if len(e.queue) != 0 {
-		t.Fatalf("heap len %d after Run, want 0", len(e.queue))
-	}
-	// Cancel after fire is a no-op, and must not ghost-cancel a later
-	// event that reuses the pooled struct.
-	id := e.After(1, func() {})
-	e.Run()
-	e.Cancel(id)
-	ran = false
-	id2 := e.After(1, func() { ran = true })
-	_ = id2
-	e.Run()
-	if !ran {
-		t.Fatal("recycled event was ghost-cancelled")
-	}
-}
-
-// TestShardedConcurrentAfterCancelStress exercises concurrent per-region
-// schedule/cancel churn plus cross-region staging under the race
-// detector: every region runs an event chain that arms timers, cancels
-// most, and pings the next region at lookahead distance.
-func TestShardedConcurrentAfterCancelStress(t *testing.T) {
-	const regions = 4
-	const nodes = 16
-	const steps = 400
-	const lookahead = Time(0.05)
-	s, err := NewSharded(nodes, regions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := make([]int, nodes)
-	for i := range part {
-		part[i] = i % regions
-	}
-	if err := s.SetPartition(part, lookahead); err != nil {
-		t.Fatal(err)
-	}
-	var executed, leaked atomic.Int64
-	var chain func(node, step int, at Time) func()
-	chain = func(node, step int, at Time) func() {
-		return func() {
-			executed.Add(1)
-			// Arm a batch of retransmit-style timers on this node's
-			// region and cancel all but one — the reconciliation churn
-			// pattern.
-			region := part[node]
-			keep := s.Schedule(node, node, at+0.002, func() { executed.Add(1) })
-			for i := 0; i < 4; i++ {
-				id := s.Schedule(node, node, at+30, func() { leaked.Add(1) })
-				s.Cancel(region, id)
-			}
-			_ = keep
-			if step >= steps {
-				return
-			}
-			// Ping a node in the next region, conservatively.
-			peer := (node + 1) % nodes
-			d := lookahead + 0.001
-			s.Schedule(node, peer, at+d, chain(peer, step+1, at+d))
-		}
-	}
-	for n := 0; n < regions; n++ {
-		at := Time(0.001) * Time(n+1)
-		s.Schedule(n, n, at, chain(n, 0, at))
-	}
-	s.Run()
-	if leaked.Load() != 0 {
-		t.Fatalf("%d cancelled timers fired", leaked.Load())
-	}
-	want := int64(regions * (steps + 1) * 2) // chain event + kept timer each
-	if executed.Load() != want {
-		t.Fatalf("executed %d events, want %d", executed.Load(), want)
-	}
-}
-
 // fuzzProgram drives a seed-derived cascade whose cross-region delays are
 // at least the lookahead (exactly the lookahead when the jitter is 0 —
 // an arrival on the window boundary), then compares sharded execution
@@ -468,30 +369,4 @@ func BenchmarkWindowBarrier(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	warm(b.N)
-}
-
-// BenchmarkCancelChurn models the reconciliation retransmit pattern: a
-// standing population of armed timers where nearly every timer is
-// cancelled (the ring completes) before it fires. Cancel must stay O(1)
-// amortized — no tombstone scans.
-func BenchmarkCancelChurn(b *testing.B) {
-	e := New()
-	fn := func() {}
-	const standing = 4096
-	ids := make([]uint64, 0, standing)
-	for i := 0; i < standing; i++ {
-		ids = append(ids, e.After(30, fn))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Cancel(ids[i%standing])
-		ids[i%standing] = e.After(30, fn)
-		if i%standing == standing-1 {
-			// Let the engine pop through the tombstone ridge so lazy
-			// deletion's amortized cost is inside the measurement.
-			e.After(0.0001, fn)
-			e.Step()
-		}
-	}
 }

@@ -10,10 +10,16 @@
 // kernel (one heap, one goroutine), and Sharded (sharded.go) partitions the
 // overlay into regions — one Engine per region — advanced in conservative
 // lockstep time windows so intra-region events execute in parallel.
+//
+// The queue is a typed binary min-heap of pooled event structs compared on
+// (time, sequence) directly — no container/heap interface dispatch, no
+// per-event handle map. Events cannot be cancelled: every scheduled event
+// fires, and a protocol timer that may turn obsolete carries its own guard
+// (reconciliation timeouts check a sequence number), so the kernel keeps
+// no tombstones and Pending is the heap's length.
 package sim
 
 import (
-	"container/heap"
 	"math"
 	"sync/atomic"
 	"time"
@@ -46,28 +52,63 @@ type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among same-time events
 	fn  func()
-	id  uint64
-	off bool // cancelled: dropped lazily when it reaches the heap top
 }
 
+// before is the queue order: time, then schedule sequence.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventQueue is a binary min-heap on before. seq is unique per engine,
+// so the order is total and pop order is exactly the (time, FIFO)
+// schedule order.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (q *eventQueue) push(ev *event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	h[i] = ev
+	*q = h
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+func (q *eventQueue) pop() *event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // maxFreelist bounds the per-engine event freelist so a burst of scheduled
@@ -78,22 +119,18 @@ const maxFreelist = 1 << 15
 // region's queue inside a Sharded engine, where its events are executed by
 // that region's worker goroutine (never by two goroutines at once).
 type Engine struct {
-	now     Time
-	queue   eventQueue
-	seq     uint64
-	nextID  uint64
-	pending map[uint64]*event
-	events  uint64   // executed events
-	free    []*event // event-struct freelist (hot path: 0 allocs)
+	now    Time
+	queue  eventQueue
+	seq    uint64
+	events uint64   // executed events
+	free   []*event // event-struct freelist (hot path: 0 allocs)
 	// nowBits mirrors now for cross-goroutine reads (set only on region
 	// engines inside a Sharded kernel; nil on a standalone Engine).
 	nowBits *atomic.Uint64
 }
 
 // New creates an engine at time zero.
-func New() *Engine {
-	return &Engine{pending: make(map[uint64]*event)}
-}
+func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -117,129 +154,81 @@ func (e *Engine) advanceTo(t Time) {
 func (e *Engine) Executed() uint64 { return e.events }
 
 // Pending returns the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return len(e.pending) }
+func (e *Engine) Pending() int { return len(e.queue) }
 
-// alloc takes an event struct off the freelist (or the heap when cold).
-func (e *Engine) alloc() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free = e.free[:n-1]
-		return ev
-	}
-	return &event{}
-}
-
-// recycle returns a popped event to the freelist, dropping its closure so
-// the callback's captures are collectable immediately.
-func (e *Engine) recycle(ev *event) {
-	ev.fn = nil
-	if len(e.free) < maxFreelist {
-		e.free = append(e.free, ev)
-	}
-}
-
-// At schedules fn at the absolute time at (clamped to now for past times)
-// and returns a handle usable with Cancel.
-func (e *Engine) At(at Time, fn func()) uint64 {
+// At schedules fn at the absolute time at (clamped to now for past
+// times).
+func (e *Engine) At(at Time, fn func()) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	e.nextID++
-	ev := e.alloc()
-	ev.at, ev.seq, ev.fn, ev.id, ev.off = at, e.seq, fn, e.nextID, false
-	heap.Push(&e.queue, ev)
-	e.pending[ev.id] = ev
-	return ev.id
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = &event{}
+	}
+	ev.at, ev.seq, ev.fn = at, e.seq, fn
+	e.queue.push(ev)
 }
 
 // After schedules fn after the given delay.
-func (e *Engine) After(delay Time, fn func()) uint64 {
+func (e *Engine) After(delay Time, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	return e.At(e.now+delay, fn)
+	e.At(e.now+delay, fn)
 }
 
-// Cancel drops a scheduled event: O(1) — the pending entry is removed at
-// once, the heap slot is marked and reclaimed lazily when it surfaces at
-// the top (no scan, no immediate re-heapify). Cancelling an already-fired
-// or unknown handle is a no-op.
-func (e *Engine) Cancel(id uint64) {
-	if ev, ok := e.pending[id]; ok {
-		ev.off = true
-		ev.fn = nil // release the closure now, not when the slot surfaces
-		delete(e.pending, id)
-	}
-}
-
-// peekLive returns the next live event without popping it, lazily
-// discarding cancelled slots that have reached the heap top.
-func (e *Engine) peekLive() *event {
-	for len(e.queue) > 0 {
-		ev := e.queue[0]
-		if !ev.off {
-			return ev
-		}
-		heap.Pop(&e.queue)
-		e.recycle(ev)
-	}
-	return nil
-}
-
-// nextAt returns the time of the next live event.
+// nextAt returns the time of the next event.
 func (e *Engine) nextAt() (Time, bool) {
-	if ev := e.peekLive(); ev != nil {
-		return ev.at, true
+	if len(e.queue) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return e.queue[0].at, true
+}
+
+// fire pops the next event, advances the clock to it, recycles its struct
+// (dropping the closure so its captures are collectable at once) and runs
+// it. The queue must be non-empty.
+func (e *Engine) fire() {
+	ev := e.queue.pop()
+	e.setNow(ev.at)
+	e.events++
+	fn := ev.fn
+	ev.fn = nil
+	if len(e.free) < maxFreelist {
+		e.free = append(e.free, ev)
+	}
+	fn()
 }
 
 // Step executes the next event. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
-	ev := e.peekLive()
-	if ev == nil {
+	if len(e.queue) == 0 {
 		return false
 	}
-	heap.Pop(&e.queue)
-	delete(e.pending, ev.id)
-	e.setNow(ev.at)
-	e.events++
-	fn := ev.fn
-	e.recycle(ev)
-	fn()
+	e.fire()
 	return true
 }
 
-// runWindow executes every live event with at < end in (time, seq) order,
+// runWindow executes every event with at < end in (time, seq) order,
 // advancing the clock event by event. Inside a Sharded kernel this is one
 // region's share of a lockstep window; end is the window boundary, so
 // events scheduled during the window for t >= end stay queued.
 func (e *Engine) runWindow(end Time) {
-	for {
-		ev := e.peekLive()
-		if ev == nil || ev.at >= end {
-			return
-		}
-		heap.Pop(&e.queue)
-		delete(e.pending, ev.id)
-		e.setNow(ev.at)
-		e.events++
-		fn := ev.fn
-		e.recycle(ev)
-		fn()
+	for len(e.queue) > 0 && e.queue[0].at < end {
+		e.fire()
 	}
 }
 
 // RunUntil executes events until the queue is empty or the next event is
 // past the horizon. The clock is advanced to the horizon.
 func (e *Engine) RunUntil(horizon Time) {
-	for {
-		t, ok := e.nextAt()
-		if !ok || t > horizon {
-			break
-		}
-		e.Step()
+	for len(e.queue) > 0 && e.queue[0].at <= horizon {
+		e.fire()
 	}
 	if e.now < horizon {
 		e.setNow(horizon)
@@ -250,39 +239,4 @@ func (e *Engine) RunUntil(horizon Time) {
 func (e *Engine) Run() {
 	for e.Step() {
 	}
-}
-
-// Ticker repeatedly invokes fn every period until Stop is called or the
-// engine drains. The first invocation happens after one period.
-type Ticker struct {
-	engine  *Engine
-	period  Time
-	fn      func()
-	handle  uint64
-	stopped bool
-}
-
-// Tick starts a periodic callback.
-func (e *Engine) Tick(period Time, fn func()) *Ticker {
-	t := &Ticker{engine: e, period: period, fn: fn}
-	t.arm()
-	return t
-}
-
-func (t *Ticker) arm() {
-	t.handle = t.engine.After(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	})
-}
-
-// Stop cancels the ticker.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	t.engine.Cancel(t.handle)
 }

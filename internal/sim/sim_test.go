@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -59,25 +61,6 @@ func TestAfterAndPastClamp(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	id := e.At(10, func() { fired = true })
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d", e.Pending())
-	}
-	e.Cancel(id)
-	e.Cancel(id) // double-cancel is a no-op
-	e.Cancel(99) // unknown is a no-op
-	e.Run()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending after run = %d", e.Pending())
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := New()
 	var fired []Time
@@ -125,40 +108,50 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestTicker(t *testing.T) {
-	e := New()
-	count := 0
-	tk := e.Tick(10, func() {
-		count++
-		if count == 3 {
-			// Stopping from inside the callback prevents re-arming.
-			e.After(0, func() {})
-		}
-	})
-	e.RunUntil(35)
-	if count != 3 {
-		t.Errorf("ticks = %d, want 3", count)
+// TestHeapOrderMatchesStableSort: the typed heap pops in exactly
+// (time, schedule order) — what a stable sort of every scheduled event by
+// time yields — across random schedules dense in equal-time ties, with
+// events scheduled from inside callbacks (delay 0 included) and the run
+// split by RunUntil horizons. Scheduling from a callback never lands
+// before the running event, so the sorted log is the only valid order.
+func TestHeapOrderMatchesStableSort(t *testing.T) {
+	type sched struct {
+		at Time
+		id int
 	}
-	tk.Stop()
-	e.RunUntil(100)
-	if count != 3 {
-		t.Errorf("ticker fired after Stop: %d", count)
-	}
-}
-
-func TestTickerStopInsideCallback(t *testing.T) {
-	e := New()
-	count := 0
-	var tk *Ticker
-	tk = e.Tick(5, func() {
-		count++
-		if count == 2 {
-			tk.Stop()
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := New()
+		var log []sched
+		var ran []int
+		var schedule func(at Time, depth int)
+		schedule = func(at Time, depth int) {
+			id := len(log)
+			log = append(log, sched{at, id})
+			e.At(at, func() {
+				ran = append(ran, id)
+				for k := rng.Intn(3); depth < 3 && k > 0; k-- {
+					schedule(e.Now()+Time(rng.Intn(3)), depth+1)
+				}
+			})
 		}
-	})
-	e.Run()
-	if count != 2 {
-		t.Errorf("ticks = %d, want 2", count)
+		for i := rng.Intn(300); i >= 0; i-- {
+			schedule(Time(rng.Intn(8)), 0)
+		}
+		for h := Time(0); h < 8; h += Time(rng.Intn(4)) + 0.5 {
+			e.RunUntil(h)
+		}
+		e.Run()
+		want := append([]sched(nil), log...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(ran) != len(want) || e.Pending() != 0 {
+			t.Fatalf("seed %d: ran %d of %d events, %d pending", seed, len(ran), len(want), e.Pending())
+		}
+		for i := range want {
+			if ran[i] != want[i].id {
+				t.Fatalf("seed %d: position %d ran event %d, oracle says %d", seed, i, ran[i], want[i].id)
+			}
+		}
 	}
 }
 
@@ -185,8 +178,7 @@ func TestQuickMonotoneClock(t *testing.T) {
 	}
 }
 
-// Property: N scheduled events = N executed events when nothing is
-// cancelled.
+// Property: N scheduled events = N executed events.
 func TestQuickConservation(t *testing.T) {
 	f := func(delays []uint8) bool {
 		e := New()
