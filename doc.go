@@ -301,11 +301,15 @@
 //   - Freshness cache: a hit replays the answer without touching the
 //     store — the wire path replays the pre-encoded result body at zero
 //     allocations (CI benchgates BenchmarkGatewayCacheHit at 0
-//     allocs/op). An entry is keyed on the per-shard generation counters
-//     of its candidate shards, captured BEFORE the upstream execution:
-//     the summary store bumps a shard's generation on every mutation, and
-//     completeReconcile's install hook (core.System.OnInstall) tells the
-//     gateway a delta landed. An entry whose shard generations moved is
+//     allocs/op). An entry keeps its wire body once the wire path has
+//     built it and drops the answer graph; the graph is rebuilt from the
+//     body on the entry's first in-process hit and kept from then on, so
+//     in-process hits stay allocation-free too. An entry is keyed on the
+//     per-shard generation counters of its candidate shards, captured
+//     BEFORE the upstream execution: the summary store bumps a shard's
+//     generation on every mutation, and completeReconcile's install hook
+//     (core.System.OnInstall) tells the gateway a delta landed. An entry
+//     whose shard generations moved is
 //     invalidated, never served — a reconciliation racing an execution
 //     can only make the new entry born-stale. Entries over shards the
 //     install did not swap keep serving (SwapFrom bumps only swapped

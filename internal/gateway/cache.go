@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"p2psum/internal/p2p"
@@ -11,13 +12,17 @@ import (
 	"p2psum/internal/wire"
 )
 
-// entry is one cached query result plus its freshness basis. Immutable
-// once published to the cache — a refresh inserts a new entry.
+// entry is one cached query result plus its freshness basis. The result
+// never changes once published to the cache — a refresh inserts a new
+// entry — only its form does: answer graph, wire body, or both.
 type entry struct {
 	domain p2p.NodeID
 	// q is the exact query (collision guard: lookups verify SameQuery).
-	q   query.Query
-	ans *routing.DataAnswer
+	q query.Query
+	// ans is the answer graph. Building the wire body drops it — the
+	// socket frontend replays bytes and never reads the graph again — and
+	// an in-process hit after that decodes it back from the body once.
+	ans atomic.Pointer[routing.DataAnswer]
 	// st/shards/gens are the generation basis: the entry is fresh while
 	// st.Generation(shards[i]) == gens[i] for all i. st == nil means the
 	// domain's store is not readable here; deadline alone governs then.
@@ -29,7 +34,7 @@ type entry struct {
 	// goes quiet, e.g. the summary peer moved away).
 	deadline time.Time
 	// enc is the lazily built wire body (error + DataAnswer) the socket
-	// frontend replays on hits; built at most once.
+	// frontend replays on hits; built at most once, exactly sized.
 	once sync.Once
 	enc  []byte
 }
@@ -48,16 +53,39 @@ func (e *entry) fresh(now time.Time) bool {
 }
 
 // encoded returns the entry's wire body — "" error, then the DataAnswer —
-// building it on first use with a non-pooled encoder (the bytes are
-// retained for the entry's lifetime, so they must not come from the pool).
+// building it on first use. The body is retained for the entry's lifetime
+// in its own exact-size slice, and the answer graph it was built from is
+// dropped: a cache of wire-served entries holds bytes, not object graphs.
 func (e *entry) encoded() []byte {
 	e.once.Do(func() {
-		enc := new(wire.Enc)
+		enc := wire.GetEnc()
 		enc.String("")
-		routing.EncodeDataAnswer(enc, e.ans)
-		e.enc = enc.Bytes()
+		routing.EncodeDataAnswer(enc, e.ans.Load())
+		e.enc = append(make([]byte, 0, enc.Len()), enc.Bytes()...)
+		enc.Release()
+		e.ans.Store(nil)
 	})
 	return e.enc
+}
+
+// answer returns the entry's answer graph. Once the wire body replaced it,
+// the first in-process caller decodes the body and keeps the result, so
+// later in-process hits allocate nothing.
+func (e *entry) answer() (*routing.DataAnswer, error) {
+	if a := e.ans.Load(); a != nil {
+		return a, nil
+	}
+	// ans is nil only after encoded's once ran, so this returns at once.
+	d := wire.NewDecShared(e.encoded())
+	_ = d.String() // the "" error field
+	a, err := routing.DecodeDataAnswer(d)
+	if err != nil {
+		return nil, err
+	}
+	if !e.ans.CompareAndSwap(nil, a) {
+		a = e.ans.Load()
+	}
+	return a, nil
 }
 
 // cacheShards is the lock-striping factor of the result cache: lookups

@@ -30,7 +30,12 @@
 //     process (the summary peer lives across a TCP link) the cache falls
 //     back to a TTL derived from the paper's α freshness threshold: α of
 //     the observed mean install interval (System.OnInstall feeds the
-//     estimate), clamped to [Config.MinTTL, Config.MaxTTL].
+//     estimate), clamped to [Config.MinTTL, Config.MaxTTL]. An entry keeps
+//     what its callers read back: once the wire frontend has encoded an
+//     entry's result body, the entry keeps those exact-size bytes and drops
+//     the decoded answer graph, and the graph is rebuilt from the bytes on
+//     the entry's first in-process hit. A cache of wire-served answers is
+//     therefore a heap of byte slices, not of maps the collector must scan.
 //
 // The gateway serves three frontends over one flow: in-process calls
 // (Client.Query), long-lived wire-codec connections (ServeWire /
@@ -471,7 +476,11 @@ func (c *Client) Query(origin p2p.NodeID, q query.Query) (ans *routing.DataAnswe
 	if err != nil {
 		return nil, false, err
 	}
-	return e.ans, hit, nil
+	ans, err = e.answer()
+	if err != nil {
+		return nil, false, err
+	}
+	return ans, hit, nil
 }
 
 // do is Query returning the cache entry itself — the wire server replays
@@ -573,13 +582,14 @@ func (g *Gateway) execute(c *Client, domain, origin p2p.NodeID, q query.Query) (
 	if err != nil {
 		return nil, err
 	}
-	return &entry{
+	e := &entry{
 		domain:   domain,
 		q:        q,
-		ans:      ans,
 		st:       st,
 		shards:   shards,
 		gens:     gens,
 		deadline: now.Add(g.ttl(domain)),
-	}, nil
+	}
+	e.ans.Store(ans)
+	return e, nil
 }

@@ -100,10 +100,12 @@ func Explain(t *saintetiq.Tree, q Query) (*Selection, *Explanation, error) {
 // intentOn renders the node's intent restricted to the query attributes.
 func intentOn(t *saintetiq.Tree, n *saintetiq.Node, c *compiled) string {
 	parts := make([]string, 0, len(c.attrs))
-	for _, a := range c.attrs {
+	for i, a := range c.attrs {
 		var labs []string
-		for _, j := range n.LabelIndexes(a) {
-			labs = append(labs, t.Label(a, j))
+		for j := range c.masks[i] {
+			if n.HasLabel(a, j) {
+				labs = append(labs, t.Label(a, j))
+			}
 		}
 		parts = append(parts, t.AttrName(a)+":"+strings.Join(labs, "|"))
 	}

@@ -43,8 +43,8 @@ func (c *compiled) grade(sel *Selection) []GradedSummary {
 		deg := 1.0
 		for i, a := range c.attrs {
 			best := 0.0
-			for _, j := range z.LabelIndexes(a) {
-				if containsInt(c.labels[i], j) {
+			for _, j := range c.labels[i] {
+				if z.HasLabel(a, j) {
 					if g := z.Grade(a, j); g > best {
 						best = g
 					}

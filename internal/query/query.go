@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"p2psum/internal/bk"
@@ -229,60 +228,72 @@ func (v Valuation) String() string {
 
 // compiled resolves a query's labels to canonical indexes of a tree.
 type compiled struct {
-	attrs  []int   // tree attribute index per clause
-	labels [][]int // sorted canonical label indexes per clause
+	attrs  []int    // tree attribute index per clause
+	labels [][]int  // ascending, duplicate-free canonical label indexes per clause
+	masks  [][]bool // per clause: canonical label index -> named by the clause
 }
 
 func compile(t *saintetiq.Tree, q Query) (*compiled, error) {
-	c := &compiled{}
-	for _, cl := range q.Where {
+	n := len(q.Where)
+	c := &compiled{attrs: make([]int, n), labels: make([][]int, n), masks: make([][]bool, n)}
+	width := 0
+	for i, cl := range q.Where {
 		a := t.AttrIndex(cl.Attr)
 		if a < 0 {
 			return nil, fmt.Errorf("query: attribute %q not summarized", cl.Attr)
 		}
-		var idx []int
+		c.attrs[i] = a
+		width += len(t.AttrLabels(a))
+	}
+	// Every clause's mask and label list is a capped window of one array.
+	bits, idx := make([]bool, width), make([]int, 0, width)
+	for i, cl := range q.Where {
+		a := c.attrs[i]
+		w := len(t.AttrLabels(a))
+		mask := bits[:w:w]
+		bits = bits[w:]
 		for _, lab := range cl.Labels {
 			j := t.LabelIndex(a, lab)
 			if j < 0 {
 				return nil, fmt.Errorf("query: label %q unknown on %q", lab, cl.Attr)
 			}
-			idx = append(idx, j)
+			mask[j] = true
 		}
-		sort.Ints(idx)
-		c.attrs = append(c.attrs, a)
-		c.labels = append(c.labels, idx)
+		start := len(idx)
+		for j, in := range mask {
+			if in {
+				idx = append(idx, j)
+			}
+		}
+		c.labels[i] = idx[start:len(idx):len(idx)]
+		c.masks[i] = mask
 	}
 	return c, nil
 }
 
-// valuate qualifies one summary node.
+// valuate qualifies one summary node: a clause the intent does not meet
+// rules the node out, a clause the intent reaches beyond makes it partial.
 func (c *compiled) valuate(n *saintetiq.Node) Valuation {
 	result := FullSat
 	for i, a := range c.attrs {
-		intent := n.LabelIndexes(a)
-		if len(intent) == 0 {
-			return NotSat
-		}
-		inter, covered := 0, 0
-		for _, j := range intent {
-			if containsInt(c.labels[i], j) {
-				inter++
-				covered++
+		met, beyond := false, false
+		for j, in := range c.masks[i] {
+			if n.HasLabel(a, j) {
+				if in {
+					met = true
+				} else {
+					beyond = true
+				}
 			}
 		}
 		switch {
-		case inter == 0:
+		case !met:
 			return NotSat
-		case covered < len(intent):
+		case beyond:
 			result = PartialSat
 		}
 	}
 	return result
-}
-
-func containsInt(sorted []int, x int) bool {
-	i := sort.SearchInts(sorted, x)
-	return i < len(sorted) && sorted[i] == x
 }
 
 // Selection is the outcome of evaluating a query against a hierarchy.
@@ -313,20 +324,28 @@ func Select(t *saintetiq.Tree, q Query) (*Selection, error) {
 // every shard with it.
 func (c *compiled) selectTree(t *saintetiq.Tree) *Selection {
 	sel := &Selection{}
+	sel.Visited = c.walk(t, func(z *saintetiq.Node) { sel.Summaries = append(sel.Summaries, z) })
+	return sel
+}
+
+// walk is the ZQ descent: it hands every selected summary to take, in
+// preorder, and returns the number of nodes visited.
+func (c *compiled) walk(t *saintetiq.Tree, take func(*saintetiq.Node)) int {
 	if t.Empty() {
-		return sel
+		return 0
 	}
+	visited := 0
 	var walk func(n *saintetiq.Node)
 	walk = func(n *saintetiq.Node) {
-		sel.Visited++
+		visited++
 		switch c.valuate(n) {
 		case NotSat:
 			return
 		case FullSat:
-			sel.Summaries = append(sel.Summaries, n)
+			take(n)
 		case PartialSat:
 			if n.IsLeaf() {
-				sel.Summaries = append(sel.Summaries, n)
+				take(n)
 				return
 			}
 			for _, ch := range n.Children() {
@@ -335,24 +354,21 @@ func (c *compiled) selectTree(t *saintetiq.Tree) *Selection {
 		}
 	}
 	walk(t.Root())
-	return sel
+	return visited
 }
 
 // Peers returns PQ: the union of the peer extents of the selected summaries
 // (§5.2.1), sorted.
 func (s *Selection) Peers() []saintetiq.PeerID {
-	set := make(map[saintetiq.PeerID]struct{})
+	n := 0
 	for _, z := range s.Summaries {
-		for _, p := range z.PeerIDs() {
-			set[p] = struct{}{}
-		}
+		n += z.PeerCount()
 	}
-	out := make([]saintetiq.PeerID, 0, len(set))
-	for p := range set {
-		out = append(out, p)
+	buf := make([]saintetiq.PeerID, 0, n)
+	for _, z := range s.Summaries {
+		buf = z.AppendPeerIDs(buf)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sortedPeers(buf)
 }
 
 // Weight returns the total tuple weight of the selected summaries.
@@ -381,15 +397,6 @@ type Class struct {
 	Measures map[string]cells.Measure
 }
 
-// key builds the canonical grouping key of an interpretation.
-func classKey(interp map[string][]string, order []string) string {
-	parts := make([]string, 0, len(order))
-	for _, attr := range order {
-		parts = append(parts, attr+"="+strings.Join(interp[attr], "|"))
-	}
-	return strings.Join(parts, ";")
-}
-
 // Answer is a complete approximate answer.
 type Answer struct {
 	Query   Query
@@ -405,114 +412,16 @@ func Approximate(t *saintetiq.Tree, q Query, sel *Selection) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	selAttrs, err := resolveSelect(t, q)
+	p, err := newPlan(t, q, c)
 	if err != nil {
 		return nil, err
 	}
-	return c.approximate(selAttrs, t, q, sel), nil
-}
-
-// resolveSelect maps the query's select attributes to canonical attribute
-// indexes (identical for every hierarchy sharing the BK).
-func resolveSelect(t *saintetiq.Tree, q Query) ([]int, error) {
-	selAttrs := make([]int, len(q.Select))
-	for i, name := range q.Select {
-		a := t.AttrIndex(name)
-		if a < 0 {
-			return nil, fmt.Errorf("query: select attribute %q not summarized", name)
-		}
-		selAttrs[i] = a
-	}
-	return selAttrs, nil
-}
-
-// approximate aggregates an already-selected set of summaries into classes
-// using a pre-compiled proposition; t is only consulted for the (shared)
-// attribute vocabulary, so any hierarchy over the same BK works.
-func (c *compiled) approximate(selAttrs []int, t *saintetiq.Tree, q Query, sel *Selection) *Answer {
-	whereOrder := make([]string, len(q.Where))
-	for i, cl := range q.Where {
-		whereOrder[i] = cl.Attr
-	}
-
-	groups := make(map[string]*Class)
-	var keys []string
+	acc := p.accumulator()
 	for _, z := range sel.Summaries {
-		interp := make(map[string][]string, len(q.Where))
-		for i, a := range c.attrs {
-			var labs []string
-			for _, j := range z.LabelIndexes(a) {
-				if containsInt(c.labels[i], j) {
-					labs = append(labs, t.Label(a, j))
-				}
-			}
-			interp[q.Where[i].Attr] = labs
-		}
-		key := classKey(interp, whereOrder)
-		g, ok := groups[key]
-		if !ok {
-			g = &Class{
-				Interpretation: interp,
-				Answers:        make(map[string][]string),
-				Measures:       make(map[string]cells.Measure),
-			}
-			for _, name := range q.Select {
-				g.Measures[name] = cells.NewMeasure()
-			}
-			groups[key] = g
-			keys = append(keys, key)
-		}
-		g.Weight += z.Count()
-		for i, a := range selAttrs {
-			name := q.Select[i]
-			g.Answers[name] = unionLabels(t, a, g.Answers[name], z)
-			m := g.Measures[name]
-			m.Merge(z.Measure(a))
-			g.Measures[name] = m
-		}
-		g.Peers = unionPeers(g.Peers, z.PeerIDs())
+		acc.add(z)
 	}
-	sort.Strings(keys)
-	ans := &Answer{Query: q}
-	for _, k := range keys {
-		ans.Classes = append(ans.Classes, *groups[k])
-	}
-	return ans
-}
-
-// unionLabels merges z's intent labels on attribute a into the accumulated
-// set, keeping canonical vocabulary order.
-func unionLabels(t *saintetiq.Tree, a int, acc []string, z *saintetiq.Node) []string {
-	present := make(map[string]bool, len(acc))
-	for _, lab := range acc {
-		present[lab] = true
-	}
-	for _, j := range z.LabelIndexes(a) {
-		present[t.Label(a, j)] = true
-	}
-	var out []string
-	for _, lab := range t.AttrLabels(a) {
-		if present[lab] {
-			out = append(out, lab)
-		}
-	}
-	return out
-}
-
-func unionPeers(acc []saintetiq.PeerID, more []saintetiq.PeerID) []saintetiq.PeerID {
-	set := make(map[saintetiq.PeerID]struct{}, len(acc)+len(more))
-	for _, p := range acc {
-		set[p] = struct{}{}
-	}
-	for _, p := range more {
-		set[p] = struct{}{}
-	}
-	out := make([]saintetiq.PeerID, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	ans, _ := acc.answer()
+	return ans, nil
 }
 
 // String renders the answer in the paper's narrative style.

@@ -16,12 +16,17 @@ import (
 // read lock — the per-shard work fans out across internal/par — and the
 // per-shard outcomes are merged: selections concatenate, graded results
 // re-rank, approximate-answer classes with the same interpretation
-// coalesce. Because every leaf cell lives in exactly one shard and pruned
-// shards cannot own matching leaves, the structure-invariant outputs (peer
-// localization, selection weight, the union of answered descriptors) are
-// identical to evaluating the same data in a single tree; only the
-// intermediate abstraction levels (which summaries represent the matching
-// cells) depend on the layout.
+// coalesce. A shard's answer stays in label-index space (classes.go): the
+// shard folds its selection into a class accumulator under its lock, the
+// accumulators merge in shard order, and strings — label names,
+// interpretation and answer maps, the class keys that order the classes —
+// are built once per merged class, after every lock is released. Because
+// every leaf cell lives in exactly one shard and pruned shards cannot own
+// matching leaves, the structure-invariant outputs (peer localization,
+// selection weight, the union of answered descriptors) are identical to
+// evaluating the same data in a single tree; only the intermediate
+// abstraction levels (which summaries represent the matching cells) depend
+// on the layout.
 
 // candidateShards intersects the store's per-clause pruning hints: a
 // conjunctive query only needs the shards every clause admits. With a
@@ -120,17 +125,11 @@ type StoreAnswer struct {
 }
 
 // AnswerStore evaluates the query against every shard concurrently — each
-// shard's selection, grading-free approximate answer and peer extraction
-// complete under that shard's read lock — and merges the results. Classes
+// shard's selection folds into its own class accumulator under that
+// shard's read lock — and merges the accumulators in shard order. Classes
 // sharing an interpretation are coalesced: weights add, answered
 // descriptors and peer extents union, measures merge.
 func AnswerStore(st summarystore.Store, q Query) (*StoreAnswer, error) {
-	type shardOut struct {
-		ans     *Answer
-		peers   []saintetiq.PeerID
-		weight  float64
-		visited int
-	}
 	vocab := st.Vocab()
 	// Compile the proposition and resolve the select attributes once; both
 	// are vocabulary-level and shared by every shard.
@@ -138,98 +137,29 @@ func AnswerStore(st summarystore.Store, q Query) (*StoreAnswer, error) {
 	if err != nil {
 		return nil, err
 	}
-	selAttrs, err := resolveSelect(vocab, q)
+	p, err := newPlan(vocab, q, c)
 	if err != nil {
 		return nil, err
 	}
 	cands := candidateShards(st, c)
-	outs := make([]shardOut, len(cands))
+	accs := make([]*accumulator, len(cands))
 	err = par.ForEach(0, len(cands), func(k int) error {
+		acc := p.accumulator()
 		st.View(cands[k], func(t *saintetiq.Tree) {
-			sel := c.selectTree(t)
-			ans := c.approximate(selAttrs, vocab, q, sel)
-			outs[k] = shardOut{ans: ans, peers: sel.Peers(), weight: sel.Weight(), visited: sel.Visited}
+			acc.visited = c.walk(t, acc.add)
 		})
+		accs[k] = acc
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	whereOrder := make([]string, len(q.Where))
-	for i, cl := range q.Where {
-		whereOrder[i] = cl.Attr
+	merged := p.accumulator()
+	for _, acc := range accs {
+		merged.merge(acc)
 	}
-	groups := make(map[string]*Class)
-	var keys []string
-	merged := &StoreAnswer{Answer: &Answer{Query: q}}
-	peerSet := make(map[saintetiq.PeerID]struct{})
-	for _, out := range outs {
-		merged.Visited += out.visited
-		merged.Weight += out.weight
-		for _, p := range out.peers {
-			peerSet[p] = struct{}{}
-		}
-		for _, c := range out.ans.Classes {
-			c := c
-			key := classKey(c.Interpretation, whereOrder)
-			g, ok := groups[key]
-			if !ok {
-				groups[key] = &c
-				keys = append(keys, key)
-				continue
-			}
-			g.Weight += c.Weight
-			g.Peers = unionPeers(g.Peers, c.Peers)
-			for _, name := range q.Select {
-				g.Answers[name] = unionLabelNames(vocab, name, g.Answers[name], c.Answers[name])
-				m := g.Measures[name]
-				m.Merge(c.Measures[name])
-				g.Measures[name] = m
-			}
-		}
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		merged.Answer.Classes = append(merged.Answer.Classes, *groups[k])
-	}
-	merged.Peers = make([]saintetiq.PeerID, 0, len(peerSet))
-	for p := range peerSet {
-		merged.Peers = append(merged.Peers, p)
-	}
-	sort.Slice(merged.Peers, func(i, j int) bool { return merged.Peers[i] < merged.Peers[j] })
-	return merged, nil
-}
-
-// unionLabelNames merges two label sets of the named attribute, keeping the
-// vocabulary's canonical order.
-func unionLabelNames(vocab *saintetiq.Tree, attr string, a, b []string) []string {
-	present := make(map[string]bool, len(a)+len(b))
-	for _, lab := range a {
-		present[lab] = true
-	}
-	for _, lab := range b {
-		present[lab] = true
-	}
-	ai := vocab.AttrIndex(attr)
-	if ai < 0 {
-		// Not summarized (cannot happen for a validated query): keep a-then-b.
-		var out []string
-		seen := make(map[string]bool)
-		for _, lab := range append(append([]string(nil), a...), b...) {
-			if !seen[lab] {
-				seen[lab] = true
-				out = append(out, lab)
-			}
-		}
-		return out
-	}
-	var out []string
-	for _, lab := range vocab.AttrLabels(ai) {
-		if present[lab] {
-			out = append(out, lab)
-		}
-	}
-	return out
+	ans, peers := merged.answer()
+	return &StoreAnswer{Answer: ans, Peers: peers, Weight: merged.weight, Visited: merged.visited}, nil
 }
 
 // TopKStore evaluates the query on every shard, grades each shard's

@@ -86,6 +86,10 @@ func (n *Node) LabelIndexes(a int) []int {
 	return out
 }
 
+// HasLabel reports whether descriptor j of attribute a belongs to the
+// node's intent — LabelIndexes without the slice.
+func (n *Node) HasLabel(a, j int) bool { return n.counts[a][j] > 0 }
+
 // LabelCount returns the weighted count of label j on attribute a.
 func (n *Node) LabelCount(a, j int) float64 { return n.counts[a][j] }
 
@@ -97,6 +101,9 @@ func (n *Node) Measure(a int) cells.Measure { return n.measures[a] }
 
 // PeerIDs returns a copy of the peer extent, ascending.
 func (n *Node) PeerIDs() []PeerID { return slices.Clone(n.peers) }
+
+// AppendPeerIDs appends the peer extent, ascending, to dst.
+func (n *Node) AppendPeerIDs(dst []PeerID) []PeerID { return append(dst, n.peers...) }
 
 // HasPeer reports whether p belongs to the node's peer extent.
 func (n *Node) HasPeer(p PeerID) bool {
