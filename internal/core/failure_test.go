@@ -96,7 +96,7 @@ func TestFailureInjectionLiveness(t *testing.T) {
 
 // TestReportAndDescribe checks the monitoring surface.
 func TestReportAndDescribe(t *testing.T) {
-	sys, _ := newTestSystem(t, 50, 100, DefaultConfig())
+	sys, e := newTestSystem(t, 50, 100, DefaultConfig())
 	sys.ElectSummaryPeers(2)
 	if err := sys.Construct(); err != nil {
 		t.Fatal(err)
@@ -118,6 +118,24 @@ func TestReportAndDescribe(t *testing.T) {
 	}
 	if sys.Describe() == "" {
 		t.Error("Describe empty")
+	}
+	// ReportAll counts every domain's members in one pass over the view;
+	// after graceful and silent departures it must still agree with the
+	// per-domain Report and DomainMembers.
+	for id := p2p.NodeID(10); id < 20; id++ {
+		if sys.Peer(id).Role() != RoleSummaryPeer {
+			sys.Leave(id, id%2 == 0)
+		}
+	}
+	e.Run()
+	for _, r := range sys.ReportAll() {
+		one, err := sys.Report(r.SummaryPeer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r != one || r.OnlineMembers != len(sys.DomainMembers(r.SummaryPeer)) {
+			t.Errorf("ReportAll %s, Report %s, %d members", r, one, len(sys.DomainMembers(r.SummaryPeer)))
+		}
 	}
 }
 

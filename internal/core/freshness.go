@@ -16,7 +16,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"p2psum/internal/p2p"
@@ -65,33 +65,42 @@ const (
 )
 
 // CooperationList is the per-global-summary partner table (§4.1): one
-// freshness value per partner peer.
+// freshness value per partner peer. It is laid out as the paper's table:
+// partner ids strictly ascending (the canonical ring order) with their
+// values in a parallel slice, plus the running integer Σv that the
+// reconciliation trigger of §6.1.1 divides by |CL|. Lookups are binary
+// searches; Set and Remove keep the sum current, so evaluating the trigger
+// on every push costs O(1) instead of a walk over the whole list.
 type CooperationList struct {
-	mode    Mode
-	entries map[p2p.NodeID]Freshness
+	mode Mode
+	ids  []p2p.NodeID
+	vals []Freshness
+	sum  int
 }
 
 // NewCooperationList creates an empty list in the given mode.
 func NewCooperationList(mode Mode) *CooperationList {
-	return &CooperationList{mode: mode, entries: make(map[p2p.NodeID]Freshness)}
+	return &CooperationList{mode: mode}
 }
 
 // Mode returns the list's encoding mode.
 func (cl *CooperationList) Mode() Mode { return cl.mode }
 
 // Len returns the number of partners.
-func (cl *CooperationList) Len() int { return len(cl.entries) }
+func (cl *CooperationList) Len() int { return len(cl.ids) }
 
 // Has reports whether the peer is a partner.
 func (cl *CooperationList) Has(p p2p.NodeID) bool {
-	_, ok := cl.entries[p]
+	_, ok := slices.BinarySearch(cl.ids, p)
 	return ok
 }
 
 // Get returns the peer's freshness value.
 func (cl *CooperationList) Get(p p2p.NodeID) (Freshness, bool) {
-	v, ok := cl.entries[p]
-	return v, ok
+	if i, ok := slices.BinarySearch(cl.ids, p); ok {
+		return cl.vals[i], true
+	}
+	return 0, false
 }
 
 // Set inserts or updates a partner's freshness value. In one-bit mode an
@@ -100,71 +109,110 @@ func (cl *CooperationList) Set(p p2p.NodeID, v Freshness) {
 	if cl.mode == OneBit && v == Unavailable {
 		v = Stale
 	}
-	cl.entries[p] = v
+	i, ok := slices.BinarySearch(cl.ids, p)
+	if ok {
+		cl.sum += int(v) - int(cl.vals[i])
+		cl.vals[i] = v
+		return
+	}
+	cl.ids = slices.Insert(cl.ids, i, p)
+	cl.vals = slices.Insert(cl.vals, i, v)
+	cl.sum += int(v)
 }
 
 // Remove drops a partner (the drop message of §4.1).
-func (cl *CooperationList) Remove(p p2p.NodeID) { delete(cl.entries, p) }
+func (cl *CooperationList) Remove(p p2p.NodeID) {
+	i, ok := slices.BinarySearch(cl.ids, p)
+	if !ok {
+		return
+	}
+	cl.sum -= int(cl.vals[i])
+	cl.ids = slices.Delete(cl.ids, i, i+1)
+	cl.vals = slices.Delete(cl.vals, i, i+1)
+}
 
 // Partners returns the partner ids in ascending order (the canonical ring
-// order used by reconciliation).
+// order used by reconciliation). The slice is the caller's to keep.
 func (cl *CooperationList) Partners() []p2p.NodeID {
-	out := make([]p2p.NodeID, 0, len(cl.entries))
-	for p := range cl.entries {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(make([]p2p.NodeID, 0, len(cl.ids)), cl.ids...)
 }
 
-// FreshPeers returns the partners with v = 0 (the paper's Pfresh, §6.1.2).
-func (cl *CooperationList) FreshPeers() []p2p.NodeID {
-	return cl.withValue(func(v Freshness) bool { return v == Fresh })
-}
+// FreshPeers returns the partners with v = 0 (the paper's Pfresh, §6.1.2),
+// ascending.
+func (cl *CooperationList) FreshPeers() []p2p.NodeID { return cl.withValue(true) }
 
-// StalePeers returns the partners with v >= 1 (the paper's Pold).
-func (cl *CooperationList) StalePeers() []p2p.NodeID {
-	return cl.withValue(func(v Freshness) bool { return v != Fresh })
-}
+// StalePeers returns the partners with v >= 1 (the paper's Pold),
+// ascending.
+func (cl *CooperationList) StalePeers() []p2p.NodeID { return cl.withValue(false) }
 
-func (cl *CooperationList) withValue(want func(Freshness) bool) []p2p.NodeID {
+func (cl *CooperationList) withValue(fresh bool) []p2p.NodeID {
 	var out []p2p.NodeID
-	for p, v := range cl.entries {
-		if want(v) {
-			out = append(out, p)
+	for i, v := range cl.vals {
+		if (v == Fresh) == fresh {
+			out = append(out, cl.ids[i])
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // StaleFraction evaluates the reconciliation trigger Σv / |CL| of §6.1.1.
 // In two-bit mode an Unavailable entry literally counts 2, as the paper's
-// formula sums the raw values; an empty list is entirely fresh.
+// formula sums the raw values; an empty list is entirely fresh. Σv is an
+// integer kept by Set and Remove, so the quotient is exactly the one a
+// float sum over the entries gives.
 func (cl *CooperationList) StaleFraction() float64 {
-	if len(cl.entries) == 0 {
+	if len(cl.ids) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, v := range cl.entries {
-		sum += float64(v)
-	}
-	return sum / float64(len(cl.entries))
+	return float64(cl.sum) / float64(len(cl.ids))
 }
 
 // ResetAll sets every entry to Fresh (end of reconciliation, §4.2.2).
 func (cl *CooperationList) ResetAll() {
-	for p := range cl.entries {
-		cl.entries[p] = Fresh
+	clear(cl.vals)
+	cl.sum = 0
+}
+
+// settle applies the end of a ring reconciliation (§4.2.2, §4.3) in one
+// pass over the partners: a partner in merged becomes Fresh, a partner
+// that did not take part but keep accepts stays as Stale, and any other
+// partner is dropped. merged is ascending by construction — the token
+// visits partners in ring order — but over TCP it is decoded from another
+// process's frame, so input that is not sorted is sorted in a copy first
+// rather than trusted; duplicates are harmless.
+func (cl *CooperationList) settle(merged []p2p.NodeID, keep func(p2p.NodeID) bool) {
+	if !slices.IsSorted(merged) {
+		merged = slices.Clone(merged)
+		slices.Sort(merged)
 	}
+	n, j := 0, 0
+	cl.sum = 0
+	for _, id := range cl.ids {
+		for j < len(merged) && merged[j] < id {
+			j++
+		}
+		var v Freshness
+		switch {
+		case j < len(merged) && merged[j] == id:
+			v = Fresh
+		case keep(id):
+			v = Stale
+		default:
+			continue
+		}
+		cl.ids[n], cl.vals[n] = id, v
+		cl.sum += int(v)
+		n++
+	}
+	cl.ids, cl.vals = cl.ids[:n], cl.vals[:n]
 }
 
 // String renders "CL{3: 1=fresh 2=stale 5=fresh}".
 func (cl *CooperationList) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "CL{%d:", len(cl.entries))
-	for _, p := range cl.Partners() {
-		fmt.Fprintf(&sb, " %d=%s", p, cl.entries[p])
+	fmt.Fprintf(&sb, "CL{%d:", len(cl.ids))
+	for i, p := range cl.ids {
+		fmt.Fprintf(&sb, " %d=%s", p, cl.vals[i])
 	}
 	sb.WriteString("}")
 	return sb.String()

@@ -164,34 +164,47 @@ func (s *System) DomainOf(id p2p.NodeID) p2p.NodeID { return s.peers[id].Summary
 // peer first. Membership is read from the liveness view — each node's own
 // domain claim, spread by gossip — not from the local cooperation list, so
 // every process of a TCP deployment reports the same set once the views
-// converge.
+// converge. The view is read once, as one snapshot.
 func (s *System) DomainMembers(sp p2p.NodeID) []p2p.NodeID {
 	p := s.peers[sp]
 	if p.role != RoleSummaryPeer {
 		return nil
 	}
-	view := s.net.Liveness()
 	out := []p2p.NodeID{sp}
-	for id := 0; id < view.Len(); id++ {
-		if p2p.NodeID(id) != sp && view.Online(id) && view.SPOf(id) == int(sp) {
+	for id, e := range s.net.Liveness().Snapshot() {
+		if p2p.NodeID(id) != sp && e.State == liveness.Alive && e.SP == int(sp) {
 			out = append(out, p2p.NodeID(id))
 		}
 	}
 	return out
 }
 
+// domainSizes counts every domain's online members (DomainMembers' length
+// per summary peer) in one pass over one view snapshot. Index sp holds the
+// count of the members other than sp itself.
+func (s *System) domainSizes() []int {
+	entries := s.net.Liveness().Snapshot()
+	sizes := make([]int, len(entries))
+	for id, e := range entries {
+		if id != e.SP && e.State == liveness.Alive && e.SP >= 0 && e.SP < len(sizes) {
+			sizes[e.SP]++
+		}
+	}
+	return sizes
+}
+
 // Coverage returns the fraction of online peers that currently belong to a
 // domain (the paper's summary Coverage, Definition 4 context), computed
-// from the liveness view so all processes of a deployment agree.
+// from one snapshot of the liveness view so all processes of a deployment
+// agree.
 func (s *System) Coverage() float64 {
-	view := s.net.Liveness()
 	online, covered := 0, 0
-	for id := 0; id < view.Len(); id++ {
-		if !view.Online(id) {
+	for _, e := range s.net.Liveness().Snapshot() {
+		if e.State != liveness.Alive {
 			continue
 		}
 		online++
-		if view.SPOf(id) != liveness.NoSP {
+		if e.SP != liveness.NoSP {
 			covered++
 		}
 	}

@@ -157,7 +157,7 @@ func (p *Peer) onReconcileTimeout(seq int) {
 // onlinePartners returns the CL partners currently online, in ring order.
 func (p *Peer) onlinePartners() []p2p.NodeID {
 	var out []p2p.NodeID
-	for _, id := range p.cl.Partners() {
+	for _, id := range p.cl.ids {
 		if p.sys.net.Online(id) {
 			out = append(out, id)
 		}
@@ -242,10 +242,6 @@ func (p *Peer) completeReconcile(pl ReconcilePayload) {
 			p.sys.OnInstall(p.id, swapped)
 		}
 	}
-	merged := make(map[p2p.NodeID]bool, len(pl.Merged))
-	for _, id := range pl.Merged {
-		merged[id] = true
-	}
 	// Partners that did not participate because they are confirmed gone
 	// are omitted from the new version: their descriptions are gone, so
 	// their entries leave the cooperation list (§4.3 second alternative).
@@ -255,16 +251,9 @@ func (p *Peer) completeReconcile(pl ReconcilePayload) {
 	// would be no way back after the heal). If the suspicion confirms,
 	// the next ring evicts it then.
 	view := p.sys.net.Liveness()
-	for _, id := range p.cl.Partners() {
-		switch {
-		case merged[id]:
-			p.cl.Set(id, Fresh)
-		case p.sys.net.Online(id) || view.StateOf(int(id)) == liveness.Suspect:
-			p.cl.Set(id, Stale)
-		default:
-			p.cl.Remove(id)
-		}
-	}
+	p.cl.settle(pl.Merged, func(id p2p.NodeID) bool {
+		return p.sys.net.Online(id) || view.StateOf(int(id)) == liveness.Suspect
+	})
 	p.reconciling = false
 	p.sys.addStat(func(st *Stats) { st.Reconciliations++ })
 	if p.sys.OnReconcile != nil {

@@ -45,14 +45,19 @@ func (r DomainReport) String() string {
 
 // Report snapshots one domain.
 func (s *System) Report(sp p2p.NodeID) (DomainReport, error) {
-	p := s.peers[sp]
-	if p.role != RoleSummaryPeer {
+	if s.peers[sp].role != RoleSummaryPeer {
 		return DomainReport{}, fmt.Errorf("core: node %d is not a summary peer", sp)
 	}
+	return s.report(sp, len(s.DomainMembers(sp))), nil
+}
+
+// report assembles a summary peer's report around its online member count.
+func (s *System) report(sp p2p.NodeID, online int) DomainReport {
+	p := s.peers[sp]
 	r := DomainReport{
 		SummaryPeer:   sp,
 		Partners:      p.cl.Len(),
-		OnlineMembers: len(s.DomainMembers(sp)),
+		OnlineMembers: online,
 		StaleFraction: p.cl.StaleFraction(),
 		Reconciling:   p.reconciling,
 	}
@@ -62,15 +67,17 @@ func (s *System) Report(sp p2p.NodeID) (DomainReport, error) {
 		r.SummaryWeight = p.gs.Weight()
 		r.SummaryShards = p.gs.NumShards()
 	}
-	return r, nil
+	return r
 }
 
-// ReportAll snapshots every domain, ordered by summary-peer id.
+// ReportAll snapshots every domain, ordered by summary-peer id. Every
+// domain's online members are counted in one pass over the view.
 func (s *System) ReportAll() []DomainReport {
+	sizes := s.domainSizes()
 	out := make([]DomainReport, 0, len(s.sps))
 	for _, sp := range s.sps {
-		if r, err := s.Report(sp); err == nil {
-			out = append(out, r)
+		if s.peers[sp].role == RoleSummaryPeer {
+			out = append(out, s.report(sp, 1+sizes[sp]))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].SummaryPeer < out[j].SummaryPeer })

@@ -292,12 +292,7 @@ func decodeElect(data []byte) (any, error) {
 }
 
 // encodeNodeIDs appends a length-prefixed node id list.
-func encodeNodeIDs(e *wire.Enc, ids []p2p.NodeID) {
-	e.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		e.Varint(int64(id))
-	}
-}
+func encodeNodeIDs(e *wire.Enc, ids []p2p.NodeID) { wire.Varints(e, ids) }
 
 // decodeNodeIDs reverses encodeNodeIDs (nil for an empty list, matching
 // the zero value the protocol builds with append).

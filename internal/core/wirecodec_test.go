@@ -186,6 +186,37 @@ func TestReconcileCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNodeIDsRoundTrip sizes and round-trips random id lists (negative
+// ids and ids >= 2^31 included) through encodeNodeIDs/decodeNodeIDs: the
+// counting encoder must charge exactly the bytes the writing one emits.
+func TestNodeIDsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 500; i++ {
+		var ids []p2p.NodeID
+		for j := rng.Intn(40); j > 0; j-- {
+			v := rng.Int63() >> rng.Intn(63)
+			if rng.Intn(2) == 0 {
+				v = -v - 1
+			}
+			ids = append(ids, p2p.NodeID(v))
+		}
+		var w wire.Enc
+		c := wire.NewCountEnc()
+		encodeNodeIDs(&w, ids)
+		encodeNodeIDs(c, ids)
+		if c.Len() != w.Len() {
+			t.Fatalf("%v: counted %d bytes, wrote %d", ids, c.Len(), w.Len())
+		}
+		d := wire.NewDec(w.Bytes())
+		if got := decodeNodeIDs(d); !reflect.DeepEqual(got, ids) {
+			t.Fatalf("round-trip %v -> %v", ids, got)
+		}
+		if err := d.Done(); err != nil {
+			t.Fatalf("%v: %v", ids, err)
+		}
+	}
+}
+
 // TestGossipCodecRejectsInvalidState: a liveness vector whose LAST entry
 // carries an invalid state (bits 3) must be a hard decode error — there is
 // no unread tail for Done to catch, so the decoder has to reject it itself.

@@ -138,6 +138,9 @@ func (e *Enc) Len() int {
 // uvarintLen is the encoded size of an unsigned varint.
 func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
+// varintLen is the encoded size of a signed (zig-zag) varint.
+func varintLen(v int64) int { return uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
+
 // Uint8 appends one raw byte.
 func (e *Enc) Uint8(b uint8) {
 	e.check()
@@ -162,10 +165,28 @@ func (e *Enc) Uvarint(u uint64) {
 func (e *Enc) Varint(v int64) {
 	e.check()
 	if e.count {
-		e.n += uvarintLen(uint64(v)<<1 ^ uint64(v>>63))
+		e.n += varintLen(v)
 		return
 	}
 	e.buf = binary.AppendVarint(e.buf, v)
+}
+
+// Varints appends a length-prefixed list of signed (zig-zag) varints —
+// the bytes of Uvarint(len) followed by one Varint per element. A counting
+// Enc sizes the whole list in one pass without a call per element.
+func Varints[T ~int | ~int32 | ~int64](e *Enc, vs []T) {
+	e.Uvarint(uint64(len(vs)))
+	if e.count {
+		n := 0
+		for _, v := range vs {
+			n += varintLen(int64(v))
+		}
+		e.n += n
+		return
+	}
+	for _, v := range vs {
+		e.buf = binary.AppendVarint(e.buf, int64(v))
+	}
 }
 
 // Bool appends a boolean as one byte.

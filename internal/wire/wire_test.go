@@ -61,6 +61,70 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	}
 }
 
+// randVarint draws a signed value of random bit length and sign, so every
+// varint width (1 to 10 bytes) and the values at or beyond 2^31 occur.
+func randVarint(rng *rand.Rand) int64 {
+	v := rng.Int63() >> rng.Intn(63)
+	if rng.Intn(2) == 0 {
+		v = -v - 1
+	}
+	return v
+}
+
+// checkVarints requires Varints to size exactly what it writes, to write
+// the bytes of the per-element Uvarint(len) + Varint encoding, and to
+// decode back to vs.
+func checkVarints[T ~int | ~int32 | ~int64](t *testing.T, vs []T) {
+	t.Helper()
+	var w, ref Enc
+	c := NewCountEnc()
+	Varints(&w, vs)
+	Varints(c, vs)
+	ref.Uvarint(uint64(len(vs)))
+	for _, v := range vs {
+		ref.Varint(int64(v))
+	}
+	if c.Len() != w.Len() {
+		t.Fatalf("%v: counted %d bytes, wrote %d", vs, c.Len(), w.Len())
+	}
+	if string(w.Bytes()) != string(ref.Bytes()) {
+		t.Fatalf("%v: wrote % x, per-element encoding % x", vs, w.Bytes(), ref.Bytes())
+	}
+	d := NewDec(w.Bytes())
+	if n := d.Uvarint(); n != uint64(len(vs)) {
+		t.Fatalf("%v: length prefix %d", vs, n)
+	}
+	for i, v := range vs {
+		if got := T(d.Varint()); got != v {
+			t.Fatalf("%v: element %d decoded %d", vs, i, got)
+		}
+	}
+	if err := d.Done(); err != nil {
+		t.Fatalf("%v: %v", vs, err)
+	}
+}
+
+// TestVarintsCountMatchesWrite holds the one-pass list sizing to the
+// writing path over random lists of every element type it accepts,
+// negative values and values >= 2^31 included.
+func TestVarintsCountMatchesWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	checkVarints(t, []int64(nil))
+	checkVarints(t, []int64{math.MinInt64, math.MaxInt64, 1 << 31, -1 << 31, -(1 << 31) - 1, 0, -1})
+	for round := 0; round < 500; round++ {
+		n := rng.Intn(40)
+		i64, i32, in := make([]int64, n), make([]int32, n), make([]int, n)
+		for k := range i64 {
+			i64[k] = randVarint(rng)
+			i32[k] = int32(i64[k])
+			in[k] = int(i64[k])
+		}
+		checkVarints(t, i64)
+		checkVarints(t, i32)
+		checkVarints(t, in)
+	}
+}
+
 // TestFloatSpecials pins the IEEE specials the measures layer produces
 // (empty measures carry ±Inf bounds).
 func TestFloatSpecials(t *testing.T) {
