@@ -104,7 +104,9 @@ type (
 	Predicate = query.Predicate
 	// Answer is an approximate answer (classes of descriptors, §5.2.2).
 	Answer = query.Answer
-	// AnswerClass is one aggregation class of an approximate answer.
+	// AnswerClass is one aggregation class of an approximate answer: a
+	// row of descriptors and measures per attribute, in ascending
+	// attribute order (Interpretation.Get, Answers.Get, Measures.Get).
 	AnswerClass = query.Class
 	// Selection is the set of most-abstract summaries satisfying a query.
 	Selection = query.Selection

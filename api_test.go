@@ -32,7 +32,7 @@ func TestPaperWalkthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range ans.Classes {
-		if got := strings.Join(c.Answers["age"], ","); got != "young" {
+		if got := strings.Join(c.Answers.Get("age"), ","); got != "young" {
 			t.Errorf("answer age = %q, want young", got)
 		}
 	}

@@ -296,7 +296,9 @@
 //     routing.HashQuery is label-order invariant, and the HTTP edge
 //     normalizes clause order first) coalesce onto one upstream
 //     execution; followers block on the leader's flight and share its
-//     answer object.
+//     answer object — unless an install made it stale meanwhile, when a
+//     follower executes afresh rather than take an answer older than its
+//     request.
 //
 //   - Freshness cache: a hit replays the answer without touching the
 //     store — the wire path replays the pre-encoded result body at zero
@@ -304,7 +306,10 @@
 //     allocs/op). An entry keeps its wire body once the wire path has
 //     built it and drops the answer graph; the graph is rebuilt from the
 //     body on the entry's first in-process hit and kept from then on, so
-//     in-process hits stay allocation-free too. An entry is keyed on the
+//     in-process hits stay allocation-free too. An answer decodes as
+//     views: its strings point into the body, and its class rows are
+//     carved out of a few per-answer slabs — the socket client does the
+//     same with each result frame, read into a body of its own. An entry is keyed on the
 //     per-shard generation counters of its candidate shards, captured
 //     BEFORE the upstream execution: the summary store bumps a shard's
 //     generation on every mutation, and completeReconcile's install hook

@@ -26,7 +26,7 @@ func ExampleSummarize() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(ans.Classes[0].Answers["age"])
+	fmt.Println(ans.Classes[0].Answers.Get("age"))
 	// Output: [young]
 }
 

@@ -71,10 +71,10 @@ func main() {
 		var wSum, wTot float64
 		var labels []string
 		for _, c := range ans.Classes {
-			m := c.Measures["age"]
+			m := c.Measures.Get("age")
 			wSum += m.Sum
 			wTot += m.Weight
-			labels = append(labels, strings.Join(c.Answers["age"], "|"))
+			labels = append(labels, strings.Join(c.Answers.Get("age"), "|"))
 		}
 		approxTime := time.Since(t0)
 

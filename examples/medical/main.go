@@ -124,7 +124,7 @@ func ask(sim *p2psum.Simulation, bk *p2psum.BK, disease string) {
 	fmt.Printf("  relevant hospitals (peer localization): %v\n", da.Peers)
 	for i, c := range da.Answer.Classes {
 		fmt.Printf("  class %d (weight %.0f): age=%v bmi=%v\n",
-			i+1, c.Weight, c.Answers["age"], c.Answers["bmi"])
+			i+1, c.Weight, c.Answers.Get("age"), c.Answers.Get("bmi"))
 	}
 	fmt.Println()
 }

@@ -46,10 +46,10 @@ func main() {
 		var ageMean, ageW float64
 		for _, c := range ans.Classes {
 			weight += c.Weight
-			for _, lab := range c.Answers["age"] {
+			for _, lab := range c.Answers.Get("age") {
 				ages[lab] = true
 			}
-			m := c.Measures["age"]
+			m := c.Measures.Get("age")
 			ageMean += m.Sum
 			ageW += m.Weight
 		}

@@ -191,12 +191,12 @@ func TestSummaryDataNeverLeavesDomain(t *testing.T) {
 	// The whole answer must be expressible in BK vocabulary: every label
 	// in every class belongs to the BK, and no record id appears.
 	for _, c := range ans.Classes {
-		for attr, labels := range c.Answers {
-			a := b.Attr(attr)
+		for _, set := range c.Answers {
+			a := b.Attr(set.Attr)
 			if a == nil {
-				t.Fatalf("answer mentions unknown attribute %q", attr)
+				t.Fatalf("answer mentions unknown attribute %q", set.Attr)
 			}
-			for _, lab := range labels {
+			for _, lab := range set.Labels {
 				if !a.HasLabel(lab) {
 					t.Fatalf("answer label %q outside the BK", lab)
 				}
@@ -235,7 +235,7 @@ func TestSummaryDataNeverLeavesDomain(t *testing.T) {
 	exactMean := exactSum / float64(exactN)
 	var wSum, wTot float64
 	for _, c := range ans.Classes {
-		m := c.Measures["age"]
+		m := c.Measures.Get("age")
 		wSum += m.Sum
 		wTot += m.Weight
 	}

@@ -522,7 +522,12 @@ func (g *Gateway) miss(c *Client, h uint64, domain, origin p2p.NodeID, q query.Q
 		g.fmu.Unlock()
 		g.ctr.coalesced.Add(1)
 		<-f.done
-		return f.e, false, f.err
+		// The flight may have read the store before an install this
+		// request follows: share its answer only while it is fresh.
+		if f.err != nil || f.e.fresh(time.Now()) {
+			return f.e, false, f.err
+		}
+		return g.miss(c, h, domain, origin, q)
 	}
 	f := &flight{domain: domain, q: q, done: make(chan struct{})}
 	g.flights[h] = f

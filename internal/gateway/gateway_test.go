@@ -164,6 +164,46 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
+// TestSingleflightFollowerAfterInstall: a request that joins a flight
+// after an install touched the flight's shards must not be handed the
+// flight's answer, which may predate the install.
+func TestSingleflightFollowerAfterInstall(t *testing.T) {
+	st := newShardedStore(t)
+	be := &fakeBackend{st: st, block: make(chan struct{}), entered: make(chan struct{})}
+	g := New(Config{Rate: 1e9, MaxConcurrent: 4}, be)
+	q := diseaseQuery("malaria")
+	ask := func(out chan<- *routing.DataAnswer) {
+		c := g.Connect()
+		defer c.Close()
+		a, _, err := c.Query(3, q)
+		if err != nil {
+			t.Error(err)
+		}
+		out <- a
+	}
+	leader, follower := make(chan *routing.DataAnswer, 1), make(chan *routing.DataAnswer, 1)
+	go ask(leader)
+	<-be.entered
+	if err := st.Merge(diseaseTree(t, "malaria", []float64{25}, 9)); err != nil {
+		t.Fatal(err)
+	}
+	go ask(follower)
+	deadline := time.Now().Add(5 * time.Second)
+	for g.Snapshot().Coalesced < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never joined the flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(be.block)
+	if la, fa := <-leader, <-follower; la == nil || fa == nil || fa == la {
+		t.Fatal("the follower shared an answer read before the install")
+	}
+	if got := be.execs.Load(); got != 2 {
+		t.Fatalf("upstream executions = %d, want 2 (the flight, the follower's refresh)", got)
+	}
+}
+
 // TestGenerationInvalidation: a shard delta invalidates exactly the
 // entries whose candidate shards were touched — no global flush.
 func TestGenerationInvalidation(t *testing.T) {

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -237,5 +238,51 @@ func TestEntryServeRace(t *testing.T) {
 	}
 	if !bytes.Equal(wireBody(replayed), want) {
 		t.Error("wire answer after the install differs from a direct RouteData")
+	}
+}
+
+// TestWireClientAnswersStay: an answer WireClient.Ask returned is a view
+// into its own frame body, so later Asks on the same client must leave it
+// unchanged — while other clients ask and a reconciliation installs. Run
+// under -race.
+func TestWireClientAnswersStay(t *testing.T) {
+	sys, ct, g, addr := servingSystem(t)
+	const origin, clients, asks = 3, 4, 100
+	queries := []query.Query{broadQuery(), diseaseQuery("anorexia"), diseaseQuery("malaria")}
+	var wg sync.WaitGroup
+	fail := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		wc := dialTest(t, addr)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			first, _, err := wc.Ask(origin, broadQuery())
+			if err != nil {
+				fail <- err
+				return
+			}
+			before := wireBody(first)
+			for k := 0; k < asks; k++ {
+				if _, _, err := wc.Ask(origin, queries[k%len(queries)]); err != nil {
+					fail <- err
+					return
+				}
+			}
+			if !bytes.Equal(wireBody(first), before) {
+				fail <- errors.New("an answer changed under later asks on its client")
+			}
+		}()
+	}
+	mod := p2p.NodeID(8)
+	sys.SetLocalTree(mod, diseaseTree(t, "malaria", []float64{22, 33, 44}, saintetiq.PeerID(mod)))
+	sys.MarkModified(mod)
+	ct.Settle()
+	wg.Wait()
+	close(fail)
+	for err := range fail {
+		t.Fatal(err)
+	}
+	if g.Snapshot().Installs == 0 {
+		t.Fatal("the modification installed nothing")
 	}
 }

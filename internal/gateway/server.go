@@ -24,7 +24,9 @@ import (
 // types are registered payload codecs like any protocol message. A session
 // is one hello exchange followed by pipelined query/result frames
 // correlated by QID; responses replay a cached entry's pre-encoded bytes,
-// so a cache hit costs no answer re-encoding.
+// so a cache hit costs no answer re-encoding. The client reads each result
+// frame into a body of its own and decodes the answer as views into it:
+// its strings are never copied, and the body lives as long as the answer.
 
 // Gateway message types.
 const (
@@ -124,18 +126,29 @@ func encodeGwResult(e *wire.Enc, payload any) error {
 }
 
 func decodeGwResult(data []byte) (any, error) {
-	d := wire.NewDec(data)
+	p, err := decodeResult(wire.NewDec(data))
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// decodeResult reads a ResultPayload; on a shared Dec its strings are
+// views into the buffer.
+func decodeResult(d *wire.Dec) (ResultPayload, error) {
 	p := ResultPayload{QID: d.Uvarint(), Hit: d.Bool(), Err: d.String()}
 	a, err := routing.DecodeDataAnswer(d)
 	if err != nil {
-		return nil, err
+		return ResultPayload{}, err
 	}
 	p.Answer = a
 	return p, d.Done()
 }
 
-// readFrameUnit reads one length-prefixed frame off br into body (reused
-// across calls) and decodes it with owned memory.
+// readFrameUnit reads one length-prefixed frame off br into body, reusing
+// it when it is large enough, and decodes it borrowing from body: the
+// caller must finish with the payload before reusing body, or pass a
+// fresh body per frame to keep views into it.
 func readFrameUnit(br *bufio.Reader, hdr []byte, body *[]byte) (*wire.Frame, error) {
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, err
@@ -151,7 +164,7 @@ func readFrameUnit(br *bufio.Reader, hdr []byte, body *[]byte) (*wire.Frame, err
 	if _, err := io.ReadFull(br, *body); err != nil {
 		return nil, err
 	}
-	return wire.DecodeFrame(*body)
+	return wire.DecodeFrameShared(*body)
 }
 
 // writeFrameUnit appends a length-prefixed frame built from a pooled
@@ -261,10 +274,9 @@ type WireClient struct {
 	// Timeout bounds each Ask round-trip (0: no deadline).
 	Timeout time.Duration
 
-	mu   sync.Mutex
-	qid  uint64
-	hdr  []byte
-	body []byte
+	mu  sync.Mutex
+	qid uint64
+	hdr []byte
 }
 
 // DialWire opens a gateway session to addr and performs the hello
@@ -282,7 +294,8 @@ func DialWire(addr, name string) (*WireClient, error) {
 		conn.Close()
 		return nil, err
 	}
-	f, err := readFrameUnit(w.br, w.hdr, &w.body)
+	var body []byte
+	f, err := readFrameUnit(w.br, w.hdr, &body)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("gateway: hello: %w", err)
@@ -295,7 +308,9 @@ func DialWire(addr, name string) (*WireClient, error) {
 }
 
 // Ask poses q at origin and blocks for the result. hit reports whether
-// the gateway served it from cache.
+// the gateway served it from cache. Each result frame is read into a body
+// of its own, and the answer's strings are views into it: decoding copies
+// no string, and a later Ask never changes an answer already returned.
 func (w *WireClient) Ask(origin p2p.NodeID, q query.Query) (*routing.DataAnswer, bool, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -314,20 +329,19 @@ func (w *WireClient) Ask(origin p2p.NodeID, q query.Query) (*routing.DataAnswer,
 	}); err != nil {
 		return nil, false, err
 	}
-	codec, _ := wire.Lookup(MsgGwResult)
 	for {
-		f, err := readFrameUnit(w.br, w.hdr, &w.body)
+		var body []byte
+		f, err := readFrameUnit(w.br, w.hdr, &body)
 		if err != nil {
 			return nil, false, err
 		}
 		if f.Type != MsgGwResult || !f.HasPayload {
 			continue
 		}
-		payload, err := codec.Decode(f.Payload)
+		pl, err := decodeResult(wire.NewDecShared(f.Payload))
 		if err != nil {
 			return nil, false, err
 		}
-		pl := payload.(ResultPayload)
 		if pl.QID != qid {
 			continue // a response the session no longer waits on
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strings"
 
 	"p2psum/internal/cells"
 	"p2psum/internal/saintetiq"
@@ -16,8 +17,9 @@ import (
 // (SELECT attribute, descriptor), the SELECT measures and the ascending
 // union of its summaries' peer extents. Nothing is a string yet: per-shard
 // accumulators merge in shard order, and only the merged classes become
-// Class values — interpretation and answer maps, label strings, the class
-// key that orders them, and an exact-size peer extent.
+// Class rows — label sets, measures, label strings and peer extents carved
+// out of per-answer slabs in the attribute order the plan fixes once, plus
+// the class key that orders the classes.
 
 // plan is a compiled query resolved for aggregation against one
 // vocabulary, shared read-only by every shard's accumulator.
@@ -26,21 +28,28 @@ type plan struct {
 	vocab *saintetiq.Tree
 	q     Query
 	// keyed lists the clauses a class is keyed on: the last clause on each
-	// attribute, as the interpretation map keeps only that one.
+	// attribute, in ascending attribute order — the Interpretation rows.
 	keyed []int
+	// row maps each WHERE clause to its attribute's Interpretation row.
+	row []int
 	// A repeated SELECT name shares one slot: one answer and one measure,
-	// merged once per occurrence.
+	// merged once per occurrence. Slots are in ascending name order — the
+	// Answers and Measures rows.
 	names  []string // slot -> SELECT name
 	attrs  []int    // slot -> tree attribute
 	slotOf []int    // SELECT entry -> slot
 	off    []int    // slot -> first presence bit; off[len(names)] is the row width
 }
 
-// newPlan resolves q's SELECT attributes on vocab and the class key layout.
+// newPlan resolves q's SELECT attributes on vocab and the class row layout.
 func newPlan(vocab *saintetiq.Tree, q Query, c *compiled) (*plan, error) {
-	n := len(q.Select)
-	p := &plan{c: c, vocab: vocab, q: q, keyed: make([]int, 0, len(q.Where)),
-		names: make([]string, 0, n), attrs: make([]int, 0, n), slotOf: make([]int, n), off: make([]int, 1, n+1)}
+	for _, name := range q.Select {
+		if vocab.AttrIndex(name) < 0 {
+			return nil, fmt.Errorf("query: select attribute %q not summarized", name)
+		}
+	}
+	p := &plan{c: c, vocab: vocab, q: q, keyed: make([]int, 0, len(q.Where)), row: make([]int, len(q.Where)),
+		names: slices.Compact(slices.Sorted(slices.Values(q.Select))), slotOf: make([]int, len(q.Select))}
 	for i, cl := range q.Where {
 		last := true
 		for _, later := range q.Where[i+1:] {
@@ -50,19 +59,17 @@ func newPlan(vocab *saintetiq.Tree, q Query, c *compiled) (*plan, error) {
 			p.keyed = append(p.keyed, i)
 		}
 	}
+	slices.SortFunc(p.keyed, func(i, j int) int { return strings.Compare(q.Where[i].Attr, q.Where[j].Attr) })
+	for i, cl := range q.Where {
+		p.row[i] = slices.IndexFunc(p.keyed, func(k int) bool { return q.Where[k].Attr == cl.Attr })
+	}
+	p.attrs, p.off = make([]int, len(p.names)), make([]int, len(p.names)+1)
+	for s, name := range p.names {
+		p.attrs[s] = vocab.AttrIndex(name)
+		p.off[s+1] = p.off[s] + len(vocab.AttrLabels(p.attrs[s]))
+	}
 	for i, name := range q.Select {
-		s := slices.Index(p.names, name)
-		if s < 0 {
-			a := vocab.AttrIndex(name)
-			if a < 0 {
-				return nil, fmt.Errorf("query: select attribute %q not summarized", name)
-			}
-			s = len(p.names)
-			p.names = append(p.names, name)
-			p.attrs = append(p.attrs, a)
-			p.off = append(p.off, p.off[s]+len(vocab.AttrLabels(a)))
-		}
-		p.slotOf[i] = s
+		p.slotOf[i], _ = slices.BinarySearch(p.names, name)
 	}
 	return p, nil
 }
@@ -186,11 +193,12 @@ func (acc *accumulator) merge(src *accumulator) {
 }
 
 // answer builds the Answer, classes ordered by their classKey, and PQ: the
-// union of the class peer extents. The label slices of all classes share
-// one backing array and the peer slices another, each slice capped at its
-// length, so a caller's append copies instead of overwriting a neighbour.
+// union of the class peer extents. Every class row is a capped window of
+// one per-answer slab of its kind — label sets, measures, labels, peers —
+// so a caller's append copies instead of overwriting a neighbour.
 func (acc *accumulator) answer() (*Answer, []saintetiq.PeerID) {
 	p := acc.p
+	n := len(acc.classes)
 	nLabels, nPeers := 0, 0
 	for i := range acc.classes {
 		cl := &acc.classes[i]
@@ -202,23 +210,20 @@ func (acc *accumulator) answer() (*Answer, []saintetiq.PeerID) {
 			}
 		}
 	}
+	sets := make([]LabelSet, 0, n*(len(p.keyed)+len(p.names)))
+	measures := make([]AttrMeasure, 0, n*len(p.names))
 	labels := make([]string, 0, nLabels)
 	peers := make([]saintetiq.PeerID, 0, 2*nPeers) // class extents, then their union
 	type keyedClass struct {
 		lo, hi int // the class key in keys
 		c      Class
 	}
-	out := make([]keyedClass, len(acc.classes))
+	out := make([]keyedClass, n)
 	keys := acc.key[:0]
 	for i := range acc.classes {
 		cl := &acc.classes[i]
-		c := Class{
-			Interpretation: make(map[string][]string, len(p.keyed)),
-			Answers:        make(map[string][]string, len(p.names)),
-			Weight:         cl.weight,
-			Measures:       make(map[string]cells.Measure, len(p.names)),
-		}
-		k := 0
+		c := Class{Weight: cl.weight}
+		lo, k := len(sets), 0
 		for _, w := range p.keyed {
 			start := len(labels)
 			for {
@@ -229,8 +234,10 @@ func (acc *accumulator) answer() (*Answer, []saintetiq.PeerID) {
 				}
 				labels = append(labels, p.vocab.Label(p.c.attrs[w], int(j-1)))
 			}
-			c.Interpretation[p.q.Where[w].Attr] = capped(labels, start)
+			sets = append(sets, LabelSet{Attr: p.q.Where[w].Attr, Labels: capped(labels, start)})
 		}
+		c.Interpretation = sets[lo:len(sets):len(sets)]
+		lo, mlo := len(sets), len(measures)
 		for s, name := range p.names {
 			start := len(labels)
 			for j, in := range cl.present[p.off[s]:p.off[s+1]] {
@@ -238,21 +245,23 @@ func (acc *accumulator) answer() (*Answer, []saintetiq.PeerID) {
 					labels = append(labels, p.vocab.Label(p.attrs[s], j))
 				}
 			}
-			c.Answers[name] = capped(labels, start)
-			c.Measures[name] = cl.measures[s]
+			sets = append(sets, LabelSet{Attr: name, Labels: capped(labels, start)})
+			measures = append(measures, AttrMeasure{Attr: name, Measure: cl.measures[s]})
 		}
+		c.Answers = sets[lo:len(sets):len(sets)]
+		c.Measures = measures[mlo:len(measures):len(measures)]
 		start := len(peers)
 		peers = append(peers, cl.peers...)
 		c.Peers = peers[start:len(peers):len(peers)]
-		lo := len(keys)
-		keys = appendClassKey(keys, c.Interpretation, p.q.Where)
-		out[i] = keyedClass{lo, len(keys), c}
+		klo := len(keys)
+		keys = p.appendClassKey(keys, c.Interpretation)
+		out[i] = keyedClass{klo, len(keys), c}
 	}
 	acc.key = keys
 	slices.SortFunc(out, func(a, b keyedClass) int { return bytes.Compare(keys[a.lo:a.hi], keys[b.lo:b.hi]) })
 	ans := &Answer{Query: p.q}
-	if len(out) > 0 {
-		ans.Classes = make([]Class, len(out))
+	if n > 0 {
+		ans.Classes = make([]Class, n)
 		for i := range out {
 			ans.Classes[i] = out[i].c
 		}
@@ -266,14 +275,14 @@ func (acc *accumulator) answer() (*Answer, []saintetiq.PeerID) {
 
 // appendClassKey appends the canonical grouping key of an interpretation —
 // attr=label|label;attr=... in WHERE order — by which classes are ordered.
-func appendClassKey(dst []byte, interp map[string][]string, where []Clause) []byte {
-	for i, cl := range where {
+func (p *plan) appendClassKey(dst []byte, interp LabelSets) []byte {
+	for i, cl := range p.q.Where {
 		if i > 0 {
 			dst = append(dst, ';')
 		}
 		dst = append(dst, cl.Attr...)
 		dst = append(dst, '=')
-		for k, lab := range interp[cl.Attr] {
+		for k, lab := range interp[p.row[i]].Labels {
 			if k > 0 {
 				dst = append(dst, '|')
 			}

@@ -2,6 +2,7 @@ package query_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -22,7 +23,94 @@ import (
 // accumulator replaced, kept verbatim in spirit: valuation over
 // LabelIndexes, one interpretation map and class key per selected summary,
 // label and peer unions through maps, and a per-shard merge keyed on the
-// class key. The oracle tests hold the production path to it byte for byte.
+// class key. Its classes are the map-based Class the attribute-ordered rows
+// replaced, written by the sorted-key encoder that went with it. The oracle
+// tests hold the production path to it byte for byte.
+
+// refClass is the map-based class.
+type refClass struct {
+	Interpretation map[string][]string
+	Answers        map[string][]string
+	Weight         float64
+	Peers          []saintetiq.PeerID
+	Measures       map[string]cells.Measure
+}
+
+type refAnswer struct {
+	Query   query.Query
+	Classes []refClass
+}
+
+// refEncode is the DataAnswer wire body of a map-based answer, every map
+// written in sorted key order.
+func refEncode(a *refAnswer, peers []saintetiq.PeerID, visited int) []byte {
+	e := new(wire.Enc)
+	e.Uvarint(uint64(len(peers)))
+	for _, id := range peers {
+		e.Varint(int64(id))
+	}
+	e.Varint(int64(visited))
+	e.Bool(true)
+	routing.EncodeFlexQuery(e, a.Query)
+	e.Uvarint(uint64(len(a.Classes)))
+	labelSets := func(m map[string][]string) {
+		keys := sortedKeys(m)
+		e.Uvarint(uint64(len(keys)))
+		for _, k := range keys {
+			e.String(k)
+			e.Strings(m[k])
+		}
+	}
+	for _, c := range a.Classes {
+		labelSets(c.Interpretation)
+		labelSets(c.Answers)
+		e.Float64(c.Weight)
+		e.Uvarint(uint64(len(c.Peers)))
+		for _, p := range c.Peers {
+			e.Varint(int64(p))
+		}
+		keys := sortedKeys(c.Measures)
+		e.Uvarint(uint64(len(keys)))
+		for _, k := range keys {
+			m := c.Measures[k]
+			e.String(k)
+			e.Float64(m.Weight)
+			e.Float64(m.Min)
+			e.Float64(m.Max)
+			e.Float64(m.Sum)
+			e.Float64(m.SumSq)
+		}
+	}
+	return e.Bytes()
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// refString is Answer.String over the map-based classes.
+func (a *refAnswer) refString() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%s\n", a.Query)
+	for i, c := range a.Classes {
+		fmt.Fprintf(&sb, "class %d ", i+1)
+		var parts []string
+		for _, cl := range a.Query.Where {
+			parts = append(parts, strings.Join(c.Interpretation[cl.Attr], "|"))
+		}
+		fmt.Fprintf(&sb, "{%s} weight=%.2f:", strings.Join(parts, ", "), c.Weight)
+		for _, selAttr := range a.Query.Select {
+			fmt.Fprintf(&sb, " %s={%s}", selAttr, strings.Join(c.Answers[selAttr], ","))
+		}
+		sb.WriteString("\n")
+	}
+	return sb.String()
+}
 
 type refCompiled struct {
 	attrs  []int
@@ -155,9 +243,9 @@ func whereOrder(q query.Query) []string {
 
 // approximate is the per-tree class aggregation: one interpretation map and
 // class key per selected summary.
-func (c *refCompiled) approximate(vocab *saintetiq.Tree, q query.Query, zs []*saintetiq.Node) *query.Answer {
+func (c *refCompiled) approximate(vocab *saintetiq.Tree, q query.Query, zs []*saintetiq.Node) *refAnswer {
 	order := whereOrder(q)
-	groups := make(map[string]*query.Class)
+	groups := make(map[string]*refClass)
 	var keys []string
 	for _, z := range zs {
 		interp := make(map[string][]string, len(q.Where))
@@ -173,7 +261,7 @@ func (c *refCompiled) approximate(vocab *saintetiq.Tree, q query.Query, zs []*sa
 		key := refClassKey(interp, order)
 		g, ok := groups[key]
 		if !ok {
-			g = &query.Class{
+			g = &refClass{
 				Interpretation: interp,
 				Answers:        make(map[string][]string),
 				Measures:       make(map[string]cells.Measure),
@@ -199,7 +287,7 @@ func (c *refCompiled) approximate(vocab *saintetiq.Tree, q query.Query, zs []*sa
 		g.Peers = refUnionPeers(g.Peers, z.PeerIDs())
 	}
 	sort.Strings(keys)
-	ans := &query.Answer{Query: q}
+	ans := &refAnswer{Query: q}
 	for _, k := range keys {
 		ans.Classes = append(ans.Classes, *groups[k])
 	}
@@ -208,7 +296,7 @@ func (c *refCompiled) approximate(vocab *saintetiq.Tree, q query.Query, zs []*sa
 
 // refStore is AnswerStore before the accumulator: per-shard answers merged
 // through class-key maps, peers and weights summed shard by shard.
-func refStore(st summarystore.Store, q query.Query) (*query.Answer, []saintetiq.PeerID, float64, int) {
+func refStore(st summarystore.Store, q query.Query) (*refAnswer, []saintetiq.PeerID, float64, int) {
 	vocab := st.Vocab()
 	c := refCompile(vocab, q)
 	cands, err := query.Candidates(st, q)
@@ -216,9 +304,9 @@ func refStore(st summarystore.Store, q query.Query) (*query.Answer, []saintetiq.
 		panic(err)
 	}
 	order := whereOrder(q)
-	groups := make(map[string]*query.Class)
+	groups := make(map[string]*refClass)
 	var keys []string
-	merged := &query.Answer{Query: q}
+	merged := &refAnswer{Query: q}
 	var peers []saintetiq.PeerID
 	var weight float64
 	visited := 0
@@ -387,8 +475,9 @@ func randomQuery(rng *rand.Rand, b *bk.BK) query.Query {
 
 // oracleQueries is the seeded battery plus the edge cases the accumulator
 // must reproduce: a WHERE attribute repeated with different label sets (the
-// class keys on the last clause, as the interpretation map did) and a SELECT
-// name repeated (one measure, merged once per occurrence).
+// class keys on the last clause, as the interpretation map did), a SELECT
+// name repeated (one measure, merged once per occurrence) and an empty
+// SELECT (empty, non-nil answers and measures).
 func oracleQueries(b *bk.BK, n int) []query.Query {
 	qs := []query.Query{
 		{Select: []string{"age"}, Where: []query.Clause{
@@ -403,6 +492,10 @@ func oracleQueries(b *bk.BK, n int) []query.Query {
 			{Attr: "disease", Labels: []string{"anorexia", "malaria"}},
 			{Attr: "age", Labels: []string{"young", "adult"}},
 		}},
+		{Where: []query.Clause{
+			{Attr: "sex", Labels: []string{"female"}},
+			{Attr: "bmi", Labels: []string{"normal", "overweight"}},
+		}},
 	}
 	rng := rand.New(rand.NewSource(42))
 	for len(qs) < n {
@@ -411,18 +504,59 @@ func oracleQueries(b *bk.BK, n int) []query.Query {
 	return qs
 }
 
-func checkExactPeers(t *testing.T, where string, ans *query.Answer) {
+// checkAnswer holds a production answer to the reference: the same wire
+// bytes, String rendering and JSON; a decode of those bytes that re-encodes to
+// them; and class rows that are exact-capacity windows with strictly
+// ascending attributes.
+func checkAnswer(t *testing.T, where string, ans *query.Answer, peers []saintetiq.PeerID, visited int, ref *refAnswer, refPeers []saintetiq.PeerID) {
 	t.Helper()
+	got := encodeAnswer(ans, peers, visited)
+	if want := refEncode(ref, refPeers, visited); !bytes.Equal(got, want) {
+		t.Fatalf("%s: answer bytes differ\n got %s\nwant %s", where, ans, ref.refString())
+	}
+	if ans.String() != ref.refString() {
+		t.Fatalf("%s: String differs\n got %s\nwant %s", where, ans, ref.refString())
+	}
+	gj, gerr := json.Marshal(ans)
+	rj, rerr := json.Marshal(ref)
+	if !bytes.Equal(gj, rj) || (gerr == nil) != (rerr == nil) {
+		t.Fatalf("%s: JSON differs\n got %s (%v)\nwant %s (%v)", where, gj, gerr, rj, rerr)
+	}
+	back, err := routing.DecodeDataAnswer(wire.NewDecShared(got))
+	if err != nil {
+		t.Fatalf("%s: decode: %v", where, err)
+	}
+	e := new(wire.Enc)
+	routing.EncodeDataAnswer(e, back)
+	if !bytes.Equal(e.Bytes(), got) {
+		t.Fatalf("%s: decode and re-encode changed the bytes", where)
+	}
 	for i, c := range ans.Classes {
 		if c.Peers == nil || cap(c.Peers) != len(c.Peers) {
 			t.Fatalf("%s: class %d peers len %d cap %d (nil=%v), want exact non-nil", where, i, len(c.Peers), cap(c.Peers), c.Peers == nil)
 		}
+		attrs := func(row string, n, c int, attr func(int) string) {
+			if c != n {
+				t.Fatalf("%s: class %d %s len %d cap %d, want exact", where, i, row, n, c)
+			}
+			for k := 1; k < n; k++ {
+				if attr(k-1) >= attr(k) {
+					t.Fatalf("%s: class %d %s not strictly ascending at %d", where, i, row, k)
+				}
+			}
+		}
+		if c.Interpretation == nil || c.Answers == nil || c.Measures == nil {
+			t.Fatalf("%s: class %d has a nil row", where, i)
+		}
+		attrs("interpretation", len(c.Interpretation), cap(c.Interpretation), func(k int) string { return c.Interpretation[k].Attr })
+		attrs("answers", len(c.Answers), cap(c.Answers), func(k int) string { return c.Answers[k].Attr })
+		attrs("measures", len(c.Measures), cap(c.Measures), func(k int) string { return c.Measures[k].Attr })
 	}
 }
 
 // TestAnswersMatchReference: over seeded random queries, AnswerStore on 1,
-// 2, 4 and 8 shards and Approximate on a single tree encode to the same
-// bytes as the map-based reference; SelectStore and Select localize the
+// 2, 4 and 8 shards and Approximate on a single tree encode, render and
+// marshal like the map-based reference, and decode canonically; SelectStore and Select localize the
 // same peers; TopK, TopKStore and Explain rank and render identically.
 func TestAnswersMatchReference(t *testing.T) {
 	b := bk.Medical()
@@ -440,16 +574,16 @@ func TestAnswersMatchReference(t *testing.T) {
 				t.Fatalf("%s: %v", where, err)
 			}
 			ra, rp, rw, rv := refStore(st, q)
-			if got, want := encodeAnswer(sa.Answer, sa.Peers, sa.Visited), encodeAnswer(ra, rp, rv); !bytes.Equal(got, want) {
-				t.Fatalf("%s: answer bytes differ\n got %s\nwant %s", where, sa.Answer, ra)
+			if sa.Visited != rv {
+				t.Fatalf("%s: visited %d, reference %d", where, sa.Visited, rv)
 			}
+			checkAnswer(t, where, sa.Answer, sa.Peers, sa.Visited, ra, rp)
 			if sa.Weight != rw {
 				t.Fatalf("%s: weight %v, reference %v", where, sa.Weight, rw)
 			}
 			if cap(sa.Peers) != len(sa.Peers) {
 				t.Fatalf("%s: peers cap %d len %d", where, cap(sa.Peers), len(sa.Peers))
 			}
-			checkExactPeers(t, where, sa.Answer)
 			answers++
 			if len(sa.Answer.Classes) > 0 {
 				nonEmpty++
@@ -482,10 +616,7 @@ func TestAnswersMatchReference(t *testing.T) {
 		if !equalPeers(peers, refPeers(zs)) {
 			t.Fatalf("%s: Select peers %v, reference %v", where, peers, refPeers(zs))
 		}
-		if got, want := encodeAnswer(ans, peers, visited), encodeAnswer(c.approximate(tree, q, zs), refPeers(zs), visited); !bytes.Equal(got, want) {
-			t.Fatalf("%s: Approximate bytes differ", where)
-		}
-		checkExactPeers(t, where, ans)
+		checkAnswer(t, where, ans, peers, visited, c.approximate(tree, q, zs), refPeers(zs))
 
 		top, err := query.TopK(tree, q, 0)
 		if err != nil {

@@ -6,6 +6,7 @@
 package query
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -381,20 +382,86 @@ func (s *Selection) Weight() float64 {
 }
 
 // Class is one aggregation class of the approximate answer (§5.2.2):
-// summaries sharing the same interpretation of the proposition.
+// summaries sharing the same interpretation of the proposition. A class is
+// a row: its label sets and measures hold at most one entry per attribute,
+// in ascending attribute order.
 type Class struct {
-	// Interpretation maps each where-attribute to the descriptors of the
+	// Interpretation gives each where-attribute the descriptors of the
 	// class on it (the intersection of intent and clause).
-	Interpretation map[string][]string
-	// Answers maps each select-attribute to the union of descriptors that
+	Interpretation LabelSets
+	// Answers gives each select-attribute the union of descriptors that
 	// characterize the class (the approximate answer).
-	Answers map[string][]string
+	Answers LabelSets
 	// Weight is the tuple weight the class accounts for.
 	Weight float64
 	// Peers is the class's peer extent.
 	Peers []saintetiq.PeerID
 	// Measures aggregates the numeric select attributes over the class.
-	Measures map[string]cells.Measure
+	Measures AttrMeasures
+}
+
+// LabelSet is one attribute's descriptors within a class.
+type LabelSet struct {
+	Attr   string
+	Labels []string
+}
+
+// LabelSets is a class's descriptors per attribute, in ascending attribute
+// order with at most one entry per attribute. The wire codec writes it in
+// that order and rejects any other.
+type LabelSets []LabelSet
+
+// Get returns attr's descriptors, nil when s has no entry for it.
+func (s LabelSets) Get(attr string) []string {
+	for _, ls := range s {
+		if ls.Attr == attr {
+			return ls.Labels
+		}
+	}
+	return nil
+}
+
+// MarshalJSON renders s as the JSON object {attr: labels} (null when nil).
+func (s LabelSets) MarshalJSON() ([]byte, error) {
+	return marshalObject(s, func(ls LabelSet) (string, any) { return ls.Attr, ls.Labels })
+}
+
+// AttrMeasure is one attribute's measure within a class.
+type AttrMeasure struct {
+	Attr    string
+	Measure cells.Measure
+}
+
+// AttrMeasures is a class's measures per attribute, ordered like LabelSets.
+type AttrMeasures []AttrMeasure
+
+// Get returns attr's measure, the zero Measure when m has no entry for it.
+func (m AttrMeasures) Get(attr string) cells.Measure {
+	for _, am := range m {
+		if am.Attr == attr {
+			return am.Measure
+		}
+	}
+	return cells.Measure{}
+}
+
+// MarshalJSON renders m as the JSON object {attr: measure} (null when nil).
+func (m AttrMeasures) MarshalJSON() ([]byte, error) {
+	return marshalObject(m, func(am AttrMeasure) (string, any) { return am.Attr, am.Measure })
+}
+
+// marshalObject renders per-attribute rows as the JSON object a map keyed
+// by attribute renders to: keys ascending, null for a nil row.
+func marshalObject[T any](rows []T, entry func(T) (string, any)) ([]byte, error) {
+	var m map[string]any
+	if rows != nil {
+		m = make(map[string]any, len(rows))
+		for _, r := range rows {
+			k, v := entry(r)
+			m[k] = v
+		}
+	}
+	return json.Marshal(m)
 }
 
 // Answer is a complete approximate answer.
@@ -432,11 +499,11 @@ func (a *Answer) String() string {
 		fmt.Fprintf(&sb, "class %d ", i+1)
 		var parts []string
 		for _, cl := range a.Query.Where {
-			parts = append(parts, strings.Join(c.Interpretation[cl.Attr], "|"))
+			parts = append(parts, strings.Join(c.Interpretation.Get(cl.Attr), "|"))
 		}
 		fmt.Fprintf(&sb, "{%s} weight=%.2f:", strings.Join(parts, ", "), c.Weight)
 		for _, selAttr := range a.Query.Select {
-			fmt.Fprintf(&sb, " %s={%s}", selAttr, strings.Join(c.Answers[selAttr], ","))
+			fmt.Fprintf(&sb, " %s={%s}", selAttr, strings.Join(c.Answers.Get(selAttr), ","))
 		}
 		sb.WriteString("\n")
 	}

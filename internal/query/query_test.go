@@ -158,7 +158,7 @@ func TestPaperApproximateAnswer(t *testing.T) {
 		t.Fatal("no classes")
 	}
 	for _, c := range ans.Classes {
-		got := strings.Join(c.Answers["age"], ",")
+		got := strings.Join(c.Answers.Get("age"), ",")
 		if got != "young" {
 			t.Errorf("class %v answers age = %q, want young", c.Interpretation, got)
 		}
@@ -279,10 +279,10 @@ func TestApproximateClassesAndMeasures(t *testing.T) {
 	var weight float64
 	for _, c := range ans.Classes {
 		weight += c.Weight
-		if len(c.Answers["age"]) == 0 {
+		if len(c.Answers.Get("age")) == 0 {
 			t.Error("class has empty age answer")
 		}
-		if m := c.Measures["age"]; m.Weight <= 0 || m.Mean() < 0 || m.Mean() > 105 {
+		if m := c.Measures.Get("age"); m.Weight <= 0 || m.Mean() < 0 || m.Mean() > 105 {
 			t.Errorf("class age measure out of range: %+v", m)
 		}
 		if len(c.Peers) == 0 {
@@ -297,7 +297,7 @@ func TestApproximateClassesAndMeasures(t *testing.T) {
 	// class must mention adult or old.
 	found := false
 	for _, c := range ans.Classes {
-		for _, lab := range c.Answers["age"] {
+		for _, lab := range c.Answers.Get("age") {
 			if lab == "adult" || lab == "old" {
 				found = true
 			}

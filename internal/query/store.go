@@ -18,8 +18,8 @@ import (
 // re-rank, approximate-answer classes with the same interpretation
 // coalesce. A shard's answer stays in label-index space (classes.go): the
 // shard folds its selection into a class accumulator under its lock, the
-// accumulators merge in shard order, and strings — label names,
-// interpretation and answer maps, the class keys that order the classes —
+// accumulators merge in shard order, and strings — label names, the
+// attribute-ordered label sets, the class keys that order the classes —
 // are built once per merged class, after every lock is released. Because
 // every leaf cell lives in exactly one shard and pruned shards cannot own
 // matching leaves, the structure-invariant outputs (peer localization,

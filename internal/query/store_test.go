@@ -118,7 +118,7 @@ func answerUnion(a *Answer, q Query) map[string][]string {
 		present := make(map[string]bool)
 		var order []string
 		for _, c := range a.Classes {
-			for _, lab := range c.Answers[name] {
+			for _, lab := range c.Answers.Get(name) {
 				if !present[lab] {
 					present[lab] = true
 					order = append(order, lab)

@@ -3,7 +3,6 @@ package routing
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -63,17 +62,51 @@ func EncodeFlexQuery(e *wire.Enc, q query.Query) {
 }
 
 // DecodeFlexQuery reads the form EncodeFlexQuery writes; on malformed
-// input it returns the zero query and leaves the error on d.
+// input it returns the zero query and leaves the error on d. A dry run
+// over a copy of d sizes one slab that every label list is carved from.
 func DecodeFlexQuery(d *wire.Dec) query.Query {
-	q := query.Query{Select: d.Strings()}
-	n := d.Uvarint()
-	for i := uint64(0); i < n; i++ {
-		q.Where = append(q.Where, query.Clause{Attr: d.String(), Labels: d.Strings()})
-		if d.Err() != nil {
-			return query.Query{}
+	scan := *d
+	strs := skipStrings(&scan)
+	n := scan.Count()
+	for i := 0; i < n; i++ {
+		scan.SkipString()
+		strs += skipStrings(&scan)
+	}
+	if scan.Err() != nil {
+		*d = scan
+		return query.Query{}
+	}
+	var q query.Query
+	slab := make([]string, 0, strs)
+	q.Select, slab = carveStrings(d, slab)
+	if n := d.Count(); n > 0 {
+		q.Where = make([]query.Clause, n)
+		for i := range q.Where {
+			q.Where[i].Attr = d.String()
+			q.Where[i].Labels, slab = carveStrings(d, slab)
 		}
 	}
 	return q
+}
+
+// skipStrings reads past a counted string list and returns its length.
+func skipStrings(d *wire.Dec) int {
+	n := d.Count()
+	for i := n; i > 0; i-- {
+		d.SkipString()
+	}
+	return n
+}
+
+// carveStrings reads a counted string list onto the end of slab and
+// returns it as an exact-capacity window (non-nil when slab is), with the
+// grown slab.
+func carveStrings(d *wire.Dec, slab []string) ([]string, []string) {
+	lo := len(slab)
+	for n := d.Count(); n > 0; n-- {
+		slab = append(slab, d.String())
+	}
+	return slab[lo:len(slab):len(slab)], slab
 }
 
 func encodeQuery(e *wire.Enc, payload any) error {
@@ -92,52 +125,14 @@ func decodeQuery(data []byte) (any, error) {
 	return p, d.Done()
 }
 
-// keyScratch pools the sorted-key scratch of the answer encoders. Response
-// encoding runs once per query answered (and once per cached gateway
-// entry), and the per-map key sort was the answer path's last
-// per-response allocation.
-var keyScratch = sync.Pool{New: func() any { s := make([]string, 0, 16); return &s }}
-
-// appendSortedKeys fills buf with m's keys in ascending order.
-func appendSortedKeys[V any](buf []string, m map[string]V) []string {
-	buf = buf[:0]
-	for k := range m {
-		buf = append(buf, k)
+// encodeLabelSets writes a class's label sets in their ascending attribute
+// order, so equal payloads encode to equal bytes.
+func encodeLabelSets(e *wire.Enc, sets query.LabelSets) {
+	e.Uvarint(uint64(len(sets)))
+	for _, ls := range sets {
+		e.String(ls.Attr)
+		e.Strings(ls.Labels)
 	}
-	sort.Strings(buf)
-	return buf
-}
-
-// encodeLabelSets writes a map attr -> labels with sorted keys, so equal
-// payloads encode to equal bytes. The key sort runs on pooled scratch.
-func encodeLabelSets(e *wire.Enc, m map[string][]string) {
-	sp := keyScratch.Get().(*[]string)
-	keys := appendSortedKeys(*sp, m)
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.String(k)
-		e.Strings(m[k])
-	}
-	*sp = keys[:0]
-	keyScratch.Put(sp)
-}
-
-func decodeLabelSets(d *wire.Dec) map[string][]string {
-	n := d.Uvarint()
-	if d.Err() != nil || n == 0 {
-		return nil
-	}
-	// No capacity hint: n comes off the wire, and a corrupt count must
-	// fail at the first missing element, not pre-allocate.
-	m := make(map[string][]string)
-	for i := uint64(0); i < n; i++ {
-		k := d.String()
-		m[k] = d.Strings()
-		if d.Err() != nil {
-			return nil
-		}
-	}
-	return m
 }
 
 func encodeAnswer(e *wire.Enc, a *query.Answer) {
@@ -156,65 +151,147 @@ func encodeAnswer(e *wire.Enc, a *query.Answer) {
 		for _, p := range c.Peers {
 			e.Varint(int64(p))
 		}
-		sp := keyScratch.Get().(*[]string)
-		mkeys := appendSortedKeys(*sp, c.Measures)
-		e.Uvarint(uint64(len(mkeys)))
-		for _, k := range mkeys {
-			m := c.Measures[k]
-			e.String(k)
+		e.Uvarint(uint64(len(c.Measures)))
+		for _, am := range c.Measures {
+			m := am.Measure
+			e.String(am.Attr)
 			e.Float64(m.Weight)
 			e.Float64(m.Min)
 			e.Float64(m.Max)
 			e.Float64(m.Sum)
 			e.Float64(m.SumSq)
 		}
-		*sp = mkeys[:0]
-		keyScratch.Put(sp)
 	}
 }
 
-func decodeAnswer(d *wire.Dec) *query.Answer {
-	if !d.Bool() {
+// errAttrOrder rejects a class row whose attributes are not strictly
+// ascending: encodeAnswer never writes one, so decoding stays canonical.
+var errAttrOrder = errors.New("routing: answer attributes not strictly ascending")
+
+// answerSlabs are the backing arrays every class row of one decoded answer
+// is carved out of, each sized exactly by a dry run over the encoding.
+type answerSlabs struct {
+	sets     []query.LabelSet
+	labels   []string
+	measures []query.AttrMeasure
+	peers    []saintetiq.PeerID
+}
+
+// size reads n encoded classes off d, counting what they hold, and
+// allocates the slabs. d is a copy: the dry run reads no string.
+func (s *answerSlabs) size(d wire.Dec, n int) error {
+	var sets, labels, measures, peers int
+	for ; n > 0 && d.Err() == nil; n-- {
+		for k := 0; k < 2; k++ { // interpretation, answers
+			for i := d.Count(); i > 0; i-- {
+				d.SkipString()
+				sets, labels = sets+1, labels+skipStrings(&d)
+			}
+		}
+		d.Float64()
+		m := d.Count()
+		peers += m
+		for ; m > 0; m-- {
+			d.Varint()
+		}
+		m = d.Count()
+		measures += m
+		for ; m > 0; m-- {
+			d.SkipString()
+			for f := 0; f < 5; f++ {
+				d.Float64()
+			}
+		}
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	s.sets = make([]query.LabelSet, 0, sets)
+	s.labels = make([]string, 0, labels)
+	s.measures = make([]query.AttrMeasure, 0, measures)
+	s.peers = make([]saintetiq.PeerID, 0, peers)
+	return nil
+}
+
+// labelSets carves one class's label sets out of the slabs; nil when the
+// encoding holds none.
+func (s *answerSlabs) labelSets(d *wire.Dec) (query.LabelSets, error) {
+	n := d.Count()
+	if n == 0 {
+		return nil, nil
+	}
+	lo := len(s.sets)
+	for i := 0; i < n; i++ {
+		ls := query.LabelSet{Attr: d.String()}
+		if i > 0 && ls.Attr <= s.sets[len(s.sets)-1].Attr {
+			return nil, errAttrOrder
+		}
+		ls.Labels, s.labels = carveStrings(d, s.labels)
+		s.sets = append(s.sets, ls)
+	}
+	return s.sets[lo:len(s.sets):len(s.sets)], nil
+}
+
+// class decodes one class into c, carving its rows out of the slabs.
+func (s *answerSlabs) class(d *wire.Dec, c *query.Class) (err error) {
+	if c.Interpretation, err = s.labelSets(d); err != nil {
+		return err
+	}
+	if c.Answers, err = s.labelSets(d); err != nil {
+		return err
+	}
+	c.Weight = d.Float64()
+	if n := d.Count(); n > 0 {
+		lo := len(s.peers)
+		for ; n > 0; n-- {
+			s.peers = append(s.peers, saintetiq.PeerID(d.Varint()))
+		}
+		c.Peers = s.peers[lo:len(s.peers):len(s.peers)]
+	}
+	n := d.Count()
+	if n == 0 {
 		return nil
 	}
+	lo := len(s.measures)
+	for i := 0; i < n; i++ {
+		attr := d.String()
+		if i > 0 && attr <= s.measures[len(s.measures)-1].Attr {
+			return errAttrOrder
+		}
+		s.measures = append(s.measures, query.AttrMeasure{Attr: attr, Measure: cells.Measure{
+			Weight: d.Float64(),
+			Min:    d.Float64(),
+			Max:    d.Float64(),
+			Sum:    d.Float64(),
+			SumSq:  d.Float64(),
+		}})
+	}
+	c.Measures = s.measures[lo:len(s.measures):len(s.measures)]
+	return nil
+}
+
+// decodeAnswer reads the form encodeAnswer writes. Its strings are views
+// into the buffer when d is shared.
+func decodeAnswer(d *wire.Dec) (*query.Answer, error) {
+	if !d.Bool() {
+		return nil, d.Err()
+	}
 	a := &query.Answer{Query: DecodeFlexQuery(d)}
-	n := d.Uvarint()
-	for i := uint64(0); i < n; i++ {
-		c := query.Class{
-			Interpretation: decodeLabelSets(d),
-			Answers:        decodeLabelSets(d),
-			Weight:         d.Float64(),
-		}
-		peerCount := d.Uvarint()
-		for j := uint64(0); j < peerCount; j++ {
-			c.Peers = append(c.Peers, saintetiq.PeerID(d.Varint()))
-			if d.Err() != nil {
-				return nil
-			}
-		}
-		mCount := d.Uvarint()
-		for j := uint64(0); j < mCount; j++ {
-			if c.Measures == nil {
-				c.Measures = make(map[string]cells.Measure)
-			}
-			k := d.String()
-			c.Measures[k] = cells.Measure{
-				Weight: d.Float64(),
-				Min:    d.Float64(),
-				Max:    d.Float64(),
-				Sum:    d.Float64(),
-				SumSq:  d.Float64(),
-			}
-			if d.Err() != nil {
-				return nil
-			}
-		}
-		a.Classes = append(a.Classes, c)
-		if d.Err() != nil {
-			return nil
+	n := d.Count()
+	if n == 0 {
+		return a, d.Err()
+	}
+	var s answerSlabs
+	if err := s.size(*d, n); err != nil {
+		return nil, err
+	}
+	a.Classes = make([]query.Class, n)
+	for i := range a.Classes {
+		if err := s.class(d, &a.Classes[i]); err != nil {
+			return nil, err
 		}
 	}
-	return a
+	return a, d.Err()
 }
 
 // EncodeDataAnswer appends a DataAnswer's wire form — peers, visited
@@ -230,19 +307,31 @@ func EncodeDataAnswer(e *wire.Enc, a *DataAnswer) {
 	encodeAnswer(e, a.Answer)
 }
 
-// DecodeDataAnswer reads the form EncodeDataAnswer writes.
+// DecodeDataAnswer reads the form EncodeDataAnswer writes. On a shared
+// Dec (wire.NewDecShared) the answer's strings are views into the buffer,
+// which must then outlive the answer unchanged.
 func DecodeDataAnswer(d *wire.Dec) (*DataAnswer, error) {
-	a := &DataAnswer{}
-	n := d.Uvarint()
-	for i := uint64(0); i < n; i++ {
-		a.Peers = append(a.Peers, p2p.NodeID(d.Varint()))
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-	}
+	a := &DataAnswer{Peers: decodeNodeIDs(d)}
 	a.Visited = int(d.Varint())
-	a.Answer = decodeAnswer(d)
-	return a, d.Err()
+	ans, err := decodeAnswer(d)
+	if err != nil {
+		return nil, err
+	}
+	a.Answer = ans
+	return a, nil
+}
+
+// decodeNodeIDs reads a counted list of node ids, nil when empty.
+func decodeNodeIDs(d *wire.Dec) []p2p.NodeID {
+	n := d.Count()
+	if n == 0 {
+		return nil
+	}
+	ids := make([]p2p.NodeID, n)
+	for i := range ids {
+		ids[i] = p2p.NodeID(d.Varint())
+	}
+	return ids
 }
 
 func encodeQueryResponse(e *wire.Enc, payload any) error {
@@ -263,16 +352,13 @@ func encodeQueryResponse(e *wire.Enc, payload any) error {
 
 func decodeQueryResponse(data []byte) (any, error) {
 	d := wire.NewDec(data)
-	p := QueryResponsePayload{QID: d.Uvarint(), Err: d.String()}
-	n := d.Uvarint()
-	for i := uint64(0); i < n; i++ {
-		p.Peers = append(p.Peers, p2p.NodeID(d.Varint()))
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-	}
+	p := QueryResponsePayload{QID: d.Uvarint(), Err: d.String(), Peers: decodeNodeIDs(d)}
 	p.Visited = int(d.Varint())
-	p.Answer = decodeAnswer(d)
+	ans, err := decodeAnswer(d)
+	if err != nil {
+		return nil, err
+	}
+	p.Answer = ans
 	return p, d.Done()
 }
 

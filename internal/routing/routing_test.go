@@ -303,7 +303,7 @@ func TestRouteDataApproximateAnswer(t *testing.T) {
 	// young.
 	found := false
 	for _, c := range da.Answer.Classes {
-		for _, lab := range c.Answers["age"] {
+		for _, lab := range c.Answers.Get("age") {
 			if lab == "young" {
 				found = true
 			}

@@ -35,21 +35,22 @@ func sampleAnswer() *query.Answer {
 		Query: sampleQuery(),
 		Classes: []query.Class{
 			{
-				Interpretation: map[string][]string{"disease": {"malaria"}},
-				Answers:        map[string][]string{"age": {"young", "adult"}},
+				Interpretation: query.LabelSets{{Attr: "disease", Labels: []string{"malaria"}}},
+				Answers:        query.LabelSets{{Attr: "age", Labels: []string{"young", "adult"}}},
 				Weight:         12.5,
 				Peers:          []saintetiq.PeerID{1, 4, 9},
-				Measures: map[string]cells.Measure{
-					"age": {Weight: 12.5, Min: 14, Max: 38, Sum: 300, SumSq: 8000},
+				Measures: query.AttrMeasures{
+					{Attr: "age", Measure: cells.Measure{Weight: 12.5, Min: 14, Max: 38, Sum: 300, SumSq: 8000}},
 				},
 			},
 			{
-				Interpretation: map[string][]string{"disease": {"typhoid"}},
-				Answers:        map[string][]string{"age": {"old"}},
+				Interpretation: query.LabelSets{{Attr: "disease", Labels: []string{"typhoid"}}},
+				Answers:        query.LabelSets{{Attr: "age", Labels: []string{"old"}}, {Attr: "bmi", Labels: []string{}}},
 				Weight:         3,
 				Peers:          []saintetiq.PeerID{2},
-				Measures: map[string]cells.Measure{
-					"bmi": {Weight: 3, Min: math.Inf(1), Max: math.Inf(-1)},
+				Measures: query.AttrMeasures{
+					{Attr: "age", Measure: cells.Measure{Weight: 3, Min: 60, Max: 70, Sum: 195, SumSq: 12725}},
+					{Attr: "bmi", Measure: cells.Measure{Weight: 3, Min: math.Inf(1), Max: math.Inf(-1)}},
 				},
 			},
 		},

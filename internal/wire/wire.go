@@ -22,7 +22,8 @@
 //	hops     varint
 //	payload  bool + blob (present only when the message carried a payload)
 //
-// Integers use the standard varint encodings, floats are byte-reversed
+// Integers use the standard varint encodings in minimal form (Dec rejects
+// any other, so decoding is canonical), floats are byte-reversed
 // IEEE bits varint-encoded (low-precision values cost a few bytes),
 // strings and blobs are uvarint-length-prefixed. A frame is fully
 // self-delimiting, so truncation is always detected by Dec's error state.
@@ -288,6 +289,12 @@ func (e *Enc) Truncate(n int) {
 // frame was cut short in flight or the codec and encoder disagree.
 var ErrTruncated = errors.New("wire: truncated frame")
 
+// ErrNonCanonical reports a value encoded other than the way Enc writes
+// it: a varint with redundant trailing zero groups, or a bool byte other
+// than 0 or 1. Rejecting these makes decoding canonical — every accepted
+// buffer is the encoding of what it decodes to.
+var ErrNonCanonical = errors.New("wire: non-canonical encoding")
+
 // Dec consumes primitive values from a buffer. The first failure latches
 // into the error state; every later read returns the zero value, so codecs
 // can decode unconditionally and check Err once at the end.
@@ -310,8 +317,9 @@ func NewDec(b []byte) *Dec { return &Dec{buf: b} }
 // sub-slices of b and String/Strings return views over b's bytes. The
 // caller promises b is never mutated and outlives every decoded value —
 // the TCP read path qualifies (each decode completes, and every retained
-// value is rebuilt by a payload codec, before the buffer is reused); the
-// in-memory transports keep the copying Dec.
+// value is rebuilt by a payload codec, before the buffer is reused), and
+// so does a buffer read for one message and never reused, whose decoded
+// values may keep it alive; the in-memory transports keep the copying Dec.
 func NewDecShared(b []byte) *Dec { return &Dec{buf: b, share: true} }
 
 // Err returns the first decode error, or nil.
@@ -332,7 +340,12 @@ func (d *Dec) Done() error {
 	return nil
 }
 
-func (d *Dec) fail() { d.err = ErrTruncated }
+// fail latches ErrTruncated unless an earlier error is latched already.
+func (d *Dec) fail() {
+	if d.err == nil {
+		d.err = ErrTruncated
+	}
+}
 
 // Uint8 reads one raw byte.
 func (d *Dec) Uint8() uint8 {
@@ -351,11 +364,9 @@ func (d *Dec) Uvarint() uint64 {
 		return 0
 	}
 	u, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail()
+	if !d.advance(n) {
 		return 0
 	}
-	d.off += n
 	return u
 }
 
@@ -365,16 +376,37 @@ func (d *Dec) Varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail()
+	if !d.advance(n) {
 		return 0
 	}
-	d.off += n
 	return v
 }
 
+// advance consumes a varint of n bytes as binary.(U)varint reported it,
+// failing on a truncated or overflowing one (n <= 0) and on a minimal-form
+// violation: a last byte of zero after the first.
+func (d *Dec) advance(n int) bool {
+	switch {
+	case n <= 0:
+		d.fail()
+		return false
+	case n > 1 && d.buf[d.off+n-1] == 0:
+		d.err = ErrNonCanonical
+		return false
+	}
+	d.off += n
+	return true
+}
+
 // Bool reads a boolean.
-func (d *Dec) Bool() bool { return d.Uint8() != 0 }
+func (d *Dec) Bool() bool {
+	b := d.Uint8()
+	if b > 1 {
+		d.err = ErrNonCanonical
+		return false
+	}
+	return b == 1
+}
 
 // Float64 reads a float written by Enc.Float64.
 func (d *Dec) Float64() float64 {
@@ -421,17 +453,38 @@ func (d *Dec) Blob() []byte {
 	return b
 }
 
-// Strings reads a length-prefixed list of strings.
-func (d *Dec) Strings() []string {
+// SkipString reads past a length-prefixed string (or blob) without
+// copying it.
+func (d *Dec) SkipString() {
 	n := d.Uvarint()
 	if d.err != nil || uint64(d.Remaining()) < n {
-		// Each string costs at least one length byte; a count beyond the
-		// remaining bytes is corruption, not a huge allocation request.
 		d.fail()
+		return
+	}
+	d.off += int(n)
+}
+
+// Count reads the length prefix of a list whose every element takes at
+// least one byte. A count beyond the remaining bytes is corruption, not a
+// huge allocation request: it fails the decode and reads as 0, so a count
+// is always safe to size an allocation with.
+func (d *Dec) Count() int {
+	n := d.Uvarint()
+	if d.err != nil || uint64(d.Remaining()) < n {
+		d.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// Strings reads a length-prefixed list of strings.
+func (d *Dec) Strings() []string {
+	n := d.Count()
+	if d.err != nil {
 		return nil
 	}
 	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, d.String())
 	}
 	if d.err != nil {

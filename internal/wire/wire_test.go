@@ -61,6 +61,48 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecCanonical: each value has one accepted encoding — an overlong
+// varint or a bool byte other than 0/1 fails the decode — and Count and
+// SkipString refuse lengths beyond the buffer.
+func TestDecCanonical(t *testing.T) {
+	for name, read := range map[string]func(d *Dec){
+		"uvarint": func(d *Dec) { d.Uvarint() },
+		"varint":  func(d *Dec) { d.Varint() },
+		"float64": func(d *Dec) { d.Float64() },
+	} {
+		for _, b := range [][]byte{{0x80, 0x00}, {0x81, 0x80, 0x00}} {
+			d := NewDec(b)
+			read(d)
+			if d.Err() != ErrNonCanonical {
+				t.Errorf("%s of % x: err %v, want ErrNonCanonical", name, b, d.Err())
+			}
+		}
+		d := NewDec([]byte{0x81, 0x01})
+		read(d)
+		if err := d.Done(); err != nil {
+			t.Errorf("%s of a minimal two-byte varint: %v", name, err)
+		}
+	}
+	if d := NewDec([]byte{2}); d.Bool() || d.Err() != ErrNonCanonical {
+		t.Errorf("bool byte 2: err %v, want ErrNonCanonical", d.Err())
+	}
+	if d := NewDec([]byte{0x80, 0x00, 'a'}); d.String() != "" || d.Err() != ErrNonCanonical {
+		t.Errorf("overlong string length: err %v, want ErrNonCanonical", d.Err())
+	}
+	if d := NewDec([]byte{3, 'a', 'b'}); d.Count() != 0 || d.Err() != ErrTruncated {
+		t.Errorf("count 3 over 2 bytes: err %v, want ErrTruncated", d.Err())
+	}
+	d := NewDec([]byte{2, 'a', 'b', 0})
+	d.SkipString()
+	if d.Count() != 0 || d.Done() != nil {
+		t.Errorf("skip then count 0: %v", d.Err())
+	}
+	d = NewDec([]byte{3, 'a', 'b'})
+	if d.SkipString(); d.Err() != ErrTruncated {
+		t.Errorf("skip 3 over 2 bytes: err %v, want ErrTruncated", d.Err())
+	}
+}
+
 // randVarint draws a signed value of random bit length and sign, so every
 // varint width (1 to 10 bytes) and the values at or beyond 2^31 occur.
 func randVarint(rng *rand.Rand) int64 {
