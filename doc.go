@@ -403,17 +403,17 @@
 // boundary, replay bit-identically to the sequential engine with zero
 // clamped handoffs (ShardedStats.CausalityViolations).
 //
-// Three engine-level costs were flattened for that scale: event structs
-// are pooled per engine (a freelist reuses fired events, so the steady
-// state allocates nothing — CI benchgates BenchmarkEventDispatch at 0
-// allocs/op), the queue is a typed binary heap that compares (time,
-// sequence) fields directly — no container/heap interface dispatch, no
-// per-event handle map, no cancel tombstones, since a timer that can
-// turn obsolete (the reconciliation timeout) checks a sequence number
-// when it fires instead of being cancelled — and the topology graph
-// compacts its adjacency and latency rows into two flat backing arrays
-// (topology.Graph.Compact), dropping the per-edge map that dominated
-// memory at 100k nodes. A fourth cost sat outside the engine, in the
+// Three engine-level costs were flattened for that scale: events live by
+// value in the heap's backing array (no per-event struct to allocate,
+// pool or chase through a pointer, so the steady state allocates nothing
+// — CI benchgates BenchmarkEventDispatch at 0 allocs/op), the queue is a
+// typed binary heap that compares (time, sequence) fields directly — no
+// container/heap interface dispatch, no per-event handle map, no cancel
+// tombstones, since a timer that can turn obsolete (the reconciliation
+// timeout) checks a sequence number when it fires instead of being
+// cancelled — and the topology graph compacts its adjacency and latency
+// rows into two flat backing arrays (topology.Graph.Compact), dropping
+// the per-edge map that dominated memory at 100k nodes. A fourth cost sat outside the engine, in the
 // driver: Construct asked for one hop distance per find/adopt and got a
 // radius-6 BFS ball — nearly the whole power-law overlay — as a map.
 // That question is now a point-to-point topology.Graph.Hops (CI
@@ -473,7 +473,10 @@
 //	                           entries (state/incarnation/SP claim) and the
 //	                           version counter. Handlers, drivers, timers
 //	                           and gossip merges all mutate through it;
-//	                           reads (Online, Coverage scans) take RLock.
+//	                           reads (Coverage scans, StateOf) take RLock.
+//	                           Online alone takes no lock: it loads a
+//	                           per-node atomic bit the mutation stores
+//	                           under mu.
 //	liveness.View.obsMu        the observer hook pointer; the hook itself
 //	                           runs outside both view locks and may be
 //	                           invoked concurrently.

@@ -143,9 +143,11 @@ func (s *System) onDrop(msg *p2p.Message) {
 			return
 		}
 		// The ring token hit a partner that disconnected in flight: the
-		// sender skips it and forwards to the rest of the ring.
+		// sender skips it and forwards to the rest of the ring. The
+		// recipient already left Remaining and the id-list count when
+		// the token was sent, so the count is consistent as it stands.
 		sender := s.peers[msg.From]
-		sender.forwardReconcile(pl, pl.Remaining)
+		sender.forwardReconcile(pl)
 	case MsgElect:
 		// A lost proposal clears the dedupe marker so the next trigger
 		// (another absorbed tail, the confirmation nudge) retries it.

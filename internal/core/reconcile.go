@@ -3,6 +3,7 @@ package core
 import (
 	"p2psum/internal/liveness"
 	"p2psum/internal/p2p"
+	"p2psum/internal/wire"
 )
 
 // Freshness maintenance (§4.2): push-based modification notification
@@ -93,8 +94,9 @@ func (p *Peer) startRing() {
 	p.reconcileSeq++
 	remaining := p.onlinePartners()
 	p.armReconcileTimer(len(remaining))
-	pl := ReconcilePayload{SP: p.id, Seq: p.reconcileSeq, NewGS: p.sys.newTree()}
-	p.forwardReconcile(pl, remaining)
+	pl := ReconcilePayload{SP: p.id, Seq: p.reconcileSeq, NewGS: p.sys.newTree(),
+		Remaining: remaining, idBytes: wire.VarintsLen(remaining)}
+	p.forwardReconcile(pl)
 }
 
 // reconcileRetries resolves the configured retransmit budget (0 = default).
@@ -166,13 +168,15 @@ func (p *Peer) onlinePartners() []p2p.NodeID {
 }
 
 // forwardReconcile sends the reconciliation token to the next online
-// partner, or back to the summary peer when the ring is exhausted.
-func (p *Peer) forwardReconcile(pl ReconcilePayload, remaining []p2p.NodeID) {
-	for len(remaining) > 0 {
-		next := remaining[0]
-		rest := remaining[1:]
+// partner in pl.Remaining, or back to the summary peer when the ring is
+// exhausted. Every id popped — the recipient, or an offline partner
+// skipped — leaves the token's running id-list count with it.
+func (p *Peer) forwardReconcile(pl ReconcilePayload) {
+	for len(pl.Remaining) > 0 {
+		next := pl.Remaining[0]
+		pl.idBytes -= wire.VarintsLen(pl.Remaining[:1])
+		pl.Remaining = pl.Remaining[1:]
 		if p.sys.net.Online(next) {
-			pl.Remaining = rest
 			// Each hop rebuilds the piggybacked liveness tail for its own
 			// target (nil when off): what one partner still needs differs
 			// from the next.
@@ -180,7 +184,6 @@ func (p *Peer) forwardReconcile(pl ReconcilePayload, remaining []p2p.NodeID) {
 			p.sys.net.SendNew(MsgReconcile, p.id, next, 0, pl)
 			return
 		}
-		remaining = rest
 	}
 	// Ring exhausted: hand the new version to the summary peer.
 	pl.Remaining = nil
@@ -212,7 +215,8 @@ func (p *Peer) onReconcile(msg *p2p.Message) {
 		}
 	}
 	pl.Merged = append(pl.Merged, p.id)
-	p.forwardReconcile(pl, pl.Remaining)
+	pl.idBytes += wire.VarintsLen(pl.Merged[len(pl.Merged)-1:])
+	p.forwardReconcile(pl)
 }
 
 // completeReconcile installs the rebuilt global summary and resets the

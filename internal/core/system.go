@@ -255,21 +255,6 @@ type LocalsumPayload struct {
 	Rejoin bool
 }
 
-// SummaryNodeBytes is the paper's §6.1.1 estimate of one summary's wire
-// size ("k = 512 bytes gives a rough estimation of the space required for
-// each summary").
-const SummaryNodeBytes = 512
-
-// WireSize charges a localsum message for the local summary it carries
-// (the §6.1.1 estimate; the wire codec reports exact encoded sizes when
-// registered).
-func (p LocalsumPayload) WireSize() int {
-	if p.Tree == nil {
-		return 0
-	}
-	return SummaryNodeBytes * p.Tree.NodeCount()
-}
-
 // PushPayload carries a §4.2.1 freshness notification.
 type PushPayload struct {
 	// V is the pushed freshness value.
@@ -299,17 +284,12 @@ type ReconcilePayload struct {
 	// for the next hop (Config.GossipPiggyback); each ring hop rebuilds
 	// it. Nil when piggybacking is off.
 	Gossip *GossipTail
-}
-
-// WireSize charges a reconciliation token for the in-flight new global
-// summary plus the ring bookkeeping (the §6.1.1 estimate; the wire codec
-// reports exact encoded sizes when registered).
-func (p ReconcilePayload) WireSize() int {
-	size := 8 * (len(p.Remaining) + len(p.Merged))
-	if p.NewGS != nil {
-		size += SummaryNodeBytes * p.NewGS.NodeCount()
-	}
-	return size
+	// idBytes is the summed varint size of the Remaining and Merged
+	// elements (length prefixes excluded), kept current hop by hop so
+	// sizing the token costs O(1) instead of O(ring). It never goes on
+	// the wire; 0 with a non-empty list means "not counted" (every id
+	// costs at least one byte) — see idListBytes.
+	idBytes int
 }
 
 // Stats aggregates protocol-level events.

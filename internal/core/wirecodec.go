@@ -291,11 +291,9 @@ func decodeElect(data []byte) (any, error) {
 	return p, d.Done()
 }
 
-// encodeNodeIDs appends a length-prefixed node id list.
-func encodeNodeIDs(e *wire.Enc, ids []p2p.NodeID) { wire.Varints(e, ids) }
-
-// decodeNodeIDs reverses encodeNodeIDs (nil for an empty list, matching
-// the zero value the protocol builds with append).
+// decodeNodeIDs reads a length-prefixed node id list written by
+// wire.VarintsSized (nil for an empty list, matching the zero value the
+// protocol builds with append).
 func decodeNodeIDs(d *wire.Dec) []p2p.NodeID {
 	n := d.Uvarint()
 	if d.Err() != nil || n == 0 {
@@ -311,6 +309,24 @@ func decodeNodeIDs(d *wire.Dec) []p2p.NodeID {
 	return out
 }
 
+// idListBytes returns the summed element size of the token's id lists:
+// the running count the ring keeps, or a fresh O(ring) count for a
+// payload built without one. Race-instrumented builds recount every time
+// and panic when a running count has drifted from the lists.
+func (p *ReconcilePayload) idListBytes() int {
+	if p.idBytes != 0 && !checkTokenSize {
+		return p.idBytes
+	}
+	n := wire.VarintsLen(p.Remaining) + wire.VarintsLen(p.Merged)
+	if p.idBytes != 0 && p.idBytes != n {
+		panic(fmt.Sprintf("core: ring token counts %d id bytes, its lists hold %d", p.idBytes, n))
+	}
+	return n
+}
+
+// encodeReconcile charges both id lists' elements with Remaining's
+// length prefix — the token's running count covers both — so a counting
+// Enc sizes a hop in O(1).
 func encodeReconcile(e *wire.Enc, payload any) error {
 	p, ok := payload.(ReconcilePayload)
 	if !ok {
@@ -318,8 +334,8 @@ func encodeReconcile(e *wire.Enc, payload any) error {
 	}
 	e.Varint(int64(p.SP))
 	e.Varint(int64(p.Seq))
-	encodeNodeIDs(e, p.Remaining)
-	encodeNodeIDs(e, p.Merged)
+	wire.VarintsSized(e, p.Remaining, p.idListBytes())
+	wire.VarintsSized(e, p.Merged, 0)
 	encodeLivenessTail(e, p.Gossip)
 	return encodeTree(e, p.NewGS)
 }
@@ -332,6 +348,7 @@ func decodeReconcile(data []byte) (any, error) {
 		Remaining: decodeNodeIDs(d),
 		Merged:    decodeNodeIDs(d),
 	}
+	p.idBytes = wire.VarintsLen(p.Remaining) + wire.VarintsLen(p.Merged)
 	g, err := decodeLivenessTail(d)
 	if err != nil {
 		return nil, err

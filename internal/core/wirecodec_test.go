@@ -183,12 +183,16 @@ func TestReconcileCodecRoundTrip(t *testing.T) {
 			!treesEqual(got.NewGS, p.NewGS) {
 			t.Fatalf("case %d: round-trip mismatch:\nwant %+v\ngot  %+v", i, p, got)
 		}
+		if want := wire.VarintsLen(got.Remaining) + wire.VarintsLen(got.Merged); got.idBytes != want {
+			t.Fatalf("case %d: decoded token counts %d id bytes, its lists hold %d", i, got.idBytes, want)
+		}
 	}
 }
 
 // TestNodeIDsRoundTrip sizes and round-trips random id lists (negative
-// ids and ids >= 2^31 included) through encodeNodeIDs/decodeNodeIDs: the
-// counting encoder must charge exactly the bytes the writing one emits.
+// ids and ids >= 2^31 included) through wire.VarintsSized/decodeNodeIDs:
+// the counting encoder, charged VarintsLen, must count exactly the bytes
+// the writing one emits.
 func TestNodeIDsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 500; i++ {
@@ -202,8 +206,8 @@ func TestNodeIDsRoundTrip(t *testing.T) {
 		}
 		var w wire.Enc
 		c := wire.NewCountEnc()
-		encodeNodeIDs(&w, ids)
-		encodeNodeIDs(c, ids)
+		wire.VarintsSized(&w, ids, 0)
+		wire.VarintsSized(c, ids, wire.VarintsLen(ids))
 		if c.Len() != w.Len() {
 			t.Fatalf("%v: counted %d bytes, wrote %d", ids, c.Len(), w.Len())
 		}

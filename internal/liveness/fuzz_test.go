@@ -9,7 +9,9 @@ import (
 // a view that is authoritative for half its nodes, and proves the §4.3
 // invariants hold against any of them: no panic, the view version never
 // regresses, and no claim about a local node is ever adopted (local nodes
-// stay in the state the hosting process put them in).
+// stay in the state the hosting process put them in). Online, which reads
+// a lock-free mirror of the entries, must agree with StateOf after every
+// merge.
 func FuzzMergeChanges(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 200, 3, 2, 1, 99})
@@ -44,6 +46,7 @@ func FuzzMergeChanges(f *testing.F) {
 		if v.Version() < before {
 			t.Fatalf("version regressed %d -> %d", before, v.Version())
 		}
+		checkOnlineMirror(t, v)
 		for id := 0; id < n/2; id++ {
 			if got := v.StateOf(id); got != wantLocal[id] {
 				t.Fatalf("local node %d state %s, want %s (forged tail adopted)",
@@ -66,5 +69,17 @@ func FuzzMergeChanges(f *testing.F) {
 		if v.Version() < before {
 			t.Fatalf("version regressed on replay %d -> %d", before, v.Version())
 		}
+		checkOnlineMirror(t, v)
 	})
+}
+
+// checkOnlineMirror asserts Online(id) == (StateOf(id) == Alive) for every
+// node of the view.
+func checkOnlineMirror(t *testing.T, v *View) {
+	t.Helper()
+	for id := 0; id < v.Len(); id++ {
+		if v.Online(id) != (v.StateOf(id) == Alive) {
+			t.Fatalf("node %d: Online = %v but state is %s", id, v.Online(id), v.StateOf(id))
+		}
+	}
 }

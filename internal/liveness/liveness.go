@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // State is a node's liveness state in a view.
@@ -92,7 +93,11 @@ func (e Entry) Supersedes(old Entry) bool {
 type View struct {
 	mu      sync.RWMutex
 	entries []Entry
-	vers    []uint64          // per-entry: version at last effective change
+	vers    []uint64 // per-entry: version at last effective change
+	// alive mirrors entries[id].State == Alive for Online, the one reader
+	// on every send and delivery, which reads it without the lock. bump
+	// is its only writer.
+	alive   []atomic.Bool
 	local   func(id int) bool // nil: every node is local (in-memory transports)
 	version uint64
 	// susInc marks the open suspicion filing per node: inc+1 of the
@@ -117,18 +122,23 @@ type View struct {
 // at version 1 with every entry stamped 1, so version 0 unambiguously
 // means "has never seen anything of this view" to a gossip partner.
 func NewView(n int, local func(id int) bool) *View {
-	v := &View{entries: make([]Entry, n), vers: make([]uint64, n), susInc: make([]uint64, n), local: local, version: 1}
+	v := &View{entries: make([]Entry, n), vers: make([]uint64, n), alive: make([]atomic.Bool, n),
+		susInc: make([]uint64, n), local: local, version: 1}
 	for i := range v.entries {
 		v.entries[i].SP = NoSP
 		v.vers[i] = 1
+		v.alive[i].Store(true)
 	}
 	return v
 }
 
-// bump stamps an effective mutation of entry id. Caller holds mu.
+// bump stamps an effective mutation of entry id and republishes its
+// online bit. Every effective mutation calls it, after changing the
+// entry. Caller holds mu.
 func (v *View) bump(id int) {
 	v.version++
 	v.vers[id] = v.version
+	v.alive[id].Store(v.entries[id].State == Alive)
 }
 
 // Len returns the number of nodes.
@@ -169,12 +179,9 @@ func (v *View) EntryOf(id int) Entry {
 }
 
 // Online reports whether the node is believed online (state Alive; suspect
-// nodes count as offline until refuted).
-func (v *View) Online(id int) bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.entries[id].State == Alive
-}
+// nodes count as offline until refuted). It takes no lock: it reads the
+// per-node bit bump publishes with each change.
+func (v *View) Online(id int) bool { return v.alive[id].Load() }
 
 // OnlineCount returns the number of nodes believed online.
 func (v *View) OnlineCount() int {

@@ -127,6 +127,28 @@ func registeredSamples() map[string]any {
 	}
 }
 
+// exportedEqual is reflect.DeepEqual over the exported fields of two
+// payloads of one type: what a codec must carry. Unexported fields are
+// caches a decoder may fill in and a literal leaves zero.
+func exportedEqual(a, b any) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	if va.Type() != vb.Type() {
+		return false
+	}
+	if va.Kind() != reflect.Struct {
+		return reflect.DeepEqual(a, b)
+	}
+	for i := 0; i < va.NumField(); i++ {
+		if !va.Type().Field(i).IsExported() {
+			continue
+		}
+		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestEveryRegisteredTypeCovered: each registered codec has a sample, each
 // sample round-trips, and every strict prefix of its encoding fails to
 // decode. Together with the richer per-type suites this discharges the
@@ -151,8 +173,14 @@ func TestEveryRegisteredTypeCovered(t *testing.T) {
 			t.Errorf("%s: decode: %v", typ, err)
 			continue
 		}
-		if !reflect.DeepEqual(got, sample) {
+		if !exportedEqual(got, sample) {
 			t.Errorf("%s: round-trip mismatch:\nwant %+v\ngot  %+v", typ, sample, got)
+		}
+		// A decoded payload may carry unexported caches (the ring token's
+		// id-list byte count); they must size the payload exactly.
+		ce := wire.NewCountEnc()
+		if err := c.Encode(ce, got); err != nil || ce.Len() != len(full) {
+			t.Errorf("%s: decoded payload counts %d bytes (err %v), its encoding is %d", typ, ce.Len(), err, len(full))
 		}
 		for cut := 0; cut < len(full); cut++ {
 			if _, err := c.Decode(full[:cut]); err == nil {

@@ -311,8 +311,8 @@ func FuzzShardedWindows(f *testing.F) {
 }
 
 // BenchmarkEventDispatch is the hot-path gate: schedule + dispatch of
-// one event must not allocate once the freelist is warm (CI enforces
-// allocs/op == 0 via benchgate).
+// one event must not allocate once the heap's backing array has grown
+// (CI enforces allocs/op == 0 via benchgate).
 func BenchmarkEventDispatch(b *testing.B) {
 	e := New()
 	fn := func() {}
@@ -331,8 +331,8 @@ func BenchmarkEventDispatch(b *testing.B) {
 // BenchmarkWindowBarrier measures one full coordinator cycle — inbox
 // drain, window plan, inline region execution, barrier bookkeeping — via
 // a two-region ping-pong where every hop is its own window. The staging
-// slabs and event structs are pooled, so the steady-state barrier must
-// not allocate (CI gates allocs/op == 0 via benchgate).
+// slabs are pooled and events live by value in the heaps, so the
+// steady-state barrier must not allocate (CI gates allocs/op == 0 via benchgate).
 func BenchmarkWindowBarrier(b *testing.B) {
 	const lookahead = Time(0.05)
 	s, err := NewSharded(2, 2)

@@ -11,12 +11,13 @@
 // overlay into regions — one Engine per region — advanced in conservative
 // lockstep time windows so intra-region events execute in parallel.
 //
-// The queue is a typed binary min-heap of pooled event structs compared on
+// The queue is a typed binary min-heap of event values compared on
 // (time, sequence) directly — no container/heap interface dispatch, no
-// per-event handle map. Events cannot be cancelled: every scheduled event
-// fires, and a protocol timer that may turn obsolete carries its own guard
-// (reconciliation timeouts check a sequence number), so the kernel keeps
-// no tombstones and Pending is the heap's length.
+// per-event handle map, no pointer per event to chase or pool. Events
+// cannot be cancelled: every scheduled event fires, and a protocol timer
+// that may turn obsolete carries its own guard (reconciliation timeouts
+// check a sequence number), so the kernel keeps no tombstones and Pending
+// is the heap's length.
 package sim
 
 import (
@@ -44,10 +45,10 @@ func Duration(d time.Duration) Time { return Time(d.Seconds()) }
 // End is the largest representable time.
 const End Time = Time(math.MaxFloat64)
 
-// Event is a scheduled callback. Structs are pooled on a per-engine
-// freelist: the hot dispatch path (schedule, pop, run) allocates nothing
-// once the freelist is warm — BenchmarkEventDispatch pins 0 allocs/op and
-// CI gates it.
+// event is a scheduled callback. Events live by value in the heap's
+// backing array, so the hot dispatch path (schedule, pop, run) allocates
+// nothing once the array has grown to the run's high-water mark —
+// BenchmarkEventDispatch pins 0 allocs/op and CI gates it.
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among same-time events
@@ -65,14 +66,14 @@ func (a *event) before(b *event) bool {
 // eventQueue is a binary min-heap on before. seq is unique per engine,
 // so the order is total and pop order is exactly the (time, FIFO)
 // schedule order.
-type eventQueue []*event
+type eventQueue []event
 
-func (q *eventQueue) push(ev *event) {
+func (q *eventQueue) push(ev event) {
 	h := append(*q, ev)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !ev.before(h[p]) {
+		if !ev.before(&h[p]) {
 			break
 		}
 		h[i] = h[p]
@@ -82,12 +83,14 @@ func (q *eventQueue) push(ev *event) {
 	*q = h
 }
 
-func (q *eventQueue) pop() *event {
+// pop removes and returns the earliest event. The vacated slot is zeroed
+// so the heap's spare capacity pins no fired closure.
+func (q *eventQueue) pop() event {
 	h := *q
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = nil
+	h[n] = event{}
 	h = h[:n]
 	if n > 0 {
 		i := 0
@@ -96,10 +99,10 @@ func (q *eventQueue) pop() *event {
 			if c >= n {
 				break
 			}
-			if r := c + 1; r < n && h[r].before(h[c]) {
+			if r := c + 1; r < n && h[r].before(&h[c]) {
 				c = r
 			}
-			if !h[c].before(last) {
+			if !h[c].before(&last) {
 				break
 			}
 			h[i] = h[c]
@@ -111,10 +114,6 @@ func (q *eventQueue) pop() *event {
 	return top
 }
 
-// maxFreelist bounds the per-engine event freelist so a burst of scheduled
-// events does not pin its high-water mark in memory forever.
-const maxFreelist = 1 << 15
-
 // Engine is the sequential simulation kernel. It also serves as one
 // region's queue inside a Sharded engine, where its events are executed by
 // that region's worker goroutine (never by two goroutines at once).
@@ -122,8 +121,7 @@ type Engine struct {
 	now    Time
 	queue  eventQueue
 	seq    uint64
-	events uint64   // executed events
-	free   []*event // event-struct freelist (hot path: 0 allocs)
+	events uint64 // executed events
 	// nowBits mirrors now for cross-goroutine reads (set only on region
 	// engines inside a Sharded kernel; nil on a standalone Engine).
 	nowBits *atomic.Uint64
@@ -163,15 +161,7 @@ func (e *Engine) At(at Time, fn func()) {
 		at = e.now
 	}
 	e.seq++
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		ev = &event{}
-	}
-	ev.at, ev.seq, ev.fn = at, e.seq, fn
-	e.queue.push(ev)
+	e.queue.push(event{at: at, seq: e.seq, fn: fn})
 }
 
 // After schedules fn after the given delay.
@@ -190,19 +180,13 @@ func (e *Engine) nextAt() (Time, bool) {
 	return e.queue[0].at, true
 }
 
-// fire pops the next event, advances the clock to it, recycles its struct
-// (dropping the closure so its captures are collectable at once) and runs
-// it. The queue must be non-empty.
+// fire pops the next event, advances the clock to it and runs it. The
+// queue must be non-empty.
 func (e *Engine) fire() {
 	ev := e.queue.pop()
 	e.setNow(ev.at)
 	e.events++
-	fn := ev.fn
-	ev.fn = nil
-	if len(e.free) < maxFreelist {
-		e.free = append(e.free, ev)
-	}
-	fn()
+	ev.fn()
 }
 
 // Step executes the next event. It reports false when the queue is empty.

@@ -172,16 +172,25 @@ func (e *Enc) Varint(v int64) {
 	e.buf = binary.AppendVarint(e.buf, v)
 }
 
-// Varints appends a length-prefixed list of signed (zig-zag) varints —
-// the bytes of Uvarint(len) followed by one Varint per element. A counting
-// Enc sizes the whole list in one pass without a call per element.
-func Varints[T ~int | ~int32 | ~int64](e *Enc, vs []T) {
+// VarintsLen returns the encoded size of vs's elements as VarintsSized
+// writes them, without the length prefix.
+func VarintsLen[T ~int | ~int32 | ~int64](vs []T) int {
+	n := 0
+	for _, v := range vs {
+		n += varintLen(int64(v))
+	}
+	return n
+}
+
+// VarintsSized appends a length-prefixed list of signed (zig-zag) varints
+// — the bytes of Uvarint(len) followed by one Varint per element — for a
+// caller that keeps the element size n itself: a counting Enc charges the
+// length prefix plus n without walking vs, a writing Enc ignores n. n is
+// VarintsLen(vs), or a running total that also covers the elements of
+// lists the caller writes with n = 0.
+func VarintsSized[T ~int | ~int32 | ~int64](e *Enc, vs []T, n int) {
 	e.Uvarint(uint64(len(vs)))
 	if e.count {
-		n := 0
-		for _, v := range vs {
-			n += varintLen(int64(v))
-		}
 		e.n += n
 		return
 	}

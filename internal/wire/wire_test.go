@@ -113,15 +113,15 @@ func randVarint(rng *rand.Rand) int64 {
 	return v
 }
 
-// checkVarints requires Varints to size exactly what it writes, to write
-// the bytes of the per-element Uvarint(len) + Varint encoding, and to
-// decode back to vs.
+// checkVarints requires VarintsSized, charged VarintsLen, to size exactly
+// what it writes, to write the bytes of the per-element Uvarint(len) +
+// Varint encoding, and to decode back to vs.
 func checkVarints[T ~int | ~int32 | ~int64](t *testing.T, vs []T) {
 	t.Helper()
 	var w, ref Enc
 	c := NewCountEnc()
-	Varints(&w, vs)
-	Varints(c, vs)
+	VarintsSized(&w, vs, 0)
+	VarintsSized(c, vs, VarintsLen(vs))
 	ref.Uvarint(uint64(len(vs)))
 	for _, v := range vs {
 		ref.Varint(int64(v))
