@@ -1,7 +1,6 @@
 package p2psum
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -263,59 +262,6 @@ func TestSimulationValidation(t *testing.T) {
 	}
 	if err := s.SetLocalData(0, PaperPatients()); err == nil {
 		t.Error("SetLocalData without DataLevel accepted")
-	}
-	if _, err := NewSimulation(SimOptions{Peers: 20, Regions: -1}); err == nil {
-		t.Error("negative Regions accepted")
-	}
-	if _, err := NewSimulation(SimOptions{Peers: 20, Regions: 4, Transport: TransportChannel}); err == nil {
-		t.Error("Regions on the channel transport accepted")
-	}
-}
-
-// TestSimulationRegions runs the full lifecycle — construct, churn,
-// queries — on the sequential engine and on the region-sharded kernel
-// and requires bit-identical observable state.
-func TestSimulationRegions(t *testing.T) {
-	run := func(regions int) (string, map[string]int64, float64) {
-		s, err := NewSimulation(SimOptions{Peers: 300, SummaryPeers: 6, Seed: 17, Regions: regions})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Construct(); err != nil {
-			t.Fatal(err)
-		}
-		s.RunChurn(2, 0.8)
-		oracle := s.RandomMatchOracle(0.10)
-		if _, err := s.QueryProtocol(s.RandomClient(), oracle, 0); err != nil {
-			t.Fatal(err)
-		}
-		if regions > 1 {
-			ks, ok := s.KernelStats()
-			if !ok {
-				t.Errorf("%d regions: no kernel stats", regions)
-			} else if ks.Windows == 0 {
-				t.Errorf("%d regions: kernel ran no windows", regions)
-			}
-		} else if _, ok := s.KernelStats(); ok {
-			t.Error("sequential engine reported kernel stats")
-		}
-		return s.Describe(), s.MessageCounts(), s.Now()
-	}
-	baseDesc, baseCounts, baseNow := run(1)
-	for _, regions := range []int{2, 4} {
-		name := fmt.Sprintf("%d regions", regions)
-		desc, counts, now := run(regions)
-		if desc != baseDesc {
-			t.Errorf("%s: Describe diverged:\n%s\nvs sequential:\n%s", name, desc, baseDesc)
-		}
-		if now != baseNow {
-			t.Errorf("%s: Now %g != %g", name, now, baseNow)
-		}
-		for k, v := range baseCounts {
-			if counts[k] != v {
-				t.Errorf("%s: %s = %d, sequential %d", name, k, counts[k], v)
-			}
-		}
 	}
 }
 

@@ -31,9 +31,9 @@
 //	-faults-out   file the faults experiment writes its per-scenario
 //	              reconvergence points to as JSON (default
 //	              BENCH_faults.json; empty disables the file)
-//	-scale-out    file the scale experiment writes its size × region-count
-//	              sweep to as JSON (default BENCH_scale.json; empty
-//	              disables the file)
+//	-scale-out    file the scale experiment writes its overlay-size sweep
+//	              to as JSON (default BENCH_scale.json; empty disables the
+//	              file)
 //	-gateway-out  file the gateway experiment writes its client-count sweep
 //	              to as JSON (default BENCH_gateway.json; empty disables
 //	              the file)

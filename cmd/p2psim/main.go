@@ -8,7 +8,6 @@
 //	p2psim [-peers 1000] [-sps 10] [-alpha 0.3] [-hours 6] [-queries 50]
 //	       [-hit 0.10] [-graceful 0.8] [-mode balanced|precise|max-recall]
 //	       [-transport sim|channel] [-loss 0.0] [-shards 1] [-dispatchers 1]
-//	       [-regions 1] [-v]
 //	       [-seed 1] [-runs 1] [-parallel 0]
 //
 // Flags:
@@ -33,12 +32,6 @@
 //	              transport only): domains map onto groups at construction,
 //	              so independent domains run their handlers concurrently;
 //	              1 = the single serialized dispatcher
-//	-regions      per-region event queues of the discrete-event engine (sim
-//	              transport only): domains map onto regions and intra-region
-//	              events run in parallel under conservative time windows,
-//	              bit-identical to the sequential engine; 1 = one heap
-//	-v            print the sharded kernel's window counters after the
-//	              run (regions > 1)
 //	-seed         random seed of the first replica
 //	-runs         independently seeded replicas (seed, seed+1, ...)
 //	-parallel     concurrent replicas (0 = one per CPU)
@@ -62,8 +55,6 @@ import (
 type options struct {
 	peers, sps, queries int
 	shards, dispatchers int
-	regions             int
-	verbose             bool
 	alpha, hours        float64
 	hit, graceful, loss float64
 	mode                p2psum.RoutingMode
@@ -83,8 +74,6 @@ type runResult struct {
 	describe               string
 	counts, volumes        map[string]int64
 	totalMsgs, totalBytes  int64
-	kernel                 p2psum.KernelStatsSnapshot
-	hasKernel              bool
 }
 
 func runOne(o options) (*runResult, error) {
@@ -97,7 +86,6 @@ func runOne(o options) (*runResult, error) {
 		LossRate:     o.loss,
 		Shards:       o.shards,
 		Dispatchers:  o.dispatchers,
-		Regions:      o.regions,
 	})
 	if err != nil {
 		return nil, err
@@ -136,7 +124,6 @@ func runOne(o options) (*runResult, error) {
 	r.volumes = sim.MessageBytes()
 	r.totalMsgs = sim.TotalMessages()
 	r.totalBytes = sim.TotalBytes()
-	r.kernel, r.hasKernel = sim.KernelStats()
 	return r, nil
 }
 
@@ -165,12 +152,6 @@ func printDetail(o options, r *runResult, modeName string) {
 		fmt.Printf("  %-16s %10d %12d B\n", k, r.counts[k], r.volumes[k])
 	}
 	fmt.Printf("  %-16s %10d %12d B\n", "total", r.totalMsgs, r.totalBytes)
-
-	if o.verbose && r.hasKernel {
-		k := r.kernel
-		fmt.Printf("\nsharded kernel (%d regions):\n", o.regions)
-		fmt.Printf("  windows=%d causality-violations=%d\n", k.Windows, k.CausalityViolations)
-	}
 }
 
 func main() {
@@ -186,16 +167,14 @@ func main() {
 	loss := flag.Float64("loss", 0, "packet-loss probability (channel transport only)")
 	shards := flag.Int("shards", 1, "global-summary store shards per domain (data-level runs; 1 = single tree)")
 	dispatchers := flag.Int("dispatchers", 1, "dispatch groups of the channel transport (channel only; domains map onto groups, 1 = single dispatcher)")
-	regions := flag.Int("regions", 1, "per-region event queues of the discrete-event engine (sim only; bit-identical to the sequential engine, 1 = one heap)")
-	verbose := flag.Bool("v", false, "print the sharded kernel's window counters after the run")
 	seed := flag.Int64("seed", 1, "random seed (first replica)")
 	runs := flag.Int("runs", 1, "independently seeded replicas (seed, seed+1, ...)")
 	parallel := flag.Int("parallel", 0, "concurrent replicas (0 = one per CPU)")
 	flag.Parse()
 
 	o := options{
-		peers: *peers, sps: *sps, queries: *queries, shards: *shards,
-		dispatchers: *dispatchers, regions: *regions, verbose: *verbose,
+		peers: *peers, sps: *sps, queries: *queries,
+		shards: *shards, dispatchers: *dispatchers,
 		alpha: *alpha, hours: *hours,
 		hit: *hit, graceful: *graceful, loss: *loss,
 		seed: *seed,

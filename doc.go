@@ -54,7 +54,7 @@
 //	                                      peer extents are sorted slices, encoded as is
 //	internal/p2p.Transport                overlay substrate interface
 //	├── p2p.Network                       deterministic, discrete-event (internal/sim),
-//	                                      sequential or region-sharded (parallel windows)
+//	                                      one event heap on one goroutine
 //	├── p2p.ChannelTransport              concurrent, real-time, sharded dispatch
 //	└── p2p.TCPTransport                  real sockets: one process hosts part of the
 //	                                      overlay, frames cross the wire (internal/wire)
@@ -90,7 +90,7 @@
 // Graph.Hops call, an early-exit bounded BFS on pooled scratch arrays
 // that allocates nothing and may run from any dispatch group at once.
 // The optional interfaces are p2p.DispatchGrouper (DispatchGroups,
-// SetGroupBy), p2p.OriginScheduler and p2p.Localizer.
+// SetGroupBy) and p2p.Localizer.
 //
 // # The wire layer and the codec-registration contract
 //
@@ -371,37 +371,12 @@
 // (walk-accept inspecting another peer's domain pointer) go through
 // atomics, and protocol Stats go through a lock.
 //
-// # The parallel event horizon
+// # The event engine at scale
 //
-// The discrete-event engine has two kernels. sim.Engine is the classic
-// sequential heap: one priority queue, one virtual clock, total order.
-// sim.Sharded scales one simulated domain network to 100k+ peers by
-// partitioning the overlay into regions — reusing the same
-// NearestSeeds domain partition the dispatcher groups use, so a domain
-// never straddles regions — and giving each region its own Engine,
-// advanced in barrier-separated time windows. Cross-region sends are
-// staged in per-region inboxes and drained at the window barrier in a
-// deterministic order (timestamp first, source region second), and
-// after every run the region clocks are equalized to the global
-// maximum, so driver-scheduled work observes one clock. The result is
-// bit-identical to the sequential engine at every region count —
-// equivalence tests diff full protocol fingerprints at 1/2/4/8 regions,
-// and the scale experiment (RunScaleScenario, BENCH_scale.json) enforces
-// a report hash across region counts while recording the wall-clock
-// speedup.
-//
-// There is one window rule: every window spans [T, T+lookahead), where
-// T is the earliest pending event anywhere and the lookahead is the
-// minimum latency of any cross-region link (capped by the direct-send
-// latency, since any node pair may exchange one). An event executing
-// inside the window cannot cause an effect in another region before the
-// window closes, so within a window the regions share nothing and run on
-// their own workers; a window with work in only one region runs inline
-// on the coordinator. The rule is conservative — nothing is ever undone —
-// and FuzzShardedWindows pins its causality argument: random
-// cross-region schedules, including arrivals exactly on a window
-// boundary, replay bit-identically to the sequential engine with zero
-// clamped handoffs (ShardedStats.CausalityViolations).
+// The discrete-event engine is sim.Engine, the SimJava stand-in of
+// §6.2.1: one heap, one virtual clock, one goroutine, total order. The
+// scale experiment (RunScaleScenario, BENCH_scale.json) drives it to
+// 100k peers and fails on a report hash that differs between repeats.
 //
 // Three engine-level costs were flattened for that scale: events live by
 // value in the heap's backing array (no per-event struct to allocate,
@@ -417,16 +392,8 @@
 // driver: Construct asked for one hop distance per find/adopt and got a
 // radius-6 BFS ball — nearly the whole power-law overlay — as a map.
 // That question is now a point-to-point topology.Graph.Hops (CI
-// benchgates BenchmarkHops at 0 allocs/op), which took the 100k-peer,
-// 1-region scale point from 436 s to 2.4 s at an unchanged report hash.
-//
-// In sharded mode p2p.Network routes every After and delivery to the
-// owning region's engine and charges traffic to one ledger per region,
-// merged on read. Two determinism caveats are part of
-// the contract (asserted or documented in internal/p2p/region.go):
-// periodic gossip stays rejected, and driver-context sends that
-// synchronously mutate other peers' state are only safe because the
-// partition is domain-aligned.
+// benchgates BenchmarkHops at 0 allocs/op), which took the 100k-peer
+// scale point from 436 s to 2.4 s at an unchanged report hash.
 //
 // # Which lock protects what
 //
@@ -489,16 +456,6 @@
 //	internal/p2p               its locks (ledger.mu, the dispatch engine's,
 //	                           the TCP connection's) are tabled in that
 //	                           package's own comment.
-//	sim.Engine (per region)    NO lock: each region's heap, clock and
-//	                           event pool are owned by exactly one window
-//	                           worker while a window runs and by the idle
-//	                           driver between runs; only the clock mirror
-//	                           is atomic (Sharded.RegionNow), for
-//	                           cross-region latency reads mid-window.
-//	sim.Sharded inboxes        one mutex per region's staging inbox:
-//	                           cross-region Schedule appends under it,
-//	                           the window barrier swaps the slice out
-//	                           under it and sorts outside it.
 //	par.ForEach                owns its worker pool; results slots are
 //	                           index-addressed so workers never share.
 //

@@ -130,10 +130,10 @@ func RunFaultsScenario(cfg ExperimentConfig) (*ResultTable, *FaultsScenarioResul
 // (cmd/experiments serializes it as BENCH_scale.json).
 type ScaleScenarioResult = experiments.ScaleResult
 
-// RunScaleScenario sweeps overlay size × region count over the
-// construct + reconcile workload on the region-sharded event kernel,
-// verifying bit-identical reports per size and recording wall-clock,
-// memory and per-peer message cost.
+// RunScaleScenario sweeps overlay size over the construct + reconcile
+// workload on the discrete-event engine, verifying bit-identical reports
+// across each size's repeats and recording wall-clock, memory and
+// per-peer message cost.
 func RunScaleScenario(cfg ExperimentConfig) (*ResultTable, *ScaleScenarioResult, error) {
 	return experiments.ScaleExperiment(cfg)
 }

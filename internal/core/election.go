@@ -19,8 +19,8 @@ import (
 //
 // Determinism contract: Successor reads only the liveness view and the
 // static topology, both of which converge identically across processes
-// and dispatch layouts, so runs with different dispatcher counts or
-// region shardings elect bit-identical successors. The whole feature is
+// and dispatch layouts, so runs with different dispatcher counts elect
+// bit-identical successors. The whole feature is
 // gated by Config.ProactiveElection (default off: the paper's baseline
 // reaction to a dead summary peer is the find walk).
 
@@ -250,7 +250,7 @@ func (s *System) promote(p *Peer, dead p2p.NodeID) {
 	for _, o := range s.peers {
 		if o != p && o.role == RoleSummaryPeer && p2p.IsLocal(s.net, o.id) {
 			o := o
-			s.afterFrom(p.id, o.id, 0, func() {
+			s.net.After(o.id, 0, func() {
 				if !containsID(o.knownSPs, p.id) {
 					o.knownSPs = append(o.knownSPs, p.id)
 				}
@@ -276,10 +276,6 @@ func (s *System) promote(p *Peer, dead p2p.NodeID) {
 // election. Both run deferred into the owning node's dispatch group,
 // since they mutate that node's state.
 func (s *System) onConfirmedDead(dead p2p.NodeID) {
-	// The caller is the confirmation timer, which runs in dead's dispatch
-	// group: dead is the origin for the cross-group handoffs below.
-	//
-	//
 	// Only summary peers hold cooperation lists, so the eviction goes to
 	// the roster alone: O(summary peers) events per confirmation. Roles
 	// only ever move client -> summary peer and every promotion lands in
@@ -297,7 +293,7 @@ func (s *System) onConfirmedDead(dead p2p.NodeID) {
 			continue
 		}
 		o := s.peers[id]
-		s.afterFrom(dead, id, 0, func() {
+		s.net.After(id, 0, func() {
 			if o.role == RoleSummaryPeer && o.cl.Has(dead) && !s.net.Online(dead) {
 				o.cl.Remove(dead)
 			}
@@ -316,17 +312,6 @@ func (s *System) onConfirmedDead(dead p2p.NodeID) {
 			continue
 		}
 		partner := s.peers[nid]
-		s.afterFrom(dead, nid, 0, func() { s.electSuccessor(partner, dead) })
+		s.net.After(nid, 0, func() { s.electSuccessor(partner, dead) })
 	}
-}
-
-// afterFrom schedules fn in owner's dispatch group from code executing
-// in origin's group, staging cross-region on transports that need it
-// (OriginScheduler) and falling back to After elsewhere.
-func (s *System) afterFrom(origin, owner p2p.NodeID, delaySeconds float64, fn func()) {
-	if os, ok := s.net.(p2p.OriginScheduler); ok {
-		os.AfterFrom(origin, owner, delaySeconds, fn)
-		return
-	}
-	s.net.After(owner, delaySeconds, fn)
 }

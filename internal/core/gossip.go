@@ -73,11 +73,8 @@ func (s *System) gossipEnabled() bool {
 // rejoined (higher incarnation) in the meantime. On the in-memory
 // transports the view is ground truth, so a drop already implies a
 // non-alive entry and this is a no-op; on TCP it is how a process learns
-// that a remote node (or a whole remote process) silently died. origin
-// names the node whose serialized context the caller executes in (the
-// dropped message's sender, or the departing node itself), so the
-// confirmation timer can be staged across dispatch regions.
-func (s *System) suspect(origin, id p2p.NodeID) {
+// that a remote node (or a whole remote process) silently died.
+func (s *System) suspect(id p2p.NodeID) {
 	if id < 0 || int(id) >= s.net.Len() {
 		return
 	}
@@ -93,7 +90,7 @@ func (s *System) suspect(origin, id p2p.NodeID) {
 	if timeout == 0 {
 		timeout = DefaultSuspectTimeout
 	}
-	s.afterFrom(origin, id, timeout, func() {
+	s.net.After(id, timeout, func() {
 		if view.Confirm(int(id), inc) {
 			s.onConfirmedDead(id)
 		}

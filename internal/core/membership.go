@@ -57,7 +57,7 @@ func (s *System) leave(id p2p.NodeID, graceful bool) {
 		// every protocol purpose), Dead once the confirmation timer fires,
 		// Alive again if the peer rejoins first.
 		s.addStat(func(st *Stats) { st.Failures++ })
-		s.suspect(id, id)
+		s.suspect(id)
 	}
 	if p.role == RoleClient {
 		p.clearSP()
@@ -113,7 +113,7 @@ func (s *System) onDrop(msg *p2p.Message) {
 	// remote node dead with no way back (the pre-liveness behavior —
 	// remote nodes online unless flipped locally — is kept otherwise).
 	if s.gossipEnabled() {
-		s.suspect(msg.From, msg.To)
+		s.suspect(msg.To)
 		// A gossip tail died with the message: rewind the link's optimistic
 		// watermark so the next tail re-covers what the drop lost.
 		s.regressGossip(msg)

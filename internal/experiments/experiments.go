@@ -60,10 +60,8 @@ type Config struct {
 	// sweeps run on the single-threaded event engine and ignore it.
 	Dispatchers int
 	// ScalePeers is the overlay-size sweep of the scale experiment
-	// (construct + reconcile on the region-sharded event kernel).
+	// (construct + reconcile on the discrete-event engine).
 	ScalePeers []int
-	// ScaleRegions is the region-count sweep per scale point.
-	ScaleRegions []int
 	// GatewayClients is the client-count sweep of the gateway experiment
 	// (concurrent serving-edge sessions per point).
 	GatewayClients []int
@@ -82,7 +80,6 @@ func Default() Config {
 		GracefulProb:    0.8,
 		Seed:            42,
 		ScalePeers:      []int{10000, 50000, 100000},
-		ScaleRegions:    []int{1, 2, 4, 8},
 		GatewayClients:  []int{100, 1000, 10000},
 	}
 }
@@ -100,7 +97,6 @@ func Quick() Config {
 		GracefulProb:    0.8,
 		Seed:            42,
 		ScalePeers:      []int{1000},
-		ScaleRegions:    []int{1, 4},
 		GatewayClients:  []int{50, 200},
 	}
 }

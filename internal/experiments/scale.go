@@ -12,6 +12,7 @@ import (
 
 	"p2psum/internal/core"
 	"p2psum/internal/p2p"
+	"p2psum/internal/sim"
 	"p2psum/internal/stats"
 	"p2psum/internal/topology"
 )
@@ -20,35 +21,28 @@ import (
 // scale? One run constructs a 10k–100k-peer power-law overlay, elects a
 // summary peer per ~500-peer domain, builds every domain and drives three
 // network-wide modification/reconciliation waves — the §4.1+§4.2 workload
-// — on the region-sharded event kernel at several region counts. Each
-// point records wall-clock, memory and per-peer message cost, and a
-// report fingerprint that must be bit-identical across region counts
-// (the kernel's conservative windows are not allowed to buy speed with
-// divergence). Runs are sequential and single-process so wall-clock
-// differences measure the kernel, not scheduler contention; cfg.Workers
-// is deliberately ignored.
+// — on the discrete-event engine. Each point records wall-clock, memory
+// and per-peer message cost, and a report fingerprint that must be
+// bit-identical across the point's repeats. Runs are sequential and
+// single-process so wall-clock measures the engine, not scheduler
+// contention; cfg.Workers is deliberately ignored.
 
-// scaleReps is how many times every (peers, regions) point runs. One
-// sample cannot carry a verdict — four sweeps of the same code read the
-// 10k-peer 1-region point at 0.125–0.148 s — so the point reports the
-// median with its min/max.
+// scaleReps is how many times every size runs. One sample cannot carry a
+// verdict — four sweeps of the same code read the 10k-peer point at
+// 0.125–0.148 s — so the point reports the median with its min/max.
 const scaleReps = 3
 
-// ScaleRunResult is one (peers, regions) measurement.
+// ScaleRunResult is one overlay-size measurement.
 type ScaleRunResult struct {
 	Peers   int `json:"peers"`
 	Domains int `json:"domains"`
-	Regions int `json:"regions"`
 	// WallSec is the end-to-end wall-clock of construct + waves (graph
 	// generation and setup excluded): the median of scaleReps runs, with
 	// the fastest and slowest beside it.
 	WallSec    float64 `json:"wall_sec"`
 	WallSecMin float64 `json:"wall_sec_min"`
 	WallSecMax float64 `json:"wall_sec_max"`
-	// Speedup is median WallSec(regions=1) / median WallSec at this
-	// region count.
-	Speedup float64 `json:"speedup"`
-	// Events is the number of discrete events the kernel executed.
+	// Events is the number of discrete events the engine executed.
 	Events uint64 `json:"events"`
 	// Msgs/Bytes are total protocol traffic; MsgsPerPeer = Msgs/Peers.
 	Msgs        int64   `json:"msgs"`
@@ -64,16 +58,9 @@ type ScaleRunResult struct {
 	// (ascending) size reflects that size's own footprint.
 	MaxRSSKB int64 `json:"max_rss_kb"`
 	// ReportHash fingerprints every domain report plus the per-type
-	// message/byte counters and coverage; equal hashes across region
-	// counts prove the parallel kernel changed nothing observable.
+	// message/byte counters and coverage; equal hashes across repeats
+	// prove the run deterministic.
 	ReportHash string `json:"report_hash"`
-	// Windows is the kernel's barrier-separated window count (see
-	// sim.ShardedStats).
-	Windows uint64 `json:"windows"`
-	// Violations counts cross-region handoffs the kernel clamped to the
-	// target's clock; zero on this workload (the hash identity would
-	// catch the drift a clamp implies).
-	Violations uint64 `json:"causality_violations"`
 }
 
 // ScaleResult is the machine-readable outcome (BENCH_scale.json).
@@ -111,14 +98,11 @@ func scaleHash(net *p2p.Network, sys *core.System) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// runScalePoint measures one run of a (peers, regions) point over a
-// pre-built graph.
-func runScalePoint(cfg Config, g *topology.Graph, peers, regions int) (ScaleRunResult, error) {
-	out := ScaleRunResult{Peers: peers, Domains: scaleDomains(peers), Regions: regions}
-	net, err := p2p.NewShardedNetwork(g, cfg.Seed, regions)
-	if err != nil {
-		return out, err
-	}
+// runScalePoint measures one run of a size over a pre-built graph.
+func runScalePoint(cfg Config, g *topology.Graph, peers int) (ScaleRunResult, error) {
+	out := ScaleRunResult{Peers: peers, Domains: scaleDomains(peers)}
+	engine := sim.New()
+	net := p2p.NewNetwork(engine, g, cfg.Seed)
 	sysCfg := core.DefaultConfig()
 	sysCfg.Alpha = cfg.Alphas[0]
 	sys, err := core.NewSystem(net, sysCfg)
@@ -137,8 +121,7 @@ func runScalePoint(cfg Config, g *topology.Graph, peers, regions int) (ScaleRunR
 		sps[sp] = true
 	}
 	// Three deterministic modification waves over ~1/3 of the peers each:
-	// every wave pushes most domains past α and triggers their rings, so
-	// domains reconcile concurrently across regions.
+	// every wave pushes most domains past α and triggers their rings.
 	for wave := 0; wave < 3; wave++ {
 		ids := make([]p2p.NodeID, 0, peers/3+1)
 		for i := wave; i < peers; i += 3 {
@@ -151,16 +134,12 @@ func runScalePoint(cfg Config, g *topology.Graph, peers, regions int) (ScaleRunR
 	}
 	out.WallSec = time.Since(start).Seconds()
 
-	out.Events = net.Sharded().Executed()
+	out.Events = engine.Executed()
 	out.Msgs = net.Counter().Total()
 	out.MsgsPerPeer = float64(out.Msgs) / float64(peers)
 	out.Bytes = net.Bytes().Total()
 	out.Reconciliations = sys.Stats().Reconciliations
 	out.ReportHash = scaleHash(net, sys)
-	if ks, ok := net.KernelStats(); ok {
-		out.Windows = ks.Windows
-		out.Violations = ks.CausalityViolations
-	}
 
 	runtime.GC()
 	var ms runtime.MemStats
@@ -176,19 +155,19 @@ func runScalePoint(cfg Config, g *topology.Graph, peers, regions int) (ScaleRunR
 // measureScalePoint runs a point scaleReps times and reports the first
 // run's record (its RSS high-water mark is the one that still means
 // something) with the median, fastest and slowest wall-clock.
-func measureScalePoint(cfg Config, g *topology.Graph, peers, regions int) (ScaleRunResult, error) {
+func measureScalePoint(cfg Config, g *topology.Graph, peers int) (ScaleRunResult, error) {
 	var out ScaleRunResult
 	walls := make([]float64, 0, scaleReps)
 	for rep := 0; rep < scaleReps; rep++ {
-		run, err := runScalePoint(cfg, g, peers, regions)
+		run, err := runScalePoint(cfg, g, peers)
 		if err != nil {
 			return out, err
 		}
 		if rep == 0 {
 			out = run
 		} else if run.ReportHash != out.ReportHash {
-			return out, fmt.Errorf("experiments: %d peers, %d regions: reports diverge between repeats (%s vs %s)",
-				peers, regions, out.ReportHash[:12], run.ReportHash[:12])
+			return out, fmt.Errorf("experiments: %d peers: reports diverge between repeats (%s vs %s)",
+				peers, out.ReportHash[:12], run.ReportHash[:12])
 		}
 		walls = append(walls, run.WallSec)
 	}
@@ -197,23 +176,18 @@ func measureScalePoint(cfg Config, g *topology.Graph, peers, regions int) (Scale
 	return out, nil
 }
 
-// ScaleExperiment sweeps overlay size × region count, verifying that
-// every run reproduces the first region count's reports bit-for-bit, and
-// reports wall-clock speedup, per-peer message cost and memory. Sizes
-// run ascending so each size's first run records a meaningful RSS
-// high-water mark.
+// ScaleExperiment sweeps overlay size, verifying that every repeat of a
+// size reproduces its reports bit-for-bit, and reports wall-clock,
+// per-peer message cost and memory. Sizes run ascending so each size's
+// first run records a meaningful RSS high-water mark.
 func ScaleExperiment(cfg Config) (*stats.Table, *ScaleResult, error) {
 	sizes := append([]int(nil), cfg.ScalePeers...)
 	sort.Ints(sizes)
-	regionCounts := cfg.ScaleRegions
-	if len(sizes) == 0 || len(regionCounts) == 0 {
-		return nil, nil, fmt.Errorf("experiments: empty scale sweep (%v peers × %v regions)", sizes, regionCounts)
+	if len(sizes) == 0 {
+		return nil, nil, fmt.Errorf("experiments: empty scale sweep")
 	}
 	res := &ScaleResult{Seed: cfg.Seed, Machine: thisMachine()}
-	series := make([]*stats.Series, len(regionCounts))
-	for i, r := range regionCounts {
-		series[i] = &stats.Series{Name: fmt.Sprintf("@%dr", r)}
-	}
+	wallSeries := &stats.Series{Name: "wall s"}
 	msgSeries := &stats.Series{Name: "msgs/peer"}
 	var notes []string
 	for _, peers := range sizes {
@@ -221,49 +195,23 @@ func ScaleExperiment(cfg Config) (*stats.Table, *ScaleResult, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		var base, run ScaleRunResult
-		for i, regions := range regionCounts {
-			if run, err = measureScalePoint(cfg, g, peers, regions); err != nil {
-				return nil, nil, err
-			}
-			if i == 0 {
-				base = run
-			} else if run.ReportHash != base.ReportHash {
-				return nil, nil, fmt.Errorf("experiments: %d peers: reports diverge between %d and %d regions (%s vs %s)",
-					peers, base.Regions, regions, base.ReportHash[:12], run.ReportHash[:12])
-			}
-			run.Speedup = base.WallSec / run.WallSec
-			series[i].Add(float64(peers), run.WallSec)
-			res.Runs = append(res.Runs, run)
+		run, err := measureScalePoint(cfg, g, peers)
+		if err != nil {
+			return nil, nil, err
 		}
+		res.Runs = append(res.Runs, run)
+		wallSeries.Add(float64(peers), run.WallSec)
 		msgSeries.Add(float64(peers), run.MsgsPerPeer)
-		note := fmt.Sprintf("%d peers / %d domains: %d events, %.1f msgs/peer, %d reconciliations, heap %.0f MB, rss %d MB",
-			peers, run.Domains, run.Events, run.MsgsPerPeer, run.Reconciliations, run.HeapMB, run.MaxRSSKB/1024)
-		if best := bestSpeedup(res.Runs, peers); best > 0 {
-			note += fmt.Sprintf(", best multi-region speedup %.2fx", best)
-		}
-		notes = append(notes, note)
+		notes = append(notes, fmt.Sprintf("%d peers / %d domains: %d events, %.1f msgs/peer, %d reconciliations, heap %.0f MB, rss %d MB",
+			peers, run.Domains, run.Events, run.MsgsPerPeer, run.Reconciliations, run.HeapMB, run.MaxRSSKB/1024))
 	}
 	t := stats.NewTable(
-		fmt.Sprintf("Scale: construct + 3 reconcile waves, regions %v, median wall-clock s of %d runs (reports bit-identical per size)", regionCounts, scaleReps),
-		"peers", append(series, msgSeries)...)
+		fmt.Sprintf("Scale: construct + 3 reconcile waves, median wall-clock s of %d runs (reports bit-identical per size)", scaleReps),
+		"peers", wallSeries, msgSeries)
 	t.Decimal = 2
 	for _, n := range notes {
 		t.AddNote("%s", n)
 	}
 	t.AddNote("runs are sequential and single-process; rss is a process high-water mark (sizes sweep ascending)")
 	return t, res, nil
-}
-
-// bestSpeedup returns the best speedup any multi-region run measured for
-// a size — below 1 when every one lost to the base — or 0 when the sweep
-// had no multi-region run.
-func bestSpeedup(runs []ScaleRunResult, peers int) float64 {
-	best := 0.0
-	for _, r := range runs {
-		if r.Peers == peers && r.Regions > 1 && r.Speedup > best {
-			best = r.Speedup
-		}
-	}
-	return best
 }

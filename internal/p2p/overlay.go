@@ -86,9 +86,7 @@ func (o *overlay) Neighbors(id NodeID) []NodeID {
 // message in flight when a partition lands is lost to it, like a packet on
 // a cut cable); a TCP process additionally drops an outbound frame before
 // the socket, so both directions degrade even if the processes do not
-// install the same scripted filter simultaneously. On a region-sharded
-// Network a cut is deterministic only when it is domain-aligned like every
-// other cross-region interaction (see region.go).
+// install the same scripted filter simultaneously.
 func (o *overlay) SetLinkFilter(fn LinkFilter) { o.gate.set(fn) }
 
 // deliverable reports whether a message from → to reaches a handler: the
@@ -160,8 +158,8 @@ func (l *ledger) charge(typ string, msgs, bytes int64) {
 func (l *ledger) chargeHops(typ string, n int64) { l.charge(typ, n, n*BaseMessageBytes) }
 
 // books is a transport's set of ledgers, one per serialized lane: one on
-// the sequential Network, one per region on the sharded Network, one per
-// dispatch group on ChannelTransport and TCPTransport. Lanes never contend
+// the Network, one per dispatch group on ChannelTransport and
+// TCPTransport. Lanes never contend
 // on shared accounting; readers merge. Embedding books gives a transport
 // its Counter and Bytes methods.
 type books []ledger

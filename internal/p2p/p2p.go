@@ -15,9 +15,9 @@
 //
 // # Which lock protects what
 //
-//	ledger.mu                  one mutex per ledger (overlay.go) — one
-//	                           ledger per region of a Network, per
-//	                           dispatch group of a ChannelTransport or
+//	ledger.mu                  one mutex per ledger (overlay.go) — the
+//	                           Network's single ledger, one per dispatch
+//	                           group of a ChannelTransport or
 //	                           TCPTransport: that lane's message and byte
 //	                           counters. Lanes never contend on shared
 //	                           accounting; Counter/Bytes merge the ledgers
@@ -35,10 +35,11 @@
 //	                           all group locks at once.
 //	linkGate                   NO lock: the installed LinkFilter is one
 //	                           atomic pointer to an immutable closure.
-//	Network                    NO locks of its own beyond its ledgers (the
-//	                           event kernel runs handlers on one goroutine
-//	                           per region); message ids are per-region
-//	                           atomics. Its liveness view locks itself.
+//	Network                    NO locks of its own beyond its ledger (the
+//	                           event engine runs every handler on one
+//	                           goroutine); the message-id counter is a
+//	                           plain integer. Its liveness view locks
+//	                           itself.
 //	ChannelTransport.mu        the loss/random-walk rng.
 //	TCPTransport               connMu (connection table + reconnect loops),
 //	                           wireMu (socket frame counters and the
@@ -62,7 +63,6 @@ package p2p
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"p2psum/internal/liveness"
 	"p2psum/internal/sim"
@@ -100,22 +100,17 @@ const BaseMessageBytes = 64
 // Network couples a topology with the event engine and tracks the message
 // traffic per type — the unit of every cost figure in the paper ("the cost
 // of query routing, which is measured in term of the number of exchanged
-// messages"). It is the deterministic, sim-backed Transport.
-//
-// Events run either on one sequential engine (NewNetwork) or on a
-// region-sharded kernel (NewShardedNetwork, see region.go); exactly one of
-// engine and shard is non-nil. Traffic is charged to one ledger per region
-// — the sequential Network is the one-region case.
+// messages"). It is the deterministic, sim-backed Transport: every
+// event runs on one sim.Engine, so handlers, timers and drop callbacks
+// are serialized by construction.
 type Network struct {
 	overlay
-	books
+	books   // one ledger
 	engine  *sim.Engine
-	shard   *sim.Sharded
 	rng     *rand.Rand
 	handler []Handler
-	// nextMsg counts sends per region; message ids are striped over the
-	// regions, so they are unique without global state.
-	nextMsg []atomic.Uint64
+	// nextMsg counts sends; a message without an id takes the count.
+	nextMsg uint64
 	// DirectLatency is used for node pairs without an overlay edge (e.g. a
 	// query sent straight to a relevant peer found in a summary).
 	DirectLatency float64
@@ -128,20 +123,12 @@ type Network struct {
 
 // NewNetwork builds a network over the graph. All nodes start online.
 func NewNetwork(engine *sim.Engine, graph *topology.Graph, seed int64) *Network {
-	n := newNetwork(graph, seed, 1)
-	n.engine = engine
-	return n
-}
-
-// newNetwork builds the kernel-independent part of a Network with the
-// given region count.
-func newNetwork(graph *topology.Graph, seed int64, regions int) *Network {
 	return &Network{
 		overlay:       overlay{graph: graph, view: liveness.NewView(graph.Len(), nil)},
-		books:         newBooks(regions),
+		books:         newBooks(1),
+		engine:        engine,
 		rng:           rand.New(rand.NewSource(seed)),
 		handler:       make([]Handler, graph.Len()),
-		nextMsg:       make([]atomic.Uint64, regions),
 		DirectLatency: 0.100,
 	}
 }
@@ -167,77 +154,58 @@ func (n *Network) HopsWithin(src NodeID, radius int) map[NodeID]int {
 	return out
 }
 
-// Exec runs fn immediately: the event kernel only executes between
-// Settle windows on the driver goroutine, so driver code is always
-// serialized with handlers (in sharded mode the region workers are
-// quiescent whenever the driver runs).
+// Exec runs fn immediately: the event engine runs only when the driver
+// calls Settle or drives the engine itself, so driver code is always
+// serialized with handlers.
 func (n *Network) Exec(fn func()) { fn() }
 
-// After schedules fn delaySeconds of virtual time from now. In
-// sequential mode the engine is single-threaded, so fn is serialized
-// with handlers regardless of which node owns the timer; in sharded
-// mode the timer runs in the owner's region, at that region's clock.
+// After schedules fn delaySeconds of virtual time from now. The engine
+// is single-threaded, so fn is serialized with handlers regardless of
+// which node owns the timer.
 func (n *Network) After(owner NodeID, delaySeconds float64, fn func()) {
-	n.AfterFrom(owner, owner, delaySeconds, fn)
+	n.engine.After(sim.Seconds(delaySeconds), fn)
 }
 
-// AfterFrom schedules fn in owner's region from code executing in
-// origin's region (OriginScheduler). In sharded mode a cross-region
-// timer is staged at the next window barrier like a cross-region
-// message, stamped with the origin region's clock; same-region (and
-// sequential mode) matches After.
+// AfterFrom is After; origin is ignored.
+//
+// Deprecated: nothing in this module calls it. It is kept only because
+// the bench module's tracing decorator (bench/trace.go) forwards
+// OriginScheduler; it goes when that decorator drops the forward.
 func (n *Network) AfterFrom(origin, owner NodeID, delaySeconds float64, fn func()) {
-	if n.shard == nil {
-		n.engine.After(sim.Seconds(delaySeconds), fn)
-		return
-	}
-	at := n.shard.RegionNow(n.regionOf(origin)) + sim.Seconds(delaySeconds)
-	n.shard.Schedule(int(origin), int(owner), at, fn)
+	n.After(owner, delaySeconds, fn)
 }
 
-// Settle runs the event kernel to quiescence, delivering every in-flight
+// DispatchGroups returns 1: the Network has one serialized lane.
+//
+// Deprecated: the protocol stack gains nothing from probing a Network
+// for dispatch groups. It is kept only because the bench module's
+// tracing decorator (bench/trace.go) forwards DispatchGrouper.
+func (n *Network) DispatchGroups() int { return 1 }
+
+// SetGroupBy ignores fn and returns false: there are no groups to map.
+//
+// Deprecated: kept only as a compile seam for the bench module's tracing
+// decorator (bench/trace.go), like DispatchGroups.
+func (n *Network) SetGroupBy(fn func(NodeID) int) bool { return false }
+
+// Settle runs the event engine to quiescence, delivering every in-flight
 // message and everything sent while handling it.
-func (n *Network) Settle() {
-	if n.shard != nil {
-		n.shard.Run()
-		return
-	}
-	n.engine.Run()
-}
-
-// regionOf returns the region — and so the ledger — of a node (0 on the
-// sequential Network).
-func (n *Network) regionOf(id NodeID) int {
-	if n.shard == nil {
-		return 0
-	}
-	return n.shard.RegionOf(int(id))
-}
-
-// chargeFrom returns the walk/flood charge of a traversal originating at
-// src: its hops go to the origin's region ledger.
-func (n *Network) chargeFrom(src NodeID) func(typ string, k int64) {
-	return n.books[n.regionOf(src)].chargeHops
-}
+func (n *Network) Settle() { n.engine.Run() }
 
 // Send schedules delivery of msg from msg.From to msg.To after the link
-// latency, charging it to the sender's region ledger under msg.Type.
-// Messages to offline or handler-less nodes are counted as sent (the bytes
-// hit the wire) but trigger Drop instead of a handler. On the sharded
-// kernel the delivery goes directly onto the destination region's heap
-// when sender and receiver share a region, and is staged at the next
-// window barrier otherwise.
+// latency, charging it under msg.Type. Messages to offline or
+// handler-less nodes are counted as sent (the bytes hit the wire) but
+// trigger Drop instead of a handler.
 func (n *Network) Send(msg *Message) {
 	if msg.To < 0 || int(msg.To) >= n.graph.Len() {
 		panic(fmt.Sprintf("p2p: send to out-of-range node %d", msg.To))
 	}
-	src := n.regionOf(msg.From)
-	if seq := n.nextMsg[src].Add(1); msg.ID == 0 {
-		msg.ID = seq*uint64(len(n.books)) + uint64(src)
+	if n.nextMsg++; msg.ID == 0 {
+		msg.ID = n.nextMsg
 	}
-	n.books[src].charge(msg.Type, 1, messageWireSize(msg))
+	n.books[0].charge(msg.Type, 1, messageWireSize(msg))
 	lat := n.latencyBetween(msg.From, msg.To, n.DirectLatency)
-	n.AfterFrom(msg.From, msg.To, lat, func() { n.deliver(msg) })
+	n.engine.After(sim.Seconds(lat), func() { n.deliver(msg) })
 }
 
 // deliver hands msg to its destination handler, or to the drop callback
@@ -260,7 +228,7 @@ func (n *Network) SendNew(typ string, from, to NodeID, ttl int, payload any) {
 // ttl hops using Gnutella-style constrained broadcast. It returns the nodes
 // reached and counts every transmission (§6.2.3).
 func (n *Network) Flood(typ string, src NodeID, ttl int, payload any, visit func(NodeID)) map[NodeID]bool {
-	return n.flood(n.chargeFrom(src), typ, src, ttl, visit)
+	return n.flood(n.books[0].chargeHops, typ, src, ttl, visit)
 }
 
 // WalkResult is the outcome of a walk.
@@ -278,15 +246,12 @@ type WalkResult struct {
 // neighbor until accept returns true or maxHops is exhausted. Ties break on
 // the lower node id; dead ends backtrack.
 func (n *Network) SelectiveWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	return n.walk(n.chargeFrom(src), typ, src, maxHops, accept, n.selective)
+	return n.walk(n.books[0].chargeHops, typ, src, maxHops, accept, n.selective)
 }
 
 // RandomWalk is the blind baseline: uniform random unvisited neighbor.
-// The choice draws from the network-wide rng, so in sharded mode it is
-// driver-context only (walks from concurrent region workers would race
-// on the source).
 func (n *Network) RandomWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	return n.walk(n.chargeFrom(src), typ, src, maxHops, accept, func(cands []NodeID) NodeID {
+	return n.walk(n.books[0].chargeHops, typ, src, maxHops, accept, func(cands []NodeID) NodeID {
 		return cands[n.rng.Intn(len(cands))]
 	})
 }

@@ -111,8 +111,11 @@ type Transport interface {
 	// executes it as virtual time advances). owner names the node whose
 	// protocol state fn mutates — timers must be serialized with that
 	// node's handlers, and on a sharded-dispatch transport that means
-	// running in its group. Protocols use After for loss-recovery
-	// timeouts (e.g. retransmitting a lost §4.2.2 reconciliation token).
+	// running in its group. After itself may be called from any
+	// serialized context (the driver, or a handler or timer of any node),
+	// so one node's handler can arm work for another. Protocols use After
+	// for loss-recovery timeouts (e.g. retransmitting a lost §4.2.2
+	// reconciliation token).
 	// On the channel transport a pending timer does not count as an
 	// in-flight message — Settle does not wait for it — and Close cancels
 	// timers that have not fired. fn must not call Exec or Settle.
@@ -143,18 +146,13 @@ type Transport interface {
 // with SetLinkFilter.
 type LinkFilter func(from, to NodeID) bool
 
-// OriginScheduler is the optional interface of transports whose After
-// needs to know the calling context. Transport.After(owner, ...) assumes
-// it is invoked from owner's own serialized context (or from the idle
-// driver); a handler or timer of node A scheduling work for node B's
-// group breaks that assumption on a region-sharded kernel, where it
-// would push onto another region's live heap. AfterFrom names the
-// origin: the node whose serialized context the caller is executing in
-// (the message's sender for a handler, the timer's owner for a timer).
-// The sharded Network stages cross-region work at the next window
-// barrier, exactly like a cross-region message from origin; transports
-// whose After is already safe from any goroutine simply do not implement
-// the interface, and callers fall back to After.
+// OriginScheduler is an After that also names the node whose serialized
+// context the caller executes in. Every transport's After is safe from
+// any context, so no protocol code probes for it.
+//
+// Deprecated: kept only because the bench module's tracing decorator
+// (bench/trace.go) asserts it; Network.AfterFrom is its one
+// implementation and goes with it.
 type OriginScheduler interface {
 	AfterFrom(origin, owner NodeID, delaySeconds float64, fn func())
 }
@@ -162,10 +160,10 @@ type OriginScheduler interface {
 // DispatchGrouper is the optional interface of transports that shard
 // handler dispatch into concurrently running groups (ChannelTransport with
 // ChannelConfig.Dispatchers > 1). Protocol wiring uses it to align dispatch
-// groups with protocol regions — internal/core maps every domain onto one
-// group (via topology.NearestSeeds over Transport.Graph), so independent
-// domains reconcile and answer queries in parallel while each domain's
-// handlers stay serialized.
+// groups with domains — internal/core maps every domain onto one group
+// (via topology.NearestSeeds over Transport.Graph), so independent domains
+// reconcile and answer queries in parallel while each domain's handlers
+// stay serialized.
 type DispatchGrouper interface {
 	// DispatchGroups returns the number of dispatch groups (>= 1).
 	DispatchGroups() int

@@ -6,10 +6,9 @@
 // same seed and schedule. The P2P overlay delivers messages by scheduling
 // their reception after a per-link latency.
 //
-// Two kernels share the event-queue machinery: Engine is the sequential
-// kernel (one heap, one goroutine), and Sharded (sharded.go) partitions the
-// overlay into regions — one Engine per region — advanced in conservative
-// lockstep time windows so intra-region events execute in parallel.
+// Engine is one heap driven by one goroutine: every callback runs on the
+// goroutine that calls Step, RunUntil or Run, so protocol state touched
+// only from callbacks needs no locks.
 //
 // The queue is a typed binary min-heap of event values compared on
 // (time, sequence) directly — no container/heap interface dispatch, no
@@ -22,7 +21,6 @@ package sim
 
 import (
 	"math"
-	"sync/atomic"
 	"time"
 )
 
@@ -114,17 +112,12 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// Engine is the sequential simulation kernel. It also serves as one
-// region's queue inside a Sharded engine, where its events are executed by
-// that region's worker goroutine (never by two goroutines at once).
+// Engine is the sequential simulation kernel.
 type Engine struct {
 	now    Time
 	queue  eventQueue
 	seq    uint64
 	events uint64 // executed events
-	// nowBits mirrors now for cross-goroutine reads (set only on region
-	// engines inside a Sharded kernel; nil on a standalone Engine).
-	nowBits *atomic.Uint64
 }
 
 // New creates an engine at time zero.
@@ -132,21 +125,6 @@ func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// setNow advances the clock (and its atomic mirror when present).
-func (e *Engine) setNow(t Time) {
-	e.now = t
-	if e.nowBits != nil {
-		e.nowBits.Store(math.Float64bits(float64(t)))
-	}
-}
-
-// advanceTo moves the clock forward to t (never backward).
-func (e *Engine) advanceTo(t Time) {
-	if t > e.now {
-		e.setNow(t)
-	}
-}
 
 // Executed returns the number of events processed so far.
 func (e *Engine) Executed() uint64 { return e.events }
@@ -172,19 +150,11 @@ func (e *Engine) After(delay Time, fn func()) {
 	e.At(e.now+delay, fn)
 }
 
-// nextAt returns the time of the next event.
-func (e *Engine) nextAt() (Time, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
-	}
-	return e.queue[0].at, true
-}
-
 // fire pops the next event, advances the clock to it and runs it. The
 // queue must be non-empty.
 func (e *Engine) fire() {
 	ev := e.queue.pop()
-	e.setNow(ev.at)
+	e.now = ev.at
 	e.events++
 	ev.fn()
 }
@@ -198,16 +168,6 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// runWindow executes every event with at < end in (time, seq) order,
-// advancing the clock event by event. Inside a Sharded kernel this is one
-// region's share of a lockstep window; end is the window boundary, so
-// events scheduled during the window for t >= end stay queued.
-func (e *Engine) runWindow(end Time) {
-	for len(e.queue) > 0 && e.queue[0].at < end {
-		e.fire()
-	}
-}
-
 // RunUntil executes events until the queue is empty or the next event is
 // past the horizon. The clock is advanced to the horizon.
 func (e *Engine) RunUntil(horizon Time) {
@@ -215,7 +175,7 @@ func (e *Engine) RunUntil(horizon Time) {
 		e.fire()
 	}
 	if e.now < horizon {
-		e.setNow(horizon)
+		e.now = horizon
 	}
 }
 

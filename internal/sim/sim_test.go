@@ -192,3 +192,21 @@ func TestQuickConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkEventDispatch is the hot-path gate: schedule + dispatch of
+// one event must not allocate once the heap's backing array has grown
+// (CI enforces allocs/op == 0 via benchgate).
+func BenchmarkEventDispatch(b *testing.B) {
+	e := New()
+	fn := func() {}
+	for i := 0; i < 1024; i++ {
+		e.After(1, fn)
+	}
+	e.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(1, fn)
+		e.Step()
+	}
+}

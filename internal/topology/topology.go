@@ -90,10 +90,6 @@ func (g *Graph) Latency(u, v int) float64 {
 	return l
 }
 
-// LatencyAt returns the latency of the i-th edge in u's adjacency run
-// (positional companion to Neighbors, no scan).
-func (g *Graph) LatencyAt(u, i int) float64 { return g.lat[u][i] }
-
 // LatencyOK returns the latency of edge (u, v) and whether the edge
 // exists — one adjacency scan for the existence check and the lookup,
 // where HasEdge+Latency would scan twice.

@@ -82,13 +82,6 @@ type SimOptions struct {
 	// in parallel while each domain's handlers stay serialized. 0 or 1
 	// keeps the single-dispatcher layout.
 	Dispatchers int
-	// Regions shards the discrete-event engine into this many per-region
-	// event queues advanced in conservative lockstep time windows
-	// (TransportSim only). Construct maps every domain onto one region,
-	// so intra-region events execute in parallel while runs stay
-	// bit-identical to the single-heap engine. 0 or 1 keeps the
-	// sequential engine.
-	Regions int
 }
 
 // TransportKind names a Transport implementation.
@@ -123,8 +116,7 @@ const (
 // §4 management protocols and the §5 query routing.
 type Simulation struct {
 	opts   SimOptions
-	engine *sim.Engine  // nil for TransportChannel and region-sharded runs
-	shard  *sim.Sharded // non-nil only with Regions > 1
+	engine *sim.Engine // nil for TransportChannel
 	net    p2p.Transport
 	sys    *core.System
 	router *routing.SQRouter
@@ -150,9 +142,6 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 	if opts.Dispatchers < 0 {
 		return nil, guardf("p2psum: Dispatchers %d must be >= 0", opts.Dispatchers)
 	}
-	if opts.Regions < 0 {
-		return nil, guardf("p2psum: Regions %d must be >= 0", opts.Regions)
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var g *topology.Graph
 	var err error
@@ -169,16 +158,12 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 	}
 	var (
 		engine *sim.Engine
-		shard  *sim.Sharded
 		net    p2p.Transport
 	)
 	switch opts.Transport {
 	case TransportChannel:
 		if opts.LossRate < 0 || opts.LossRate >= 1 {
 			return nil, guardf("p2psum: LossRate %g out of [0,1)", opts.LossRate)
-		}
-		if opts.Regions > 1 {
-			return nil, guardf("p2psum: Regions requires TransportSim")
 		}
 		ccfg := p2p.DefaultChannelConfig()
 		ccfg.LossRate = opts.LossRate
@@ -191,17 +176,8 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 		if opts.Dispatchers > 1 {
 			return nil, guardf("p2psum: Dispatchers requires TransportChannel")
 		}
-		if opts.Regions > 1 {
-			snet, err := p2p.NewShardedNetwork(g, opts.Seed, opts.Regions)
-			if err != nil {
-				return nil, err
-			}
-			shard = snet.Sharded()
-			net = snet
-		} else {
-			engine = sim.New()
-			net = p2p.NewNetwork(engine, g, opts.Seed)
-		}
+		engine = sim.New()
+		net = p2p.NewNetwork(engine, g, opts.Seed)
 	}
 	cfg := core.DefaultConfig()
 	cfg.Alpha = opts.Alpha
@@ -217,7 +193,6 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 	return &Simulation{
 		opts:   opts,
 		engine: engine,
-		shard:  shard,
 		net:    net,
 		sys:    sys,
 		router: routing.NewSQRouter(sys),
@@ -315,7 +290,6 @@ func (s *Simulation) RunChurn(hours float64, gracefulProb float64) {
 	}
 	type churnEvent struct {
 		at sim.Time
-		id NodeID
 		fn func()
 	}
 	var events []churnEvent
@@ -325,11 +299,11 @@ func (s *Simulation) RunChurn(hours float64, gracefulProb float64) {
 			continue
 		}
 		if sess.Start > 0 {
-			events = append(events, churnEvent{sess.Start, id, func() { s.sys.Join(id) }})
+			events = append(events, churnEvent{sess.Start, func() { s.sys.Join(id) }})
 		}
 		if sess.End < sim.Hours(hours) {
 			graceful := s.rng.Float64() < gracefulProb
-			events = append(events, churnEvent{sess.End, id, func() { s.sys.Leave(id, graceful) }})
+			events = append(events, churnEvent{sess.End, func() { s.sys.Leave(id, graceful) }})
 		}
 	}
 	if s.engine != nil {
@@ -339,18 +313,6 @@ func (s *Simulation) RunChurn(hours float64, gracefulProb float64) {
 			s.engine.At(now+ev.at, ev.fn)
 		}
 		s.engine.RunUntil(horizon)
-		return
-	}
-	if s.shard != nil {
-		// Region clocks are equal whenever the driver holds control, so
-		// scheduling each session event on the region owning its peer puts
-		// it at the same virtual time the sequential engine would use.
-		now := s.shard.Now()
-		horizon := now + sim.Hours(hours)
-		for _, ev := range events {
-			s.shard.Schedule(int(ev.id), int(ev.id), now+ev.at, ev.fn)
-		}
-		s.shard.RunUntil(horizon)
 		return
 	}
 	// Channel transport: apply the plan in time order. Settling after each
@@ -454,19 +416,6 @@ func (s *Simulation) MessageBytes() map[string]int64 {
 // TotalBytes returns the total traffic volume so far.
 func (s *Simulation) TotalBytes() int64 { return s.net.Bytes().Total() }
 
-// KernelStatsSnapshot carries the sharded event kernel's window counters
-// (see sim.ShardedStats for field semantics).
-type KernelStatsSnapshot = sim.ShardedStats
-
-// KernelStats returns the sharded kernel's window counters; ok is false
-// on the sequential engine and the channel transport.
-func (s *Simulation) KernelStats() (KernelStatsSnapshot, bool) {
-	if s.shard == nil {
-		return KernelStatsSnapshot{}, false
-	}
-	return s.shard.Stats(), true
-}
-
 // Reconciliations returns the number of completed ring reconciliations.
 func (s *Simulation) Reconciliations() int { return s.sys.Stats().Reconciliations }
 
@@ -476,13 +425,10 @@ func (s *Simulation) OnlinePeers() int { return s.net.OnlineCount() }
 // Now returns the current virtual time in seconds. The channel transport
 // runs in real time and has no virtual clock; Now returns 0 there.
 func (s *Simulation) Now() float64 {
-	switch {
-	case s.engine != nil:
-		return float64(s.engine.Now())
-	case s.shard != nil:
-		return float64(s.shard.Now())
+	if s.engine == nil {
+		return 0
 	}
-	return 0
+	return float64(s.engine.Now())
 }
 
 // DomainReport is a point-in-time snapshot of one domain's health.
