@@ -221,12 +221,26 @@
 // Config.GossipFullSnapshots restores the old behavior for equivalence
 // tests and byte comparisons — the churn experiment shows the same
 // coverage and staleness, bit-identical, at a fraction of the gossip
-// bytes. A process
-// that sees a remote claim superseding one of its OWN nodes refutes it
-// (re-asserts its state above the remote incarnation), which is what
-// brings a reconnected process — the TCP transport redials broken peer
-// links with bounded exponential backoff and re-handshakes — back to alive
-// in everyone's view. Coverage and DomainMembers read the view, not the
+// bytes.
+//
+// Tails are built once per view version, and never encoded just to be
+// counted. The view publishes at most one immutable snapshot per version
+// (entries, stamps, each entry's encoded length and their total), built
+// by the first tail of that version and dropped by the next mutation. A
+// tail's liveness.Delta is a window onto it, so taking one neither scans
+// nor copies. The transports' counting encoder sizes a delta tail in one
+// pass over the cached stamps and lengths, and a full one from the cached
+// total. A tail merged back into the view that published it — every tail
+// on the in-memory transports, which share one view — merges only the
+// entries stamped since, and none when the version has not moved. Deltas
+// decoded from the wire are the same type over a plain []Change, and
+// every tail merges through View.MergeChanges.
+//
+// A process that sees a remote claim superseding one of its OWN nodes
+// refutes it (re-asserts its state above the remote incarnation), which
+// is what brings a reconnected process — the TCP transport redials broken
+// peer links with bounded exponential backoff and re-handshakes — back to
+// alive in everyone's view. Coverage and DomainMembers read the view, not the
 // local cooperation lists, so every process of a deployment reports the
 // same figures once gossip converges; cmd/p2pnode dumps the view on
 // SIGUSR1 and the CI kill-one-process job asserts the survivor's view
@@ -443,7 +457,9 @@
 //	                           reads (Coverage scans, StateOf) take RLock.
 //	                           Online alone takes no lock: it loads a
 //	                           per-node atomic bit the mutation stores
-//	                           under mu.
+//	                           under mu. Since publishes the version's
+//	                           snapshot under RLock through an atomic
+//	                           pointer, which the next mutation clears.
 //	liveness.View.obsMu        the observer hook pointer; the hook itself
 //	                           runs outside both view locks and may be
 //	                           invoked concurrently.

@@ -52,19 +52,29 @@ func TestDeltaGossipFirstContactFullSync(t *testing.T) {
 
 	// Nothing changed: the next tail is an empty delta, not a snapshot.
 	tail = sys.tailFor(p, 2)
-	if tail.Full || len(tail.Delta) != 0 {
+	if tail.Full || len(changesOf(tail.Delta)) != 0 {
 		t.Fatalf("idle link sent %+v, want empty delta", tail)
 	}
 
 	// One entry changes: the delta names exactly that entry.
 	view.MarkDead(7)
 	tail = sys.tailFor(p, 2)
-	if tail.Full || len(tail.Delta) != 1 || tail.Delta[0].ID != 7 {
-		t.Fatalf("delta after one change = %+v, want just id 7", tail)
+	delta := changesOf(tail.Delta)
+	if tail.Full || len(delta) != 1 || delta[0].ID != 7 {
+		t.Fatalf("delta after one change = %+v, want just id 7", delta)
 	}
-	if tail.Delta[0].E.State != liveness.Dead {
-		t.Fatalf("delta carries state %s, want dead", tail.Delta[0].E.State)
+	if delta[0].E.State != liveness.Dead {
+		t.Fatalf("delta carries state %s, want dead", delta[0].E.State)
 	}
+}
+
+// changesOf lists a delta's entries in iteration order.
+func changesOf(d liveness.Delta) []liveness.Change {
+	var out []liveness.Change
+	for id, e := range d.All() {
+		out = append(out, liveness.Change{ID: id, E: e})
+	}
+	return out
 }
 
 // TestDeltaGossipAckHandling: a partner's Ack==0 (views start at version

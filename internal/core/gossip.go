@@ -23,22 +23,20 @@ import (
 const MsgGossip = "gossip"
 
 // GossipTail is one liveness exchange from a sender to one partner: either
-// a full positional snapshot (first contact, periodic resync from a stale
-// ack base, or Config.GossipFullSnapshots) or the delta of entries changed
-// since the version the sender believes the partner has. Ver stamps the
-// sender's view version the tail brings the partner up to; Ack confirms
-// the highest version of the PARTNER's view the sender has merged, which
-// is what lets the partner send deltas back instead of snapshots.
+// the whole view (first contact, periodic resync from a stale ack base, or
+// Config.GossipFullSnapshots) or the delta of entries changed since the
+// version the sender believes the partner has. Ver stamps the sender's
+// view version the tail brings the partner up to; Ack confirms the highest
+// version of the PARTNER's view the sender has merged, which is what lets
+// the partner send deltas back instead of snapshots.
 type GossipTail struct {
-	// Full marks Entries as a positional whole-view snapshot; otherwise
-	// Delta carries the changed entries by id.
+	// Full marks Delta as the whole view, ids 0..n-1, written positionally;
+	// otherwise Delta carries the changed entries by gap-encoded id.
 	Full bool
-	// Entries is the sender's per-node liveness vector (index = node id),
-	// set when Full.
-	Entries []liveness.Entry
-	// Delta is the set of entries changed since the partner's last known
-	// version, ascending by id, set when !Full.
-	Delta []liveness.Change
+	// Delta holds the entries, ascending by id: a window onto the sender's
+	// published view snapshot (liveness.View.Since), or the sparse form
+	// decoded from the wire.
+	Delta liveness.Delta
 	// Ver is the sender's view version this tail represents. A partner
 	// that has merged it may be sent deltas based on it. A Ver below what
 	// the partner already saw from this sender reveals a sender restart.
@@ -148,15 +146,8 @@ func (s *System) tailFor(p *Peer, target p2p.NodeID) GossipTail {
 	} else if l.sends%gossipResyncEvery == 0 {
 		base = l.acked
 	}
-	view := s.net.Liveness()
-	var tail GossipTail
-	if base == 0 {
-		tail.Full = true
-		tail.Entries, tail.Ver = view.VersionedSnapshot()
-	} else {
-		tail.Delta, tail.Ver = view.Since(base)
-	}
-	tail.Ack = l.seen
+	tail := GossipTail{Full: base == 0, Ack: l.seen}
+	tail.Delta, tail.Ver = s.net.Liveness().Since(base)
 	l.sent = tail.Ver
 	return tail
 }
@@ -188,15 +179,10 @@ func (s *System) absorbTail(p *Peer, from p2p.NodeID, tail *GossipTail, mayReply
 		l.seen, l.acked, l.sent = 0, 0, 0
 	}
 	view := s.net.Liveness()
-	var newerLocal bool
-	if tail.Full {
-		_, newerLocal = view.Merge(tail.Entries)
-	} else {
-		_, newerLocal = view.MergeChanges(tail.Delta)
-		// A delta brings this view up to the partner's Ver only relative to
-		// the base the partner assumed; the Ack below tells them what that
-		// was, and the periodic resync covers any residual divergence.
-	}
+	// A delta brings this view up to the partner's Ver only relative to the
+	// base the partner assumed; the Ack below tells them what that was, and
+	// the periodic resync covers any residual divergence.
+	_, newerLocal := view.MergeChanges(tail.Delta)
 	if tail.Ver > l.seen {
 		l.seen = tail.Ver
 	}

@@ -120,87 +120,92 @@ func decodePush(data []byte) (any, error) {
 	return p, d.Done()
 }
 
-// encodeLivenessEntries appends a length-prefixed liveness vector: per
-// entry the incarnation and state share one uvarint (inc<<2 | state, the
-// state fits two bits), followed by the SP claim.
-func encodeLivenessEntries(e *wire.Enc, entries []liveness.Entry) {
-	e.Uvarint(uint64(len(entries)))
-	for _, en := range entries {
-		e.Uvarint(en.Inc<<2 | uint64(en.State))
-		e.Varint(int64(en.SP))
+// encodeLivenessEntries appends a full tail's body: the entry count, then
+// every entry positionally (liveness.Entry.AppendWire). A counting Enc is
+// charged the count prefix plus the delta's sized entry bytes — for a
+// published full snapshot a cached total — without walking the entries.
+func encodeLivenessEntries(e *wire.Enc, d liveness.Delta) {
+	n, entryBytes, _ := d.Size()
+	e.Uvarint(uint64(n))
+	if e.Counted(entryBytes) {
+		return
+	}
+	for _, en := range d.All() {
+		en.AppendWire(e)
 	}
 }
 
-// decodeLivenessEntries reverses encodeLivenessEntries (nil for an empty
-// vector). Truncation latches into the Dec for Done to report; an invalid
-// state value is a hard error — it cannot rely on Done, because the
-// corrupt entry may be the vector's last and leave no unread tail.
-func decodeLivenessEntries(d *wire.Dec) ([]liveness.Entry, error) {
-	n := d.Uvarint()
+// decodeLivenessEntries reverses encodeLivenessEntries into a sparse delta
+// with ids 0..n-1 (empty for an empty vector), in one exact-size
+// allocation. Truncation latches into the Dec for Done to report; an
+// invalid state value is a hard error — it cannot rely on Done, because
+// the corrupt entry may be the vector's last and leave no unread tail.
+func decodeLivenessEntries(d *wire.Dec) (liveness.Delta, error) {
+	n := d.Count()
 	if d.Err() != nil || n == 0 {
-		return nil, d.Err()
+		return liveness.Delta{}, d.Err()
 	}
-	var out []liveness.Entry
-	for i := uint64(0); i < n; i++ {
-		packed := d.Uvarint()
-		sp := d.Varint()
+	out := make([]liveness.Change, n)
+	for id := range out {
+		en := liveness.ReadEntry(d)
 		if d.Err() != nil {
-			return nil, d.Err()
+			return liveness.Delta{}, d.Err()
 		}
-		st := liveness.State(packed & 3)
-		if st > liveness.Dead {
-			return nil, fmt.Errorf("core: invalid liveness state %d in gossip vector", st)
+		if en.State > liveness.Dead {
+			return liveness.Delta{}, fmt.Errorf("core: invalid liveness state %d in gossip vector", en.State)
 		}
-		out = append(out, liveness.Entry{State: st, Inc: packed >> 2, SP: int(sp)})
+		out[id] = liveness.Change{ID: id, E: en}
 	}
-	return out, nil
+	return liveness.Changes(out), nil
 }
 
 // encodeLivenessChanges appends a delta — entries named by id — with the
-// ids gap-encoded: changes arrive ascending (liveness.Since), so each id
-// is written as the uvarint distance to its predecessor (the first as
-// id+1). A sparse delta over a large overlay costs one or two bytes of id
-// per entry no matter how high the ids run.
-func encodeLivenessChanges(e *wire.Enc, delta []liveness.Change) {
-	e.Uvarint(uint64(len(delta)))
+// ids gap-encoded: a delta iterates ascending, so each id is written as
+// the uvarint distance to its predecessor (the first as id+1). A sparse
+// delta over a large overlay costs one or two bytes of id per entry no
+// matter how high the ids run. A counting Enc is charged from one sizing
+// pass (liveness.Delta.Size) that encodes nothing.
+func encodeLivenessChanges(e *wire.Enc, d liveness.Delta) {
+	n, entryBytes, gapBytes := d.Size()
+	e.Uvarint(uint64(n))
+	if e.Counted(entryBytes + gapBytes) {
+		return
+	}
 	prev := -1
-	for _, c := range delta {
-		e.Uvarint(uint64(c.ID - prev))
-		e.Uvarint(c.E.Inc<<2 | uint64(c.E.State))
-		e.Varint(int64(c.E.SP))
-		prev = c.ID
+	for id, en := range d.All() {
+		e.Uvarint(uint64(id - prev))
+		en.AppendWire(e)
+		prev = id
 	}
 }
 
-// decodeLivenessChanges reverses encodeLivenessChanges (nil for an empty
-// delta). A zero id gap or an invalid state is a hard error, like in
-// decodeLivenessEntries.
-func decodeLivenessChanges(d *wire.Dec) ([]liveness.Change, error) {
-	n := d.Uvarint()
+// decodeLivenessChanges reverses encodeLivenessChanges into a sparse delta
+// (empty for an empty one), in one exact-size allocation. A zero id gap or
+// an invalid state is a hard error, like in decodeLivenessEntries.
+func decodeLivenessChanges(d *wire.Dec) (liveness.Delta, error) {
+	n := d.Count()
 	if d.Err() != nil || n == 0 {
-		return nil, d.Err()
+		return liveness.Delta{}, d.Err()
 	}
-	var out []liveness.Change
+	out := make([]liveness.Change, n)
 	prev := -1
-	for i := uint64(0); i < n; i++ {
+	for i := range out {
 		gap := d.Uvarint()
-		packed := d.Uvarint()
-		sp := d.Varint()
+		en := liveness.ReadEntry(d)
 		if d.Err() != nil {
-			return nil, d.Err()
+			return liveness.Delta{}, d.Err()
 		}
 		if gap == 0 {
-			return nil, fmt.Errorf("core: non-ascending id in gossip delta")
+			return liveness.Delta{}, fmt.Errorf("core: non-ascending id in gossip delta")
 		}
-		st := liveness.State(packed & 3)
-		if st > liveness.Dead {
-			return nil, fmt.Errorf("core: invalid liveness state %d in gossip delta", st)
+		if en.State > liveness.Dead {
+			return liveness.Delta{}, fmt.Errorf("core: invalid liveness state %d in gossip delta", en.State)
 		}
 		id := prev + int(gap)
-		out = append(out, liveness.Change{ID: id, E: liveness.Entry{State: st, Inc: packed >> 2, SP: int(sp)}})
+		out[i] = liveness.Change{ID: id, E: en}
 		prev = id
 	}
-	return out, nil
+	return liveness.Changes(out), nil
 }
 
 // encodeGossipTail appends one gossip tail: the full/delta marker, the
@@ -210,7 +215,7 @@ func encodeGossipTail(e *wire.Enc, t *GossipTail) {
 	e.Uvarint(t.Ver)
 	e.Uvarint(t.Ack)
 	if t.Full {
-		encodeLivenessEntries(e, t.Entries)
+		encodeLivenessEntries(e, t.Delta)
 	} else {
 		encodeLivenessChanges(e, t.Delta)
 	}
@@ -221,7 +226,7 @@ func decodeGossipTail(d *wire.Dec) (GossipTail, error) {
 	t := GossipTail{Full: d.Bool(), Ver: d.Uvarint(), Ack: d.Uvarint()}
 	var err error
 	if t.Full {
-		t.Entries, err = decodeLivenessEntries(d)
+		t.Delta, err = decodeLivenessEntries(d)
 	} else {
 		t.Delta, err = decodeLivenessChanges(d)
 	}

@@ -106,18 +106,18 @@ func sampleLivenessEntries() []liveness.Entry {
 
 // sampleFullTail wraps the sample entries in a full-snapshot tail.
 func sampleFullTail() *GossipTail {
-	return &GossipTail{Full: true, Entries: sampleLivenessEntries(), Ver: 42, Ack: 7}
+	return &GossipTail{Full: true, Delta: liveness.Entries(sampleLivenessEntries()), Ver: 42, Ack: 7}
 }
 
 // sampleDeltaTail exercises the gap-encoded id path: sparse ascending ids
 // (including id 0, gap 1), every state, incarnations past one varint byte.
 func sampleDeltaTail() *GossipTail {
 	return &GossipTail{
-		Delta: []liveness.Change{
+		Delta: liveness.Changes([]liveness.Change{
 			{ID: 0, E: liveness.Entry{State: liveness.Alive, Inc: 3, SP: liveness.NoSP}},
 			{ID: 7, E: liveness.Entry{State: liveness.Suspect, Inc: 1 << 33, SP: 7}},
 			{ID: 499, E: liveness.Entry{State: liveness.Dead, Inc: 2, SP: 4}},
-		},
+		}),
 		Ver: 1 << 20, Ack: 3,
 	}
 }

@@ -25,7 +25,7 @@ func TestForgedDeathClaimRefuted(t *testing.T) {
 
 	// An adversary claims local node 1 dead at an incarnation far above
 	// anything the node ever used.
-	changed, newerLocal := v.MergeChanges([]Change{{ID: 1, E: Entry{State: Dead, Inc: 40}}})
+	changed, newerLocal := v.MergeChanges(Changes([]Change{{ID: 1, E: Entry{State: Dead, Inc: 40}}}))
 	if !newerLocal {
 		t.Error("refutation did not request a reply (newerLocal false)")
 	}
@@ -43,7 +43,7 @@ func TestForgedDeathClaimRefuted(t *testing.T) {
 	}
 
 	// Replaying the same forged claim is now stale and fully vacuous.
-	changed, _ = v.MergeChanges([]Change{{ID: 1, E: Entry{State: Dead, Inc: 40}}})
+	changed, _ = v.MergeChanges(Changes([]Change{{ID: 1, E: Entry{State: Dead, Inc: 40}}}))
 	if changed != nil {
 		t.Fatalf("replayed forged claim changed entries %v", changed)
 	}
@@ -56,7 +56,7 @@ func TestConflictingDomainClaimRefuted(t *testing.T) {
 	// Conflicting claim: node 0 allegedly serves domain 3, at a higher
 	// incarnation so it would supersede on an unsuspecting peer.
 	inc := v.EntryOf(0).Inc
-	_, newerLocal := v.MergeChanges([]Change{{ID: 0, E: Entry{State: Alive, Inc: inc + 10, SP: 3}}})
+	_, newerLocal := v.MergeChanges(Changes([]Change{{ID: 0, E: Entry{State: Alive, Inc: inc + 10, SP: 3}}}))
 	if !newerLocal {
 		t.Error("conflicting claim not refuted with a reply")
 	}
@@ -75,7 +75,7 @@ func TestReplayedStaleSnapshotIgnored(t *testing.T) {
 
 	// Real progress: remote node 2 leaves and rejoins, remote node 3 turns
 	// suspect, local node 1 claims a domain.
-	v.MergeChanges([]Change{{ID: 2, E: Entry{State: Alive, Inc: 2}}})
+	v.MergeChanges(Changes([]Change{{ID: 2, E: Entry{State: Alive, Inc: 2}}}))
 	v.MarkSuspect(3)
 	v.SetSP(1, 0)
 	version := v.Version()
@@ -101,7 +101,7 @@ func TestReplayedStaleSnapshotIgnored(t *testing.T) {
 
 func TestForgedStateValueRefused(t *testing.T) {
 	v := localTo(2, 0)
-	_, newerLocal := v.MergeChanges([]Change{{ID: 1, E: Entry{State: State(7), Inc: 99}}})
+	_, newerLocal := v.MergeChanges(Changes([]Change{{ID: 1, E: Entry{State: State(7), Inc: 99}}}))
 	if !newerLocal {
 		t.Error("forged state not flagged for refutation")
 	}
@@ -142,7 +142,7 @@ func TestSuspectDedupeByIncarnation(t *testing.T) {
 	// The far side of the partition confirmed its own timer first and its
 	// Dead claim arrives by gossip. We host node 1, so the claim is
 	// refuted by re-assert — state stays Suspect, incarnation climbs.
-	v.MergeChanges([]Change{{ID: 1, E: Entry{State: Dead, Inc: 0}}})
+	v.MergeChanges(Changes([]Change{{ID: 1, E: Entry{State: Dead, Inc: 0}}}))
 	if e := v.EntryOf(1); e.State != Suspect || e.Inc != 1 {
 		t.Fatalf("entry after refuted dead claim = %+v, want suspect at inc 1", e)
 	}

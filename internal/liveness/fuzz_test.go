@@ -1,6 +1,7 @@
 package liveness
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -11,7 +12,9 @@ import (
 // regresses, and no claim about a local node is ever adopted (local nodes
 // stay in the state the hosting process put them in). Online, which reads
 // a lock-free mirror of the entries, must agree with StateOf after every
-// merge.
+// merge. Finally a delta the view published (Since) is merged back into
+// it after fuzz-chosen mutations — the bounded self-merge — and must act
+// exactly like the same merge into a clone.
 func FuzzMergeChanges(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 200, 3, 2, 1, 99})
@@ -42,7 +45,7 @@ func FuzzMergeChanges(f *testing.F) {
 		}
 
 		before := v.Version()
-		v.MergeChanges(delta)
+		v.MergeChanges(Changes(delta))
 		if v.Version() < before {
 			t.Fatalf("version regressed %d -> %d", before, v.Version())
 		}
@@ -65,9 +68,50 @@ func FuzzMergeChanges(f *testing.F) {
 		// re-asserts already applied — in particular it must not panic or
 		// regress either.
 		before = v.Version()
-		v.MergeChanges(delta)
+		v.MergeChanges(Changes(delta))
 		if v.Version() < before {
 			t.Fatalf("version regressed on replay %d -> %d", before, v.Version())
+		}
+		checkOnlineMirror(t, v)
+
+		// Self-merge: take a delta at a fuzz-chosen base, mutate the view
+		// two bytes at a time (operation, node), then merge the delta back
+		// and into a clone of the mutated view.
+		base := uint64(0)
+		if len(data) > 0 {
+			base = uint64(data[0]) % (v.Version() + 1)
+		}
+		d, _ := v.Since(base)
+		for i := 1; i+1 < len(data); i += 2 {
+			id, op := int(data[i])%n, data[i+1]
+			switch op % 5 {
+			case 0:
+				v.MarkAlive(id)
+			case 1:
+				v.MarkDead(id)
+			case 2:
+				v.MarkSuspect(id)
+			case 3:
+				v.Confirm(id, v.EntryOf(id).Inc)
+			default:
+				v.SetSP(id, int(op/5)%(n+1)-1)
+			}
+		}
+		clone := CloneView(v)
+		merge := func(v *View) (changed []int, newerLocal bool, seen []Change) {
+			v.SetObserver(func(id int, e Entry) { seen = append(seen, Change{id, e}) })
+			changed, newerLocal = v.MergeChanges(d)
+			v.SetObserver(nil)
+			return changed, newerLocal, seen
+		}
+		changed, newer, seen := merge(v)
+		cChanged, cNewer, cSeen := merge(clone)
+		if !reflect.DeepEqual(changed, cChanged) || newer != cNewer || !reflect.DeepEqual(seen, cSeen) {
+			t.Fatalf("self-merge changed %v newer %v observed %v; clone merge changed %v newer %v observed %v",
+				changed, newer, seen, cChanged, cNewer, cSeen)
+		}
+		if got, want := StateOfView(v), StateOfView(clone); got != want {
+			t.Fatalf("self-merge left\n%s\nclone merge left\n%s", got, want)
 		}
 		checkOnlineMirror(t, v)
 	})

@@ -18,15 +18,27 @@
 // at a higher incarnation — the SWIM refutation that brings a reconnected
 // process back to alive in everyone's view.
 //
-// The package deliberately depends on nothing above the standard library so
-// the transport layer (internal/p2p) can own a View without cycles.
+// Gossip carries a view in tails (Since, Delta, MergeChanges). A view
+// publishes at most one immutable snapshot per version — entries, version
+// stamps and encoded lengths — built the first time a tail needs it and
+// shared by every later tail of that version. Since is O(1); sizing a
+// tail's bytes is one pass over the stamps, O(1) for a full tail; and
+// merging a tail back into the view that published it merges only the
+// entries stamped since, none when the version has not moved.
+//
+// The package depends on nothing above the standard library but the wire
+// encoding (internal/wire, itself standard-library only), so the transport
+// layer (internal/p2p) can own a View without cycles.
 package liveness
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"p2psum/internal/wire"
 )
 
 // State is a node's liveness state in a view.
@@ -83,6 +95,35 @@ func (e Entry) Supersedes(old Entry) bool {
 	return e.State > old.State
 }
 
+// wireWords is the one definition of an entry's wire layout: uvarint(inc<<2
+// | state) — the state fits two bits — then varint(sp). AppendWire writes
+// it, wireLen sizes it and ReadEntry reads it back.
+func (e Entry) wireWords() (packed uint64, sp int64) {
+	return e.Inc<<2 | uint64(e.State), int64(e.SP)
+}
+
+// AppendWire appends the entry's wire form to enc.
+func (e Entry) AppendWire(enc *wire.Enc) {
+	packed, sp := e.wireWords()
+	enc.Uvarint(packed)
+	enc.Varint(sp)
+}
+
+// wireLen is the number of bytes AppendWire writes.
+func (e Entry) wireLen() int {
+	packed, sp := e.wireWords()
+	return wire.UvarintLen(packed) + wire.VarintLen(sp)
+}
+
+// ReadEntry reads one entry written by AppendWire. The state is returned
+// as read (a corrupt one may exceed Dead) for the caller to reject, and
+// truncation latches into d.
+func ReadEntry(d *wire.Dec) Entry {
+	packed := d.Uvarint()
+	sp := d.Varint()
+	return Entry{State: State(packed & 3), Inc: packed >> 2, SP: int(sp)}
+}
+
 // View is one process's membership view over n overlay nodes. All methods
 // are safe for concurrent use; the observer (SetObserver) is invoked
 // outside the view lock and may run concurrently with other mutations.
@@ -90,10 +131,19 @@ func (e Entry) Supersedes(old Entry) bool {
 // Every effective mutation bumps the view-wide version counter and stamps
 // the mutated entry with it, so the entries changed since any past version
 // are exactly {id : vers[id] > then} — the basis of delta gossip (Since).
+// The first tail taken at a version publishes an immutable snapshot of the
+// view, which every tail of that version shares; the next effective
+// mutation drops it.
 type View struct {
 	mu      sync.RWMutex
 	entries []Entry
 	vers    []uint64 // per-entry: version at last effective change
+	lens    []uint8  // per-entry: Entry.wireLen, kept by bump
+	total   int      // sum of lens
+	// pub is the snapshot published at the current version, nil until a
+	// tail needs it. Since stores it under the read lock (so it is atomic);
+	// bump clears it under the write lock.
+	pub atomic.Pointer[published]
 	// alive mirrors entries[id].State == Alive for Online, the one reader
 	// on every send and delivery, which reads it without the lock. bump
 	// is its only writer.
@@ -122,23 +172,29 @@ type View struct {
 // at version 1 with every entry stamped 1, so version 0 unambiguously
 // means "has never seen anything of this view" to a gossip partner.
 func NewView(n int, local func(id int) bool) *View {
-	v := &View{entries: make([]Entry, n), vers: make([]uint64, n), alive: make([]atomic.Bool, n),
-		susInc: make([]uint64, n), local: local, version: 1}
+	v := &View{entries: make([]Entry, n), vers: make([]uint64, n), lens: make([]uint8, n),
+		alive: make([]atomic.Bool, n), susInc: make([]uint64, n), local: local, version: 1}
 	for i := range v.entries {
 		v.entries[i].SP = NoSP
 		v.vers[i] = 1
+		v.lens[i] = uint8(v.entries[i].wireLen())
+		v.total += int(v.lens[i])
 		v.alive[i].Store(true)
 	}
 	return v
 }
 
-// bump stamps an effective mutation of entry id and republishes its
-// online bit. Every effective mutation calls it, after changing the
-// entry. Caller holds mu.
+// bump stamps an effective mutation of entry id, resizes it and
+// republishes its online bit, and drops the published snapshot. Every
+// effective mutation calls it, after changing the entry. Caller holds mu.
 func (v *View) bump(id int) {
 	v.version++
 	v.vers[id] = v.version
+	l := uint8(v.entries[id].wireLen())
+	v.total += int(l) - int(v.lens[id])
+	v.lens[id] = l
 	v.alive[id].Store(v.entries[id].State == Alive)
+	v.pub.Store(nil)
 }
 
 // Len returns the number of nodes.
@@ -358,22 +414,12 @@ func (v *View) SetSP(id, sp int) bool {
 	return true
 }
 
-// Snapshot copies the current entries — the payload of a gossip message.
-// The result is never mutated by the view afterwards and may be shared.
+// Snapshot copies the current entries (index = node id). The copy is the
+// caller's: the view never touches it again.
 func (v *View) Snapshot() []Entry {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	return append([]Entry(nil), v.entries...)
-}
-
-// VersionedSnapshot copies the current entries together with the version
-// they represent — the payload of a full-sync gossip message. Merging the
-// entries and acknowledging the version hands the partner a consistent
-// baseline for future deltas.
-func (v *View) VersionedSnapshot() ([]Entry, uint64) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return append([]Entry(nil), v.entries...), v.version
 }
 
 // Change names one entry of a delta: the node id and its record.
@@ -382,69 +428,183 @@ type Change struct {
 	E  Entry
 }
 
-// Since returns the entries whose last effective change is newer than
-// after, ascending by id, together with the view's current version — the
-// delta a partner that has merged everything up to version after still
-// needs. Since(0) returns every entry: a fresh view stamps everything at
-// version 1. It allocates at most once: the matching entries are counted
-// first and copied into one slice of exactly that length, and nothing
-// (a nil slice) is allocated when nothing changed.
-func (v *View) Since(after uint64) ([]Change, uint64) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	n := 0
-	for _, ver := range v.vers {
-		if ver > after {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil, v.version
-	}
-	out := make([]Change, 0, n)
-	for id, ver := range v.vers {
-		if ver > after {
-			out = append(out, Change{ID: id, E: v.entries[id]})
-		}
-	}
-	return out, v.version
+// published is one immutable snapshot of a view at one version: its
+// entries, their version stamps, each entry's encoded length and their
+// total. A view publishes at most one per version; every Delta taken at
+// that version is a window onto it.
+type published struct {
+	origin  *View
+	version uint64
+	entries []Entry
+	vers    []uint64
+	lens    []uint8 // Entry.wireLen per entry (at most 20)
+	total   int     // sum of lens: the body of a full tail
 }
 
-// Merge folds a remote view's entries in — the anti-entropy step. For
+// Delta is the payload of one gossip tail: a set of entries by node id,
+// iterated in ascending id order. A Delta is immutable and may be shared
+// between goroutines. It has two forms:
+//
+//   - published (View.Since): the entries of one published snapshot
+//     stamped after a base version. Taking it costs nothing; sizing and
+//     iterating it cost one pass over the snapshot's stamps, and sizing a
+//     full one (base 0, every entry) costs nothing at all;
+//   - sparse (Changes, Entries, decoded from the wire): a []Change.
+//
+// The zero Delta is empty.
+type Delta struct {
+	pub    *published
+	after  uint64
+	sparse []Change
+}
+
+// Changes wraps a sparse delta. cs is not copied, so the caller must not
+// modify it afterwards. Its ids should ascend: iteration and the wire form
+// keep cs's order (merging does not depend on it).
+func Changes(cs []Change) Delta {
+	if len(cs) == 0 {
+		return Delta{}
+	}
+	return Delta{sparse: cs}
+}
+
+// Entries wraps a positional vector (index = node id) as a sparse delta,
+// in one exact-size allocation.
+func Entries(es []Entry) Delta {
+	if len(es) == 0 {
+		return Delta{}
+	}
+	cs := make([]Change, len(es))
+	for id, e := range es {
+		cs[id] = Change{ID: id, E: e}
+	}
+	return Delta{sparse: cs}
+}
+
+// All iterates the delta's entries in ascending id order.
+func (d Delta) All() iter.Seq2[int, Entry] {
+	return func(yield func(int, Entry) bool) {
+		if d.pub == nil {
+			for _, c := range d.sparse {
+				if !yield(c.ID, c.E) {
+					return
+				}
+			}
+			return
+		}
+		for id, ver := range d.pub.vers {
+			if ver > d.after && !yield(id, d.pub.entries[id]) {
+				return
+			}
+		}
+	}
+}
+
+// Size sizes the delta's wire forms without encoding them: n entries,
+// entryBytes for their records (Entry.AppendWire) and gapBytes for their
+// ids written as uvarint gaps to the predecessor (the first as id+1). A
+// full delta is sized from the snapshot's cached total: its ids run
+// 0..n-1, so every gap is one byte.
+func (d Delta) Size() (n, entryBytes, gapBytes int) {
+	p, prev := d.pub, -1
+	switch {
+	case p == nil:
+		for _, c := range d.sparse {
+			entryBytes += c.E.wireLen()
+			gapBytes += wire.UvarintLen(uint64(c.ID - prev))
+			prev = c.ID
+		}
+		return len(d.sparse), entryBytes, gapBytes
+	case d.after == 0:
+		return len(p.vers), p.total, len(p.vers)
+	}
+	for id, ver := range p.vers {
+		if ver > d.after {
+			n++
+			entryBytes += int(p.lens[id])
+			gapBytes += wire.UvarintLen(uint64(id - prev))
+			prev = id
+		}
+	}
+	return n, entryBytes, gapBytes
+}
+
+// Since returns the entries whose last effective change is newer than
+// after, together with the view's current version — the delta a partner
+// that has merged everything up to version after still needs. Since(0) is
+// the whole view (a fresh view stamps everything at version 1): the form a
+// full tail carries. Since neither scans nor copies: the delta is a window
+// onto the snapshot published at the current version, which the first
+// call at that version builds (one O(n) copy) and later calls share. It
+// returns the empty Delta when nothing changed since after.
+func (v *View) Since(after uint64) (Delta, uint64) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	if after >= v.version {
+		return Delta{}, v.version
+	}
+	p := v.pub.Load()
+	if p == nil {
+		p = &published{origin: v, version: v.version, total: v.total,
+			entries: append([]Entry(nil), v.entries...),
+			vers:    append([]uint64(nil), v.vers...),
+			lens:    append([]uint8(nil), v.lens...),
+		}
+		// Concurrent readers may race to publish; one copy wins, and both
+		// describe this same version (no bump runs under the read lock).
+		if !v.pub.CompareAndSwap(nil, p) {
+			p = v.pub.Load()
+		}
+	}
+	return Delta{pub: p, after: after}, v.version
+}
+
+// Merge folds a remote view's positional entries in; it is MergeChanges
+// over Entries(remote).
+func (v *View) Merge(remote []Entry) (changed []int, newerLocal bool) {
+	return v.MergeChanges(Entries(remote))
+}
+
+// MergeChanges folds a remote delta in — the anti-entropy step. For
 // non-local nodes the superseding remote entry is adopted verbatim. For
 // nodes this process hosts the view is authoritative: a remote entry that
 // would supersede the local one is refuted instead — the local state is
 // re-asserted at remote.Inc+1, so a process marked dead while partitioned
-// gossips itself back to alive after reconnecting. Merge returns the ids
-// whose entries changed and whether this view holds information the remote
-// lacks (any local entry superseding the corresponding remote one) — the
-// signal to send a reply gossip.
-func (v *View) Merge(remote []Entry) (changed []int, newerLocal bool) {
+// gossips itself back to alive after reconnecting. Ids outside the view
+// are ignored (a partner sized for a different overlay). MergeChanges
+// returns the ids whose entries changed, in the delta's order, and whether
+// this view holds information the remote lacks among the named entries
+// (any local entry superseding the corresponding remote one) — the signal
+// to send a reply gossip.
+//
+// A delta this view published itself merges only the entries stamped
+// after the snapshot's version, and nothing when the version has not
+// moved: every other entry still holds the snapshot's record, and merging
+// an equal record is a no-op. On the in-memory transports, which share
+// one view, every tail is such a delta.
+func (v *View) MergeChanges(d Delta) (changed []int, newerLocal bool) {
 	var notes []Change
 	v.mu.Lock()
-	for id := 0; id < len(v.entries) && id < len(remote); id++ {
-		if v.mergeOne(id, remote[id], &notes) {
-			newerLocal = true
+	switch p := d.pub; {
+	case p == nil:
+		for _, c := range d.sparse {
+			if c.ID >= 0 && c.ID < len(v.entries) && v.mergeOne(c.ID, c.E, &notes) {
+				newerLocal = true
+			}
 		}
-	}
-	v.mu.Unlock()
-	return v.noteChanges(notes), newerLocal
-}
-
-// MergeChanges folds a delta — remote records for named ids — into the
-// view with the same per-entry semantics as Merge. Ids outside the view
-// are ignored (a partner sized for a different overlay). It returns the
-// ids whose entries changed and whether this view holds information the
-// remote lacks among the named entries.
-func (v *View) MergeChanges(delta []Change) (changed []int, newerLocal bool) {
-	var notes []Change
-	v.mu.Lock()
-	for _, c := range delta {
-		if c.ID < 0 || c.ID >= len(v.entries) {
-			continue
+	case p.origin == v:
+		if v.version != p.version {
+			for id, ver := range p.vers {
+				if ver > d.after && v.vers[id] > p.version && v.mergeOne(id, p.entries[id], &notes) {
+					newerLocal = true
+				}
+			}
 		}
-		if v.mergeOne(c.ID, c.E, &notes) {
-			newerLocal = true
+	default:
+		for id, ver := range p.vers[:min(len(p.vers), len(v.entries))] {
+			if ver > d.after && v.mergeOne(id, p.entries[id], &notes) {
+				newerLocal = true
+			}
 		}
 	}
 	v.mu.Unlock()
@@ -457,6 +617,10 @@ func (v *View) MergeChanges(delta []Change) (changed []int, newerLocal bool) {
 func (v *View) mergeOne(id int, r Entry, notes *[]Change) (newerLocal bool) {
 	cur := &v.entries[id]
 	switch {
+	case r == *cur:
+		// An equal record neither supersedes nor is superseded: the rule
+		// that bounds MergeChanges of a self-published delta.
+		return false
 	case r.State > Dead:
 		// Forged state value: never adopt it, and flag the entry so the
 		// reply gossip carries the truth back.

@@ -236,40 +236,100 @@ func TestObserverAndVersion(t *testing.T) {
 }
 
 // TestSinceAndVersionedSnapshot: Since returns exactly the entries stamped
-// after the given version, ascending by id, and the version pair lines up
-// with VersionedSnapshot.
+// after the given version, ascending by id, and Since(0) lines up with
+// the whole-view VersionedSnapshotReference.
 func TestSinceAndVersionedSnapshot(t *testing.T) {
 	v := NewView(5, nil)
-	entries, ver := v.VersionedSnapshot()
+	entries, ver := VersionedSnapshotReference(v)
 	if len(entries) != 5 || ver != v.Version() {
 		t.Fatalf("snapshot %d entries at version %d, want 5 at %d", len(entries), ver, v.Version())
 	}
 	// A fresh view stamps everything at version 1: Since(0) is everything,
 	// Since(1) is nothing.
-	if all, _ := v.Since(0); len(all) != 5 {
-		t.Fatalf("Since(0) returned %d entries, want all 5", len(all))
+	all, allVer := v.Since(0)
+	if got := ChangesOf(all); allVer != ver || !reflect.DeepEqual(got, ChangesOf(Entries(entries))) {
+		t.Fatalf("Since(0) = %+v at version %d, want all 5 of %+v at %d", got, allVer, entries, ver)
 	}
-	if none, _ := v.Since(ver); len(none) != 0 {
-		t.Fatalf("Since(current) returned %d entries, want none", len(none))
+	if none, _ := v.Since(ver); ChangesOf(none) != nil {
+		t.Fatalf("Since(current) returned %+v, want the empty delta", ChangesOf(none))
 	}
 
 	v.MarkDead(3)
 	v.SetSP(1, 0)
-	delta, now := v.Since(ver)
+	d, now := v.Since(ver)
 	if now != v.Version() {
 		t.Fatalf("Since reported version %d, view at %d", now, v.Version())
 	}
+	delta := ChangesOf(d)
 	if len(delta) != 2 || delta[0].ID != 1 || delta[1].ID != 3 {
 		t.Fatalf("delta = %+v, want ids [1 3] ascending", delta)
 	}
 	if delta[1].E.State != Dead || delta[0].E.SP != 0 {
 		t.Fatalf("delta carries wrong records: %+v", delta)
 	}
-	// Re-marking dead is a no-op: no new stamp.
-	v.MarkDead(3)
-	if d2, _ := v.Since(now); len(d2) != 0 {
-		t.Fatalf("vacuous mutation produced a delta: %+v", d2)
+	// The delta is immutable: later mutations do not show through it.
+	v.MarkAlive(3)
+	if got := ChangesOf(d); !reflect.DeepEqual(got, delta) {
+		t.Fatalf("delta changed under a later mutation: %+v, was %+v", got, delta)
 	}
+	now = v.Version()
+	// Re-marking alive is a no-op: no new stamp.
+	v.MarkAlive(3)
+	if d2, _ := v.Since(now); ChangesOf(d2) != nil {
+		t.Fatalf("vacuous mutation produced a delta: %+v", ChangesOf(d2))
+	}
+}
+
+// TestSinceConcurrent takes, sizes, iterates and self-merges deltas from
+// several goroutines while others mutate the view: the published snapshot
+// is shared, so every delta must stay internally consistent (its sizes
+// match the entries it iterates) however the publishing races and the
+// mutations interleave. Run it with -race.
+func TestSinceConcurrent(t *testing.T) {
+	const n, workers, rounds = 64, 4, 400
+	v := NewView(n, func(id int) bool { return id%2 == 0 })
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < rounds; i++ {
+				id := rng.Intn(n)
+				switch rng.Intn(3) {
+				case 0:
+					v.MarkDead(id)
+				case 1:
+					v.MarkAlive(id)
+				default:
+					v.SetSP(id, rng.Intn(n))
+				}
+			}
+		}(int64(w))
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(100 + seed))
+			for i := 0; i < rounds; i++ {
+				ver := v.Version()
+				base := uint64(rng.Int63n(int64(ver + 1)))
+				d, dver := v.Since(base)
+				count, entryBytes, _ := d.Size()
+				seen, sum := 0, 0
+				for _, e := range d.All() {
+					seen++
+					sum += e.wireLen()
+				}
+				if dver < ver || seen != count || sum != entryBytes {
+					t.Errorf("delta at base %d (version %d): %d entries of %d B, sized %d of %d B",
+						base, dver, seen, sum, count, entryBytes)
+					return
+				}
+				v.MergeChanges(d)
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	checkOnlineMirror(t, v)
 }
 
 // TestMergeChangesMatchesMerge: folding a delta by named ids has the same
@@ -302,15 +362,16 @@ func TestMergeChangesMatchesMerge(t *testing.T) {
 	if changed, _ := a.MergeChanges(delta); changed != nil {
 		t.Errorf("re-merge changed %v", changed)
 	}
-	if changed, newer := a.MergeChanges([]Change{{ID: -1}, {ID: 99, E: Entry{State: Dead, Inc: 9}}}); changed != nil || newer {
+	if changed, newer := a.MergeChanges(Changes([]Change{{ID: -1}, {ID: 99, E: Entry{State: Dead, Inc: 9}}})); changed != nil || newer {
 		t.Errorf("out-of-range ids had an effect: changed=%v newer=%v", changed, newer)
 	}
 }
 
 // BenchmarkViewSince is the delta-gossip tail on the hot path: a
 // 500-entry view with a third of its entries changed since the partner's
-// base. Since must allocate exactly one slice of the delta's size (CI
-// gates allocs/op == 1 via benchgate).
+// base, taken and sized. Every tail of one version shares the snapshot the
+// first one published, so Since must not allocate (CI gates allocs/op == 0
+// via benchgate).
 func BenchmarkViewSince(b *testing.B) {
 	v := NewView(500, nil)
 	base := v.Version()
@@ -320,8 +381,9 @@ func BenchmarkViewSince(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if d, _ := v.Since(base); len(d) != 167 {
-			b.Fatalf("delta has %d entries, want 167", len(d))
+		d, _ := v.Since(base)
+		if n, _, _ := d.Size(); n != 167 {
+			b.Fatalf("delta has %d entries, want 167", n)
 		}
 	}
 }

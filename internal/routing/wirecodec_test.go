@@ -106,17 +106,17 @@ func registeredSamples() map[string]any {
 		core.MsgReconcile: core.ReconcilePayload{
 			SP: 2, Seq: 3, Remaining: []p2p.NodeID{4}, Merged: []p2p.NodeID{5, 6},
 			Gossip: &core.GossipTail{
-				Delta: []liveness.Change{{ID: 3, E: liveness.Entry{State: liveness.Suspect, Inc: 2, SP: 2}}},
+				Delta: liveness.Changes([]liveness.Change{{ID: 3, E: liveness.Entry{State: liveness.Suspect, Inc: 2, SP: 2}}}),
 				Ver:   8, Ack: 5,
 			},
 		},
 		core.MsgGossip: core.GossipPayload{
 			Tail: core.GossipTail{
 				Full: true,
-				Entries: []liveness.Entry{
+				Delta: liveness.Entries([]liveness.Entry{
 					{State: liveness.Alive, Inc: 1, SP: 0},
 					{State: liveness.Dead, Inc: 9, SP: liveness.NoSP},
-				},
+				}),
 				Ver: 12, Ack: 4,
 			},
 			Reply: true,

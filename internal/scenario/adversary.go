@@ -74,7 +74,7 @@ func (a *Adversary) Snapshot() []liveness.Entry {
 func (a *Adversary) Replay(target p2p.NodeID, entries []liveness.Entry) {
 	a.ver++
 	a.sys.Transport().SendNew(core.MsgGossip, a.src, target, 0, core.GossipPayload{
-		Tail:  core.GossipTail{Full: true, Entries: entries, Ver: a.ver},
+		Tail:  core.GossipTail{Full: true, Delta: liveness.Entries(entries), Ver: a.ver},
 		Reply: true,
 	})
 }
@@ -82,7 +82,7 @@ func (a *Adversary) Replay(target p2p.NodeID, entries []liveness.Entry) {
 func (a *Adversary) inject(target p2p.NodeID, delta []liveness.Change) {
 	a.ver++
 	a.sys.Transport().SendNew(core.MsgGossip, a.src, target, 0, core.GossipPayload{
-		Tail:  core.GossipTail{Delta: delta, Ver: a.ver},
+		Tail:  core.GossipTail{Delta: liveness.Changes(delta), Ver: a.ver},
 		Reply: true,
 	})
 }

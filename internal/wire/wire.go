@@ -136,11 +136,11 @@ func (e *Enc) Len() int {
 	return len(e.buf)
 }
 
-// uvarintLen is the encoded size of an unsigned varint.
-func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+// UvarintLen is the encoded size of an unsigned varint.
+func UvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
-// varintLen is the encoded size of a signed (zig-zag) varint.
-func varintLen(v int64) int { return uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
+// VarintLen is the encoded size of a signed (zig-zag) varint.
+func VarintLen(v int64) int { return UvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
 
 // Uint8 appends one raw byte.
 func (e *Enc) Uint8(b uint8) {
@@ -156,7 +156,7 @@ func (e *Enc) Uint8(b uint8) {
 func (e *Enc) Uvarint(u uint64) {
 	e.check()
 	if e.count {
-		e.n += uvarintLen(u)
+		e.n += UvarintLen(u)
 		return
 	}
 	e.buf = binary.AppendUvarint(e.buf, u)
@@ -166,7 +166,7 @@ func (e *Enc) Uvarint(u uint64) {
 func (e *Enc) Varint(v int64) {
 	e.check()
 	if e.count {
-		e.n += varintLen(v)
+		e.n += VarintLen(v)
 		return
 	}
 	e.buf = binary.AppendVarint(e.buf, v)
@@ -177,7 +177,7 @@ func (e *Enc) Varint(v int64) {
 func VarintsLen[T ~int | ~int32 | ~int64](vs []T) int {
 	n := 0
 	for _, v := range vs {
-		n += varintLen(int64(v))
+		n += VarintLen(int64(v))
 	}
 	return n
 }
@@ -190,13 +190,25 @@ func VarintsLen[T ~int | ~int32 | ~int64](vs []T) int {
 // lists the caller writes with n = 0.
 func VarintsSized[T ~int | ~int32 | ~int64](e *Enc, vs []T, n int) {
 	e.Uvarint(uint64(len(vs)))
-	if e.count {
-		e.n += n
+	if e.Counted(n) {
 		return
 	}
 	for _, v := range vs {
 		e.buf = binary.AppendVarint(e.buf, int64(v))
 	}
+}
+
+// Counted is the sizing shortcut for a caller that already knows the
+// length n of what it is about to write: a counting Enc is charged n and
+// Counted reports true, so the caller skips the writes; a writing Enc is
+// left alone and Counted reports false.
+func (e *Enc) Counted(n int) bool {
+	e.check()
+	if e.count {
+		e.n += n
+		return true
+	}
+	return false
 }
 
 // Bool appends a boolean as one byte.
