@@ -75,6 +75,17 @@
 // between the in-memory two for simulations; cmd/p2pnode deploys the TCP
 // one.
 //
+// A simulated send costs only its payload. The Network copies the message
+// into a slot of a slab it owns and schedules a delivery event naming the
+// slot, not a closure; the handler gets a pointer into the slab, valid
+// only for the call, and the slot is cleared and reused once it returns.
+// The send is charged to a per-type slot of the ledger, sized through the
+// codec cached next to that slot and one counting encoder, and its frame
+// header is priced by arithmetic (wire.Frame.SizeWithPayload), so a send
+// and its delivery allocate nothing (BenchmarkNetworkSendDeliver, gated
+// at 0 in CI). Payloads that change hands hop by hop — the §4.2.2 ring
+// token — travel by pointer and belong to whoever holds them.
+//
 // Transport is 21 methods: the static overlay (Len, Neighbors, Degree,
 // Graph), membership (Liveness, Online, SetOnline, OnlineCount,
 // OnlineIDs), messaging (SetHandler, SetDrop, SendNew, Flood,

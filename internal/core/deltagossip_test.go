@@ -157,7 +157,7 @@ func TestDeltaGossipDropRegression(t *testing.T) {
 	payloads := []any{
 		GossipPayload{Tail: GossipTail{Ver: 9}},
 		PushPayload{V: Stale, Gossip: &GossipTail{Ver: 9}},
-		ReconcilePayload{SP: 0, Gossip: &GossipTail{Ver: 9}},
+		&ReconcilePayload{SP: 0, Gossip: &GossipTail{Ver: 9}},
 	}
 	for _, pl := range payloads {
 		l := p.link(partner)

@@ -228,7 +228,7 @@ func (s *System) regressGossip(msg *p2p.Message) {
 		tail = &pl.Tail
 	case PushPayload:
 		tail = pl.Gossip
-	case ReconcilePayload:
+	case *ReconcilePayload:
 		tail = pl.Gossip
 	}
 	if tail == nil {

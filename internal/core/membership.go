@@ -134,7 +134,7 @@ func (s *System) onDrop(msg *p2p.Message) {
 			}
 		}
 	case MsgReconcile:
-		pl := msg.Payload.(ReconcilePayload)
+		pl := msg.Payload.(*ReconcilePayload)
 		if msg.To == pl.SP {
 			// The summary peer itself is gone: the round dies with the
 			// token instead of ping-ponging between the resend and this
@@ -142,10 +142,11 @@ func (s *System) onDrop(msg *p2p.Message) {
 			// their own dropped pushes (§4.3).
 			return
 		}
-		// The ring token hit a partner that disconnected in flight: the
-		// sender skips it and forwards to the rest of the ring. The
-		// recipient already left Remaining and the id-list count when
-		// the token was sent, so the count is consistent as it stands.
+		// The ring token hit a partner that disconnected in flight: it
+		// comes back to the sender, who owns it again, skips the partner
+		// and forwards to the rest of the ring. The recipient already
+		// left Remaining and the id-list count when the token was sent,
+		// so the count is consistent as it stands.
 		sender := s.peers[msg.From]
 		sender.forwardReconcile(pl)
 	case MsgElect:

@@ -94,7 +94,7 @@ func (p *Peer) startRing() {
 	p.reconcileSeq++
 	remaining := p.onlinePartners()
 	p.armReconcileTimer(len(remaining))
-	pl := ReconcilePayload{SP: p.id, Seq: p.reconcileSeq, NewGS: p.sys.newTree(),
+	pl := &ReconcilePayload{SP: p.id, Seq: p.reconcileSeq, NewGS: p.sys.newTree(),
 		Remaining: remaining, idBytes: wire.VarintsLen(remaining)}
 	p.forwardReconcile(pl)
 }
@@ -171,7 +171,11 @@ func (p *Peer) onlinePartners() []p2p.NodeID {
 // partner in pl.Remaining, or back to the summary peer when the ring is
 // exhausted. Every id popped — the recipient, or an offline partner
 // skipped — leaves the token's running id-list count with it.
-func (p *Peer) forwardReconcile(pl ReconcilePayload) {
+//
+// The token travels by pointer and whoever holds it owns it: the sender
+// gives it up with the send, and touches it again only if it comes back
+// through the drop callback.
+func (p *Peer) forwardReconcile(pl *ReconcilePayload) {
 	for len(pl.Remaining) > 0 {
 		next := pl.Remaining[0]
 		pl.idBytes -= wire.VarintsLen(pl.Remaining[:1])
@@ -200,7 +204,7 @@ func (p *Peer) forwardReconcile(pl ReconcilePayload) {
 // onReconcile is executed by each partner on the ring, and by the summary
 // peer when the token returns.
 func (p *Peer) onReconcile(msg *p2p.Message) {
-	pl := msg.Payload.(ReconcilePayload)
+	pl := msg.Payload.(*ReconcilePayload)
 	p.sys.absorbTail(p, msg.From, pl.Gossip, false)
 	if p.role == RoleSummaryPeer && p.id == pl.SP {
 		p.completeReconcile(pl)
@@ -226,7 +230,7 @@ func (p *Peer) onReconcile(msg *p2p.Message) {
 // changed (per-shard deltas), so concurrent readers are never stalled on
 // the whole summary. Tokens of a superseded ring generation (retransmit
 // already launched a newer one) are dropped.
-func (p *Peer) completeReconcile(pl ReconcilePayload) {
+func (p *Peer) completeReconcile(pl *ReconcilePayload) {
 	if !p.reconciling || pl.Seq != p.reconcileSeq {
 		return // stale token: a retransmitted ring owns this round now
 	}

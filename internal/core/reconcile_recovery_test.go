@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -122,7 +124,7 @@ func TestStaleTokenIgnored(t *testing.T) {
 	p.reconciling = true
 	p.retriesLeft = 1
 	p.reconcileSeq = 5
-	stale := ReconcilePayload{SP: sp, Seq: 4, Merged: p.onlinePartners()}
+	stale := &ReconcilePayload{SP: sp, Seq: 4, Merged: p.onlinePartners()}
 	p.completeReconcile(stale)
 	if !p.reconciling {
 		t.Fatal("stale token completed the newer ring")
@@ -131,7 +133,7 @@ func TestStaleTokenIgnored(t *testing.T) {
 		t.Errorf("stale token counted as a reconciliation")
 	}
 	// The live generation still completes normally.
-	p.completeReconcile(ReconcilePayload{SP: sp, Seq: 5, Merged: p.onlinePartners()})
+	p.completeReconcile(&ReconcilePayload{SP: sp, Seq: 5, Merged: p.onlinePartners()})
 	e.Run()
 	if p.reconciling || sys.Stats().Reconciliations != 1 {
 		t.Errorf("live token did not complete: reconciling=%v stats=%+v", p.reconciling, sys.Stats())
@@ -234,5 +236,110 @@ func TestReconcileLossRecoveryChannel(t *testing.T) {
 			t.Fatalf("no completed reconciliation under loss: stats=%+v reconciling=%v", st, reconciling)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// reconcileDropCounter is a ChannelTransport that counts the ring tokens
+// its drop callback hands back to their senders.
+type reconcileDropCounter struct {
+	*p2p.ChannelTransport
+	drops atomic.Int64
+}
+
+func (d *reconcileDropCounter) SetDrop(fn func(*p2p.Message)) {
+	d.ChannelTransport.SetDrop(func(msg *p2p.Message) {
+		if msg.Type == MsgReconcile {
+			d.drops.Add(1)
+		}
+		fn(msg)
+	})
+}
+
+// TestRingTokenDropHandoffOverChannelTransport runs rings over a two-group
+// ChannelTransport in which, each round, every link into one fresh
+// partner is severed: the token sent to it comes back through the drop
+// callback — on the sender's dispatcher, often another goroutine than the
+// one that dropped it — and the sender, owning the token again, forwards
+// it on. Loss recovery is off, so every ring completes through that
+// handoff or not at all. Run under -race it checks the pointer token's
+// ownership handoff across goroutines.
+func TestRingTokenDropHandoffOverChannelTransport(t *testing.T) {
+	g, err := topology.BarabasiAlbert(120, 2, nil, rand.New(rand.NewSource(31)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := p2p.NewChannelTransport(g, 31, p2p.ChannelConfig{
+		LatencyScale: time.Microsecond,
+		Dispatchers:  2,
+		GroupBy:      func(id p2p.NodeID) int { return int(id) % 2 },
+	})
+	t.Cleanup(ct.Close)
+	net := &reconcileDropCounter{ChannelTransport: ct}
+	cfg := DefaultConfig()
+	cfg.ReconcileTimeout = -1 // no retransmit: only the drop path can finish a ring
+	cfg.GossipPiggyback = true
+	sys, err := NewSystem(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.ElectSummaryPeers(2)
+	if err := sys.Construct(); err != nil {
+		t.Fatal(err)
+	}
+	ct.Settle()
+	sp := sys.SummaryPeers()[0]
+
+	var mu sync.Mutex
+	var rings [][]p2p.NodeID
+	sys.OnReconcile = func(id p2p.NodeID, merged []p2p.NodeID) {
+		if id == sp {
+			mu.Lock()
+			rings = append(rings, append([]p2p.NodeID(nil), merged...))
+			mu.Unlock()
+		}
+	}
+	var victims []p2p.NodeID
+	const rounds = 4
+	for round := 0; round < rounds; round++ {
+		var partners []p2p.NodeID
+		for _, id := range sys.Peer(sp).CooperationList().Partners() {
+			if ct.Online(id) {
+				partners = append(partners, id)
+			}
+		}
+		if len(partners) < 3 {
+			t.Fatalf("round %d: only %d online partners left", round, len(partners))
+		}
+		victim := partners[len(partners)/2]
+		victims = append(victims, victim)
+		ct.SetLinkFilter(func(from, to p2p.NodeID) bool { return to == victim })
+		mu.Lock()
+		rings = nil
+		mu.Unlock()
+		sys.MarkModifiedAll(partners)
+		ct.Settle()
+
+		mu.Lock()
+		got := rings
+		mu.Unlock()
+		if len(got) == 0 {
+			t.Fatalf("round %d: no ring completed with partner %d unreachable", round, victim)
+		}
+		for _, merged := range got {
+			for _, id := range merged {
+				if id == victim {
+					t.Fatalf("round %d: unreachable partner %d merged into the ring", round, victim)
+				}
+			}
+		}
+		var stuck bool
+		ct.Exec(func() { stuck = sys.Peer(sp).reconciling })
+		if stuck {
+			t.Fatalf("round %d: summary peer still reconciling after Settle", round)
+		}
+	}
+	ct.SetLinkFilter(nil)
+	if n := net.drops.Load(); n < rounds {
+		t.Errorf("%d ring tokens came back through the drop callback over %d rounds, want at least one per round (victims %v)", n, rounds, victims)
 	}
 }

@@ -266,7 +266,10 @@ type PushPayload struct {
 	Gossip *GossipTail
 }
 
-// ReconcilePayload is the §4.2.2 ring token.
+// ReconcilePayload is the §4.2.2 ring token. It travels as a
+// *ReconcilePayload — the ring's messages carry the pointer, the codec
+// encodes and decodes that form — and whoever holds it owns it: each hop
+// updates the one token in place and hands it on.
 type ReconcilePayload struct {
 	// SP is the summary peer that launched the ring.
 	SP p2p.NodeID

@@ -37,7 +37,7 @@ func (n *tokenSizeNet) SendNew(typ string, from, to p2p.NodeID, ttl int, payload
 		n.Network.SendNew(typ, from, to, ttl, payload)
 		return
 	}
-	pl := payload.(ReconcilePayload)
+	pl := payload.(*ReconcilePayload)
 	n.hops++
 	if want := wire.VarintsLen(pl.Remaining) + wire.VarintsLen(pl.Merged); pl.idBytes != want {
 		n.t.Fatalf("hop %d (%d -> %d): token counts %d id bytes, its lists hold %d",
@@ -147,7 +147,7 @@ func TestReconcileTokenSizeMatchesEncoding(t *testing.T) {
 func BenchmarkReconcileFrameSize(b *testing.B) {
 	for _, n := range []int{50, 500, 5000} {
 		b.Run(fmt.Sprintf("ids=%d", n), func(b *testing.B) {
-			pl := ReconcilePayload{SP: 7, Seq: 3}
+			pl := &ReconcilePayload{SP: 7, Seq: 3}
 			for i := 0; i < n; i++ {
 				pl.Remaining = append(pl.Remaining, p2p.NodeID(2*i+100))
 				pl.Merged = append(pl.Merged, p2p.NodeID(2*i+101))

@@ -333,8 +333,8 @@ func (p *ReconcilePayload) idListBytes() int {
 // length prefix — the token's running count covers both — so a counting
 // Enc sizes a hop in O(1).
 func encodeReconcile(e *wire.Enc, payload any) error {
-	p, ok := payload.(ReconcilePayload)
-	if !ok {
+	p, ok := payload.(*ReconcilePayload)
+	if !ok || p == nil {
 		return badPayload(MsgReconcile, payload)
 	}
 	e.Varint(int64(p.SP))
@@ -347,7 +347,7 @@ func encodeReconcile(e *wire.Enc, payload any) error {
 
 func decodeReconcile(data []byte) (any, error) {
 	d := wire.NewDec(data)
-	p := ReconcilePayload{
+	p := &ReconcilePayload{
 		SP:        p2p.NodeID(d.Varint()),
 		Seq:       int(d.Varint()),
 		Remaining: decodeNodeIDs(d),

@@ -157,7 +157,7 @@ func TestLocalsumCodecRoundTrip(t *testing.T) {
 func TestReconcileCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 20; i++ {
-		p := ReconcilePayload{
+		p := &ReconcilePayload{
 			SP:  p2p.NodeID(rng.Intn(1 << 12)),
 			Seq: rng.Intn(1 << 8),
 		}
@@ -175,7 +175,7 @@ func TestReconcileCodecRoundTrip(t *testing.T) {
 		} else if i%3 == 1 {
 			p.Gossip = sampleDeltaTail()
 		}
-		got := roundTrip(t, MsgReconcile, p).(ReconcilePayload)
+		got := roundTrip(t, MsgReconcile, p).(*ReconcilePayload)
 		if got.SP != p.SP || got.Seq != p.Seq ||
 			!reflect.DeepEqual(got.Remaining, p.Remaining) ||
 			!reflect.DeepEqual(got.Merged, p.Merged) ||
@@ -283,7 +283,7 @@ func truncationPayloads(t *testing.T) map[string]any {
 		MsgSumpeer:  SumpeerPayload{SP: 3, Round: 2, Hops: 1},
 		MsgPush:     PushPayload{V: Stale, Gossip: sampleDeltaTail()},
 		MsgLocalsum: LocalsumPayload{Rejoin: true, Tree: randTree(t, 31, 20, 2)},
-		MsgReconcile: ReconcilePayload{
+		MsgReconcile: &ReconcilePayload{
 			SP: 7, Seq: 9,
 			Remaining: []p2p.NodeID{1, 2, 3},
 			Merged:    []p2p.NodeID{4, 5},

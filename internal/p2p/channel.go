@@ -105,7 +105,7 @@ func NewChannelTransport(graph *topology.Graph, seed int64, cfg ChannelConfig) *
 	}
 	t.eng = newDispatchEngine(n, cfg.Dispatchers, cfg.GroupBy, t.deliver)
 	t.cfg.Dispatchers = t.eng.groupCount()
-	t.books = newBooks(t.cfg.Dispatchers)
+	t.books = make(books, t.cfg.Dispatchers)
 	return t
 }
 

@@ -129,10 +129,15 @@ func (g *linkGate) severed(from, to NodeID) bool {
 
 // ledger is one serialized lane's share of the traffic books: messages and
 // bytes per message type, the unit of every cost figure in the paper ("the
-// number of exchanged messages", §6.2.1). The lane's own context is nearly
-// the only writer, so the mutex is uncontended; it exists for the rare
-// foreign writer (a drop callback sending on behalf of a remote sender, a
-// driver walk beside running dispatchers) and for merge-on-read.
+// number of exchanged messages", §6.2.1). A ledger is a handful of
+// per-type slots — types[i] is charged msgs[i] messages totalling
+// bytes[i] — found by a short linear scan: message types are interned
+// protocol constants, a lane sees about ten of them, and comparing a
+// string with its own constant stops at the pointer. The lane's own
+// context is nearly the only writer, so the mutex is uncontended; it
+// exists for the rare foreign writer (a drop callback sending on behalf of
+// a remote sender, a driver walk beside running dispatchers) and for
+// merge-on-read.
 //
 // What a transmission costs is the same rule on every transport: a message
 // whose payload is serializable — nil, or carrying a registered wire codec
@@ -142,15 +147,31 @@ func (g *linkGate) severed(from, to NodeID) bool {
 // transmission costs BaseMessageBytes.
 type ledger struct {
 	mu    sync.Mutex
-	msgs  *stats.Counter
-	bytes *stats.Counter
+	types []string
+	msgs  []int64
+	bytes []int64
+}
+
+// slot returns typ's slot index, opening one on first sight. Caller holds
+// mu.
+func (l *ledger) slot(typ string) int {
+	for i, t := range l.types {
+		if t == typ {
+			return i
+		}
+	}
+	l.types = append(l.types, typ)
+	l.msgs = append(l.msgs, 0)
+	l.bytes = append(l.bytes, 0)
+	return len(l.types) - 1
 }
 
 // charge books msgs transmissions of the given type totalling bytes.
 func (l *ledger) charge(typ string, msgs, bytes int64) {
 	l.mu.Lock()
-	l.msgs.Add(typ, msgs)
-	l.bytes.Add(typ, bytes)
+	i := l.slot(typ)
+	l.msgs[i] += msgs
+	l.bytes[i] += bytes
 	l.mu.Unlock()
 }
 
@@ -159,30 +180,23 @@ func (l *ledger) chargeHops(typ string, n int64) { l.charge(typ, n, n*BaseMessag
 
 // books is a transport's set of ledgers, one per serialized lane: one on
 // the Network, one per dispatch group on ChannelTransport and
-// TCPTransport. Lanes never contend
-// on shared accounting; readers merge. Embedding books gives a transport
-// its Counter and Bytes methods.
+// TCPTransport. Lanes never contend on shared accounting; readers merge.
+// Embedding books gives a transport its Counter and Bytes methods.
 type books []ledger
 
-// newBooks builds n empty ledgers.
-func newBooks(n int) books {
-	b := make(books, n)
-	for i := range b {
-		b[i].msgs, b[i].bytes = stats.NewCounter(), stats.NewCounter()
-	}
-	return b
-}
-
-// merged folds every ledger into a fresh one nobody else holds, so later
-// charges never alias what a reader was handed. Each ledger is read under
-// its own lock: safe while messages fly.
-func (b books) merged() *ledger {
-	out := &newBooks(1)[0]
+// merged folds one column of every ledger's slots (msgs or bytes) into a
+// fresh counter nobody else holds, so later charges never alias what a
+// reader was handed. Lanes may have opened their slots in different
+// orders; the counter is keyed by type. Each ledger is read under its own
+// lock: safe while messages fly.
+func (b books) merged(column func(*ledger) []int64) *stats.Counter {
+	out := stats.NewCounter()
 	for i := range b {
 		l := &b[i]
 		l.mu.Lock()
-		out.msgs.Merge(l.msgs)
-		out.bytes.Merge(l.bytes)
+		for j, v := range column(l) {
+			out.Add(l.types[j], v)
+		}
 		l.mu.Unlock()
 	}
 	return out
@@ -190,11 +204,15 @@ func (b books) merged() *ledger {
 
 // Counter returns a merged snapshot of the per-type message counts;
 // successive calls return fresh (monotonically growing) snapshots.
-func (b books) Counter() *stats.Counter { return b.merged().msgs }
+func (b books) Counter() *stats.Counter {
+	return b.merged(func(l *ledger) []int64 { return l.msgs })
+}
 
 // Bytes returns a merged snapshot of the per-type traffic volumes (same
 // contract as Counter; the ledger comment states what a message costs).
-func (b books) Bytes() *stats.Counter { return b.merged().bytes }
+func (b books) Bytes() *stats.Counter {
+	return b.merged(func(l *ledger) []int64 { return l.bytes })
+}
 
 // flood is the Gnutella-style constrained broadcast of all three
 // transports, so the §6.2.3 traversal semantics are identical by

@@ -18,10 +18,12 @@
 //	ledger.mu                  one mutex per ledger (overlay.go) — the
 //	                           Network's single ledger, one per dispatch
 //	                           group of a ChannelTransport or
-//	                           TCPTransport: that lane's message and byte
-//	                           counters. Lanes never contend on shared
-//	                           accounting; Counter/Bytes merge the ledgers
-//	                           into a fresh snapshot on read.
+//	                           TCPTransport: that lane's per-type slots
+//	                           (types[i] with its msgs[i] and bytes[i]),
+//	                           opened in whatever order the lane meets
+//	                           the types. Lanes never contend on shared
+//	                           accounting; Counter/Bytes merge the slots
+//	                           by type into fresh counters on read.
 //	dispatchEngine             (engine.go, shared by ChannelTransport and
 //	                           TCPTransport) mu: groupOf[], armed timers,
 //	                           dispatcher goroutine ids, closed. hmu: the
@@ -37,9 +39,14 @@
 //	                           atomic pointer to an immutable closure.
 //	Network                    NO locks of its own beyond its ledger (the
 //	                           event engine runs every handler on one
-//	                           goroutine); the message-id counter is a
-//	                           plain integer. Its liveness view locks
-//	                           itself.
+//	                           goroutine). It owns the slab of in-flight
+//	                           Message values and its free list, the
+//	                           per-slot codec cache and the one counting
+//	                           Enc every send is sized with — plain
+//	                           fields, touched only on that goroutine, as
+//	                           is the message-id counter. Its ledger's
+//	                           mutex is held across sizing a send. Its
+//	                           liveness view locks itself.
 //	ChannelTransport.mu        the loss/random-walk rng.
 //	TCPTransport               connMu (connection table + reconnect loops),
 //	                           wireMu (socket frame counters and the
@@ -67,6 +74,7 @@ import (
 	"p2psum/internal/liveness"
 	"p2psum/internal/sim"
 	"p2psum/internal/topology"
+	"p2psum/internal/wire"
 )
 
 // NodeID identifies an overlay node (index into the topology graph).
@@ -84,6 +92,15 @@ type Message struct {
 }
 
 // Handler consumes messages delivered to a node.
+//
+// The *Message is valid only for the duration of the call: a transport may
+// recycle it as soon as the handler returns (the Network delivers out of a
+// slab slot it then clears). A handler that needs a field later copies
+// it, or the Message value, before returning; the payload itself belongs
+// to whoever the protocol says holds it. The same contract holds for the
+// drop callback (SetDrop). Under the race detector the Network poisons a
+// released slot (To -1, Type "<released>") so a retained pointer reads
+// garbage loudly.
 type Handler func(msg *Message)
 
 // Sizer is implemented by payloads that can estimate their wire size. The
@@ -111,6 +128,17 @@ type Network struct {
 	handler []Handler
 	// nextMsg counts sends; a message without an id takes the count.
 	nextMsg uint64
+	// slab holds every in-flight message by value; a delivery event names
+	// its slot. free lists the slots to reuse. A slot is taken by Send and
+	// released after its handler (or drop callback) returns.
+	slab []Message
+	free []int
+	// codecs caches the wire codec of the ledger's type slot i at index i
+	// (the zero codec until a lookup hits). sizer is the one counting
+	// encoder every send is sized with; the engine is single-threaded, so
+	// one suffices.
+	codecs []wire.PayloadCodec
+	sizer  *wire.Enc
 	// DirectLatency is used for node pairs without an overlay edge (e.g. a
 	// query sent straight to a relevant peer found in a summary).
 	DirectLatency float64
@@ -122,21 +150,27 @@ type Network struct {
 }
 
 // NewNetwork builds a network over the graph. All nodes start online.
+// The network installs itself as the engine's delivery hook, so an engine
+// carries one Network.
 func NewNetwork(engine *sim.Engine, graph *topology.Graph, seed int64) *Network {
-	return &Network{
+	n := &Network{
 		overlay:       overlay{graph: graph, view: liveness.NewView(graph.Len(), nil)},
-		books:         newBooks(1),
+		books:         make(books, 1),
 		engine:        engine,
 		rng:           rand.New(rand.NewSource(seed)),
 		handler:       make([]Handler, graph.Len()),
+		sizer:         wire.NewCountEnc(),
 		DirectLatency: 0.100,
 	}
+	engine.SetDeliver(n.deliver)
+	return n
 }
 
 // SetHandler installs the message handler of a node.
 func (n *Network) SetHandler(id NodeID, h Handler) { n.handler[id] = h }
 
-// SetDrop installs the drop callback (§4.3 failure detection).
+// SetDrop installs the drop callback (§4.3 failure detection). Like a
+// handler's, the callback's *Message is valid only during the call.
 func (n *Network) SetDrop(fn func(*Message)) { n.drop = fn }
 
 // HopsWithin returns BFS hop distances from src, bounded by radius.
@@ -196,6 +230,10 @@ func (n *Network) Settle() { n.engine.Run() }
 // latency, charging it under msg.Type. Messages to offline or
 // handler-less nodes are counted as sent (the bytes hit the wire) but
 // trigger Drop instead of a handler.
+//
+// Send copies *msg (after giving it an id when it has none) into a slab
+// slot and keeps no reference to msg: changing msg afterwards changes
+// nothing in flight.
 func (n *Network) Send(msg *Message) {
 	if msg.To < 0 || int(msg.To) >= n.graph.Len() {
 		panic(fmt.Sprintf("p2p: send to out-of-range node %d", msg.To))
@@ -203,25 +241,74 @@ func (n *Network) Send(msg *Message) {
 	if n.nextMsg++; msg.ID == 0 {
 		msg.ID = n.nextMsg
 	}
-	n.books[0].charge(msg.Type, 1, messageWireSize(msg))
+	l := &n.books[0]
+	l.mu.Lock()
+	i := l.slot(msg.Type)
+	l.msgs[i]++
+	l.bytes[i] += n.wireSize(msg, i)
+	l.mu.Unlock()
+	idx := n.take()
+	n.slab[idx] = *msg
 	lat := n.latencyBetween(msg.From, msg.To, n.DirectLatency)
-	n.engine.After(sim.Seconds(lat), func() { n.deliver(msg) })
+	n.engine.AfterDeliver(sim.Seconds(lat), idx)
 }
 
-// deliver hands msg to its destination handler, or to the drop callback
-// when the node is offline or handler-less — or when the link filter
-// severs the link at delivery time.
-func (n *Network) deliver(msg *Message) {
+// wireSize is messageWireSize through the network's own codec cache and
+// counting encoder; slot is msg.Type's ledger slot.
+func (n *Network) wireSize(msg *Message, slot int) int64 {
+	if msg.Payload == nil {
+		return headerSize(msg)
+	}
+	if slot >= len(n.codecs) {
+		n.codecs = append(n.codecs, make([]wire.PayloadCodec, slot+1-len(n.codecs))...)
+	}
+	c := n.codecs[slot]
+	if c.Encode == nil {
+		var ok bool
+		if c, ok = wire.Lookup(msg.Type); !ok {
+			return sizerEstimate(msg)
+		}
+		n.codecs[slot] = c
+	}
+	if size, ok := countFrame(msg, c, n.sizer); ok {
+		return size
+	}
+	return sizerEstimate(msg)
+}
+
+// take returns a free slab slot, growing the slab when none is free.
+func (n *Network) take() int {
+	if k := len(n.free); k > 0 {
+		idx := n.free[k-1]
+		n.free = n.free[:k-1]
+		return idx
+	}
+	n.slab = append(n.slab, Message{})
+	return len(n.slab) - 1
+}
+
+// deliver is the engine's delivery hook: it hands slot idx's message to
+// its destination handler, or to the drop callback when the node is
+// offline or handler-less — or when the link filter severs the link at
+// delivery time — then clears the slot and frees it. Handlers may send,
+// growing the slab under msg; msg stays readable (it points into the old
+// array) and the release goes by index.
+func (n *Network) deliver(idx int) {
+	msg := &n.slab[idx]
 	if h := n.handler[msg.To]; h != nil && n.deliverable(msg.From, msg.To) {
 		h(msg)
 	} else if n.drop != nil {
 		n.drop(msg)
 	}
+	n.slab[idx] = releasedMessage
+	n.free = append(n.free, idx)
 }
 
-// SendNew builds and sends a message.
+// SendNew builds and sends a message. The Message lives on the stack: Send
+// copies it into the slab.
 func (n *Network) SendNew(typ string, from, to NodeID, ttl int, payload any) {
-	n.Send(&Message{Type: typ, From: from, To: to, TTL: ttl, Payload: payload})
+	msg := Message{Type: typ, From: from, To: to, TTL: ttl, Payload: payload}
+	n.Send(&msg)
 }
 
 // Flood delivers a message of the given type from src to every node within

@@ -396,7 +396,7 @@ func NewTCPTransport(graph *topology.Graph, cfg TCPConfig) (*TCPTransport, error
 	t.ln = ln
 	t.laddr = ln.Addr().String()
 	t.eng = newDispatchEngine(n, cfg.Dispatchers, cfg.GroupBy, t.deliver)
-	t.books = newBooks(t.eng.groupCount())
+	t.books = make(books, t.eng.groupCount())
 	t.wg.Add(1)
 	go t.acceptLoop()
 	if cfg.KeepAlive > 0 || cfg.MaxBacklogAge > 0 {

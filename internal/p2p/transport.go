@@ -284,23 +284,35 @@ func appendFrame(e *wire.Enc, msg *Message) bool {
 // or slice). It must agree exactly with len(encodeFrame(msg)) —
 // TestByteAccounting pins that.
 func frameSize(msg *Message) (int64, bool) {
-	has := msg.Payload != nil
-	payloadLen := 0
-	if has {
-		c, ok := wire.Lookup(msg.Type)
-		if !ok {
-			return 0, false
-		}
-		ce := wire.GetCountEnc()
-		err := c.Encode(ce, msg.Payload)
-		payloadLen = ce.Len()
-		ce.Release()
-		if err != nil {
-			return 0, false
-		}
+	if msg.Payload == nil {
+		return headerSize(msg), true
 	}
-	f := frameOf(msg, has)
-	return int64(f.SizeWithPayload(payloadLen)), true
+	c, ok := wire.Lookup(msg.Type)
+	if !ok {
+		return 0, false
+	}
+	ce := wire.GetCountEnc()
+	size, ok := countFrame(msg, c, ce)
+	ce.Release()
+	return size, ok
+}
+
+// headerSize is the frame length of a payload-less msg.
+func headerSize(msg *Message) int64 {
+	f := frameOf(msg, false)
+	return int64(f.SizeWithPayload(0))
+}
+
+// countFrame returns the frame length of msg with its payload counted by
+// codec c on the counting encoder ce, which it resets first. It reports
+// false when the codec fails.
+func countFrame(msg *Message, c wire.PayloadCodec, ce *wire.Enc) (int64, bool) {
+	ce.Reset()
+	if err := c.Encode(ce, msg.Payload); err != nil {
+		return 0, false
+	}
+	f := frameOf(msg, true)
+	return int64(f.SizeWithPayload(ce.Len())), true
 }
 
 // decodeFrame reconstructs a Message from a wire frame, decoding the

@@ -103,7 +103,7 @@ func registeredSamples() map[string]any {
 		core.MsgSumpeer:  core.SumpeerPayload{SP: 1, Round: 2, Hops: 1},
 		core.MsgLocalsum: core.LocalsumPayload{Rejoin: true},
 		core.MsgPush:     core.PushPayload{V: core.Stale},
-		core.MsgReconcile: core.ReconcilePayload{
+		core.MsgReconcile: &core.ReconcilePayload{
 			SP: 2, Seq: 3, Remaining: []p2p.NodeID{4}, Merged: []p2p.NodeID{5, 6},
 			Gossip: &core.GossipTail{
 				Delta: liveness.Changes([]liveness.Change{{ID: 3, E: liveness.Entry{State: liveness.Suspect, Inc: 2, SP: 2}}}),
@@ -129,11 +129,18 @@ func registeredSamples() map[string]any {
 
 // exportedEqual is reflect.DeepEqual over the exported fields of two
 // payloads of one type: what a codec must carry. Unexported fields are
-// caches a decoder may fill in and a literal leaves zero.
+// caches a decoder may fill in and a literal leaves zero. A payload sent
+// by pointer (the ring token) is compared through the pointer.
 func exportedEqual(a, b any) bool {
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	if va.Type() != vb.Type() {
 		return false
+	}
+	if va.Kind() == reflect.Pointer {
+		if va.IsNil() || vb.IsNil() {
+			return va.IsNil() == vb.IsNil()
+		}
+		va, vb = va.Elem(), vb.Elem()
 	}
 	if va.Kind() != reflect.Struct {
 		return reflect.DeepEqual(a, b)

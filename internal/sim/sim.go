@@ -1,10 +1,17 @@
 // Package sim is a deterministic discrete-event simulation engine, the
 // stand-in for the SimJava package the paper's evaluation uses (§6.2.1).
 //
-// Events carry a virtual timestamp and a callback; the engine pops them in
-// (time, sequence) order, so runs are reproducible bit-for-bit given the
-// same seed and schedule. The P2P overlay delivers messages by scheduling
-// their reception after a per-link latency.
+// Events carry a virtual timestamp; the engine pops them in (time,
+// sequence) order, so runs are reproducible bit-for-bit given the same
+// seed and schedule. There are two kinds of event, sharing one sequence
+// counter and one heap:
+//
+//   - a timer carries a callback (At, After) and runs it;
+//   - a delivery carries a slot index (AfterDeliver) and hands it to the
+//     engine's one delivery hook (SetDeliver). The P2P overlay keeps its
+//     in-flight messages in a slab and schedules a message's reception as
+//     a delivery after the per-link latency, so a send allocates no
+//     closure.
 //
 // Engine is one heap driven by one goroutine: every callback runs on the
 // goroutine that calls Step, RunUntil or Run, so protocol state touched
@@ -43,7 +50,8 @@ func Duration(d time.Duration) Time { return Time(d.Seconds()) }
 // End is the largest representable time.
 const End Time = Time(math.MaxFloat64)
 
-// event is a scheduled callback. Events live by value in the heap's
+// event is a scheduled timer (fn set) or delivery (fn nil, idx the slot
+// handed to the delivery hook). Events live by value in the heap's
 // backing array, so the hot dispatch path (schedule, pop, run) allocates
 // nothing once the array has grown to the run's high-water mark —
 // BenchmarkEventDispatch pins 0 allocs/op and CI gates it.
@@ -51,6 +59,7 @@ type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among same-time events
 	fn  func()
+	idx int
 }
 
 // before is the queue order: time, then schedule sequence.
@@ -114,10 +123,11 @@ func (q *eventQueue) pop() event {
 
 // Engine is the sequential simulation kernel.
 type Engine struct {
-	now    Time
-	queue  eventQueue
-	seq    uint64
-	events uint64 // executed events
+	now     Time
+	queue   eventQueue
+	seq     uint64
+	events  uint64 // executed events
+	deliver func(idx int)
 }
 
 // New creates an engine at time zero.
@@ -150,13 +160,38 @@ func (e *Engine) After(delay Time, fn func()) {
 	e.At(e.now+delay, fn)
 }
 
+// SetDeliver installs the delivery hook: every event scheduled with
+// AfterDeliver calls it with its slot index. An engine has one hook, so
+// one owner; installing a second panics.
+func (e *Engine) SetDeliver(fn func(idx int)) {
+	if e.deliver != nil {
+		panic("sim: delivery hook already installed")
+	}
+	e.deliver = fn
+}
+
+// AfterDeliver schedules a delivery of slot idx after the given delay. It
+// takes its sequence number exactly as After would, so replacing a
+// delivery closure with a delivery event keeps the firing order.
+func (e *Engine) AfterDeliver(delay Time, idx int) {
+	if delay < 0 {
+		delay = 0
+	}
+	e.seq++
+	e.queue.push(event{at: e.now + delay, seq: e.seq, idx: idx})
+}
+
 // fire pops the next event, advances the clock to it and runs it. The
 // queue must be non-empty.
 func (e *Engine) fire() {
 	ev := e.queue.pop()
 	e.now = ev.at
 	e.events++
-	ev.fn()
+	if ev.fn != nil {
+		ev.fn()
+	} else {
+		e.deliver(ev.idx)
+	}
 }
 
 // Step executes the next event. It reports false when the queue is empty.

@@ -210,3 +210,40 @@ func BenchmarkEventDispatch(b *testing.B) {
 		e.Step()
 	}
 }
+
+// TestDeliveryEventsShareTheOrder interleaves deliveries with timers: both
+// kinds take one sequence counter, so same-time events fire in schedule
+// order whatever their kind, and each delivery hands its own slot to the
+// hook.
+func TestDeliveryEventsShareTheOrder(t *testing.T) {
+	e := New()
+	var order []int
+	e.SetDeliver(func(idx int) { order = append(order, idx) })
+	e.AfterDeliver(5, 10)
+	e.After(5, func() { order = append(order, 1) })
+	e.AfterDeliver(5, 11)
+	e.AfterDeliver(-1, 12) // negative delay clamps to now
+	e.At(2, func() {
+		order = append(order, 2)
+		e.AfterDeliver(3, 13) // lands at 5, after everything scheduled earlier
+	})
+	e.Run()
+	want := []int{12, 2, 10, 1, 11, 13}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+	if e.Executed() != uint64(len(want)) {
+		t.Errorf("Executed = %d, want %d", e.Executed(), len(want))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a second delivery hook was accepted")
+		}
+	}()
+	e.SetDeliver(func(int) {})
+}

@@ -70,3 +70,25 @@ func framesEqual(a, b *Frame) bool {
 		a.TTL == b.TTL && a.Hops == b.Hops && a.HasPayload == b.HasPayload &&
 		bytes.Equal(a.Payload, b.Payload)
 }
+
+// FuzzFrameSize holds the arithmetic SizeWithPayload to the encoder: for
+// any type string, any header integers (negative and huge included) and
+// any payload length — none, empty or long — the counted length equals
+// len(Encode()) of the same frame.
+func FuzzFrameSize(f *testing.F) {
+	f.Add("push", int64(1), int64(2), int64(0), int64(0), -1)
+	f.Add("reconcile", int64(-1), int64(1<<40), int64(-300), int64(1<<62), 0)
+	f.Add("", int64(-1<<63), int64(1<<63-1), int64(127), int64(128), 16383)
+	f.Add("gossip", int64(0), int64(0), int64(-64), int64(63), 16384)
+	f.Fuzz(func(t *testing.T, typ string, from, to, ttl, hops int64, payloadLen int) {
+		fr := Frame{Type: typ, From: from, To: to, TTL: int(ttl), Hops: int(hops)}
+		if payloadLen >= 0 {
+			fr.HasPayload = true
+			fr.Payload = make([]byte, payloadLen%(1<<17))
+		}
+		if got, want := fr.SizeWithPayload(len(fr.Payload)), len(fr.Encode()); got != want {
+			t.Fatalf("type of %d bytes, from %d, to %d, ttl %d, hops %d, payload %v of %d bytes: SizeWithPayload %d, Encode %d bytes",
+				len(fr.Type), fr.From, fr.To, fr.TTL, fr.Hops, fr.HasPayload, len(fr.Payload), got, want)
+		}
+	})
+}

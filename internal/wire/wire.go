@@ -85,6 +85,15 @@ func GetEnc() *Enc {
 	return e
 }
 
+// Reset empties the encoder for reuse, keeping its mode (writing or
+// counting) and its buffer's capacity — the unpooled way for an owner
+// that sizes many values in a row on one goroutine to reuse one Enc.
+func (e *Enc) Reset() {
+	e.check()
+	e.buf = e.buf[:0]
+	e.n = 0
+}
+
 // GetCountEnc returns a pooled counting encoder (see NewCountEnc). Pair it
 // with Release.
 func GetCountEnc() *Enc {
@@ -574,16 +583,18 @@ func (f *Frame) AppendHeaderTo(e *Enc, payloadLen int) {
 
 // SizeWithPayload returns the encoded frame length for a payload of the
 // given length without materializing any bytes — the byte-accounting path
-// of the in-memory transports, which must report exactly what Encode
-// would produce. It allocates nothing: the counting encoder lives on the
-// stack and the payload contributes only its length.
+// of every transport, which must report exactly what Encode would
+// produce. It is the header layout summed field by field (version byte,
+// type string, four varints, payload flag, and the payload blob when
+// present); FuzzFrameSize holds it to len(Encode()).
 func (f *Frame) SizeWithPayload(payloadLen int) int {
-	e := Enc{count: true}
-	f.AppendHeaderTo(&e, payloadLen)
+	n := 1 + UvarintLen(uint64(len(f.Type))) + len(f.Type) +
+		VarintLen(f.From) + VarintLen(f.To) +
+		VarintLen(int64(f.TTL)) + VarintLen(int64(f.Hops)) + 1
 	if f.HasPayload {
-		e.n += payloadLen
+		n += UvarintLen(uint64(payloadLen)) + payloadLen
 	}
-	return e.Len()
+	return n
 }
 
 // DecodeFrame parses a frame encoded by Encode. The result owns its
