@@ -1,6 +1,7 @@
 package p2psum
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -63,7 +64,7 @@ func TestSummarizerIncremental(t *testing.T) {
 	if s.BK() != b {
 		t.Error("BK accessor wrong")
 	}
-	if !s.Tree().Root().HasPeer(7) {
+	if !slices.Contains(s.Tree().Root().AppendPeerIDs(nil), 7) {
 		t.Error("peer extent missing")
 	}
 }

@@ -68,7 +68,7 @@ func BenchmarkIncrementalIncorporate(b *testing.B) {
 	fresh := p2psum.GeneratePatients(4, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := fresh.Record(i % fresh.Len())
+		rec := fresh.Records()[i%fresh.Len()]
 		if err := s.AddRecord(rec); err != nil {
 			b.Fatal(err)
 		}

@@ -86,22 +86,21 @@
 // at 0 in CI). Payloads that change hands hop by hop — the §4.2.2 ring
 // token — travel by pointer and belong to whoever holds them.
 //
-// Transport is 21 methods: the static overlay (Len, Neighbors, Degree,
+// Transport is 20 methods: the static overlay (Len, Neighbors, Degree,
 // Graph), membership (Liveness, Online, SetOnline, OnlineCount,
 // OnlineIDs), messaging (SetHandler, SetDrop, SendNew, Flood,
-// SelectiveWalk, RandomWalk), metering (Counter, Bytes), serialization
-// with handlers (Exec, After, Settle) and the partition hook
-// (SetLinkFilter). The static-overlay and membership methods and
-// SetLinkFilter — ten of the 21 — do not depend on how a message moves, so
-// they are written once, on the overlay core all three transports embed
-// (internal/p2p/overlay.go); Counter and Bytes come the same way from the
-// one ledger type beside it. Graph hands out the immutable topology.Graph
-// the transport was built on; questions that need no transport state go
-// to it directly — core's closer-summary-peer comparison (§4.1) is one
-// Graph.Hops call, an early-exit bounded BFS on pooled scratch arrays
-// that allocates nothing and may run from any dispatch group at once.
-// The optional interfaces are p2p.DispatchGrouper (DispatchGroups,
-// SetGroupBy) and p2p.Localizer.
+// SelectiveWalk), metering (Counter, Bytes), serialization with handlers
+// (Exec, After, Settle) and the partition hook (SetLinkFilter). The
+// static-overlay and membership methods and SetLinkFilter — ten of the 20
+// — do not depend on how a message moves, so they are written once, on
+// the overlay core all three transports embed (internal/p2p/overlay.go);
+// Counter and Bytes come the same way from the one ledger type beside it.
+// Graph hands out the immutable topology.Graph the transport was built
+// on; questions that need no transport state go to it directly — core's
+// closer-summary-peer comparison (§4.1) is one Graph.Hops call, an
+// early-exit bounded BFS on pooled scratch arrays that allocates nothing
+// and may run from any dispatch group at once. The optional interfaces
+// are p2p.DispatchGrouper (DispatchGroups, SetGroupBy) and p2p.Localizer.
 //
 // # The wire layer and the codec-registration contract
 //
@@ -121,15 +120,15 @@
 // sample). Payload-less messages need no codec — the frame alone carries
 // them.
 //
-// Registration buys two things. First, byte accounting becomes exact on
-// every transport: a Send whose payload is serializable is charged the
-// real encoded frame length (identical across Network, ChannelTransport
-// and TCPTransport), and only unregistered payloads fall back to the
-// Sizer estimate — so the paper's §6 byte figures are measured, not
-// modeled. Second, the TCP transport can carry the message between
-// processes: frames for remote nodes cross a persistent per-peer
-// connection (length-prefixed units, one writer goroutine per peer, a
-// hello handshake advertising the hosted node ids), frames for local
+// Registration buys two things. First, byte accounting is exact on every
+// transport: a Send is charged the real encoded frame length (identical
+// across Network, ChannelTransport and TCPTransport) — so the paper's §6
+// byte figures are measured, not modeled. A payload whose type has no
+// codec cannot be framed, and sending one panics on every transport.
+// Second, the TCP transport can carry the message between processes:
+// frames for remote nodes cross a persistent per-peer connection
+// (length-prefixed units, one writer goroutine per peer, a hello
+// handshake advertising the hosted node ids), frames for local
 // nodes round-trip through encode/decode in-process so both deployments
 // exercise one serialization pipeline. Drop callbacks for dead
 // connections and offline remote nodes echo the frame back to the
@@ -276,9 +275,9 @@
 //     both sides degrade symmetrically without iptables (cmd/p2pnode's
 //     -sever/-heal-after flags run this drill on a live deployment).
 //
-//   - System.Leave/Join carry membership faults (Fail, Leave, FlashCrowd
-//     via workload.BurstArrivals); the engine records which nodes the
-//     script itself took down, and Heal uses that intent to refute false
+//   - System.Leave/Join carry membership faults (Leave, Join, flash
+//     crowds via workload.BurstArrivals); the engine records which nodes
+//     the script itself took down, and Heal uses that intent to refute false
 //     suspicions (nodes marked dead across a cut that never actually
 //     died) while leaving real deaths alone.
 //

@@ -168,26 +168,6 @@ func (b *BK) Attr(name string) *AttrBK {
 	return nil
 }
 
-// AttrAt returns the attribute at canonical position i.
-func (b *BK) AttrAt(i int) *AttrBK { return b.attrs[i] }
-
-// Index returns the canonical position of the named attribute, or -1.
-func (b *BK) Index(name string) int {
-	if i, ok := b.byName[name]; ok {
-		return i
-	}
-	return -1
-}
-
-// Names returns the summarized attribute names in canonical order.
-func (b *BK) Names() []string {
-	out := make([]string, len(b.attrs))
-	for i, a := range b.attrs {
-		out[i] = a.Name
-	}
-	return out
-}
-
 // CheckSchema verifies that every BK attribute exists in the schema with a
 // matching kind. The BK may cover a subset of the schema (the paper
 // summarizes age and bmi only in its walkthrough).
@@ -202,19 +182,6 @@ func (b *BK) CheckSchema(s *data.Schema) error {
 		}
 	}
 	return nil
-}
-
-// GridSize returns the number of cells in the full descriptor grid, i.e. the
-// product of vocabulary sizes. It bounds the number of leaves of any summary
-// hierarchy built under this BK (§6.1.1: "the size of a summary hierarchy is
-// limited to a maximum value ... all the possible combinations of the BK
-// descriptors").
-func (b *BK) GridSize() int {
-	n := 1
-	for _, a := range b.attrs {
-		n *= len(a.Labels())
-	}
-	return n
 }
 
 // DescriptorsForRange returns the labels of a numeric attribute whose

@@ -12,29 +12,54 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// grade is v's membership degree of x in label, read off Fuzzify.
+func grade(v *fuzzy.Variable, label string, x float64) float64 {
+	for _, m := range v.Fuzzify(x) {
+		if m.Label == label {
+			return m.Grade
+		}
+	}
+	return 0
+}
+
+// ruspini reports whether v's membership grades sum to one, within 1e-9,
+// at every step of [lo, hi].
+func ruspini(v *fuzzy.Variable, lo, hi, step float64) bool {
+	for x := lo; x <= hi; x += step {
+		total := 0.0
+		for _, m := range v.Fuzzify(x) {
+			total += m.Grade
+		}
+		if math.Abs(total-1) > 1e-9 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestMedicalCBKStructure(t *testing.T) {
 	b := Medical()
 	if b.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", b.Len())
 	}
-	if got := strings.Join(b.Names(), ","); got != "age,sex,bmi,disease" {
-		t.Errorf("Names = %s", got)
+	var names []string
+	grid := 1
+	for _, a := range b.Attrs() {
+		names = append(names, a.Name)
+		grid *= len(a.Labels())
 	}
-	if b.Index("bmi") != 2 || b.Index("ghost") != -1 {
-		t.Error("Index lookups wrong")
+	if got := strings.Join(names, ","); got != "age,sex,bmi,disease" {
+		t.Errorf("attribute order = %s", got)
 	}
 	if b.Attr("age") == nil || b.Attr("ghost") != nil {
 		t.Error("Attr lookups wrong")
-	}
-	if b.AttrAt(1).Name != "sex" {
-		t.Error("AttrAt wrong")
 	}
 	if err := b.CheckSchema(data.PatientSchema()); err != nil {
 		t.Errorf("CheckSchema: %v", err)
 	}
 	// 3 age * 2 sex * 4 bmi * 10 disease
-	if got := b.GridSize(); got != 240 {
-		t.Errorf("GridSize = %d, want 240", got)
+	if grid != 240 {
+		t.Errorf("grid size = %d, want 240", grid)
 	}
 	if !strings.Contains(b.String(), "disease") {
 		t.Error("String misses attributes")
@@ -43,13 +68,13 @@ func TestMedicalCBKStructure(t *testing.T) {
 
 func TestAgeVariableMatchesFigure2(t *testing.T) {
 	v := AgeVariable()
-	if g := v.Grade("young", 20); !almost(g, 0.7) {
+	if g := grade(v, "young", 20); !almost(g, 0.7) {
 		t.Errorf("young(20) = %g, want 0.7", g)
 	}
-	if g := v.Grade("adult", 20); !almost(g, 0.3) {
+	if g := grade(v, "adult", 20); !almost(g, 0.3) {
 		t.Errorf("adult(20) = %g, want 0.3", g)
 	}
-	if !v.IsRuspini(0, 110, 0.5, 1e-9) {
+	if !ruspini(v, 0, 110, 0.5) {
 		t.Error("age partition not Ruspini")
 	}
 }
@@ -58,17 +83,17 @@ func TestBMIVariableMatchesPaper(t *testing.T) {
 	v := BMIVariable()
 	// "underweight perfectly matches (with degree 1) range [15, 17.5]"
 	for _, x := range []float64{15, 16, 17.5} {
-		if g := v.Grade("underweight", x); !almost(g, 1) {
+		if g := grade(v, "underweight", x); !almost(g, 1) {
 			t.Errorf("underweight(%g) = %g, want 1", x, g)
 		}
 	}
 	// "normal perfectly matches range [19.5, 24]"
 	for _, x := range []float64{19.5, 20, 24} {
-		if g := v.Grade("normal", x); !almost(g, 1) {
+		if g := grade(v, "normal", x); !almost(g, 1) {
 			t.Errorf("normal(%g) = %g, want 1", x, g)
 		}
 	}
-	if !v.IsRuspini(10, 60, 0.25, 1e-9) {
+	if !ruspini(v, 10, 60, 0.25) {
 		t.Error("bmi partition not Ruspini")
 	}
 }

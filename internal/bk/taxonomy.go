@@ -61,9 +61,6 @@ func (t *Taxonomy) Groups() []string {
 // Expand returns the member labels of a group (nil for unknown groups).
 func (t *Taxonomy) Expand(group string) []string { return t.groups[group] }
 
-// GroupOf returns the group containing the label ("" when ungrouped).
-func (t *Taxonomy) GroupOf(label string) string { return t.member[label] }
-
 // Validate checks the taxonomy against a BK: the attribute must exist, be
 // categorical, every member label must belong to its vocabulary, and no
 // group name may shadow a label.

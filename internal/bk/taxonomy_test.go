@@ -30,12 +30,6 @@ func TestMedicalTaxonomy(t *testing.T) {
 	if tax.Expand("ghost") != nil {
 		t.Error("unknown group expanded")
 	}
-	if tax.GroupOf("malaria") != "infectious" || tax.GroupOf("diabetes") != "chronic" {
-		t.Error("GroupOf wrong")
-	}
-	if tax.GroupOf("unlisted") != "" {
-		t.Error("ungrouped label got a group")
-	}
 }
 
 func TestNewTaxonomyErrors(t *testing.T) {

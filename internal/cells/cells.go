@@ -74,26 +74,6 @@ func (m *Measure) Merge(o Measure) {
 	}
 }
 
-// Mean returns the weighted mean (zero when empty).
-func (m Measure) Mean() float64 {
-	if m.Weight == 0 {
-		return 0
-	}
-	return m.Sum / m.Weight
-}
-
-// Std returns the weighted standard deviation (zero when empty).
-func (m Measure) Std() float64 {
-	if m.Weight == 0 {
-		return 0
-	}
-	v := m.SumSq/m.Weight - m.Mean()*m.Mean()
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
 // Cell is one populated cell of the descriptor grid: a coarse tuple.
 type Cell struct {
 	// Labels holds one descriptor label per BK attribute, in BK order.
@@ -161,9 +141,6 @@ func NewMapper(b *bk.BK, schema *data.Schema) (*Mapper, error) {
 	}
 	return m, nil
 }
-
-// BK returns the mapper's background knowledge.
-func (m *Mapper) BK() *bk.BK { return m.bk }
 
 // Map rewrites one record into its weighted cells. The returned cells carry
 // the record's weight distribution: weight(cell) = product of grades, and
@@ -247,9 +224,6 @@ func (s *Store) Mapper() *Mapper { return s.mapper }
 // analysis; K << N).
 func (s *Store) Len() int { return len(s.cells) }
 
-// TupleWeight returns the total mapped tuple weight (N under Ruspini BKs).
-func (s *Store) TupleWeight() float64 { return s.tuples }
-
 // AddRecord maps a record and folds its cells in. It returns the cells the
 // record touched (the store's canonical instances, not copies).
 func (s *Store) AddRecord(rec data.Record) []*Cell {
@@ -293,9 +267,6 @@ func (s *Store) fold(c *Cell) *Cell {
 	return cur
 }
 
-// Get returns the cell with the given key, or nil.
-func (s *Store) Get(key string) *Cell { return s.cells[key] }
-
 // Cells returns the populated cells sorted by key (deterministic order).
 func (s *Store) Cells() []*Cell {
 	keys := make([]string, 0, len(s.cells))
@@ -306,17 +277,6 @@ func (s *Store) Cells() []*Cell {
 	out := make([]*Cell, len(keys))
 	for i, k := range keys {
 		out[i] = s.cells[k]
-	}
-	return out
-}
-
-// Snapshot deep-copies the store's cells (sorted by key) so callers can ship
-// them elsewhere (e.g. a localsum message) without aliasing.
-func (s *Store) Snapshot() []*Cell {
-	cs := s.Cells()
-	out := make([]*Cell, len(cs))
-	for i, c := range cs {
-		out[i] = c.Clone()
 	}
 	return out
 }

@@ -32,65 +32,59 @@ func TestTable2Mapping(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("got %d cells, want 3:\n%s", s.Len(), s)
 	}
-	c1 := s.Get("young" + KeySep + "underweight")
+	c1 := s.cells["young"+KeySep+"underweight"]
 	if c1 == nil || !almost(c1.Count, 2) {
 		t.Errorf("c1 = %v, want count 2", c1)
 	}
 	if c1 != nil && (!almost(c1.Grades[0], 1) || !almost(c1.Grades[1], 1)) {
 		t.Errorf("c1 grades = %v, want [1 1]", c1.Grades)
 	}
-	c2 := s.Get("young" + KeySep + "normal")
+	c2 := s.cells["young"+KeySep+"normal"]
 	if c2 == nil || !almost(c2.Count, 0.7) {
 		t.Errorf("c2 = %v, want count 0.7", c2)
 	}
 	if c2 != nil && !almost(c2.Grades[0], 0.7) {
 		t.Errorf("c2 young grade = %g, want 0.7", c2.Grades[0])
 	}
-	c3 := s.Get("adult" + KeySep + "normal")
+	c3 := s.cells["adult"+KeySep+"normal"]
 	if c3 == nil || !almost(c3.Count, 0.3) {
 		t.Errorf("c3 = %v, want count 0.3", c3)
 	}
 	if c3 != nil && !almost(c3.Grades[0], 0.3) {
 		t.Errorf("c3 adult grade = %g, want 0.3 (max membership)", c3.Grades[0])
 	}
-	if !almost(s.TupleWeight(), 3) {
-		t.Errorf("TupleWeight = %g, want 3 (Ruspini preservation)", s.TupleWeight())
+	if !almost(s.tuples, 3) {
+		t.Errorf("TupleWeight = %g, want 3 (Ruspini preservation)", s.tuples)
 	}
 }
 
 func TestCellMeasures(t *testing.T) {
 	s := NewStore(paperMapper(t))
 	s.AddRelation(data.PaperPatients())
-	c1 := s.Get("young" + KeySep + "underweight")
+	c1 := s.cells["young"+KeySep+"underweight"]
 	if c1 == nil {
 		t.Fatal("c1 missing")
 	}
 	// c1 holds t1 (age 15, bmi 17) and t3 (age 18, bmi 16.5), both weight 1.
 	ageM := c1.Measures[0]
-	if !almost(ageM.Min, 15) || !almost(ageM.Max, 18) || !almost(ageM.Mean(), 16.5) {
-		t.Errorf("c1 age measure min=%g max=%g mean=%g", ageM.Min, ageM.Max, ageM.Mean())
+	if !almost(ageM.Min, 15) || !almost(ageM.Max, 18) || !almost(ageM.Sum/ageM.Weight, 16.5) {
+		t.Errorf("c1 age measure min=%g max=%g mean=%g", ageM.Min, ageM.Max, ageM.Sum/ageM.Weight)
 	}
 	bmiM := c1.Measures[1]
 	if !almost(bmiM.Min, 16.5) || !almost(bmiM.Max, 17) {
 		t.Errorf("c1 bmi measure min=%g max=%g", bmiM.Min, bmiM.Max)
 	}
-	if bmiM.Std() < 0 || bmiM.Std() > 1 {
-		t.Errorf("c1 bmi std = %g out of expected range", bmiM.Std())
-	}
 }
 
 func TestMeasureBasics(t *testing.T) {
 	m := NewMeasure()
-	if m.Mean() != 0 || m.Std() != 0 {
-		t.Error("empty measure should have zero mean/std")
+	if m.Weight != 0 || m.Sum != 0 || m.SumSq != 0 {
+		t.Error("empty measure should carry no weight")
 	}
 	m.Add(10, 1)
 	m.Add(20, 1)
-	if !almost(m.Mean(), 15) {
-		t.Errorf("Mean = %g", m.Mean())
-	}
-	if !almost(m.Std(), 5) {
-		t.Errorf("Std = %g, want 5", m.Std())
+	if !almost(m.Sum, 30) || !almost(m.SumSq, 500) || !almost(m.Min, 10) || !almost(m.Max, 20) {
+		t.Errorf("after adding 10 and 20: %+v", m)
 	}
 	m.Add(99, 0) // zero weight ignored
 	if !almost(m.Weight, 2) {
@@ -157,23 +151,22 @@ func TestMapFullMedical(t *testing.T) {
 func TestStoreAddCellAndSnapshot(t *testing.T) {
 	s := NewStore(paperMapper(t))
 	s.AddRelation(data.PaperPatients())
-	snap := s.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("Snapshot len = %d", len(snap))
+	if len(s.Cells()) != 3 {
+		t.Fatalf("Cells len = %d", len(s.Cells()))
 	}
-	// Mutating the snapshot must not touch the store.
-	snap[0].Count = 999
-	if s.Cells()[0].Count == 999 {
-		t.Error("Snapshot aliases store cells")
-	}
-	// Fold snapshot into a second store: same totals.
+	// Fold the cells into a second store: same totals, and the second
+	// store holds copies.
 	s2 := NewStore(paperMapper(t))
-	for _, c := range s.Snapshot() {
+	for _, c := range s.Cells() {
 		s2.AddCell(c)
 	}
-	if !almost(s2.TupleWeight(), s.TupleWeight()) || s2.Len() != s.Len() {
+	s2.Cells()[0].Count = 999
+	if s.Cells()[0].Count == 999 {
+		t.Error("AddCell aliases the added cell")
+	}
+	if !almost(s2.tuples, s.tuples) || s2.Len() != s.Len() {
 		t.Errorf("AddCell rebuild differs: weight %g vs %g, len %d vs %d",
-			s2.TupleWeight(), s.TupleWeight(), s2.Len(), s.Len())
+			s2.tuples, s.tuples, s2.Len(), s.Len())
 	}
 }
 
@@ -204,6 +197,10 @@ func TestCellStringAndStoreString(t *testing.T) {
 	}
 }
 
+// medicalGrid is the size of the medical BK's descriptor grid: 3 age ×
+// 2 sex × 4 bmi × 10 disease labels.
+const medicalGrid = 240
+
 func TestGridBoundedLeaves(t *testing.T) {
 	// The number of distinct cells can never exceed the BK grid size.
 	b := bk.Medical()
@@ -213,8 +210,8 @@ func TestGridBoundedLeaves(t *testing.T) {
 	}
 	s := NewStore(m)
 	s.AddRelation(data.NewPatientGenerator(11, nil).Generate("r", 2000))
-	if s.Len() > b.GridSize() {
-		t.Errorf("store has %d cells, grid bound is %d", s.Len(), b.GridSize())
+	if s.Len() > medicalGrid {
+		t.Errorf("store has %d cells, grid bound is %d", s.Len(), medicalGrid)
 	}
 	if s.Len() < 10 {
 		t.Errorf("store has only %d cells; generator looks degenerate", s.Len())
@@ -234,7 +231,7 @@ func TestQuickWeightPreservation(t *testing.T) {
 		rel := data.NewPatientGenerator(seed, nil).Generate("q", n)
 		s := NewStore(m)
 		s.AddRelation(rel)
-		return math.Abs(s.TupleWeight()-float64(n)) < 1e-6
+		return math.Abs(s.tuples-float64(n)) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

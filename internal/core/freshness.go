@@ -83,9 +83,6 @@ func NewCooperationList(mode Mode) *CooperationList {
 	return &CooperationList{mode: mode}
 }
 
-// Mode returns the list's encoding mode.
-func (cl *CooperationList) Mode() Mode { return cl.mode }
-
 // Len returns the number of partners.
 func (cl *CooperationList) Len() int { return len(cl.ids) }
 
@@ -137,24 +134,6 @@ func (cl *CooperationList) Partners() []p2p.NodeID {
 	return append(make([]p2p.NodeID, 0, len(cl.ids)), cl.ids...)
 }
 
-// FreshPeers returns the partners with v = 0 (the paper's Pfresh, §6.1.2),
-// ascending.
-func (cl *CooperationList) FreshPeers() []p2p.NodeID { return cl.withValue(true) }
-
-// StalePeers returns the partners with v >= 1 (the paper's Pold),
-// ascending.
-func (cl *CooperationList) StalePeers() []p2p.NodeID { return cl.withValue(false) }
-
-func (cl *CooperationList) withValue(fresh bool) []p2p.NodeID {
-	var out []p2p.NodeID
-	for i, v := range cl.vals {
-		if (v == Fresh) == fresh {
-			out = append(out, cl.ids[i])
-		}
-	}
-	return out
-}
-
 // StaleFraction evaluates the reconciliation trigger Σv / |CL| of §6.1.1.
 // In two-bit mode an Unavailable entry literally counts 2, as the paper's
 // formula sums the raw values; an empty list is entirely fresh. Σv is an
@@ -165,12 +144,6 @@ func (cl *CooperationList) StaleFraction() float64 {
 		return 0
 	}
 	return float64(cl.sum) / float64(len(cl.ids))
-}
-
-// ResetAll sets every entry to Fresh (end of reconciliation, §4.2.2).
-func (cl *CooperationList) ResetAll() {
-	clear(cl.vals)
-	cl.sum = 0
 }
 
 // settle applies the end of a ring reconciliation (§4.2.2, §4.3) in one

@@ -41,17 +41,6 @@ func (r *refList) Partners() []p2p.NodeID {
 	return out
 }
 
-func (r *refList) withValue(want func(Freshness) bool) []p2p.NodeID {
-	var out []p2p.NodeID
-	for p, v := range r.entries {
-		if want(v) {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 func (r *refList) StaleFraction() float64 {
 	if len(r.entries) == 0 {
 		return 0
@@ -61,12 +50,6 @@ func (r *refList) StaleFraction() float64 {
 		sum += float64(v)
 	}
 	return sum / float64(len(r.entries))
-}
-
-func (r *refList) ResetAll() {
-	for p := range r.entries {
-		r.entries[p] = Fresh
-	}
 }
 
 // settle is the end of a ring as completeReconcile ran it over the map:
@@ -140,7 +123,7 @@ func randMerged(rng *rand.Rand, partners []p2p.NodeID) []p2p.NodeID {
 
 // TestCooperationListMatchesReference drives the sorted table and the
 // map-based reference through the same seeded random sequences of Set,
-// Remove, ResetAll and settle in both modes, and requires every accessor
+// Remove and settle in both modes, and requires every accessor
 // to agree after every step — StaleFraction compared with ==.
 func TestCooperationListMatchesReference(t *testing.T) {
 	const sequences = 5000
@@ -162,10 +145,6 @@ func TestCooperationListMatchesReference(t *testing.T) {
 					op = fmt.Sprintf("Remove(%d)", id)
 					cl.Remove(id)
 					ref.Remove(id)
-				case k < 16:
-					op = "ResetAll()"
-					cl.ResetAll()
-					ref.ResetAll()
 				default:
 					merged := randMerged(rng, ref.Partners())
 					salt := rng.Int()
@@ -204,12 +183,6 @@ func compareLists(cl *CooperationList, ref *refList) error {
 	}
 	if got, want := cl.Partners(), ref.Partners(); !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("Partners %v, reference %v", got, want)
-	}
-	if got, want := cl.FreshPeers(), ref.withValue(func(v Freshness) bool { return v == Fresh }); !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("FreshPeers %v, reference %v", got, want)
-	}
-	if got, want := cl.StalePeers(), ref.withValue(func(v Freshness) bool { return v != Fresh }); !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("StalePeers %v, reference %v", got, want)
 	}
 	if got, want := cl.String(), ref.String(); got != want {
 		return fmt.Errorf("String %q, reference %q", got, want)

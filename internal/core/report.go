@@ -43,14 +43,6 @@ func (r DomainReport) String() string {
 	return s
 }
 
-// Report snapshots one domain.
-func (s *System) Report(sp p2p.NodeID) (DomainReport, error) {
-	if s.peers[sp].role != RoleSummaryPeer {
-		return DomainReport{}, fmt.Errorf("core: node %d is not a summary peer", sp)
-	}
-	return s.report(sp, len(s.DomainMembers(sp))), nil
-}
-
 // report assembles a summary peer's report around its online member count.
 func (s *System) report(sp p2p.NodeID, online int) DomainReport {
 	p := s.peers[sp]

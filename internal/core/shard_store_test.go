@@ -62,10 +62,7 @@ func TestShardedSystemEquivalence(t *testing.T) {
 	}
 	base, _ := build(1)
 	baseSP := base.SummaryPeers()[0]
-	baseReport, err := base.Report(baseSP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseReport := reportOf(base, baseSP)
 	if base.Stats().Reconciliations == 0 {
 		t.Fatal("baseline run reconciled nothing")
 	}
@@ -87,10 +84,7 @@ func TestShardedSystemEquivalence(t *testing.T) {
 				t.Errorf("protocol stats diverged: %+v vs %+v", sys.Stats(), base.Stats())
 			}
 			sp := sys.SummaryPeers()[0]
-			r, err := sys.Report(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := reportOf(sys, sp)
 			if r.SummaryShards != shards {
 				t.Errorf("report shards = %d, want %d", r.SummaryShards, shards)
 			}
@@ -131,10 +125,7 @@ func TestShardedReportString(t *testing.T) {
 	if err := sys.Construct(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := sys.Report(sys.SummaryPeers()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := reportOf(sys, sys.SummaryPeers()[0])
 	if r.SummaryShards != 4 {
 		t.Fatalf("SummaryShards = %d", r.SummaryShards)
 	}

@@ -200,9 +200,6 @@ func (p *Peer) SummaryPeer() p2p.NodeID {
 	return p.curSP()
 }
 
-// IsPartner reports whether the peer currently belongs to a domain.
-func (p *Peer) IsPartner() bool { return p.role == RoleSummaryPeer || p.curSP() >= 0 }
-
 // LocalTree returns the peer's local summary (nil at protocol level).
 func (p *Peer) LocalTree() *saintetiq.Tree { return p.local }
 

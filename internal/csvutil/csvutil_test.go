@@ -36,7 +36,7 @@ func TestLoadInfersSchema(t *testing.T) {
 			t.Errorf("attribute %q inferred %v, want %v", name, s.Attr(i).Kind, kind)
 		}
 	}
-	bmi, err := rel.Num(rel.Record(2), "bmi")
+	bmi, err := rel.Num(rel.Records()[2], "bmi")
 	if err != nil || bmi != 16.5 {
 		t.Errorf("t3.bmi = %g (%v)", bmi, err)
 	}

@@ -84,9 +84,6 @@ func (s *Schema) Len() int { return len(s.attrs) }
 // Attr returns the attribute at position i.
 func (s *Schema) Attr(i int) Attribute { return s.attrs[i] }
 
-// Attrs returns the attributes in order. Callers must not mutate the slice.
-func (s *Schema) Attrs() []Attribute { return s.attrs }
-
 // Index returns the position of the named attribute, or -1.
 func (s *Schema) Index(name string) int {
 	if i, ok := s.byName[name]; ok {
@@ -146,9 +143,6 @@ func (r *Relation) Len() int { return len(r.records) }
 
 // Records returns the tuples in insertion order. Callers must not mutate.
 func (r *Relation) Records() []Record { return r.records }
-
-// Record returns the i-th tuple.
-func (r *Relation) Record(i int) Record { return r.records[i] }
 
 // Insert validates arity and appends a tuple.
 func (r *Relation) Insert(rec Record) error {

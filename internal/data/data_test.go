@@ -55,24 +55,24 @@ func TestPaperPatients(t *testing.T) {
 	if rel.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", rel.Len())
 	}
-	age, err := rel.Num(rel.Record(1), "age")
+	age, err := rel.Num(rel.Records()[1], "age")
 	if err != nil || age != 20 {
 		t.Errorf("t2.age = %g (%v), want 20", age, err)
 	}
-	dis, err := rel.Str(rel.Record(0), "disease")
+	dis, err := rel.Str(rel.Records()[0], "disease")
 	if err != nil || dis != "anorexia" {
 		t.Errorf("t1.disease = %q (%v), want anorexia", dis, err)
 	}
-	if _, err := rel.Num(rel.Record(0), "sex"); err == nil {
+	if _, err := rel.Num(rel.Records()[0], "sex"); err == nil {
 		t.Error("Num on categorical attribute accepted")
 	}
-	if _, err := rel.Str(rel.Record(0), "age"); err == nil {
+	if _, err := rel.Str(rel.Records()[0], "age"); err == nil {
 		t.Error("Str on numeric attribute accepted")
 	}
-	if _, err := rel.Num(rel.Record(0), "ghost"); err == nil {
+	if _, err := rel.Num(rel.Records()[0], "ghost"); err == nil {
 		t.Error("Num on unknown attribute accepted")
 	}
-	if _, err := rel.Str(rel.Record(0), "ghost"); err == nil {
+	if _, err := rel.Str(rel.Records()[0], "ghost"); err == nil {
 		t.Error("Str on unknown attribute accepted")
 	}
 	if !strings.Contains(rel.String(), "anorexia") {
@@ -108,7 +108,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost tuples: %d != %d", back.Len(), rel.Len())
 	}
 	for i := range rel.Records() {
-		a, b := rel.Record(i), back.Record(i)
+		a, b := rel.Records()[i], back.Records()[i]
 		if a.ID != b.ID {
 			t.Errorf("record %d id %q != %q", i, a.ID, b.ID)
 		}
@@ -155,7 +155,7 @@ func TestPatientGeneratorDeterminism(t *testing.T) {
 	a := NewPatientGenerator(7, nil).Generate("a", 100)
 	b := NewPatientGenerator(7, nil).Generate("b", 100)
 	for i := 0; i < 100; i++ {
-		ra, rb := a.Record(i), b.Record(i)
+		ra, rb := a.Records()[i], b.Records()[i]
 		for j := range ra.Values {
 			if ra.Values[j] != rb.Values[j] {
 				t.Fatalf("same seed diverged at record %d attr %d", i, j)
@@ -165,8 +165,8 @@ func TestPatientGeneratorDeterminism(t *testing.T) {
 	c := NewPatientGenerator(8, nil).Generate("c", 100)
 	same := true
 	for i := 0; i < 100 && same; i++ {
-		for j := range a.Record(i).Values {
-			if a.Record(i).Values[j] != c.Record(i).Values[j] {
+		for j := range a.Records()[i].Values {
+			if a.Records()[i].Values[j] != c.Records()[i].Values[j] {
 				same = false
 				break
 			}
@@ -203,26 +203,6 @@ func TestPatientGeneratorRanges(t *testing.T) {
 	}
 }
 
-func TestGenerateBiased(t *testing.T) {
-	g := NewPatientGenerator(1, nil)
-	rel := g.GenerateBiased("r", 1000, "malaria", 0.8)
-	count := 0
-	for _, rec := range rel.Records() {
-		if d, _ := rel.Str(rec, "disease"); d == "malaria" {
-			count++
-		}
-	}
-	// 80% biased draws plus ~1/10 of the unbiased remainder.
-	if count < 700 || count > 950 {
-		t.Errorf("malaria count = %d, want around 820", count)
-	}
-	// Unknown disease: bias silently ignored, still generates n records.
-	rel2 := g.GenerateBiased("r2", 50, "unknownitis", 0.9)
-	if rel2.Len() != 50 {
-		t.Errorf("GenerateBiased with unknown disease produced %d records", rel2.Len())
-	}
-}
-
 // Property: every generated record is schema-conformant and CSV round-trips.
 func TestQuickGeneratorCSV(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
@@ -237,8 +217,8 @@ func TestQuickGeneratorCSV(t *testing.T) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			for j := range rel.Record(i).Values {
-				if rel.Record(i).Values[j] != back.Record(i).Values[j] {
+			for j := range rel.Records()[i].Values {
+				if rel.Records()[i].Values[j] != back.Records()[i].Values[j] {
 					return false
 				}
 			}

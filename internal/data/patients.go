@@ -92,28 +92,6 @@ func (g *PatientGenerator) Generate(name string, n int) *Relation {
 	return rel
 }
 
-// GenerateBiased produces a relation in which the given disease accounts for
-// the bias fraction of tuples, modelling interest-based data clustering
-// across peers (the paper's group-locality assumption).
-func (g *PatientGenerator) GenerateBiased(name string, n int, disease string, bias float64) *Relation {
-	rel := NewRelation(name, PatientSchema())
-	var prof *PatientProfile
-	for i := range g.profiles {
-		if g.profiles[i].Disease == disease {
-			prof = &g.profiles[i]
-			break
-		}
-	}
-	for i := 0; i < n; i++ {
-		if prof != nil && g.rng.Float64() < bias {
-			rel.MustInsert(g.fromProfile(*prof))
-		} else {
-			rel.MustInsert(g.Next())
-		}
-	}
-	return rel
-}
-
 // Next draws one synthetic patient.
 func (g *PatientGenerator) Next() Record {
 	prof := g.profiles[g.rng.Intn(len(g.profiles))]

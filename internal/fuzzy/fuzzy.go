@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -34,9 +33,6 @@ type MembershipFunc interface {
 	// Support returns the closed interval outside which Grade is zero.
 	// Unbounded sides are reported as ±Inf.
 	Support() (lo, hi float64)
-	// Core returns the closed interval on which Grade is exactly one.
-	// An empty core is reported as (NaN, NaN).
-	Core() (lo, hi float64)
 }
 
 // Trapezoid is the workhorse membership function: zero up to A, rising
@@ -45,15 +41,6 @@ type MembershipFunc interface {
 // (right shoulder). A triangle is the special case B == C.
 type Trapezoid struct {
 	A, B, C, D float64
-}
-
-// NewTrapezoid validates the breakpoints and returns the function.
-func NewTrapezoid(a, b, c, d float64) (Trapezoid, error) {
-	t := Trapezoid{a, b, c, d}
-	if err := t.Validate(); err != nil {
-		return Trapezoid{}, err
-	}
-	return t, nil
 }
 
 // Validate checks A <= B <= C <= D (with infinities allowed on the outer
@@ -96,9 +83,6 @@ func (t Trapezoid) Grade(x float64) Grade {
 // Support implements MembershipFunc.
 func (t Trapezoid) Support() (float64, float64) { return t.A, t.D }
 
-// Core implements MembershipFunc.
-func (t Trapezoid) Core() (float64, float64) { return t.B, t.C }
-
 // String renders the breakpoints compactly.
 func (t Trapezoid) String() string {
 	return fmt.Sprintf("trap(%s,%s,%s,%s)", fnum(t.A), fnum(t.B), fnum(t.C), fnum(t.D))
@@ -128,9 +112,6 @@ func LeftShoulder(b, c float64) Trapezoid {
 func RightShoulder(a, b float64) Trapezoid {
 	return Trapezoid{a, b, math.Inf(1), math.Inf(1)}
 }
-
-// Crisp returns the characteristic function of the closed interval [lo, hi].
-func Crisp(lo, hi float64) Trapezoid { return Trapezoid{lo, lo, hi, hi} }
 
 // Term binds a linguistic label to its membership function.
 type Term struct {
@@ -205,10 +186,6 @@ func MustVariable(name string, terms ...Term) *Variable {
 // Name returns the variable's name.
 func (v *Variable) Name() string { return v.name }
 
-// Terms returns the terms in declaration order. The slice is shared; callers
-// must not mutate it.
-func (v *Variable) Terms() []Term { return v.terms }
-
 // Labels returns the term labels in declaration order.
 func (v *Variable) Labels() []string {
 	out := make([]string, len(v.terms))
@@ -229,19 +206,6 @@ func (v *Variable) Index(label string) int {
 	return -1
 }
 
-// Has reports whether label belongs to the vocabulary.
-func (v *Variable) Has(label string) bool { _, ok := v.byName[label]; return ok }
-
-// Grade returns the membership of x in the named term (zero for unknown
-// labels).
-func (v *Variable) Grade(label string, x float64) Grade {
-	i := v.Index(label)
-	if i < 0 {
-		return 0
-	}
-	return v.terms[i].MF.Grade(x)
-}
-
 // Fuzzify maps a raw value to its graded labels, in declaration order,
 // discarding grades below Epsilon. For the paper's Figure 2 variable,
 // Fuzzify(20) returns [0.70/young, 0.30/adult].
@@ -253,56 +217,6 @@ func (v *Variable) Fuzzify(x float64) []Membership {
 		}
 	}
 	return out
-}
-
-// Best returns the single best-matching label for x and its grade. Ties are
-// broken by declaration order. Best returns ("", 0) when every grade is null.
-func (v *Variable) Best(x float64) (string, Grade) {
-	best, bg := "", Grade(0)
-	for _, t := range v.terms {
-		if g := t.MF.Grade(x); g > bg+Epsilon {
-			best, bg = t.Label, g
-		}
-	}
-	return best, bg
-}
-
-// CoverageGap scans [lo, hi] with the given step and returns the first value
-// whose total membership over all terms is below Epsilon, signalling a hole
-// in the partition. ok is false when a gap was found.
-func (v *Variable) CoverageGap(lo, hi, step float64) (gap float64, ok bool) {
-	if step <= 0 {
-		return 0, false
-	}
-	for x := lo; x <= hi; x += step {
-		total := 0.0
-		for _, t := range v.terms {
-			total += t.MF.Grade(x)
-		}
-		if total < Epsilon {
-			return x, false
-		}
-	}
-	return 0, true
-}
-
-// IsRuspini reports whether grades sum to 1 (within tol) everywhere on
-// [lo, hi] sampled with the given step. Ruspini partitions make the mapping
-// service weight-preserving: the cell weights of one tuple sum to one.
-func (v *Variable) IsRuspini(lo, hi, step, tol float64) bool {
-	if step <= 0 {
-		return false
-	}
-	for x := lo; x <= hi; x += step {
-		total := 0.0
-		for _, t := range v.terms {
-			total += t.MF.Grade(x)
-		}
-		if math.Abs(total-1) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // LabelsIntersecting returns the labels whose support intersects the
@@ -378,14 +292,4 @@ func UniformPartition(name string, lo, hi float64, labels ...string) (*Variable,
 		}
 	}
 	return NewVariable(name, terms...)
-}
-
-// SortMemberships orders memberships by decreasing grade, ties by label.
-func SortMemberships(ms []Membership) {
-	sort.SliceStable(ms, func(i, j int) bool {
-		if ms[i].Grade != ms[j].Grade {
-			return ms[i].Grade > ms[j].Grade
-		}
-		return ms[i].Label < ms[j].Label
-	})
 }

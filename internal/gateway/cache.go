@@ -185,15 +185,3 @@ func (c *cache) scrub(domain p2p.NodeID, st summarystore.Store) int {
 	}
 	return dropped
 }
-
-// len returns the resident entry count (tests and stats).
-func (c *cache) len() int {
-	total := 0
-	for i := range c.shards {
-		cs := &c.shards[i]
-		cs.mu.RLock()
-		total += len(cs.m)
-		cs.mu.RUnlock()
-	}
-	return total
-}

@@ -18,6 +18,18 @@ import (
 	"p2psum/internal/summarystore"
 )
 
+// len returns the resident entry count.
+func (c *cache) len() int {
+	total := 0
+	for i := range c.shards {
+		cs := &c.shards[i]
+		cs.mu.RLock()
+		total += len(cs.m)
+		cs.mu.RUnlock()
+	}
+	return total
+}
+
 // fakeBackend serves a fixed domain from an optional real summary store,
 // counting upstream executions.
 type fakeBackend struct {

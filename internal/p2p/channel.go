@@ -216,7 +216,7 @@ func (t *ChannelTransport) Send(msg *Message) {
 	if msg.ID == 0 {
 		msg.ID = id
 	}
-	size := messageWireSize(msg)
+	size := frameSize(msg)
 	if t.cfg.LossRate > 0 {
 		t.mu.Lock()
 		lost := t.rng.Float64() < t.cfg.LossRate
@@ -259,15 +259,6 @@ func (t *ChannelTransport) Flood(typ string, src NodeID, ttl int, payload any, v
 // SelectiveWalk performs the §4.1 find-protocol walk.
 func (t *ChannelTransport) SelectiveWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
 	return t.walk(t.books[0].chargeHops, typ, src, maxHops, accept, t.selective)
-}
-
-// RandomWalk is the blind baseline: uniform random unvisited neighbor.
-func (t *ChannelTransport) RandomWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	return t.walk(t.books[0].chargeHops, typ, src, maxHops, accept, func(cands []NodeID) NodeID {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		return cands[t.rng.Intn(len(cands))]
-	})
 }
 
 // Settle blocks until every in-flight message — including messages sent by

@@ -79,7 +79,7 @@ func TestBooksMergeAcrossLanes(t *testing.T) {
 	}
 	wantMsgs, wantBytes := map[string]int64{}, map[string]int64{}
 	send := func(typ string, from, to NodeID) {
-		size, _ := frameSize(&Message{Type: typ, From: from, To: to})
+		size := frameSize(&Message{Type: typ, From: from, To: to})
 		wantMsgs[typ]++
 		wantBytes[typ] += size
 		ct.SendNew(typ, from, to, 0, nil)

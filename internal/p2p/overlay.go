@@ -140,11 +140,10 @@ func (g *linkGate) severed(from, to NodeID) bool {
 // merge-on-read.
 //
 // What a transmission costs is the same rule on every transport: a message
-// whose payload is serializable — nil, or carrying a registered wire codec
-// — is charged the length of its encoded frame (messageWireSize), whether
-// or not it ever crosses a socket; only payloads without a codec fall back
-// to BaseMessageBytes plus their Sizer estimate, and a walk or flood
-// transmission costs BaseMessageBytes.
+// is charged the length of its encoded frame (frameSize), whether or not
+// it ever crosses a socket, and a walk or flood transmission costs
+// BaseMessageBytes. A payload without a registered wire codec cannot be
+// framed, so sending one panics.
 type ledger struct {
 	mu    sync.Mutex
 	types []string

@@ -103,15 +103,8 @@ type Message struct {
 // garbage loudly.
 type Handler func(msg *Message)
 
-// Sizer is implemented by payloads that can estimate their wire size. The
-// estimate is only charged for payloads without a registered wire codec
-// (see ledger for the accounting rule).
-type Sizer interface {
-	WireSize() int
-}
-
-// BaseMessageBytes is the accounted size of a payload-less protocol
-// message (headers, ids, freshness values).
+// BaseMessageBytes is the accounted size of one walk or flood
+// transmission (headers, ids), which no transport frames.
 const BaseMessageBytes = 64
 
 // Network couples a topology with the event engine and tracks the message
@@ -180,10 +173,11 @@ func (n *Network) SetDrop(fn func(*Message)) { n.drop = fn }
 // because the bench module's tracing decorator still names it; it goes
 // with that decorator's HopsWithin span.
 func (n *Network) HopsWithin(src NodeID, radius int) map[NodeID]int {
-	dist := n.graph.BFSWithin(int(src), radius)
-	out := make(map[NodeID]int, len(dist))
-	for v, d := range dist {
-		out[NodeID(v)] = d
+	out := make(map[NodeID]int)
+	for v := 0; v < n.graph.Len(); v++ {
+		if d := n.graph.Hops(int(src), v, radius); d <= radius {
+			out[NodeID(v)] = d
+		}
 	}
 	return out
 }
@@ -241,19 +235,28 @@ func (n *Network) Send(msg *Message) {
 	if n.nextMsg++; msg.ID == 0 {
 		msg.ID = n.nextMsg
 	}
-	l := &n.books[0]
-	l.mu.Lock()
-	i := l.slot(msg.Type)
-	l.msgs[i]++
-	l.bytes[i] += n.wireSize(msg, i)
-	l.mu.Unlock()
+	n.charge(msg)
 	idx := n.take()
 	n.slab[idx] = *msg
 	lat := n.latencyBetween(msg.From, msg.To, n.DirectLatency)
 	n.engine.AfterDeliver(sim.Seconds(lat), idx)
 }
 
-// wireSize is messageWireSize through the network's own codec cache and
+// charge books msg on the Network's one ledger. The frame is sized before
+// the count moves and the lock is released by defer, so a send that
+// panics on an unframeable payload (see frameSize) charges nothing and
+// leaves the ledger usable.
+func (n *Network) charge(msg *Message) {
+	l := &n.books[0]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i := l.slot(msg.Type)
+	size := n.wireSize(msg, i)
+	l.msgs[i]++
+	l.bytes[i] += size
+}
+
+// wireSize is frameSize through the network's own codec cache and
 // counting encoder; slot is msg.Type's ledger slot.
 func (n *Network) wireSize(msg *Message, slot int) int64 {
 	if msg.Payload == nil {
@@ -264,16 +267,10 @@ func (n *Network) wireSize(msg *Message, slot int) int64 {
 	}
 	c := n.codecs[slot]
 	if c.Encode == nil {
-		var ok bool
-		if c, ok = wire.Lookup(msg.Type); !ok {
-			return sizerEstimate(msg)
-		}
+		c = codecOf(msg)
 		n.codecs[slot] = c
 	}
-	if size, ok := countFrame(msg, c, n.sizer); ok {
-		return size
-	}
-	return sizerEstimate(msg)
+	return countFrame(msg, c, n.sizer)
 }
 
 // take returns a free slab slot, growing the slab when none is free.

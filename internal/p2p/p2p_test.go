@@ -1,12 +1,17 @@
 package p2p
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"p2psum/internal/sim"
 	"p2psum/internal/topology"
+	"p2psum/internal/wire"
 )
 
 // lineGraph builds 0-1-2-...-n-1 with unit latencies.
@@ -237,12 +242,8 @@ func TestQuickFloodMatchesBFS(t *testing.T) {
 		}
 		net := NewNetwork(sim.New(), g, seed)
 		reached := net.Flood("q", 0, ttl, nil, nil)
-		want := g.BFSWithin(0, ttl)
-		if len(reached) != len(want) {
-			return false
-		}
-		for id := range want {
-			if !reached[NodeID(id)] {
+		for v := 0; v < g.Len(); v++ {
+			if reached[NodeID(v)] != (g.Hops(0, v, ttl) <= ttl) {
 				return false
 			}
 		}
@@ -276,32 +277,101 @@ func TestQuickWalkNoRevisit(t *testing.T) {
 	}
 }
 
-type sizedPayload struct{ n int }
-
-func (s sizedPayload) WireSize() int { return s.n }
-
 func TestByteAccounting(t *testing.T) {
 	e := sim.New()
 	net := NewNetwork(e, lineGraph(t, 3), 1)
 	net.SetHandler(1, func(*Message) {})
 	net.SendNew("plain", 0, 1, 0, nil)
-	net.SendNew("sized", 0, 1, 0, sizedPayload{n: 1000})
 	e.Run()
 	// A payload-less message is serializable without a codec: it is
 	// charged its real encoded frame length.
-	frame, ok := encodeFrame(&Message{Type: "plain", From: 0, To: 1})
-	if !ok {
-		t.Fatal("nil-payload message not frameable")
-	}
+	frame := encodeFrame(&Message{Type: "plain", From: 0, To: 1})
 	if got := net.Bytes().Get("plain"); got != int64(len(frame)) {
 		t.Errorf("plain bytes = %d, want frame length %d", got, len(frame))
 	}
-	// A payload without a registered codec falls back to the Sizer
-	// estimate on top of the base message cost.
-	if got := net.Bytes().Get("sized"); got != BaseMessageBytes+1000 {
-		t.Errorf("sized bytes = %d, want %d", got, BaseMessageBytes+1000)
+	if got := net.Bytes().Total(); got != int64(len(frame)) {
+		t.Errorf("total bytes = %d, want %d", got, len(frame))
 	}
-	if want := int64(len(frame)) + BaseMessageBytes + 1000; net.Bytes().Total() != want {
-		t.Errorf("total bytes = %d, want %d", net.Bytes().Total(), want)
+}
+
+func init() {
+	wire.Register("strict-test", wire.PayloadCodec{
+		Encode: func(e *wire.Enc, payload any) error {
+			n, ok := payload.(int64)
+			if !ok {
+				return fmt.Errorf("strict-test: payload is %T, want int64", payload)
+			}
+			e.Varint(n)
+			return nil
+		},
+		Decode: func(data []byte) (any, error) {
+			d := wire.NewDec(data)
+			n := d.Varint()
+			return n, d.Done()
+		},
+	})
+}
+
+// TestUnframeablePayloadPanics: a payload the codec registry cannot frame
+// — its message type has no codec, or the codec rejects it — is a wiring
+// bug, so every transport's send panics, naming the message type and the
+// payload's Go type, instead of charging an estimate or dropping it.
+func TestUnframeablePayloadPanics(t *testing.T) {
+	type unknown struct{ X int }
+	payloads := []struct {
+		typ     string
+		payload any
+		goType  string
+	}{
+		{"no-codec-type", unknown{X: 1}, "p2p.unknown"},
+		{"strict-test", "not an int64", "string"},
+	}
+	transports := map[string]func(t *testing.T) Transport{
+		"Network": func(t *testing.T) Transport { return NewNetwork(sim.New(), lineGraph(t, 2), 1) },
+		"Channel": func(t *testing.T) Transport {
+			ct := NewChannelTransport(lineGraph(t, 2), 1, DefaultChannelConfig())
+			t.Cleanup(ct.Close)
+			return ct
+		},
+		"TCP": func(t *testing.T) Transport {
+			a, _ := tcpPair(t, 2, 1)
+			return a
+		},
+	}
+	for name, mk := range transports {
+		for _, p := range payloads {
+			t.Run(name+"/"+p.typ, func(t *testing.T) {
+				tr := mk(t)
+				func() {
+					defer func() {
+						msg, _ := recover().(string)
+						if !strings.Contains(msg, strconv.Quote(p.typ)) || !strings.Contains(msg, p.goType) {
+							t.Fatalf("send panicked with %q, want the message type %q and the payload type %s", msg, p.typ, p.goType)
+						}
+					}()
+					tr.SendNew(p.typ, 0, 1, 0, p.payload)
+				}()
+				// The panicking send charged nothing and left the ledger
+				// usable: the next send is counted alone.
+				if c, b := tr.Counter().Total(), tr.Bytes().Total(); c != 0 || b != 0 {
+					t.Fatalf("panicking send charged %d messages, %d bytes", c, b)
+				}
+				tr.SendNew("tcp-test", 0, 1, 0, tcpTestPayload{N: 1})
+				if c := tr.Counter().Total(); c != 1 {
+					t.Fatalf("after the panic a send charged %d messages, want 1", c)
+				}
+			})
+		}
+	}
+	// A payload-less message needs no codec: the frame alone carries it,
+	// across processes too.
+	a, b := tcpPair(t, 2, 1)
+	var delivered atomic.Int64
+	b.SetHandler(1, func(*Message) { delivered.Add(1) })
+	a.SendNew("no-codec-type", 0, 1, 0, nil)
+	a.Settle()
+	b.Settle()
+	if delivered.Load() != 1 {
+		t.Fatalf("nil-payload message delivered %d times, want 1", delivered.Load())
 	}
 }

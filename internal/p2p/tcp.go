@@ -41,15 +41,15 @@ import (
 // callback in the sender's process), the status exchange behind the
 // distributed Settle, and named barriers for driver-side phase alignment.
 //
-// Byte accounting is exact: every serializable message — local or remote —
-// is charged the length of its encoded frame, so Bytes() equals the sum of
+// Byte accounting is exact: every message — local or remote — is charged
+// the length of its encoded frame, so Bytes() equals the sum of
 // encoded frame lengths and in-process runs report the same volumes as
 // distributed ones. WireStats additionally reports the socket-level frame
 // traffic.
 //
 // Limitations (documented, driver-visible): Online state is a local view —
-// remote nodes count as online unless flipped locally; Flood, SelectiveWalk
-// and RandomWalk traverse the shared topology in the calling process
+// remote nodes count as online unless flipped locally; Flood and
+// SelectiveWalk traverse the shared topology in the calling process
 // (charging transmissions as the in-memory transports do) and their accept
 // callbacks only see local protocol state. Drivers on a TCP deployment
 // should therefore partition driver duties by locality (see Localizer),
@@ -184,8 +184,9 @@ type WireStats struct {
 	// pass through the same encode/decode pipeline.
 	LocalFrames, LocalBytes int64
 	// ChargedMsgs and ChargedBytes count transmissions accounted without
-	// a frame: walk/flood traversal charges and Sizer-fallback payloads
-	// (no registered codec). The byte-accounting identity is therefore
+	// a frame: walk/flood traversal charges and sends that never reached
+	// a socket (severed links, dead connections). The byte-accounting
+	// identity is therefore
 	// Bytes().Total() == SentBytes + LocalBytes + ChargedBytes.
 	ChargedMsgs, ChargedBytes int64
 }
@@ -384,10 +385,8 @@ func NewTCPTransport(graph *topology.Graph, cfg TCPConfig) (*TCPTransport, error
 		}
 		t.local[id] = true
 	}
-	for id, addr := range cfg.Hosts {
-		if err := t.setHost(id, addr); err != nil {
-			return nil, err
-		}
+	if err := t.SetHosts(cfg.Hosts); err != nil {
+		return nil, err
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
 	if err != nil {
@@ -406,25 +405,18 @@ func NewTCPTransport(graph *topology.Graph, cfg TCPConfig) (*TCPTransport, error
 	return t, nil
 }
 
-func (t *TCPTransport) setHost(id NodeID, addr string) error {
-	if id < 0 || int(id) >= len(t.hostOf) {
-		return fmt.Errorf("p2p: host mapping for out-of-range node %d", id)
-	}
-	if t.local[id] {
-		return fmt.Errorf("p2p: node %d is local, cannot map to %s", id, addr)
-	}
-	t.hostOf[id] = addr
-	return nil
-}
-
 // SetHosts installs the node -> process address mapping for remote nodes.
 // It must complete before any traffic flows (test setups listen on
 // kernel-picked ports first, then exchange addresses).
 func (t *TCPTransport) SetHosts(hosts map[NodeID]string) error {
 	for id, addr := range hosts {
-		if err := t.setHost(id, addr); err != nil {
-			return err
+		if id < 0 || int(id) >= len(t.hostOf) {
+			return fmt.Errorf("p2p: host mapping for out-of-range node %d", id)
 		}
+		if t.local[id] {
+			return fmt.Errorf("p2p: node %d is local, cannot map to %s", id, addr)
+		}
+		t.hostOf[id] = addr
 	}
 	return nil
 }
@@ -932,9 +924,7 @@ func (t *TCPTransport) enqueueFrame(addr string, kind byte, msg *Message, size i
 	}
 	ok = conn.appendUnit(kind, func(e *wire.Enc) bool {
 		start := e.Len()
-		if !appendFrame(e, msg) {
-			return false
-		}
+		appendFrame(e, msg)
 		if int64(e.Len()-start) != size {
 			panic(fmt.Sprintf("p2p: frame for %q measured %d bytes, wrote %d",
 				msg.Type, size, e.Len()-start))
@@ -1121,9 +1111,7 @@ func (t *TCPTransport) deliver(g int, env envelope) {
 	if env.origin != "" {
 		// Bounce the frame to the sender's process; its transport runs the
 		// drop callback in the sender's group.
-		if size, ok := frameSize(msg); ok {
-			t.enqueueFrame(env.origin, kDropEcho, msg, size)
-		}
+		t.enqueueFrame(env.origin, kDropEcho, msg, frameSize(msg))
 	}
 	t.eng.finishPending(g)
 }
@@ -1182,11 +1170,9 @@ func (t *TCPTransport) chargeGroupOf(msg *Message) int {
 // for local nodes go through the dispatch engine (decoded back through the
 // codec, so local and remote delivery share one serialization pipeline),
 // frames for remote nodes ride the peer connection's writer goroutine. A
-// message whose payload has no registered codec can only be delivered
-// locally (shared-memory fallback, Sizer accounting); sending one to a
-// remote node counts it as sent and runs the drop callback. Messages to
-// unreachable processes (dead connections, failed dials) are likewise
-// counted and dropped — the §4.3 failure-detection path.
+// payload the codec registry cannot frame panics (see frameSize). Messages
+// to unreachable processes (dead connections, failed dials) are counted
+// and dropped — the §4.3 failure-detection path.
 func (t *TCPTransport) Send(msg *Message) {
 	if msg.To < 0 || int(msg.To) >= t.graph.Len() {
 		panic(fmt.Sprintf("p2p: send to out-of-range node %d", msg.To))
@@ -1198,31 +1184,23 @@ func (t *TCPTransport) Send(msg *Message) {
 	if msg.ID == 0 {
 		msg.ID = id
 	}
-	size, framed := frameSize(msg)
-	if !framed {
-		size = sizerEstimate(msg)
-	}
+	size := frameSize(msg)
 
 	if t.IsLocal(msg.To) {
-		if framed {
-			// Round-trip through the codec out of a pooled buffer: local
-			// delivery observes exactly what a remote process would have
-			// decoded, without the old Encode allocation.
-			e := wire.GetEnc()
-			if appendFrame(e, msg) {
-				if m2, err := decodeFrameShared(e.Bytes()); err == nil {
-					m2.ID = msg.ID
-					msg = m2
-				}
-			}
-			e.Release()
-			t.wireMu.Lock()
-			t.ws.LocalFrames++
-			t.ws.LocalBytes += size
-			t.wireMu.Unlock()
-		} else {
-			t.chargeFrameless(1, size) // the sizerEstimate taken above
+		// Round-trip through the codec out of a pooled buffer: local
+		// delivery observes exactly what a remote process would have
+		// decoded.
+		e := wire.GetEnc()
+		appendFrame(e, msg)
+		if m2, err := decodeFrameShared(e.Bytes()); err == nil {
+			m2.ID = msg.ID
+			msg = m2
 		}
+		e.Release()
+		t.wireMu.Lock()
+		t.ws.LocalFrames++
+		t.ws.LocalBytes += size
+		t.wireMu.Unlock()
 		g, ok := t.eng.beginSend(msg.To)
 		if !ok {
 			panic("p2p: send on closed TCPTransport")
@@ -1234,11 +1212,6 @@ func (t *TCPTransport) Send(msg *Message) {
 
 	addr := t.hostOf[msg.To]
 	t.books[t.chargeGroupOf(msg)].charge(msg.Type, 1, size)
-	if !framed {
-		t.chargeFrameless(1, size)
-		t.dropToSender(msg)
-		return
-	}
 	if t.gate.severed(msg.From, msg.To) {
 		// Partitioned link: the frame is charged as sent but never reaches
 		// the socket — the sender observes the same §4.3 drop evidence a
@@ -1279,16 +1252,6 @@ func (t *TCPTransport) Flood(typ string, src NodeID, ttl int, payload any, visit
 // topology; the accept callback only sees local protocol state.
 func (t *TCPTransport) SelectiveWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
 	return t.walk(t.chargeHops, typ, src, maxHops, accept, t.selective)
-}
-
-// RandomWalk is the blind baseline walk (same locality caveat as
-// SelectiveWalk). The choice is pseudo-random per call.
-func (t *TCPTransport) RandomWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	step := t.nextMsg.Add(1)
-	return t.walk(t.chargeHops, typ, src, maxHops, accept, func(cands []NodeID) NodeID {
-		step = step*6364136223846793005 + 1442695040888963407
-		return cands[int(step>>33)%len(cands)]
-	})
 }
 
 // Exec runs fn serialized with every local handler (see

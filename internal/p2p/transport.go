@@ -83,8 +83,6 @@ type Transport interface {
 	// SelectiveWalk performs the paper's find-protocol walk (§4.1, after
 	// Adamic et al. [23]): highest-degree unvisited online neighbor first.
 	SelectiveWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult
-	// RandomWalk is the blind baseline: uniform random unvisited neighbor.
-	RandomWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult
 
 	// Counter exposes the per-type message counters — the unit of every
 	// cost figure in the paper. Every call returns a merged snapshot of
@@ -221,52 +219,26 @@ func frameOf(msg *Message, hasPayload bool) wire.Frame {
 	}
 }
 
-// encodeFrame serializes msg into a wire frame when its payload is
-// serializable: messages without a payload frame directly, and payloads
-// whose message type has a registered wire codec are encoded through it.
-// It reports false for payloads the codec registry cannot serialize — the
-// caller falls back to shared-memory delivery and Sizer accounting.
-func encodeFrame(msg *Message) ([]byte, bool) {
-	e := wire.GetEnc()
-	defer e.Release()
-	if !appendFrame(e, msg) {
-		return nil, false
-	}
-	return append([]byte(nil), e.Bytes()...), true
-}
-
 // appendFrame appends msg's full frame encoding to e (codec payload
 // included) with no intermediate buffer: the payload codec runs once
 // against a pooled counting Enc to learn the length prefix, then once
-// against e itself. It reports false — leaving e exactly as it was — when
-// the payload has no registered codec or the codec fails.
-func appendFrame(e *wire.Enc, msg *Message) bool {
+// against e itself. Like frameSize it panics on a payload it cannot frame.
+func appendFrame(e *wire.Enc, msg *Message) {
 	has := msg.Payload != nil
 	var c wire.PayloadCodec
 	payloadLen := 0
 	if has {
-		var ok bool
-		c, ok = wire.Lookup(msg.Type)
-		if !ok {
-			return false
-		}
+		c = codecOf(msg)
 		ce := wire.GetCountEnc()
-		err := c.Encode(ce, msg.Payload)
+		encodePayload(msg, c, ce)
 		payloadLen = ce.Len()
 		ce.Release()
-		if err != nil {
-			return false
-		}
 	}
 	f := frameOf(msg, has)
-	start := e.Len()
 	f.AppendHeaderTo(e, payloadLen)
 	if has {
 		payloadStart := e.Len()
-		if err := c.Encode(e, msg.Payload); err != nil {
-			e.Truncate(start)
-			return false
-		}
+		encodePayload(msg, c, e)
 		if e.Len()-payloadStart != payloadLen {
 			// The codec is non-deterministic: the counted and written
 			// lengths disagree, so the frame on the wire is corrupt. This
@@ -275,26 +247,42 @@ func appendFrame(e *wire.Enc, msg *Message) bool {
 				msg.Type, e.Len()-payloadStart, payloadLen))
 		}
 	}
-	return true
 }
 
 // frameSize measures the encoded frame length of msg without building the
 // bytes (pooled counting Enc all the way down, no allocation — tree payloads
 // included: saintetiq.AppendWire walks the hierarchy without a scratch map
-// or slice). It must agree exactly with len(encodeFrame(msg)) —
-// TestByteAccounting pins that.
-func frameSize(msg *Message) (int64, bool) {
+// or slice) — the size every transport charges for a send. It must agree
+// exactly with the length appendFrame writes; TestFrameSizeMatchesEncode
+// pins that. A payload whose message type has no registered codec, or
+// whose codec rejects it, is a wiring bug: frameSize panics, naming the
+// type and the payload's Go type.
+func frameSize(msg *Message) int64 {
 	if msg.Payload == nil {
-		return headerSize(msg), true
-	}
-	c, ok := wire.Lookup(msg.Type)
-	if !ok {
-		return 0, false
+		return headerSize(msg)
 	}
 	ce := wire.GetCountEnc()
-	size, ok := countFrame(msg, c, ce)
+	size := countFrame(msg, codecOf(msg), ce)
 	ce.Release()
-	return size, ok
+	return size
+}
+
+// codecOf returns the codec registered for msg's type and panics when
+// there is none.
+func codecOf(msg *Message) wire.PayloadCodec {
+	c, ok := wire.Lookup(msg.Type)
+	if !ok {
+		panic(fmt.Sprintf("p2p: no codec registered for message type %q (payload %T)", msg.Type, msg.Payload))
+	}
+	return c
+}
+
+// encodePayload runs codec c on msg's payload into e and panics when the
+// codec rejects the payload.
+func encodePayload(msg *Message, c wire.PayloadCodec, e *wire.Enc) {
+	if err := c.Encode(e, msg.Payload); err != nil {
+		panic(fmt.Sprintf("p2p: encode message type %q (payload %T): %v", msg.Type, msg.Payload, err))
+	}
 }
 
 // headerSize is the frame length of a payload-less msg.
@@ -304,35 +292,23 @@ func headerSize(msg *Message) int64 {
 }
 
 // countFrame returns the frame length of msg with its payload counted by
-// codec c on the counting encoder ce, which it resets first. It reports
-// false when the codec fails.
-func countFrame(msg *Message, c wire.PayloadCodec, ce *wire.Enc) (int64, bool) {
+// codec c on the counting encoder ce, which it resets first.
+func countFrame(msg *Message, c wire.PayloadCodec, ce *wire.Enc) int64 {
 	ce.Reset()
-	if err := c.Encode(ce, msg.Payload); err != nil {
-		return 0, false
-	}
+	encodePayload(msg, c, ce)
 	f := frameOf(msg, true)
-	return int64(f.SizeWithPayload(ce.Len())), true
+	return int64(f.SizeWithPayload(ce.Len()))
 }
 
-// decodeFrame reconstructs a Message from a wire frame, decoding the
-// payload through the registered codec. Frames without a payload need no
-// codec.
-func decodeFrame(b []byte) (*Message, error) {
-	return decodeFrameWith(b, wire.DecodeFrame)
-}
-
-// decodeFrameShared is decodeFrame over a borrowed buffer: the frame-level
-// payload blob aliases b instead of being copied, and the type string is
-// interned through the registry. Safe because the payload codec consumes
-// the blob before this function returns and must not retain it (the
-// PayloadCodec contract) — so the caller may reuse b immediately.
+// decodeFrameShared reconstructs a Message from a wire frame in a borrowed
+// buffer, decoding the payload through the registered codec (frames
+// without a payload need none). The frame-level payload blob aliases b
+// instead of being copied, and the type string is interned through the
+// registry. Safe because the payload codec consumes the blob before this
+// function returns and must not retain it (the PayloadCodec contract) — so
+// the caller may reuse b immediately.
 func decodeFrameShared(b []byte) (*Message, error) {
-	return decodeFrameWith(b, wire.DecodeFrameShared)
-}
-
-func decodeFrameWith(b []byte, parse func([]byte) (*wire.Frame, error)) (*Message, error) {
-	f, err := parse(b)
+	f, err := wire.DecodeFrameShared(b)
 	if err != nil {
 		return nil, err
 	}
@@ -355,27 +331,4 @@ func decodeFrameWith(b []byte, parse func([]byte) (*wire.Frame, error)) (*Messag
 		msg.Payload = payload
 	}
 	return msg, nil
-}
-
-// messageWireSize returns the byte size a transport charges for msg (the
-// rule stated on ledger): the real encoded frame length when the payload is
-// serializable, the Sizer estimate otherwise. The measurement runs the
-// codec against a counting Enc — one allocation-free tree walk for
-// data-level payloads; protocol-level payloads cost a few header bytes to
-// count.
-func messageWireSize(msg *Message) int64 {
-	if size, ok := frameSize(msg); ok {
-		return size
-	}
-	return sizerEstimate(msg)
-}
-
-// sizerEstimate is the accounted size of a message whose payload has no
-// registered codec: BaseMessageBytes plus the payload's own Sizer estimate.
-func sizerEstimate(msg *Message) int64 {
-	size := BaseMessageBytes
-	if s, ok := msg.Payload.(Sizer); ok {
-		size += s.WireSize()
-	}
-	return int64(size)
 }

@@ -200,7 +200,7 @@ func refUnionPeers(acc, more []saintetiq.PeerID) []saintetiq.PeerID {
 func refPeers(zs []*saintetiq.Node) []saintetiq.PeerID {
 	var out []saintetiq.PeerID
 	for _, z := range zs {
-		out = refUnionPeers(out, z.PeerIDs())
+		out = refUnionPeers(out, z.AppendPeerIDs(nil))
 	}
 	if out == nil {
 		out = []saintetiq.PeerID{}
@@ -284,7 +284,7 @@ func (c *refCompiled) approximate(vocab *saintetiq.Tree, q query.Query, zs []*sa
 			m.Merge(z.Measure(a))
 			g.Measures[name] = m
 		}
-		g.Peers = refUnionPeers(g.Peers, z.PeerIDs())
+		g.Peers = refUnionPeers(g.Peers, z.AppendPeerIDs(nil))
 	}
 	sort.Strings(keys)
 	ans := &refAnswer{Query: q}

@@ -542,14 +542,3 @@ func MatchRecord(b *bk.BK, rel *data.Relation, rec data.Record, q Query) bool {
 	}
 	return true
 }
-
-// CountMatches returns how many records of the relation satisfy the query.
-func CountMatches(b *bk.BK, rel *data.Relation, q Query) int {
-	n := 0
-	for _, rec := range rel.Records() {
-		if MatchRecord(b, rel, rec, q) {
-			n++
-		}
-	}
-	return n
-}

@@ -233,14 +233,23 @@ func TestSelectionPeers(t *testing.T) {
 	}
 	tr := saintetiq.New(bk.Medical(), saintetiq.DefaultConfig())
 
-	g := data.NewPatientGenerator(80, nil)
+	// only draws patients of one disease.
+	only := func(seed int64, disease string) *data.PatientGenerator {
+		for _, p := range data.DefaultProfiles() {
+			if p.Disease == disease {
+				return data.NewPatientGenerator(seed, []data.PatientProfile{p})
+			}
+		}
+		t.Fatalf("no %s profile", disease)
+		return nil
+	}
 	s1 := cells.NewStore(m)
-	s1.AddRelation(g.GenerateBiased("p1", 150, "malaria", 1.0))
+	s1.AddRelation(only(80, "malaria").Generate("p1", 150))
 	if err := tr.IncorporateStore(s1, 1); err != nil {
 		t.Fatal(err)
 	}
 	s2 := cells.NewStore(m)
-	s2.AddRelation(g.GenerateBiased("p2", 150, "diabetes", 1.0))
+	s2.AddRelation(only(81, "diabetes").Generate("p2", 150))
 	if err := tr.IncorporateStore(s2, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +291,7 @@ func TestApproximateClassesAndMeasures(t *testing.T) {
 		if len(c.Answers.Get("age")) == 0 {
 			t.Error("class has empty age answer")
 		}
-		if m := c.Measures.Get("age"); m.Weight <= 0 || m.Mean() < 0 || m.Mean() > 105 {
+		if m := c.Measures.Get("age"); m.Weight <= 0 || m.Sum/m.Weight < 0 || m.Sum/m.Weight > 105 {
 			t.Errorf("class age measure out of range: %+v", m)
 		}
 		if len(c.Peers) == 0 {
@@ -328,7 +337,7 @@ func TestMatchRecord(t *testing.T) {
 	q := paperQuery()
 	wants := []bool{true, false, true} // t1, t2, t3
 	for i, want := range wants {
-		if got := MatchRecord(b, rel, rel.Record(i), q); got != want {
+		if got := MatchRecord(b, rel, rel.Records()[i], q); got != want {
 			t.Errorf("MatchRecord(t%d) = %v, want %v", i+1, got, want)
 		}
 	}
@@ -337,7 +346,7 @@ func TestMatchRecord(t *testing.T) {
 	}
 	// Unknown attribute in clause: no match.
 	qBad := Query{Where: []Clause{{Attr: "ghost", Labels: []string{"x"}}}}
-	if MatchRecord(b, rel, rel.Record(0), qBad) {
+	if MatchRecord(b, rel, rel.Records()[0], qBad) {
 		t.Error("record matched clause on unknown attribute")
 	}
 }
@@ -383,20 +392,26 @@ func TestQuickSelectionConsistency(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i, a := range sel.Summaries {
-			for j, b := range sel.Summaries {
-				if i == j {
-					continue
-				}
-				for p := a.Parent(); p != nil; p = p.Parent() {
-					if p == b {
-						return false // nested selection
-					}
-				}
+		selected := make(map[*saintetiq.Node]bool)
+		for _, a := range sel.Summaries {
+			selected[a] = true
+		}
+		nested := false
+		var below func(n *saintetiq.Node)
+		below = func(n *saintetiq.Node) {
+			for _, c := range n.Children() {
+				nested = nested || selected[c]
+				below(c)
 			}
 		}
+		for _, a := range sel.Summaries {
+			below(a)
+		}
+		if nested {
+			return false // a selected summary lies below another
+		}
 		rootPeers := make(map[saintetiq.PeerID]bool)
-		for _, p := range tr.Root().PeerIDs() {
+		for _, p := range tr.Root().AppendPeerIDs(nil) {
 			rootPeers[p] = true
 		}
 		for _, p := range sel.Peers() {
@@ -552,4 +567,15 @@ func TestTaxonomyQueryEndToEnd(t *testing.T) {
 	if !almostEq(selGroup.Weight(), manual) {
 		t.Errorf("group query weight %g != union of members %g", selGroup.Weight(), manual)
 	}
+}
+
+// CountMatches returns how many records of the relation satisfy the query.
+func CountMatches(b *bk.BK, rel *data.Relation, q Query) int {
+	n := 0
+	for _, rec := range rel.Records() {
+		if MatchRecord(b, rel, rec, q) {
+			n++
+		}
+	}
+	return n
 }

@@ -1,8 +1,6 @@
 package query
 
 import (
-	"sort"
-
 	"p2psum/internal/par"
 	"p2psum/internal/saintetiq"
 	"p2psum/internal/summarystore"
@@ -76,38 +74,6 @@ func Candidates(st summarystore.Store, q Query) ([]int, error) {
 	return candidateShards(st, c), nil
 }
 
-// SelectStore walks the store's candidate shards and returns the union of
-// the per-shard ZQ selections, in shard order. The returned nodes belong
-// to the live shard trees: do not retain them while writers (merges,
-// reconciliation swaps) may run concurrently — use AnswerStore or
-// TopKStore, which finish their node reads under the shard locks, when the
-// store is shared with writers.
-func SelectStore(st summarystore.Store, q Query) (*Selection, error) {
-	// The compiled proposition is vocabulary-level: one compilation serves
-	// every shard.
-	c, err := compile(st.Vocab(), q)
-	if err != nil {
-		return nil, err
-	}
-	cands := candidateShards(st, c)
-	sels := make([]*Selection, len(cands))
-	err = par.ForEach(0, len(cands), func(k int) error {
-		st.View(cands[k], func(t *saintetiq.Tree) {
-			sels[k] = c.selectTree(t)
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged := &Selection{}
-	for _, s := range sels {
-		merged.Summaries = append(merged.Summaries, s.Summaries...)
-		merged.Visited += s.Visited
-	}
-	return merged, nil
-}
-
 // StoreAnswer is the merged outcome of one fanned-out store query: peer
 // localization (§5.2.1) plus approximate answering (§5.2.2) evaluated
 // shard by shard. It carries no live tree nodes, so it stays valid after
@@ -160,39 +126,4 @@ func AnswerStore(st summarystore.Store, q Query) (*StoreAnswer, error) {
 	}
 	ans, peers := merged.answer()
 	return &StoreAnswer{Answer: ans, Peers: peers, Weight: merged.weight, Visited: merged.visited}, nil
-}
-
-// TopKStore evaluates the query on every shard, grades each shard's
-// selection under its read lock, and merges the graded results into one
-// ranking (degree, then weight, then shard order). k <= 0 returns all.
-func TopKStore(st summarystore.Store, q Query, k int) ([]GradedSummary, error) {
-	c, err := compile(st.Vocab(), q)
-	if err != nil {
-		return nil, err
-	}
-	cands := candidateShards(st, c)
-	lists := make([][]GradedSummary, len(cands))
-	err = par.ForEach(0, len(cands), func(k int) error {
-		st.View(cands[k], func(t *saintetiq.Tree) {
-			lists[k] = c.grade(c.selectTree(t))
-		})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var merged []GradedSummary
-	for _, l := range lists {
-		merged = append(merged, l...)
-	}
-	sort.SliceStable(merged, func(i, j int) bool {
-		if merged[i].Degree != merged[j].Degree {
-			return merged[i].Degree > merged[j].Degree
-		}
-		return merged[i].Weight > merged[j].Weight
-	})
-	if k > 0 && k < len(merged) {
-		merged = merged[:k]
-	}
-	return merged, nil
 }

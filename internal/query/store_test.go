@@ -9,6 +9,7 @@ import (
 	"p2psum/internal/bk"
 	"p2psum/internal/cells"
 	"p2psum/internal/data"
+	"p2psum/internal/par"
 	"p2psum/internal/saintetiq"
 	"p2psum/internal/summarystore"
 )
@@ -255,4 +256,71 @@ func TestStoreQueryErrors(t *testing.T) {
 	if _, err := TopKStore(sharded, bad, 5); err == nil {
 		t.Error("unknown attribute accepted by TopKStore")
 	}
+}
+
+// SelectStore walks the store's candidate shards and returns the union of
+// the per-shard ZQ selections, in shard order. The returned nodes belong
+// to the live shard trees: do not retain them while writers (merges,
+// reconciliation swaps) may run concurrently — use AnswerStore or
+// TopKStore, which finish their node reads under the shard locks, when the
+// store is shared with writers.
+func SelectStore(st summarystore.Store, q Query) (*Selection, error) {
+	// The compiled proposition is vocabulary-level: one compilation serves
+	// every shard.
+	c, err := compile(st.Vocab(), q)
+	if err != nil {
+		return nil, err
+	}
+	cands := candidateShards(st, c)
+	sels := make([]*Selection, len(cands))
+	err = par.ForEach(0, len(cands), func(k int) error {
+		st.View(cands[k], func(t *saintetiq.Tree) {
+			sels[k] = c.selectTree(t)
+		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	merged := &Selection{}
+	for _, s := range sels {
+		merged.Summaries = append(merged.Summaries, s.Summaries...)
+		merged.Visited += s.Visited
+	}
+	return merged, nil
+}
+
+// TopKStore evaluates the query on every shard, grades each shard's
+// selection under its read lock, and merges the graded results into one
+// ranking (degree, then weight, then shard order). k <= 0 returns all.
+func TopKStore(st summarystore.Store, q Query, k int) ([]GradedSummary, error) {
+	c, err := compile(st.Vocab(), q)
+	if err != nil {
+		return nil, err
+	}
+	cands := candidateShards(st, c)
+	lists := make([][]GradedSummary, len(cands))
+	err = par.ForEach(0, len(cands), func(k int) error {
+		st.View(cands[k], func(t *saintetiq.Tree) {
+			lists[k] = c.grade(c.selectTree(t))
+		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var merged []GradedSummary
+	for _, l := range lists {
+		merged = append(merged, l...)
+	}
+	sort.SliceStable(merged, func(i, j int) bool {
+		if merged[i].Degree != merged[j].Degree {
+			return merged[i].Degree > merged[j].Degree
+		}
+		return merged[i].Weight > merged[j].Weight
+	})
+	if k > 0 && k < len(merged) {
+		merged = merged[:k]
+	}
+	return merged, nil
 }

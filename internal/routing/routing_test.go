@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"p2psum/internal/bk"
@@ -339,8 +340,10 @@ func TestRunWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Queries != 10 || res.SQMessages.N() != 10 {
-		t.Fatalf("aggregation wrong: %+v", res)
+	// stats.Running exports no count (no binary reads one), so the
+	// per-query SQ samples are counted through its unexported field.
+	if n := reflect.ValueOf(res.SQMessages).Elem().FieldByName("n").Int(); res.Queries != 10 || n != 10 {
+		t.Fatalf("aggregation wrong: %d SQ samples, %+v", n, res)
 	}
 	if res.Accuracy.Recall() != 1 {
 		t.Errorf("fresh-summary workload recall = %g", res.Accuracy.Recall())

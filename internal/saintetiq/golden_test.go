@@ -77,9 +77,9 @@ func TestGoldenEncoding(t *testing.T) {
 		sum := sha256.Sum256(encodeTree(tr))
 		got := hex.EncodeToString(sum[:])
 		w := want[i]
-		if got != w.sha || tr.Stats() != w.stats || tr.Epoch() != w.epoch {
+		if got != w.sha || tr.Stats() != w.stats || tr.epoch != w.epoch {
 			t.Errorf("tree %d: sha %s stats %+v epoch %d, want %s %+v %d",
-				i, got, tr.Stats(), tr.Epoch(), w.sha, w.stats, w.epoch)
+				i, got, tr.Stats(), tr.epoch, w.sha, w.stats, w.epoch)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package saintetiq
 import (
 	"fmt"
 	"slices"
-
-	"p2psum/internal/cells"
 )
 
 // Merging of summary hierarchies (CIKM'07 [27], paper §6.1.1): the leaves of
@@ -33,24 +31,6 @@ func (t *Tree) CompatibleWith(o *Tree) error {
 		}
 	}
 	return nil
-}
-
-// LeafCell exports a leaf as a standalone cell plus its peer extent,
-// suitable for re-incorporation elsewhere.
-func (t *Tree) LeafCell(n *Node) (*cells.Cell, []PeerID) {
-	c := &cells.Cell{
-		Labels:   make([]string, len(t.attrs)),
-		Grades:   make([]float64, len(t.attrs)),
-		Count:    n.count,
-		Measures: make([]cells.Measure, len(t.attrs)),
-	}
-	for a := range t.attrs {
-		j := n.leafLabel(a)
-		c.Labels[a] = t.attrs[a].labels[j]
-		c.Grades[a] = n.grades[a][j]
-		c.Measures[a] = n.measures[a]
-	}
-	return c, n.PeerIDs()
 }
 
 // leafLabel returns the descriptor of a leaf on attribute a: a leaf has

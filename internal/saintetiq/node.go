@@ -65,14 +65,8 @@ func (n *Node) Key() string { return n.key }
 // Count returns the node's extent weight (Rz cardinality under Ruspini BKs).
 func (n *Node) Count() float64 { return n.count }
 
-// Parent returns the parent node (nil at the root).
-func (n *Node) Parent() *Node { return n.parent }
-
 // Children returns the child summaries; callers must not mutate the slice.
 func (n *Node) Children() []*Node { return n.children }
-
-// Arity returns the number of children.
-func (n *Node) Arity() int { return len(n.children) }
 
 // LabelIndexes returns the canonical indexes of the descriptors present on
 // attribute a (the node's intent on a).
@@ -90,26 +84,14 @@ func (n *Node) LabelIndexes(a int) []int {
 // node's intent — LabelIndexes without the slice.
 func (n *Node) HasLabel(a, j int) bool { return n.counts[a][j] > 0 }
 
-// LabelCount returns the weighted count of label j on attribute a.
-func (n *Node) LabelCount(a, j int) float64 { return n.counts[a][j] }
-
 // Grade returns the maximal membership grade of label j on attribute a.
 func (n *Node) Grade(a, j int) float64 { return n.grades[a][j] }
 
 // Measure returns the aggregated measure of attribute a.
 func (n *Node) Measure(a int) cells.Measure { return n.measures[a] }
 
-// PeerIDs returns a copy of the peer extent, ascending.
-func (n *Node) PeerIDs() []PeerID { return slices.Clone(n.peers) }
-
 // AppendPeerIDs appends the peer extent, ascending, to dst.
 func (n *Node) AppendPeerIDs(dst []PeerID) []PeerID { return append(dst, n.peers...) }
-
-// HasPeer reports whether p belongs to the node's peer extent.
-func (n *Node) HasPeer(p PeerID) bool {
-	_, ok := slices.BinarySearch(n.peers, p)
-	return ok
-}
 
 // addPeer inserts p into the extent, keeping it ascending and duplicate-free.
 // An extent is a small set (at most the domain) that is written rarely and

@@ -16,12 +16,12 @@ import (
 func checkExtents(t *testing.T, step string, tr *Tree) {
 	t.Helper()
 	tr.Walk(func(n *Node) bool {
-		ids := n.PeerIDs()
+		ids := n.peers
 		for i, p := range ids {
 			if p == NoPeer || (i > 0 && ids[i-1] >= p) {
 				t.Fatalf("%s: node %d extent %v is not a strictly ascending set of real peers", step, n.id, ids)
 			}
-			if !n.HasPeer(p) {
+			if !slices.Contains(n.peers, p) {
 				t.Fatalf("%s: node %d lists %d but HasPeer denies it", step, n.id, p)
 			}
 		}
@@ -33,7 +33,7 @@ func checkExtents(t *testing.T, step string, tr *Tree) {
 		}
 		var union []PeerID
 		for _, c := range n.children {
-			union = append(union, c.PeerIDs()...)
+			union = append(union, c.peers...)
 		}
 		slices.Sort(union)
 		if union = slices.Compact(union); !slices.Equal(union, ids) {
@@ -99,7 +99,7 @@ func TestPeerExtentInvariants(t *testing.T) {
 			if model[leaf.key] == nil {
 				model[leaf.key] = map[PeerID]bool{}
 			}
-			for _, p := range leaf.PeerIDs() {
+			for _, p := range leaf.peers {
 				model[leaf.key][p] = true
 			}
 		}
@@ -117,13 +117,13 @@ func TestPeerExtentInvariants(t *testing.T) {
 			t.Fatal("round trip changed the leaves")
 		}
 		for key, want := range model {
-			leaf := back.Leaf(key)
+			leaf := back.byKey[key]
 			if leaf == nil || leaf.PeerCount() != len(want) {
-				t.Fatalf("leaf %q extent %v, model %v", key, leaf.PeerIDs(), want)
+				t.Fatalf("leaf %q extent %v, model %v", key, leaf.peers, want)
 			}
 			for p := range want {
-				if !leaf.HasPeer(p) {
-					t.Fatalf("leaf %q extent %v misses %d", key, leaf.PeerIDs(), p)
+				if !slices.Contains(leaf.peers, p) {
+					t.Fatalf("leaf %q extent %v misses %d", key, leaf.peers, p)
 				}
 			}
 		}
@@ -165,10 +165,10 @@ func TestDecodeWireSortsPeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Root().PeerIDs(); !slices.Equal(got, []PeerID{2, 7, 9}) {
+	if got := tr.Root().peers; !slices.Equal(got, []PeerID{2, 7, 9}) {
 		t.Errorf("root extent = %v, want [2 7 9]", got)
 	}
-	if got := tr.Leaf("x").PeerIDs(); !slices.Equal(got, []PeerID{2, 7}) {
+	if got := tr.byKey["x"].peers; !slices.Equal(got, []PeerID{2, 7}) {
 		t.Errorf("leaf extent = %v, want [2 7]", got)
 	}
 }
@@ -185,15 +185,15 @@ func TestNoPeerLeavesExtentEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Walk(func(n *Node) bool {
-		if n.PeerCount() != 0 || len(n.PeerIDs()) != 0 || n.HasPeer(NoPeer) || n.HasPeer(0) {
-			t.Errorf("node %d extent %v, want empty", n.id, n.PeerIDs())
+		if n.PeerCount() != 0 || len(n.peers) != 0 || slices.Contains(n.peers, NoPeer) || slices.Contains(n.peers, 0) {
+			t.Errorf("node %d extent %v, want empty", n.id, n.peers)
 		}
 		return true
 	})
 	if err := tr.Incorporate(cs[2], 0); err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Root().HasPeer(0) || tr.Root().PeerCount() != 1 {
-		t.Errorf("root extent %v, want [0]", tr.Root().PeerIDs())
+	if !slices.Contains(tr.Root().peers, 0) || tr.Root().PeerCount() != 1 {
+		t.Errorf("root extent %v, want [0]", tr.Root().peers)
 	}
 }

@@ -2,7 +2,6 @@ package saintetiq
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -105,58 +104,6 @@ func (t *Tree) nodeSpecificity(n *Node) float64 {
 	return total / float64(len(t.attrs))
 }
 
-// PruneLightLeaves removes leaves whose weight is below minWeight,
-// restructuring ancestors accordingly (subtracting the removed
-// contribution). It returns the number of removed leaves. Degenerate
-// chains left behind are collapsed. Pruning keeps summaries bounded when a
-// user wants a deliberately coarse view (the paper's precision dial turned
-// the other way).
-func (t *Tree) PruneLightLeaves(minWeight float64) int {
-	var victims []*Node
-	for _, leaf := range t.Leaves() {
-		if leaf.count < minWeight {
-			victims = append(victims, leaf)
-		}
-	}
-	for _, leaf := range victims {
-		t.removeLeaf(leaf)
-	}
-	return len(victims)
-}
-
-// removeLeaf subtracts a leaf's aggregates from its ancestors and detaches
-// it, collapsing single-child internal nodes.
-func (t *Tree) removeLeaf(leaf *Node) {
-	delete(t.byKey, leaf.key)
-	for p := leaf.parent; p != nil; p = p.parent {
-		p.count -= leaf.count
-		for a := range t.attrs {
-			for j := range p.counts[a] {
-				p.counts[a][j] -= leaf.counts[a][j]
-				if p.counts[a][j] < 1e-12 {
-					p.counts[a][j] = 0
-				}
-			}
-		}
-		if p.count < 1e-12 {
-			p.count = 0
-		}
-	}
-	parent := leaf.parent
-	t.detach(parent, leaf)
-	// Collapse chains: an internal non-root node with one child is
-	// replaced by that child.
-	for parent != nil && parent != t.root && len(parent.children) == 1 {
-		child := parent.children[0]
-		grand := parent.parent
-		t.detach(parent, child)
-		t.detach(grand, parent)
-		t.attach(grand, child)
-		parent = grand
-	}
-	// An empty root child list is fine (empty tree).
-}
-
 // Level returns the summaries at the given depth (the paper: "general
 // trends in the data could be identified in the very first levels of the
 // tree whereas precise information has to be looked at near the leaves").
@@ -176,21 +123,6 @@ func (t *Tree) Level(depth int) []*Node {
 	}
 	walk(t.root, 0)
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
-}
-
-// IntentLabels exports a node's intent as attribute -> sorted labels.
-func (t *Tree) IntentLabels(n *Node) map[string][]string {
-	out := make(map[string][]string, len(t.attrs))
-	for a, info := range t.attrs {
-		var labs []string
-		for _, j := range n.LabelIndexes(a) {
-			labs = append(labs, info.labels[j])
-		}
-		if len(labs) > 0 {
-			out[info.name] = labs
-		}
-	}
 	return out
 }
 
@@ -214,22 +146,4 @@ func (t *Tree) DescribeLevel(depth int) string {
 		fmt.Fprintf(&sb, "%5.1f%% %s\n", pct, t.intentString(n))
 	}
 	return sb.String()
-}
-
-// WeightEntropy returns the Shannon entropy (bits) of the leaf weight
-// distribution — a balance indicator for the clustering.
-func (t *Tree) WeightEntropy() float64 {
-	total := t.root.count
-	if total <= 0 {
-		return 0
-	}
-	var h float64
-	for _, leaf := range t.Leaves() {
-		if leaf.count <= 0 {
-			continue
-		}
-		p := leaf.count / total
-		h -= p * math.Log2(p)
-	}
-	return h
 }

@@ -3,11 +3,8 @@ package saintetiq
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"p2psum/internal/bk"
-	"p2psum/internal/cells"
-	"p2psum/internal/data"
 )
 
 func builtTree(t *testing.T, seed int64, n int) *Tree {
@@ -80,111 +77,5 @@ func TestDescribeLevel(t *testing.T) {
 		// Percentages are right-aligned; just check parseability of the
 		// first field.
 		t.Logf("describe output:\n%s", out)
-	}
-}
-
-func TestIntentLabels(t *testing.T) {
-	tr := builtTree(t, 93, 300)
-	labels := tr.IntentLabels(tr.Root())
-	if len(labels) != 4 {
-		t.Errorf("root intent covers %d attributes, want 4", len(labels))
-	}
-	for attr, labs := range labels {
-		if len(labs) == 0 {
-			t.Errorf("attribute %s has empty intent", attr)
-		}
-	}
-}
-
-func TestPruneLightLeaves(t *testing.T) {
-	tr := builtTree(t, 94, 1000)
-	before := tr.LeafCount()
-	weightBefore := tr.Root().Count()
-
-	// Find a threshold that removes some but not all leaves.
-	leaves := tr.Leaves()
-	var light float64
-	for _, l := range leaves {
-		if l.Count() > light && l.Count() < 3 {
-			light = l.Count()
-		}
-	}
-	if light == 0 {
-		t.Skip("no light leaves to prune")
-	}
-	removed := tr.PruneLightLeaves(light + 1e-9)
-	if removed == 0 {
-		t.Fatal("nothing pruned")
-	}
-	if tr.LeafCount() != before-removed {
-		t.Errorf("leaf count %d, want %d", tr.LeafCount(), before-removed)
-	}
-	if tr.Root().Count() >= weightBefore {
-		t.Error("pruning did not reduce weight")
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("pruned tree invalid: %v", err)
-	}
-	// No chains: every internal non-root node has >= 2 children.
-	tr.Walk(func(n *Node) bool {
-		if !n.IsLeaf() && n != tr.Root() && len(n.Children()) < 2 {
-			t.Errorf("node %d left as a chain (%d children)", n.ID(), len(n.Children()))
-		}
-		return true
-	})
-}
-
-func TestPruneEverything(t *testing.T) {
-	tr := builtTree(t, 95, 100)
-	removed := tr.PruneLightLeaves(1e18)
-	if removed == 0 {
-		t.Fatal("nothing pruned")
-	}
-	if tr.LeafCount() != 0 {
-		t.Errorf("leaves remain: %d", tr.LeafCount())
-	}
-	if tr.Root().Count() > 1e-9 {
-		t.Errorf("weight remains: %g", tr.Root().Count())
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("empty pruned tree invalid: %v", err)
-	}
-}
-
-func TestWeightEntropy(t *testing.T) {
-	tr := builtTree(t, 96, 800)
-	h := tr.WeightEntropy()
-	if h <= 0 {
-		t.Errorf("entropy = %g, want positive for a populated tree", h)
-	}
-	empty := New(bk.Medical(), DefaultConfig())
-	if empty.WeightEntropy() != 0 {
-		t.Error("empty tree entropy nonzero")
-	}
-}
-
-// Property: pruning preserves validity and never increases any shape
-// metric.
-func TestQuickPruneValid(t *testing.T) {
-	f := func(seed int64, thRaw uint8) bool {
-		m, err := cells.NewMapper(bk.Medical(), data.PatientSchema())
-		if err != nil {
-			return false
-		}
-		s := cells.NewStore(m)
-		s.AddRelation(data.NewPatientGenerator(seed, nil).Generate("q", 120))
-		tr := New(bk.Medical(), DefaultConfig())
-		if err := tr.IncorporateStore(s, 1); err != nil {
-			return false
-		}
-		before := tr.LeafCount()
-		tr.PruneLightLeaves(float64(thRaw) / 16)
-		if err := tr.Validate(); err != nil {
-			return false
-		}
-		return tr.LeafCount() <= before
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
 	}
 }

@@ -22,22 +22,6 @@ const (
 	opSplit
 )
 
-// String names the operator (useful in traces and tests).
-func (o operator) String() string {
-	switch o {
-	case opHost:
-		return "host"
-	case opCreate:
-		return "create"
-	case opMerge:
-		return "merge"
-	case opSplit:
-		return "split"
-	default:
-		return "?"
-	}
-}
-
 // classTerm is one class's share of the intra-class sum, P(z) Σ_a Σ_d P(d|z)²
 // with P(z) = z.count / total, for the class made of node a, plus node b when
 // non-nil (a hypothetical fusion), plus the contribution when non-nil (a

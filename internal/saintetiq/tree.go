@@ -113,9 +113,6 @@ func (t *Tree) blankNode(id int, key string) *Node {
 	}
 }
 
-// NumAttrs returns the number of summarized attributes.
-func (t *Tree) NumAttrs() int { return len(t.attrs) }
-
 // AttrName returns the name of attribute a.
 func (t *Tree) AttrName(a int) string { return t.attrs[a].name }
 
@@ -149,16 +146,8 @@ func (t *Tree) Root() *Node { return t.root }
 // Stats returns the operator counters.
 func (t *Tree) Stats() OpStats { return t.stats }
 
-// Epoch returns a counter bumped by every structural change; equal epochs
-// guarantee an unchanged tree shape. The maintenance layer uses it to decide
-// whether a local summary is "enough modified" to push (§4.2.1).
-func (t *Tree) Epoch() int { return t.epoch }
-
 // LeafCount returns the number of leaves (grid cells) in the hierarchy.
 func (t *Tree) LeafCount() int { return len(t.byKey) }
-
-// Leaf returns the leaf holding the given cell key, or nil.
-func (t *Tree) Leaf(key string) *Node { return t.byKey[key] }
 
 // NodeCount returns the total number of nodes.
 func (t *Tree) NodeCount() int { return t.root.size() }

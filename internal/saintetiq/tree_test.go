@@ -2,6 +2,7 @@ package saintetiq
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -72,8 +73,8 @@ func TestFigure3Hierarchy(t *testing.T) {
 	}
 	// Young carries weight 2 (c1) + 0.7 (c2).
 	j := tr.LabelIndex(ageIdx, "young")
-	if !almost(root.LabelCount(ageIdx, j), 2.7) {
-		t.Errorf("root young count = %g, want 2.7", root.LabelCount(ageIdx, j))
+	if !almost(root.counts[ageIdx][j], 2.7) {
+		t.Errorf("root young count = %g, want 2.7", root.counts[ageIdx][j])
 	}
 	// Rendering mentions the descriptors.
 	if s := tr.String(); !strings.Contains(s, "young") || !strings.Contains(s, "normal") {
@@ -88,7 +89,7 @@ func TestIncorporateFastPathStabilizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := tr.Stats().Structural()
-	epoch := tr.Epoch()
+	epoch := tr.epoch
 	// Re-incorporating the same cells must ride the fast path only.
 	if err := tr.IncorporateStore(s); err != nil {
 		t.Fatal(err)
@@ -96,8 +97,8 @@ func TestIncorporateFastPathStabilizes(t *testing.T) {
 	if tr.Stats().Structural() != ops {
 		t.Errorf("re-incorporation changed structure: %d -> %d ops", ops, tr.Stats().Structural())
 	}
-	if tr.Epoch() != epoch {
-		t.Errorf("re-incorporation bumped epoch %d -> %d", epoch, tr.Epoch())
+	if tr.epoch != epoch {
+		t.Errorf("re-incorporation bumped epoch %d -> %d", epoch, tr.epoch)
 	}
 	if tr.Stats().FastPath != 3 {
 		t.Errorf("FastPath = %d, want 3", tr.Stats().FastPath)
@@ -122,11 +123,11 @@ func TestLargeHierarchyInvariants(t *testing.T) {
 	if tr.LeafCount() != s.Len() {
 		t.Errorf("LeafCount = %d, want %d (one leaf per populated cell)", tr.LeafCount(), s.Len())
 	}
-	if tr.LeafCount() > bk.Medical().GridSize() {
-		t.Errorf("leaves %d exceed grid bound %d", tr.LeafCount(), bk.Medical().GridSize())
+	if tr.LeafCount() > medicalGrid {
+		t.Errorf("leaves %d exceed grid bound %d", tr.LeafCount(), medicalGrid)
 	}
-	if !almost(tr.Root().Count(), s.TupleWeight()) {
-		t.Errorf("root count %g != store weight %g", tr.Root().Count(), s.TupleWeight())
+	if !almost(tr.Root().Count(), storeWeight(s)) {
+		t.Errorf("root count %g != store weight %g", tr.Root().Count(), storeWeight(s))
 	}
 	if d := tr.Depth(); d < 2 {
 		t.Errorf("depth = %d; expected a real hierarchy", d)
@@ -167,16 +168,16 @@ func TestPeerExtents(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := tr.Root()
-	ids := root.PeerIDs()
+	ids := root.peers
 	if len(ids) != 2 || ids[0] != 7 || ids[1] != 9 {
 		t.Errorf("root peers = %v, want [7 9]", ids)
 	}
-	if !root.HasPeer(7) || root.HasPeer(8) {
+	if !slices.Contains(root.peers, 7) || slices.Contains(root.peers, 8) {
 		t.Error("HasPeer wrong")
 	}
-	leaf := tr.Leaf(cs[0].Key())
-	if leaf == nil || leaf.PeerCount() != 1 || !leaf.HasPeer(7) {
-		t.Errorf("leaf peer extent wrong: %v", leaf.PeerIDs())
+	leaf := tr.byKey[cs[0].Key()]
+	if leaf == nil || leaf.PeerCount() != 1 || !slices.Contains(leaf.peers, 7) {
+		t.Errorf("leaf peer extent wrong: %v", leaf.peers)
 	}
 }
 
@@ -211,7 +212,7 @@ func TestMergeHierarchies(t *testing.T) {
 	if !almost(t1.Root().Count(), w1+w2) {
 		t.Errorf("merged weight %g != %g + %g", t1.Root().Count(), w1, w2)
 	}
-	ids := t1.Root().PeerIDs()
+	ids := t1.Root().peers
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Errorf("merged peers = %v", ids)
 	}
@@ -232,13 +233,13 @@ func TestMergeIncompatible(t *testing.T) {
 func TestMergeLeafBoundNotTuples(t *testing.T) {
 	// Complexity claim of §6.1.1: merging cost depends on leaves, not
 	// tuples. Build one small and one big source over the same BK; the
-	// merge touches at most GridSize leaves regardless of tuple counts.
+	// merge touches at most medicalGrid leaves regardless of tuple counts.
 	big := New(bk.Medical(), DefaultConfig())
 	if err := big.IncorporateStore(medicalStore(t, 30, 3000), 1); err != nil {
 		t.Fatal(err)
 	}
-	if big.LeafCount() > bk.Medical().GridSize() {
-		t.Fatalf("leaf bound violated: %d > %d", big.LeafCount(), bk.Medical().GridSize())
+	if big.LeafCount() > medicalGrid {
+		t.Fatalf("leaf bound violated: %d > %d", big.LeafCount(), medicalGrid)
 	}
 	dst := New(bk.Medical(), DefaultConfig())
 	if err := dst.IncorporateStore(medicalStore(t, 31, 100), 2); err != nil {
@@ -273,7 +274,7 @@ func TestClone(t *testing.T) {
 	if almost(cl.Root().Count(), tr.Root().Count()) {
 		t.Error("clone mutation leaked into original")
 	}
-	if tr.Root().HasPeer(4) {
+	if slices.Contains(tr.Root().peers, 4) {
 		t.Error("clone peer leaked into original")
 	}
 }
@@ -300,7 +301,7 @@ func TestGobRoundTrip(t *testing.T) {
 	if !almost(back.Root().Count(), tr.Root().Count()) {
 		t.Errorf("round trip changed weight")
 	}
-	if !back.Root().HasPeer(5) {
+	if !slices.Contains(back.Root().peers, 5) {
 		t.Error("round trip lost peer extent")
 	}
 	if sz := tr.EncodedSize(); sz != len(b) {
@@ -316,26 +317,20 @@ func TestGobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLeafCellRoundTrip(t *testing.T) {
-	tr := New(bk.PaperExample(), DefaultConfig())
-	s := paperStore(t)
-	if err := tr.IncorporateStore(s, 11); err != nil {
-		t.Fatal(err)
+// storeWeight is the tuple weight mapped into s: the sum of its cells'
+// counts.
+func storeWeight(s *cells.Store) float64 {
+	w := 0.0
+	for _, c := range s.Cells() {
+		w += c.Count
 	}
-	for _, leaf := range tr.Leaves() {
-		c, peers := tr.LeafCell(leaf)
-		if c.Key() != leaf.Key() {
-			t.Errorf("LeafCell key %q != %q", c.Key(), leaf.Key())
-		}
-		if len(peers) != 1 || peers[0] != 11 {
-			t.Errorf("LeafCell peers = %v", peers)
-		}
-		orig := s.Get(c.Key())
-		if orig == nil || !almost(c.Count, orig.Count) {
-			t.Errorf("LeafCell count %g != store %v", c.Count, orig)
-		}
-	}
+	return w
 }
+
+// medicalGrid is the size of the medical BK's descriptor grid (3 age ×
+// 2 sex × 4 bmi × 10 disease labels), which bounds the leaves of any
+// hierarchy built under it (§6.1.1).
+const medicalGrid = 240
 
 func TestDeterminism(t *testing.T) {
 	build := func() *Tree {
@@ -367,14 +362,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
-func TestOperatorString(t *testing.T) {
-	for op, want := range map[operator]string{opHost: "host", opCreate: "create", opMerge: "merge", opSplit: "split", operator(9): "?"} {
-		if op.String() != want {
-			t.Errorf("operator(%d).String() = %q, want %q", int(op), op.String(), want)
-		}
-	}
-}
-
 // Property: incorporating any generated store keeps the tree valid and
 // preserves total weight.
 func TestQuickTreeInvariants(t *testing.T) {
@@ -393,7 +380,7 @@ func TestQuickTreeInvariants(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			return false
 		}
-		return almost(tr.Root().Count(), s.TupleWeight()) && tr.LeafCount() == s.Len()
+		return almost(tr.Root().Count(), storeWeight(s)) && tr.LeafCount() == s.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -425,7 +412,7 @@ func TestQuickMergeAdditive(t *testing.T) {
 		if err := a.Validate(); err != nil {
 			return false
 		}
-		return almost(a.Root().Count(), wa+wb) && a.Root().HasPeer(1) && a.Root().HasPeer(2)
+		return almost(a.Root().Count(), wa+wb) && slices.Contains(a.Root().peers, 1) && slices.Contains(a.Root().peers, 2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)

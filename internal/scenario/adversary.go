@@ -7,12 +7,12 @@ import (
 )
 
 // Adversary injects adversarial membership claims into the liveness
-// gossip from a compromised overlay node: forged obituaries, conflicting
-// domain claims, and replays of stale view snapshots. Every injection is
-// a regular MsgGossip frame sent through the transport — it is counted,
-// byte-charged, and handled exactly like honest gossip, so the defense
-// being measured is the protocol's own (incarnation supersession plus
-// local-authority refutation, internal/liveness), not a special case.
+// gossip from a compromised overlay node: forged obituaries and
+// conflicting domain claims. Every injection is a regular MsgGossip frame
+// sent through the transport — it is counted, byte-charged, and handled
+// exactly like honest gossip, so the defense being measured is the
+// protocol's own (incarnation supersession plus local-authority
+// refutation, internal/liveness), not a special case.
 //
 // Injections are marked Reply:true, so the victim never answers the
 // adversary directly (one-shot poison, no handshake); whatever damage the
@@ -58,25 +58,6 @@ func (a *Adversary) ClaimDomain(target, victim, sp p2p.NodeID) {
 		ID: int(victim),
 		E:  liveness.Entry{State: liveness.Alive, Inc: e.Inc + 1, SP: int(sp)},
 	}})
-}
-
-// Snapshot captures the adversary's current full view, to Replay later as
-// stale state.
-func (a *Adversary) Snapshot() []liveness.Entry {
-	return a.sys.Transport().Liveness().Snapshot()
-}
-
-// Replay injects a previously captured snapshot at target as a full
-// gossip exchange advertising a fresh version over stale entries — the
-// stale-incarnation attack. Entries the view has since superseded are
-// discarded by the merge's incarnation ordering; the test of interest is
-// that nothing regresses.
-func (a *Adversary) Replay(target p2p.NodeID, entries []liveness.Entry) {
-	a.ver++
-	a.sys.Transport().SendNew(core.MsgGossip, a.src, target, 0, core.GossipPayload{
-		Tail:  core.GossipTail{Full: true, Delta: liveness.Entries(entries), Ver: a.ver},
-		Reply: true,
-	})
 }
 
 func (a *Adversary) inject(target p2p.NodeID, delta []liveness.Change) {

@@ -12,9 +12,9 @@
 //     scripted filter and both sides of the cut degrade symmetrically
 //     without touching sockets.
 //
-//   - Membership faults (Fail, Leave, Join, FlashCrowd) route through
-//     System.Leave/Join on the stack hosting the node, and the engine
-//     records its own intent: which nodes the script actually took down.
+//   - Membership faults (Leave, Join) route through System.Leave/Join on
+//     the stack hosting the node, and the engine records its own intent:
+//     which nodes the script actually took down.
 //     That intent is what lets Heal distinguish a false suspicion (a live
 //     node marked dead across a cut) from a real death.
 //
@@ -71,13 +71,6 @@ func New(stacks ...*core.System) *Engine {
 	return &Engine{stacks: stacks, downed: make(map[p2p.NodeID]bool)}
 }
 
-// Stacks returns the stacks the engine drives.
-func (e *Engine) Stacks() []*core.System { return e.stacks }
-
-// Cut severs every link between node set a and node set b, in both
-// directions, on every stack's transport. Equivalent to Partition(a, b).
-func (e *Engine) Cut(a, b []p2p.NodeID) { e.Partition(a, b) }
-
 // Partition installs a cut separating the given node sets: a link is
 // severed iff its endpoints sit in different sets. Nodes listed in no set
 // keep every link (including into each set — a real partition must
@@ -102,16 +95,6 @@ func (e *Engine) Partition(sets ...[]p2p.NodeID) {
 	for _, s := range e.stacks {
 		s.Transport().SetLinkFilter(filter)
 	}
-}
-
-// Severed reports whether the current cut severs the directed link
-// from -> to.
-func (e *Engine) Severed(from, to p2p.NodeID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	a, oka := e.side[from]
-	b, okb := e.side[to]
-	return oka && okb && a != b
 }
 
 // Heal removes the cut from every transport and repairs the false deaths
@@ -144,13 +127,6 @@ func (e *Engine) Heal() {
 	}
 }
 
-// Fail takes a node down silently (§4.3 silent failure: suspicion, then
-// confirmation) and records the death as scripted ground truth.
-func (e *Engine) Fail(id p2p.NodeID) {
-	e.setDown(id, true)
-	e.eachHost(id, func(s *core.System) { s.Leave(id, false) })
-}
-
 // Leave takes a node down gracefully (goodbye pushes, immediate Dead) and
 // records the death as scripted ground truth.
 func (e *Engine) Leave(id p2p.NodeID) {
@@ -164,19 +140,6 @@ func (e *Engine) Join(id p2p.NodeID) {
 	e.setDown(id, false)
 	e.eachHost(id, func(s *core.System) { s.Join(id) })
 }
-
-// FlashCrowd joins every listed node back-to-back — the simultaneous
-// arrival burst. Arrival-burst shaping (stragglers over a spread) is the
-// caller's: draw offsets with workload.BurstArrivals and schedule one
-// Join per offset.
-func (e *Engine) FlashCrowd(ids []p2p.NodeID) {
-	for _, id := range ids {
-		e.Join(id)
-	}
-}
-
-// Down reports whether the script currently holds the node down.
-func (e *Engine) Down(id p2p.NodeID) bool { return e.isDown(id) }
 
 // Converged reports whether every stack's liveness view agrees with the
 // scripted ground truth: each node Alive unless the script took it down,
@@ -193,13 +156,6 @@ func (e *Engine) Converged() bool {
 		}
 	}
 	return true
-}
-
-// Settle drives every stack's transport to quiescence.
-func (e *Engine) Settle() {
-	for _, s := range e.stacks {
-		s.Transport().Settle()
-	}
 }
 
 func (e *Engine) setDown(id p2p.NodeID, down bool) {

@@ -18,6 +18,32 @@ import (
 	"p2psum/internal/workload"
 )
 
+// Fail takes a node down silently (§4.3 silent failure: suspicion, then
+// confirmation) and records the death as scripted ground truth.
+func (e *Engine) Fail(id p2p.NodeID) {
+	e.setDown(id, true)
+	e.eachHost(id, func(s *core.System) { s.Leave(id, false) })
+}
+
+// Snapshot captures the adversary's current full view, to Replay later as
+// stale state.
+func (a *Adversary) Snapshot() []liveness.Entry {
+	return a.sys.Transport().Liveness().Snapshot()
+}
+
+// Replay injects a previously captured snapshot at target as a full
+// gossip exchange advertising a fresh version over stale entries — the
+// stale-incarnation attack. Entries the view has since superseded are
+// discarded by the merge's incarnation ordering; the test of interest is
+// that nothing regresses.
+func (a *Adversary) Replay(target p2p.NodeID, entries []liveness.Entry) {
+	a.ver++
+	a.sys.Transport().SendNew(core.MsgGossip, a.src, target, 0, core.GossipPayload{
+		Tail:  core.GossipTail{Full: true, Delta: liveness.Entries(entries), Ver: a.ver},
+		Reply: true,
+	})
+}
+
 // The fault-scenario suite. The partition/heal tests run the same
 // scripted scenario with and without the cut and require the post-heal
 // outcome to be bit-identical to the never-partitioned oracle at the
@@ -163,8 +189,12 @@ func runPartitionScenario(t *testing.T, kind string, dispatchers int, cut bool) 
 		for id := 2 * partSize; id < partClusters*partSize; id++ {
 			right = append(right, p2p.NodeID(id))
 		}
-		eng.Cut(left, right)
-		if !eng.Severed(p2p.NodeID(hubs[3]), p2p.NodeID(hubs[0])) {
+		eng.Partition(left, right)
+		eng.mu.Lock()
+		s3, ok3 := eng.side[p2p.NodeID(hubs[3])]
+		s0, ok0 := eng.side[p2p.NodeID(hubs[0])]
+		eng.mu.Unlock()
+		if !ok3 || !ok0 || s3 == s0 {
 			t.Fatal("hub ring link across the cut not severed")
 		}
 		// During the split the left side still answers its local share of
@@ -376,7 +406,7 @@ func runTCPSplitDomain(t *testing.T, cut bool) *saintetiq.Tree {
 
 	eng := New(a.sys, b.sys)
 	if cut {
-		eng.Cut(localA, localB)
+		eng.Partition(localA, localB)
 	}
 
 	// Wave 1: the A side crosses alpha (2 of 5 stale) and reconciles —
@@ -425,7 +455,7 @@ func runTCPSplitDomain(t *testing.T, cut bool) *saintetiq.Tree {
 	settleBoth(a, b)
 	waitTCP(t, a, b, "post-heal reconciliation", func() bool {
 		settleBoth(a, b)
-		return a.sys.Stats().Reconciliations >= 2 && len(a.sys.Peer(0).CooperationList().StalePeers()) == 0
+		return a.sys.Stats().Reconciliations >= 2 && a.sys.Peer(0).CooperationList().StaleFraction() == 0
 	})
 
 	gs := a.sys.Peer(0).GlobalSummary()

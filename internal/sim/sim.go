@@ -22,13 +22,11 @@
 // per-event handle map, no pointer per event to chase or pool. Events
 // cannot be cancelled: every scheduled event fires, and a protocol timer
 // that may turn obsolete carries its own guard (reconciliation timeouts
-// check a sequence number), so the kernel keeps no tombstones and Pending
-// is the heap's length.
+// check a sequence number), so the kernel keeps no tombstones.
 package sim
 
 import (
 	"math"
-	"time"
 )
 
 // Time is virtual simulation time. It is an absolute offset from the
@@ -38,14 +36,8 @@ type Time float64
 // Seconds converts a duration in seconds into virtual time.
 func Seconds(s float64) Time { return Time(s) }
 
-// Minutes converts minutes into virtual time.
-func Minutes(m float64) Time { return Time(m * 60) }
-
 // Hours converts hours into virtual time.
 func Hours(h float64) Time { return Time(h * 3600) }
-
-// Duration converts a time.Duration into virtual time.
-func Duration(d time.Duration) Time { return Time(d.Seconds()) }
 
 // End is the largest representable time.
 const End Time = Time(math.MaxFloat64)
@@ -138,9 +130,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Executed returns the number of events processed so far.
 func (e *Engine) Executed() uint64 { return e.events }
-
-// Pending returns the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // At schedules fn at the absolute time at (clamped to now for past
 // times).

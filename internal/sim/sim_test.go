@@ -5,21 +5,14 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestTimeConversions(t *testing.T) {
 	if Seconds(90) != 90 {
 		t.Error("Seconds wrong")
 	}
-	if Minutes(2) != 120 {
-		t.Error("Minutes wrong")
-	}
 	if Hours(1) != 3600 {
 		t.Error("Hours wrong")
-	}
-	if Duration(1500*time.Millisecond) != 1.5 {
-		t.Error("Duration wrong")
 	}
 }
 
@@ -144,8 +137,8 @@ func TestHeapOrderMatchesStableSort(t *testing.T) {
 		e.Run()
 		want := append([]sched(nil), log...)
 		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
-		if len(ran) != len(want) || e.Pending() != 0 {
-			t.Fatalf("seed %d: ran %d of %d events, %d pending", seed, len(ran), len(want), e.Pending())
+		if len(ran) != len(want) || len(e.queue) != 0 {
+			t.Fatalf("seed %d: ran %d of %d events, %d pending", seed, len(ran), len(want), len(e.queue))
 		}
 		for i := range want {
 			if ran[i] != want[i].id {
@@ -186,7 +179,7 @@ func TestQuickConservation(t *testing.T) {
 			e.At(Time(d), func() {})
 		}
 		e.Run()
-		return e.Executed() == uint64(len(delays)) && e.Pending() == 0
+		return e.Executed() == uint64(len(delays)) && len(e.queue) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -19,9 +19,6 @@ type Counter struct {
 // NewCounter creates an empty counter.
 func NewCounter() *Counter { return &Counter{counts: make(map[string]int64)} }
 
-// Inc adds one to the named event.
-func (c *Counter) Inc(name string) { c.counts[name]++ }
-
 // Add adds n to the named event.
 func (c *Counter) Add(name string, n int64) { c.counts[name] += n }
 
@@ -56,14 +53,6 @@ func (c *Counter) Names() []string {
 	return out
 }
 
-// Merge folds another counter's tallies into c (used by transports that
-// shard their counters and merge on read).
-func (c *Counter) Merge(o *Counter) {
-	for name, n := range o.counts {
-		c.counts[name] += n
-	}
-}
-
 // String renders "a=3 b=1".
 func (c *Counter) String() string {
 	parts := make([]string, 0, len(c.counts))
@@ -75,29 +64,21 @@ func (c *Counter) String() string {
 
 // Running accumulates a stream of float64 observations.
 type Running struct {
-	n          int
-	sum, sumsq float64
-	min, max   float64
+	n        int
+	sum, min float64
 }
 
 // NewRunning creates an empty accumulator.
-func NewRunning() *Running { return &Running{min: math.Inf(1), max: math.Inf(-1)} }
+func NewRunning() *Running { return &Running{min: math.Inf(1)} }
 
 // Observe folds one value in.
 func (r *Running) Observe(x float64) {
 	r.n++
 	r.sum += x
-	r.sumsq += x * x
 	if x < r.min {
 		r.min = x
 	}
-	if x > r.max {
-		r.max = x
-	}
 }
-
-// N returns the number of observations.
-func (r *Running) N() int { return r.n }
 
 // Mean returns the sample mean (0 when empty).
 func (r *Running) Mean() float64 {
@@ -107,26 +88,8 @@ func (r *Running) Mean() float64 {
 	return r.sum / float64(r.n)
 }
 
-// Std returns the population standard deviation (0 when empty).
-func (r *Running) Std() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	v := r.sumsq/float64(r.n) - r.Mean()*r.Mean()
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
-}
-
 // Min returns the smallest observation (+Inf when empty).
 func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation (-Inf when empty).
-func (r *Running) Max() float64 { return r.max }
-
-// Sum returns the total.
-func (r *Running) Sum() float64 { return r.sum }
 
 // Accuracy accumulates retrieval accounting: relevant (ground truth),
 // returned (what the system produced), and their overlap.
@@ -169,34 +132,6 @@ func (a Accuracy) Recall() float64 {
 		return 1
 	}
 	return float64(a.TruePositives) / float64(d)
-}
-
-// FalsePositiveRate returns FP / (TP + FP), 0 when nothing was returned.
-func (a Accuracy) FalsePositiveRate() float64 {
-	d := a.TruePositives + a.FalsePositives
-	if d == 0 {
-		return 0
-	}
-	return float64(a.FalsePositives) / float64(d)
-}
-
-// FalseNegativeRate returns FN / (TP + FN), 0 when nothing was relevant.
-func (a Accuracy) FalseNegativeRate() float64 {
-	d := a.TruePositives + a.FalseNegatives
-	if d == 0 {
-		return 0
-	}
-	return float64(a.FalseNegatives) / float64(d)
-}
-
-// StaleRate returns (FP + FN) / (TP + FP + FN): the paper's "fraction of
-// stale answers" combines both kinds of staleness (Figure 4).
-func (a Accuracy) StaleRate() float64 {
-	d := a.TruePositives + a.FalsePositives + a.FalseNegatives
-	if d == 0 {
-		return 0
-	}
-	return float64(a.FalsePositives+a.FalseNegatives) / float64(d)
 }
 
 // Merge folds another accumulator in.

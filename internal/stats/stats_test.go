@@ -9,8 +9,8 @@ import (
 
 func TestCounter(t *testing.T) {
 	c := NewCounter()
-	c.Inc("push")
-	c.Inc("push")
+	c.Add("push", 1)
+	c.Add("push", 1)
 	c.Add("query", 5)
 	if c.Get("push") != 2 || c.Get("query") != 5 || c.Get("ghost") != 0 {
 		t.Errorf("counts wrong: %s", c)
@@ -31,20 +31,14 @@ func TestCounter(t *testing.T) {
 
 func TestRunning(t *testing.T) {
 	r := NewRunning()
-	if r.Mean() != 0 || r.Std() != 0 || r.N() != 0 {
+	if r.Mean() != 0 || !math.IsInf(r.Min(), 1) {
 		t.Error("empty running wrong")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		r.Observe(x)
 	}
-	if r.N() != 8 || r.Mean() != 5 {
-		t.Errorf("N=%d mean=%g", r.N(), r.Mean())
-	}
-	if math.Abs(r.Std()-2) > 1e-9 {
-		t.Errorf("Std = %g, want 2", r.Std())
-	}
-	if r.Min() != 2 || r.Max() != 9 || r.Sum() != 40 {
-		t.Errorf("min/max/sum = %g/%g/%g", r.Min(), r.Max(), r.Sum())
+	if r.Mean() != 5 || r.Min() != 2 {
+		t.Errorf("mean=%g min=%g", r.Mean(), r.Min())
 	}
 }
 
@@ -62,26 +56,14 @@ func TestAccuracy(t *testing.T) {
 	if math.Abs(a.Recall()-2.0/3) > 1e-9 {
 		t.Errorf("Recall = %g", a.Recall())
 	}
-	if math.Abs(a.FalsePositiveRate()-1.0/3) > 1e-9 {
-		t.Errorf("FPR = %g", a.FalsePositiveRate())
-	}
-	if math.Abs(a.FalseNegativeRate()-1.0/3) > 1e-9 {
-		t.Errorf("FNR = %g", a.FalseNegativeRate())
-	}
-	if math.Abs(a.StaleRate()-0.5) > 1e-9 {
-		t.Errorf("StaleRate = %g", a.StaleRate())
-	}
 	var b Accuracy
 	b.Merge(a)
 	if b != a {
 		t.Error("Merge wrong")
 	}
 	var empty Accuracy
-	if empty.Precision() != 1 || empty.Recall() != 1 || empty.StaleRate() != 0 {
+	if empty.Precision() != 1 || empty.Recall() != 1 {
 		t.Error("empty accuracy degenerate values wrong")
-	}
-	if empty.FalsePositiveRate() != 0 || empty.FalseNegativeRate() != 0 {
-		t.Error("empty rates wrong")
 	}
 }
 
@@ -122,7 +104,7 @@ func TestRatio(t *testing.T) {
 func TestQuickAccuracyRange(t *testing.T) {
 	f := func(tp, fp, fn uint8) bool {
 		a := Accuracy{TruePositives: int(tp), FalsePositives: int(fp), FalseNegatives: int(fn)}
-		for _, v := range []float64{a.Precision(), a.Recall(), a.FalsePositiveRate(), a.FalseNegativeRate(), a.StaleRate()} {
+		for _, v := range []float64{a.Precision(), a.Recall()} {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				return false
 			}
@@ -138,19 +120,19 @@ func TestQuickAccuracyRange(t *testing.T) {
 func TestQuickRunningBounds(t *testing.T) {
 	f := func(xs []float64) bool {
 		r := NewRunning()
-		any := false
+		hi := math.Inf(-1)
 		for _, x := range xs {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				continue
 			}
 			x = math.Mod(x, 1e9)
 			r.Observe(x)
-			any = true
+			hi = max(hi, x)
 		}
-		if !any {
+		if math.IsInf(hi, -1) {
 			return true
 		}
-		return r.Mean() >= r.Min()-1e-9 && r.Mean() <= r.Max()+1e-9
+		return r.Mean() >= r.Min()-1e-9 && r.Mean() <= hi+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -254,16 +254,4 @@ func (s *Sharded) Weight() float64 {
 	return total
 }
 
-// Empty reports whether no shard describes any data.
-func (s *Sharded) Empty() bool {
-	for i := range s.shards {
-		empty := true
-		s.View(i, func(t *saintetiq.Tree) { empty = t.Empty() })
-		if !empty {
-			return false
-		}
-	}
-	return true
-}
-
 var _ Store = (*Sharded)(nil)

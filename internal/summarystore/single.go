@@ -113,11 +113,4 @@ func (s *Single) Weight() float64 {
 	return s.tree.Root().Count()
 }
 
-// Empty reports whether the tree holds no data.
-func (s *Single) Empty() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tree.Empty()
-}
-
 var _ Store = (*Single)(nil)

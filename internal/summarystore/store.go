@@ -91,8 +91,6 @@ type Store interface {
 	LeafCount() int
 	// Weight returns the total tuple weight described by the store.
 	Weight() float64
-	// Empty reports whether the store describes no data yet.
-	Empty() bool
 }
 
 // Partition decides which shard of n a leaf belongs to. It must be

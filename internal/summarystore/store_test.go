@@ -70,9 +70,6 @@ func TestShardedEquivalence(t *testing.T) {
 				if !approx(st.Weight(), single.Weight()) {
 					t.Errorf("%s: Weight = %v, single = %v", name, st.Weight(), single.Weight())
 				}
-				if st.Empty() != single.Empty() {
-					t.Errorf("%s: Empty mismatch", name)
-				}
 				if !single.Snapshot().LeavesEqual(st.Snapshot()) {
 					t.Errorf("%s: snapshot leaves differ from single-tree store", name)
 				}
@@ -153,8 +150,13 @@ func TestSwapFromDeltas(t *testing.T) {
 
 	// Bump one leaf: its shard — and only its shard — must swap.
 	next := base.Clone()
-	c, peers := base.LeafCell(base.Leaves()[0])
-	if err := next.Incorporate(c, peers...); err != nil {
+	mapper, err := cells.NewMapper(bk.Medical(), data.PatientSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := cells.NewStore(mapper)
+	one.AddRelation(data.NewPatientGenerator(100, nil).Generate("r", 1))
+	if err := next.Incorporate(one.Cells()[0], 0); err != nil {
 		t.Fatal(err)
 	}
 	if n := st.SwapFrom(next); n != 1 {
@@ -168,7 +170,7 @@ func TestSwapFromDeltas(t *testing.T) {
 	if n := st.SwapFrom(nil); n != 4 {
 		t.Errorf("clearing SwapFrom(nil) swapped %d shards, want 4", n)
 	}
-	if !st.Empty() || st.LeafCount() != 0 {
+	if st.LeafCount() != 0 {
 		t.Error("store not empty after SwapFrom(nil)")
 	}
 }
@@ -184,7 +186,7 @@ func TestSingleSwapFrom(t *testing.T) {
 	if n := st.SwapFrom(nil); n != 1 {
 		t.Errorf("Single.SwapFrom(nil) = %d, want 1", n)
 	}
-	if !st.Empty() {
+	if st.LeafCount() != 0 {
 		t.Error("single store not empty after SwapFrom(nil)")
 	}
 }

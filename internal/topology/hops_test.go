@@ -4,15 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"sync"
 	"testing"
 )
 
-// refBFSWithin is the map-based frontier BFS that BFSWithin was before it
-// moved onto the shared slice kernel — the independent reference every
-// test below compares the kernel's three users against.
+// refBFSWithin is a map-based frontier BFS: the ball of nodes within hops
+// of src, src at distance 0 — the independent reference every test below
+// compares Hops against.
 func refBFSWithin(g *Graph, src, hops int) map[int]int {
 	dist := map[int]int{src: 0}
 	frontier := []int{src}
@@ -62,16 +61,13 @@ func hopsFixtures(t testing.TB, n int) map[string]*Graph {
 // TestHopsMatchesBFSAllPairs checks, on every generator, every (a, b) pair
 // of a small graph at several radii — max=0, radii that cut the graph
 // short (so distances of exactly max and max+1 both occur) and one that
-// covers it — for both Hops and the rebuilt BFSWithin.
+// covers it.
 func TestHopsMatchesBFSAllPairs(t *testing.T) {
 	for name, g := range hopsFixtures(t, 160) {
 		sawAt, sawBeyond := false, false
 		for _, max := range []int{0, 1, 2, 3, 6, g.Len()} {
 			for a := 0; a < g.Len(); a++ {
 				want := refBFSWithin(g, a, max)
-				if got := g.BFSWithin(a, max); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: BFSWithin(%d,%d) = %v, want %v", name, a, max, got, want)
-				}
 				full := refBFSWithin(g, a, g.Len())
 				for b := 0; b < g.Len(); b++ {
 					w := refHops(want, b, max)
@@ -182,28 +178,6 @@ func TestScratchSharedAcrossGraphSizes(t *testing.T) {
 	}
 }
 
-// TestAvgPathLengthSampleMatchesReference pins the scratch-array summation
-// to the per-sample distance map it replaced.
-func TestAvgPathLengthSampleMatchesReference(t *testing.T) {
-	for name, g := range hopsFixtures(t, 160) {
-		const samples = 12
-		got := g.AvgPathLengthSample(samples, rand.New(rand.NewSource(9)))
-		rng := rand.New(rand.NewSource(9))
-		var sum, count float64
-		for s := 0; s < samples; s++ {
-			for _, d := range refBFSWithin(g, rng.Intn(g.Len()), g.Len()) {
-				if d > 0 {
-					sum += float64(d)
-					count++
-				}
-			}
-		}
-		if want := sum / count; got != want {
-			t.Errorf("%s: AvgPathLengthSample = %v, want %v", name, got, want)
-		}
-	}
-}
-
 var benchSink int
 
 // benchPairs picks client→hub pairs the way Construct asks for them: the
@@ -246,10 +220,4 @@ func benchClientToHub(b *testing.B, op func(g *Graph, src, dst int) int) {
 // CI (benchgate BenchmarkHops=0).
 func BenchmarkHops(b *testing.B) {
 	benchClientToHub(b, func(g *Graph, src, dst int) int { return g.Hops(src, dst, 6) })
-}
-
-// BenchmarkBFSWithin is the per-call cost hopsTo paid before Hops: the
-// whole radius-6 ball as a map, to read one entry.
-func BenchmarkBFSWithin(b *testing.B) {
-	benchClientToHub(b, func(g *Graph, src, dst int) int { return g.BFSWithin(src, 6)[dst] })
 }

@@ -4,18 +4,15 @@
 // The paper requires "a power law P2P network, with an average degree of 4";
 // the Barabási–Albert preferential-attachment model is the canonical
 // generator for that class (and the one BRITE implements). A Waxman
-// generator is provided as an alternative flat random model, plus the graph
-// metrics used to sanity-check generated overlays (degree statistics,
-// connectivity, clustering).
+// generator is provided as an alternative flat random model, and a
+// Watts–Strogatz one as a small-world model.
 //
-// Hop distances come in two shapes over one level-by-level BFS routine:
-// Graph.Hops answers "how far is b from a, up to max" and stops the moment
-// b is discovered — the protocol's closer-summary-peer comparison (§4.1) —
-// while Graph.BFSWithin materialises the whole ball for the TTL-bounded
-// flooding baselines. Searches run on pooled scratch arrays, so Hops
-// allocates nothing in steady state, and they only read the graph, so any
-// number of goroutines may search one concurrently (nothing mutates a
-// graph once its generator has returned).
+// Graph.Hops answers "how far is b from a, up to max" with a level-by-level
+// BFS that stops the moment b is discovered — the protocol's
+// closer-summary-peer comparison (§4.1). Searches run on pooled scratch
+// arrays, so Hops allocates nothing in steady state, and they only read
+// the graph, so any number of goroutines may search one concurrently
+// (nothing mutates a graph once its generator has returned).
 package topology
 
 import (
@@ -84,12 +81,6 @@ func (g *Graph) AddEdge(u, v int, latency float64) error {
 	return nil
 }
 
-// Latency returns the latency of edge (u, v), or 0 when absent.
-func (g *Graph) Latency(u, v int) float64 {
-	l, _ := g.LatencyOK(u, v)
-	return l
-}
-
 // LatencyOK returns the latency of edge (u, v) and whether the edge
 // exists — one adjacency scan for the existence check and the lookup,
 // where HasEdge+Latency would scan twice.
@@ -101,9 +92,6 @@ func (g *Graph) LatencyOK(u, v int) (float64, bool) {
 	}
 	return 0, false
 }
-
-// EdgeCount returns the number of undirected edges.
-func (g *Graph) EdgeCount() int { return g.edges }
 
 // AvgDegree returns the mean node degree (2E/N).
 func (g *Graph) AvgDegree() float64 {
@@ -134,40 +122,6 @@ func (g *Graph) Compact() {
 		g.adj[u] = flatA[start:end:end]
 		g.lat[u] = flatL[start:end:end]
 	}
-}
-
-// MaxDegree returns the largest node degree.
-func (g *Graph) MaxDegree() int {
-	max := 0
-	for _, a := range g.adj {
-		if len(a) > max {
-			max = len(a)
-		}
-	}
-	return max
-}
-
-// Connected reports whether the graph is a single component.
-func (g *Graph) Connected() bool {
-	if g.n == 0 {
-		return true
-	}
-	seen := make([]bool, g.n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range g.adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				count++
-				stack = append(stack, v)
-			}
-		}
-	}
-	return count == g.n
 }
 
 // bfsScratch is the reusable working set of one breadth-first search: an
@@ -256,30 +210,6 @@ func (g *Graph) hops(sc *bfsScratch, a, b, max int) int {
 	return max + 1
 }
 
-// BFSWithin returns the set of nodes reachable from src within the given
-// number of hops (src included at distance 0). It backs the TTL-bounded
-// flooding baselines.
-func (g *Graph) BFSWithin(src, hops int) map[int]int {
-	sc := bfsPool.Get().(*bfsScratch)
-	sc.start(g.n, src)
-	// bounds[h] is the queue offset where distance h begins.
-	bounds := []int{0}
-	for h := 0; h < hops && bounds[h] < len(sc.queue); h++ {
-		to := len(sc.queue)
-		g.expand(sc, bounds[h], to, -1)
-		bounds = append(bounds, to)
-	}
-	bounds = append(bounds, len(sc.queue))
-	dist := make(map[int]int, len(sc.queue))
-	for h := 0; h+1 < len(bounds); h++ {
-		for _, v := range sc.queue[bounds[h]:bounds[h+1]] {
-			dist[int(v)] = h
-		}
-	}
-	bfsPool.Put(sc)
-	return dist
-}
-
 // DisjointStars builds `clusters` disconnected star components of `size`
 // nodes each (one hub plus size-1 spokes, every spoke adjacent only to its
 // hub) with the given uniform edge latency, returning the graph and the
@@ -343,41 +273,6 @@ func NearestSeeds(g *Graph, seeds []int) []int {
 		frontier = next
 	}
 	return out
-}
-
-// ClusteringCoefficient returns the average local clustering coefficient, a
-// small-world indicator (§5.2.2 cites small-world features of P2P graphs).
-func (g *Graph) ClusteringCoefficient() float64 {
-	total, counted := 0.0, 0
-	for u := 0; u < g.n; u++ {
-		d := len(g.adj[u])
-		if d < 2 {
-			continue
-		}
-		links := 0
-		for i := 0; i < d; i++ {
-			for j := i + 1; j < d; j++ {
-				if g.HasEdge(g.adj[u][i], g.adj[u][j]) {
-					links++
-				}
-			}
-		}
-		total += 2 * float64(links) / float64(d*(d-1))
-		counted++
-	}
-	if counted == 0 {
-		return 0
-	}
-	return total / float64(counted)
-}
-
-// DegreeHistogram returns degree -> node count.
-func (g *Graph) DegreeHistogram() map[int]int {
-	h := make(map[int]int)
-	for _, a := range g.adj {
-		h[len(a)]++
-	}
-	return h
 }
 
 // LatencyModel draws per-edge latencies.
@@ -515,25 +410,6 @@ func components(g *Graph) [][]int {
 	return out
 }
 
-// PowerLawExponentEstimate fits the tail exponent of the degree
-// distribution by the Hill maximum-likelihood estimator over degrees >=
-// kmin. BA graphs should report an exponent near 3.
-func (g *Graph) PowerLawExponentEstimate(kmin int) float64 {
-	var sum float64
-	n := 0
-	for _, a := range g.adj {
-		k := len(a)
-		if k >= kmin {
-			sum += math.Log(float64(k) / float64(kmin))
-			n++
-		}
-	}
-	if n == 0 || sum == 0 {
-		return 0
-	}
-	return 1 + float64(n)/sum
-}
-
 // WattsStrogatz generates the classic small-world model: a ring lattice of
 // degree k (even) whose edges are rewired with probability beta. The paper
 // leans on small-world features of real P2P graphs ("the existing P2P
@@ -622,30 +498,4 @@ func (g *Graph) removeHalf(u, v int) {
 			return
 		}
 	}
-}
-
-// AvgPathLengthSample estimates the average shortest-path length by BFS
-// from a sample of sources (a small-world indicator next to clustering).
-func (g *Graph) AvgPathLengthSample(samples int, rng *rand.Rand) float64 {
-	if g.n < 2 || samples < 1 {
-		return 0
-	}
-	sc := bfsPool.Get().(*bfsScratch)
-	var sum, count float64
-	for s := 0; s < samples; s++ {
-		sc.start(g.n, rng.Intn(g.n))
-		for h, from := 1, 0; from < len(sc.queue); h++ {
-			to := len(sc.queue)
-			g.expand(sc, from, to, -1)
-			level := float64(len(sc.queue) - to) // nodes at distance h
-			sum += float64(h) * level
-			count += level
-			from = to
-		}
-	}
-	bfsPool.Put(sc)
-	if count == 0 {
-		return 0
-	}
-	return sum / count
 }

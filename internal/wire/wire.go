@@ -6,9 +6,8 @@
 // PayloadCodec for each message type they own, typically from an init
 // function, so importing a protocol layer is enough to make its payloads
 // serializable. The transports (internal/p2p) consult the registry in two
-// places: the byte counters charge a message its real encoded frame length
-// whenever its payload is registered (the Sizer estimate remains the
-// fallback), and the TCP transport uses the codecs to put frames on actual
+// places: the byte counters charge every message its real encoded frame
+// length, and the TCP transport uses the codecs to put frames on actual
 // sockets. wire deliberately depends on nothing above the standard
 // library, so any layer may import it without cycles.
 //
@@ -695,12 +694,6 @@ func Lookup(msgType string) (PayloadCodec, bool) {
 	return c, ok
 }
 
-// Registered reports whether the message type has a codec.
-func Registered(msgType string) bool {
-	_, ok := Lookup(msgType)
-	return ok
-}
-
 // Types returns the registered message types, sorted — tests iterate it to
 // prove round-trip coverage of every registered payload.
 func Types() []string {
@@ -709,18 +702,6 @@ func Types() []string {
 	out := make([]string, 0, len(registry))
 	for t := range registry {
 		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SortedKeys returns a map's string keys in sorted order — codecs encode
-// map-shaped payload fields through it so equal payloads produce equal
-// bytes.
-func SortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out

@@ -243,7 +243,7 @@ func TestRegistry(t *testing.T) {
 		Decode: func([]byte) (any, error) { return 1, nil },
 	}
 	Register("wire-test-type", codec)
-	if !Registered("wire-test-type") {
+	if _, ok := Lookup("wire-test-type"); !ok {
 		t.Fatal("registered type not found")
 	}
 	if _, ok := Lookup("wire-test-unknown"); ok {

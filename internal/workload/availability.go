@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"sort"
 
 	"p2psum/internal/sim"
@@ -26,12 +25,6 @@ type AvailabilityStats struct {
 	// sampled at session boundaries.
 	MinOnline int
 	MaxOnline int
-}
-
-// String renders the stats.
-func (a AvailabilityStats) String() string {
-	return fmt.Sprintf("peers=%d sessions=%d meanSession=%.0fs medianSession=%.0fs uptime=%.0f%% online=[%d,%d]",
-		a.Peers, a.Sessions, a.MeanSessionSec, a.MedianSessionSec, 100*a.UptimeFraction, a.MinOnline, a.MaxOnline)
 }
 
 // Analyze computes availability statistics from a churn plan.

@@ -46,12 +46,6 @@ func (d *LifetimeDist) Draw(rng *rand.Rand) sim.Time {
 	return sim.Time(math.Exp(d.mu + d.sigma*rng.NormFloat64()))
 }
 
-// Mean returns the analytic mean of the distribution in seconds.
-func (d *LifetimeDist) Mean() float64 { return math.Exp(d.mu + d.sigma*d.sigma/2) }
-
-// Median returns the analytic median in seconds.
-func (d *LifetimeDist) Median() float64 { return math.Exp(d.mu) }
-
 // QueryRate is the paper's workload rate: 1 query per node per 20 minutes
 // (0.00083 queries per node per second, after [5]).
 const QueryRate = 1.0 / (20 * 60)

@@ -3,6 +3,7 @@ package p2psum
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -140,7 +141,7 @@ func TestTCPLoopbackDomainEndToEnd(t *testing.T) {
 		t.Fatalf("global summary weight %g, want %g", got, want)
 	}
 	for _, id := range []p2p.NodeID{1, 2, 3} {
-		if !gs.Root().HasPeer(PeerID(id)) {
+		if !slices.Contains(gs.Root().AppendPeerIDs(nil), PeerID(id)) {
 			t.Errorf("global summary misses peer %d's extent", id)
 		}
 	}
