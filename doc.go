@@ -26,9 +26,9 @@
 //     power-law overlay, runs the §4 management protocols under churn, and
 //     routes queries with the SQ router and the baselines of the paper.
 //
-//   - Experiments: RunFigure4..RunFigure7, RunStorage, RunConcurrency and
-//     the ablations regenerate every table and figure of the paper's
-//     evaluation, plus the scale-out measurements this implementation adds.
+//   - Experiments: RunFigure4..RunFigure7, RunStorage and the ablations
+//     regenerate every table and figure of the paper's evaluation, plus the
+//     churn, faults and scale sweeps this implementation adds.
 //
 // # Architecture
 //
@@ -346,15 +346,15 @@
 //     the observed install cadence — the paper's freshness threshold
 //     applied to the edge.
 //
-// RunGatewayScenario (BENCH_gateway.json) sweeps the edge over client
-// counts and proves the invalidation contract mid-run; the system tests
-// do the same against channel and TCP transports.
+// The system tests prove the invalidation contract against channel and
+// TCP transports, one of them under duplicate-heavy load from concurrent
+// sessions.
 //
 // # The dispatcher-group execution model
 //
 // The channel transport executes all protocol logic on dispatcher
 // goroutines. Nodes are partitioned into dispatch groups
-// (ChannelConfig.Dispatchers, ChannelConfig.GroupBy / SetGroupBy); each
+// (ChannelConfig.Dispatchers, remapped by SetGroupBy); each
 // group owns an inbox channel and ONE dispatcher goroutine that drains it.
 // Every message is carried by a goroutine that sleeps the scaled link
 // latency and then enqueues the message on the inbox of the destination's
@@ -506,9 +506,10 @@
 // Experiment sweeps fan their (α × size) grids across a worker pool
 // (ExperimentConfig.Workers); every grid point is an isolated simulation
 // seeded purely from (Seed, point parameters), so parallel sweeps render
-// tables bit-identical to sequential ones. The concurrency experiment
-// (RunConcurrency) is the deliberate exception: it measures the wall-clock
-// effect of per-domain dispatchers on overlapping reconciliations.
+// tables bit-identical to sequential ones. Wall-clock effects, such as
+// what per-domain dispatchers buy overlapping reconciliations, are
+// measured by Go benchmarks (BenchmarkMultiDomainReconcile) and the bench
+// module, not by the experiments.
 //
 // Everything uses only the standard library. Simulations on the
 // discrete-event transport are deterministic given a seed; distinct

@@ -95,14 +95,6 @@ func RunCoverage(cfg ExperimentConfig) (*ResultTable, error) {
 	return experiments.CoverageExperiment(cfg)
 }
 
-// RunConcurrency sweeps the channel transport's dispatcher count over a
-// multi-domain reconciliation storm: independent domains reconcile in
-// parallel when dispatch groups align with domains. The rows are
-// wall-clock measurements (not deterministic); the signal is the trend.
-func RunConcurrency(cfg ExperimentConfig) (*ResultTable, error) {
-	return experiments.ConcurrencyExperiment(cfg)
-}
-
 // ChurnScenarioResult is the machine-readable outcome of the churn
 // experiment (cmd/experiments serializes it as BENCH_churn.json).
 type ChurnScenarioResult = experiments.ChurnResult
@@ -136,16 +128,4 @@ type ScaleScenarioResult = experiments.ScaleResult
 // per-peer message cost.
 func RunScaleScenario(cfg ExperimentConfig) (*ResultTable, *ScaleScenarioResult, error) {
 	return experiments.ScaleExperiment(cfg)
-}
-
-// GatewayScenarioResult is the machine-readable outcome of the gateway
-// experiment (cmd/experiments serializes it as BENCH_gateway.json).
-type GatewayScenarioResult = experiments.GatewayResult
-
-// RunGatewayScenario sweeps the query gateway — the serving edge with
-// admission control, singleflight batching and the generation-keyed
-// freshness cache — over client counts on one data-level domain, installing
-// a shard delta mid-run to prove entries are invalidated, never stale.
-func RunGatewayScenario(cfg ExperimentConfig) (*ResultTable, *GatewayScenarioResult, error) {
-	return experiments.GatewayExperiment(cfg)
 }

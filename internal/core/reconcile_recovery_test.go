@@ -268,12 +268,9 @@ func TestRingTokenDropHandoffOverChannelTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := p2p.NewChannelTransport(g, 31, p2p.ChannelConfig{
-		LatencyScale: time.Microsecond,
-		Dispatchers:  2,
-		GroupBy:      func(id p2p.NodeID) int { return int(id) % 2 },
-	})
+	ct := p2p.NewChannelTransport(g, 31, p2p.ChannelConfig{LatencyScale: time.Microsecond, Dispatchers: 2})
 	t.Cleanup(ct.Close)
+	ct.SetGroupBy(func(id p2p.NodeID) int { return int(id) % 2 })
 	net := &reconcileDropCounter{ChannelTransport: ct}
 	cfg := DefaultConfig()
 	cfg.ReconcileTimeout = -1 // no retransmit: only the drop path can finish a ring

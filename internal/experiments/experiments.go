@@ -55,16 +55,9 @@ type Config struct {
 	// protocol-level and layout-invariant; the knob exists so data-level
 	// sweeps and ablations run against the same layout the CLIs select.
 	Shards int
-	// Dispatchers caps the dispatcher-count sweep of the concurrency
-	// experiment (0 = sweep up to one dispatcher per domain). The figure
-	// sweeps run on the single-threaded event engine and ignore it.
-	Dispatchers int
 	// ScalePeers is the overlay-size sweep of the scale experiment
 	// (construct + reconcile on the discrete-event engine).
 	ScalePeers []int
-	// GatewayClients is the client-count sweep of the gateway experiment
-	// (concurrent serving-edge sessions per point).
-	GatewayClients []int
 }
 
 // Default returns the paper's Table 3 parameters.
@@ -80,7 +73,6 @@ func Default() Config {
 		GracefulProb:    0.8,
 		Seed:            42,
 		ScalePeers:      []int{10000, 50000, 100000},
-		GatewayClients:  []int{100, 1000, 10000},
 	}
 }
 
@@ -97,7 +89,6 @@ func Quick() Config {
 		GracefulProb:    0.8,
 		Seed:            42,
 		ScalePeers:      []int{1000},
-		GatewayClients:  []int{50, 200},
 	}
 }
 

@@ -1,6 +1,9 @@
 package gateway
 
 import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,12 +96,16 @@ func checkShardDelta(t *testing.T, g *Gateway, origin p2p.NodeID, reconcile func
 	}
 }
 
-// TestInstallInvalidatesShardsChannel: the contract over the concurrent
-// channel transport, gateway attached to the live system.
-func TestInstallInvalidatesShardsChannel(t *testing.T) {
-	const n = 9
-	g := star(t, n)
-	ct := p2p.NewChannelTransport(g, 31, p2p.ChannelConfig{})
+// channelSystem builds the n-node data-level star domain of the channel
+// tests (hub 0 is the summary peer; seedDiseaseTrees data), constructs it
+// and runs one warm-up ring: the construction-order store and a ring-built
+// rebuild can differ structurally in shards whose *content* never changed
+// (merge order moves leaf boundaries), so one no-change reconciliation
+// makes the resident store ring-built and a later delta install swaps
+// exactly the shard whose data moved.
+func channelSystem(t *testing.T, n int) (*core.System, *p2p.ChannelTransport) {
+	t.Helper()
+	ct := p2p.NewChannelTransport(star(t, n), 31, p2p.ChannelConfig{})
 	t.Cleanup(ct.Close)
 	sys, err := core.NewSystem(ct, dataCfg(0.05))
 	if err != nil {
@@ -110,31 +117,124 @@ func TestInstallInvalidatesShardsChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct.Settle()
-	// Warm-up ring: the construction-order store and a ring-built rebuild
-	// can differ structurally in shards whose *content* never changed
-	// (merge order moves leaf boundaries). One no-change reconciliation
-	// makes the resident store ring-built, so the delta install below
-	// swaps exactly the shard whose data moved.
 	sys.MarkModified(1)
 	ct.Settle()
 	if sys.Stats().Reconciliations == 0 {
 		t.Fatal("warm-up reconciliation did not run")
 	}
+	return sys, ct
+}
 
+// installMalaria makes the last (malaria) spoke of channelSystem's domain
+// re-summarize new data; its push crosses α and the ring reconciliation
+// installs a delta that only swaps malaria's shard.
+func installMalaria(t *testing.T, sys *core.System, ct *p2p.ChannelTransport, n int) {
+	t.Helper()
+	before := sys.Stats().Reconciliations
+	mod := p2p.NodeID(n - 1)
+	sys.SetLocalTree(mod, diseaseTree(t, "malaria", []float64{22, 33, 44}, saintetiq.PeerID(mod)))
+	sys.MarkModified(mod)
+	ct.Settle()
+	if sys.Stats().Reconciliations == before {
+		t.Fatal("modification did not trigger a reconciliation")
+	}
+}
+
+// TestInstallInvalidatesShardsChannel: the contract over the concurrent
+// channel transport, gateway attached to the live system.
+func TestInstallInvalidatesShardsChannel(t *testing.T) {
+	const n = 9
+	sys, ct := channelSystem(t, n)
 	gw := NewForSystem(Config{Rate: 1e9}, sys, nil)
-	checkShardDelta(t, gw, 3, func() {
-		// A malaria spoke re-summarizes new data; its push crosses α and
-		// the ring reconciliation installs a delta that only swaps
-		// malaria's shard.
-		before := sys.Stats().Reconciliations
-		mod := p2p.NodeID(n - 1)
-		sys.SetLocalTree(mod, diseaseTree(t, "malaria", []float64{22, 33, 44}, saintetiq.PeerID(mod)))
-		sys.MarkModified(mod)
-		ct.Settle()
-		if sys.Stats().Reconciliations == before {
-			t.Fatal("modification did not trigger a reconciliation")
+	checkShardDelta(t, gw, 3, func() { installMalaria(t, sys, ct, n) })
+}
+
+// TestSessionsAcrossInstallChannel: 50 concurrent sessions, each its own
+// Connect(), fire a duplicate-heavy pool of 6 queries at the channel
+// system, half of each session's share before and half after a
+// malaria-only shard-delta install. Admission is provisioned, so every
+// query is answered and none is shed; the pool is small, so hits
+// outnumber misses; and the malaria entry a probe warmed before the
+// install re-executes after it instead of serving stale.
+func TestSessionsAcrossInstallChannel(t *testing.T) {
+	const n, sessions, perSession = 9, 50, 20
+	const origin = p2p.NodeID(3)
+	sys, ct := channelSystem(t, n)
+	gw := NewForSystem(Config{Rate: 1e9}, sys, nil)
+
+	var pool []query.Query // anorexia first, malaria last
+	for _, disease := range []string{"anorexia", "malaria"} {
+		for _, attr := range []string{"age", "sex", "bmi"} {
+			pool = append(pool, query.Query{
+				Select: []string{attr},
+				Where:  []query.Clause{{Attr: "disease", Labels: []string{disease}}},
+			})
 		}
-	})
+	}
+	var answered, hits atomic.Int64
+	// wave runs every session concurrently for its next perSession/2
+	// queries, drawn from the pool by a per-session seeded generator.
+	wave := func(round int) {
+		var wg sync.WaitGroup
+		for s := 0; s < sessions; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				c := gw.Connect()
+				defer c.Close()
+				rng := rand.New(rand.NewSource(int64(round*sessions + s)))
+				for i := 0; i < perSession/2; i++ {
+					ans, hit, err := c.Query(origin, pool[rng.Intn(len(pool))])
+					if err != nil || ans == nil {
+						t.Errorf("session %d: query %d: answer %v, err %v", s, i, ans, err)
+						return
+					}
+					answered.Add(1)
+					if hit {
+						hits.Add(1)
+					}
+				}
+			}(s)
+		}
+		wg.Wait()
+	}
+
+	wave(0)
+	probe := gw.Connect()
+	defer probe.Close()
+	ask := func(q query.Query) bool {
+		t.Helper()
+		_, hit, err := probe.Query(origin, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hit
+	}
+	malaria := pool[len(pool)-1]
+	ask(malaria)
+	if !ask(malaria) {
+		t.Fatal("warm malaria probe missed")
+	}
+	installMalaria(t, sys, ct, n)
+	if ask(malaria) {
+		t.Error("malaria entry served stale across a malaria install")
+	}
+	wave(1)
+
+	st := gw.Snapshot()
+	if got, want := answered.Load(), int64(sessions*perSession); got != want {
+		t.Errorf("answered %d of %d session queries", got, want)
+	}
+	if st.Shed != 0 {
+		t.Errorf("shed %d under a provisioned bucket", st.Shed)
+	}
+	if st.Hits <= st.Misses || 2*hits.Load() <= answered.Load() {
+		t.Errorf("hits %d (sessions saw %d of %d) do not outnumber misses %d on a 6-query pool",
+			st.Hits, hits.Load(), answered.Load(), st.Misses)
+	}
+	if st.Installs == 0 || st.Invalidated == 0 {
+		t.Errorf("installs=%d invalidated=%d, want both nonzero", st.Installs, st.Invalidated)
+	}
 }
 
 // TestInstallInvalidatesShardsTCP: the same contract with the domain split

@@ -34,12 +34,10 @@ type ChannelConfig struct {
 	// handlers concurrently. 0 or 1 keeps the original single-dispatcher
 	// layout (bit-identical behaviour to the pre-sharding transport);
 	// values above the node count are clamped.
-	Dispatchers int
-	// GroupBy maps a node to its dispatch group (reduced modulo
-	// Dispatchers). Nil partitions the id space into contiguous blocks.
-	// internal/core installs a domain-based mapping via SetGroupBy before
+	// The initial mapping partitions the id space into contiguous blocks;
+	// internal/core installs a domain-based one via SetGroupBy before
 	// construction, so independent domains land on distinct dispatchers.
-	GroupBy func(NodeID) int
+	Dispatchers int
 }
 
 // DefaultChannelConfig returns the defaults described on ChannelConfig.
@@ -103,7 +101,7 @@ func NewChannelTransport(graph *topology.Graph, seed int64, cfg ChannelConfig) *
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(seed)),
 	}
-	t.eng = newDispatchEngine(n, cfg.Dispatchers, cfg.GroupBy, t.deliver)
+	t.eng = newDispatchEngine(n, cfg.Dispatchers, t.deliver)
 	t.cfg.Dispatchers = t.eng.groupCount()
 	t.books = make(books, t.cfg.Dispatchers)
 	return t

@@ -21,11 +21,9 @@ func BenchmarkGroupedDispatchThroughput(b *testing.B) {
 	for _, d := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("dispatchers=%d", d), func(b *testing.B) {
 			g, _ := topology.DisjointStars(clusters, size, 0.02)
-			ct := NewChannelTransport(g, 1, ChannelConfig{
-				Dispatchers: d,
-				GroupBy:     func(id NodeID) int { return int(id) / size },
-			})
+			ct := NewChannelTransport(g, 1, ChannelConfig{Dispatchers: d})
 			defer ct.Close()
+			ct.SetGroupBy(func(id NodeID) int { return int(id) / size })
 			work := func() {
 				// ~10µs of handler CPU: the summary selection a query
 				// message costs at a domain peer. Handler work must

@@ -20,9 +20,11 @@ func starTransport(t testing.TB, clusters, size, dispatchers int, cfg ChannelCon
 	t.Helper()
 	g, _ := topology.DisjointStars(clusters, size, 0.02)
 	cfg.Dispatchers = dispatchers
-	cfg.GroupBy = func(id NodeID) int { return int(id) / size }
 	ct := NewChannelTransport(g, 1, cfg)
 	t.Cleanup(ct.Close)
+	if !ct.SetGroupBy(func(id NodeID) int { return int(id) / size }) {
+		t.Fatal("pristine transport rejected SetGroupBy")
+	}
 	return ct
 }
 
@@ -255,10 +257,8 @@ func TestAfterRunsInOwnersGroup(t *testing.T) {
 // and none linger in the runtime.
 func TestCloseCancelsTimersAcrossGroups(t *testing.T) {
 	g, _ := topology.DisjointStars(4, 8, 0.02)
-	ct := NewChannelTransport(g, 1, ChannelConfig{
-		Dispatchers: 4,
-		GroupBy:     func(id NodeID) int { return int(id) / 8 },
-	})
+	ct := NewChannelTransport(g, 1, ChannelConfig{Dispatchers: 4})
+	ct.SetGroupBy(func(id NodeID) int { return int(id) / 8 })
 	var fired atomic.Int32
 	var delivered atomic.Int32
 	ct.SetHandler(1, func(msg *Message) { delivered.Add(1) })

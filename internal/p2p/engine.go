@@ -84,10 +84,11 @@ type dispatchEngine struct {
 }
 
 // newDispatchEngine builds the groups and starts one dispatcher goroutine
-// per group. n is the node count, d the group count (clamped to [1, n]),
-// groupBy the initial node -> group mapping (nil partitions the id space
-// into contiguous blocks). deliver is the transport's delivery policy.
-func newDispatchEngine(n, d int, groupBy func(NodeID) int, deliver func(g int, env envelope)) *dispatchEngine {
+// per group. n is the node count, d the group count (clamped to [1, n]);
+// the initial node -> group mapping partitions the id space into
+// contiguous blocks (remap replaces it). deliver is the transport's
+// delivery policy.
+func newDispatchEngine(n, d int, deliver func(g int, env envelope)) *dispatchEngine {
 	if d < 1 {
 		d = 1
 	}
@@ -102,12 +103,9 @@ func newDispatchEngine(n, d int, groupBy func(NodeID) int, deliver func(g int, e
 		dispIDs: make(map[uint64]struct{}),
 		groups:  make([]*dispatchGroup, d),
 	}
-	if groupBy == nil {
-		// Contiguous id blocks: an even split that keeps single-group mode
-		// trivially identical to the unsharded transport.
-		groupBy = func(id NodeID) int { return int(id) * d / n }
-	}
-	e.assignGroups(groupBy)
+	// Contiguous id blocks: an even split that keeps single-group mode
+	// trivially identical to the unsharded transport.
+	e.assignGroups(func(id NodeID) int { return int(id) * d / n })
 	for g := range e.groups {
 		grp := &dispatchGroup{inbox: make(chan envelope, max(n, 1))}
 		grp.cond = sync.NewCond(&grp.mu)

@@ -69,11 +69,9 @@ func TestLedgerConcurrentChargeAndMerge(t *testing.T) {
 // before the last wave keeps reading the earlier totals.
 func TestBooksMergeAcrossLanes(t *testing.T) {
 	g := testGraph(t, 8, 3)
-	ct := NewChannelTransport(g, 1, ChannelConfig{
-		Dispatchers: 2,
-		GroupBy:     func(id NodeID) int { return int(id) % 2 },
-	})
+	ct := NewChannelTransport(g, 1, ChannelConfig{Dispatchers: 2})
 	defer ct.Close()
+	ct.SetGroupBy(func(id NodeID) int { return int(id) % 2 })
 	for i := 0; i < ct.Len(); i++ {
 		ct.SetHandler(NodeID(i), func(*Message) {})
 	}

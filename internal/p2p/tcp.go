@@ -27,11 +27,11 @@ import (
 // Topology is shared knowledge: every process constructs the same
 // topology.Graph (same generator, same seed) and agrees on which process
 // hosts which node (TCPConfig.Hosts). Handler dispatch reuses the dispatch
-// engine of the in-memory channel transport — per-group serialized
-// dispatcher goroutines, Exec barriers, After timers, sharded bookkeeping —
-// so the protocol layers see the exact same execution model; only delivery
-// differs: a frame bound for a remote node rides a per-peer writer
-// goroutine onto the socket instead of a latency-sleeping carrier.
+// engine of the in-memory channel transport — one serialized dispatcher
+// goroutine per process, Exec barriers, After timers — so the protocol
+// layers see the exact same execution model; only delivery differs: a
+// frame bound for a remote node rides a per-peer writer goroutine onto the
+// socket instead of a latency-sleeping carrier.
 //
 // Stream protocol: every unit on a connection is a 4-byte big-endian
 // length followed by a 1-byte kind and the body. Data units carry one wire
@@ -56,7 +56,7 @@ import (
 // which internal/core's construction already does.
 type TCPTransport struct {
 	overlay
-	books // one ledger per dispatch group
+	books // one ledger: the transport runs one dispatch lane
 	cfg   TCPConfig
 	eng   *dispatchEngine
 	ln    net.Listener
@@ -100,10 +100,6 @@ type TCPConfig struct {
 	// hosting it. It may also be installed later via SetHosts (before any
 	// traffic), which test setups with kernel-picked ports need.
 	Hosts map[NodeID]string
-	// Dispatchers is the number of dispatch groups (see ChannelConfig).
-	Dispatchers int
-	// GroupBy maps a node to its dispatch group (see ChannelConfig).
-	GroupBy func(NodeID) int
 	// TimerScale maps one virtual second of After delay onto real time
 	// (default 1ms, matching the channel transport's fallback).
 	TimerScale time.Duration
@@ -167,7 +163,7 @@ const (
 type statusInfo struct {
 	handled int64 // data frames from us the peer has fully handled
 	sent    int64 // data frames the peer has enqueued to us
-	idle    bool  // peer's dispatch groups were pending-free at reply time
+	idle    bool  // peer's dispatch lane was pending-free at reply time
 }
 
 // WireStats counts the socket-level data-frame traffic of a TCPTransport.
@@ -394,8 +390,8 @@ func NewTCPTransport(graph *topology.Graph, cfg TCPConfig) (*TCPTransport, error
 	}
 	t.ln = ln
 	t.laddr = ln.Addr().String()
-	t.eng = newDispatchEngine(n, cfg.Dispatchers, cfg.GroupBy, t.deliver)
-	t.books = make(books, t.eng.groupCount())
+	t.eng = newDispatchEngine(n, 1, t.deliver)
+	t.books = make(books, 1)
 	t.wg.Add(1)
 	go t.acceptLoop()
 	if cfg.KeepAlive > 0 || cfg.MaxBacklogAge > 0 {
@@ -1118,19 +1114,6 @@ func (t *TCPTransport) deliver(g int, env envelope) {
 
 // --- Transport interface ---------------------------------------------------
 
-// DispatchGroups returns the number of dispatch groups (>= 1).
-func (t *TCPTransport) DispatchGroups() int { return t.eng.groupCount() }
-
-// SetGroupBy replaces the node -> dispatch-group mapping while the
-// transport is pristine (no message sent yet); see
-// ChannelTransport.SetGroupBy for the contract.
-func (t *TCPTransport) SetGroupBy(fn func(NodeID) int) bool {
-	if fn == nil || t.nextMsg.Load() != 0 {
-		return false
-	}
-	return t.eng.remap(fn)
-}
-
 // SetHandler installs the message handler of a node (consulted only for
 // local nodes).
 func (t *TCPTransport) SetHandler(id NodeID, h Handler) { t.eng.setHandler(id, h) }
@@ -1141,8 +1124,7 @@ func (t *TCPTransport) SetHandler(id NodeID, h Handler) { t.eng.setHandler(id, h
 func (t *TCPTransport) SetDrop(fn func(*Message)) { t.eng.setDrop(fn) }
 
 // chargeHops accounts n payload-less transmissions (walks and floods) to
-// group 0's ledger, like the channel transport; WireStats books them as
-// frameless.
+// the ledger; WireStats books them as frameless.
 func (t *TCPTransport) chargeHops(typ string, n int64) {
 	t.books[0].chargeHops(typ, n)
 	t.chargeFrameless(n, n*BaseMessageBytes)
@@ -1154,16 +1136,6 @@ func (t *TCPTransport) chargeFrameless(msgs, bytes int64) {
 	t.ws.ChargedMsgs += msgs
 	t.ws.ChargedBytes += bytes
 	t.wireMu.Unlock()
-}
-
-// chargeGroupOf picks the counter group for a send: the local sender's
-// group, or group 0 for frames originated by drivers on behalf of remote
-// nodes (which should not happen in a well-partitioned deployment).
-func (t *TCPTransport) chargeGroupOf(msg *Message) int {
-	if msg.From >= 0 && t.IsLocal(msg.From) {
-		return t.eng.groupFor(msg.From)
-	}
-	return 0
 }
 
 // Send serializes the message into a wire frame and delivers it: frames
@@ -1205,13 +1177,13 @@ func (t *TCPTransport) Send(msg *Message) {
 		if !ok {
 			panic("p2p: send on closed TCPTransport")
 		}
-		t.books[g].charge(msg.Type, 1, size)
+		t.books[0].charge(msg.Type, 1, size)
 		go func() { t.eng.groups[g].inbox <- envelope{msg: msg} }()
 		return
 	}
 
 	addr := t.hostOf[msg.To]
-	t.books[t.chargeGroupOf(msg)].charge(msg.Type, 1, size)
+	t.books[0].charge(msg.Type, 1, size)
 	if t.gate.severed(msg.From, msg.To) {
 		// Partitioned link: the frame is charged as sent but never reaches
 		// the socket — the sender observes the same §4.3 drop evidence a
@@ -1267,7 +1239,7 @@ func (t *TCPTransport) After(owner NodeID, delaySeconds float64, fn func()) {
 }
 
 // Settle blocks until the whole deployment is quiescent as far as this
-// process can observe: the local dispatch groups are drained and every
+// process can observe: the local dispatch lane is drained and every
 // reachable peer reports, twice in a row with unchanged counters, that it
 // is idle, has handled every data frame we sent it, and has sent nothing
 // we have not handled. Unreachable peers are treated as departed (their
@@ -1391,8 +1363,8 @@ func (t *TCPTransport) Barrier(tag uint32, timeout time.Duration) error {
 	}
 }
 
-// Close settles the local dispatch groups, shuts the listener and every
-// connection down and stops the dispatchers. Sending afterwards panics.
+// Close settles the local dispatch lane, shuts the listener and every
+// connection down and stops the dispatcher. Sending afterwards panics.
 func (t *TCPTransport) Close() {
 	t.connMu.Lock()
 	if t.closed {

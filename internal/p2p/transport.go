@@ -202,7 +202,6 @@ var (
 	_ Transport       = (*TCPTransport)(nil)
 	_ DispatchGrouper = (*Network)(nil)
 	_ DispatchGrouper = (*ChannelTransport)(nil)
-	_ DispatchGrouper = (*TCPTransport)(nil)
 	_ Localizer       = (*TCPTransport)(nil)
 	_ OriginScheduler = (*Network)(nil)
 )
