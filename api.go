@@ -63,7 +63,8 @@ type (
 type (
 	// Tree is a SaintEtiQ summary hierarchy (paper §3.2.2, Definition 2).
 	Tree = saintetiq.Tree
-	// SummaryNode is one summary of a hierarchy (Definition 1).
+	// SummaryNode is one summary of a hierarchy (Definition 1): a value
+	// handle on a node slot of its tree.
 	SummaryNode = saintetiq.Node
 	// PeerID identifies a peer inside summary peer-extents (Definition 3).
 	PeerID = saintetiq.PeerID

@@ -51,7 +51,9 @@
 //	└── summarystore.Sharded              per-shard trees + locks, descriptor-range
 //	internal/saintetiq                    summary hierarchies (§3.2) over internal/cells,
 //	                                      internal/fuzzy, internal/bk, internal/data;
-//	                                      peer extents are sorted slices, encoded as is
+//	                                      a tree is a flat arena of node slots (int32
+//	                                      links, strided count/grade/measure rows, peer
+//	                                      spans) that caches each node's encoded length
 //	internal/p2p.Transport                overlay substrate interface
 //	├── p2p.Network                       deterministic, discrete-event (internal/sim),
 //	                                      one event heap on one goroutine

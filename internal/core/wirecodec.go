@@ -59,8 +59,9 @@ func decodeSumpeer(data []byte) (any, error) {
 
 // encodeTree embeds an optional summary as a presence flag plus its
 // compact wire encoding (saintetiq.AppendWire — this runs on the Send hot
-// path of every data-level message, about 180 ns per node and no allocation
-// when the transport only counts the bytes).
+// path of every data-level message; when the transport only counts the
+// bytes it allocates nothing and sums cached node lengths, about 10 ns per
+// unchanged node and 260 ns per node changed since the last count).
 func encodeTree(e *wire.Enc, t *saintetiq.Tree) error {
 	if t == nil {
 		e.Bool(false)

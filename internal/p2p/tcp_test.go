@@ -440,18 +440,21 @@ func TestTCPBacklogAgeCutsStalledPeer(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	conn.oldest.Store(time.Now().Add(-time.Second).UnixNano())
+	// connDead marks the connection dead before it unregisters it, so the
+	// cut is complete once both have happened.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		if conn.dead.Load() {
+		_, registered := a.liveConn(addr)
+		if conn.dead.Load() && !registered {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("aged backlog never cut the connection")
+			if !conn.dead.Load() {
+				t.Fatal("aged backlog never cut the connection")
+			}
+			t.Fatal("cut connection still registered")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	if _, ok := a.liveConn(addr); ok {
-		t.Fatal("cut connection still registered")
 	}
 }
 

@@ -23,13 +23,13 @@ func BenchmarkValuate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var nodes []*saintetiq.Node
+	var nodes []saintetiq.Node
 	for s := 0; s < sharded.NumShards(); s++ {
 		sharded.View(s, func(t *saintetiq.Tree) {
-			var walk func(n *saintetiq.Node)
-			walk = func(n *saintetiq.Node) {
+			var walk func(n saintetiq.Node)
+			walk = func(n saintetiq.Node) {
 				nodes = append(nodes, n)
-				for _, ch := range n.Children() {
+				for ch := range n.Children() {
 					walk(ch)
 				}
 			}

@@ -100,7 +100,7 @@ func (p *plan) accumulator() *accumulator {
 }
 
 // add folds one selected summary into its class.
-func (acc *accumulator) add(z *saintetiq.Node) {
+func (acc *accumulator) add(z saintetiq.Node) {
 	p := acc.p
 	key := acc.key[:0]
 	for _, i := range p.keyed {

@@ -57,8 +57,8 @@ func Explain(t *saintetiq.Tree, q Query) (*Selection, *Explanation, error) {
 	if t.Empty() {
 		return sel, exp, nil
 	}
-	var walk func(n *saintetiq.Node, depth int)
-	walk = func(n *saintetiq.Node, depth int) {
+	var walk func(n saintetiq.Node, depth int)
+	walk = func(n saintetiq.Node, depth int) {
 		sel.Visited++
 		v := c.valuate(n)
 		step := ExplainStep{
@@ -87,7 +87,7 @@ func Explain(t *saintetiq.Tree, q Query) (*Selection, *Explanation, error) {
 			}
 			step.Decision = "descend"
 			exp.Steps = append(exp.Steps, step)
-			for _, ch := range n.Children() {
+			for ch := range n.Children() {
 				walk(ch, depth+1)
 			}
 		}
@@ -98,7 +98,7 @@ func Explain(t *saintetiq.Tree, q Query) (*Selection, *Explanation, error) {
 }
 
 // intentOn renders the node's intent restricted to the query attributes.
-func intentOn(t *saintetiq.Tree, n *saintetiq.Node, c *compiled) string {
+func intentOn(t *saintetiq.Tree, n saintetiq.Node, c *compiled) string {
 	parts := make([]string, 0, len(c.attrs))
 	for i, a := range c.attrs {
 		var labs []string

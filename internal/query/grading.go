@@ -15,7 +15,7 @@ import (
 
 // GradedSummary pairs a selected summary with its satisfaction degree.
 type GradedSummary struct {
-	Node *saintetiq.Node
+	Node saintetiq.Node
 	// Degree is the conjunctive satisfaction: the minimum over clauses of
 	// the best membership grade among the intent descriptors matching the
 	// clause.

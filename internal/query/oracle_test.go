@@ -137,7 +137,7 @@ func refContains(sorted []int, x int) bool {
 	return i < len(sorted) && sorted[i] == x
 }
 
-func (c *refCompiled) valuate(n *saintetiq.Node) query.Valuation {
+func (c *refCompiled) valuate(n saintetiq.Node) query.Valuation {
 	result := query.FullSat
 	for i, a := range c.attrs {
 		intent := n.LabelIndexes(a)
@@ -157,12 +157,12 @@ func (c *refCompiled) valuate(n *saintetiq.Node) query.Valuation {
 	return result
 }
 
-func (c *refCompiled) selectTree(t *saintetiq.Tree) (zs []*saintetiq.Node, visited int) {
+func (c *refCompiled) selectTree(t *saintetiq.Tree) (zs []saintetiq.Node, visited int) {
 	if t.Empty() {
 		return nil, 0
 	}
-	var walk func(n *saintetiq.Node)
-	walk = func(n *saintetiq.Node) {
+	var walk func(n saintetiq.Node)
+	walk = func(n saintetiq.Node) {
 		visited++
 		switch c.valuate(n) {
 		case query.FullSat:
@@ -172,7 +172,7 @@ func (c *refCompiled) selectTree(t *saintetiq.Tree) (zs []*saintetiq.Node, visit
 				zs = append(zs, n)
 				return
 			}
-			for _, ch := range n.Children() {
+			for ch := range n.Children() {
 				walk(ch)
 			}
 		}
@@ -197,7 +197,7 @@ func refUnionPeers(acc, more []saintetiq.PeerID) []saintetiq.PeerID {
 	return out
 }
 
-func refPeers(zs []*saintetiq.Node) []saintetiq.PeerID {
+func refPeers(zs []saintetiq.Node) []saintetiq.PeerID {
 	var out []saintetiq.PeerID
 	for _, z := range zs {
 		out = refUnionPeers(out, z.AppendPeerIDs(nil))
@@ -243,7 +243,7 @@ func whereOrder(q query.Query) []string {
 
 // approximate is the per-tree class aggregation: one interpretation map and
 // class key per selected summary.
-func (c *refCompiled) approximate(vocab *saintetiq.Tree, q query.Query, zs []*saintetiq.Node) *refAnswer {
+func (c *refCompiled) approximate(vocab *saintetiq.Tree, q query.Query, zs []saintetiq.Node) *refAnswer {
 	order := whereOrder(q)
 	groups := make(map[string]*refClass)
 	var keys []string
@@ -352,7 +352,7 @@ func refStore(st summarystore.Store, q query.Query) (*refAnswer, []saintetiq.Pee
 }
 
 // refGrade is the graded valuation over LabelIndexes, ranked as TopK ranks.
-func (c *refCompiled) refGrade(zs []*saintetiq.Node) []query.GradedSummary {
+func (c *refCompiled) refGrade(zs []saintetiq.Node) []query.GradedSummary {
 	out := make([]query.GradedSummary, 0, len(zs))
 	for _, z := range zs {
 		deg := 1.0
@@ -390,8 +390,8 @@ func (c *refCompiled) refIntents(t *saintetiq.Tree) []string {
 	if t.Empty() {
 		return nil
 	}
-	var walk func(n *saintetiq.Node)
-	walk = func(n *saintetiq.Node) {
+	var walk func(n saintetiq.Node)
+	walk = func(n saintetiq.Node) {
 		parts := make([]string, 0, len(c.attrs))
 		for _, a := range c.attrs {
 			var labs []string
@@ -402,7 +402,7 @@ func (c *refCompiled) refIntents(t *saintetiq.Tree) []string {
 		}
 		out = append(out, "{"+strings.Join(parts, ", ")+"}")
 		if c.valuate(n) == query.PartialSat && !n.IsLeaf() {
-			for _, ch := range n.Children() {
+			for ch := range n.Children() {
 				walk(ch)
 			}
 		}

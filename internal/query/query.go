@@ -274,7 +274,7 @@ func compile(t *saintetiq.Tree, q Query) (*compiled, error) {
 
 // valuate qualifies one summary node: a clause the intent does not meet
 // rules the node out, a clause the intent reaches beyond makes it partial.
-func (c *compiled) valuate(n *saintetiq.Node) Valuation {
+func (c *compiled) valuate(n saintetiq.Node) Valuation {
 	result := FullSat
 	for i, a := range c.attrs {
 		met, beyond := false, false
@@ -300,7 +300,7 @@ func (c *compiled) valuate(n *saintetiq.Node) Valuation {
 // Selection is the outcome of evaluating a query against a hierarchy.
 type Selection struct {
 	// Summaries is ZQ: the most abstract summaries satisfying the query.
-	Summaries []*saintetiq.Node
+	Summaries []saintetiq.Node
 	// Visited counts the nodes examined by the descent (the paper's "fast
 	// exploration of the hierarchy").
 	Visited int
@@ -325,19 +325,19 @@ func Select(t *saintetiq.Tree, q Query) (*Selection, error) {
 // every shard with it.
 func (c *compiled) selectTree(t *saintetiq.Tree) *Selection {
 	sel := &Selection{}
-	sel.Visited = c.walk(t, func(z *saintetiq.Node) { sel.Summaries = append(sel.Summaries, z) })
+	sel.Visited = c.walk(t, func(z saintetiq.Node) { sel.Summaries = append(sel.Summaries, z) })
 	return sel
 }
 
 // walk is the ZQ descent: it hands every selected summary to take, in
 // preorder, and returns the number of nodes visited.
-func (c *compiled) walk(t *saintetiq.Tree, take func(*saintetiq.Node)) int {
+func (c *compiled) walk(t *saintetiq.Tree, take func(saintetiq.Node)) int {
 	if t.Empty() {
 		return 0
 	}
 	visited := 0
-	var walk func(n *saintetiq.Node)
-	walk = func(n *saintetiq.Node) {
+	var walk func(n saintetiq.Node)
+	walk = func(n saintetiq.Node) {
 		visited++
 		switch c.valuate(n) {
 		case NotSat:
@@ -349,7 +349,7 @@ func (c *compiled) walk(t *saintetiq.Tree, take func(*saintetiq.Node)) int {
 				take(n)
 				return
 			}
-			for _, ch := range n.Children() {
+			for ch := range n.Children() {
 				walk(ch)
 			}
 		}

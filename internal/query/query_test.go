@@ -392,14 +392,14 @@ func TestQuickSelectionConsistency(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		selected := make(map[*saintetiq.Node]bool)
+		selected := make(map[saintetiq.Node]bool)
 		for _, a := range sel.Summaries {
 			selected[a] = true
 		}
 		nested := false
-		var below func(n *saintetiq.Node)
-		below = func(n *saintetiq.Node) {
-			for _, c := range n.Children() {
+		var below func(n saintetiq.Node)
+		below = func(n saintetiq.Node) {
+			for c := range n.Children() {
 				nested = nested || selected[c]
 				below(c)
 			}

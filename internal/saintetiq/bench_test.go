@@ -4,27 +4,63 @@ import (
 	"testing"
 
 	"p2psum/internal/bk"
+	"p2psum/internal/cells"
 )
 
-// The four benchmarks follow the data-level reconciliation ring: every peer
+// The benchmarks follow the data-level reconciliation ring: every peer
 // summarises a 60-row relation (IncorporateStore), every hop merges a
 // member's summary into the token (Merge, which scores operators at each
-// node on the way down) and sizes the token for the ledger (EncodedSize).
+// node on the way down), sizes the token for the ledger (EncodedSize), and a
+// summary peer clones what it keeps (Clone).
 
 // BenchmarkTreeEncodedSize sizes a 120-member ring token (~300 nodes: the
 // medical grid bounds the leaves) with the counting encoder: what every
-// transport pays per summary-carrying Send.
+// transport pays per summary-carrying Send. The clean case sizes an
+// unchanged tree, so every body length is cached; the dirty case first
+// applies one contribution along a leaf's path, as a hop's merge does, so
+// the nodes on that path are re-measured.
 func BenchmarkTreeEncodedSize(b *testing.B) {
 	tr := mergedTree(b, DefaultConfig(), 42, 120, 60)
 	nodes := tr.NodeCount()
+	b.Run("clean", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if tr.EncodedSize() == 0 {
+				b.Fatal("empty encoding")
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
+	})
+	b.Run("dirty", func(b *testing.B) {
+		leaves := tr.Leaves()
+		con := tr.newContribution() // one tuple of weight 1, no grade or measure news
+		con.count, con.grades, con.measures = 1, make([]float64, len(tr.attrs)), make([]cells.Measure, len(tr.attrs))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			leaf := leaves[i%len(leaves)].i
+			for a := range con.cols {
+				con.cols[a] = tr.leafCol(leaf, a)
+			}
+			tr.incorporate(tr.nodes[leaf].key, con)
+			if tr.EncodedSize() == 0 {
+				b.Fatal("empty encoding")
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
+	})
+}
+
+// BenchmarkTreeClone copies a 120-member ring token: one copy per arena
+// array plus the leaf index.
+func BenchmarkTreeClone(b *testing.B) {
+	tr := mergedTree(b, DefaultConfig(), 42, 120, 60)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if tr.EncodedSize() == 0 {
-			b.Fatal("empty encoding")
+		if tr.Clone().NodeCount() != tr.NodeCount() {
+			b.Fatal("clone lost nodes")
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
 }
 
 // BenchmarkChooseOperator scores one contribution at the widest node of a
@@ -32,21 +68,21 @@ func BenchmarkTreeEncodedSize(b *testing.B) {
 // create, merge and, when the best host is internal, split.
 func BenchmarkChooseOperator(b *testing.B) {
 	tr := mergedTree(b, DefaultConfig(), 42, 16, 60)
-	at := tr.root
-	tr.Walk(func(n *Node) bool {
-		if len(n.children) > len(at.children) {
-			at = n
+	at := root
+	tr.Walk(func(n Node) bool {
+		if n.rec().kids > tr.nodes[at].kids {
+			at = n.i
 		}
 		return true
 	})
-	if len(at.children) != tr.cfg.MaxChildren {
-		b.Fatalf("widest node has %d children, want %d", len(at.children), tr.cfg.MaxChildren)
+	if kids := int(tr.nodes[at].kids); kids != tr.cfg.MaxChildren {
+		b.Fatalf("widest node has %d children, want %d", kids, tr.cfg.MaxChildren)
 	}
-	con, err := tr.contributionOf(medicalStore(b, 7, 1).Cells()[0], nil)
-	if err != nil {
+	con := tr.newContribution()
+	if err := tr.contributionOf(medicalStore(b, 7, 1).Cells()[0], nil, con); err != nil {
 		b.Fatal(err)
 	}
-	at.apply(con)
+	tr.apply(at, con)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

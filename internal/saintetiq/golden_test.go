@@ -3,6 +3,7 @@ package saintetiq
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"p2psum/internal/bk"
@@ -54,6 +55,24 @@ func encodeTree(tr *Tree) []byte {
 	var e wire.Enc
 	tr.AppendWire(&e)
 	return e.Bytes()
+}
+
+// children lists a node's children.
+func children(n Node) []Node { return slices.Collect(n.Children()) }
+
+// countRows views a node's count row as one slice per attribute.
+func countRows(n Node) [][]float64 {
+	rows := make([][]float64, len(n.t.attrs))
+	for a := range rows {
+		rows[a] = n.t.attrRow(n.t.counts, n.i, a)
+	}
+	return rows
+}
+
+// leaf returns the leaf of a cell key, and whether there is one.
+func (t *Tree) leaf(key string) (Node, bool) {
+	i, ok := t.byKey[key]
+	return Node{t, i}, ok
 }
 
 // TestGoldenEncoding pins the wire bytes and the operator history of the

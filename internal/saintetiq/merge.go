@@ -33,10 +33,16 @@ func (t *Tree) CompatibleWith(o *Tree) error {
 	return nil
 }
 
-// leafLabel returns the descriptor of a leaf on attribute a: a leaf has
-// exactly one per attribute by construction.
-func (n *Node) leafLabel(a int) int {
-	return slices.IndexFunc(n.counts[a], func(c float64) bool { return c > 0 })
+// leafCol returns the column of a leaf's descriptor on attribute a in its
+// row, or -1: a leaf built by incorporation has exactly one descriptor per
+// attribute.
+func (t *Tree) leafCol(i int32, a int) int {
+	for j, c := range t.attrRow(t.counts, i, a) {
+		if c > 0 {
+			return t.off[a] + j
+		}
+	}
+	return -1
 }
 
 // Merge incorporates every leaf of src into t (Merging(src, t)). Peer
@@ -50,8 +56,8 @@ func (t *Tree) Merge(src *Tree) error {
 // shard splitting: a summary store carves a tree into shards by incorporating
 // leaf subsets into NewLike trees.
 func (t *Tree) NewLike() *Tree {
-	out := &Tree{cfg: t.cfg, attrs: t.attrs, byKey: make(map[string]*Node)}
-	out.root = out.newNode("")
+	out := emptyTree(t.cfg, t.attrs, t.off)
+	out.newNode("")
 	return out
 }
 
@@ -61,20 +67,29 @@ func (t *Tree) NewLike() *Tree {
 // buckets src's leaves by owning shard in one pass and merges each bucket
 // independently — disjoint buckets can merge concurrently into different
 // destinations.
-func (t *Tree) MergeLeaves(src *Tree, leaves []*Node) error {
+func (t *Tree) MergeLeaves(src *Tree, leaves []Node) error {
 	if err := t.CompatibleWith(src); err != nil {
 		return err
 	}
+	if src == t {
+		src = t.Clone() // the leaves' rows must not move under the merge
+	}
 	// The vocabularies agree, so a leaf is its own contribution: its label
-	// indexes, key and extent carry over without a detour through strings.
-	con := contribution{labels: make([]int, len(t.attrs)), grades: make([]float64, len(t.attrs))}
+	// columns, key and extent carry over without a detour through strings.
+	con := t.newContribution()
+	con.grades = make([]float64, len(t.attrs))
 	for _, leaf := range leaves {
-		con.count, con.measures, con.peers = leaf.count, leaf.measures, leaf.peers
+		i := leaf.i
+		con.count, con.measures, con.peers = src.nodes[i].count, src.measureRow(i), src.extent(i)
+		grades := src.row(src.grades, i)
 		for a := range t.attrs {
-			con.labels[a] = leaf.leafLabel(a)
-			con.grades[a] = leaf.grades[a][con.labels[a]]
+			col := src.leafCol(i, a)
+			if col < 0 {
+				return fmt.Errorf("saintetiq: leaf %q has no descriptor on attribute %q", src.nodes[i].key, t.attrs[a].name)
+			}
+			con.cols[a], con.grades[a] = col, grades[col]
 		}
-		t.incorporate(leaf.key, &con)
+		t.incorporate(src.nodes[i].key, con)
 	}
 	return nil
 }
@@ -101,51 +116,48 @@ func (t *Tree) LeavesEqual(o *Tree) bool {
 		if !ok {
 			return false
 		}
-		if !approxEq(a.count, b.count, tol) || !slices.Equal(a.peers, b.peers) {
+		if !approxEq(t.nodes[a].count, o.nodes[b].count, tol) || !slices.Equal(t.extent(a), o.extent(b)) {
 			return false
 		}
-		for at := range t.attrs {
-			for j := range t.attrs[at].labels {
-				if !approxEq(a.counts[at][j], b.counts[at][j], tol) ||
-					!approxEq(a.grades[at][j], b.grades[at][j], tol) {
-					return false
-				}
+		ac, bc := t.row(t.counts, a), o.row(o.counts, b)
+		ag, bg := t.row(t.grades, a), o.row(o.grades, b)
+		for l := range ac {
+			if !approxEq(ac[l], bc[l], tol) || !approxEq(ag[l], bg[l], tol) {
+				return false
 			}
 		}
 	}
 	return true
 }
 
-// Clone deep-copies the hierarchy.
+// Clone deep-copies the hierarchy: one copy per arena array, with the peer
+// extents packed without room (a clone is mostly read), plus the leaf index
+// rebuilt from the copied records.
 func (t *Tree) Clone() *Tree {
 	out := &Tree{
-		cfg:    t.cfg,
-		attrs:  t.attrs, // immutable after New
-		byKey:  make(map[string]*Node, len(t.byKey)),
-		nextID: t.nextID,
-		stats:  t.stats,
-		epoch:  t.epoch,
+		cfg:      t.cfg,
+		attrs:    t.attrs,
+		off:      t.off,
+		nodes:    slices.Clone(t.nodes),
+		counts:   slices.Clone(t.counts),
+		grades:   slices.Clone(t.grades),
+		measures: slices.Clone(t.measures),
+		sizes:    make([]int32, len(t.sizes)),
+		free:     t.free,
+		freed:    t.freed,
+		byKey:    make(map[string]int32, len(t.byKey)),
+		nextID:   t.nextID,
+		stats:    t.stats,
+		epoch:    t.epoch,
 	}
-	out.root = out.cloneNode(t.root, nil)
+	out.peers = t.packPeers(out.nodes)
+	t.copySizes(out.sizes)
+	for i := range out.nodes {
+		if k := out.nodes[i].key; k != "" {
+			out.byKey[k] = int32(i)
+		}
+	}
 	return out
-}
-
-func (t *Tree) cloneNode(n *Node, parent *Node) *Node {
-	c := t.blankNode(n.id, n.key)
-	c.count, c.parent, c.peers = n.count, parent, slices.Clone(n.peers)
-	copy(c.measures, n.measures)
-	for a := range n.counts {
-		copy(c.counts[a], n.counts[a])
-		copy(c.grades[a], n.grades[a])
-	}
-	if c.key != "" {
-		t.byKey[c.key] = c
-	}
-	c.children = make([]*Node, len(n.children))
-	for i, ch := range n.children {
-		c.children[i] = t.cloneNode(ch, c)
-	}
-	return c
 }
 
 // Empty reports whether the hierarchy holds no data yet.

@@ -15,29 +15,29 @@ import (
 // its children's (Definition 3).
 func checkExtents(t *testing.T, step string, tr *Tree) {
 	t.Helper()
-	tr.Walk(func(n *Node) bool {
-		ids := n.peers
+	tr.Walk(func(n Node) bool {
+		ids := n.peers()
 		for i, p := range ids {
 			if p == NoPeer || (i > 0 && ids[i-1] >= p) {
-				t.Fatalf("%s: node %d extent %v is not a strictly ascending set of real peers", step, n.id, ids)
+				t.Fatalf("%s: node %d extent %v is not a strictly ascending set of real peers", step, n.ID(), ids)
 			}
-			if !slices.Contains(n.peers, p) {
-				t.Fatalf("%s: node %d lists %d but HasPeer denies it", step, n.id, p)
+			if !slices.Contains(n.peers(), p) {
+				t.Fatalf("%s: node %d lists %d but HasPeer denies it", step, n.ID(), p)
 			}
 		}
 		if len(ids) != n.PeerCount() {
-			t.Fatalf("%s: node %d PeerCount %d != len %v", step, n.id, n.PeerCount(), ids)
+			t.Fatalf("%s: node %d PeerCount %d != len %v", step, n.ID(), n.PeerCount(), ids)
 		}
-		if len(n.children) == 0 {
+		if n.rec().kids == 0 {
 			return true
 		}
 		var union []PeerID
-		for _, c := range n.children {
-			union = append(union, c.peers...)
+		for c := range n.Children() {
+			union = append(union, c.peers()...)
 		}
 		slices.Sort(union)
 		if union = slices.Compact(union); !slices.Equal(union, ids) {
-			t.Fatalf("%s: node %d extent %v != union of children %v", step, n.id, ids, union)
+			t.Fatalf("%s: node %d extent %v != union of children %v", step, n.ID(), ids, union)
 		}
 		return true
 	})
@@ -89,18 +89,18 @@ func TestPeerExtentInvariants(t *testing.T) {
 		incorporate(other, 200+seed)
 		leaves := other.Leaves()
 		rng.Shuffle(len(leaves), func(i, j int) { leaves[i], leaves[j] = leaves[j], leaves[i] })
-		for _, part := range [][]*Node{leaves[:len(leaves)/2], leaves[len(leaves)/2:]} {
+		for _, part := range [][]Node{leaves[:len(leaves)/2], leaves[len(leaves)/2:]} {
 			if err := tr.MergeLeaves(other, part); err != nil {
 				t.Fatal(err)
 			}
 			checkExtents(t, "merge leaves", tr)
 		}
 		for _, leaf := range leaves {
-			if model[leaf.key] == nil {
-				model[leaf.key] = map[PeerID]bool{}
+			if model[leaf.Key()] == nil {
+				model[leaf.Key()] = map[PeerID]bool{}
 			}
-			for _, p := range leaf.peers {
-				model[leaf.key][p] = true
+			for _, p := range leaf.peers() {
+				model[leaf.Key()][p] = true
 			}
 		}
 		checkExtents(t, "clone after source changed", clone)
@@ -117,13 +117,13 @@ func TestPeerExtentInvariants(t *testing.T) {
 			t.Fatal("round trip changed the leaves")
 		}
 		for key, want := range model {
-			leaf := back.byKey[key]
-			if leaf == nil || leaf.PeerCount() != len(want) {
-				t.Fatalf("leaf %q extent %v, model %v", key, leaf.peers, want)
+			leaf, ok := back.leaf(key)
+			if !ok || leaf.PeerCount() != len(want) {
+				t.Fatalf("leaf %q extent %v, model %v", key, leaf.peers(), want)
 			}
 			for p := range want {
-				if !slices.Contains(leaf.peers, p) {
-					t.Fatalf("leaf %q extent %v misses %d", key, leaf.peers, p)
+				if !slices.Contains(leaf.peers(), p) {
+					t.Fatalf("leaf %q extent %v misses %d", key, leaf.peers(), p)
 				}
 			}
 		}
@@ -165,11 +165,11 @@ func TestDecodeWireSortsPeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Root().peers; !slices.Equal(got, []PeerID{2, 7, 9}) {
+	if got := tr.Root().peers(); !slices.Equal(got, []PeerID{2, 7, 9}) {
 		t.Errorf("root extent = %v, want [2 7 9]", got)
 	}
-	if got := tr.byKey["x"].peers; !slices.Equal(got, []PeerID{2, 7}) {
-		t.Errorf("leaf extent = %v, want [2 7]", got)
+	if leaf, _ := tr.leaf("x"); !slices.Equal(leaf.peers(), []PeerID{2, 7}) {
+		t.Errorf("leaf extent = %v, want [2 7]", leaf.peers())
 	}
 }
 
@@ -184,16 +184,16 @@ func TestNoPeerLeavesExtentEmpty(t *testing.T) {
 	if err := tr.Incorporate(cs[1], NoPeer); err != nil {
 		t.Fatal(err)
 	}
-	tr.Walk(func(n *Node) bool {
-		if n.PeerCount() != 0 || len(n.peers) != 0 || slices.Contains(n.peers, NoPeer) || slices.Contains(n.peers, 0) {
-			t.Errorf("node %d extent %v, want empty", n.id, n.peers)
+	tr.Walk(func(n Node) bool {
+		if n.PeerCount() != 0 || len(n.peers()) != 0 || slices.Contains(n.peers(), NoPeer) || slices.Contains(n.peers(), 0) {
+			t.Errorf("node %d extent %v, want empty", n.ID(), n.peers())
 		}
 		return true
 	})
 	if err := tr.Incorporate(cs[2], 0); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Contains(tr.Root().peers, 0) || tr.Root().PeerCount() != 1 {
-		t.Errorf("root extent %v, want [0]", tr.Root().peers)
+	if !slices.Contains(tr.Root().peers(), 0) || tr.Root().PeerCount() != 1 {
+		t.Errorf("root extent %v, want [0]", tr.Root().peers())
 	}
 }

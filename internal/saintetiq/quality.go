@@ -46,14 +46,15 @@ func (t *Tree) Measure() Quality {
 		Branching: t.AvgBranching(),
 	}
 	var homW, homSum, speW, speSum float64
-	t.Walk(func(n *Node) bool {
-		if n.count <= 0 {
+	t.Walk(func(n Node) bool {
+		count := n.Count()
+		if count <= 0 {
 			return true
 		}
-		homSum += n.count * t.nodePurity(n)
-		homW += n.count
-		speSum += n.count * t.nodeSpecificity(n)
-		speW += n.count
+		homSum += count * t.nodePurity(n.i)
+		homW += count
+		speSum += count * t.nodeSpecificity(n.i)
+		speW += count
 		return true
 	})
 	if homW > 0 {
@@ -62,7 +63,7 @@ func (t *Tree) Measure() Quality {
 	if speW > 0 {
 		q.Specificity = speSum / speW
 	}
-	if terms, parent := classTerms(t.root, nil); len(terms) > 0 {
+	if terms, _, parent := t.classTerms(root, nil, nil); len(terms) > 0 {
 		q.RootScore = (sumExcept(terms, -1, -1) - parent) / float64(len(terms))
 	}
 	return q
@@ -70,16 +71,17 @@ func (t *Tree) Measure() Quality {
 
 // nodePurity is the mean, over attributes, of the squared descriptor
 // frequencies (Gini-style purity: 1 iff a single descriptor per attribute).
-func (t *Tree) nodePurity(n *Node) float64 {
-	if n.count == 0 {
+func (t *Tree) nodePurity(i int32) float64 {
+	count := t.nodes[i].count
+	if count == 0 {
 		return 0
 	}
 	var total float64
 	for a := range t.attrs {
 		var s float64
-		for _, c := range n.counts[a] {
+		for _, c := range t.attrRow(t.counts, i, a) {
 			if c > 0 {
-				p := c / n.count
+				p := c / count
 				s += p * p
 			}
 		}
@@ -90,11 +92,11 @@ func (t *Tree) nodePurity(n *Node) float64 {
 
 // nodeSpecificity is the mean, over attributes, of the excluded-vocabulary
 // fraction.
-func (t *Tree) nodeSpecificity(n *Node) float64 {
+func (t *Tree) nodeSpecificity(i int32) float64 {
 	var total float64
 	for a := range t.attrs {
 		present := 0
-		for _, c := range n.counts[a] {
+		for _, c := range t.attrRow(t.counts, i, a) {
 			if c > 0 {
 				present++
 			}
@@ -109,20 +111,20 @@ func (t *Tree) nodeSpecificity(n *Node) float64 {
 // tree whereas precise information has to be looked at near the leaves").
 // Leaves shallower than the requested depth are included, so the returned
 // set always covers the whole extent.
-func (t *Tree) Level(depth int) []*Node {
-	var out []*Node
-	var walk func(n *Node, d int)
-	walk = func(n *Node, d int) {
+func (t *Tree) Level(depth int) []Node {
+	var out []Node
+	var walk func(n Node, d int)
+	walk = func(n Node, d int) {
 		if d == depth || n.IsLeaf() {
 			out = append(out, n)
 			return
 		}
-		for _, c := range n.children {
+		for c := range n.Children() {
 			walk(c, d+1)
 		}
 	}
-	walk(t.root, 0)
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	walk(t.Root(), 0)
+	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
 
@@ -131,17 +133,17 @@ func (t *Tree) Level(depth int) []*Node {
 func (t *Tree) DescribeLevel(depth int) string {
 	nodes := t.Level(depth)
 	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].count != nodes[j].count {
-			return nodes[i].count > nodes[j].count
+		if ci, cj := nodes[i].Count(), nodes[j].Count(); ci != cj {
+			return ci > cj
 		}
-		return nodes[i].id < nodes[j].id
+		return nodes[i].ID() < nodes[j].ID()
 	})
 	var sb strings.Builder
-	total := t.root.count
+	total := t.Root().Count()
 	for _, n := range nodes {
 		pct := 0.0
 		if total > 0 {
-			pct = 100 * n.count / total
+			pct = 100 * n.Count() / total
 		}
 		fmt.Fprintf(&sb, "%5.1f%% %s\n", pct, t.intentString(n))
 	}

@@ -33,7 +33,7 @@ func TestMeasureQuality(t *testing.T) {
 	}
 	// Leaves are single cells: purity 1. So homogeneity strictly above the
 	// root's purity.
-	rootPurity := tr.nodePurity(tr.Root())
+	rootPurity := tr.nodePurity(root)
 	if q.Homogeneity <= rootPurity {
 		t.Errorf("homogeneity %g not above root purity %g", q.Homogeneity, rootPurity)
 	}

@@ -23,17 +23,18 @@ const (
 )
 
 // classTerm is one class's share of the intra-class sum, P(z) Σ_a Σ_d P(d|z)²
-// with P(z) = z.count / total, for the class made of node a, plus node b when
-// non-nil (a hypothetical fusion), plus the contribution when non-nil (a
-// hypothetical hosting; a nil a then leaves the contribution as a singleton
-// class). The counts are added up on the fly, so scoring copies nothing.
-func classTerm(a, b *Node, con *contribution, total float64) float64 {
+// with P(z) = z.count / total, for the class made of slot a, plus slot b
+// when not none (a hypothetical fusion), plus the contribution when non-nil
+// (a hypothetical hosting; an a of none then leaves the contribution as a
+// singleton class). The counts are added up on the fly along the slots'
+// contiguous rows, attribute-major then label, so scoring copies nothing.
+func (t *Tree) classTerm(a, b int32, con *contribution, total float64) float64 {
 	var count float64
-	if a != nil {
-		count = a.count
+	if a != none {
+		count = t.nodes[a].count
 	}
-	if b != nil {
-		count += b.count
+	if b != none {
+		count += t.nodes[b].count
 	}
 	if con != nil {
 		count += con.count
@@ -42,41 +43,65 @@ func classTerm(a, b *Node, con *contribution, total float64) float64 {
 		return 0
 	}
 	var sum float64
-	if a == nil {
-		for range con.labels {
+	if a == none {
+		for range con.cols {
 			p := con.count / count
 			sum += p * p
 		}
 		return count / total * sum
 	}
-	for at, row := range a.counts {
-		bump := -1
-		if con != nil {
-			bump = con.labels[at]
+	if b == none && con == nil {
+		return plainTerm(t.row(t.counts, a), count, total)
+	}
+	row := t.row(t.counts, a)
+	var other []float64
+	if b != none {
+		other = t.row(t.counts, b)[:len(row)]
+	}
+	bump, k := -1, 0 // the next column the contribution adds to
+	if con != nil && len(con.cols) > 0 {
+		bump = con.cols[0]
+	}
+	for l, c := range row {
+		if other != nil {
+			c += other[l]
 		}
-		for l, c := range row {
-			if b != nil {
-				c += b.counts[at][l]
+		if l == bump {
+			c += con.count
+			if k++; k < len(con.cols) {
+				bump = con.cols[k]
 			}
-			if l == bump {
-				c += con.count
-			}
-			if c > 0 {
-				p := c / count
-				sum += p * p
-			}
+		}
+		if c > 0 {
+			p := c / count
+			sum += p * p
 		}
 	}
 	return count / total * sum
 }
 
-// classTerms appends the term of every child of n to terms and returns them
-// with the parent term Σ_a Σ_d P(d|n)² (n is its own class with P = 1).
-func classTerms(n *Node, terms []float64) ([]float64, float64) {
-	for _, c := range n.children {
-		terms = append(terms, classTerm(c, nil, nil, n.count))
+// plainTerm is classTerm for one existing class: the sum over its count row.
+func plainTerm(row []float64, count, total float64) float64 {
+	var sum float64
+	for _, c := range row {
+		if c > 0 {
+			p := c / count
+			sum += p * p
+		}
 	}
-	return terms, classTerm(n, nil, nil, n.count)
+	return count / total * sum
+}
+
+// classTerms appends the term of every child of slot n to terms and the
+// child's slot to kids, and returns them with the parent term
+// Σ_a Σ_d P(d|n)² (n is its own class with P = 1).
+func (t *Tree) classTerms(n int32, terms []float64, kids []int32) ([]float64, []int32, float64) {
+	total := t.nodes[n].count
+	for c := t.nodes[n].first; c != none; c = t.nodes[c].next {
+		terms = append(terms, t.classTerm(c, none, nil, total))
+		kids = append(kids, c)
+	}
+	return terms, kids, t.classTerm(n, none, nil, total)
 }
 
 // sumExcept adds the terms in child order, leaving out indexes i and j
@@ -101,22 +126,23 @@ type operatorScores struct {
 	host, runnerUp, create, merge, split float64
 }
 
-// scoreOperators scores host/create/merge/split for the contribution at node
+// scoreOperators scores host/create/merge/split for the contribution at slot
 // n (whose aggregates already include it) and returns the indexes of the two
 // best hosts. Every child's term is computed once; each of the K host
 // candidates, create, merge and split substitutes one or two terms, which
 // makes a placement O(K·L + K²) without a single allocation at usual arities.
 // Split is only offered for internal best children and while the
 // per-placement split budget lasts.
-func (t *Tree) scoreOperators(n *Node, con *contribution, round int) (s operatorScores, best, second int) {
+func (t *Tree) scoreOperators(n int32, con *contribution, round int) (s operatorScores, best, second int) {
 	var buf [16]float64
-	terms, parent := classTerms(n, buf[:0])
-	total, k := n.count, float64(len(terms))
+	var kbuf [16]int32
+	terms, kids, parent := t.classTerms(n, buf[:0], kbuf[:0])
+	total, k := t.nodes[n].count, float64(len(terms))
 
 	best, second = -1, -1
-	for i, c := range n.children {
+	for i, c := range kids {
 		plain := terms[i]
-		terms[i] = classTerm(c, nil, con, total)
+		terms[i] = t.classTerm(c, none, con, total)
 		score := (sumExcept(terms, -1, -1) - parent) / k
 		terms[i] = plain
 		if best < 0 || score > s.host {
@@ -128,34 +154,34 @@ func (t *Tree) scoreOperators(n *Node, con *contribution, round int) (s operator
 	}
 
 	// Create: the contribution as a new singleton child.
-	single := classTerm(nil, nil, con, total)
+	single := t.classTerm(none, none, con, total)
 	s.create = (sumExcept(terms, -1, -1) + single - parent) / (k + 1)
 
 	// Merge: fuse best and second, host into the fusion.
 	s.merge, s.split = math.Inf(-1), math.Inf(-1)
 	if len(terms) >= 3 && second >= 0 {
-		fused := classTerm(n.children[best], n.children[second], con, total)
+		fused := t.classTerm(kids[best], kids[second], con, total)
 		s.merge = (sumExcept(terms, best, second) + fused - parent) / (k - 1)
 	}
 
 	// Split: replace the best child by its children, the contribution hosted
 	// into its best grandchild (approximated by the singleton-create view,
 	// which lower-bounds the split benefit and keeps the evaluation O(K)).
-	if best >= 0 && !n.children[best].IsLeaf() && round < t.cfg.MaxSplitRounds {
-		grand := n.children[best].children
-		intra := sumExcept(terms, best, -1)
-		for _, gc := range grand {
-			intra += classTerm(gc, nil, nil, total)
+	if best >= 0 && t.nodes[kids[best]].key == "" && round < t.cfg.MaxSplitRounds {
+		intra, grand := sumExcept(terms, best, -1), 0
+		for gc := t.nodes[kids[best]].first; gc != none; gc = t.nodes[gc].next {
+			intra += t.classTerm(gc, none, nil, total)
+			grand++
 		}
-		s.split = (intra + single - parent) / (k + float64(len(grand)))
+		s.split = (intra + single - parent) / (k + float64(grand))
 	}
 	return s, best, second
 }
 
 // chooseOperator returns the best-scoring operator for the contribution at
-// node n plus the indexes of the children involved (best, second). Ties
+// slot n plus the indexes of the children involved (best, second). Ties
 // break deterministically in the order host, create, merge, split.
-func (t *Tree) chooseOperator(n *Node, con *contribution, round int) (op operator, best, second int) {
+func (t *Tree) chooseOperator(n int32, con *contribution, round int) (op operator, best, second int) {
 	s, best, second := t.scoreOperators(n, con, round)
 	top := s.host
 	if s.create > top {
@@ -170,16 +196,17 @@ func (t *Tree) chooseOperator(n *Node, con *contribution, round int) (op operato
 	return op, best, second
 }
 
-// closestPair returns the pair of children of n whose fusion maximizes the
-// partition score (used by the arity cap), and that score.
-func (t *Tree) closestPair(n *Node) (bi, bj int, bestScore float64) {
+// closestPair returns the pair of children of slot n whose fusion maximizes
+// the partition score (used by the arity cap), and that score.
+func (t *Tree) closestPair(n int32) (bi, bj int, bestScore float64) {
 	var buf [16]float64
-	terms, parent := classTerms(n, buf[:0])
+	var kbuf [16]int32
+	terms, kids, parent := t.classTerms(n, buf[:0], kbuf[:0])
 	bi, bj = 0, 1
 	first := true
 	for i := range terms {
 		for j := i + 1; j < len(terms); j++ {
-			fused := classTerm(n.children[i], n.children[j], nil, n.count)
+			fused := t.classTerm(kids[i], kids[j], nil, t.nodes[n].count)
 			score := (sumExcept(terms, i, j) + fused - parent) / float64(len(terms)-1)
 			if first || score > bestScore {
 				bi, bj, bestScore, first = i, j, score, false

@@ -20,15 +20,15 @@ type nodeStat struct {
 	counts [][]float64
 }
 
-func statOf(n *Node) nodeStat { return nodeStat{count: n.count, counts: n.counts} }
+func statOf(n Node) nodeStat { return nodeStat{count: n.Count(), counts: countRows(n)} }
 
-// statPlus returns the node's stat with the contribution folded in
-// (without mutating the node).
-func (t *Tree) statPlus(n *Node, con *contribution) nodeStat {
+// statPlus returns the stat with the contribution folded in (without
+// mutating the node).
+func (t *Tree) statPlus(n nodeStat, con *contribution) nodeStat {
 	counts := make([][]float64, len(t.attrs))
 	for a := range t.attrs {
 		counts[a] = append([]float64(nil), n.counts[a]...)
-		counts[a][con.labels[a]] += con.count
+		counts[a][con.cols[a]-t.off[a]] += con.count
 	}
 	return nodeStat{count: n.count + con.count, counts: counts}
 }
@@ -38,7 +38,7 @@ func (t *Tree) statOfContribution(con *contribution) nodeStat {
 	counts := make([][]float64, len(t.attrs))
 	for a := range t.attrs {
 		counts[a] = make([]float64, len(t.attrs[a].labels))
-		counts[a][con.labels[a]] = con.count
+		counts[a][con.cols[a]-t.off[a]] = con.count
 	}
 	return nodeStat{count: con.count, counts: counts}
 }
@@ -90,13 +90,14 @@ func (t *Tree) partitionScore(parentStat nodeStat, children []nodeStat) float64 
 // oracleChooseOperator is the chooser as it stood before the term-based
 // scoring, returning the scores it compared as well (-Inf for an option it
 // did not offer).
-func (t *Tree) oracleChooseOperator(n *Node, con *contribution, round int) (op operator, best, second int, s operatorScores) {
+func (t *Tree) oracleChooseOperator(n Node, con *contribution, round int) (op operator, best, second int, s operatorScores) {
 	parent := statOf(n) // n already includes the contribution
-	k := len(n.children)
+	kids := children(n)
+	k := len(kids)
 
 	// Baseline child stats.
 	base := make([]nodeStat, k)
-	for i, c := range n.children {
+	for i, c := range kids {
 		base[i] = statOf(c)
 	}
 
@@ -105,8 +106,8 @@ func (t *Tree) oracleChooseOperator(n *Node, con *contribution, round int) (op o
 	var bestScore, secondScore float64
 	candidate := make([]nodeStat, k)
 	copy(candidate, base)
-	for i, c := range n.children {
-		candidate[i] = t.statPlus(c, con)
+	for i, c := range kids {
+		candidate[i] = t.statPlus(statOf(c), con)
 		score := t.partitionScore(parent, candidate)
 		candidate[i] = base[i]
 		if best < 0 || score > bestScore {
@@ -143,14 +144,14 @@ func (t *Tree) oracleChooseOperator(n *Node, con *contribution, round int) (op o
 	}
 
 	// Split candidate: replace the best child by its children.
-	if best >= 0 && !n.children[best].IsLeaf() && round < t.cfg.MaxSplitRounds {
+	if best >= 0 && !kids[best].IsLeaf() && round < t.cfg.MaxSplitRounds {
 		var split []nodeStat
 		for i := range base {
 			if i != best {
 				split = append(split, base[i])
 			}
 		}
-		for _, gc := range n.children[best].children {
+		for _, gc := range children(kids[best]) {
 			split = append(split, statOf(gc))
 		}
 		// Score the split partition with the contribution hosted into its
@@ -167,9 +168,8 @@ func (t *Tree) oracleChooseOperator(n *Node, con *contribution, round int) (op o
 }
 
 // mergedStat is the hypothetical fusion of two child stats.
-func mergedStat(a, b nodeStat) *Node {
-	// Reuse the contribution plumbing via a throwaway node-like holder.
-	n := &Node{count: a.count + b.count, counts: make([][]float64, len(a.counts))}
+func mergedStat(a, b nodeStat) nodeStat {
+	n := nodeStat{count: a.count + b.count, counts: make([][]float64, len(a.counts))}
 	for i := range a.counts {
 		n.counts[i] = make([]float64, len(a.counts[i]))
 		for j := range a.counts[i] {
@@ -181,10 +181,11 @@ func mergedStat(a, b nodeStat) *Node {
 
 // oracleClosestPair is the arity cap's pair search as it stood before the
 // term-based scoring, returning the winning score as well.
-func (t *Tree) oracleClosestPair(n *Node) (int, int, float64) {
+func (t *Tree) oracleClosestPair(n Node) (int, int, float64) {
 	parent := statOf(n)
-	base := make([]nodeStat, len(n.children))
-	for i, c := range n.children {
+	kids := children(n)
+	base := make([]nodeStat, len(kids))
+	for i, c := range kids {
 		base[i] = statOf(c)
 	}
 	bi, bj, bestScore := 0, 1, 0.0
@@ -197,7 +198,7 @@ func (t *Tree) oracleClosestPair(n *Node) (int, int, float64) {
 					cand = append(cand, base[k])
 				}
 			}
-			cand = append(cand, statOf(mergedStat(base[i], base[j])))
+			cand = append(cand, mergedStat(base[i], base[j]))
 			score := t.partitionScore(parent, cand)
 			if first || score > bestScore {
 				bi, bj, bestScore, first = i, j, score, false
@@ -222,32 +223,32 @@ func TestScoringMatchesOracle(t *testing.T) {
 			tr = mergedTree(t, cfg, 500+seed, 3, 40)
 		}
 		for _, c := range medicalStore(t, 1000+seed, 20+rng.Intn(60)).Cells() {
-			con, err := tr.contributionOf(c, nil)
-			if err != nil {
+			con := tr.newContribution()
+			if err := tr.contributionOf(c, nil, con); err != nil {
 				t.Fatal(err)
 			}
 			probe := tr.Clone()
-			probe.Walk(func(n *Node) bool {
-				if len(n.children) == 0 {
+			probe.Walk(func(n Node) bool {
+				if n.rec().kids == 0 {
 					return true
 				}
-				n.apply(con)
+				probe.apply(n.i, con)
 				for _, round := range []int{0, 2} { // split on offer, split budget spent
-					op, best, second := probe.chooseOperator(n, con, round)
-					s, _, _ := probe.scoreOperators(n, con, round)
+					op, best, second := probe.chooseOperator(n.i, con, round)
+					s, _, _ := probe.scoreOperators(n.i, con, round)
 					wop, wbest, wsecond, ws := probe.oracleChooseOperator(n, con, round)
 					if op != wop || best != wbest || second != wsecond || s != ws {
 						t.Fatalf("seed %d node %d round %d: got %v %d %d %+v, oracle %v %d %d %+v",
-							seed, n.id, round, op, best, second, s, wop, wbest, wsecond, ws)
+							seed, n.ID(), round, op, best, second, s, wop, wbest, wsecond, ws)
 					}
 					scored++
 				}
-				if len(n.children) >= 2 {
-					i, j, score := probe.closestPair(n)
+				if n.rec().kids >= 2 {
+					i, j, score := probe.closestPair(n.i)
 					wi, wj, wscore := probe.oracleClosestPair(n)
 					if i != wi || j != wj || score != wscore {
 						t.Fatalf("seed %d node %d: closestPair %d %d %v, oracle %d %d %v",
-							seed, n.id, i, j, score, wi, wj, wscore)
+							seed, n.ID(), i, j, score, wi, wj, wscore)
 					}
 					paired++
 				}
@@ -264,11 +265,12 @@ func TestScoringMatchesOracle(t *testing.T) {
 // TestRootScoreMatchesOracle pins Measure's root CU to the old scorer too.
 func TestRootScoreMatchesOracle(t *testing.T) {
 	for _, tr := range goldenTrees(t) {
-		children := make([]nodeStat, len(tr.root.children))
-		for i, c := range tr.root.children {
-			children[i] = statOf(c)
+		kids := children(tr.Root())
+		stats := make([]nodeStat, len(kids))
+		for i, c := range kids {
+			stats[i] = statOf(c)
 		}
-		if got, want := tr.Measure().RootScore, tr.partitionScore(statOf(tr.root), children); got != want {
+		if got, want := tr.Measure().RootScore, tr.partitionScore(statOf(tr.Root()), stats); got != want {
 			t.Errorf("RootScore = %v, oracle %v", got, want)
 		}
 	}

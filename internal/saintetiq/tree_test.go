@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -73,8 +74,8 @@ func TestFigure3Hierarchy(t *testing.T) {
 	}
 	// Young carries weight 2 (c1) + 0.7 (c2).
 	j := tr.LabelIndex(ageIdx, "young")
-	if !almost(root.counts[ageIdx][j], 2.7) {
-		t.Errorf("root young count = %g, want 2.7", root.counts[ageIdx][j])
+	if !almost(countRows(root)[ageIdx][j], 2.7) {
+		t.Errorf("root young count = %g, want 2.7", countRows(root)[ageIdx][j])
 	}
 	// Rendering mentions the descriptors.
 	if s := tr.String(); !strings.Contains(s, "young") || !strings.Contains(s, "normal") {
@@ -143,9 +144,9 @@ func TestArityCapEnforced(t *testing.T) {
 	if err := tr.IncorporateStore(medicalStore(t, 6, 800)); err != nil {
 		t.Fatal(err)
 	}
-	tr.Walk(func(n *Node) bool {
-		if len(n.Children()) > cfg.MaxChildren {
-			t.Errorf("node %d has %d children, cap is %d", n.ID(), len(n.Children()), cfg.MaxChildren)
+	tr.Walk(func(n Node) bool {
+		if len(children(n)) > cfg.MaxChildren {
+			t.Errorf("node %d has %d children, cap is %d", n.ID(), len(children(n)), cfg.MaxChildren)
 		}
 		return true
 	})
@@ -168,16 +169,16 @@ func TestPeerExtents(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := tr.Root()
-	ids := root.peers
+	ids := root.peers()
 	if len(ids) != 2 || ids[0] != 7 || ids[1] != 9 {
 		t.Errorf("root peers = %v, want [7 9]", ids)
 	}
-	if !slices.Contains(root.peers, 7) || slices.Contains(root.peers, 8) {
+	if !slices.Contains(root.peers(), 7) || slices.Contains(root.peers(), 8) {
 		t.Error("HasPeer wrong")
 	}
-	leaf := tr.byKey[cs[0].Key()]
-	if leaf == nil || leaf.PeerCount() != 1 || !slices.Contains(leaf.peers, 7) {
-		t.Errorf("leaf peer extent wrong: %v", leaf.peers)
+	leaf, ok := tr.leaf(cs[0].Key())
+	if !ok || leaf.PeerCount() != 1 || !slices.Contains(leaf.peers(), 7) {
+		t.Errorf("leaf peer extent wrong: %v", leaf.peers())
 	}
 }
 
@@ -212,7 +213,7 @@ func TestMergeHierarchies(t *testing.T) {
 	if !almost(t1.Root().Count(), w1+w2) {
 		t.Errorf("merged weight %g != %g + %g", t1.Root().Count(), w1, w2)
 	}
-	ids := t1.Root().peers
+	ids := t1.Root().peers()
 	if len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
 		t.Errorf("merged peers = %v", ids)
 	}
@@ -274,7 +275,7 @@ func TestClone(t *testing.T) {
 	if almost(cl.Root().Count(), tr.Root().Count()) {
 		t.Error("clone mutation leaked into original")
 	}
-	if slices.Contains(tr.Root().peers, 4) {
+	if slices.Contains(tr.Root().peers(), 4) {
 		t.Error("clone peer leaked into original")
 	}
 }
@@ -301,7 +302,7 @@ func TestGobRoundTrip(t *testing.T) {
 	if !almost(back.Root().Count(), tr.Root().Count()) {
 		t.Errorf("round trip changed weight")
 	}
-	if !slices.Contains(back.Root().peers, 5) {
+	if !slices.Contains(back.Root().peers(), 5) {
 		t.Error("round trip lost peer extent")
 	}
 	if sz := tr.EncodedSize(); sz != len(b) {
@@ -412,7 +413,7 @@ func TestQuickMergeAdditive(t *testing.T) {
 		if err := a.Validate(); err != nil {
 			return false
 		}
-		return almost(a.Root().Count(), wa+wb) && slices.Contains(a.Root().peers, 1) && slices.Contains(a.Root().peers, 2)
+		return almost(a.Root().Count(), wa+wb) && slices.Contains(a.Root().peers(), 1) && slices.Contains(a.Root().peers(), 2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
@@ -447,4 +448,30 @@ func TestHierarchyStabilization(t *testing.T) {
 	if lateOps*5 > warmOps {
 		t.Errorf("hierarchy did not stabilize: warm=%d ops, late=%d ops", warmOps, lateOps)
 	}
+}
+
+// TestConcurrentSizing: sizing and cloning are reads, so several readers may
+// run them on one tree at once, and they share its cache of encoded node
+// lengths. Each must see the written length; run with -race.
+func TestConcurrentSizing(t *testing.T) {
+	tr := mergedTree(t, DefaultConfig(), 3, 12, 60) // nothing sized yet
+	want := len(encodeTree(tr))                     // writing fills no cache
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if n := tr.EncodedSize(); n != want {
+					t.Errorf("counted %d bytes, wrote %d", n, want)
+					return
+				}
+				if n := tr.Clone().EncodedSize(); n != want {
+					t.Errorf("clone counted %d bytes, original wrote %d", n, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

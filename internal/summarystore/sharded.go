@@ -85,7 +85,7 @@ func (s *Sharded) Merge(src *saintetiq.Tree) error {
 	}
 	// Bucket src's leaves by owning shard in one pass over the sorted leaf
 	// order (so per-shard incorporation order is deterministic).
-	buckets := make([][]*saintetiq.Node, len(s.shards))
+	buckets := make([][]saintetiq.Node, len(s.shards))
 	var affected []int
 	for _, leaf := range src.Leaves() {
 		i := s.shardOf(src, leaf)
@@ -115,7 +115,7 @@ func (s *Sharded) Merge(src *saintetiq.Tree) error {
 }
 
 // shardOf clamps the partition function into [0, len(shards)).
-func (s *Sharded) shardOf(t *saintetiq.Tree, leaf *saintetiq.Node) int {
+func (s *Sharded) shardOf(t *saintetiq.Tree, leaf saintetiq.Node) int {
 	i := s.partition(t, leaf, len(s.shards))
 	if i < 0 || i >= len(s.shards) {
 		panic(fmt.Sprintf("summarystore: partition returned shard %d of %d", i, len(s.shards)))
@@ -138,7 +138,7 @@ func (s *Sharded) SwapFrom(newGS *saintetiq.Tree) int {
 		// independent tree built outside any lock. A split cannot fail on
 		// vocabulary (the parts are NewLike trees of newGS itself), so any
 		// error is an invariant violation.
-		buckets := make([][]*saintetiq.Node, n)
+		buckets := make([][]saintetiq.Node, n)
 		for _, leaf := range newGS.Leaves() {
 			i := s.shardOf(newGS, leaf)
 			buckets[i] = append(buckets[i], leaf)

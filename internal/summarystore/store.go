@@ -97,7 +97,7 @@ type Store interface {
 // deterministic in the leaf's content (never in insertion order or memory
 // layout) so that the same data always lands in the same shard on every
 // peer and every run.
-type Partition func(t *saintetiq.Tree, leaf *saintetiq.Node, n int) int
+type Partition func(t *saintetiq.Tree, leaf saintetiq.Node, n int) int
 
 // ByDescriptor builds the BK attribute-range split on the given attribute:
 // shard = the leaf's top-level descriptor index on that attribute, mod n.
@@ -108,7 +108,7 @@ type Partition func(t *saintetiq.Tree, leaf *saintetiq.Node, n int) int
 // that attribute; prefer NewShardedByDescriptor, which also wires the
 // pruning hook.
 func ByDescriptor(attr int) Partition {
-	return func(_ *saintetiq.Tree, leaf *saintetiq.Node, n int) int {
+	return func(_ *saintetiq.Tree, leaf saintetiq.Node, n int) int {
 		idx := leaf.LabelIndexes(attr)
 		if len(idx) == 0 {
 			return 0
@@ -124,7 +124,7 @@ var ByTopDescriptor = ByDescriptor(0)
 // subtree-hash split: balanced regardless of data skew and effective at any
 // shard count, but without a pruning hook (every query touches every
 // shard).
-func ByKeyHash(_ *saintetiq.Tree, leaf *saintetiq.Node, n int) int {
+func ByKeyHash(_ *saintetiq.Tree, leaf saintetiq.Node, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(leaf.Key()))
 	return int(h.Sum32() % uint32(n))

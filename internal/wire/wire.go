@@ -150,6 +150,12 @@ func UvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 // VarintLen is the encoded size of a signed (zig-zag) varint.
 func VarintLen(v int64) int { return UvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
 
+// Float64Len is the encoded size of a float64 (see Enc.Float64).
+func Float64Len(f float64) int { return UvarintLen(bits.ReverseBytes64(math.Float64bits(f))) }
+
+// StringLen is the encoded size of a length-prefixed string.
+func StringLen(s string) int { return UvarintLen(uint64(len(s))) + len(s) }
+
 // Uint8 appends one raw byte.
 func (e *Enc) Uint8(b uint8) {
 	e.check()
@@ -205,6 +211,9 @@ func VarintsSized[T ~int | ~int32 | ~int64](e *Enc, vs []T, n int) {
 		e.buf = binary.AppendVarint(e.buf, int64(v))
 	}
 }
+
+// Counting reports whether e measures instead of writing.
+func (e *Enc) Counting() bool { return e.count }
 
 // Counted is the sizing shortcut for a caller that already knows the
 // length n of what it is about to write: a counting Enc is charged n and
