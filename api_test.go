@@ -466,14 +466,14 @@ func TestSaveLoadSummaryAndEstimateCount(t *testing.T) {
 	}
 }
 
-func TestSimulationShardedDispatch(t *testing.T) {
-	// Full stack over the channel transport with one dispatch group per
-	// domain: construction, churn and querying must behave like any other
-	// transport configuration (invariants, not bit-equality — wall-clock
-	// delivery is not deterministic on an arbitrary overlay).
+func TestSimulationChannelTransport(t *testing.T) {
+	// Full stack over the channel transport: construction, churn and
+	// querying must behave like any other transport configuration
+	// (invariants, not bit-equality — wall-clock delivery is not
+	// deterministic on an arbitrary overlay).
 	s, err := NewSimulation(SimOptions{
 		Peers: 200, SummaryPeers: 4, Seed: 21,
-		Transport: TransportChannel, Dispatchers: 4,
+		Transport: TransportChannel,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -495,19 +495,9 @@ func TestSimulationShardedDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Results == 0 {
-		t.Error("sharded-dispatch run answered nothing")
+		t.Error("channel-transport run answered nothing")
 	}
 	if s.TotalMessages() == 0 {
 		t.Error("no messages counted")
-	}
-
-	// The knob is channel-transport-only, like LossRate.
-	if _, err := NewSimulation(SimOptions{Peers: 50, SummaryPeers: 2, Dispatchers: 4}); err == nil {
-		t.Error("Dispatchers on the event engine accepted")
-	}
-	if _, err := NewSimulation(SimOptions{
-		Peers: 50, SummaryPeers: 2, Transport: TransportChannel, Dispatchers: -1,
-	}); err == nil {
-		t.Error("negative Dispatchers accepted")
 	}
 }

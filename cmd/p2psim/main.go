@@ -7,7 +7,7 @@
 //
 //	p2psim [-peers 1000] [-sps 10] [-alpha 0.3] [-hours 6] [-queries 50]
 //	       [-hit 0.10] [-graceful 0.8] [-mode balanced|precise|max-recall]
-//	       [-transport sim|channel] [-loss 0.0] [-shards 1] [-dispatchers 1]
+//	       [-transport sim|channel] [-loss 0.0] [-shards 1]
 //	       [-seed 1] [-runs 1] [-parallel 0]
 //
 // Flags:
@@ -28,10 +28,6 @@
 //	-shards       global-summary store shards per domain (1 = the paper's
 //	              single tree; visible in data-level runs, otherwise only
 //	              selects the store layout)
-//	-dispatchers  dispatch groups of the channel transport (channel
-//	              transport only): domains map onto groups at construction,
-//	              so independent domains run their handlers concurrently;
-//	              1 = the single serialized dispatcher
 //	-seed         random seed of the first replica
 //	-runs         independently seeded replicas (seed, seed+1, ...)
 //	-parallel     concurrent replicas (0 = one per CPU)
@@ -53,13 +49,12 @@ import (
 )
 
 type options struct {
-	peers, sps, queries int
-	shards, dispatchers int
-	alpha, hours        float64
-	hit, graceful, loss float64
-	mode                p2psum.RoutingMode
-	transport           p2psum.TransportKind
-	seed                int64
+	peers, sps, queries, shards int
+	alpha, hours                float64
+	hit, graceful, loss         float64
+	mode                        p2psum.RoutingMode
+	transport                   p2psum.TransportKind
+	seed                        int64
 }
 
 // runResult aggregates one simulation replica.
@@ -85,7 +80,6 @@ func runOne(o options) (*runResult, error) {
 		Transport:    o.transport,
 		LossRate:     o.loss,
 		Shards:       o.shards,
-		Dispatchers:  o.dispatchers,
 	})
 	if err != nil {
 		return nil, err
@@ -166,7 +160,6 @@ func main() {
 	transport := flag.String("transport", "sim", "transport: sim (deterministic) or channel (concurrent)")
 	loss := flag.Float64("loss", 0, "packet-loss probability (channel transport only)")
 	shards := flag.Int("shards", 1, "global-summary store shards per domain (data-level runs; 1 = single tree)")
-	dispatchers := flag.Int("dispatchers", 1, "dispatch groups of the channel transport (channel only; domains map onto groups, 1 = single dispatcher)")
 	seed := flag.Int64("seed", 1, "random seed (first replica)")
 	runs := flag.Int("runs", 1, "independently seeded replicas (seed, seed+1, ...)")
 	parallel := flag.Int("parallel", 0, "concurrent replicas (0 = one per CPU)")
@@ -174,8 +167,7 @@ func main() {
 
 	o := options{
 		peers: *peers, sps: *sps, queries: *queries,
-		shards: *shards, dispatchers: *dispatchers,
-		alpha: *alpha, hours: *hours,
+		shards: *shards, alpha: *alpha, hours: *hours,
 		hit: *hit, graceful: *graceful, loss: *loss,
 		seed: *seed,
 	}

@@ -57,13 +57,13 @@
 //	internal/p2p.Transport                overlay substrate interface
 //	├── p2p.Network                       deterministic, discrete-event (internal/sim),
 //	                                      one event heap on one goroutine
-//	├── p2p.ChannelTransport              concurrent, real-time, sharded dispatch
+//	├── p2p.ChannelTransport              concurrent, real-time, one dispatch lane
 //	└── p2p.TCPTransport                  real sockets: one process hosts part of the
 //	                                      overlay, frames cross the wire (internal/wire)
 //	internal/liveness                     membership views: alive/suspect/dead states,
 //	                                      incarnation numbers, anti-entropy merges
 //	internal/wire                         frame encoding + message-type codec registry
-//	internal/topology                     overlay generators, graph partitions,
+//	internal/topology                     overlay generators, test fixtures,
 //	                                      point-to-point hop distance (Graph.Hops)
 //	internal/par, internal/stats,         worker pool, counters/tables, churn and
 //	internal/workload, internal/costmodel query workloads, the paper's cost models
@@ -101,8 +101,10 @@
 // on; questions that need no transport state go to it directly — core's
 // closer-summary-peer comparison (§4.1) is one Graph.Hops call, an
 // early-exit bounded BFS on pooled scratch arrays that allocates nothing
-// and may run from any dispatch group at once. The optional interfaces
-// are p2p.DispatchGrouper (DispatchGroups, SetGroupBy) and p2p.Localizer.
+// and may run from any goroutine at once. The optional interface is
+// p2p.Localizer; p2p.DispatchGrouper and p2p.OriginScheduler are
+// deprecated seams that only the bench module's tracing decorator still
+// names.
 //
 // # The wire layer and the codec-registration contract
 //
@@ -352,50 +354,36 @@
 // TCP transports, one of them under duplicate-heavy load from concurrent
 // sessions.
 //
-// # The dispatcher-group execution model
+// # The one-lane execution model
 //
-// The channel transport executes all protocol logic on dispatcher
-// goroutines. Nodes are partitioned into dispatch groups
-// (ChannelConfig.Dispatchers, remapped by SetGroupBy); each
-// group owns an inbox channel and ONE dispatcher goroutine that drains it.
-// Every message is carried by a goroutine that sleeps the scaled link
-// latency and then enqueues the message on the inbox of the destination's
-// group. The serialization guarantees are:
+// The goroutine-backed transports (channel and TCP) execute all protocol
+// logic on ONE dispatcher goroutine per transport: a single inbox, drained
+// in arrival order, with one pending-work count under one lock
+// (internal/p2p/engine.go). On the channel transport every message is
+// carried by a goroutine that sleeps the scaled link latency and then
+// enqueues the message on that inbox; on TCP a socket reader enqueues the
+// decoded frame. The serialization guarantees are:
 //
-//   - Per node: a node belongs to exactly one group, so its handler never
-//     runs twice concurrently and per-peer protocol state needs no locks.
+//   - Handlers, fired timers (Transport.After) and drop callbacks execute
+//     in one serial order, so per-peer protocol state needs no locks. A
+//     drop callback mutates the SENDER's state (§4.3 failure detection);
+//     running on the lane serializes it with the sender's handlers.
 //
-//   - Per group: all handlers, fired timers (Transport.After routes the
-//     callback to the owner node's group) and rerouted drop callbacks of
-//     one group execute in one serial order.
-//
-//   - Drop callbacks run in the group of the message SENDER (msg.From):
-//     §4.3 failure detection mutates sender-side state, so that is the
-//     serialization it needs; the transport forwards the callback across
-//     groups when sender and receiver differ.
-//
-//   - Transport.Exec quiesces every group (single-group mode runs the
-//     closure on the dispatcher itself; sharded mode parks all dispatchers
-//     at a barrier), so driver-side mutations never interleave with any
-//     handler anywhere.
+//   - Transport.Exec runs its closure on the dispatcher between two
+//     deliveries, so driver-side mutations never interleave with a
+//     handler. Exec or Settle called from the lane itself panics instead
+//     of deadlocking.
 //
 //   - Transport.Settle returns only after every in-flight message, relayed
-//     send, rerouted drop and fired timer — across all groups — has been
-//     handled, so drivers may read protocol state afterwards without
-//     synchronization.
+//     send, drop and fired timer has been handled, so drivers may read
+//     protocol state afterwards without synchronization.
 //
-// With Dispatchers <= 1 the transport collapses to the original single
-// dispatcher and behaves bit-identically to the pre-sharding
-// implementation. With more groups, internal/core aligns groups with the
-// paper's unit of independence: at summary-peer assignment it partitions
-// the overlay by hop distance to the elected summary peers
-// (topology.NearestSeeds) and maps every domain onto one group, so
-// independent domains — which the paper maintains independently by design
-// (§4: each domain keeps its own global summary) — construct, reconcile
-// and answer concurrently. Cross-domain traffic and find walks remain
-// correct for ANY grouping: the few cross-peer reads on handler paths
-// (walk-accept inspecting another peer's domain pointer) go through
-// atomics, and protocol Stats go through a lock.
+// Domains stay independent the way the paper keeps them independent: by
+// messages alone (§4: each domain keeps its own global summary). What does
+// run beside the lane are driver goroutines: gateway sessions and query
+// drivers that read protocol state (stats, a peer's summary-peer pointer,
+// global summaries) while handlers run, which is why those reads go
+// through atomics, locks or the summary store's own locking.
 //
 // # The event engine at scale
 //
@@ -425,9 +413,11 @@
 //
 // The full concurrency inventory, top of the stack to the bottom:
 //
-//	core.System.statsMu        protects System.stats: handler paths of
-//	                           different dispatch groups bump counters
-//	                           concurrently; Stats() snapshots under it.
+//	core.System.statsMu        protects System.stats: handlers bump
+//	                           counters on the dispatcher while driver
+//	                           goroutines (gateway sessions, query
+//	                           drivers) read them; Stats() snapshots
+//	                           under it.
 //	                           It also guards the summary-peer roster
 //	                           (System.sps) that elections append to and
 //	                           a confirmed death snapshots to notify.
@@ -508,10 +498,8 @@
 // Experiment sweeps fan their (α × size) grids across a worker pool
 // (ExperimentConfig.Workers); every grid point is an isolated simulation
 // seeded purely from (Seed, point parameters), so parallel sweeps render
-// tables bit-identical to sequential ones. Wall-clock effects, such as
-// what per-domain dispatchers buy overlapping reconciliations, are
-// measured by Go benchmarks (BenchmarkMultiDomainReconcile) and the bench
-// module, not by the experiments.
+// tables bit-identical to sequential ones. Wall-clock effects are
+// measured by Go benchmarks and the bench module, not by the experiments.
 //
 // Everything uses only the standard library. Simulations on the
 // discrete-event transport are deterministic given a seed; distinct

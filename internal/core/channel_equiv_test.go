@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -14,17 +13,16 @@ import (
 	"p2psum/internal/topology"
 )
 
-// The dispatcher-sharding equivalence suite: the same protocol scenario
-// must produce bit-identical reports whatever the dispatch-group count,
-// and — on a fixture with no cross-domain message races — identical to the
-// deterministic discrete-event transport. The fixture is DisjointStars:
-// fully independent star domains, where every protocol step is a single
-// causal chain (broadcast to leaves, pushes, the sorted-ring
-// reconciliation), so even the wall-clock channel transport has exactly
-// one observable outcome. One wave of the workload triggers all four
-// domains' ring reconciliations inside a single Settle window, so the
-// sharded runs really do reconcile concurrently while producing the same
-// reports.
+// The transport equivalence check: on a fixture with no cross-domain
+// message races, the same protocol scenario must produce bit-identical
+// reports on the concurrent channel transport and on the deterministic
+// discrete-event transport. The fixture is DisjointStars: fully
+// independent star domains, where every protocol step is a single causal
+// chain (broadcast to leaves, pushes, the sorted-ring reconciliation), so
+// even the wall-clock channel transport has exactly one observable
+// outcome. One wave of the workload triggers all four domains' ring
+// reconciliations inside a single Settle window, so their hops interleave
+// on the channel transport's dispatcher while producing the same reports.
 
 const (
 	equivClusters = 4
@@ -43,19 +41,15 @@ type dispatchFingerprint struct {
 }
 
 // runDispatchScenario drives the deterministic multi-domain scenario on
-// either transport and fingerprints the outcome. dispatchers is ignored
-// when useSim is set.
-func runDispatchScenario(t *testing.T, useSim bool, dispatchers int) dispatchFingerprint {
+// either transport and fingerprints the outcome.
+func runDispatchScenario(t *testing.T, useSim bool) dispatchFingerprint {
 	t.Helper()
 	g, hubs := topology.DisjointStars(equivClusters, equivSize, 0.05)
-	var (
-		net p2p.Transport
-		ct  *p2p.ChannelTransport
-	)
+	var net p2p.Transport
 	if useSim {
 		net = p2p.NewNetwork(sim.New(), g, 3)
 	} else {
-		ct = p2p.NewChannelTransport(g, 3, p2p.ChannelConfig{Dispatchers: dispatchers})
+		ct := p2p.NewChannelTransport(g, 3, p2p.ChannelConfig{})
 		t.Cleanup(ct.Close)
 		net = ct
 	}
@@ -86,18 +80,6 @@ func runDispatchScenario(t *testing.T, useSim bool, dispatchers int) dispatchFin
 		ids[i] = p2p.NodeID(h)
 	}
 	sys.AssignSummaryPeers(ids)
-	if ct != nil && dispatchers > 1 {
-		// The System wired domain -> group: every cluster member shares its
-		// hub's dispatch group.
-		for c := 0; c < equivClusters; c++ {
-			hg := ct.GroupOf(p2p.NodeID(hubs[c]))
-			for s := 1; s < equivSize; s++ {
-				if got := ct.GroupOf(p2p.NodeID(c*equivSize + s)); got != hg {
-					t.Fatalf("cluster %d node %d in group %d, hub in %d", c, s, got, hg)
-				}
-			}
-		}
-	}
 	if err := sys.Construct(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +100,10 @@ func runDispatchScenario(t *testing.T, useSim bool, dispatchers int) dispatchFin
 		}
 	}
 	// ...and the triggering push of every domain launches inside ONE
-	// settle window: on the sharded transport the four ring
+	// settle window: on the channel transport the four ring
 	// reconciliations (real hierarchy merges, hop by hop around the
-	// sorted ring) run concurrently on distinct dispatchers. Each domain
-	// is a single causal chain, so the outcome is still deterministic.
+	// sorted ring) interleave on the dispatcher. Each domain is a single
+	// causal chain, so the outcome is still deterministic.
 	for c := 0; c < equivClusters; c++ {
 		sys.MarkModified(spoke(c, 4))
 	}
@@ -188,22 +170,16 @@ func diffFingerprints(t *testing.T, label string, want, got dispatchFingerprint)
 	}
 }
 
-// TestDispatchGroupEquivalence: dispatch-group counts 1, 2 and 4 produce
-// bit-identical experiment reports; group count 1 additionally matches the
-// deterministic discrete-event transport, pinning the sharded transport's
-// single-group mode to the pre-sharding behaviour.
-func TestDispatchGroupEquivalence(t *testing.T) {
-	base := runDispatchScenario(t, false, 1)
+// TestChannelMatchesEventEngine: the channel transport's reports are
+// bit-identical to the deterministic discrete-event transport's on the
+// race-free multi-domain scenario.
+func TestChannelMatchesEventEngine(t *testing.T) {
+	base := runDispatchScenario(t, false)
 	if base.stats.Reconciliations < 2*equivClusters {
 		t.Fatalf("scenario too tame: only %d reconciliations", base.stats.Reconciliations)
 	}
 	if base.coverage != 1 {
 		t.Fatalf("coverage = %v after rejoins, want 1", base.coverage)
 	}
-	for _, d := range []int{2, 4} {
-		got := runDispatchScenario(t, false, d)
-		diffFingerprints(t, fmt.Sprintf("dispatchers=%d vs 1", d), base, got)
-	}
-	simFP := runDispatchScenario(t, true, 0)
-	diffFingerprints(t, "channel dispatchers=1 vs discrete-event", simFP, base)
+	diffFingerprints(t, "channel vs discrete-event", runDispatchScenario(t, true), base)
 }

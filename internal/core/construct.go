@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"p2psum/internal/p2p"
-	"p2psum/internal/topology"
 )
 
 // Domain construction (§4.1): summary-peer election, the sumpeer/localsum
@@ -60,34 +59,6 @@ func (s *System) AssignSummaryPeers(ids []p2p.NodeID) {
 		}
 		p.knownSPs = others
 	}
-	s.wireDispatchGroups()
-}
-
-// wireDispatchGroups aligns a sharded-dispatch transport with the domain
-// layout: every node maps to the dispatch group of its nearest summary
-// peer (ties to the lowest), so one domain's handlers share one serialized
-// dispatcher while distinct domains run concurrently — the per-domain
-// execution model of §4 ("each domain maintains its own global summary").
-// A transport without dispatch groups, or one that has already carried
-// traffic, is left untouched; any mapping is semantically valid, the
-// domain partition is the one that buys parallelism.
-func (s *System) wireDispatchGroups() {
-	gt, ok := s.net.(p2p.DispatchGrouper)
-	if !ok || gt.DispatchGroups() <= 1 || len(s.sps) == 0 {
-		return
-	}
-	seeds := make([]int, len(s.sps))
-	for i, sp := range s.sps {
-		seeds[i] = int(sp)
-	}
-	part := topology.NearestSeeds(s.net.Graph(), seeds)
-	d := gt.DispatchGroups()
-	gt.SetGroupBy(func(id p2p.NodeID) int {
-		if part[id] < 0 {
-			return int(id) % d // unreachable from every SP: spread evenly
-		}
-		return part[id] % d
-	})
 }
 
 // Construct runs the §4.1 domain construction: every summary peer
@@ -145,9 +116,10 @@ func (s *System) broadcastSumpeer(spID p2p.NodeID) {
 // summary peer of the first partner reached.
 func (s *System) findDomain(p *Peer) {
 	s.addStat(func(st *Stats) { st.FindWalks++ })
-	// The accept callback reads other peers' domain pointers: on a
-	// sharded-dispatch transport those peers' handlers may be mutating
-	// them concurrently (sp is atomic for exactly this read).
+	// The accept callback reads other peers' domain pointers; it runs on
+	// the caller's serialized context, so those peers' handlers are not
+	// writing them now (sp is atomic for the driver goroutines that read
+	// it beside the lane, see Peer).
 	res := s.net.SelectiveWalk(MsgFind, p.id, s.cfg.FindBudget, func(id p2p.NodeID) bool {
 		if id == p.id {
 			return false
@@ -179,8 +151,8 @@ const hopsCap = 6
 
 // hopsTo estimates the hop distance between two nodes (used for the
 // closer-summary-peer comparison; the paper notes latency or any other
-// metric works). Safe from handlers of any dispatch group: the graph is
-// immutable and Hops keeps no shared state.
+// metric works). Safe from any goroutine: the graph is immutable and Hops
+// keeps no shared state.
 func (s *System) hopsTo(a, b p2p.NodeID) int {
 	return s.net.Graph().Hops(int(a), int(b), hopsCap)
 }

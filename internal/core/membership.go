@@ -99,9 +99,8 @@ func (s *System) join(id p2p.NodeID) {
 
 // onDrop reacts to messages lost to offline receivers, implementing the
 // failure-detection paths of §4.3. The transport runs it serialized with
-// the handlers of msg.From's dispatch group (every mutation below touches
-// the sender's state), so it needs no extra locking even when dispatch is
-// sharded.
+// every handler, msg.From's included (every mutation below touches the
+// sender's state), so it needs no extra locking.
 func (s *System) onDrop(msg *p2p.Message) {
 	// Every drop is indirect liveness evidence about the destination. On
 	// the in-memory transports the shared view already holds the node

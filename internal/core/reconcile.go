@@ -20,10 +20,11 @@ func (s *System) MarkModified(id p2p.NodeID) {
 }
 
 // MarkModifiedAll signals a whole wave of local-summary modifications
-// under ONE Exec barrier. On a sharded-dispatch transport every Exec
-// quiesces all dispatch groups, so batching a storm of modifications costs
-// one barrier instead of one per peer — the pushes (and the ring
-// reconciliations they trigger) then run concurrently across domains.
+// under ONE Exec call. On a goroutine-backed transport every Exec is a
+// round trip through the dispatcher's inbox, so batching a storm of
+// modifications costs one round trip instead of one per peer — the pushes
+// (and the ring reconciliations they trigger) then interleave across
+// domains on the lane.
 func (s *System) MarkModifiedAll(ids []p2p.NodeID) {
 	s.net.Exec(func() {
 		for _, id := range ids {
@@ -125,7 +126,7 @@ func (p *Peer) armReconcileTimer(ringLen int) {
 	}
 	seq := p.reconcileSeq
 	// The summary peer owns the timer: the callback mutates its ring
-	// state, so it must run on its dispatch group.
+	// state, so it must run serialized with its handlers.
 	p.sys.net.After(p.id, timeout+0.5*float64(ringLen), func() { p.onReconcileTimeout(seq) })
 }
 

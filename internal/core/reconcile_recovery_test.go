@@ -255,22 +255,21 @@ func (d *reconcileDropCounter) SetDrop(fn func(*p2p.Message)) {
 	})
 }
 
-// TestRingTokenDropHandoffOverChannelTransport runs rings over a two-group
+// TestRingTokenDropHandoffOverChannelTransport runs rings over a
 // ChannelTransport in which, each round, every link into one fresh
 // partner is severed: the token sent to it comes back through the drop
-// callback — on the sender's dispatcher, often another goroutine than the
-// one that dropped it — and the sender, owning the token again, forwards
-// it on. Loss recovery is off, so every ring completes through that
-// handoff or not at all. Run under -race it checks the pointer token's
-// ownership handoff across goroutines.
+// callback on the dispatcher, and the sender, owning the token again,
+// forwards it on. Loss recovery is off, so every ring completes through
+// that handoff or not at all. Run under -race it checks the pointer
+// token's ownership handoff from the carrier goroutines to the
+// dispatcher.
 func TestRingTokenDropHandoffOverChannelTransport(t *testing.T) {
 	g, err := topology.BarabasiAlbert(120, 2, nil, rand.New(rand.NewSource(31)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := p2p.NewChannelTransport(g, 31, p2p.ChannelConfig{LatencyScale: time.Microsecond, Dispatchers: 2})
+	ct := p2p.NewChannelTransport(g, 31, p2p.ChannelConfig{LatencyScale: time.Microsecond})
 	t.Cleanup(ct.Close)
-	ct.SetGroupBy(func(id p2p.NodeID) int { return int(id) % 2 })
 	net := &reconcileDropCounter{ChannelTransport: ct}
 	cfg := DefaultConfig()
 	cfg.ReconcileTimeout = -1 // no retransmit: only the drop path can finish a ring

@@ -129,9 +129,10 @@ func DefaultConfig() Config {
 }
 
 // Peer is the per-node protocol state. Each field is owned by the peer's
-// own handlers (serialized by its dispatch group) or by driver code under
-// Transport.Exec — except sp/spHops, which find walks launched from other
-// peers' handlers read across dispatch groups, so they are atomics.
+// own handlers (serialized on the transport's dispatch lane) or by driver
+// code under Transport.Exec — except sp/spHops, which driver goroutines
+// (query routing, gateway sessions resolving a domain) read while
+// handlers write them, so they are atomics.
 type Peer struct {
 	sys  *System
 	id   p2p.NodeID
@@ -170,7 +171,7 @@ func (p *Peer) ID() p2p.NodeID { return p.id }
 func (p *Peer) Role() Role { return p.role }
 
 // curSP reads the peer's summary-peer pointer (-1 when none). Safe from
-// any dispatch group.
+// any goroutine.
 func (p *Peer) curSP() p2p.NodeID { return p2p.NodeID(p.sp.Load()) }
 
 // curSPHops reads the hop distance to the current summary peer.
@@ -320,10 +321,7 @@ type Stats struct {
 // Transport.Exec, so they are safe to call while messages are in flight on
 // a concurrent transport. Read accessors (Coverage, DomainOf, Peer state)
 // are not synchronized — settle the transport first; Stats locks
-// internally and may be read at any time. When the transport shards
-// dispatch (p2p.DispatchGrouper), AssignSummaryPeers maps every domain
-// onto one dispatch group, so each peer's handlers stay serialized while
-// independent domains run concurrently.
+// internally and may be read at any time.
 type System struct {
 	cfg         Config
 	net         p2p.Transport
@@ -346,9 +344,9 @@ type System struct {
 	elected map[p2p.NodeID]p2p.NodeID
 
 	// OnReconcile, if set, observes every completed reconciliation with
-	// the set of merged partners (experiments hook this). On a
-	// sharded-dispatch transport it is invoked concurrently from
-	// different dispatch groups; hooks must be safe for that.
+	// the set of merged partners (experiments hook this). It runs on the
+	// transport's dispatch lane, concurrently with driver goroutines;
+	// hooks must be safe for that.
 	OnReconcile func(sp p2p.NodeID, merged []p2p.NodeID)
 
 	// OnInstall, if set, observes every data-level reconciliation install
@@ -357,9 +355,10 @@ type System struct {
 	// one shard for shard). It fires right after the store swap, before
 	// the freshness reset, on the summary peer's dispatch goroutine — the
 	// serving edge (internal/gateway) subscribes to it to scrub its
-	// generation-keyed cache proactively. Hooks must be fast,
-	// concurrency-safe across dispatch groups, and must not call
-	// Exec/Settle (they run inside the dispatch they would wait on).
+	// generation-keyed cache proactively. Hooks must be fast, safe
+	// against the gateway sessions reading the cache concurrently, and
+	// must not call Exec/Settle (they run inside the dispatch they would
+	// wait on).
 	OnInstall func(sp p2p.NodeID, shardsSwapped int)
 
 	// extension handles message types the core protocol does not own
@@ -406,17 +405,17 @@ func (s *System) Transport() p2p.Transport { return s.net }
 func (s *System) Config() Config { return s.cfg }
 
 // Stats returns a snapshot of the protocol event counters. The counters
-// are updated from handler paths, which run concurrently across dispatch
-// groups on a sharded transport, so reads go through the same lock.
+// are updated from handler paths on the transport's dispatch lane while
+// driver goroutines call Stats, so reads go through the same lock.
 func (s *System) Stats() Stats {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
 	return s.stats
 }
 
-// addStat applies one counter update under the stats lock. Handlers of
-// different dispatch groups (e.g. two summary peers completing
-// reconciliations concurrently) bump these counters in parallel.
+// addStat applies one counter update under the stats lock. Handlers bump
+// these counters on the dispatch lane while driver goroutines (Stats
+// callers such as gateway sessions and query drivers) read them.
 func (s *System) addStat(f func(*Stats)) {
 	s.statsMu.Lock()
 	f(&s.stats)
@@ -456,9 +455,9 @@ func (s *System) newStore() summarystore.Store {
 // SetExtension installs a handler for message types outside the core
 // protocol (e.g. routing's remote query service): any message whose type
 // core does not own is forwarded to fn with the receiving peer. fn runs on
-// the peer's dispatch group like a protocol handler — same serialization,
-// same "no Exec/Settle from handlers" contract. Install it before traffic
-// flows; a second call replaces the first.
+// the transport's dispatch lane like a protocol handler — same
+// serialization, same "no Exec/Settle from handlers" contract. Install it
+// before traffic flows; a second call replaces the first.
 func (s *System) SetExtension(fn func(p *Peer, msg *p2p.Message)) { s.extension = fn }
 
 // handle dispatches incoming protocol messages.

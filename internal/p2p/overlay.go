@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the overlay core every transport embeds: the membership and
-// topology block (overlay), the traffic books (ledger, books) and the two
+// topology block (overlay), the traffic books (ledger) and the two
 // traversals that need nothing but those (flood, walk). Topology,
 // membership and traffic accounting are overlay-management functions, not
 // message transport, so they are written once here; Network,
@@ -127,17 +127,16 @@ func (g *linkGate) severed(from, to NodeID) bool {
 	return p != nil && (*p)(from, to)
 }
 
-// ledger is one serialized lane's share of the traffic books: messages and
-// bytes per message type, the unit of every cost figure in the paper ("the
-// number of exchanged messages", §6.2.1). A ledger is a handful of
-// per-type slots — types[i] is charged msgs[i] messages totalling
-// bytes[i] — found by a short linear scan: message types are interned
-// protocol constants, a lane sees about ten of them, and comparing a
-// string with its own constant stops at the pointer. The lane's own
-// context is nearly the only writer, so the mutex is uncontended; it
-// exists for the rare foreign writer (a drop callback sending on behalf of
-// a remote sender, a driver walk beside running dispatchers) and for
-// merge-on-read.
+// ledger is a transport's traffic books: messages and bytes per message
+// type, the unit of every cost figure in the paper ("the number of
+// exchanged messages", §6.2.1). Each transport embeds one, which gives it
+// its Counter and Bytes methods. A ledger is a handful of per-type slots —
+// types[i] is charged msgs[i] messages totalling bytes[i] — found by a
+// short linear scan: message types are interned protocol constants, a
+// transport sees about ten of them, and comparing a string with its own
+// constant stops at the pointer. The mutex serializes the dispatcher's
+// charges with those of driver goroutines (walks, floods, Exec callers)
+// and with readers.
 //
 // What a transmission costs is the same rule on every transport: a message
 // is charged the length of its encoded frame (frameSize), whether or not
@@ -177,40 +176,31 @@ func (l *ledger) charge(typ string, msgs, bytes int64) {
 // chargeHops books n payload-less transmissions (walk and flood hops).
 func (l *ledger) chargeHops(typ string, n int64) { l.charge(typ, n, n*BaseMessageBytes) }
 
-// books is a transport's set of ledgers, one per serialized lane: one on
-// the Network, one per dispatch group on ChannelTransport and
-// TCPTransport. Lanes never contend on shared accounting; readers merge.
-// Embedding books gives a transport its Counter and Bytes methods.
-type books []ledger
-
-// merged folds one column of every ledger's slots (msgs or bytes) into a
-// fresh counter nobody else holds, so later charges never alias what a
-// reader was handed. Lanes may have opened their slots in different
-// orders; the counter is keyed by type. Each ledger is read under its own
-// lock: safe while messages fly.
-func (b books) merged(column func(*ledger) []int64) *stats.Counter {
+// snapshot copies one column of the slots (msgs or bytes) into a fresh
+// counter nobody else holds, so later charges never alias what a reader
+// was handed. Caller holds mu, so it is safe while messages fly.
+func (l *ledger) snapshot(column []int64) *stats.Counter {
 	out := stats.NewCounter()
-	for i := range b {
-		l := &b[i]
-		l.mu.Lock()
-		for j, v := range column(l) {
-			out.Add(l.types[j], v)
-		}
-		l.mu.Unlock()
+	for i, v := range column {
+		out.Add(l.types[i], v)
 	}
 	return out
 }
 
-// Counter returns a merged snapshot of the per-type message counts;
-// successive calls return fresh (monotonically growing) snapshots.
-func (b books) Counter() *stats.Counter {
-	return b.merged(func(l *ledger) []int64 { return l.msgs })
+// Counter returns a snapshot of the per-type message counts; successive
+// calls return fresh (monotonically growing) snapshots.
+func (l *ledger) Counter() *stats.Counter {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.snapshot(l.msgs)
 }
 
-// Bytes returns a merged snapshot of the per-type traffic volumes (same
-// contract as Counter; the ledger comment states what a message costs).
-func (b books) Bytes() *stats.Counter {
-	return b.merged(func(l *ledger) []int64 { return l.bytes })
+// Bytes returns a snapshot of the per-type traffic volumes (same contract
+// as Counter; the ledger comment states what a message costs).
+func (l *ledger) Bytes() *stats.Counter {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.snapshot(l.bytes)
 }
 
 // flood is the Gnutella-style constrained broadcast of all three

@@ -15,26 +15,18 @@
 //
 // # Which lock protects what
 //
-//	ledger.mu                  one mutex per ledger (overlay.go) — the
-//	                           Network's single ledger, one per dispatch
-//	                           group of a ChannelTransport or
-//	                           TCPTransport: that lane's per-type slots
-//	                           (types[i] with its msgs[i] and bytes[i]),
-//	                           opened in whatever order the lane meets
-//	                           the types. Lanes never contend on shared
-//	                           accounting; Counter/Bytes merge the slots
-//	                           by type into fresh counters on read.
+//	ledger.mu                  the transport's one ledger (overlay.go):
+//	                           its per-type slots (types[i] with its
+//	                           msgs[i] and bytes[i]), opened in whatever
+//	                           order the transport meets the types.
+//	                           Counter/Bytes copy the slots into fresh
+//	                           counters under it.
 //	dispatchEngine             (engine.go, shared by ChannelTransport and
-//	                           TCPTransport) mu: groupOf[], armed timers,
-//	                           dispatcher goroutine ids, closed. hmu: the
-//	                           handler table and the drop callback, held
-//	                           only to read or set them, never across a
-//	                           call. execMu: serializes concurrent Exec
-//	                           barriers so two drivers cannot interleave
-//	                           group parking. dispatchGroup.mu/cond, one
-//	                           per group: the group's pending-work count;
-//	                           Settle/Close verify quiescence under mu and
-//	                           all group locks at once.
+//	                           TCPTransport) mu: the pending-work count
+//	                           (with the idle cond Settle and Close wait
+//	                           on), armed timers, closed. hmu: the handler
+//	                           table and the drop callback, held only to
+//	                           read or set them, never across a call.
 //	linkGate                   NO lock: the installed LinkFilter is one
 //	                           atomic pointer to an immutable closure.
 //	Network                    NO locks of its own beyond its ledger (the
@@ -47,12 +39,11 @@
 //	                           is the message-id counter. Its ledger's
 //	                           mutex is held across sizing a send. Its
 //	                           liveness view locks itself.
-//	ChannelTransport.mu        the loss/random-walk rng.
+//	ChannelTransport.rngMu     the loss rng.
 //	TCPTransport               connMu (connection table + reconnect loops),
-//	                           wireMu (socket frame counters and the
-//	                           sent/handled tallies of the distributed
-//	                           settle), statusMu/barrierMu (the settle and
-//	                           barrier exchanges).
+//	                           wireMu (socket frame counters),
+//	                           statusMu/barrierMu (the settle and barrier
+//	                           exchanges).
 //	tcpConn.qmu                one connection's coalescing batch: senders
 //	                           append units under it, the writer swaps the
 //	                           batch out under it; NEVER held across the
@@ -61,8 +52,11 @@
 //	tcpConn flow counters      per-direction flowRate meters (each its own
 //	                           small mutex: window fold + lifetime total)
 //	                           plus atomics for unit/flush counts,
-//	                           last-receive time and keepalive RTT — read
-//	                           by PeerStats without touching qmu or the
+//	                           last-receive time, keepalive RTT and the
+//	                           data frames sent, handled and reported
+//	                           handled on the connection (the distributed
+//	                           settle's counters) — read by PeerStats and
+//	                           Settle without touching qmu or the
 //	                           transport locks, cheap enough for a signal
 //	                           handler.
 package p2p
@@ -115,7 +109,7 @@ const BaseMessageBytes = 64
 // are serialized by construction.
 type Network struct {
 	overlay
-	books   // one ledger
+	ledger
 	engine  *sim.Engine
 	rng     *rand.Rand
 	handler []Handler
@@ -148,7 +142,6 @@ type Network struct {
 func NewNetwork(engine *sim.Engine, graph *topology.Graph, seed int64) *Network {
 	n := &Network{
 		overlay:       overlay{graph: graph, view: liveness.NewView(graph.Len(), nil)},
-		books:         make(books, 1),
 		engine:        engine,
 		rng:           rand.New(rand.NewSource(seed)),
 		handler:       make([]Handler, graph.Len()),
@@ -247,7 +240,7 @@ func (n *Network) Send(msg *Message) {
 // panics on an unframeable payload (see frameSize) charges nothing and
 // leaves the ledger usable.
 func (n *Network) charge(msg *Message) {
-	l := &n.books[0]
+	l := &n.ledger
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	i := l.slot(msg.Type)
@@ -312,7 +305,7 @@ func (n *Network) SendNew(typ string, from, to NodeID, ttl int, payload any) {
 // ttl hops using Gnutella-style constrained broadcast. It returns the nodes
 // reached and counts every transmission (§6.2.3).
 func (n *Network) Flood(typ string, src NodeID, ttl int, payload any, visit func(NodeID)) map[NodeID]bool {
-	return n.flood(n.books[0].chargeHops, typ, src, ttl, visit)
+	return n.flood(n.chargeHops, typ, src, ttl, visit)
 }
 
 // WalkResult is the outcome of a walk.
@@ -330,12 +323,12 @@ type WalkResult struct {
 // neighbor until accept returns true or maxHops is exhausted. Ties break on
 // the lower node id; dead ends backtrack.
 func (n *Network) SelectiveWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	return n.walk(n.books[0].chargeHops, typ, src, maxHops, accept, n.selective)
+	return n.walk(n.chargeHops, typ, src, maxHops, accept, n.selective)
 }
 
 // RandomWalk is the blind baseline: uniform random unvisited neighbor.
 func (n *Network) RandomWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	return n.walk(n.books[0].chargeHops, typ, src, maxHops, accept, func(cands []NodeID) NodeID {
+	return n.walk(n.chargeHops, typ, src, maxHops, accept, func(cands []NodeID) NodeID {
 		return cands[n.rng.Intn(len(cands))]
 	})
 }

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,7 +30,7 @@ import (
 // topology.Graph (same generator, same seed) and agrees on which process
 // hosts which node (TCPConfig.Hosts). Handler dispatch reuses the dispatch
 // engine of the in-memory channel transport — one serialized dispatcher
-// goroutine per process, Exec barriers, After timers — so the protocol
+// goroutine per process, Exec, After timers — so the protocol
 // layers see the exact same execution model; only delivery differs: a
 // frame bound for a remote node rides a per-peer writer goroutine onto the
 // socket instead of a latency-sleeping carrier.
@@ -56,7 +58,7 @@ import (
 // which internal/core's construction already does.
 type TCPTransport struct {
 	overlay
-	books // one ledger: the transport runs one dispatch lane
+	ledger
 	cfg   TCPConfig
 	eng   *dispatchEngine
 	ln    net.Listener
@@ -72,11 +74,8 @@ type TCPTransport struct {
 	closed       bool
 	closeCh      chan struct{} // closed by Close; aborts reconnect backoffs
 
-	wireMu      sync.Mutex
-	sentTo      map[string]int64 // data frames enqueued per peer address
-	handledFrom map[string]int64 // data frames fully handled per peer address
-	peerHandled map[string]int64 // peer's last-reported handled count (status exchanges)
-	ws          WireStats
+	wireMu sync.Mutex
+	ws     WireStats
 
 	statusMu sync.Mutex
 	nonce    uint64
@@ -159,7 +158,8 @@ const (
 	kPong       = 8 // keepalive answer (body echoed back)
 )
 
-// statusInfo is one peer's answer to a settle probe.
+// statusInfo is one peer's answer to a settle probe, about the connection
+// the probe arrived on.
 type statusInfo struct {
 	handled int64 // data frames from us the peer has fully handled
 	sent    int64 // data frames the peer has enqueued to us
@@ -220,6 +220,15 @@ type tcpConn struct {
 	pingSent  atomic.Int64 // unix nanos of the outstanding ping (0: none)
 	lastRTT   atomic.Int64 // nanos of the last completed ping round trip
 	oldest    atomic.Int64 // unix nanos of the oldest unflushed unit (0: none)
+
+	// Settle accounting: data frames enqueued on this connection, data
+	// frames received on it and fully handled, and the peer's last
+	// reported handled count (PeerStats' in-flight baseline). They live
+	// and die with the socket, so frames lost with a cut connection leave
+	// the distributed settle's comparison together with it.
+	dataSent    atomic.Int64
+	dataHandled atomic.Int64
+	peerHandled atomic.Int64
 
 	mu   sync.Mutex
 	addr string // peer's listen address, learned from hello (dialed: preset)
@@ -368,9 +377,6 @@ func NewTCPTransport(graph *topology.Graph, cfg TCPConfig) (*TCPTransport, error
 		conns:        make(map[string]*tcpConn),
 		reconnecting: make(map[string]bool),
 		closeCh:      make(chan struct{}),
-		sentTo:       make(map[string]int64),
-		handledFrom:  make(map[string]int64),
-		peerHandled:  make(map[string]int64),
 		statusCh:     make(map[uint64]chan statusInfo),
 		barriers:     make(map[uint32]map[string]bool),
 	}
@@ -390,8 +396,7 @@ func NewTCPTransport(graph *topology.Graph, cfg TCPConfig) (*TCPTransport, error
 	}
 	t.ln = ln
 	t.laddr = ln.Addr().String()
-	t.eng = newDispatchEngine(n, 1, t.deliver)
-	t.books = make(books, 1)
+	t.eng = newDispatchEngine(n, t.deliver)
 	t.wg.Add(1)
 	go t.acceptLoop()
 	if cfg.KeepAlive > 0 || cfg.MaxBacklogAge > 0 {
@@ -472,9 +477,9 @@ type PeerStat struct {
 	Flushes int64
 	// QueuedUnits and QueuedBytes measure the batch not yet flushed.
 	QueuedUnits, QueuedBytes int
-	// InFlight is the number of data frames sent to the peer and not yet
-	// known handled — refreshed by status exchanges (Settle), so between
-	// exchanges it is an upper bound.
+	// InFlight is the number of data frames sent on this connection and
+	// not yet known handled — refreshed by status exchanges (Settle), so
+	// between exchanges it is an upper bound.
 	InFlight int64
 	// RTT is the last completed keepalive round trip (0 before the first).
 	RTT time.Duration
@@ -510,12 +515,7 @@ func (t *TCPTransport) PeerStats() []PeerStat {
 			st.QueuedBytes = c.batch.Len()
 		}
 		c.qmu.Unlock()
-		t.wireMu.Lock()
-		st.InFlight = t.sentTo[st.Addr] - t.peerHandled[st.Addr]
-		t.wireMu.Unlock()
-		if st.InFlight < 0 {
-			st.InFlight = 0
-		}
+		st.InFlight = max(c.dataSent.Load()-c.peerHandled.Load(), 0)
 		out = append(out, st)
 	}
 	return out
@@ -931,6 +931,9 @@ func (t *TCPTransport) enqueueFrame(addr string, kind byte, msg *Message, size i
 		t.connDead(conn) // stalled peer: cut instead of queueing unboundedly
 		return false
 	}
+	if ok && kind == kData {
+		conn.dataSent.Add(1)
+	}
 	return ok
 }
 
@@ -967,8 +970,7 @@ func (t *TCPTransport) handleUnit(conn *tcpConn, kind byte, body []byte) {
 		}
 		t.connMu.Unlock()
 	case kData:
-		origin := conn.peerAddr()
-		if origin == "" {
+		if conn.peerAddr() == "" {
 			return // data before hello: protocol violation, drop
 		}
 		msg, err := decodeFrameShared(body)
@@ -980,15 +982,14 @@ func (t *TCPTransport) handleUnit(conn *tcpConn, kind byte, body []byte) {
 		t.ws.RecvBytes += int64(len(body))
 		t.wireMu.Unlock()
 		if !t.IsLocal(msg.To) {
-			t.markHandled(origin) // misrouted: processed as far as we ever will
+			conn.dataHandled.Add(1) // misrouted: processed as far as we ever will
 			return
 		}
 		msg.ID = t.nextMsg.Add(1)
-		g, ok := t.eng.beginSend(msg.To)
-		if !ok {
+		if !t.eng.beginSend() {
 			return // transport closed underneath the reader
 		}
-		t.eng.groups[g].inbox <- envelope{msg: msg, origin: origin}
+		t.eng.inbox <- envelope{msg: msg, origin: conn}
 	case kDropEcho:
 		msg, err := decodeFrameShared(body)
 		if err != nil {
@@ -1001,15 +1002,10 @@ func (t *TCPTransport) handleUnit(conn *tcpConn, kind byte, body []byte) {
 		if d.Err() != nil {
 			return
 		}
-		origin := conn.peerAddr()
-		t.wireMu.Lock()
-		handled := t.handledFrom[origin]
-		sent := t.sentTo[origin]
-		t.wireMu.Unlock()
 		var e wire.Enc
 		e.Uvarint(nonce)
-		e.Uvarint(uint64(handled))
-		e.Uvarint(uint64(sent))
+		e.Uvarint(uint64(conn.dataHandled.Load()))
+		e.Uvarint(uint64(conn.dataSent.Load()))
 		e.Bool(t.eng.idleNow())
 		conn.sendRaw(kStatusResp, e.Bytes())
 	case kStatusResp:
@@ -1019,14 +1015,11 @@ func (t *TCPTransport) handleUnit(conn *tcpConn, kind byte, body []byte) {
 		if d.Err() != nil {
 			return
 		}
-		if origin := conn.peerAddr(); origin != "" {
-			// The peer's handled count doubles as the in-flight baseline of
-			// PeerStats, refreshed by every status exchange.
-			t.wireMu.Lock()
-			if st.handled > t.peerHandled[origin] {
-				t.peerHandled[origin] = st.handled
-			}
-			t.wireMu.Unlock()
+		// The peer's handled count doubles as the in-flight baseline of
+		// PeerStats, refreshed by every status exchange. Only this
+		// connection's reader writes it.
+		if st.handled > conn.peerHandled.Load() {
+			conn.peerHandled.Store(st.handled)
 		}
 		t.statusMu.Lock()
 		ch := t.statusCh[nonce]
@@ -1065,18 +1058,8 @@ func (t *TCPTransport) handleUnit(conn *tcpConn, kind byte, body []byte) {
 	}
 }
 
-// markHandled counts one data frame from the peer as fully processed.
-func (t *TCPTransport) markHandled(origin string) {
-	if origin == "" {
-		return
-	}
-	t.wireMu.Lock()
-	t.handledFrom[origin]++
-	t.wireMu.Unlock()
-}
-
-// dropToSender runs the drop callback for msg in its (local) sender's
-// dispatch group; a remote sender's process runs its own.
+// dropToSender runs the drop callback for msg on the dispatcher when its
+// sender is local; a remote sender's process runs its own.
 func (t *TCPTransport) dropToSender(msg *Message) {
 	if t.IsLocal(msg.From) {
 		t.eng.submitDrop(msg)
@@ -1086,30 +1069,26 @@ func (t *TCPTransport) dropToSender(msg *Message) {
 // --- delivery --------------------------------------------------------------
 
 // deliver implements the transport's delivery policy on the dispatch
-// engine: run the local handler, or route the drop notification — through
-// the engine to a local sender's group, or back over the socket when the
-// sender lives in another process.
-func (t *TCPTransport) deliver(g int, env envelope) {
+// engine: run the local handler, or the drop callback of a local sender,
+// or bounce the frame back over the socket when the sender lives in
+// another process. Either way a frame from a peer counts as handled on the
+// connection it arrived on.
+func (t *TCPTransport) deliver(env envelope) {
 	msg := env.msg
 	if h := t.eng.handlerOf(msg.To); h != nil && t.deliverable(msg.From, msg.To) {
 		h(msg)
-		t.markHandled(env.origin)
-		t.eng.finishPending(g)
-		return
-	}
-	// Destination offline, handler-less or cut off: failure detection
-	// (§4.3). The frame itself is processed either way.
-	t.markHandled(env.origin)
-	if t.IsLocal(msg.From) {
-		t.eng.routeDrop(g, msg)
-		return
-	}
-	if env.origin != "" {
+	} else if t.IsLocal(msg.From) {
+		// Destination offline, handler-less or cut off: failure detection
+		// (§4.3).
+		t.eng.runDrop(msg)
+	} else if env.origin != nil {
 		// Bounce the frame to the sender's process; its transport runs the
-		// drop callback in the sender's group.
-		t.enqueueFrame(env.origin, kDropEcho, msg, frameSize(msg))
+		// drop callback there.
+		t.enqueueFrame(env.origin.peerAddr(), kDropEcho, msg, frameSize(msg))
 	}
-	t.eng.finishPending(g)
+	if env.origin != nil {
+		env.origin.dataHandled.Add(1)
+	}
 }
 
 // --- Transport interface ---------------------------------------------------
@@ -1118,15 +1097,15 @@ func (t *TCPTransport) deliver(g int, env envelope) {
 // local nodes).
 func (t *TCPTransport) SetHandler(id NodeID, h Handler) { t.eng.setHandler(id, h) }
 
-// SetDrop installs the drop callback (§4.3 failure detection). It runs in
-// the dispatch group of the message's sender — also when the drop happened
-// in another process and was echoed back.
+// SetDrop installs the drop callback (§4.3 failure detection). It runs on
+// the dispatcher of the message's sender's process — also when the drop
+// happened in another process and was echoed back.
 func (t *TCPTransport) SetDrop(fn func(*Message)) { t.eng.setDrop(fn) }
 
 // chargeHops accounts n payload-less transmissions (walks and floods) to
 // the ledger; WireStats books them as frameless.
 func (t *TCPTransport) chargeHops(typ string, n int64) {
-	t.books[0].chargeHops(typ, n)
+	t.ledger.chargeHops(typ, n)
 	t.chargeFrameless(n, n*BaseMessageBytes)
 }
 
@@ -1173,17 +1152,16 @@ func (t *TCPTransport) Send(msg *Message) {
 		t.ws.LocalFrames++
 		t.ws.LocalBytes += size
 		t.wireMu.Unlock()
-		g, ok := t.eng.beginSend(msg.To)
-		if !ok {
+		if !t.eng.beginSend() {
 			panic("p2p: send on closed TCPTransport")
 		}
-		t.books[0].charge(msg.Type, 1, size)
-		go func() { t.eng.groups[g].inbox <- envelope{msg: msg} }()
+		t.charge(msg.Type, 1, size)
+		go func() { t.eng.inbox <- envelope{msg: msg} }()
 		return
 	}
 
 	addr := t.hostOf[msg.To]
-	t.books[0].charge(msg.Type, 1, size)
+	t.charge(msg.Type, 1, size)
 	if t.gate.severed(msg.From, msg.To) {
 		// Partitioned link: the frame is charged as sent but never reaches
 		// the socket — the sender observes the same §4.3 drop evidence a
@@ -1202,7 +1180,6 @@ func (t *TCPTransport) Send(msg *Message) {
 		return
 	}
 	t.wireMu.Lock()
-	t.sentTo[addr]++
 	t.ws.SentFrames++
 	t.ws.SentBytes += size
 	t.wireMu.Unlock()
@@ -1231,54 +1208,62 @@ func (t *TCPTransport) SelectiveWalk(typ string, src NodeID, maxHops int, accept
 // drivers with Barrier.
 func (t *TCPTransport) Exec(fn func()) { t.eng.exec(fn) }
 
-// After schedules fn on the dispatcher of owner's group, delaySeconds of
-// virtual time from now, scaled by TimerScale (see ChannelTransport.After
-// for the serialization and Settle/Close contract).
+// After schedules fn on the dispatcher, delaySeconds of virtual time from
+// now, scaled by TimerScale (see ChannelTransport.After for the
+// serialization and Settle/Close contract).
 func (t *TCPTransport) After(owner NodeID, delaySeconds float64, fn func()) {
-	t.eng.after(owner, time.Duration(delaySeconds*float64(t.cfg.TimerScale)), fn)
+	t.eng.after(time.Duration(delaySeconds*float64(t.cfg.TimerScale)), fn)
 }
 
 // Settle blocks until the whole deployment is quiescent as far as this
-// process can observe: the local dispatch lane is drained and every
-// reachable peer reports, twice in a row with unchanged counters, that it
-// is idle, has handled every data frame we sent it, and has sent nothing
-// we have not handled. Unreachable peers are treated as departed (their
-// frames were dropped). Calling Settle from a handler panics.
+// process can observe: the local dispatch lane is drained and, over every
+// live connection to a peer process, the peer reports twice in a row with
+// unchanged counters that it is idle, has handled every data frame we sent
+// on that connection, and has sent nothing on it we have not handled. The
+// counters belong to the connection, so frames lost with a cut socket drop
+// out of the comparison with it; a peer with no live connection is treated
+// as departed (its frames were dropped). Calling Settle from a handler
+// panics.
 func (t *TCPTransport) Settle() {
 	if t.eng.onDispatcher() {
 		panic("p2p: Settle called from a handler/timer on the dispatcher (would deadlock); drivers only")
 	}
 	stable := 0
-	prev := make(map[string][2]int64)
+	prev := make(map[*tcpConn][2]int64)
 	for stable < 2 {
 		t.eng.waitIdle()
 		quiet := true
-		cur := make(map[string][2]int64)
-		for _, addr := range t.peerAddrs() {
-			if _, ok := t.liveConn(addr); !ok {
-				continue // unreachable: nothing in flight we could wait for
-			}
-			st, ok := t.peerStatus(addr, 2*time.Second)
+		cur := make(map[*tcpConn][2]int64)
+		conns := t.peerConns()
+		sts := make([]statusInfo, len(conns))
+		oks := make([]bool, len(conns))
+		var wg sync.WaitGroup
+		for i, c := range conns { // one round trip per round, not one per connection
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sts[i], oks[i] = t.peerStatus(c, 2*time.Second)
+			}()
+		}
+		wg.Wait()
+		for i, c := range conns {
+			st, ok := sts[i], oks[i]
 			if !ok {
-				// The peer is connected but did not answer in time (e.g.
-				// buried in a long merge): not quiescent — only a departed
-				// peer (no live connection) may be skipped.
+				// The connection broke, or the peer did not answer in time
+				// (e.g. buried in a long merge): not quiescent yet — a
+				// broken connection is gone from the next round.
 				quiet = false
 				continue
 			}
-			t.wireMu.Lock()
-			mySent := t.sentTo[addr]
-			myHandled := t.handledFrom[addr]
-			t.wireMu.Unlock()
-			if !st.idle || st.handled != mySent || st.sent != myHandled {
+			if !st.idle || st.handled != c.dataSent.Load() || st.sent != c.dataHandled.Load() {
 				quiet = false
 			}
-			cur[addr] = [2]int64{st.handled, st.sent}
+			cur[c] = [2]int64{st.handled, st.sent}
 		}
 		if !t.eng.idleNow() {
 			quiet = false
 		}
-		if quiet && mapsEqual(cur, prev) {
+		if quiet && maps.Equal(cur, prev) {
 			stable++
 		} else {
 			stable = 0
@@ -1290,20 +1275,25 @@ func (t *TCPTransport) Settle() {
 	}
 }
 
-func mapsEqual(a, b map[string][2]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
+// peerConns returns the live connections to processes of the host map
+// whose hello has arrived — registered or not: after simultaneous dials a
+// peer may send on a socket this process only reads.
+func (t *TCPTransport) peerConns() []*tcpConn {
+	peers := t.peerAddrs()
+	t.connMu.Lock()
+	defer t.connMu.Unlock()
+	var out []*tcpConn
+	for _, c := range t.allConns {
+		if !c.dead.Load() && slices.Contains(peers, c.peerAddr()) {
+			out = append(out, c)
 		}
 	}
-	return true
+	return out
 }
 
-// peerStatus asks one peer for its settle counters.
-func (t *TCPTransport) peerStatus(addr string, timeout time.Duration) (statusInfo, bool) {
+// peerStatus asks the peer at the far end of c for that connection's
+// settle counters.
+func (t *TCPTransport) peerStatus(c *tcpConn, timeout time.Duration) (statusInfo, bool) {
 	ch := make(chan statusInfo, 1)
 	t.statusMu.Lock()
 	t.nonce++
@@ -1312,7 +1302,7 @@ func (t *TCPTransport) peerStatus(addr string, timeout time.Duration) (statusInf
 	t.statusMu.Unlock()
 	var e wire.Enc
 	e.Uvarint(nonce)
-	if !t.enqueue(addr, kStatusReq, e.Bytes()) {
+	if !c.sendRaw(kStatusReq, e.Bytes()) {
 		t.statusMu.Lock()
 		delete(t.statusCh, nonce)
 		t.statusMu.Unlock()

@@ -277,6 +277,96 @@ func TestTCPReconnectWithBackoff(t *testing.T) {
 	}
 }
 
+// TestTCPSettleForgetsFramesLostWithConnection is the regression test for
+// a distributed Settle that never returned. A data frame is counted on a
+// connection whose far end cuts it unread, so no handler ever sees the
+// frame; a process then comes up at the same address and the redial loop
+// reaches it. Settle must compare the new connection's own counters and
+// return, instead of waiting forever for the frame that died with the old
+// socket.
+func TestTCPSettleForgetsFramesLostWithConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	g := topology.NewGraph(2)
+	if err := g.AddEdge(0, 1, 0.01); err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewTCPTransport(g, TCPConfig{
+		Listen:            "127.0.0.1:0",
+		Local:             []NodeID{0},
+		Hosts:             map[NodeID]string{1: addr},
+		ReconnectAttempts: 50,
+		ReconnectBackoff:  10 * time.Millisecond,
+		ReconnectMax:      50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.Close)
+
+	// The send dials the listener and counts its frame on that connection;
+	// the far end closes the socket without reading a byte.
+	a.SendNew("tcp-test", 0, 1, 0, tcpTestPayload{N: 1})
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	c.Close()
+	waitFor(t, "A to notice the cut", func() bool {
+		_, ok := a.liveConn(addr)
+		return !ok
+	})
+
+	b, err := NewTCPTransport(g, TCPConfig{
+		Listen: addr,
+		Local:  []NodeID{1},
+		Hosts:  map[NodeID]string{0: a.ListenAddr()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	var delivered atomic.Int64
+	b.SetHandler(1, func(*Message) { delivered.Add(1) })
+	waitFor(t, "the redial loop to reach the new process", func() bool {
+		_, ok := a.liveConn(addr)
+		return ok
+	})
+
+	settled := make(chan struct{})
+	go func() {
+		a.Settle()
+		close(settled)
+	}()
+	select {
+	case <-settled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Settle still waiting for a frame lost with a cut connection")
+	}
+	a.SendNew("tcp-test", 0, 1, 0, tcpTestPayload{N: 2})
+	a.Settle()
+	if got := delivered.Load(); got != 1 {
+		t.Fatalf("new process handled %d frames, want 1 (only the one sent after the cut)", got)
+	}
+}
+
+// waitFor polls cond every few milliseconds and fails the test when it has
+// not held within five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestTCPReconnectDisabled pins the opt-out: with a negative attempt budget
 // a broken link stays broken until a send-path dial re-establishes it.
 func TestTCPReconnectDisabled(t *testing.T) {

@@ -42,9 +42,8 @@ type Transport interface {
 	// Graph exposes the static overlay topology (immutable once the
 	// transport exists, so safe to read from any goroutine). Protocol code
 	// asks it the questions that need no transport state: hop distances
-	// (topology.Graph.Hops, the §4.1 closer-summary-peer comparison), the
-	// nearest-seed partition behind dispatch-group wiring, and the static
-	// neighbor list the liveness keepalive probes.
+	// (topology.Graph.Hops, the §4.1 closer-summary-peer comparison) and
+	// the static neighbor list the liveness keepalive probes.
 	Graph() *topology.Graph
 
 	// Liveness exposes the transport's membership view — the single truth
@@ -85,8 +84,8 @@ type Transport interface {
 	SelectiveWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult
 
 	// Counter exposes the per-type message counters — the unit of every
-	// cost figure in the paper. Every call returns a merged snapshot of
-	// the transport's ledgers; read it again for fresh totals.
+	// cost figure in the paper. Every call returns a fresh snapshot of
+	// the transport's ledger; read it again for fresh totals.
 	Counter() *stats.Counter
 	// Bytes exposes the per-type traffic volume counters (same snapshot
 	// contract as Counter; the ledger type states what a message costs).
@@ -95,25 +94,23 @@ type Transport interface {
 	// Exec runs fn serialized with message handlers and returns when fn
 	// has run. Protocol drivers wrap state mutations in it so they never
 	// race with handler-side mutation: on the single-threaded event
-	// engine it is a direct call; on the channel transport fn runs with
-	// every dispatch group quiesced (on the dispatcher goroutine itself
-	// in single-group mode, behind a barrier parking all dispatchers
-	// otherwise). fn must not call Exec or Settle (it would deadlock the
-	// dispatcher; the channel transport panics on the detectable cases).
+	// engine it is a direct call; on the goroutine-backed transports fn
+	// runs on the dispatcher goroutine between deliveries. fn must not
+	// call Exec or Settle (it would deadlock the dispatcher; those
+	// transports panic instead).
 	Exec(fn func())
 	// After schedules fn to run once, delaySeconds of virtual time from
-	// now, serialized with the message handlers of owner's dispatch group
-	// like a delivery (on the channel transport virtual seconds are
-	// scaled like link latencies and elapse in real time; on the event
-	// engine the timer is a regular event, so Settle's run-to-quiescence
-	// executes it as virtual time advances). owner names the node whose
-	// protocol state fn mutates — timers must be serialized with that
-	// node's handlers, and on a sharded-dispatch transport that means
-	// running in its group. After itself may be called from any
-	// serialized context (the driver, or a handler or timer of any node),
-	// so one node's handler can arm work for another. Protocols use After
-	// for loss-recovery timeouts (e.g. retransmitting a lost §4.2.2
-	// reconciliation token).
+	// now, serialized with the message handlers like a delivery (on the
+	// channel transport virtual seconds are scaled like link latencies and
+	// elapse in real time; on the event engine the timer is a regular
+	// event, so Settle's run-to-quiescence executes it as virtual time
+	// advances). owner names the node whose protocol state fn mutates —
+	// timers must be serialized with that node's handlers, which every
+	// transport's one serial lane guarantees. After itself may be called
+	// from any serialized context (the driver, or a handler or timer of
+	// any node), so one node's handler can arm work for another. Protocols
+	// use After for loss-recovery timeouts (e.g. retransmitting a lost
+	// §4.2.2 reconciliation token).
 	// On the channel transport a pending timer does not count as an
 	// in-flight message — Settle does not wait for it — and Close cancels
 	// timers that have not fired. fn must not call Exec or Settle.
@@ -155,13 +152,13 @@ type OriginScheduler interface {
 	AfterFrom(origin, owner NodeID, delaySeconds float64, fn func())
 }
 
-// DispatchGrouper is the optional interface of transports that shard
-// handler dispatch into concurrently running groups (ChannelTransport with
-// ChannelConfig.Dispatchers > 1). Protocol wiring uses it to align dispatch
-// groups with domains — internal/core maps every domain onto one group
-// (via topology.NearestSeeds over Transport.Graph), so independent domains
-// reconcile and answer queries in parallel while each domain's handlers
-// stay serialized.
+// DispatchGrouper named the dispatch groups a transport's handlers once
+// ran in. Every transport now runs its handlers on one serialized lane and
+// no protocol code probes for it.
+//
+// Deprecated: kept only because the bench module's tracing decorator
+// (bench/trace.go) asserts it; Network.DispatchGroups and
+// Network.SetGroupBy are its one implementation and go with it.
 type DispatchGrouper interface {
 	// DispatchGroups returns the number of dispatch groups (>= 1).
 	DispatchGroups() int
@@ -201,7 +198,6 @@ var (
 	_ Transport       = (*ChannelTransport)(nil)
 	_ Transport       = (*TCPTransport)(nil)
 	_ DispatchGrouper = (*Network)(nil)
-	_ DispatchGrouper = (*ChannelTransport)(nil)
 	_ Localizer       = (*TCPTransport)(nil)
 	_ OriginScheduler = (*Network)(nil)
 )

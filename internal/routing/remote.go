@@ -365,8 +365,8 @@ func decodeQueryResponse(data []byte) (any, error) {
 // QueryService evaluates MsgQuery messages at summary peers and correlates
 // MsgQueryResponse messages back to asking drivers. It installs itself as
 // the core system's extension handler, so the evaluation runs on the
-// summary peer's dispatch group — serialized with the domain's merges and
-// reconciliations — in whichever process hosts the summary peer.
+// dispatch lane — serialized with the domain's merges and reconciliations
+// — in whichever process hosts the summary peer.
 type QueryService struct {
 	sys *core.System
 
@@ -383,7 +383,7 @@ func NewQueryService(sys *core.System) *QueryService {
 	return qs
 }
 
-// handle runs on the receiving peer's dispatch group.
+// handle runs on the receiving peer's dispatch lane.
 func (qs *QueryService) handle(p *core.Peer, msg *p2p.Message) {
 	switch msg.Type {
 	case MsgQuery:

@@ -215,9 +215,8 @@ func (g *Graph) hops(sc *bfsScratch, a, b, max int) int {
 // hub) with the given uniform edge latency, returning the graph and the
 // hub ids. Unlike the generators above it is deliberately NOT connected:
 // the components model fully independent summary domains, which makes
-// protocol runs on the concurrent transport deterministic (no cross-domain
-// message races) — the fixture behind the dispatcher-sharding equivalence
-// tests, benchmarks and the concurrency experiment.
+// protocol runs on the concurrent transport free of cross-domain message
+// races — the fixture of the protocol tests that need independent domains.
 func DisjointStars(clusters, size int, latency float64) (*Graph, []int) {
 	if clusters < 1 || size < 2 {
 		panic(fmt.Sprintf("topology: DisjointStars needs clusters >= 1 and size >= 2, got %d, %d", clusters, size))
@@ -235,44 +234,6 @@ func DisjointStars(clusters, size int, latency float64) (*Graph, []int) {
 	}
 	g.Compact()
 	return g, hubs
-}
-
-// NearestSeeds partitions the nodes by hop distance to a set of seed
-// nodes: out[v] is the index (into seeds) of the seed closest to v, with
-// ties broken on the lower seed index, or -1 when no seed reaches v. One
-// multi-source BFS, O(V+E). It is the partition the sharded channel
-// transport uses to map summary-management domains onto dispatch groups:
-// seeds are the elected summary peers, and every node lands in the group
-// of the summary peer whose broadcast reaches it first.
-func NearestSeeds(g *Graph, seeds []int) []int {
-	out := make([]int, g.n)
-	for i := range out {
-		out[i] = -1
-	}
-	var frontier []int
-	for idx, s := range seeds {
-		if s < 0 || s >= g.n || out[s] >= 0 {
-			continue // out of range or duplicate seed: first index wins
-		}
-		out[s] = idx
-		frontier = append(frontier, s)
-	}
-	// Level-synchronous BFS; within a level the frontier keeps seed-index
-	// order, so the first seed to reach a node is the lowest-indexed one
-	// among the equidistant seeds.
-	for len(frontier) > 0 {
-		var next []int
-		for _, u := range frontier {
-			for _, v := range g.adj[u] {
-				if out[v] < 0 {
-					out[v] = out[u]
-					next = append(next, v)
-				}
-			}
-		}
-		frontier = next
-	}
-	return out
 }
 
 // LatencyModel draws per-edge latencies.

@@ -368,50 +368,6 @@ func TestAvgPathLengthEdgeCases(t *testing.T) {
 	}
 }
 
-func TestNearestSeeds(t *testing.T) {
-	// Path 0-1-2-3-4-5 with seeds at 0 and 5: nodes split at the middle,
-	// the equidistant node 2 (2 hops from 0, 3 from 5)... build explicitly.
-	g := NewGraph(6)
-	for u := 0; u < 5; u++ {
-		if err := g.AddEdge(u, u+1, 0.01); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := NearestSeeds(g, []int{0, 5})
-	want := []int{0, 0, 0, 1, 1, 1}
-	for v := range want {
-		if got[v] != want[v] {
-			t.Errorf("node %d: owner %d, want %d (full %v)", v, got[v], want[v], got)
-		}
-	}
-
-	// Equidistant ties break on the lower seed index: node 2 on a path of
-	// 5 is 2 hops from both seeds.
-	g5 := NewGraph(5)
-	for u := 0; u < 4; u++ {
-		if err := g5.AddEdge(u, u+1, 0.01); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := NearestSeeds(g5, []int{4, 0}); got[2] != 0 {
-		// seeds[0]=4, seeds[1]=0: node 2 is 2 hops from each; index 0 wins.
-		t.Errorf("tie broke to seed index %d, want 0 (full %v)", got[2], got)
-	}
-
-	// Unreachable nodes report -1.
-	g2 := NewGraph(4)
-	if err := g2.AddEdge(0, 1, 0.01); err != nil {
-		t.Fatal(err)
-	}
-	if err := g2.AddEdge(2, 3, 0.01); err != nil {
-		t.Fatal(err)
-	}
-	got = NearestSeeds(g2, []int{0})
-	if got[0] != 0 || got[1] != 0 || got[2] != -1 || got[3] != -1 {
-		t.Errorf("disconnected ownership = %v", got)
-	}
-}
-
 func TestDisjointStars(t *testing.T) {
 	g, hubs := DisjointStars(3, 5, 0.02)
 	if g.Len() != 15 || len(hubs) != 3 {
@@ -429,13 +385,6 @@ func TestDisjointStars(t *testing.T) {
 			if g.Degree(v) != 1 || !g.HasEdge(hub, v) {
 				t.Errorf("spoke %d not a leaf of hub %d", v, hub)
 			}
-		}
-	}
-	// Each cluster owns exactly its own nodes under NearestSeeds.
-	owners := NearestSeeds(g, hubs)
-	for v := 0; v < g.Len(); v++ {
-		if owners[v] != v/5 {
-			t.Errorf("node %d owned by %d, want %d", v, owners[v], v/5)
 		}
 	}
 }

@@ -75,13 +75,6 @@ type SimOptions struct {
 	// reconciliation deltas apply per shard and queries fan out across
 	// shards. 0 or 1 keeps the paper's single-tree layout.
 	Shards int
-	// Dispatchers shards the channel transport's handler dispatch into
-	// this many concurrently running groups (TransportChannel only; the
-	// event engine is single-threaded by design). Construct maps every
-	// domain onto one group, so independent domains reconcile and answer
-	// in parallel while each domain's handlers stay serialized. 0 or 1
-	// keeps the single-dispatcher layout.
-	Dispatchers int
 }
 
 // TransportKind names a Transport implementation.
@@ -139,9 +132,6 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 	if opts.ConstructionTTL == 0 {
 		opts.ConstructionTTL = 2
 	}
-	if opts.Dispatchers < 0 {
-		return nil, guardf("p2psum: Dispatchers %d must be >= 0", opts.Dispatchers)
-	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var g *topology.Graph
 	var err error
@@ -167,14 +157,10 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 		}
 		ccfg := p2p.DefaultChannelConfig()
 		ccfg.LossRate = opts.LossRate
-		ccfg.Dispatchers = opts.Dispatchers
 		net = p2p.NewChannelTransport(g, opts.Seed, ccfg)
 	default:
 		if opts.LossRate != 0 {
 			return nil, guardf("p2psum: LossRate requires TransportChannel")
-		}
-		if opts.Dispatchers > 1 {
-			return nil, guardf("p2psum: Dispatchers requires TransportChannel")
 		}
 		engine = sim.New()
 		net = p2p.NewNetwork(engine, g, opts.Seed)
