@@ -54,18 +54,17 @@ func TestChannelTransportDelivery(t *testing.T) {
 }
 
 func TestChannelTransportHandlersSendMore(t *testing.T) {
-	// Handlers that relay must have their sends drained by Settle too,
-	// down a chain of several hops.
+	// Handlers that relay must have their sends drained by Settle too.
 	g := testGraph(t, 16, 2)
 	ct := NewChannelTransport(g, 2, ChannelConfig{})
 	defer ct.Close()
 
 	var mu sync.Mutex
 	reached := 0
-	ct.SetHandler(1, func(msg *Message) { ct.SendNew("relay", 1, 5, 0, nil) })
-	ct.SetHandler(5, func(msg *Message) { ct.SendNew("relay", 5, 10, 0, nil) })
-	ct.SetHandler(10, func(msg *Message) { ct.SendNew("relay", 10, 15, 0, nil) })
-	ct.SetHandler(15, func(msg *Message) {
+	ct.SetHandler(1, func(msg *Message) {
+		ct.SendNew("relay", 1, 2, 0, nil)
+	})
+	ct.SetHandler(2, func(msg *Message) {
 		mu.Lock()
 		reached++
 		mu.Unlock()
@@ -76,7 +75,31 @@ func TestChannelTransportHandlersSendMore(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if reached != 1 {
-		t.Fatalf("relay chain incomplete before Settle returned (reached=%d)", reached)
+		t.Fatalf("relayed message not delivered before Settle returned (reached=%d)", reached)
+	}
+}
+
+// TestGroupedSettleWaitsForRelays: a relay chain that hops across the
+// clusters of a grouped (disjoint-star) topology is drained, every hop,
+// before Settle returns.
+func TestGroupedSettleWaitsForRelays(t *testing.T) {
+	g, _ := topology.DisjointStars(4, 4, 0.02)
+	ct := NewChannelTransport(g, 1, ChannelConfig{})
+	defer ct.Close()
+
+	var mu sync.Mutex
+	reached := 0
+	// 0 -> 5 -> 10 -> 15, one hop into each of the four clusters.
+	ct.SetHandler(5, func(msg *Message) { ct.SendNew("relay", 5, 10, 0, nil) })
+	ct.SetHandler(10, func(msg *Message) { ct.SendNew("relay", 10, 15, 0, nil) })
+	ct.SetHandler(15, func(msg *Message) { mu.Lock(); reached++; mu.Unlock() })
+	ct.SendNew("start", 0, 5, 0, nil)
+	ct.Settle()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if reached != 1 {
+		t.Fatalf("cross-cluster relay chain incomplete before Settle returned (reached=%d)", reached)
 	}
 }
 
@@ -245,22 +268,26 @@ func TestPerNodeSerialization(t *testing.T) {
 // Exec-from-handler deadlock: the transport detects the misuse and panics
 // with a diagnosable message instead of hanging the dispatcher forever.
 func TestExecFromHandlerPanics(t *testing.T) {
-	ct := NewChannelTransport(testGraph(t, 8, 8), 8, ChannelConfig{})
-	defer ct.Close()
-	var recovered atomic.Value
-	ct.SetHandler(1, func(msg *Message) {
-		defer func() {
-			if r := recover(); r != nil {
-				recovered.Store(r)
-			}
-		}()
-		ct.Exec(func() {}) // would deadlock; must panic
+	// A transport has exactly one dispatcher goroutine; the case keeps the
+	// name it had when the dispatcher count was a setting.
+	t.Run("dispatchers=1", func(t *testing.T) {
+		ct := NewChannelTransport(testGraph(t, 8, 8), 8, ChannelConfig{})
+		defer ct.Close()
+		var recovered atomic.Value
+		ct.SetHandler(1, func(msg *Message) {
+			defer func() {
+				if r := recover(); r != nil {
+					recovered.Store(r)
+				}
+			}()
+			ct.Exec(func() {}) // would deadlock; must panic
+		})
+		ct.SendNew("poke", 0, 1, 0, nil)
+		ct.Settle()
+		if r, _ := recovered.Load().(string); r == "" {
+			t.Fatal("Exec from a handler did not panic")
+		}
 	})
-	ct.SendNew("poke", 0, 1, 0, nil)
-	ct.Settle()
-	if r, _ := recovered.Load().(string); r == "" {
-		t.Fatal("Exec from a handler did not panic")
-	}
 }
 
 // TestSettleFromHandlerPanics: same protection for Settle, which can never
