@@ -294,14 +294,17 @@
 //
 // The engine holds no clocks and draws no randomness: on the
 // discrete-event Network a scripted run is bit-for-bit reproducible, and
-// RunFaultsScenario sweeps partition/flashcrowd/adversary severities into
-// time-to-reconverge, repair-traffic and coverage-dip series
-// (BENCH_faults.json). Proactive summary-peer re-election
-// (Config.ProactiveElection) rides the same machinery: a confirmed death
-// of a summary peer triggers a deterministic successor pick, proposed as
-// a codec-registered MsgElect and adopted domain-wide, so a domain
-// survives its summary peer without waiting for every member's push to
-// fail.
+// RunFaultsScenario sweeps partition/flashcrowd/adversary/spkill
+// severities into time-to-reconverge, repair-traffic and coverage-dip
+// series (BENCH_faults.json). Proactive summary-peer re-election
+// (Config.ProactiveElection) rides the same machinery and adds no
+// message: a confirmed death of a summary peer lets every surviving
+// member compute the same successor from its liveness view; the
+// successor promotes itself with a self-claim that names the peer it
+// replaces (a successor mark in the gossip entry), and the members adopt
+// it once that claim reaches their view. A domain thus survives its
+// summary peer without waiting for every member's push to fail; the
+// spkill points measure it.
 //
 // # The serving edge
 //

@@ -111,8 +111,8 @@ func RunChurnScenario(cfg ExperimentConfig) (*ResultTable, *ChurnScenarioResult,
 type FaultsScenarioResult = experiments.FaultsResult
 
 // RunFaultsScenario scripts the fault-scenario engine over the
-// discrete-event overlay — partitions, flash crowds, adversarial gossip —
-// at increasing severities and reports time-to-reconverge, repair traffic
+// discrete-event overlay — partitions, flash crowds, adversarial gossip,
+// silent summary-peer kills — at increasing severities and reports time-to-reconverge, repair traffic
 // and the query-coverage dip per point.
 func RunFaultsScenario(cfg ExperimentConfig) (*ResultTable, *FaultsScenarioResult, error) {
 	return experiments.FaultsExperiment(cfg)

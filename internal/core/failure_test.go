@@ -233,3 +233,31 @@ func TestConfirmedSummaryPeerDeathElectsOneSuccessor(t *testing.T) {
 		}
 	}
 }
+
+// TestCoverageCountsStrandedClients: right after a summary peer fails
+// silently, before any repair runs, its clients still claim it in the
+// view but belong to no live domain, so Coverage must read below 1 — a
+// reconvergence check built on it would otherwise pass at the kill.
+func TestCoverageCountsStrandedClients(t *testing.T) {
+	sys, e := newTestSystem(t, 200, 11, DefaultConfig())
+	sps := sys.ElectSummaryPeers(4)
+	if err := sys.Construct(); err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	if cov := sys.Coverage(); cov != 1 {
+		t.Fatalf("coverage after construction = %v, want 1", cov)
+	}
+	dead := sps[0]
+	stranded := len(sys.DomainMembers(dead)) - 1
+	if stranded == 0 {
+		t.Fatal("the failing summary peer has an empty domain")
+	}
+	sys.Leave(dead, false)
+	online := sys.Transport().Liveness().OnlineCount()
+	want := float64(online-stranded) / float64(online)
+	if cov := sys.Coverage(); cov != want {
+		t.Fatalf("coverage after a silent summary-peer failure = %v, want %v (%d of %d online clients stranded)",
+			cov, want, stranded, online)
+	}
+}

@@ -164,9 +164,10 @@ func (s *System) piggyback(p *Peer, target p2p.NodeID) *GossipTail {
 
 // absorbTail merges a received gossip tail into the view, updates the
 // link's protocol state (the partner's version, their ack of ours, restart
-// detection), and — for a first-hand gossip message — answers the sender
-// once when this process holds strictly newer information (refuted claims
-// about local nodes, or facts the sender has not heard yet).
+// detection), runs the elections the merged entries move (repairOrphans),
+// and — for a first-hand gossip message — answers the sender once when
+// this process holds strictly newer information (refuted claims about
+// local nodes, or facts the sender has not heard yet).
 func (s *System) absorbTail(p *Peer, from p2p.NodeID, tail *GossipTail, mayReply bool) {
 	if tail == nil {
 		return
@@ -182,7 +183,7 @@ func (s *System) absorbTail(p *Peer, from p2p.NodeID, tail *GossipTail, mayReply
 	// A delta brings this view up to the partner's Ver only relative to the
 	// base the partner assumed; the Ack below tells them what that was, and
 	// the periodic resync covers any residual divergence.
-	_, newerLocal := view.MergeChanges(tail.Delta)
+	changed, newerLocal := view.MergeChanges(tail.Delta)
 	if tail.Ver > l.seen {
 		l.seen = tail.Ver
 	}
@@ -200,13 +201,10 @@ func (s *System) absorbTail(p *Peer, from p2p.NodeID, tail *GossipTail, mayReply
 		s.net.SendNew(MsgGossip, p.id, from, 0,
 			GossipPayload{Tail: s.tailFor(p, from), Reply: true})
 	}
-	// The merged tail may have brought the confirmed death of p's own
-	// summary peer: run the proactive election from the partner that just
-	// learned it (every precondition is re-checked inside).
-	if s.cfg.ProactiveElection && p.role == RoleClient {
-		if sp := p.curSP(); sp >= 0 && view.StateOf(int(sp)) == liveness.Dead {
-			s.electSuccessor(p, sp)
-		}
+	// The merged tail may have moved an election: a summary peer's death,
+	// its successor's claim, a member first heard of.
+	if changed != nil {
+		s.repairOrphans()
 	}
 }
 

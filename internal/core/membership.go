@@ -148,13 +148,6 @@ func (s *System) onDrop(msg *p2p.Message) {
 		// so the count is consistent as it stands.
 		sender := s.peers[msg.From]
 		sender.forwardReconcile(pl)
-	case MsgElect:
-		// A lost proposal clears the dedupe marker so the next trigger
-		// (another absorbed tail, the confirmation nudge) retries it.
-		p := s.peers[msg.From]
-		if pl, ok := msg.Payload.(ElectPayload); ok && p.electProposed == pl.Dead {
-			p.electProposed = -1
-		}
 	}
 }
 
@@ -196,17 +189,20 @@ func (s *System) domainSizes() []int {
 }
 
 // Coverage returns the fraction of online peers that currently belong to a
-// domain (the paper's summary Coverage, Definition 4 context), computed
-// from one snapshot of the liveness view so all processes of a deployment
-// agree.
+// live domain (the paper's summary Coverage, Definition 4 context): a node
+// counts as covered only while the summary peer it claims is Alive, so the
+// clients of a departed summary peer count as stranded until they
+// re-home. Computed from one snapshot of the liveness view so all
+// processes of a deployment agree.
 func (s *System) Coverage() float64 {
+	entries := s.net.Liveness().Snapshot()
 	online, covered := 0, 0
-	for _, e := range s.net.Liveness().Snapshot() {
+	for _, e := range entries {
 		if e.State != liveness.Alive {
 			continue
 		}
 		online++
-		if e.SP != liveness.NoSP {
+		if e.SP >= 0 && e.SP < len(entries) && entries[e.SP].State == liveness.Alive {
 			covered++
 		}
 	}

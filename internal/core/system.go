@@ -28,7 +28,6 @@ const (
 	MsgPush      = "push"      // freshness notification (§4.2.1)
 	MsgReconcile = "reconcile" // ring reconciliation (§4.2.2)
 	MsgRelease   = "release"   // summary-peer departure notice (§4.3)
-	MsgElect     = "elect"     // proactive summary-peer re-election (§4.3 extension)
 )
 
 // Role distinguishes clients from summary peers.
@@ -107,9 +106,11 @@ type Config struct {
 	// death: when the liveness view confirms a domain's summary peer
 	// Dead, the surviving partners elect a deterministic successor — the
 	// highest-degree online member of the orphaned domain, ties to the
-	// lower id — through a MsgElect propose/promote/announce exchange,
-	// instead of each partner independently walking for a new domain.
-	// Off by default: the paper's baseline reaction is the find walk.
+	// lower id — from their liveness views alone (the winner's self-claim
+	// names the peer it replaces, and the others adopt it once that claim
+	// reaches them), instead of each partner independently walking for a
+	// new domain. Off by default: the paper's baseline reaction is the
+	// find walk.
 	ProactiveElection bool
 }
 
@@ -145,15 +146,6 @@ type Peer struct {
 	seenRounds map[sumpeerKey]bool
 	gossipTick int                        // round-robin cursor over the node's gossip targets
 	links      map[p2p.NodeID]*gossipLink // per-partner delta-gossip state (see gossipLink)
-	// electProposed is the dead summary peer a MsgElect proposal is in
-	// flight for (-1 none); it dedupes proposals while the successor's
-	// announcement travels, and a dropped proposal clears it for retry.
-	electProposed p2p.NodeID
-	// pendingElect parks a successor announcement that arrived before the
-	// gossip justifying it (the death, the successor's self-claim);
-	// electSuccessor re-validates it against the view once the death is
-	// known here. Nil when nothing is parked.
-	pendingElect *ElectPayload
 
 	// Summary-peer state.
 	gs           summarystore.Store
@@ -334,15 +326,6 @@ type System struct {
 	statsMu sync.Mutex
 	stats   Stats
 
-	// electMu guards elected: dead summary peer -> successor this process
-	// promoted or learned from an announcement. The record is what keeps
-	// one death from minting several summary peers — once a successor
-	// resolved, later election triggers attach to it instead of
-	// re-evaluating (the promoted successor no longer claims the dead
-	// peer's domain, so a re-evaluation would crown the next member).
-	electMu sync.Mutex
-	elected map[p2p.NodeID]p2p.NodeID
-
 	// OnReconcile, if set, observes every completed reconciliation with
 	// the set of merged partners (experiments hook this). It runs on the
 	// transport's dispatch lane, concurrently with driver goroutines;
@@ -389,7 +372,7 @@ func NewSystem(net p2p.Transport, cfg Config) (*System, error) {
 	s := &System{cfg: cfg, net: net}
 	s.peers = make([]*Peer, net.Len())
 	for i := range s.peers {
-		p := &Peer{sys: s, id: p2p.NodeID(i), seenRounds: make(map[sumpeerKey]bool), electProposed: -1}
+		p := &Peer{sys: s, id: p2p.NodeID(i), seenRounds: make(map[sumpeerKey]bool)}
 		p.clearSP()
 		s.peers[i] = p
 		net.SetHandler(p.id, p.handle)
@@ -477,8 +460,6 @@ func (p *Peer) handle(msg *p2p.Message) {
 		p.onReconcile(msg)
 	case MsgRelease:
 		p.onRelease(msg)
-	case MsgElect:
-		p.onElect(msg)
 	case MsgGossip:
 		p.onGossip(msg)
 	default:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"p2psum/internal/liveness"
 	"p2psum/internal/p2p"
@@ -27,7 +28,6 @@ func init() {
 	wire.Register(MsgPush, wire.PayloadCodec{Encode: encodePush, Decode: decodePush})
 	wire.Register(MsgReconcile, wire.PayloadCodec{Encode: encodeReconcile, Decode: decodeReconcile})
 	wire.Register(MsgGossip, wire.PayloadCodec{Encode: encodeGossip, Decode: decodeGossip})
-	wire.Register(MsgElect, wire.PayloadCodec{Encode: encodeElect, Decode: decodeElect})
 }
 
 // badPayload reports a payload whose concrete type does not match its
@@ -139,8 +139,10 @@ func encodeLivenessEntries(e *wire.Enc, d liveness.Delta) {
 // decodeLivenessEntries reverses encodeLivenessEntries into a sparse delta
 // with ids 0..n-1 (empty for an empty vector), in one exact-size
 // allocation. Truncation latches into the Dec for Done to report; an
-// invalid state value is a hard error — it cannot rely on Done, because
-// the corrupt entry may be the vector's last and leave no unread tail.
+// invalid state value or successor mark is a hard error — it cannot rely
+// on Done, because the corrupt entry may be the vector's last and leave
+// no unread tail. (A mark naming a node beyond this view is left to the
+// merge, which knows the view's size.)
 func decodeLivenessEntries(d *wire.Dec) (liveness.Delta, error) {
 	n := d.Count()
 	if d.Err() != nil || n == 0 {
@@ -148,12 +150,12 @@ func decodeLivenessEntries(d *wire.Dec) (liveness.Delta, error) {
 	}
 	out := make([]liveness.Change, n)
 	for id := range out {
-		en := liveness.ReadEntry(d)
+		en := liveness.ReadEntry(d, id)
 		if d.Err() != nil {
 			return liveness.Delta{}, d.Err()
 		}
-		if en.State > liveness.Dead {
-			return liveness.Delta{}, fmt.Errorf("core: invalid liveness state %d in gossip vector", en.State)
+		if !en.Valid(id, math.MaxInt32) {
+			return liveness.Delta{}, fmt.Errorf("core: invalid liveness entry %+v for node %d in gossip vector", en, id)
 		}
 		out[id] = liveness.Change{ID: id, E: en}
 	}
@@ -182,7 +184,7 @@ func encodeLivenessChanges(e *wire.Enc, d liveness.Delta) {
 
 // decodeLivenessChanges reverses encodeLivenessChanges into a sparse delta
 // (empty for an empty one), in one exact-size allocation. A zero id gap or
-// an invalid state is a hard error, like in decodeLivenessEntries.
+// an invalid state or mark is a hard error, like in decodeLivenessEntries.
 func decodeLivenessChanges(d *wire.Dec) (liveness.Delta, error) {
 	n := d.Count()
 	if d.Err() != nil || n == 0 {
@@ -192,17 +194,17 @@ func decodeLivenessChanges(d *wire.Dec) (liveness.Delta, error) {
 	prev := -1
 	for i := range out {
 		gap := d.Uvarint()
-		en := liveness.ReadEntry(d)
+		id := prev + int(gap)
+		en := liveness.ReadEntry(d, id)
 		if d.Err() != nil {
 			return liveness.Delta{}, d.Err()
 		}
 		if gap == 0 {
 			return liveness.Delta{}, fmt.Errorf("core: non-ascending id in gossip delta")
 		}
-		if en.State > liveness.Dead {
-			return liveness.Delta{}, fmt.Errorf("core: invalid liveness state %d in gossip delta", en.State)
+		if !en.Valid(id, math.MaxInt32) {
+			return liveness.Delta{}, fmt.Errorf("core: invalid liveness entry %+v for node %d in gossip delta", en, id)
 		}
-		id := prev + int(gap)
 		out[i] = liveness.Change{ID: id, E: en}
 		prev = id
 	}
@@ -275,25 +277,6 @@ func decodeGossip(data []byte) (any, error) {
 	}
 	p := GossipPayload{Tail: tail}
 	p.Reply = d.Bool()
-	return p, d.Done()
-}
-
-func encodeElect(e *wire.Enc, payload any) error {
-	p, ok := payload.(ElectPayload)
-	if !ok {
-		return badPayload(MsgElect, payload)
-	}
-	e.Varint(int64(p.Dead))
-	e.Varint(int64(p.Successor))
-	return nil
-}
-
-func decodeElect(data []byte) (any, error) {
-	d := wire.NewDec(data)
-	p := ElectPayload{
-		Dead:      p2p.NodeID(d.Varint()),
-		Successor: p2p.NodeID(d.Varint()),
-	}
 	return p, d.Done()
 }
 

@@ -94,13 +94,15 @@ func TestPushCodecRoundTrip(t *testing.T) {
 }
 
 // sampleLivenessEntries exercises every state, incarnation sizes past one
-// varint byte, and both SP claim shapes.
+// varint byte, and every SP claim shape: none, a domain, a successor's
+// marked self-claim.
 func sampleLivenessEntries() []liveness.Entry {
 	return []liveness.Entry{
 		{State: liveness.Alive, Inc: 0, SP: liveness.NoSP},
 		{State: liveness.Suspect, Inc: 7, SP: 0},
 		{State: liveness.Dead, Inc: 1 << 40, SP: 4093},
 		{State: liveness.Alive, Inc: 12, SP: 2},
+		liveness.Entry{State: liveness.Alive, Inc: 13, SP: 4}.Succeeding(1),
 	}
 }
 
@@ -115,7 +117,7 @@ func sampleDeltaTail() *GossipTail {
 	return &GossipTail{
 		Delta: liveness.Changes([]liveness.Change{
 			{ID: 0, E: liveness.Entry{State: liveness.Alive, Inc: 3, SP: liveness.NoSP}},
-			{ID: 7, E: liveness.Entry{State: liveness.Suspect, Inc: 1 << 33, SP: 7}},
+			{ID: 7, E: liveness.Entry{State: liveness.Suspect, Inc: 1 << 33, SP: 7}.Succeeding(0)},
 			{ID: 499, E: liveness.Entry{State: liveness.Dead, Inc: 2, SP: 4}},
 		}),
 		Ver: 1 << 20, Ack: 3,
@@ -239,8 +241,9 @@ func TestGossipCodecRejectsInvalidState(t *testing.T) {
 	}
 }
 
-// TestGossipCodecRejectsBadDelta: delta tails reject an invalid state and
-// a zero id gap (ids must ascend) even on the last entry.
+// TestGossipCodecRejectsBadDelta: delta tails reject an invalid state, a
+// successor mark naming its own node and a zero id gap (ids must ascend)
+// even on the last entry.
 func TestGossipCodecRejectsBadDelta(t *testing.T) {
 	c, _ := wire.Lookup(MsgGossip)
 	bad := func(build func(e *wire.Enc)) []byte {
@@ -260,6 +263,15 @@ func TestGossipCodecRejectsBadDelta(t *testing.T) {
 	})
 	if _, err := c.Decode(invalidState); err == nil {
 		t.Fatal("delta with an invalid trailing state decoded successfully")
+	}
+	selfSuccession := bad(func(e *wire.Enc) {
+		e.Uvarint(1) // one change
+		e.Uvarint(4) // id 3
+		e.Uvarint(5 << 2)
+		e.Varint(-2 - 3) // marked self-claim succeeding node 3 itself
+	})
+	if _, err := c.Decode(selfSuccession); err == nil {
+		t.Fatal("delta with a self-succession mark decoded successfully")
 	}
 	zeroGap := bad(func(e *wire.Enc) {
 		e.Uvarint(2)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"p2psum/internal/core"
@@ -15,7 +16,7 @@ import (
 
 // The faults experiment: the fault-scenario engine (internal/scenario)
 // scripted over the discrete-event Network at increasing severities, one
-// deterministic run per (scenario, severity) point. Three scenario
+// deterministic run per (scenario, severity) point. Four scenario
 // families cover the §4.3 failure modes the tests pin qualitatively:
 //
 //   - partition: a fraction of every domain's members is severed from
@@ -37,6 +38,11 @@ import (
 //     claims injected into live gossip; measured is the refutation
 //     traffic, with the invariants that no suspicion is filed, no
 //     election fires and no domain moves.
+//   - spkill: a fraction of the summary peers fails silently at once;
+//     measured is the time and traffic until every orphaned domain has a
+//     successor (the proactive election, armed in every run) and honors
+//     the freshness contract again, with the coverage dip of the
+//     stranded clients in between.
 //
 // Every run reports time-to-reconverge (virtual seconds until views match
 // the scripted ground truth, coverage is back to 1, and every domain
@@ -48,7 +54,8 @@ import (
 type FaultsPoint struct {
 	Scenario string `json:"scenario"`
 	// Severity is the scenario's dial: fraction of members severed, crowd
-	// fraction rejoining, or forged claims per wave.
+	// fraction rejoining, forged claims per wave, or fraction of summary
+	// peers killed.
 	Severity float64 `json:"severity"`
 	// TimeToReconvergeSec is the virtual time from the fault clearing to
 	// reconvergence (views truthful, coverage 1, freshness repaired).
@@ -104,8 +111,9 @@ type faultsRun struct {
 // newFaultsRun builds and constructs the overlay every faults point runs
 // against: Barabási–Albert scale-free, proactive election armed, gossip
 // piggyback per scenario (see the package comment on why the partition
-// scenario runs gossip-off on the shared-view transport).
-func newFaultsRun(cfg Config, n, domains int, seed int64, gossip bool) (*faultsRun, error) {
+// scenario runs gossip-off on the shared-view transport) and the given
+// suspect -> dead confirmation delay.
+func newFaultsRun(cfg Config, n, domains int, seed int64, gossip bool, suspectSec float64) (*faultsRun, error) {
 	g, err := topology.BarabasiAlbert(n, 2, nil, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, err
@@ -118,9 +126,7 @@ func newFaultsRun(cfg Config, n, domains int, seed int64, gossip bool) (*faultsR
 	sysCfg.Alpha = faultsAlpha
 	sysCfg.GossipPiggyback = gossip
 	sysCfg.ProactiveElection = true
-	// Splits last less than the confirmation timeout: a partition must
-	// degrade as an unconfirmed suspicion, not as a wave of deaths.
-	sysCfg.SuspectTimeout = 2 * faultsSplitSec
+	sysCfg.SuspectTimeout = suspectSec
 	sys, err := core.NewSystem(net, sysCfg)
 	if err != nil {
 		return nil, err
@@ -144,6 +150,13 @@ func newFaultsRun(cfg Config, n, domains int, seed int64, gossip bool) (*faultsR
 
 // faultsSplitSec is how long a partition stays severed (virtual seconds).
 const faultsSplitSec = 300
+
+// faultsSuspectSec is the confirmation delay of every scenario but spkill:
+// splits last less than it, so a partition degrades as an unconfirmed
+// suspicion, not as a wave of deaths. The spkill scenario confirms after
+// the protocol default (core.DefaultSuspectTimeout): there the death is
+// real, and its confirmation starts the repair.
+const faultsSuspectSec = 2 * faultsSplitSec
 
 // faultsAlpha is the freshness threshold every faults run uses.
 const faultsAlpha = 0.1
@@ -261,7 +274,7 @@ func (r *faultsRun) spokesBySP() map[p2p.NodeID][]p2p.NodeID {
 // so the drop paths fire, then heals and measures the repair.
 func runPartitionPoint(cfg Config, n, domains int, frac float64) (FaultsPoint, error) {
 	pt := FaultsPoint{Scenario: "partition", Severity: frac}
-	r, err := newFaultsRun(cfg, n, domains, cfg.Seed+int64(10000*frac), false)
+	r, err := newFaultsRun(cfg, n, domains, cfg.Seed+int64(10000*frac), false, faultsSuspectSec)
 	if err != nil {
 		return pt, err
 	}
@@ -300,7 +313,7 @@ func runPartitionPoint(cfg Config, n, domains int, frac float64) (FaultsPoint, e
 // as one shaped burst and measures the absorption.
 func runFlashCrowdPoint(cfg Config, n, domains int, frac float64) (FaultsPoint, error) {
 	pt := FaultsPoint{Scenario: "flashcrowd", Severity: frac}
-	r, err := newFaultsRun(cfg, n, domains, cfg.Seed+int64(20000*frac), true)
+	r, err := newFaultsRun(cfg, n, domains, cfg.Seed+int64(20000*frac), true, faultsSuspectSec)
 	if err != nil {
 		return pt, err
 	}
@@ -346,7 +359,7 @@ func runFlashCrowdPoint(cfg Config, n, domains int, frac float64) (FaultsPoint, 
 // domain claims and measures the refutation.
 func runAdversaryPoint(cfg Config, n, domains, perWave int) (FaultsPoint, error) {
 	pt := FaultsPoint{Scenario: "adversary", Severity: float64(perWave)}
-	r, err := newFaultsRun(cfg, n, domains, cfg.Seed+int64(30000+perWave), true)
+	r, err := newFaultsRun(cfg, n, domains, cfg.Seed+int64(30000+perWave), true, faultsSuspectSec)
 	if err != nil {
 		return pt, err
 	}
@@ -389,24 +402,48 @@ func runAdversaryPoint(cfg Config, n, domains, perWave int) (FaultsPoint, error)
 	return pt, err
 }
 
-// faultsSeverities returns the per-scenario severity sweeps.
-func faultsSeverities() (partition, flashcrowd []float64, adversary []int) {
-	return []float64{0.125, 0.25, 0.5},
-		[]float64{0.25, 0.5, 0.75},
-		[]int{8, 32, 128}
+// runSPKillPoint fails ceil(frac × domains) summary peers silently at
+// once, spread evenly over the roster, and measures the repair from the
+// kill on: the suspicions confirm, each orphaned domain elects its
+// successor, and the background load drives the rings that refresh the
+// new global summaries.
+func runSPKillPoint(cfg Config, n, domains int, frac float64) (FaultsPoint, error) {
+	pt := FaultsPoint{Scenario: "spkill", Severity: frac}
+	r, err := newFaultsRun(cfg, n, domains, cfg.Seed+int64(40000*frac), true, core.DefaultSuspectTimeout)
+	if err != nil {
+		return pt, err
+	}
+	k := int(math.Ceil(frac * float64(len(r.sps))))
+	err = r.measureRepair(&pt, func() (float64, error) {
+		for i := 0; i < k; i++ {
+			r.eng.Fail(r.sps[i*len(r.sps)/k])
+		}
+		r.sampleDip()
+		return r.driveUntilReconverged()
+	})
+	pt.CoverageDip = r.dip
+	return pt, err
 }
 
-// FaultsExperiment runs the three scenario families across their severity
+// faultsSeverities returns the per-scenario severity sweeps.
+func faultsSeverities() (partition, flashcrowd []float64, adversary []int, spkill []float64) {
+	return []float64{0.125, 0.25, 0.5},
+		[]float64{0.25, 0.5, 0.75},
+		[]int{8, 32, 128},
+		[]float64{1.0 / 25, 1.0 / 5, 1.0 / 2}
+}
+
+// FaultsExperiment runs the four scenario families across their severity
 // sweeps, one deterministic simulation per point across cfg.Workers.
 func FaultsExperiment(cfg Config) (*stats.Table, *FaultsResult, error) {
 	n, domains := faultsFleet(cfg)
-	partFracs, crowdFracs, advWaves := faultsSeverities()
+	partFracs, crowdFracs, advWaves, killFracs := faultsSeverities()
 	res := &FaultsResult{
 		Peers:   n,
 		Domains: domains,
 		Seed:    cfg.Seed,
 		Machine: thisMachine(),
-		Points:  make([]FaultsPoint, len(partFracs)+len(crowdFracs)+len(advWaves)),
+		Points:  make([]FaultsPoint, len(partFracs)+len(crowdFracs)+len(advWaves)+len(killFracs)),
 	}
 	runners := make([]func() (FaultsPoint, error), 0, len(res.Points))
 	for _, f := range partFracs {
@@ -420,6 +457,10 @@ func FaultsExperiment(cfg Config) (*stats.Table, *FaultsResult, error) {
 	for _, w := range advWaves {
 		w := w
 		runners = append(runners, func() (FaultsPoint, error) { return runAdversaryPoint(cfg, n, domains, w) })
+	}
+	for _, f := range killFracs {
+		f := f
+		runners = append(runners, func() (FaultsPoint, error) { return runSPKillPoint(cfg, n, domains, f) })
 	}
 	err := forEach(cfg.Workers, len(runners), func(i int) error {
 		var runErr error
@@ -442,14 +483,14 @@ func FaultsExperiment(cfg Config) (*stats.Table, *FaultsResult, error) {
 		kb.Add(x, float64(p.RepairBytes)/1024/float64(n))
 	}
 	t := stats.NewTable(
-		fmt.Sprintf("Faults: partition / flash crowd / adversarial gossip (n=%d, %d domains)", n, domains),
+		fmt.Sprintf("Faults: partition / flash crowd / adversarial gossip / summary-peer kills (n=%d, %d domains)", n, domains),
 		"point", ttr, dip, msgs, kb)
 	t.Decimal = 3
 	for i, p := range res.Points {
 		t.AddNote("point %d: %s severity %g — %d suspicions, %d elections, %d reconciliations",
 			i, p.Scenario, p.Severity, p.Suspicions, p.Elections, p.Reconciliations)
 	}
-	t.AddNote("partition severity: fraction of each domain severed for %ds (gossip off: shared-view suspicion is an artifact there; liveness under partition is covered by the transport-level scenario tests); flashcrowd: client fraction rejoining in one 60s burst; adversary: forged claims per wave (3 waves)", faultsSplitSec)
+	t.AddNote("partition severity: fraction of each domain severed for %ds (gossip off: shared-view suspicion is an artifact there; liveness under partition is covered by the transport-level scenario tests); flashcrowd: client fraction rejoining in one 60s burst; adversary: forged claims per wave (3 waves); spkill: fraction of summary peers failing silently at once (proactive election repairs, %ds suspicion)", faultsSplitSec, core.DefaultSuspectTimeout)
 	t.AddNote("reconvergence: views match scripted ground truth, coverage 1, every domain within the freshness contract over its active membership")
 	return t, res, nil
 }

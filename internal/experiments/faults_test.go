@@ -15,8 +15,8 @@ func TestFaultsExperimentQuick(t *testing.T) {
 		t.Fatal("empty faults table")
 	}
 	checkMachine(t, res.Machine)
-	if len(res.Points) != 9 {
-		t.Fatalf("points = %d, want 9 (3 scenarios x 3 severities)", len(res.Points))
+	if len(res.Points) != 12 {
+		t.Fatalf("points = %d, want 12 (4 scenarios x 3 severities)", len(res.Points))
 	}
 	for i, p := range res.Points {
 		if p.Scenario == "" || p.Severity <= 0 {
@@ -54,6 +54,18 @@ func TestFaultsExperimentQuick(t *testing.T) {
 			}
 			if p.RepairMsgs == 0 {
 				t.Errorf("point %d: adversary waves produced no refutation traffic", i)
+			}
+		case "spkill":
+			// Killed summary peers strand their clients until the election
+			// repairs every orphaned domain.
+			if p.Elections == 0 {
+				t.Errorf("point %d: %g of the summary peers died and nothing was elected", i, p.Severity)
+			}
+			if p.CoverageDip >= 1 {
+				t.Errorf("point %d: summary-peer kills left coverage at %g", i, p.CoverageDip)
+			}
+			if p.Suspicions == 0 {
+				t.Errorf("point %d: silent summary-peer failures filed no suspicion", i)
 			}
 		}
 	}

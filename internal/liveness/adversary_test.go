@@ -173,3 +173,35 @@ func TestSuspectDedupeByIncarnation(t *testing.T) {
 		t.Fatalf("Suspicions after fresh outage = %d, want 2", got)
 	}
 }
+
+// TestMalformedSuccessionRefused: a successor mark is only well-formed on
+// a self-claim naming another node of the view; merges refuse the rest
+// like a forged state, and local authority refutes a well-formed forged
+// mark about a hosted node like any forged claim.
+func TestMalformedSuccessionRefused(t *testing.T) {
+	v := localTo(4, 0)
+	for i, c := range []Change{
+		{ID: 2, E: Entry{State: Alive, Inc: 9, SP: 0}.Succeeding(1)},  // mark on another domain's claim
+		{ID: 2, E: Entry{State: Alive, Inc: 9, SP: 2}.Succeeding(2)},  // names itself
+		{ID: 2, E: Entry{State: Alive, Inc: 9, SP: 2}.Succeeding(4)},  // names a node beyond the view
+		{ID: 2, E: Entry{State: Alive, Inc: 9, SP: 2}.Succeeding(-7)}, // names no node
+	} {
+		before := v.EntryOf(2)
+		if _, newerLocal := v.MergeChanges(Changes([]Change{c})); !newerLocal {
+			t.Errorf("case %d: malformed mark %+v not flagged for refutation", i, c.E)
+		}
+		if e := v.EntryOf(2); e != before {
+			t.Fatalf("case %d: malformed mark adopted: %+v", i, e)
+		}
+	}
+	// Well-formed: adopted for a remote node, refuted for the local one.
+	good := Entry{State: Alive, Inc: 9, SP: 2}.Succeeding(1)
+	if changed, _ := v.MergeChanges(Changes([]Change{{ID: 2, E: good}})); len(changed) != 1 || v.EntryOf(2) != good {
+		t.Fatalf("well-formed remote mark not adopted: %+v", v.EntryOf(2))
+	}
+	forged := Entry{State: Alive, Inc: 9, SP: 0}.Succeeding(3)
+	v.MergeChanges(Changes([]Change{{ID: 0, E: forged}}))
+	if e := v.EntryOf(0); e.Succeeds() != NoSP || e.SP != NoSP || e.Inc != 10 {
+		t.Fatalf("forged mark about a local node not refuted: %+v", e)
+	}
+}

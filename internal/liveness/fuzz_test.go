@@ -3,14 +3,18 @@ package liveness
 import (
 	"reflect"
 	"testing"
+
+	"p2psum/internal/wire"
 )
 
 // FuzzMergeChanges feeds arbitrary forged deltas — out-of-range ids,
-// absurd incarnations, undefined states, conflicting domain claims — into
+// absurd incarnations, undefined states, conflicting domain claims,
+// successor marks read through the wire form, malformed ones included — into
 // a view that is authoritative for half its nodes, and proves the §4.3
 // invariants hold against any of them: no panic, the view version never
-// regresses, and no claim about a local node is ever adopted (local nodes
-// stay in the state the hosting process put them in). Online, which reads
+// regresses, no claim about a local node is ever adopted (local nodes
+// stay in the state the hosting process put them in), and every entry of
+// the view stays well-formed (Entry.Valid). Online, which reads
 // a lock-free mirror of the entries, must agree with StateOf after every
 // merge. Finally a delta the view published (Since) is merged back into
 // it after fuzz-chosen mutations — the bounded self-merge — and must act
@@ -19,6 +23,7 @@ func FuzzMergeChanges(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 200, 3, 2, 1, 99})
 	f.Add([]byte{0, 2, 0xff, 0xff, 0xff, 0xff, 7, 7, 7, 7, 3, 1, 0})
+	f.Add([]byte{5, 0, 9, 0, 0, 0xfd, 0, 0, 9, 0, 0, 0xfe, 6, 1, 9, 0, 0, 0x80, 3, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 8
 		v := NewView(n, func(id int) bool { return id < n/2 })
@@ -29,19 +34,28 @@ func FuzzMergeChanges(f *testing.F) {
 		wantLocal := [4]State{Alive, Suspect, Dead, Alive}
 
 		// Decode the fuzz input as a stream of forged changes: 6 bytes per
-		// record — id, state, 3 incarnation bytes, SP claim.
+		// record — id, state, 3 incarnation bytes, SP claim. A claim below
+		// NoSP is the wire form of a successor mark: it is read back
+		// through ReadEntry, as a gossip decoder would.
 		var delta []Change
 		for i := 0; i+6 <= len(data); i += 6 {
-			delta = append(delta, Change{
-				ID: int(int8(data[i])), // negative ids included
-				E: Entry{
-					State: State(data[i+1]),
-					Inc: uint64(data[i+2]) |
-						uint64(data[i+3])<<8 |
-						uint64(data[i+4])<<40, // huge incarnations included
-					SP: int(int8(data[i+5])),
-				},
-			})
+			id := int(int8(data[i])) // negative ids included
+			e := Entry{
+				State: State(data[i+1]),
+				Inc: uint64(data[i+2]) |
+					uint64(data[i+3])<<8 |
+					uint64(data[i+4])<<40, // huge incarnations included
+				SP: int(int8(data[i+5])),
+			}
+			if e.SP < NoSP {
+				var enc wire.Enc
+				enc.Uvarint(e.Inc<<2 | uint64(e.State&3))
+				enc.Varint(int64(e.SP))
+				st := e.State
+				e = ReadEntry(wire.NewDec(enc.Bytes()), id)
+				e.State = st // undefined states beyond the two wire bits too
+			}
+			delta = append(delta, Change{ID: id, E: e})
 		}
 
 		before := v.Version()
@@ -59,11 +73,12 @@ func FuzzMergeChanges(f *testing.F) {
 		if sp := v.SPOf(0); sp != 0 {
 			t.Fatalf("local domain claim overwritten: SP = %d", sp)
 		}
-		for id := 0; id < n; id++ {
-			if s := v.StateOf(id); s > Dead {
-				t.Fatalf("undefined state %d adopted for node %d", s, id)
+		for id := 0; id < n/2; id++ {
+			if dead := v.EntryOf(id).Succeeds(); dead != NoSP {
+				t.Fatalf("forged successor mark adopted for local node %d (succeeds %d)", id, dead)
 			}
 		}
+		checkValid(t, v)
 		// A second identical merge must be vacuous for local entries up to
 		// re-asserts already applied — in particular it must not panic or
 		// regress either.
@@ -84,7 +99,7 @@ func FuzzMergeChanges(f *testing.F) {
 		d, _ := v.Since(base)
 		for i := 1; i+1 < len(data); i += 2 {
 			id, op := int(data[i])%n, data[i+1]
-			switch op % 5 {
+			switch op % 6 {
 			case 0:
 				v.MarkAlive(id)
 			case 1:
@@ -93,8 +108,10 @@ func FuzzMergeChanges(f *testing.F) {
 				v.MarkSuspect(id)
 			case 3:
 				v.Confirm(id, v.EntryOf(id).Inc)
+			case 4:
+				v.SetSP(id, int(op/6)%(n+1)-1)
 			default:
-				v.SetSP(id, int(op/5)%(n+1)-1)
+				v.Succeed(id, (id+1+int(op/6)%(n-1))%n)
 			}
 		}
 		clone := CloneView(v)
@@ -114,7 +131,18 @@ func FuzzMergeChanges(f *testing.F) {
 			t.Fatalf("self-merge left\n%s\nclone merge left\n%s", got, want)
 		}
 		checkOnlineMirror(t, v)
+		checkValid(t, v)
 	})
+}
+
+// checkValid asserts every entry of the view is well-formed.
+func checkValid(t *testing.T, v *View) {
+	t.Helper()
+	for id := 0; id < v.Len(); id++ {
+		if e := v.EntryOf(id); !e.Valid(id, v.Len()) {
+			t.Fatalf("node %d: malformed entry %+v in the view", id, e)
+		}
+	}
 }
 
 // checkOnlineMirror asserts Online(id) == (StateOf(id) == Alive) for every

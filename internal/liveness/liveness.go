@@ -18,6 +18,13 @@
 // at a higher incarnation — the SWIM refutation that brings a reconnected
 // process back to alive in everyone's view.
 //
+// A domain claim may carry a successor mark (Entry.Succeeds, set by
+// View.Succeed): the self-claim of a node promoted to replace a departed
+// summary peer names the peer it replaces, so the §4.3 proactive election
+// is a function of the view alone. The mark costs unmarked entries no
+// byte on the wire, merges refuse a malformed one (Entry.Valid), and
+// local authority refutes a forged one like any other forged claim.
+//
 // Gossip carries a view in tails (Since, Delta, MergeChanges). A view
 // publishes at most one immutable snapshot per version — entries, version
 // stamps and encoded lengths — built the first time a tail needs it and
@@ -34,6 +41,7 @@ package liveness
 import (
 	"fmt"
 	"iter"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,10 +88,43 @@ const NoSP = -1
 // (NoSP when it belongs to no domain; a summary peer claims itself). The SP
 // claim rides the liveness gossip so Coverage and DomainMembers agree
 // across the processes of a TCP deployment.
+//
+// A self-claim may carry a successor mark (Succeeds): the node claims its
+// own domain as the successor of a departed summary peer. The mark rides
+// the same gossip, so every process sees which summary peer a promoted
+// successor replaces.
 type Entry struct {
 	State State
-	Inc   uint64
-	SP    int
+	// succ is the successor mark: 1 + the id of the summary peer this
+	// self-claim replaces, 0 when unmarked. It sits in State's padding, so
+	// an Entry stays 24 bytes.
+	succ int32
+	Inc  uint64
+	SP   int
+}
+
+// Succeeds returns the summary peer this self-claim replaces, NoSP when the
+// entry carries no successor mark.
+func (e Entry) Succeeds() int { return int(e.succ) - 1 }
+
+// Succeeding returns e with the successor mark for dead set.
+func (e Entry) Succeeding(dead int) Entry {
+	e.succ = int32(dead + 1)
+	return e
+}
+
+// Valid reports whether e is a well-formed record of node id in a view of
+// n nodes: a defined state, and a successor mark (if any) on a self-claim
+// naming another node of the view. Merges never adopt an invalid record.
+func (e Entry) Valid(id, n int) bool {
+	if e.State > Dead {
+		return false
+	}
+	if e.succ == 0 {
+		return true
+	}
+	dead := e.Succeeds()
+	return e.SP == id && dead >= 0 && dead < n && dead != id
 }
 
 // Supersedes reports whether e wins a merge against old: higher incarnation
@@ -96,10 +137,17 @@ func (e Entry) Supersedes(old Entry) bool {
 }
 
 // wireWords is the one definition of an entry's wire layout: uvarint(inc<<2
-// | state) — the state fits two bits — then varint(sp). AppendWire writes
-// it, wireLen sizes it and ReadEntry reads it back.
+// | state) — the state fits two bits — then varint(sp). A marked self-claim
+// writes -2-dead in place of sp: a claim is never below NoSP, and a
+// successor's claim is always itself, so those values are free and every
+// unmarked entry keeps its exact bytes. AppendWire writes it, wireLen
+// sizes it and ReadEntry reads it back.
 func (e Entry) wireWords() (packed uint64, sp int64) {
-	return e.Inc<<2 | uint64(e.State), int64(e.SP)
+	sp = int64(e.SP)
+	if e.succ != 0 {
+		sp = -1 - int64(e.succ)
+	}
+	return e.Inc<<2 | uint64(e.State), sp
 }
 
 // AppendWire appends the entry's wire form to enc.
@@ -115,13 +163,22 @@ func (e Entry) wireLen() int {
 	return wire.UvarintLen(packed) + wire.VarintLen(sp)
 }
 
-// ReadEntry reads one entry written by AppendWire. The state is returned
-// as read (a corrupt one may exceed Dead) for the caller to reject, and
-// truncation latches into d.
-func ReadEntry(d *wire.Dec) Entry {
+// ReadEntry reads the entry of node id written by AppendWire. It is
+// returned as read for the caller to check (Valid): a corrupt state may
+// exceed Dead, and a mark too large for the view may name no node.
+// Truncation latches into d.
+func ReadEntry(d *wire.Dec, id int) Entry {
 	packed := d.Uvarint()
 	sp := d.Varint()
-	return Entry{State: State(packed & 3), Inc: packed >> 2, SP: int(sp)}
+	e := Entry{State: State(packed & 3), Inc: packed >> 2, SP: int(sp)}
+	if sp < NoSP {
+		// A marked self-claim; a mark beyond int32 reads as malformed.
+		e.SP, e.succ = id, -1
+		if dead := -2 - sp; dead < math.MaxInt32 {
+			e.succ = int32(dead + 1)
+		}
+	}
+	return e
 }
 
 // View is one process's membership view over n overlay nodes. All methods
@@ -389,21 +446,32 @@ func (v *View) Confirm(id int, inc uint64) bool {
 	return true
 }
 
-// SetSP records the node's summary-peer claim (NoSP clears it). Claims are
-// written by the process hosting the node (domain adoption runs on the
-// owner's handlers) — and identically by every process at summary-peer
-// assignment, which is shared configuration. A claim change on an Alive
-// node bumps the incarnation so it supersedes older gossip; claims on
-// non-alive entries ride the current incarnation (they are superseded by
-// the owner's next MarkAlive anyway). It reports whether the entry changed.
-func (v *View) SetSP(id, sp int) bool {
+// SetSP records the node's summary-peer claim (NoSP clears it), without a
+// successor mark. Claims are written by the process hosting the node
+// (domain adoption runs on the owner's handlers) — and identically by
+// every process at summary-peer assignment, which is shared
+// configuration. A claim change on an Alive node bumps the incarnation so
+// it supersedes older gossip; claims on non-alive entries ride the
+// current incarnation (they are superseded by the owner's next MarkAlive
+// anyway). It reports whether the entry changed.
+func (v *View) SetSP(id, sp int) bool { return v.claim(id, Entry{SP: sp}) }
+
+// Succeed records the node's self-claim as the successor of the departed
+// summary peer dead: the promotion's claim, marked so that every process
+// counts the successor among dead's election candidates (§4.3 proactive
+// election). It reports whether the entry changed.
+func (v *View) Succeed(id, dead int) bool { return v.claim(id, Entry{SP: id}.Succeeding(dead)) }
+
+// claim writes c's claim and successor mark into the node's entry (SetSP,
+// Succeed).
+func (v *View) claim(id int, c Entry) bool {
 	v.mu.Lock()
 	e := &v.entries[id]
-	if e.SP == sp {
+	if e.SP == c.SP && e.succ == c.succ {
 		v.mu.Unlock()
 		return false
 	}
-	e.SP = sp
+	e.SP, e.succ = c.SP, c.succ
 	if e.State == Alive {
 		e.Inc++
 	}
@@ -621,9 +689,9 @@ func (v *View) mergeOne(id int, r Entry, notes *[]Change) (newerLocal bool) {
 		// An equal record neither supersedes nor is superseded: the rule
 		// that bounds MergeChanges of a self-published delta.
 		return false
-	case r.State > Dead:
-		// Forged state value: never adopt it, and flag the entry so the
-		// reply gossip carries the truth back.
+	case !r.Valid(id, len(v.entries)):
+		// Forged state value or successor mark: never adopt it, and flag
+		// the entry so the reply gossip carries the truth back.
 		return true
 	case !r.Supersedes(*cur):
 		return cur.Supersedes(r)
@@ -656,7 +724,8 @@ func (v *View) noteChanges(notes []Change) []int {
 	return changed
 }
 
-// String renders a compact dump, e.g. "0=alive/sp0 1=suspect/sp0 2=dead".
+// String renders a compact dump, e.g. "0=alive/sp0 1=suspect/sp0 2=dead
+// 3=alive/sp3<0" (node 3 claims its own domain as node 0's successor).
 func (v *View) String() string {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -668,6 +737,9 @@ func (v *View) String() string {
 		fmt.Fprintf(&sb, "%d=%s", i, e.State)
 		if e.SP != NoSP {
 			fmt.Fprintf(&sb, "/sp%d", e.SP)
+		}
+		if dead := e.Succeeds(); dead != NoSP {
+			fmt.Fprintf(&sb, "<%d", dead)
 		}
 	}
 	return sb.String()

@@ -1,10 +1,14 @@
 package liveness
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
+
+	"p2psum/internal/wire"
 )
 
 func TestStateTransitions(t *testing.T) {
@@ -84,6 +88,58 @@ func TestSetSPAndOnlineIDs(t *testing.T) {
 	}
 }
 
+// TestSuccessionMark pins the successor mark: Succeed writes a marked
+// self-claim, SetSP clears it, the wire form round-trips through
+// ReadEntry in the values an unmarked claim never writes, and the field
+// costs an Entry no size.
+func TestSuccessionMark(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 24 {
+		t.Fatalf("Entry is %d bytes, want 24", got)
+	}
+	v := NewView(4, nil)
+	v.SetSP(1, 0)
+	inc := v.EntryOf(1).Inc
+	if !v.Succeed(1, 0) || v.Succeed(1, 0) {
+		t.Fatal("Succeed reported no change, or a change on a repeat")
+	}
+	e := v.EntryOf(1)
+	if e.SP != 1 || e.Succeeds() != 0 || e.Inc != inc+1 {
+		t.Fatalf("marked claim %+v, want a self-claim succeeding 0 at inc %d", e, inc+1)
+	}
+	if got := v.String(); got != "0=alive 1=alive/sp1<0 2=alive 3=alive" {
+		t.Errorf("String = %q", got)
+	}
+	if !v.SetSP(1, 1) || v.EntryOf(1).Succeeds() != NoSP {
+		t.Fatal("SetSP kept the successor mark")
+	}
+
+	for _, c := range []struct {
+		id int
+		e  Entry
+	}{
+		{1, e},
+		{7, Entry{State: Dead, Inc: 1 << 40, SP: 7}.Succeeding(1<<31 - 2)},
+		{0, Entry{State: Suspect, Inc: 3, SP: 0}.Succeeding(5)},
+	} {
+		var enc wire.Enc
+		c.e.AppendWire(&enc)
+		if enc.Len() != c.e.wireLen() {
+			t.Errorf("%+v: wrote %d bytes, sized %d", c.e, enc.Len(), c.e.wireLen())
+		}
+		d := wire.NewDec(enc.Bytes())
+		if got := ReadEntry(d, c.id); got != c.e || d.Done() != nil {
+			t.Errorf("round-trip %+v -> %+v (%v)", c.e, got, d.Done())
+		}
+	}
+	// A mark beyond int32 reads back as malformed.
+	var enc wire.Enc
+	enc.Uvarint(4)
+	enc.Varint(math.MinInt64)
+	if got := ReadEntry(wire.NewDec(enc.Bytes()), 3); got.Valid(3, math.MaxInt32) {
+		t.Errorf("overflowing mark read as valid: %+v", got)
+	}
+}
+
 func TestIncarnationConflicts(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -91,13 +147,13 @@ func TestIncarnationConflicts(t *testing.T) {
 		current  Entry
 		wins     bool
 	}{
-		{"higher inc beats lower", Entry{Alive, 3, NoSP}, Entry{Dead, 2, NoSP}, true},
-		{"lower inc loses", Entry{Dead, 2, NoSP}, Entry{Alive, 3, NoSP}, false},
-		{"equal inc: dead beats alive", Entry{Dead, 2, NoSP}, Entry{Alive, 2, NoSP}, true},
-		{"equal inc: dead beats suspect", Entry{Dead, 2, NoSP}, Entry{Suspect, 2, NoSP}, true},
-		{"equal inc: suspect beats alive", Entry{Suspect, 2, NoSP}, Entry{Alive, 2, NoSP}, true},
-		{"equal inc: alive loses to suspect", Entry{Alive, 2, NoSP}, Entry{Suspect, 2, NoSP}, false},
-		{"identical entries tie", Entry{Alive, 2, 5}, Entry{Alive, 2, 5}, false},
+		{"higher inc beats lower", Entry{State: Alive, Inc: 3, SP: NoSP}, Entry{State: Dead, Inc: 2, SP: NoSP}, true},
+		{"lower inc loses", Entry{State: Dead, Inc: 2, SP: NoSP}, Entry{State: Alive, Inc: 3, SP: NoSP}, false},
+		{"equal inc: dead beats alive", Entry{State: Dead, Inc: 2, SP: NoSP}, Entry{State: Alive, Inc: 2, SP: NoSP}, true},
+		{"equal inc: dead beats suspect", Entry{State: Dead, Inc: 2, SP: NoSP}, Entry{State: Suspect, Inc: 2, SP: NoSP}, true},
+		{"equal inc: suspect beats alive", Entry{State: Suspect, Inc: 2, SP: NoSP}, Entry{State: Alive, Inc: 2, SP: NoSP}, true},
+		{"equal inc: alive loses to suspect", Entry{State: Alive, Inc: 2, SP: NoSP}, Entry{State: Suspect, Inc: 2, SP: NoSP}, false},
+		{"identical entries tie", Entry{State: Alive, Inc: 2, SP: 5}, Entry{State: Alive, Inc: 2, SP: 5}, false},
 	}
 	for _, c := range cases {
 		if got := c.incoming.Supersedes(c.current); got != c.wins {

@@ -121,7 +121,6 @@ func registeredSamples() map[string]any {
 			},
 			Reply: true,
 		},
-		core.MsgElect:    core.ElectPayload{Dead: 7, Successor: 3},
 		MsgQuery:         QueryPayload{QID: 1, Query: sampleQuery()},
 		MsgQueryResponse: QueryResponsePayload{QID: 1, Peers: []p2p.NodeID{2}, Answer: sampleAnswer()},
 	}

@@ -12,7 +12,7 @@
 //     scripted filter and both sides of the cut degrade symmetrically
 //     without touching sockets.
 //
-//   - Membership faults (Leave, Join) route through System.Leave/Join on
+//   - Membership faults (Leave, Fail, Join) route through System.Leave/Join on
 //     the stack hosting the node, and the engine records its own intent:
 //     which nodes the script actually took down.
 //     That intent is what lets Heal distinguish a false suspicion (a live
@@ -132,6 +132,13 @@ func (e *Engine) Heal() {
 func (e *Engine) Leave(id p2p.NodeID) {
 	e.setDown(id, true)
 	e.eachHost(id, func(s *core.System) { s.Leave(id, true) })
+}
+
+// Fail takes a node down silently (§4.3 silent failure: suspicion, then
+// confirmation) and records the death as scripted ground truth.
+func (e *Engine) Fail(id p2p.NodeID) {
+	e.setDown(id, true)
+	e.eachHost(id, func(s *core.System) { s.Leave(id, false) })
 }
 
 // Join brings a node back (§4.3 join) and clears it from the scripted

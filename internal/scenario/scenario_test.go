@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -17,13 +18,6 @@ import (
 	"p2psum/internal/topology"
 	"p2psum/internal/workload"
 )
-
-// Fail takes a node down silently (§4.3 silent failure: suspicion, then
-// confirmation) and records the death as scripted ground truth.
-func (e *Engine) Fail(id p2p.NodeID) {
-	e.setDown(id, true)
-	e.eachHost(id, func(s *core.System) { s.Leave(id, false) })
-}
 
 // Snapshot captures the adversary's current full view, to Replay later as
 // stale state.
@@ -474,15 +468,11 @@ func TestTCPPartitionHealSplitDomain(t *testing.T) {
 	}
 }
 
-// TestTCPElectionAcrossProcesses: killing a summary peer whose domain
-// spans two TCP processes yields exactly one promoted successor — the
-// deterministic winner — and every surviving member on both sides of the
-// wire re-attaches to it. Covers the cross-process announcement race (a
-// direct MsgElect can outrun the death gossip; the receiver parks and
-// re-validates it).
-func TestTCPElectionAcrossProcesses(t *testing.T) {
-	// Wheel: hub 0 plus a spoke ring, so gossip keeps crossing the process
-	// boundary after the hub dies (a bare star would disconnect).
+// wheel is hub 0 plus a spoke ring 1..5: every spoke has static degree
+// 3, and gossip keeps crossing between spokes after the hub dies (a bare
+// star would disconnect).
+func wheel(t *testing.T) *topology.Graph {
+	t.Helper()
 	g := topology.NewGraph(6)
 	for s := 1; s <= 5; s++ {
 		if err := g.AddEdge(0, s, 0.005); err != nil {
@@ -496,9 +486,17 @@ func TestTCPElectionAcrossProcesses(t *testing.T) {
 		}
 	}
 	g.Compact()
-	localA := []p2p.NodeID{0, 1, 2}
-	localB := []p2p.NodeID{3, 4, 5}
-	a, b := newTCPPair(t, g, localA, localB, func(cfg *core.Config) {
+	return g
+}
+
+// newWheelPair builds one wheel domain split across two loopback
+// processes with proactive election on: process A hosts 0, 1 and 2,
+// process B 3, 4 and 5. The deterministic successor of the hub is the
+// lowest-id spoke: node 1, hosted by A.
+func newWheelPair(t *testing.T) (a, b *tcpStack) {
+	t.Helper()
+	g := wheel(t)
+	a, b = newTCPPair(t, g, []p2p.NodeID{0, 1, 2}, []p2p.NodeID{3, 4, 5}, func(cfg *core.Config) {
 		cfg.SuspectTimeout = 50 // 50ms real: the silent death confirms quickly
 		cfg.ProactiveElection = true
 	})
@@ -511,15 +509,16 @@ func TestTCPElectionAcrossProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	settleBoth(a, b)
+	return a, b
+}
 
-	eng := New(a.sys, b.sys)
-	eng.Fail(0) // silent summary-peer death, confirmed after the timeout
-
-	// Every spoke has static degree 3, so the deterministic successor is
-	// the lowest id: node 1, hosted by process A.
-	// promote fires on a dispatcher goroutine when the confirm timer
-	// lands, which can be between the poll's settles — so the domain
-	// reads run under each transport's Exec barrier, not bare.
+// waitSuccessor waits until node 1 is the one successor of the dead hub
+// and every surviving member on both processes has adopted it. promote
+// fires on a dispatcher goroutine when the confirm timer lands, which can
+// be between the poll's settles — so the domain reads run under each
+// transport's Exec barrier, not bare.
+func waitSuccessor(t *testing.T, a, b *tcpStack) {
+	t.Helper()
 	waitTCP(t, a, b, "one successor elected and adopted everywhere", func() bool {
 		ok := false
 		a.tr.Exec(func() {
@@ -538,6 +537,126 @@ func TestTCPElectionAcrossProcesses(t *testing.T) {
 	}
 	if role := a.sys.Peer(1).Role(); role != core.RoleSummaryPeer {
 		t.Fatalf("successor role = %v, want summary peer", role)
+	}
+}
+
+// TestTCPElectionAcrossProcesses: killing a summary peer whose domain
+// spans two TCP processes yields exactly one promoted successor — the
+// deterministic winner — and every surviving member on both sides of the
+// wire re-attaches to it. Covers the cross-process claim race: process B
+// may merge the winner's claim and an A member's adoption of it before it
+// runs its own election, and the winner's successor mark keeps it B's
+// winner too.
+func TestTCPElectionAcrossProcesses(t *testing.T) {
+	a, b := newWheelPair(t)
+	New(a.sys, b.sys).Fail(0) // silent summary-peer death, confirmed after the timeout
+	waitSuccessor(t, a, b)
+}
+
+// TestSuccessorCountsUnheardNodes: a TCP process that confirms a summary
+// peer's death before it has heard of the other process's members must
+// not crown one of its own. Process B (nodes 3, 4 and 5 of the wheel)
+// holds the hub dead and its own members' claims, but nodes 1 and 2 still
+// at their initial records: they may be members, so node 1 stays the
+// winner and B waits. Once B hears that they belong to no domain, its own
+// node 3 wins.
+func TestSuccessorCountsUnheardNodes(t *testing.T) {
+	tr, err := p2p.NewTCPTransport(wheel(t), p2p.TCPConfig{Listen: "127.0.0.1:0", Local: []p2p.NodeID{3, 4, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tr.Close)
+	cfg := core.DefaultConfig()
+	cfg.ProactiveElection = true
+	sys, err := core.NewSystem(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := tr.Liveness()
+	for _, id := range []int{0, 3, 4, 5} {
+		view.SetSP(id, 0)
+	}
+	view.MarkDead(0)
+	if got := sys.Successor(0); got != 1 {
+		t.Fatalf("Successor = %d with nodes 1 and 2 unheard, want 1", got)
+	}
+	view.MergeChanges(liveness.Changes([]liveness.Change{
+		{ID: 1, E: liveness.Entry{State: liveness.Alive, Inc: 1, SP: liveness.NoSP}},
+		{ID: 2, E: liveness.Entry{State: liveness.Alive, Inc: 1, SP: liveness.NoSP}},
+	}))
+	if got := sys.Successor(0); got != 3 {
+		t.Fatalf("Successor = %d once nodes 1 and 2 are heard outside the domain, want 3", got)
+	}
+}
+
+// ForgeSuccession injects a forged successor mark at target: node
+// allegedly promoted itself as the successor of summary peer dead,
+// asserted at a superseding incarnation. Against a local node the claim
+// is refuted on merge; a remote one holds until its host refutes it.
+func (a *Adversary) ForgeSuccession(target, node, dead p2p.NodeID) {
+	e := a.sys.Transport().Liveness().EntryOf(int(node))
+	forged := liveness.Entry{State: liveness.Alive, Inc: e.Inc + 1, SP: int(node)}
+	a.inject(target, []liveness.Change{{ID: int(node), E: forged.Succeeding(int(dead))}})
+}
+
+// TestForgedSuccessionIgnored: forged successor marks injected into live
+// gossip move no member and mint no summary peer. They land at process A
+// about nodes process B hosts, so A adopts them like any remote claim
+// (on the in-memory transports every node is local, and local authority
+// refutes a forged mark at the merge). A mark naming the live hub is
+// inert: no death is confirmed. A mark naming the dead hub for a node
+// that is not the computed winner loses to the winner's mark.
+func TestForgedSuccessionIgnored(t *testing.T) {
+	a, b := newWheelPair(t)
+	adv := NewAdversary(a.sys, 2)
+	members := func(s *tcpStack, ids ...p2p.NodeID) string {
+		var out string
+		s.tr.Exec(func() {
+			for _, id := range ids {
+				out += fmt.Sprintf("%d->%d ", id, s.sys.DomainOf(id))
+			}
+		})
+		return out
+	}
+
+	// Converged views first: the forgery supersedes the truth only by one
+	// incarnation, and a stale view would forge below it.
+	waitTCP(t, a, b, "views to converge", func() bool {
+		for id := 0; id < 6; id++ {
+			if a.tr.Liveness().EntryOf(id) != b.tr.Liveness().EntryOf(id) {
+				return false
+			}
+		}
+		return true
+	})
+	adv.ForgeSuccession(1, 4, 0)
+	settleBoth(a, b)
+	if got := a.tr.Liveness().EntryOf(4).Succeeds(); got != 0 {
+		t.Fatalf("forged mark did not land at A (node 4 succeeds %d)", got)
+	}
+	waitTCP(t, a, b, "B to refute the forged mark", func() bool {
+		return a.tr.Liveness().EntryOf(4).Succeeds() == liveness.NoSP
+	})
+	if got, want := members(a, 1, 2)+members(b, 3, 4, 5), "1->0 2->0 3->0 4->0 5->0 "; got != want {
+		t.Fatalf("a forged mark naming the live hub moved members: %s, want %s", got, want)
+	}
+	for _, s := range []*tcpStack{a, b} {
+		if got := s.sys.Stats().Elections; got != 0 {
+			t.Fatalf("a forged mark naming the live hub minted %d summary peers", got)
+		}
+	}
+
+	// The hub dies; the forged mark lands while its death is still a
+	// suspicion, so A's election runs with it in the candidate set.
+	New(a.sys, b.sys).Fail(0)
+	adv.ForgeSuccession(1, 5, 0)
+	a.tr.Settle()
+	if got := a.tr.Liveness().EntryOf(5).Succeeds(); got != 0 {
+		t.Fatalf("forged mark did not land at A (node 5 succeeds %d)", got)
+	}
+	waitSuccessor(t, a, b)
+	if role := b.sys.Peer(5).Role(); role != core.RoleClient {
+		t.Fatalf("forged successor 5 has role %v, want client", role)
 	}
 }
 

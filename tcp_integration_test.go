@@ -283,8 +283,12 @@ func TestTCPLivenessGossipConvergence(t *testing.T) {
 	// Process B silently kills its hosted peer 3. B's view walks
 	// suspect -> dead locally; A must learn it through gossip (or its own
 	// drop-echo suspicion) without any message from node 3 itself.
+	// Suspect also leaves DomainMembers, so the wait holds out for the
+	// confirmation as well: both views must hold node 3 Dead.
 	sysB.Leave(3, false)
-	bothAgree("after silent kill", members(0, 1, 2))
+	bothAgree("after silent kill", func(sys *core.System) bool {
+		return members(0, 1, 2)(sys) && sys.Transport().Liveness().StateOf(3) == liveness.Dead
+	})
 	if got := trA.Liveness().StateOf(3); got != liveness.Dead {
 		t.Fatalf("A's view holds node 3 %s, want dead", got)
 	}
