@@ -241,14 +241,20 @@
 // counted. The view publishes at most one immutable snapshot per version
 // (entries, stamps, each entry's encoded length and their total), built
 // by the first tail of that version and dropped by the next mutation. A
-// tail's liveness.Delta is a window onto it, so taking one neither scans
-// nor copies. The transports' counting encoder sizes a delta tail in one
-// pass over the cached stamps and lengths, and a full one from the cached
-// total. A tail merged back into the view that published it — every tail
-// on the in-memory transports, which share one view — merges only the
-// entries stamped since, and none when the version has not moved. Deltas
-// decoded from the wire are the same type over a plain []Change, and
-// every tail merges through View.MergeChanges.
+// snapshot is a list of immutable 64-id chunks: the view keeps the chunks
+// the last snapshot froze and a mutation drops only its own chunk's, so
+// publishing re-copies only the chunks changed since — usually one. A
+// tail's liveness.Delta is a window onto a snapshot, so taking one
+// neither scans nor copies. The transports' counting encoder sizes a
+// delta tail from the cached stamps and lengths of the chunks changed
+// since its base, once per (snapshot, base) pair — the snapshot memoizes
+// the figures for every later tail of that pair — and a full one from the
+// cached total. A tail merged back into the view that published it —
+// every tail on the in-memory transports, which share one view — merges
+// only the entries stamped since, skips every chunk the view still
+// shares with the snapshot, and merges nothing when the version has not
+// moved. Deltas decoded from the wire are the same type over a plain
+// []Change, and every tail merges through View.MergeChanges.
 //
 // A process that sees a remote claim superseding one of its OWN nodes
 // refutes it (re-asserts its state above the remote incarnation), which
@@ -464,7 +470,12 @@
 //	                           per-node atomic bit the mutation stores
 //	                           under mu. Since publishes the version's
 //	                           snapshot under RLock through an atomic
-//	                           pointer, which the next mutation clears.
+//	                           pointer, which the next mutation clears;
+//	                           it re-freezes the chunks mutations dropped
+//	                           under View.pubMu, a leaf lock serializing
+//	                           publishers.
+//	liveness.published.sizeMu  leaf lock of one snapshot's memo of tail
+//	                           sizes by base version.
 //	liveness.View.obsMu        the observer hook pointer; the hook itself
 //	                           runs outside both view locks and may be
 //	                           invoked concurrently.

@@ -88,3 +88,44 @@ func BenchmarkGossipTail(b *testing.B) {
 		partner.MergeChanges(tail.Delta)
 	}
 }
+
+// BenchmarkGossipTailPerVersion is the tail path with the shape the
+// churn_gossip workload gives it: the view moves between tails. Each
+// iteration mutates one entry of a 500-node view, takes tails at three
+// distinct bases of the new version, charges each on a counting encoder,
+// and merges the previous iteration's tail back into the view that
+// published it. So every iteration publishes a snapshot, sizes three
+// (snapshot, base) pairs for the first time and takes the bounded
+// self-merge — unlike BenchmarkGossipTail, where one version is taken and
+// sized over and over. CI gates its allocs/op via benchgate.
+func BenchmarkGossipTailPerVersion(b *testing.B) {
+	view := liveness.NewView(500, nil)
+	for id := 0; id < 500; id += 3 {
+		view.MarkDead(id)
+	}
+	var prev liveness.Delta
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if id := (i * 67) % 500; view.StateOf(id) == liveness.Dead {
+			view.MarkAlive(id)
+		} else {
+			view.MarkDead(id)
+		}
+		ver := view.Version()
+		for _, lag := range [...]uint64{1, 16, 160} {
+			tail := GossipTail{Ack: ver - lag}
+			tail.Delta, tail.Ver = view.Since(ver - lag)
+			e := wire.GetCountEnc()
+			encodeLivenessTail(e, &tail)
+			if e.Len() == 0 {
+				b.Fatal("empty tail counted")
+			}
+			e.Release()
+			if lag == 16 {
+				view.MergeChanges(prev)
+				prev = tail.Delta
+			}
+		}
+	}
+}

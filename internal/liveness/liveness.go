@@ -28,10 +28,14 @@
 // Gossip carries a view in tails (Since, Delta, MergeChanges). A view
 // publishes at most one immutable snapshot per version — entries, version
 // stamps and encoded lengths — built the first time a tail needs it and
-// shared by every later tail of that version. Since is O(1); sizing a
-// tail's bytes is one pass over the stamps, O(1) for a full tail; and
-// merging a tail back into the view that published it merges only the
-// entries stamped since, none when the version has not moved.
+// shared by every later tail of that version. A snapshot is a list of
+// immutable 64-id chunks, and publishing one re-copies only the chunks
+// mutated since the last: a view's maintenance costs what changed. Since
+// is O(1); sizing a tail's bytes visits only the chunks changed after its
+// base, once per (snapshot, base) pair — later sizings are one lookup —
+// and O(1) for a full tail; and merging a tail back into the view that
+// published it merges only the entries stamped since, none when the
+// version has not moved.
 //
 // The package depends on nothing above the standard library but the wire
 // encoding (internal/wire, itself standard-library only), so the transport
@@ -190,7 +194,10 @@ func ReadEntry(d *wire.Dec, id int) Entry {
 // are exactly {id : vers[id] > then} — the basis of delta gossip (Since).
 // The first tail taken at a version publishes an immutable snapshot of the
 // view, which every tail of that version shares; the next effective
-// mutation drops it.
+// mutation drops it. The live entries stay flat arrays; beside them the
+// view keeps the last immutable copy of each chunk of ids, which a
+// mutation in the chunk drops, so a snapshot re-copies only the chunks
+// changed since the previous one.
 type View struct {
 	mu      sync.RWMutex
 	entries []Entry
@@ -201,6 +208,12 @@ type View struct {
 	// tail needs it. Since stores it under the read lock (so it is atomic);
 	// bump clears it under the write lock.
 	pub atomic.Pointer[published]
+	// frozen holds, per chunk of ids, the copy the last snapshot shared,
+	// nil once bump changes an entry of the chunk. Since writes it under
+	// the read lock and pubMu, which serializes publishers; bump and
+	// MergeChanges read and write it under the write lock.
+	frozen []*chunk
+	pubMu  sync.Mutex
 	// alive mirrors entries[id].State == Alive for Online, the one reader
 	// on every send and delivery, which reads it without the lock. bump
 	// is its only writer.
@@ -230,7 +243,8 @@ type View struct {
 // means "has never seen anything of this view" to a gossip partner.
 func NewView(n int, local func(id int) bool) *View {
 	v := &View{entries: make([]Entry, n), vers: make([]uint64, n), lens: make([]uint8, n),
-		alive: make([]atomic.Bool, n), susInc: make([]uint64, n), local: local, version: 1}
+		frozen: make([]*chunk, (n+chunkSize-1)/chunkSize),
+		alive:  make([]atomic.Bool, n), susInc: make([]uint64, n), local: local, version: 1}
 	for i := range v.entries {
 		v.entries[i].SP = NoSP
 		v.vers[i] = 1
@@ -242,8 +256,9 @@ func NewView(n int, local func(id int) bool) *View {
 }
 
 // bump stamps an effective mutation of entry id, resizes it and
-// republishes its online bit, and drops the published snapshot. Every
-// effective mutation calls it, after changing the entry. Caller holds mu.
+// republishes its online bit, and drops the published snapshot and the
+// frozen copy of the entry's chunk. Every effective mutation calls it,
+// after changing the entry. Caller holds mu.
 func (v *View) bump(id int) {
 	v.version++
 	v.vers[id] = v.version
@@ -252,6 +267,7 @@ func (v *View) bump(id int) {
 	v.lens[id] = l
 	v.alive[id].Store(v.entries[id].State == Alive)
 	v.pub.Store(nil)
+	v.frozen[id>>chunkBits] = nil
 }
 
 // Len returns the number of nodes.
@@ -496,17 +512,122 @@ type Change struct {
 	E  Entry
 }
 
+// chunkBits sizes the chunks a snapshot is made of: 64 ids, so a
+// mutation re-copies about 2 KB of a snapshot, and a walk skips a chunk
+// unchanged since its base on one comparison.
+const (
+	chunkBits = 6
+	chunkSize = 1 << chunkBits
+)
+
+// chunk is an immutable copy of the entries, version stamps and encoded
+// lengths of chunkSize consecutive ids (fewer in a view's last chunk),
+// with the highest stamp among them. Snapshots share a chunk until an
+// entry in it changes.
+type chunk struct {
+	n       int // ids in the chunk
+	maxVer  uint64
+	entries [chunkSize]Entry
+	vers    [chunkSize]uint64
+	lens    [chunkSize]uint8 // Entry.wireLen per entry (at most 20)
+}
+
+// freeze copies chunk i of the live arrays. Caller holds mu.
+func (v *View) freeze(i int) *chunk {
+	lo := i << chunkBits
+	hi := min(lo+chunkSize, len(v.entries))
+	c := &chunk{n: hi - lo}
+	copy(c.entries[:], v.entries[lo:hi])
+	copy(c.vers[:], v.vers[lo:hi])
+	copy(c.lens[:], v.lens[lo:hi])
+	for _, ver := range c.vers[:c.n] {
+		c.maxVer = max(c.maxVer, ver)
+	}
+	return c
+}
+
 // published is one immutable snapshot of a view at one version: its
-// entries, their version stamps, each entry's encoded length and their
-// total. A view publishes at most one per version; every Delta taken at
-// that version is a window onto it.
+// chunks, the number of entries and their encoded total. A view publishes
+// at most one per version; every Delta taken at that version is a window
+// onto it. The snapshot memoizes the sizes of the delta tails taken from
+// it, by base version.
 type published struct {
 	origin  *View
 	version uint64
-	entries []Entry
-	vers    []uint64
-	lens    []uint8 // Entry.wireLen per entry (at most 20)
-	total   int     // sum of lens: the body of a full tail
+	chunks  []*chunk
+	n       int // entries
+	total   int // sum of the entries' lengths: the body of a full tail
+
+	sizeMu sync.Mutex
+	sizes  [memoSlots]tailSize // the first bases sized, in order
+	nsizes int
+	more   map[uint64]tailSize // every base sized once sizes is full
+}
+
+// memoSlots is how many bases a snapshot memoizes in place before it
+// keeps a map: a version is sized against two or three bases on average,
+// and a gossip round over a large view against hundreds.
+const memoSlots = 4
+
+// tailSize is a memoized Delta.Size of a published snapshot.
+type tailSize struct {
+	after                   uint64
+	n, entryBytes, gapBytes int
+}
+
+// size is Delta.Size of the entries stamped after base after (> 0). The
+// first sizing of a base walks the chunks changed since it; later ones
+// look it up.
+func (p *published) size(after uint64) (n, entryBytes, gapBytes int) {
+	if s, ok := p.lookup(after); ok {
+		return s.n, s.entryBytes, s.gapBytes
+	}
+	prev := -1
+	for ci, c := range p.chunks {
+		if c.maxVer <= after {
+			continue
+		}
+		base := ci << chunkBits
+		for j, ver := range c.vers[:c.n] {
+			if ver > after {
+				n++
+				entryBytes += int(c.lens[j])
+				gapBytes += wire.UvarintLen(uint64(base + j - prev))
+				prev = base + j
+			}
+		}
+	}
+	p.remember(tailSize{after, n, entryBytes, gapBytes})
+	return n, entryBytes, gapBytes
+}
+
+// lookup returns the memoized sizing of base after, if any.
+func (p *published) lookup(after uint64) (tailSize, bool) {
+	p.sizeMu.Lock()
+	defer p.sizeMu.Unlock()
+	for _, s := range p.sizes[:p.nsizes] {
+		if s.after == after {
+			return s, true
+		}
+	}
+	s, ok := p.more[after]
+	return s, ok
+}
+
+// remember memoizes one sizing. Concurrent first sizings of a base may
+// both walk the chunks; they compute the same figures, so either may win.
+func (p *published) remember(s tailSize) {
+	p.sizeMu.Lock()
+	defer p.sizeMu.Unlock()
+	switch {
+	case p.nsizes < memoSlots:
+		p.sizes[p.nsizes] = s
+		p.nsizes++
+	case p.more == nil:
+		p.more = map[uint64]tailSize{s.after: s}
+	default:
+		p.more[s.after] = s
+	}
 }
 
 // Delta is the payload of one gossip tail: a set of entries by node id,
@@ -514,9 +635,11 @@ type published struct {
 // between goroutines. It has two forms:
 //
 //   - published (View.Since): the entries of one published snapshot
-//     stamped after a base version. Taking it costs nothing; sizing and
-//     iterating it cost one pass over the snapshot's stamps, and sizing a
-//     full one (base 0, every entry) costs nothing at all;
+//     stamped after a base version. Taking it costs nothing. Iterating it
+//     visits only the snapshot's chunks holding a stamp after the base;
+//     sizing it does the same once per (snapshot, base) pair, whose
+//     figures the snapshot memoizes, and sizing a full one (base 0, every
+//     entry) costs nothing at all;
 //   - sparse (Changes, Entries, decoded from the wire): a []Change.
 //
 // The zero Delta is empty.
@@ -560,9 +683,15 @@ func (d Delta) All() iter.Seq2[int, Entry] {
 			}
 			return
 		}
-		for id, ver := range d.pub.vers {
-			if ver > d.after && !yield(id, d.pub.entries[id]) {
-				return
+		for ci, c := range d.pub.chunks {
+			if c.maxVer <= d.after {
+				continue
+			}
+			base := ci << chunkBits
+			for j, ver := range c.vers[:c.n] {
+				if ver > d.after && !yield(base+j, c.entries[j]) {
+					return
+				}
 			}
 		}
 	}
@@ -574,9 +703,9 @@ func (d Delta) All() iter.Seq2[int, Entry] {
 // full delta is sized from the snapshot's cached total: its ids run
 // 0..n-1, so every gap is one byte.
 func (d Delta) Size() (n, entryBytes, gapBytes int) {
-	p, prev := d.pub, -1
-	switch {
+	switch p := d.pub; {
 	case p == nil:
+		prev := -1
 		for _, c := range d.sparse {
 			entryBytes += c.E.wireLen()
 			gapBytes += wire.UvarintLen(uint64(c.ID - prev))
@@ -584,27 +713,21 @@ func (d Delta) Size() (n, entryBytes, gapBytes int) {
 		}
 		return len(d.sparse), entryBytes, gapBytes
 	case d.after == 0:
-		return len(p.vers), p.total, len(p.vers)
+		return p.n, p.total, p.n
+	default:
+		return p.size(d.after)
 	}
-	for id, ver := range p.vers {
-		if ver > d.after {
-			n++
-			entryBytes += int(p.lens[id])
-			gapBytes += wire.UvarintLen(uint64(id - prev))
-			prev = id
-		}
-	}
-	return n, entryBytes, gapBytes
 }
 
 // Since returns the entries whose last effective change is newer than
 // after, together with the view's current version — the delta a partner
 // that has merged everything up to version after still needs. Since(0) is
 // the whole view (a fresh view stamps everything at version 1): the form a
-// full tail carries. Since neither scans nor copies: the delta is a window
-// onto the snapshot published at the current version, which the first
-// call at that version builds (one O(n) copy) and later calls share. It
-// returns the empty Delta when nothing changed since after.
+// full tail carries. Since does not scan: the delta is a window onto the
+// snapshot published at the current version, which the first call at
+// that version builds — sharing every chunk the previous snapshot froze
+// and re-copying only the chunks mutated since — and later calls share.
+// It returns the empty Delta when nothing changed since after.
 func (v *View) Since(after uint64) (Delta, uint64) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -613,18 +736,34 @@ func (v *View) Since(after uint64) (Delta, uint64) {
 	}
 	p := v.pub.Load()
 	if p == nil {
-		p = &published{origin: v, version: v.version, total: v.total,
-			entries: append([]Entry(nil), v.entries...),
-			vers:    append([]uint64(nil), v.vers...),
-			lens:    append([]uint8(nil), v.lens...),
-		}
-		// Concurrent readers may race to publish; one copy wins, and both
-		// describe this same version (no bump runs under the read lock).
+		// Publishers hold only the read lock, so pubMu serializes their
+		// writes to frozen. One that waited behind another finds pub set:
+		// both snapshots describe this same version (no bump runs under
+		// the read lock), and the first one stays.
+		v.pubMu.Lock()
+		p = v.publish()
 		if !v.pub.CompareAndSwap(nil, p) {
 			p = v.pub.Load()
 		}
+		v.pubMu.Unlock()
 	}
 	return Delta{pub: p, after: after}, v.version
+}
+
+// publish builds the snapshot of the current version from the frozen
+// chunks, freezing the ones a mutation dropped. Caller holds mu for
+// reading and pubMu.
+func (v *View) publish() *published {
+	p := &published{origin: v, version: v.version, chunks: make([]*chunk, len(v.frozen)),
+		n: len(v.entries), total: v.total}
+	for i, c := range v.frozen {
+		if c == nil {
+			c = v.freeze(i)
+			v.frozen[i] = c
+		}
+		p.chunks[i] = c
+	}
+	return p
 }
 
 // Merge folds a remote view's positional entries in; it is MergeChanges
@@ -638,18 +777,23 @@ func (v *View) Merge(remote []Entry) (changed []int, newerLocal bool) {
 // nodes this process hosts the view is authoritative: a remote entry that
 // would supersede the local one is refuted instead — the local state is
 // re-asserted at remote.Inc+1, so a process marked dead while partitioned
-// gossips itself back to alive after reconnecting. Ids outside the view
-// are ignored (a partner sized for a different overlay). MergeChanges
-// returns the ids whose entries changed, in the delta's order, and whether
-// this view holds information the remote lacks among the named entries
-// (any local entry superseding the corresponding remote one) — the signal
-// to send a reply gossip.
+// gossips itself back to alive after reconnecting. A remote Alive entry
+// that differs from a local Alive one at the same incarnation, so that
+// neither supersedes the other, is refuted the same way: otherwise the
+// two views would keep their records for ever. Ids outside the view are
+// ignored (a partner sized for a different overlay). MergeChanges returns
+// the ids whose entries changed, in the delta's order, and whether this
+// view holds information the remote lacks among the named entries (any
+// local entry superseding the corresponding remote one) — the signal to
+// send a reply gossip. A published delta merges only the chunks holding a
+// stamp after its base.
 //
 // A delta this view published itself merges only the entries stamped
 // after the snapshot's version, and nothing when the version has not
 // moved: every other entry still holds the snapshot's record, and merging
-// an equal record is a no-op. On the in-memory transports, which share
-// one view, every tail is such a delta.
+// an equal record is a no-op. A chunk the view still shares with the
+// snapshot changed in no entry, so it is skipped whole. On the in-memory
+// transports, which share one view, every tail is such a delta.
 func (v *View) MergeChanges(d Delta) (changed []int, newerLocal bool) {
 	var notes []Change
 	v.mu.Lock()
@@ -661,17 +805,35 @@ func (v *View) MergeChanges(d Delta) (changed []int, newerLocal bool) {
 			}
 		}
 	case p.origin == v:
-		if v.version != p.version {
-			for id, ver := range p.vers {
-				if ver > d.after && v.vers[id] > p.version && v.mergeOne(id, p.entries[id], &notes) {
+		if v.version == p.version {
+			break
+		}
+		for ci, c := range p.chunks {
+			if c.maxVer <= d.after || v.frozen[ci] == c {
+				continue
+			}
+			base := ci << chunkBits
+			for j, ver := range c.vers[:c.n] {
+				id := base + j
+				if ver > d.after && v.vers[id] > p.version && v.mergeOne(id, c.entries[j], &notes) {
 					newerLocal = true
 				}
 			}
 		}
 	default:
-		for id, ver := range p.vers[:min(len(p.vers), len(v.entries))] {
-			if ver > d.after && v.mergeOne(id, p.entries[id], &notes) {
-				newerLocal = true
+		n := min(p.n, len(v.entries))
+		for ci, c := range p.chunks {
+			base := ci << chunkBits
+			if base >= n {
+				break
+			}
+			if c.maxVer <= d.after {
+				continue
+			}
+			for j, ver := range c.vers[:min(c.n, n-base)] {
+				if ver > d.after && v.mergeOne(base+j, c.entries[j], &notes) {
+					newerLocal = true
+				}
 			}
 		}
 	}
@@ -684,6 +846,8 @@ func (v *View) MergeChanges(d Delta) (changed []int, newerLocal bool) {
 // one — information the remote lacks. Caller holds mu.
 func (v *View) mergeOne(id int, r Entry, notes *[]Change) (newerLocal bool) {
 	cur := &v.entries[id]
+	// Two different Alive records at one incarnation: neither supersedes.
+	aliveTie := r.State == Alive && cur.State == Alive && r.Inc == cur.Inc
 	switch {
 	case r == *cur:
 		// An equal record neither supersedes nor is superseded: the rule
@@ -693,11 +857,18 @@ func (v *View) mergeOne(id int, r Entry, notes *[]Change) (newerLocal bool) {
 		// Forged state value or successor mark: never adopt it, and flag
 		// the entry so the reply gossip carries the truth back.
 		return true
-	case !r.Supersedes(*cur):
+	case !r.Supersedes(*cur) && !(aliveTie && v.Local(id)):
 		return cur.Supersedes(r)
 	case v.Local(id):
 		// Authoritative entry: re-assert the local state above the
-		// remote's incarnation instead of adopting.
+		// remote's incarnation instead of adopting. An Alive tie is
+		// refuted too, or both views would keep their record for ever.
+		// No view's own history holds two Alive records at one
+		// incarnation (a claim on an Alive entry bumps it), so a delta
+		// merged back into the view that published it never re-asserts
+		// for a tie. Two non-alive records at one incarnation do occur
+		// there (a claim on a dead node keeps its incarnation): such a
+		// tie is left alone on every path.
 		cur.Inc = r.Inc + 1
 		v.bump(id)
 		*notes = append(*notes, Change{id, *cur})

@@ -340,10 +340,16 @@ func TestSinceAndVersionedSnapshot(t *testing.T) {
 // several goroutines while others mutate the view: the published snapshot
 // is shared, so every delta must stay internally consistent (its sizes
 // match the entries it iterates) however the publishing races and the
-// mutations interleave. Run it with -race.
+// mutations interleave. The view spans four chunks and each writer walks
+// its mutations across them, so snapshots share some chunks and re-copy
+// others. Every delta is sized twice, the second time from the
+// snapshot's memo, and each reader keeps re-sizing and re-iterating the
+// first delta it took, whose snapshot other readers size at their own
+// bases. Run it with -race.
 func TestSinceConcurrent(t *testing.T) {
-	const n, workers, rounds = 64, 4, 400
+	const n, workers, rounds = 200, 4, 400
 	v := NewView(n, func(id int) bool { return id%2 == 0 })
+	v.MarkDead(n - 1)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(2)
@@ -351,7 +357,7 @@ func TestSinceConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < rounds; i++ {
-				id := rng.Intn(n)
+				id := (i*chunkSize + rng.Intn(chunkSize)) % n
 				switch rng.Intn(3) {
 				case 0:
 					v.MarkDead(id)
@@ -365,19 +371,28 @@ func TestSinceConcurrent(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(100 + seed))
+			check := func(d Delta, base, dver, ver uint64) bool {
+				for rep := 0; rep < 2; rep++ {
+					count, entryBytes, _ := d.Size()
+					seen, sum := 0, 0
+					for _, e := range d.All() {
+						seen++
+						sum += e.wireLen()
+					}
+					if dver < ver || seen != count || sum != entryBytes {
+						t.Errorf("delta at base %d (version %d): %d entries of %d B, sized %d of %d B",
+							base, dver, seen, sum, count, entryBytes)
+						return false
+					}
+				}
+				return true
+			}
+			first, firstVer := v.Since(1)
 			for i := 0; i < rounds; i++ {
 				ver := v.Version()
 				base := uint64(rng.Int63n(int64(ver + 1)))
 				d, dver := v.Since(base)
-				count, entryBytes, _ := d.Size()
-				seen, sum := 0, 0
-				for _, e := range d.All() {
-					seen++
-					sum += e.wireLen()
-				}
-				if dver < ver || seen != count || sum != entryBytes {
-					t.Errorf("delta at base %d (version %d): %d entries of %d B, sized %d of %d B",
-						base, dver, seen, sum, count, entryBytes)
+				if !check(d, base, dver, ver) || !check(first, 1, firstVer, firstVer) {
 					return
 				}
 				v.MergeChanges(d)
@@ -421,6 +436,17 @@ func TestMergeChangesMatchesMerge(t *testing.T) {
 	if changed, newer := a.MergeChanges(Changes([]Change{{ID: -1}, {ID: 99, E: Entry{State: Dead, Inc: 9}}})); changed != nil || newer {
 		t.Errorf("out-of-range ids had an effect: changed=%v newer=%v", changed, newer)
 	}
+	// So are the ids of a published delta from a larger view, chunks past
+	// this view's size included.
+	big := NewView(200, nil)
+	big.MarkDead(2)
+	big.MarkAlive(2)
+	big.MarkDead(2) // dead at incarnation 1: supersedes A's alive/sp0
+	big.MarkDead(150)
+	bigDelta, _ := big.Since(1)
+	if changed, _ := a.MergeChanges(bigDelta); !reflect.DeepEqual(changed, []int{2}) {
+		t.Errorf("larger view's delta changed %v, want [2]", changed)
+	}
 }
 
 // BenchmarkViewSince is the delta-gossip tail on the hot path: a
@@ -440,6 +466,46 @@ func BenchmarkViewSince(b *testing.B) {
 		d, _ := v.Since(base)
 		if n, _, _ := d.Size(); n != 167 {
 			b.Fatalf("delta has %d entries, want 167", n)
+		}
+	}
+}
+
+// TestSameIncarnationForgeryRefuted: a record about a local node at the
+// host's incarnation, with a different claim, is refuted like a
+// superseding one. Host A holds node 4 at 4=alive/sp4<0 and view B at
+// 4=alive/sp0, both at incarnation 1 — neither record supersedes the
+// other, so without the refutation both views keep theirs for ever.
+// Gossip in both directions, by published delta and by sparse changes,
+// must converge on the host's claim.
+func TestSameIncarnationForgeryRefuted(t *testing.T) {
+	for _, sparse := range []bool{false, true} {
+		a := NewView(6, func(id int) bool { return id >= 3 })
+		b := NewView(6, func(id int) bool { return id < 3 })
+		a.Succeed(4, 0)
+		b.MergeChanges(Changes([]Change{{ID: 4, E: Entry{State: Alive, Inc: 1, SP: 0}}}))
+		if ea, eb := a.EntryOf(4), b.EntryOf(4); ea.Inc != 1 || eb.Inc != 1 || ea == eb ||
+			a.String() != "0=alive 1=alive 2=alive 3=alive 4=alive/sp4<0 5=alive" ||
+			b.String() != "0=alive 1=alive 2=alive 3=alive 4=alive/sp0 5=alive" {
+			t.Fatalf("setup: A %s (%+v), B %s (%+v)", a, ea, b, eb)
+		}
+		tail := func(v *View) Delta {
+			if sparse {
+				return Entries(v.Snapshot())
+			}
+			d, _ := v.Since(0)
+			return d
+		}
+		for round := 0; round < 3; round++ {
+			if _, newer := a.MergeChanges(tail(b)); newer {
+				b.MergeChanges(tail(a))
+			}
+			if _, newer := b.MergeChanges(tail(a)); newer {
+				a.MergeChanges(tail(b))
+			}
+		}
+		ea, eb := a.EntryOf(4), b.EntryOf(4)
+		if ea != eb || ea.SP != 4 || ea.Succeeds() != 0 || ea.State != Alive {
+			t.Fatalf("sparse=%v: views split after gossip: A %+v, B %+v", sparse, ea, eb)
 		}
 	}
 }

@@ -135,18 +135,36 @@ func recordMerge(v *liveness.View, d liveness.Delta) mergeRecord {
 	return r
 }
 
+// checkMergeBack merges d, which v published when its reference changes
+// were ref, three ways — back into v (the bounded path), into an
+// independent copy (the general path), and as the sparse changes ref into
+// another copy — and requires the same changed ids, newerLocal, observer
+// calls and final view. It returns the bounded merge's record.
+func checkMergeBack(t *testing.T, v *liveness.View, d liveness.Delta, ref []liveness.Change, what string) mergeRecord {
+	t.Helper()
+	general, sparse := liveness.CloneView(v), liveness.CloneView(v)
+	bounded := recordMerge(v, d)
+	for name, got := range map[string]mergeRecord{
+		"general": recordMerge(general, d),
+		"sparse":  recordMerge(sparse, liveness.Changes(ref)),
+	} {
+		if !reflect.DeepEqual(got, bounded) {
+			t.Fatalf("%s: %s merge\n%+v\nbounded merge\n%+v", what, name, got, bounded)
+		}
+	}
+	return bounded
+}
+
 // TestGossipDeltaMatchesReference runs seeded mutation scripts over views
-// with local and non-local nodes. For every base version it holds the
-// published delta to the reference entries, and its counted size, written
-// length and bytes to the reference encoding. Then it merges a delta,
-// taken some mutations earlier, three ways — back into the view that
-// published it (the bounded path), into an independent copy (the general
-// path), and as the reference's sparse changes into another copy — and
-// requires the same changed ids, newerLocal, observer calls and final view.
+// with local and non-local nodes, sized on and around the edges of the
+// snapshot chunks (64 ids). For every base version it holds the published
+// delta to the reference entries, and its counted size, written length and
+// bytes to the reference encoding. Then it merges a delta, taken some
+// mutations earlier, back three ways (checkMergeBack).
 func TestGossipDeltaMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 48; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n := []int{1, 7, 40, 200}[seed%4]
+		n := []int{1, 7, 40, 200, 63, 64, 65, 129}[seed%8]
 		mod := 2 + int(seed%3)
 		v := liveness.NewView(n, func(id int) bool { return id%mod == 0 })
 		for step := 0; step < 80; step++ {
@@ -169,19 +187,92 @@ func TestGossipDeltaMatchesReference(t *testing.T) {
 			for k := rng.Intn(4); k > 0; k-- {
 				mutate(rng, v)
 			}
-			general, sparse := liveness.CloneView(v), liveness.CloneView(v)
-			bounded := recordMerge(v, d)
-			for name, got := range map[string]mergeRecord{
-				"general": recordMerge(general, d),
-				"sparse":  recordMerge(sparse, liveness.Changes(ref)),
-			} {
-				if !reflect.DeepEqual(got, bounded) {
-					t.Fatalf("seed %d step %d base %d: %s merge\n%+v\nbounded merge\n%+v",
-						seed, step, base, name, got, bounded)
+			checkMergeBack(t, v, d, ref, fmt.Sprintf("seed %d step %d base %d", seed, step, base))
+		}
+	}
+}
+
+// TestMergeBackAcrossChunks merges back a delta spanning two chunks of the
+// snapshot that published it (ids 5 and 70, chunks 0 and 1), after the
+// view rewrote one of them — a later mutation and a later snapshot replace
+// the chunk's frozen copy — and not the other, which the view still shares
+// with the delta; or rewrote both, or only a chunk outside the delta. The
+// bounded merge must skip only shared chunks: it must match the general
+// and sparse merges, and report newer local records exactly when a
+// rewrite touched one of the delta's entries.
+func TestMergeBackAcrossChunks(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		after     func(v *liveness.View)
+		wantNewer bool
+	}{
+		{"rewritten", func(v *liveness.View) { v.MarkDead(70) }, true},
+		{"rewritten-elsewhere", func(v *liveness.View) { v.MarkDead(100) }, false},
+		{"outside", func(v *liveness.View) { v.MarkDead(140) }, false},
+		{"both", func(v *liveness.View) { v.MarkAlive(5); v.SetSP(71, 3) }, true},
+	} {
+		v := liveness.NewView(150, func(id int) bool { return id%2 == 0 })
+		base := v.Version()
+		v.MarkDead(5)
+		v.SetSP(70, 1)
+		v.SetSP(71, 2)
+		d, _ := v.Since(base)
+		ref, _ := liveness.SinceReference(v, base)
+		c.after(v)
+		v.Since(0) // a later snapshot re-freezes the rewritten chunk
+		got := checkMergeBack(t, v, d, ref, c.name)
+		if got.newerLocal != c.wantNewer || got.changed != nil {
+			t.Fatalf("%s: merge-back changed %v, newerLocal %v; want nothing changed, newerLocal %v",
+				c.name, got.changed, got.newerLocal, c.wantNewer)
+		}
+	}
+}
+
+// TestSizeMemoMatchesReference sizes one snapshot at interleaved and
+// repeated bases — more than it memoizes in place — before and after the
+// view moves on, and holds every sizing to the reference changes of the
+// version the snapshot was taken at. Deltas of the later version are held
+// to theirs in the same interleaving.
+func TestSizeMemoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	v := liveness.NewView(200, func(id int) bool { return id < 100 })
+	for k := 0; k < 120; k++ {
+		mutate(rng, v)
+	}
+	type sized struct {
+		d    liveness.Delta
+		want [3]int
+	}
+	take := func() []sized {
+		var out []sized
+		for base := uint64(0); base <= v.Version(); base += 7 {
+			d, _ := v.Since(base)
+			ref, _ := liveness.SinceReference(v, base)
+			n, eb, gb := liveness.Changes(ref).Size()
+			out = append(out, sized{d, [3]int{n, eb, gb}})
+		}
+		return out
+	}
+	check := func(when string, ds []sized) {
+		t.Helper()
+		for _, i := range rng.Perm(len(ds)) {
+			for rep := 0; rep < 2; rep++ {
+				n, eb, gb := ds[i].d.Size()
+				if got := [3]int{n, eb, gb}; got != ds[i].want {
+					t.Fatalf("%s: delta %d sized %v, reference %v", when, i, got, ds[i].want)
 				}
 			}
 		}
 	}
+	old := take()
+	check("before", old)
+	for k := 0; k < 10; k++ {
+		mutate(rng, v)
+	}
+	check("after the view moved", old)
+	now := take()
+	check("new version", now)
+	check("old version again", old)
 }
 
 // TestGossipDeltaSizes pins Size on the shapes whose cost it shortcuts: a
