@@ -74,16 +74,17 @@ type (
 	Cell = cells.Cell
 	// Measure carries weighted statistics of a numeric attribute.
 	Measure = cells.Measure
-	// SummaryStore is a global summary behind the storage layer: a single
-	// tree or an independently lockable shard set.
-	SummaryStore = summarystore.Store
+	// SummaryStore is a global summary in the storage layer: its leaves
+	// partitioned across independently lockable shards, where one shard
+	// is the paper's single tree.
+	SummaryStore = *summarystore.Store
 	// StoreAnswer is the merged outcome of a fanned-out store query.
 	StoreAnswer = query.StoreAnswer
 )
 
-// NewSummaryStore builds a standalone summary store: the paper's single
-// tree when shards <= 1, a sharded store (per-shard locks, partitioned by
-// top-level BK descriptor or key hash) otherwise.
+// NewSummaryStore builds a standalone summary store: one shard, the
+// paper's single tree, when shards <= 1; otherwise per-shard locks over a
+// partition by BK descriptor range or key hash.
 func NewSummaryStore(b *BK, cfg TreeConfig, shards int) SummaryStore {
 	return summarystore.New(b, cfg, shards)
 }

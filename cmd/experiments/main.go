@@ -7,7 +7,7 @@
 //	             ablation-maintenance|ablation-routing|ablation-walks|
 //	             ablation-ttl|ablation-unavailable|ablation-arity|
 //	             ablation-locality|coverage|churn|faults|scale]
-//	            [-quick] [-seed N] [-parallel N] [-shards N]
+//	            [-quick] [-seed N] [-parallel N]
 //	            [-churn-out FILE] [-faults-out FILE] [-scale-out FILE]
 //
 // Flags:
@@ -17,8 +17,6 @@
 //	-quick        down-scaled smoke configuration instead of Table 3 scale
 //	-seed         random seed driving every sweep point (default 42)
 //	-parallel     sweep worker goroutines (0 = one per CPU, 1 = sequential)
-//	-shards       global-summary store shards per simulated summary peer
-//	              (1 = the paper's single tree)
 //	-churn-out    file the churn experiment writes its coverage-over-time
 //	              series to as JSON (default BENCH_churn.json; empty
 //	              disables the file)
@@ -54,7 +52,6 @@ func main() {
 	quick := flag.Bool("quick", false, "run the down-scaled smoke configuration")
 	seed := flag.Int64("seed", 42, "random seed")
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = one per CPU, 1 = sequential)")
-	shards := flag.Int("shards", 1, "global-summary store shards per simulated summary peer (1 = single tree)")
 	churnOut := flag.String("churn-out", "BENCH_churn.json", "file for the churn experiment's JSON series (empty: no file)")
 	faultsOut := flag.String("faults-out", "BENCH_faults.json", "file for the faults experiment's JSON points (empty: no file)")
 	scaleOut := flag.String("scale-out", "BENCH_scale.json", "file for the scale experiment's JSON series (empty: no file)")
@@ -66,7 +63,6 @@ func main() {
 	}
 	cfg.Seed = *seed
 	cfg.Workers = *parallel
-	cfg.Shards = *shards
 
 	type runner struct {
 		name string

@@ -46,9 +46,9 @@
 //	                                      query service (QueryService over MsgQuery)
 //	internal/core                         summary management (§4.1–§4.3)
 //	internal/query                        flexible-query selection/answering (§5)
-//	internal/summarystore.Store           global-summary storage layer
-//	├── summarystore.Single               one tree, one RWMutex (the paper's layout)
-//	└── summarystore.Sharded              per-shard trees + locks, descriptor-range
+//	internal/summarystore.Store           global-summary storage layer: per-shard
+//	                                      trees + locks, descriptor-range; one shard
+//	                                      is the paper's single tree
 //	internal/saintetiq                    summary hierarchies (§3.2) over internal/cells,
 //	                                      internal/fuzzy, internal/bk, internal/data;
 //	                                      a tree is a flat arena of node slots (int32
@@ -177,9 +177,9 @@
 // Writes coalesce per peer. Senders append complete units into the
 // connection's batch buffer and never touch the socket; the per-peer
 // writer goroutine swaps the whole batch out and flushes it with ONE
-// write, lingering TCPConfig.FlushDelay for stragglers unless
-// TCPConfig.FlushBytes already accumulated. Each connection meters both
-// directions with EWMA flow rates and lifetime counters —
+// write, lingering 500µs for stragglers unless 32 KiB already
+// accumulated. Each connection meters both directions with EWMA flow
+// rates and lifetime counters —
 // TCPTransport.PeerStats snapshots them (rates, bytes, units, flushes,
 // queued batch, in-flight frames, keepalive RTT), cmd/p2pnode dumps them
 // on SIGUSR1, and CI's benchgate step fails the build if encoding a
@@ -454,13 +454,12 @@
 //	                           under the lock, the handoff itself happens
 //	                           outside.
 //	gateway.Client.mu          one session's token bucket (refill + take).
-//	summarystore.Single.mu     one RWMutex around the single tree: queries
-//	                           take RLock, Merge/SwapFrom take Lock.
-//	summarystore.Sharded       one RWMutex PER SHARD: merges lock only the
+//	summarystore.shard.mu      one RWMutex PER SHARD: merges lock only the
 //	                           shards owning the delta's leaves, queries
 //	                           fan out under read locks — cross-domain and
 //	                           cross-shard querying never serializes on one
-//	                           lock.
+//	                           lock. At one shard (the paper's layout) it
+//	                           is the one lock around the single tree.
 //	liveness.View.mu           one RWMutex per transport's membership view:
 //	                           entries (state/incarnation/SP claim) and the
 //	                           version counter. Handlers, drivers, timers
@@ -493,17 +492,18 @@
 //
 // # Storage layer
 //
-// A summary peer's global summary lives behind summarystore.Store rather
-// than being one bare SaintEtiQ tree. The Single implementation is the
-// paper's layout; the Sharded implementation partitions the leaves by
+// A summary peer's global summary lives in a summarystore.Store rather
+// than being one bare SaintEtiQ tree. The store partitions the leaves by
 // descriptor range on the widest BK attribute (falling back to a leaf-key
 // hash when the shard count exceeds that vocabulary), giving each shard
-// its own lock. Partner merges touch only the shards owning the delta's
-// leaves, reconciliation installs per-shard deltas (unchanged shards keep
-// their tree), and queries compile once, prune to the candidate shards
-// named by their clauses, fan out across internal/par, and merge graded
-// results. SimOptions.Shards (and -shards on the CLIs) selects the layout;
-// both layouts answer structure-invariant queries identically.
+// its own lock; one shard is the paper's layout, a single tree that an
+// install replaces with the reconciled version itself. Partner merges
+// touch only the shards owning the delta's leaves, reconciliation installs
+// per-shard deltas (unchanged shards keep their tree), and queries compile
+// once, prune to the candidate shards named by their clauses, fan out
+// across internal/par, and merge graded results. SimOptions.Shards (and
+// -shards on p2psim) selects the shard count; every count answers
+// structure-invariant queries identically.
 //
 // Transports also provide a serialized timer (Transport.After) that the
 // reconciliation protocol uses for loss recovery: a dropped §4.2.2 ring

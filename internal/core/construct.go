@@ -112,6 +112,9 @@ func (s *System) broadcastSumpeer(spID p2p.NodeID) {
 	}
 }
 
+// findBudget bounds the selective walk of the find protocol.
+const findBudget = 32
+
 // findDomain runs the selective walk of the find protocol and adopts the
 // summary peer of the first partner reached.
 func (s *System) findDomain(p *Peer) {
@@ -120,7 +123,7 @@ func (s *System) findDomain(p *Peer) {
 	// the caller's serialized context, so those peers' handlers are not
 	// writing them now (sp is atomic for the driver goroutines that read
 	// it beside the lane, see Peer).
-	res := s.net.SelectiveWalk(MsgFind, p.id, s.cfg.FindBudget, func(id p2p.NodeID) bool {
+	res := s.net.SelectiveWalk(MsgFind, p.id, findBudget, func(id p2p.NodeID) bool {
 		if id == p.id {
 			return false
 		}

@@ -87,11 +87,10 @@ func TestNewSystemValidation(t *testing.T) {
 	g, _ := topology.BarabasiAlbert(10, 2, nil, rand.New(rand.NewSource(1)))
 	net := p2p.NewNetwork(sim.New(), g, 1)
 	bad := []Config{
-		{Alpha: 0, ConstructionTTL: 2, FindBudget: 8},
-		{Alpha: 1.5, ConstructionTTL: 2, FindBudget: 8},
-		{Alpha: 0.3, ConstructionTTL: 0, FindBudget: 8},
-		{Alpha: 0.3, ConstructionTTL: 2, FindBudget: 0},
-		{Alpha: 0.3, ConstructionTTL: 2, FindBudget: 8, DataLevel: true}, // no BK
+		{Alpha: 0, ConstructionTTL: 2},
+		{Alpha: 1.5, ConstructionTTL: 2},
+		{Alpha: 0.3, ConstructionTTL: 0},
+		{Alpha: 0.3, ConstructionTTL: 2, DataLevel: true}, // no BK
 	}
 	for i, cfg := range bad {
 		if _, err := NewSystem(net, cfg); err == nil {

@@ -225,12 +225,12 @@ func (p *Peer) onReconcile(msg *p2p.Message) {
 }
 
 // completeReconcile installs the rebuilt global summary and resets the
-// freshness values. The install goes through the store: a single-tree
-// store performs the paper's one whole-tree update operation, a sharded
-// store splits the new version and swaps only the shards whose leaves
-// changed (per-shard deltas), so concurrent readers are never stalled on
-// the whole summary. Tokens of a superseded ring generation (retransmit
-// already launched a newer one) are dropped.
+// freshness values. The install goes through the store, which swaps only
+// the shards whose leaves changed (per-shard deltas), so concurrent
+// readers are never stalled on the whole summary; a one-shard store takes
+// the new version itself as its tree — the paper's one whole-tree update
+// operation — unless its leaves are unchanged. Tokens of a superseded ring
+// generation (retransmit already launched a newer one) are dropped.
 func (p *Peer) completeReconcile(pl *ReconcilePayload) {
 	if !p.reconciling || pl.Seq != p.reconcileSeq {
 		return // stale token: a retransmitted ring owns this round now

@@ -46,8 +46,6 @@ type Config struct {
 	Alpha float64
 	// ConstructionTTL bounds the sumpeer broadcast (the paper suggests 2).
 	ConstructionTTL int
-	// FindBudget bounds the selective walk of the find protocol.
-	FindBudget int
 	// Mode selects one-bit (paper's final choice) or two-bit freshness.
 	Mode Mode
 	// KeepUnavailable selects the §4.3 "first alternative" in two-bit
@@ -66,8 +64,8 @@ type Config struct {
 	TreeCfg saintetiq.Config
 	// Shards partitions each global summary across this many independently
 	// lockable store shards (data level only): merges and reconciliation
-	// deltas apply per shard, queries fan out across shards. 0 or 1 keeps
-	// the paper's single-tree layout.
+	// deltas apply per shard, queries fan out across shards. 0 or 1 builds
+	// one shard, the paper's single tree.
 	Shards int
 	// ReconcileTimeout arms a retransmit timer (virtual seconds, plus a
 	// per-partner allowance) whenever a §4.2.2 ring token is launched: if
@@ -115,13 +113,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's settings: α=0.3, TTL=2, one-bit mode,
-// a single-tree store, and loss recovery armed at 30 virtual seconds with
-// 3 retries.
+// a one-shard store (the single tree), and loss recovery armed at 30
+// virtual seconds with 3 retries.
 func DefaultConfig() Config {
 	return Config{
 		Alpha:            0.3,
 		ConstructionTTL:  2,
-		FindBudget:       32,
 		Mode:             OneBit,
 		TreeCfg:          saintetiq.DefaultConfig(),
 		ReconcileTimeout: 30,
@@ -148,7 +145,7 @@ type Peer struct {
 	links      map[p2p.NodeID]*gossipLink // per-partner delta-gossip state (see gossipLink)
 
 	// Summary-peer state.
-	gs           summarystore.Store
+	gs           *summarystore.Store
 	cl           *CooperationList
 	reconciling  bool
 	reconcileSeq int // generation of the in-flight ring (stale-token guard)
@@ -199,11 +196,11 @@ func (p *Peer) LocalTree() *saintetiq.Tree { return p.local }
 // SummaryStore returns the summary peer's global-summary store (nil for
 // clients and at protocol level). Queries should go through it — see
 // query.AnswerStore — so sharded stores fan out instead of materializing.
-func (p *Peer) SummaryStore() summarystore.Store { return p.gs }
+func (p *Peer) SummaryStore() *summarystore.Store { return p.gs }
 
 // GlobalSummary returns the summary peer's current global summary as one
-// hierarchy. Single-tree stores return their live tree (treat it as
-// read-only); sharded stores materialize a merged snapshot per call.
+// hierarchy. A one-shard store returns its live tree (treat it as
+// read-only); more shards materialize a merged snapshot per call.
 func (p *Peer) GlobalSummary() *saintetiq.Tree {
 	if p.gs == nil {
 		return nil
@@ -358,9 +355,6 @@ func NewSystem(net p2p.Transport, cfg Config) (*System, error) {
 	if cfg.ConstructionTTL < 1 {
 		return nil, errors.New("core: construction TTL must be >= 1")
 	}
-	if cfg.FindBudget < 1 {
-		return nil, errors.New("core: find budget must be >= 1")
-	}
 	if cfg.DataLevel && cfg.BK == nil {
 		return nil, errors.New("core: data level requires a background knowledge")
 	}
@@ -426,9 +420,9 @@ func (s *System) newTree() *saintetiq.Tree {
 	return saintetiq.New(s.cfg.BK, s.cfg.TreeCfg)
 }
 
-// newStore builds a summary peer's global-summary store: single-tree for
-// Shards <= 1, sharded otherwise. Nil at protocol level.
-func (s *System) newStore() summarystore.Store {
+// newStore builds a summary peer's global-summary store with Shards
+// shards (one, the single tree, for Shards <= 1). Nil at protocol level.
+func (s *System) newStore() *summarystore.Store {
 	if !s.cfg.DataLevel {
 		return nil
 	}

@@ -49,12 +49,6 @@ type Config struct {
 	// (0 = one per CPU, 1 = sequential). Every point is seeded
 	// independently, so any worker count yields bit-identical tables.
 	Workers int
-	// Shards selects the global-summary store layout of every simulated
-	// summary peer (core.Config.Shards): 0 or 1 is the paper's single
-	// tree, higher values shard the store. The Figure 4–6 accounting is
-	// protocol-level and layout-invariant; the knob exists so data-level
-	// sweeps and ablations run against the same layout the CLIs select.
-	Shards int
 	// ScalePeers is the overlay-size sweep of the scale experiment
 	// (construct + reconcile on the discrete-event engine).
 	ScalePeers []int
@@ -172,7 +166,6 @@ func runDomain(cfg Config, n int, alpha float64, seed int64, mode routing.Mode, 
 	engine := sim.New()
 	net := p2p.NewNetwork(engine, g, seed)
 	sysCfg.Alpha = alpha
-	sysCfg.Shards = cfg.Shards
 	sys, err := core.NewSystem(net, sysCfg)
 	if err != nil {
 		return nil, err

@@ -26,7 +26,7 @@ type entry struct {
 	// st/shards/gens are the generation basis: the entry is fresh while
 	// st.Generation(shards[i]) == gens[i] for all i. st == nil means the
 	// domain's store is not readable here; deadline alone governs then.
-	st     summarystore.Store
+	st     *summarystore.Store
 	shards []int
 	gens   []uint64
 	// deadline is the α-TTL fallback bound (always set; for
@@ -166,7 +166,7 @@ func (c *cache) put(h uint64, e *entry, ctr *counters) {
 // holds — the proactive sweep OnInstall runs after a reconciliation
 // swapped shard deltas. Entries over untouched shards survive: no global
 // flush. Returns the number of entries dropped.
-func (c *cache) scrub(domain p2p.NodeID, st summarystore.Store) int {
+func (c *cache) scrub(domain p2p.NodeID, st *summarystore.Store) int {
 	dropped := 0
 	now := time.Now()
 	for i := range c.shards {

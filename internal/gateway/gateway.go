@@ -77,7 +77,7 @@ type Backend interface {
 	// Store returns the domain's global-summary store when it is readable
 	// in this process (enabling generation-keyed freshness and shard
 	// capture), nil otherwise (the cache falls back to the α-derived TTL).
-	Store(domain p2p.NodeID) summarystore.Store
+	Store(domain p2p.NodeID) *summarystore.Store
 	// Execute evaluates q for origin upstream — the expensive call the
 	// cache and singleflight exist to amortize.
 	Execute(origin p2p.NodeID, q query.Query) (*routing.DataAnswer, error)
@@ -110,7 +110,7 @@ func (b SystemBackend) Domain(origin p2p.NodeID) p2p.NodeID {
 
 // Store returns the domain summary peer's store, nil when the peer is not
 // hosted (or not a data-level summary peer) in this process.
-func (b SystemBackend) Store(domain p2p.NodeID) summarystore.Store {
+func (b SystemBackend) Store(domain p2p.NodeID) *summarystore.Store {
 	if !b.Sys.HasPeer(domain) {
 		return nil
 	}

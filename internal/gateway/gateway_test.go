@@ -33,7 +33,7 @@ func (c *cache) len() int {
 // fakeBackend serves a fixed domain from an optional real summary store,
 // counting upstream executions.
 type fakeBackend struct {
-	st    summarystore.Store
+	st    *summarystore.Store
 	alpha float64
 	// block, when non-nil, parks Execute until closed (singleflight tests).
 	block   chan struct{}
@@ -51,7 +51,7 @@ func (f *fakeBackend) Domain(origin p2p.NodeID) p2p.NodeID {
 	return fakeDomain
 }
 
-func (f *fakeBackend) Store(domain p2p.NodeID) summarystore.Store { return f.st }
+func (f *fakeBackend) Store(domain p2p.NodeID) *summarystore.Store { return f.st }
 
 func (f *fakeBackend) Execute(origin p2p.NodeID, q query.Query) (*routing.DataAnswer, error) {
 	n := f.execs.Add(1)
@@ -103,7 +103,7 @@ func diseaseTree(t testing.TB, disease string, ages []float64, peer saintetiq.Pe
 	return tr
 }
 
-func newShardedStore(t testing.TB) summarystore.Store {
+func newShardedStore(t testing.TB) *summarystore.Store {
 	t.Helper()
 	st := summarystore.New(bk.Medical(), saintetiq.DefaultConfig(), 4)
 	if err := st.Merge(diseaseTree(t, "anorexia", []float64{15, 18}, 1)); err != nil {

@@ -40,7 +40,7 @@ const (
 )
 
 // maxGwFrame bounds a frame read off a gateway socket (hostile-length
-// guard, same role as TCPConfig.MaxFrame).
+// guard, same role as the TCP transport's frame bound).
 const maxGwFrame = 1 << 20
 
 // HelloPayload names a session endpoint.

@@ -99,13 +99,6 @@ type TCPConfig struct {
 	// hosting it. It may also be installed later via SetHosts (before any
 	// traffic), which test setups with kernel-picked ports need.
 	Hosts map[NodeID]string
-	// TimerScale maps one virtual second of After delay onto real time
-	// (default 1ms, matching the channel transport's fallback).
-	TimerScale time.Duration
-	// DialTimeout bounds one connection attempt (default 3s).
-	DialTimeout time.Duration
-	// MaxFrame bounds the accepted unit size in bytes (default 64 MiB).
-	MaxFrame int
 	// ReconnectAttempts bounds the background redial loop started when a
 	// registered peer connection breaks: the transport retries with
 	// exponential backoff until the peer answers or the budget is spent
@@ -118,14 +111,6 @@ type TCPConfig struct {
 	ReconnectBackoff time.Duration
 	// ReconnectMax caps the growing redial delay (default 3s).
 	ReconnectMax time.Duration
-	// FlushDelay bounds the writer's coalescing wait: once a batch holds at
-	// least one unit, the writer lingers this long for more before issuing
-	// the socket write (default 500µs; negative flushes immediately —
-	// batches then only form while a previous write is in flight).
-	FlushDelay time.Duration
-	// FlushBytes is the batch size that flushes without waiting out
-	// FlushDelay (default 32 KiB).
-	FlushBytes int
 	// KeepAlive is the idle-link probe interval: a connection that has
 	// received nothing for this long is pinged, and torn down when the pong
 	// stays out for another 2×KeepAlive — the cheap liveness signal for
@@ -145,6 +130,23 @@ type TCPConfig struct {
 	// stopped peers (default 0: no age bound).
 	MaxBacklogAge time.Duration
 }
+
+const (
+	// tcpTimerScale maps one virtual second of After delay onto real time
+	// (1ms, matching the channel transport's fallback).
+	tcpTimerScale = time.Millisecond
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 3 * time.Second
+	// maxFrame bounds the accepted unit size in bytes.
+	maxFrame = 64 << 20
+	// flushDelay bounds the writer's coalescing wait: once a batch holds at
+	// least one unit, the writer lingers this long for more before issuing
+	// the socket write.
+	flushDelay = 500 * time.Microsecond
+	// flushBytes is the batch size that flushes without waiting out
+	// flushDelay.
+	flushBytes = 32 << 10
+)
 
 // Stream unit kinds.
 const (
@@ -290,17 +292,17 @@ func (c *tcpConn) sendRaw(kind byte, body []byte) bool {
 }
 
 // takeBatch blocks until units are pending or the connection dies, lingers
-// up to delay for more units to coalesce (unless the batch already holds
-// flushBytes), then hands the batch — and the number of units in it — to
-// the writer. The caller owns the returned Enc and must Release it.
-func (c *tcpConn) takeBatch(delay time.Duration, flushBytes int) (*wire.Enc, int, bool) {
+// up to flushDelay for more units to coalesce (unless the batch already
+// holds flushBytes), then hands the batch — and the number of units in it
+// — to the writer. The caller owns the returned Enc and must Release it.
+func (c *tcpConn) takeBatch() (*wire.Enc, int, bool) {
 	c.qmu.Lock()
 	for c.pending == 0 && !c.dead.Load() {
 		c.qcond.Wait()
 	}
-	if c.pending > 0 && delay > 0 && c.batch.Len() < flushBytes {
+	if c.pending > 0 && c.batch.Len() < flushBytes {
 		c.qmu.Unlock()
-		time.Sleep(delay)
+		time.Sleep(flushDelay)
 		c.qmu.Lock()
 	}
 	if c.pending == 0 || c.batch == nil {
@@ -341,15 +343,6 @@ func NewTCPTransport(graph *topology.Graph, cfg TCPConfig) (*TCPTransport, error
 	if len(cfg.Local) == 0 {
 		return nil, errors.New("p2p: TCP transport needs at least one local node")
 	}
-	if cfg.TimerScale <= 0 {
-		cfg.TimerScale = time.Millisecond
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 3 * time.Second
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = 64 << 20
-	}
 	if cfg.ReconnectAttempts == 0 {
 		cfg.ReconnectAttempts = 8
 	}
@@ -358,12 +351,6 @@ func NewTCPTransport(graph *topology.Graph, cfg TCPConfig) (*TCPTransport, error
 	}
 	if cfg.ReconnectMax <= 0 {
 		cfg.ReconnectMax = 3 * time.Second
-	}
-	if cfg.FlushDelay == 0 {
-		cfg.FlushDelay = 500 * time.Microsecond
-	}
-	if cfg.FlushBytes <= 0 {
-		cfg.FlushBytes = 32 << 10
 	}
 	if cfg.KeepAlive == 0 {
 		cfg.KeepAlive = 15 * time.Second
@@ -647,7 +634,7 @@ func (t *TCPTransport) liveConn(addr string) (*tcpConn, bool) {
 
 // dial opens, registers and hands off one connection to addr.
 func (t *TCPTransport) dial(addr string) (*tcpConn, error) {
-	c, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -725,15 +712,15 @@ func (t *TCPTransport) acceptLoop() {
 }
 
 // writeLoop flushes the connection's batch buffer onto the socket: it
-// takes whatever units have coalesced (lingering FlushDelay for stragglers
-// unless FlushBytes already accumulated), issues one write for the whole
+// takes whatever units have coalesced (lingering flushDelay for stragglers
+// unless flushBytes already accumulated), issues one write for the whole
 // batch, and returns the buffer to the encoder pool. A write error marks
 // the connection dead: subsequent sends to the peer run the drop callback
 // instead (§4.3 failure detection for dead connections).
 func (t *TCPTransport) writeLoop(conn *tcpConn) {
 	defer t.wg.Done()
 	for {
-		e, units, ok := conn.takeBatch(t.cfg.FlushDelay, t.cfg.FlushBytes)
+		e, units, ok := conn.takeBatch()
 		if !ok {
 			conn.c.Close()
 			return
@@ -767,7 +754,7 @@ func (t *TCPTransport) readLoop(conn *tcpConn) {
 			return
 		}
 		n := int(binary.BigEndian.Uint32(hdr))
-		if n < 1 || n > t.cfg.MaxFrame {
+		if n < 1 || n > maxFrame {
 			return // corrupt or hostile length
 		}
 		if cap(body) < n {
@@ -1209,10 +1196,10 @@ func (t *TCPTransport) SelectiveWalk(typ string, src NodeID, maxHops int, accept
 func (t *TCPTransport) Exec(fn func()) { t.eng.exec(fn) }
 
 // After schedules fn on the dispatcher, delaySeconds of virtual time from
-// now, scaled by TimerScale (see ChannelTransport.After for the
+// now, scaled by tcpTimerScale (see ChannelTransport.After for the
 // serialization and Settle/Close contract).
 func (t *TCPTransport) After(owner NodeID, delaySeconds float64, fn func()) {
-	t.eng.after(time.Duration(delaySeconds*float64(t.cfg.TimerScale)), fn)
+	t.eng.after(time.Duration(delaySeconds*float64(tcpTimerScale)), fn)
 }
 
 // Settle blocks until the whole deployment is quiescent as far as this

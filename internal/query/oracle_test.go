@@ -296,7 +296,7 @@ func (c *refCompiled) approximate(vocab *saintetiq.Tree, q query.Query, zs []sai
 
 // refStore is AnswerStore before the accumulator: per-shard answers merged
 // through class-key maps, peers and weights summed shard by shard.
-func refStore(st summarystore.Store, q query.Query) (*refAnswer, []saintetiq.PeerID, float64, int) {
+func refStore(st *summarystore.Store, q query.Query) (*refAnswer, []saintetiq.PeerID, float64, int) {
 	vocab := st.Vocab()
 	c := refCompile(vocab, q)
 	cands, err := query.Candidates(st, q)
@@ -420,14 +420,14 @@ func encodeAnswer(ans *query.Answer, peers []saintetiq.PeerID, visited int) []by
 
 // oracleStores feeds the same seeded eight-peer workload into stores of 1,
 // 2, 4 and 8 shards.
-func oracleStores(t testing.TB, b *bk.BK) []summarystore.Store {
+func oracleStores(t testing.TB, b *bk.BK) []*summarystore.Store {
 	t.Helper()
 	cfg := saintetiq.DefaultConfig()
 	mapper, err := cells.NewMapper(b, data.PatientSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stores []summarystore.Store
+	var stores []*summarystore.Store
 	for _, n := range []int{1, 2, 4, 8} {
 		stores = append(stores, summarystore.New(b, cfg, n))
 	}
@@ -649,7 +649,7 @@ func TestAnswersMatchReference(t *testing.T) {
 
 // checkTopKStore holds the merged store ranking to the reference graded
 // per shard and re-ranked by degree, then weight, then shard order.
-func checkTopKStore(t *testing.T, st summarystore.Store, q query.Query) {
+func checkTopKStore(t *testing.T, st *summarystore.Store, q query.Query) {
 	t.Helper()
 	got, err := query.TopKStore(st, q, 0)
 	if err != nil {

@@ -31,7 +31,7 @@ import (
 // descriptor-range partition, a clause on the partition attribute narrows
 // the fan-out to the clause labels' shards; anything else keeps all
 // shards.
-func candidateShards(st summarystore.Store, c *compiled) []int {
+func candidateShards(st *summarystore.Store, c *compiled) []int {
 	n := st.NumShards()
 	keep := make([]bool, n)
 	for i := range keep {
@@ -66,7 +66,7 @@ func candidateShards(st summarystore.Store, c *compiled) []int {
 // leaves every candidate shard untouched cannot change the answer. The
 // error is the same vocabulary validation AnswerStore would report, so
 // callers get query validation for free before paying for an evaluation.
-func Candidates(st summarystore.Store, q Query) ([]int, error) {
+func Candidates(st *summarystore.Store, q Query) ([]int, error) {
 	c, err := compile(st.Vocab(), q)
 	if err != nil {
 		return nil, err
@@ -95,7 +95,7 @@ type StoreAnswer struct {
 // shard's read lock — and merges the accumulators in shard order. Classes
 // sharing an interpretation are coalesced: weights add, answered
 // descriptors and peer extents union, measures merge.
-func AnswerStore(st summarystore.Store, q Query) (*StoreAnswer, error) {
+func AnswerStore(st *summarystore.Store, q Query) (*StoreAnswer, error) {
 	vocab := st.Vocab()
 	// Compile the proposition and resolve the select attributes once; both
 	// are vocabulary-level and shared by every shard.

@@ -16,7 +16,7 @@ import (
 
 // storeFixture builds a single-tree store and a sharded store fed the same
 // seeded per-peer workload.
-func storeFixture(t testing.TB, shards int) (single, sharded summarystore.Store, b *bk.BK) {
+func storeFixture(t testing.TB, shards int) (single, sharded *summarystore.Store, b *bk.BK) {
 	t.Helper()
 	b = bk.Medical()
 	cfg := saintetiq.DefaultConfig()
@@ -33,7 +33,7 @@ func storeFixture(t testing.TB, shards int) (single, sharded summarystore.Store,
 		if err := tr.IncorporateStore(cs, saintetiq.PeerID(p)); err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range []summarystore.Store{single, sharded} {
+		for _, st := range []*summarystore.Store{single, sharded} {
 			if err := st.Merge(tr); err != nil {
 				t.Fatal(err)
 			}
@@ -242,6 +242,55 @@ func TestTopKStoreRanking(t *testing.T) {
 	}
 }
 
+// TestSwapSeesMeasureOnlyChange: an install whose only difference from the
+// store is a leaf's measures (an age moving from 30 to 35, fully adult both
+// times, so the cell key, weight and grades stay put) still replaces that
+// leaf's shard, at one shard and at four, and AnswerStore reports the new
+// measures instead of the old ones.
+func TestSwapSeesMeasureOnlyChange(t *testing.T) {
+	b := bk.Medical()
+	cfg := saintetiq.DefaultConfig()
+	mapper, err := cells.NewMapper(b, data.PatientSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := func(age float64) *saintetiq.Tree {
+		rel := data.NewRelation("r", data.PatientSchema())
+		rel.MustInsert(data.Record{ID: "t1", Values: []data.Value{
+			data.NumValue(age), data.StrValue("female"), data.NumValue(21), data.StrValue("influenza")}})
+		rel.MustInsert(data.Record{ID: "t2", Values: []data.Value{
+			data.NumValue(70), data.StrValue("male"), data.NumValue(21), data.StrValue("malaria")}})
+		cs := cells.NewStore(mapper)
+		cs.AddRelation(rel)
+		tr := saintetiq.New(b, cfg)
+		if err := tr.IncorporateStore(cs, 0); err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	q, err := Reformulate(b, []string{"age"}, []Predicate{{Attr: "disease", Op: In, Strs: []string{"influenza"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		st := summarystore.New(b, cfg, shards)
+		st.SwapFrom(version(30))
+		if n := st.SwapFrom(version(35)); n != 1 {
+			t.Errorf("shards=%d: measure-only install swapped %d shards, want 1", shards, n)
+		}
+		sa, err := AnswerStore(st, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sa.Answer.Classes) != 1 {
+			t.Fatalf("shards=%d: %d classes, want 1", shards, len(sa.Answer.Classes))
+		}
+		if m := sa.Answer.Classes[0].Measures.Get("age"); m.Min != 35 || m.Max != 35 {
+			t.Errorf("shards=%d: age measure min %v max %v, want the installed 35", shards, m.Min, m.Max)
+		}
+	}
+}
+
 // TestStoreQueryErrors: unknown labels/attributes surface as errors through
 // the fan-out, same as the direct path.
 func TestStoreQueryErrors(t *testing.T) {
@@ -264,7 +313,7 @@ func TestStoreQueryErrors(t *testing.T) {
 // reconciliation swaps) may run concurrently — use AnswerStore or
 // TopKStore, which finish their node reads under the shard locks, when the
 // store is shared with writers.
-func SelectStore(st summarystore.Store, q Query) (*Selection, error) {
+func SelectStore(st *summarystore.Store, q Query) (*Selection, error) {
 	// The compiled proposition is vocabulary-level: one compilation serves
 	// every shard.
 	c, err := compile(st.Vocab(), q)
@@ -293,7 +342,7 @@ func SelectStore(st summarystore.Store, q Query) (*Selection, error) {
 // TopKStore evaluates the query on every shard, grades each shard's
 // selection under its read lock, and merges the graded results into one
 // ranking (degree, then weight, then shard order). k <= 0 returns all.
-func TopKStore(st summarystore.Store, q Query, k int) ([]GradedSummary, error) {
+func TopKStore(st *summarystore.Store, q Query, k int) ([]GradedSummary, error) {
 	c, err := compile(st.Vocab(), q)
 	if err != nil {
 		return nil, err

@@ -20,7 +20,7 @@ import (
 // slabs, rejecting any other order — so decoding is canonical.
 
 // answerStore feeds eight seeded patient peers into a 4-shard store.
-func answerStore(tb testing.TB) summarystore.Store {
+func answerStore(tb testing.TB) *summarystore.Store {
 	tb.Helper()
 	b, cfg := bk.Medical(), saintetiq.DefaultConfig()
 	mapper, err := cells.NewMapper(b, data.PatientSchema())

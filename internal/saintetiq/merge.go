@@ -96,9 +96,12 @@ func (t *Tree) MergeLeaves(src *Tree, leaves []Node) error {
 
 // LeavesEqual reports whether two hierarchies describe the same grid cells
 // with the same aggregates: identical leaf key sets and, per leaf, equal
-// tuple weight, descriptor grades and peer extents (weights and grades are
-// compared with a small relative tolerance — the same contributions summed
-// in a different order may differ in the last ulp). Structure above the
+// tuple weight, descriptor grades, measures and peer extents (weights,
+// grades and measures are compared with a small relative tolerance — the
+// same contributions summed in a different order may differ in the last
+// ulp). Measures matter on their own: values that move inside a grade-1
+// plateau (ages 30 and 35 are both fully adult) leave key, weight and
+// grades as they were. Structure above the
 // leaves is ignored, so two trees built by different insertion orders still
 // compare equal when they summarize the same data. Reconciliation uses it
 // as the per-shard delta test: a shard whose leaves did not change keeps its
@@ -123,6 +126,14 @@ func (t *Tree) LeavesEqual(o *Tree) bool {
 		ag, bg := t.row(t.grades, a), o.row(o.grades, b)
 		for l := range ac {
 			if !approxEq(ac[l], bc[l], tol) || !approxEq(ag[l], bg[l], tol) {
+				return false
+			}
+		}
+		am, bm := t.measureRow(a), o.measureRow(b)
+		for i := range am {
+			x, y := am[i], bm[i]
+			if !approxEq(x.Weight, y.Weight, tol) || !approxEq(x.Min, y.Min, tol) || !approxEq(x.Max, y.Max, tol) ||
+				!approxEq(x.Sum, y.Sum, tol) || !approxEq(x.SumSq, y.SumSq, tol) {
 				return false
 			}
 		}

@@ -3,6 +3,7 @@ package saintetiq
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -677,17 +678,12 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
+// approxEq reports whether a and b agree within tol relative to the larger
+// magnitude (absolute below 1). Equal values, infinite ones included (the
+// Min and Max of an empty measure), always agree.
 func approxEq(a, b, tol float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
+	if a == b {
+		return true
 	}
-	scale := 1.0
-	if a > scale {
-		scale = a
-	}
-	if b > scale {
-		scale = b
-	}
-	return d <= tol*scale
+	return math.Abs(a-b) <= tol*max(1, math.Abs(a), math.Abs(b))
 }

@@ -13,8 +13,8 @@ import (
 	"p2psum/internal/summarystore"
 )
 
-// The store benchmarks compare the paper's single-tree layout against the
-// sharded layout on the two paths the refactor targets:
+// The store benchmarks compare the paper's single-tree layout (the
+// one-shard store) against more shards on the two paths sharding targets:
 //
 //   - concurrent query throughput while the domain keeps merging partner
 //     updates (the single tree write-locks everything per merge; shards
@@ -22,8 +22,8 @@ import (
 //   - the reconciliation refresh paths: merging a partner's update tree
 //     (sharded: concurrent per-shard inserts into smaller hierarchies) and
 //     installing a reconciled version (sharded: split + per-shard delta
-//     swap vs the single store's O(1) pointer swap — the price paid for
-//     not stalling readers).
+//     swap vs the single tree installing the version itself after one
+//     leaf comparison — the price paid for not stalling readers).
 
 func benchTree(b *testing.B, seed int64, rows int, peer saintetiq.PeerID) *saintetiq.Tree {
 	b.Helper()
@@ -40,7 +40,7 @@ func benchTree(b *testing.B, seed int64, rows int, peer saintetiq.PeerID) *saint
 	return tr
 }
 
-func benchStore(b *testing.B, shards, peers, rows int) summarystore.Store {
+func benchStore(b *testing.B, shards, peers, rows int) *summarystore.Store {
 	b.Helper()
 	st := summarystore.New(bk.Medical(), saintetiq.DefaultConfig(), shards)
 	for p := 0; p < peers; p++ {
@@ -143,9 +143,9 @@ func BenchmarkStoreMerge(b *testing.B) {
 }
 
 // BenchmarkStoreSwapFrom measures installing a reconciled global summary.
-// The single store is a pointer swap; the sharded store pays the split and
-// the per-shard delta comparison — the cost of keeping readers unstalled
-// and unchanged shards warm.
+// The single tree compares leaves and installs the version itself; the
+// sharded store pays the split and the per-shard delta comparison — the
+// cost of keeping readers unstalled and unchanged shards warm.
 func BenchmarkStoreSwapFrom(b *testing.B) {
 	for _, shards := range shardCounts {
 		b.Run(shardName(shards), func(b *testing.B) {

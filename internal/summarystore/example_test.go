@@ -10,10 +10,10 @@ import (
 	"p2psum/internal/summarystore"
 )
 
-// A global summary lives behind the Store interface: the paper's
-// single-tree layout and the sharded layout ingest the same partner
-// summary and describe the same leaves, differing only in locking
-// granularity (one RWMutex vs one per shard).
+// A global summary lives in a Store: the paper's single-tree layout (one
+// shard) and a sharded layout ingest the same partner summary and describe
+// the same leaves, differing only in locking granularity (one RWMutex vs
+// one per shard).
 func ExampleNew() {
 	b := bk.Medical()
 	cfg := saintetiq.DefaultConfig()

@@ -37,7 +37,7 @@ func diseaseTree(t testing.TB, disease string, ages []float64, peer saintetiq.Pe
 }
 
 // gens snapshots every shard's generation.
-func gens(st summarystore.Store) []uint64 {
+func gens(st *summarystore.Store) []uint64 {
 	out := make([]uint64, st.NumShards())
 	for i := range out {
 		out[i] = st.Generation(i)
@@ -45,9 +45,10 @@ func gens(st summarystore.Store) []uint64 {
 	return out
 }
 
-// TestSingleGeneration: the single-tree store's generation advances on
-// every content change and only on content changes.
-func TestSingleGeneration(t *testing.T) {
+// TestOneShardGeneration: the one-shard store's generation advances on
+// every content change and only on content changes — an install whose
+// leaves are unchanged keeps it, as on every shard of a larger store.
+func TestOneShardGeneration(t *testing.T) {
 	st := summarystore.New(bk.Medical(), saintetiq.DefaultConfig(), 1)
 	if g := st.Generation(0); g != 0 {
 		t.Fatalf("fresh store generation = %d, want 0", g)
@@ -68,6 +69,12 @@ func TestSingleGeneration(t *testing.T) {
 	st.SwapFrom(diseaseTree(t, "malaria", []float64{30}, 2))
 	if g := st.Generation(0); g != 2 {
 		t.Fatalf("after swap generation = %d, want 2", g)
+	}
+	if swapped := st.SwapFrom(diseaseTree(t, "malaria", []float64{30}, 2)); swapped != 0 {
+		t.Fatalf("identical install swapped %d shards, want 0", swapped)
+	}
+	if g := st.Generation(0); g != 2 {
+		t.Fatalf("identical install moved generation to %d, want 2", g)
 	}
 }
 

@@ -1,162 +1,313 @@
 // Package summarystore is the storage layer between summary management
 // (internal/core) and the SaintEtiQ hierarchies (internal/saintetiq): a
-// summary peer's global summary lives behind the Store interface instead of
-// being a bare *saintetiq.Tree.
+// summary peer's global summary lives in a Store instead of being a bare
+// *saintetiq.Tree.
 //
-// Two implementations ship with the package:
+// A Store partitions the leaves across one or more hierarchies, each with
+// its own RWMutex, following the hierarchical-partitioning direction of
+// distributed directory summarization: shards merge independently (and
+// concurrently), reconciliation installs per-shard deltas instead of one
+// whole-tree replacement, and queries fan out across shards and merge
+// their graded results. A merge into one shard never blocks readers of the
+// others, which is what lets a domain serve heavy concurrent query
+// traffic.
 //
-//   - Single wraps one hierarchy under one RWMutex — the paper's layout,
-//     where every query, merge and reconciliation serializes on a single
-//     in-memory tree.
-//
-//   - Sharded partitions the leaves across several hierarchies, each with
-//     its own RWMutex, following the hierarchical-partitioning direction of
-//     distributed directory summarization: shards merge independently (and
-//     concurrently), reconciliation installs per-shard deltas instead of one
-//     whole-tree replacement, and queries fan out across shards and merge
-//     their graded results. A merge into one shard never blocks readers of
-//     the others, which is what lets a domain serve heavy concurrent query
-//     traffic.
-//
-// Both implementations summarize the same data to the same leaves: every
-// leaf cell lands in exactly one shard, per-leaf aggregates are
-// order-independent, and the structure-invariant query outputs (peer
-// localization, selection weight, answered descriptors) are identical
-// between Single and Sharded stores over the same workload.
+// The paper's layout — the whole global summary as one in-memory tree
+// under one lock — is the one-shard Store: its merges run the same
+// tree.Merge, an install keeps the reconciled version itself as the tree,
+// and Snapshot returns that live tree. Every leaf cell lands in exactly one
+// shard and per-leaf aggregates are order-independent, so the
+// structure-invariant query outputs (peer localization, selection weight,
+// answered descriptors) are identical at every shard count over the same
+// workload.
 package summarystore
 
 import (
-	"hash/fnv"
+	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
 
 	"p2psum/internal/bk"
+	"p2psum/internal/par"
 	"p2psum/internal/saintetiq"
 )
 
-// Store is a summary peer's global summary: the set of operations the
-// protocol (internal/core), query (internal/query) and reporting layers
-// need, independent of how the hierarchy is laid out in memory.
+// Store is a summary peer's global summary, its leaves partitioned across
+// independently lockable shards. The partition function is fixed at
+// construction and must be the same on every peer of a domain (it is part
+// of the store's layout, like the BK itself).
 //
 // Concurrency contract: Merge and SwapFrom are writers, View and the
-// counters are readers; every implementation serializes them per shard, so
-// any mix of calls from different goroutines is safe. Nodes obtained
-// through View must not be retained beyond the callback when writers may
-// run concurrently (a merge updates node aggregates in place).
-type Store interface {
-	// NumShards returns the number of independently lockable shards
-	// (1 for Single).
-	NumShards() int
-	// View runs fn on shard i's hierarchy under that shard's read lock.
-	// fn must not mutate the tree.
-	View(i int, fn func(*saintetiq.Tree))
-	// Merge folds src's leaves into the store (Merging(src, S) of §6.1.1,
-	// routed to the owning shards). Shards merge under their own write
-	// locks, so a sharded merge only ever blocks readers of the shards it
-	// touches.
-	Merge(src *saintetiq.Tree) error
-	// SwapFrom installs the contents of newGS as the store's new state —
-	// the §4.2.2 "one update operation" at the end of a reconciliation.
-	// Sharded stores split newGS and swap shard by shard, keeping the
-	// current tree for shards whose leaves did not change (per-shard
-	// deltas); the returned count is the number of shards actually
-	// replaced. newGS is not retained; nil clears the store.
-	SwapFrom(newGS *saintetiq.Tree) int
-	// Snapshot returns the store's content as one standalone hierarchy.
-	// Single returns its live tree (do not mutate); Sharded merges the
-	// shards into a fresh tree.
-	Snapshot() *saintetiq.Tree
-	// Vocab returns a (possibly empty) hierarchy exposing the store's
-	// attribute vocabulary, for label/attribute lookups that need no data.
-	Vocab() *saintetiq.Tree
-	// CandidateShards returns the shards that can possibly hold leaves
-	// whose descriptor on the given attribute belongs to the given
-	// canonical label set — the shard-pruning hook of descriptor-range
-	// partitioning: a conjunctive query clause on the partition attribute
-	// restricts the fan-out to the owning shards. nil means "cannot
-	// prune on this attribute" (every shard is a candidate).
-	CandidateShards(attr int, labels []int) []int
-	// Generation returns shard i's install generation: a counter that
-	// advances every time the shard's content changes — a Merge routed
-	// leaves into it, or SwapFrom replaced its tree. A reconciliation that
-	// leaves a shard's leaves untouched does NOT advance that shard's
-	// generation, which is what lets a serving-edge cache invalidate
-	// exactly the entries whose shards changed instead of flushing
-	// globally. Reads are atomic and lock-free: cheap enough to revalidate
-	// on every cached query. The counter is monotone per shard; a cached
-	// result captured at generation g for every shard it read stays
-	// servable exactly while those generations still read g.
-	Generation(i int) uint64
-	// NodeCount returns the total number of summary nodes across shards.
-	NodeCount() int
-	// LeafCount returns the total number of grid-cell leaves.
-	LeafCount() int
-	// Weight returns the total tuple weight described by the store.
-	Weight() float64
+// counters are readers; the store serializes them per shard, so any mix of
+// calls from different goroutines is safe. Nodes obtained through View
+// must not be retained beyond the callback when writers may run
+// concurrently (a merge updates node aggregates in place).
+type Store struct {
+	partition partition
+	// partitionAttr is the BK attribute of a descriptor-range partition
+	// (-1 for opaque partitions like the key hash). It powers
+	// CandidateShards: clause labels on this attribute name their owning
+	// shards directly.
+	partitionAttr int
+	shards        []*shard
 }
 
-// Partition decides which shard of n a leaf belongs to. It must be
-// deterministic in the leaf's content (never in insertion order or memory
-// layout) so that the same data always lands in the same shard on every
-// peer and every run.
-type Partition func(t *saintetiq.Tree, leaf saintetiq.Node, n int) int
+// shard is one independently lockable partition of the global summary.
+// gen advances on every content change (merge or swap), inside the write
+// lock, after the mutation — see Store.Generation for the freshness
+// contract this ordering buys.
+type shard struct {
+	mu   sync.RWMutex
+	tree *saintetiq.Tree
+	gen  atomic.Uint64
+}
 
-// ByDescriptor builds the BK attribute-range split on the given attribute:
-// shard = the leaf's top-level descriptor index on that attribute, mod n.
-// All cells sharing a descriptor stay together, which is what enables
-// shard pruning — a query clause on the attribute restricts the fan-out to
-// the clause labels' shards. The effective shard count is capped at the
-// attribute's vocabulary size, and the split inherits the data's skew on
-// that attribute; prefer NewShardedByDescriptor, which also wires the
-// pruning hook.
-func ByDescriptor(attr int) Partition {
-	return func(_ *saintetiq.Tree, leaf saintetiq.Node, n int) int {
-		idx := leaf.LabelIndexes(attr)
-		if len(idx) == 0 {
-			return 0
-		}
-		return idx[0] % n
+// New builds an empty store over the background knowledge. shards <= 1
+// builds the paper's one-tree layout. Beyond that the store partitions by
+// descriptor range on the widest-vocabulary attribute while the shard
+// count fits inside that vocabulary — every shard owns at least one
+// descriptor, and CandidateShards prunes the fan-out of clauses on the
+// attribute to the clause labels' shards — and falls back to the balanced
+// leaf-key hash beyond it.
+func New(b *bk.BK, cfg saintetiq.Config, shards int) *Store {
+	attr := widestAttr(b)
+	if shards <= 1 || shards > len(b.Attrs()[attr].Labels()) {
+		return newStore(b, cfg, shards, byKeyHash)
 	}
+	s := newStore(b, cfg, shards, byDescriptor(attr))
+	s.partitionAttr = attr
+	return s
 }
 
-// ByTopDescriptor is the attribute-range split on the first BK attribute.
-var ByTopDescriptor = ByDescriptor(0)
-
-// ByKeyHash partitions leaves by an FNV-1a hash of their cell key — the
-// subtree-hash split: balanced regardless of data skew and effective at any
-// shard count, but without a pruning hook (every query touches every
-// shard).
-func ByKeyHash(_ *saintetiq.Tree, leaf saintetiq.Node, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(leaf.Key()))
-	return int(h.Sum32() % uint32(n))
+// newStore builds an empty store with an opaque partition function (no
+// shard pruning).
+func newStore(b *bk.BK, cfg saintetiq.Config, shards int, p partition) *Store {
+	if shards < 1 {
+		shards = 1
+	}
+	s := &Store{partition: p, partitionAttr: -1, shards: make([]*shard, shards)}
+	for i := range s.shards {
+		s.shards[i] = &shard{tree: saintetiq.New(b, cfg)}
+	}
+	return s
 }
 
-// widestAttr returns the index of the attribute with the largest
-// vocabulary (ties break on the lower index) — the partition attribute
-// that keeps the most shards effective and prunes the most selective
-// clauses.
-func widestAttr(b *bk.BK) int {
-	best, bestLen := 0, -1
-	for i, a := range b.Attrs() {
-		if l := len(a.Labels()); l > bestLen {
-			best, bestLen = i, l
+// NumShards returns the number of independently lockable shards.
+func (s *Store) NumShards() int { return len(s.shards) }
+
+// View runs fn on shard i's hierarchy under that shard's read lock. fn
+// must not mutate the tree.
+func (s *Store) View(i int, fn func(*saintetiq.Tree)) {
+	sh := s.shards[i]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	fn(sh.tree)
+}
+
+// Merge folds src's leaves into the store (Merging(src, S) of §6.1.1),
+// routing them to their shards and merging every affected shard
+// concurrently, each under its own shard's write lock. Shards that own
+// none of src's leaves are never locked at all, so a partner's small delta
+// blocks readers of one or two shards for the duration of a small merge
+// instead of stalling the whole summary — the property that lets a domain
+// keep answering queries while refreshes stream in.
+func (s *Store) Merge(src *saintetiq.Tree) error {
+	if src == nil || src.Empty() {
+		return nil
+	}
+	buckets := s.bucket(src)
+	var affected []int
+	for i, b := range buckets {
+		if len(b) > 0 {
+			affected = append(affected, i)
 		}
 	}
-	return best
+	// Small deltas (the common partner-refresh case) merge shard by shard
+	// inline: brief per-shard locks with no goroutine overhead. Large
+	// merges (initial builds, reconciled versions) fan the per-shard work
+	// across a CPU-bounded pool.
+	workers := 1
+	if src.LeafCount() >= 64 {
+		workers = 0 // one per CPU (par clamps to the shard count)
+	}
+	return par.ForEach(workers, len(affected), func(k int) error {
+		sh := s.shards[affected[k]]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		err := sh.tree.MergeLeaves(src, buckets[affected[k]])
+		if err == nil {
+			sh.gen.Add(1)
+		}
+		return err
+	})
 }
 
-// New builds a store over the background knowledge: Single when shards <= 1,
-// Sharded otherwise. The sharded store partitions by descriptor range on
-// the widest-vocabulary attribute while the shard count fits inside that
-// vocabulary (every shard owns at least one descriptor and clauses on the
-// attribute prune the fan-out), and falls back to the balanced leaf-key
-// hash beyond it; use NewSharded or NewShardedByDescriptor to pick the
-// layout explicitly.
-func New(b *bk.BK, cfg saintetiq.Config, shards int) Store {
-	if shards <= 1 {
-		return NewSingle(saintetiq.New(b, cfg))
+// bucket splits t's leaves by owning shard in one pass over the sorted
+// leaf order (so per-shard incorporation order is deterministic). One
+// shard owns every leaf without consulting the partition.
+func (s *Store) bucket(t *saintetiq.Tree) [][]saintetiq.Node {
+	n := len(s.shards)
+	if n == 1 {
+		return [][]saintetiq.Node{t.Leaves()}
 	}
-	if attr := widestAttr(b); shards <= len(b.Attrs()[attr].Labels()) {
-		return NewShardedByDescriptor(b, cfg, shards, attr)
+	buckets := make([][]saintetiq.Node, n)
+	for _, leaf := range t.Leaves() {
+		i := s.partition(t, leaf, n)
+		if i < 0 || i >= n {
+			panic(fmt.Sprintf("summarystore: partition returned shard %d of %d", i, n))
+		}
+		buckets[i] = append(buckets[i], leaf)
 	}
-	return NewSharded(b, cfg, shards, ByKeyHash)
+	return buckets
+}
+
+// SwapFrom installs the contents of newGS as the store's new state — the
+// per-shard-delta form of the §4.2.2 "one update operation" at the end of
+// a reconciliation. A shard whose leaves are unchanged keeps its current
+// tree AND its generation (readers keep their warm structure), every other
+// shard is replaced under its own write lock while readers proceed on the
+// rest of the store. Returns the number of shards actually replaced; nil
+// clears the store.
+//
+// A one-shard store takes newGS itself as its tree, as the paper installs
+// the reconciled version: do not mutate newGS afterwards. With more shards
+// newGS is split by the store's partition outside any lock and is not
+// retained.
+func (s *Store) SwapFrom(newGS *saintetiq.Tree) int {
+	n := len(s.shards)
+	parts := make([]*saintetiq.Tree, n)
+	switch {
+	case n == 1:
+		parts[0] = newGS
+	case newGS != nil:
+		// Bucket once, split concurrently: each shard's portion is an
+		// independent tree built outside any lock. A split cannot fail on
+		// vocabulary (the parts are NewLike trees of newGS itself), so any
+		// error is an invariant violation.
+		buckets := s.bucket(newGS)
+		err := par.ForEach(0, n, func(i int) error {
+			part := newGS.NewLike()
+			if err := part.MergeLeaves(newGS, buckets[i]); err != nil {
+				return err
+			}
+			parts[i] = part
+			return nil
+		})
+		if err != nil {
+			panic(fmt.Sprintf("summarystore: shard split: %v", err))
+		}
+	}
+	swapped := 0
+	for i, sh := range s.shards {
+		part := parts[i]
+		if part == nil {
+			part = sh.tree.NewLike()
+		}
+		sh.mu.Lock()
+		if sh.tree.LeavesEqual(part) {
+			sh.mu.Unlock()
+			continue // unchanged shard: keep the warm tree AND its generation
+		}
+		sh.tree = part
+		sh.gen.Add(1)
+		sh.mu.Unlock()
+		swapped++
+	}
+	return swapped
+}
+
+// Snapshot returns the store's content as one standalone hierarchy. A
+// one-shard store returns its live tree (do not mutate it); with more
+// shards, Snapshot merges them into a fresh tree in shard order, so the
+// result is deterministic.
+func (s *Store) Snapshot() *saintetiq.Tree {
+	if len(s.shards) == 1 {
+		return s.Vocab()
+	}
+	out := s.shards[0].tree.NewLike()
+	for i := range s.shards {
+		s.View(i, func(t *saintetiq.Tree) {
+			// Merging into the private out tree cannot fail on vocabulary:
+			// all shards share the same BK by construction.
+			if err := out.Merge(t); err != nil {
+				panic(fmt.Sprintf("summarystore: snapshot merge: %v", err))
+			}
+		})
+	}
+	return out
+}
+
+// Vocab returns shard 0's live tree, for label/attribute lookups that need
+// no data (attribute vocabulary is immutable and identical across shards).
+func (s *Store) Vocab() *saintetiq.Tree {
+	s.shards[0].mu.RLock()
+	defer s.shards[0].mu.RUnlock()
+	return s.shards[0].tree
+}
+
+// CandidateShards returns the shards that can possibly hold leaves whose
+// descriptor on the given attribute belongs to the given canonical label
+// set (deduplicated, ascending) — the shard-pruning hook of
+// descriptor-range partitioning: a conjunctive query clause on the
+// partition attribute restricts the fan-out to the owning shards. nil
+// means "cannot prune on this attribute" (every shard is a candidate), as
+// for opaque partitions and other attributes.
+func (s *Store) CandidateShards(attr int, labels []int) []int {
+	if attr != s.partitionAttr || s.partitionAttr < 0 || labels == nil {
+		return nil
+	}
+	n := len(s.shards)
+	seen := make([]bool, n)
+	var out []int
+	for _, j := range labels {
+		if i := j % n; !seen[i] {
+			seen[i] = true
+			out = append(out, i)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// Generation returns shard i's install generation: a counter that
+// advances every time the shard's content changes — a Merge routed leaves
+// into it, or SwapFrom replaced its tree. A reconciliation that leaves a
+// shard's leaves untouched does NOT advance that shard's generation, which
+// is what lets a serving-edge cache invalidate exactly the entries whose
+// shards changed instead of flushing globally. Reads are atomic and
+// lock-free: cheap enough to revalidate on every cached query. The counter
+// is monotone per shard; a cached result captured at generation g for
+// every shard it read stays servable exactly while those generations still
+// read g.
+func (s *Store) Generation(i int) uint64 {
+	return s.shards[i].gen.Load()
+}
+
+// NodeCount returns the total number of summary nodes across shards (each
+// shard contributes its own root).
+func (s *Store) NodeCount() int {
+	total := 0
+	for i := range s.shards {
+		s.View(i, func(t *saintetiq.Tree) { total += t.NodeCount() })
+	}
+	return total
+}
+
+// LeafCount returns the total number of grid-cell leaves.
+func (s *Store) LeafCount() int {
+	total := 0
+	for i := range s.shards {
+		s.View(i, func(t *saintetiq.Tree) { total += t.LeafCount() })
+	}
+	return total
+}
+
+// Weight returns the total tuple weight described by the store.
+func (s *Store) Weight() float64 {
+	var total float64
+	for i := range s.shards {
+		s.View(i, func(t *saintetiq.Tree) { total += t.Root().Count() })
+	}
+	return total
 }

@@ -30,7 +30,7 @@ func localTree(t testing.TB, seed int64, rows int, peer saintetiq.PeerID) *saint
 }
 
 // fill merges the same seeded partner workload into every given store.
-func fill(t testing.TB, peers, rows int, stores ...summarystore.Store) {
+func fill(t testing.TB, peers, rows int, stores ...*summarystore.Store) {
 	t.Helper()
 	for p := 0; p < peers; p++ {
 		tr := localTree(t, int64(100+p), rows, saintetiq.PeerID(p))
@@ -50,9 +50,9 @@ func approx(a, b float64) bool {
 	return d <= 1e-6*(1+a)
 }
 
-// TestShardedEquivalence: a sharded store and the single-tree store
-// describe the same data identically at the leaf level for every shard
-// count, under both partition strategies.
+// TestShardedEquivalence: a sharded store and the one-shard store describe
+// the same data identically at the leaf level for every shard count, under
+// both partition strategies.
 func TestShardedEquivalence(t *testing.T) {
 	b := bk.Medical()
 	cfg := saintetiq.DefaultConfig()
@@ -60,10 +60,10 @@ func TestShardedEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			single := summarystore.New(b, cfg, 1)
 			sharded := summarystore.New(b, cfg, shards)
-			hashed := summarystore.NewSharded(b, cfg, shards, summarystore.ByKeyHash)
+			hashed := summarystore.NewByKeyHash(b, cfg, shards)
 			fill(t, 5, 60, single, sharded, hashed)
 
-			for name, st := range map[string]summarystore.Store{"default": sharded, "hash": hashed} {
+			for name, st := range map[string]*summarystore.Store{"default": sharded, "hash": hashed} {
 				if st.LeafCount() != single.LeafCount() {
 					t.Errorf("%s: LeafCount = %d, single = %d", name, st.LeafCount(), single.LeafCount())
 				}
@@ -71,7 +71,7 @@ func TestShardedEquivalence(t *testing.T) {
 					t.Errorf("%s: Weight = %v, single = %v", name, st.Weight(), single.Weight())
 				}
 				if !single.Snapshot().LeavesEqual(st.Snapshot()) {
-					t.Errorf("%s: snapshot leaves differ from single-tree store", name)
+					t.Errorf("%s: snapshot leaves differ from one-shard store", name)
 				}
 			}
 			if shards > 1 && sharded.NumShards() != shards {
@@ -81,21 +81,50 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedOneShardIdentical: a 1-shard Sharded store built by the same
-// merge sequence is structurally identical to the Single store, not just
-// leaf-equivalent.
+// TestShardedOneShardIdentical: a one-shard store is the paper's single
+// tree — structurally identical to a bare tree built by tree.Merge, not
+// just leaf-equivalent — after merges, after installing a changed version
+// (the shard holds that version itself) and through Snapshot (the live
+// tree).
 func TestShardedOneShardIdentical(t *testing.T) {
 	b := bk.Medical()
 	cfg := saintetiq.DefaultConfig()
-	single := summarystore.New(b, cfg, 1)
-	sharded := summarystore.NewSharded(b, cfg, 1, summarystore.ByKeyHash)
-	fill(t, 4, 50, single, sharded)
-	// Compare the live shard tree (Snapshot on Sharded re-merges into a
-	// fresh tree, which legitimately re-orders the structure).
-	var shardRender string
-	sharded.View(0, func(tr *saintetiq.Tree) { shardRender = tr.String() })
-	if single.Snapshot().String() != shardRender {
-		t.Error("1-shard sharded store diverged structurally from single store")
+	st := summarystore.New(b, cfg, 1)
+	bare := saintetiq.New(b, cfg)
+	for p := 0; p < 4; p++ {
+		tr := localTree(t, int64(100+p), 50, saintetiq.PeerID(p))
+		if err := st.Merge(tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := bare.Merge(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func() *saintetiq.Tree {
+		var tr *saintetiq.Tree
+		st.View(0, func(t *saintetiq.Tree) { tr = t })
+		return tr
+	}
+	if live().String() != bare.String() {
+		t.Error("after merges: one-shard store diverged structurally from tree.Merge")
+	}
+	if st.Snapshot() != live() {
+		t.Error("one-shard Snapshot is not the live tree")
+	}
+
+	next := bare.Clone()
+	if err := next.Merge(localTree(t, 200, 30, 9)); err != nil {
+		t.Fatal(err)
+	}
+	want := next.String()
+	if n := st.SwapFrom(next); n != 1 {
+		t.Fatalf("changed install swapped %d shards, want 1", n)
+	}
+	if live() != next {
+		t.Error("one-shard install rebuilt the version instead of holding it")
+	}
+	if got := st.Snapshot().String(); got != want {
+		t.Error("after install: one-shard Snapshot diverged structurally from the installed version")
 	}
 }
 
@@ -120,11 +149,11 @@ func TestShardedDeterminism(t *testing.T) {
 // TestPartitionCoversDisjointly: every leaf lands in exactly one shard, so
 // the shard leaf counts sum to the total.
 func TestPartitionCoversDisjointly(t *testing.T) {
-	for _, p := range map[string]summarystore.Partition{
-		"descriptor": summarystore.ByTopDescriptor,
-		"hash":       summarystore.ByKeyHash,
+	for _, newStore := range map[string]func(*bk.BK, saintetiq.Config, int) *summarystore.Store{
+		"descriptor": summarystore.New,
+		"hash":       summarystore.NewByKeyHash,
 	} {
-		st := summarystore.NewSharded(bk.Medical(), saintetiq.DefaultConfig(), 4, p)
+		st := newStore(bk.Medical(), saintetiq.DefaultConfig(), 4)
 		fill(t, 3, 50, st)
 		sum := 0
 		for i := 0; i < st.NumShards(); i++ {
@@ -140,7 +169,7 @@ func TestPartitionCoversDisjointly(t *testing.T) {
 // version with one changed leaf swaps exactly that leaf's shard; the store
 // ends leaf-equal to the installed version.
 func TestSwapFromDeltas(t *testing.T) {
-	st := summarystore.NewSharded(bk.Medical(), saintetiq.DefaultConfig(), 4, summarystore.ByKeyHash)
+	st := summarystore.NewByKeyHash(bk.Medical(), saintetiq.DefaultConfig(), 4)
 	fill(t, 4, 60, st)
 
 	base := st.Snapshot()
@@ -175,19 +204,36 @@ func TestSwapFromDeltas(t *testing.T) {
 	}
 }
 
-// TestSingleSwapFrom: the single-tree store always performs the paper's
-// whole-tree update operation.
-func TestSingleSwapFrom(t *testing.T) {
+// TestOneShardSwapFrom: the one-shard store follows the shared install
+// rule — a version with unchanged leaves keeps the warm tree and its
+// generation, a changed version is installed as is, nil clears.
+func TestOneShardSwapFrom(t *testing.T) {
 	st := summarystore.New(bk.Medical(), saintetiq.DefaultConfig(), 1)
 	fill(t, 2, 30, st)
-	if n := st.SwapFrom(st.Snapshot().Clone()); n != 1 {
-		t.Errorf("Single.SwapFrom = %d, want 1", n)
+	live, gen := st.Snapshot(), st.Generation(0)
+	if n := st.SwapFrom(live.Clone()); n != 0 {
+		t.Errorf("unchanged SwapFrom = %d, want 0", n)
 	}
+	if st.Snapshot() != live || st.Generation(0) != gen {
+		t.Error("unchanged install replaced the tree or moved the generation")
+	}
+
+	next := live.Clone()
+	if err := next.Merge(localTree(t, 500, 10, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if n := st.SwapFrom(next); n != 1 {
+		t.Errorf("changed SwapFrom = %d, want 1", n)
+	}
+	if st.Snapshot() != next || st.Generation(0) != gen+1 {
+		t.Error("changed install did not take the version as is and advance the generation")
+	}
+
 	if n := st.SwapFrom(nil); n != 1 {
-		t.Errorf("Single.SwapFrom(nil) = %d, want 1", n)
+		t.Errorf("SwapFrom(nil) = %d, want 1", n)
 	}
 	if st.LeafCount() != 0 {
-		t.Error("single store not empty after SwapFrom(nil)")
+		t.Error("one-shard store not empty after SwapFrom(nil)")
 	}
 }
 
