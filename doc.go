@@ -460,6 +460,15 @@
 //	                           cross-shard querying never serializes on one
 //	                           lock. At one shard (the paper's layout) it
 //	                           is the one lock around the single tree.
+//	saintetiq.Tree caches      NO lock — a tree has one writer at a time
+//	                           (under its shard's lock, or a token's
+//	                           handler) and readers only between writes.
+//	                           The encoded-length cache (Tree.sizes) is
+//	                           the one that readers fill, so it is read
+//	                           and stored through atomics. The cached class
+//	                           sums and column masks are the writer's
+//	                           alone: readers (Measure, sizing) read them
+//	                           and compute a missing sum without storing it.
 //	liveness.View.mu           one RWMutex per transport's membership view:
 //	                           entries (state/incarnation/SP claim) and the
 //	                           version counter. Handlers, drivers, timers

@@ -58,7 +58,8 @@ func FuzzDecodeWire(f *testing.F) {
 // MergeLeaves and Clone calls on two hierarchies over the paper's
 // two-attribute BK (twelve cells: leaves repeat, nodes split, merge and
 // demote) and after every step holds the arena to its bytes: the tree
-// validates, the counted length equals the written length, the written
+// validates, its column masks and cached class sums hold to its rows, the
+// counted length equals the written length, the written
 // bytes decode and re-encode to themselves, and a clone mutated after it
 // was taken leaves its original's bytes alone.
 //
@@ -139,13 +140,15 @@ func opCell(t *Tree, arg byte) (*cells.Cell, PeerID) {
 	return c, PeerID(x%7) - 1 // NoPeer or 0..5
 }
 
-// checkArena holds a tree to its bytes: it validates, its counted length is
-// its written length, and those bytes decode and re-encode to themselves.
+// checkArena holds a tree to its bytes: it validates, its caches hold to
+// its rows (checkCaches), its counted length is its written length, and
+// those bytes decode and re-encode to themselves.
 func checkArena(t *testing.T, tr *Tree) {
 	t.Helper()
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	checkCaches(t, tr)
 	written := encodeTree(tr)
 	if n := tr.EncodedSize(); n != len(written) {
 		t.Fatalf("counted %d bytes, wrote %d", n, len(written))

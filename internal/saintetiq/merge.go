@@ -74,6 +74,9 @@ func (t *Tree) MergeLeaves(src *Tree, leaves []Node) error {
 	if src == t {
 		src = t.Clone() // the leaves' rows must not move under the merge
 	}
+	if t.Empty() { // every leaf is new
+		t.reserveLeaves(len(leaves))
+	}
 	// The vocabularies agree, so a leaf is its own contribution: its label
 	// columns, key and extent carry over without a detour through strings.
 	con := t.newContribution()
@@ -153,6 +156,7 @@ func (t *Tree) Clone() *Tree {
 		counts:   slices.Clone(t.counts),
 		grades:   slices.Clone(t.grades),
 		measures: slices.Clone(t.measures),
+		masks:    slices.Clone(t.masks),
 		sizes:    make([]int32, len(t.sizes)),
 		free:     t.free,
 		freed:    t.freed,

@@ -13,23 +13,27 @@
 //
 // A tree is a flat arena. Each node is a slot: one record with int32 parent,
 // child and sibling links, one row of the tree's counts and grades arrays
-// (strided by the total label count, attribute-major), one row of its
-// measures array (strided by the attribute count), and one ascending span of
-// its peers array. A Node is a value handle (tree, slot); a slot freed by a
+// (strided by the total label count, attribute-major), one row of its masks
+// array (a bit per column that may be non-zero), one row of its measures
+// array (strided by the attribute count), and one ascending span of its
+// peers array. A Node is a value handle (tree, slot); a slot freed by a
 // split is reused by the next new node, and Clone is a copy of the arrays.
 //
 // The paper's maintenance cost model rests on two costs of the hierarchy
 // itself, and the code keeps to them. Incorporating a cell is a walk that
-// scores K children per level (§3.2.3): every child's class term is computed
-// once over its contiguous count row and each candidate partition substitutes
-// one or two terms, O(K·L + K²) for L descriptors, without copying a count
-// matrix (score.go). Merging(S1, S2) costs the leaves of S1 (§6.1.1): a leaf
+// scores K children per level (§3.2.3). Every slot caches its class sum
+// Σ P(d|z)² until the node is next written, and a candidate class term
+// visits only the columns its classes' masks mark, in row order, so a
+// placement costs O(K·D + K²) for children holding D descriptors each (a
+// leaf holds one per attribute, of a row of L ≥ D columns), computes every
+// float as a pass over the whole row would, and copies no count matrix
+// (score.go). Merging(S1, S2) costs the leaves of S1 (§6.1.1): a leaf
 // is re-incorporated directly, not through a cell of label strings
 // (merge.go). And because every transport charges a summary its real encoded
 // length, a tree is sized on each Send: every slot caches the encoded length
 // of its body, every write to the node clears it, and sizing sums the cached
-// lengths over a preorder walk, re-measuring only the nodes that changed
-// (encode.go).
+// lengths over a preorder walk, re-measuring only the nodes that changed,
+// over their marked columns (encode.go).
 package saintetiq
 
 import (
@@ -58,6 +62,7 @@ const none int32 = -1
 type node struct {
 	key   string  // cell key for leaves, "" for internal nodes and free slots
 	count float64 // extent: total tuple weight below this node
+	sum   float64 // class sum of the counts row, unsummed when unknown (score.go)
 	id    int32   // tree-unique identifier, in creation order
 
 	parent, first, last, next int32 // tree links; a free slot chains through next
@@ -159,8 +164,10 @@ func (t *Tree) apply(i int32, c *contribution) {
 		if c.grades[a] > grades[col] {
 			grades[col] = c.grades[a]
 		}
+		t.mark(i, col)
 		measures[a].Merge(c.measures[a])
 	}
+	t.nodes[i].sum = unsummed
 	for _, p := range c.peers {
 		if p != NoPeer {
 			t.addPeer(i, p)

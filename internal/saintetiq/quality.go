@@ -63,8 +63,15 @@ func (t *Tree) Measure() Quality {
 	if speW > 0 {
 		q.Specificity = speSum / speW
 	}
-	if terms, _, parent := t.classTerms(root, nil, nil); len(terms) > 0 {
-		q.RootScore = (sumExcept(terms, -1, -1) - parent) / float64(len(terms))
+	// The root CU as scoreOperators computes it, from class sums read
+	// without caching them: readers may share the tree.
+	if k := t.nodes[root].kids; k > 0 {
+		total := t.nodes[root].count
+		var intra float64
+		for c := t.nodes[root].first; c != none; c = t.nodes[c].next {
+			intra += plainTerm(t.nodes[c].count, total, t.classSum(c))
+		}
+		q.RootScore = (intra - plainTerm(total, total, t.classSum(root))) / float64(k)
 	}
 	return q
 }

@@ -1,6 +1,9 @@
 package saintetiq
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Operator selection (Cobweb, following Fisher 1987 as §3.2.2 prescribes):
 // when a new cell reaches an internal node, the four restructuring options
@@ -22,12 +25,55 @@ const (
 	opSplit
 )
 
-// classTerm is one class's share of the intra-class sum, P(z) Σ_a Σ_d P(d|z)²
-// with P(z) = z.count / total, for the class made of slot a, plus slot b
-// when not none (a hypothetical fusion), plus the contribution when non-nil
-// (a hypothetical hosting; an a of none then leaves the contribution as a
-// singleton class). The counts are added up on the fly along the slots'
-// contiguous rows, attribute-major then label, so scoring copies nothing.
+// unsummed marks a class sum as unknown. A sum of squares is never negative.
+const unsummed = -1.0
+
+// classSum returns Σ_a Σ_d P(d|i)² for the class of slot i as it stands,
+// the sum plainTerm weighs: the slot's cached sum, or else the sum over the
+// row's marked columns, ascending, without caching it. Readers share a tree
+// and may score it (Measure), so only the writer fills the cache
+// (cachedSum); every write to the row or the count clears it.
+func (t *Tree) classSum(i int32) float64 {
+	if s := t.nodes[i].sum; s != unsummed {
+		return s
+	}
+	count, row := t.nodes[i].count, t.row(t.counts, i)
+	var sum float64
+	for w, set := range t.maskRow(i) {
+		for ; set != 0; set &= set - 1 {
+			if c := row[w<<6|bits.TrailingZeros64(set)]; c > 0 {
+				p := c / count
+				sum += p * p
+			}
+		}
+	}
+	return sum
+}
+
+// cachedSum is classSum for the writer, which keeps what it computes.
+func (t *Tree) cachedSum(i int32) float64 {
+	s := t.classSum(i)
+	t.nodes[i].sum = s
+	return s
+}
+
+// plainTerm is the class term P(z) Σ_a Σ_d P(d|z)² of an existing class of
+// the given count and class sum, with P(z) = count / total.
+func plainTerm(count, total, sum float64) float64 {
+	if count <= 0 || total <= 0 {
+		return 0
+	}
+	return count / total * sum
+}
+
+// classTerm is one hypothetical class's share of the intra-class sum,
+// P(z) Σ_a Σ_d P(d|z)², for the class made of slot a, plus slot b when not
+// none (a fusion), plus the contribution when non-nil (a hosting; an a of
+// none then leaves the contribution as a singleton class). The counts are
+// added up on the fly, visiting in ascending order only the columns marked
+// in a's or b's mask or written by the contribution: every other column is
+// zero and would add nothing, so the sum is the one a pass over the whole
+// row makes, bit for bit, and scoring copies nothing.
 func (t *Tree) classTerm(a, b int32, con *contribution, total float64) float64 {
 	var count float64
 	if a != none {
@@ -50,43 +96,35 @@ func (t *Tree) classTerm(a, b int32, con *contribution, total float64) float64 {
 		}
 		return count / total * sum
 	}
-	if b == none && con == nil {
-		return plainTerm(t.row(t.counts, a), count, total)
-	}
-	row := t.row(t.counts, a)
+	row, mask := t.row(t.counts, a), t.maskRow(a)
 	var other []float64
+	var otherMask []uint64
 	if b != none {
-		other = t.row(t.counts, b)[:len(row)]
+		other, otherMask = t.row(t.counts, b)[:len(row)], t.maskRow(b)[:len(mask)]
 	}
-	bump, k := -1, 0 // the next column the contribution adds to
-	if con != nil && len(con.cols) > 0 {
-		bump = con.cols[0]
-	}
-	for l, c := range row {
-		if other != nil {
-			c += other[l]
+	k := 0 // the next contribution column
+	for w, set := range mask {
+		if otherMask != nil {
+			set |= otherMask[w]
 		}
-		if l == bump {
-			c += con.count
-			if k++; k < len(con.cols) {
-				bump = con.cols[k]
+		var bumps uint64 // the contribution's columns in word w
+		for ; con != nil && k < len(con.cols) && con.cols[k]>>6 == w; k++ {
+			bumps |= 1 << (con.cols[k] & 63)
+		}
+		for set |= bumps; set != 0; set &= set - 1 {
+			j := bits.TrailingZeros64(set)
+			l := w<<6 | j
+			c := row[l]
+			if other != nil {
+				c += other[l]
 			}
-		}
-		if c > 0 {
-			p := c / count
-			sum += p * p
-		}
-	}
-	return count / total * sum
-}
-
-// plainTerm is classTerm for one existing class: the sum over its count row.
-func plainTerm(row []float64, count, total float64) float64 {
-	var sum float64
-	for _, c := range row {
-		if c > 0 {
-			p := c / count
-			sum += p * p
+			if bumps>>j&1 != 0 {
+				c += con.count
+			}
+			if c > 0 {
+				p := c / count
+				sum += p * p
+			}
 		}
 	}
 	return count / total * sum
@@ -94,14 +132,15 @@ func plainTerm(row []float64, count, total float64) float64 {
 
 // classTerms appends the term of every child of slot n to terms and the
 // child's slot to kids, and returns them with the parent term
-// Σ_a Σ_d P(d|n)² (n is its own class with P = 1).
+// Σ_a Σ_d P(d|n)² (n is its own class with P = 1). Scoring is the writer's,
+// so the class sums it computes are cached.
 func (t *Tree) classTerms(n int32, terms []float64, kids []int32) ([]float64, []int32, float64) {
 	total := t.nodes[n].count
 	for c := t.nodes[n].first; c != none; c = t.nodes[c].next {
-		terms = append(terms, t.classTerm(c, none, nil, total))
+		terms = append(terms, plainTerm(t.nodes[c].count, total, t.cachedSum(c)))
 		kids = append(kids, c)
 	}
-	return terms, kids, t.classTerm(n, none, nil, total)
+	return terms, kids, plainTerm(total, total, t.cachedSum(n))
 }
 
 // sumExcept adds the terms in child order, leaving out indexes i and j
@@ -128,9 +167,11 @@ type operatorScores struct {
 
 // scoreOperators scores host/create/merge/split for the contribution at slot
 // n (whose aggregates already include it) and returns the indexes of the two
-// best hosts. Every child's term is computed once; each of the K host
-// candidates, create, merge and split substitutes one or two terms, which
-// makes a placement O(K·L + K²) without a single allocation at usual arities.
+// best hosts. Every child's term comes from its cached class sum; each of
+// the K host candidates, create, merge and split substitutes one or two
+// terms that visit only the columns their classes hold, which makes a
+// placement O(K·D + K²) for children of D descriptors, without a single
+// allocation at usual arities.
 // Split is only offered for internal best children and while the
 // per-placement split budget lasts.
 func (t *Tree) scoreOperators(n int32, con *contribution, round int) (s operatorScores, best, second int) {
@@ -170,7 +211,7 @@ func (t *Tree) scoreOperators(n int32, con *contribution, round int) (s operator
 	if best >= 0 && t.nodes[kids[best]].key == "" && round < t.cfg.MaxSplitRounds {
 		intra, grand := sumExcept(terms, best, -1), 0
 		for gc := t.nodes[kids[best]].first; gc != none; gc = t.nodes[gc].next {
-			intra += t.classTerm(gc, none, nil, total)
+			intra += plainTerm(t.nodes[gc].count, total, t.cachedSum(gc))
 			grand++
 		}
 		s.split = (intra + single - parent) / (k + float64(grand))

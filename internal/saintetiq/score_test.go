@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"p2psum/internal/bk"
+	"p2psum/internal/cells"
+	"p2psum/internal/data"
+	"p2psum/internal/wire"
 )
 
 // The scorer below is the previous implementation, kept as the oracle: every
@@ -274,4 +277,336 @@ func TestRootScoreMatchesOracle(t *testing.T) {
 			t.Errorf("RootScore = %v, oracle %v", got, want)
 		}
 	}
+}
+
+// The class terms and body lengths below are the previous implementations,
+// kept as references for the column masks and cached class sums: each pass
+// walks the whole row. The masked versions skip only columns that are zero
+// and so added nothing, and must reproduce these bit for bit.
+
+// denseClassTerm is classTerm before the column masks and class sums.
+func (t *Tree) denseClassTerm(a, b int32, con *contribution, total float64) float64 {
+	var count float64
+	if a != none {
+		count = t.nodes[a].count
+	}
+	if b != none {
+		count += t.nodes[b].count
+	}
+	if con != nil {
+		count += con.count
+	}
+	if count <= 0 || total <= 0 {
+		return 0
+	}
+	var sum float64
+	if a == none {
+		for range con.cols {
+			p := con.count / count
+			sum += p * p
+		}
+		return count / total * sum
+	}
+	if b == none && con == nil {
+		return count / total * t.denseSum(a)
+	}
+	row := t.row(t.counts, a)
+	var other []float64
+	if b != none {
+		other = t.row(t.counts, b)[:len(row)]
+	}
+	bump, k := -1, 0 // the next column the contribution adds to
+	if con != nil && len(con.cols) > 0 {
+		bump = con.cols[0]
+	}
+	for l, c := range row {
+		if other != nil {
+			c += other[l]
+		}
+		if l == bump {
+			c += con.count
+			if k++; k < len(con.cols) {
+				bump = con.cols[k]
+			}
+		}
+		if c > 0 {
+			p := c / count
+			sum += p * p
+		}
+	}
+	return count / total * sum
+}
+
+// denseSum is slot i's class sum from a pass over its whole count row.
+func (t *Tree) denseSum(i int32) float64 {
+	count := t.nodes[i].count
+	var sum float64
+	for _, c := range t.row(t.counts, i) {
+		if c > 0 {
+			p := c / count
+			sum += p * p
+		}
+	}
+	return sum
+}
+
+// denseMeasureBody is measureBody before the column masks.
+func (t *Tree) denseMeasureBody(i int32) int {
+	nd := &t.nodes[i]
+	n := wire.StringLen(nd.key) + wire.Float64Len(nd.count)
+	measures := t.measureRow(i)
+	for a := range t.attrs {
+		counts, grades := t.attrRow(t.counts, i, a), t.attrRow(t.grades, i, a)
+		nnz := 0
+		for j := range counts {
+			if counts[j] != 0 || grades[j] != 0 {
+				nnz++
+				n += wire.UvarintLen(uint64(j)) + wire.Float64Len(counts[j]) + wire.Float64Len(grades[j])
+			}
+		}
+		m := measures[a]
+		n += wire.UvarintLen(uint64(nnz)) +
+			wire.Float64Len(m.Weight) + wire.Float64Len(m.Min) + wire.Float64Len(m.Max) +
+			wire.Float64Len(m.Sum) + wire.Float64Len(m.SumSq)
+	}
+	peers := t.extent(i)
+	return n + wire.UvarintLen(uint64(len(peers))) + wire.VarintsLen(peers)
+}
+
+// checkCaches holds a tree's caches to its rows: every column with a
+// non-zero count or grade has its mask bit, and every cached class sum is
+// the sum over its row as it stands, bit for bit.
+func checkCaches(t testing.TB, tr *Tree) {
+	t.Helper()
+	for i := range tr.nodes {
+		s := int32(i)
+		counts, grades, mask := tr.row(tr.counts, s), tr.row(tr.grades, s), tr.maskRow(s)
+		for l := range counts {
+			if (counts[l] != 0 || grades[l] != 0) && mask[l>>6]>>(l&63)&1 == 0 {
+				t.Fatalf("slot %d column %d holds count %v grade %v without its mask bit", i, l, counts[l], grades[l])
+			}
+		}
+		if sum := tr.nodes[i].sum; sum != unsummed && math.Float64bits(sum) != math.Float64bits(tr.denseSum(s)) {
+			t.Fatalf("slot %d caches class sum %v, its row sums to %v", i, sum, tr.denseSum(s))
+		}
+	}
+}
+
+// checkTerms applies con at every node of a clone of tr, as insert does
+// before scoring there, and holds every term scoreOperators and closestPair
+// evaluate at a node with children to denseClassTerm, compared as bits:
+// the parent, every child as it is and hosting con, every grandchild, every
+// fusion of two children with and without con, and con alone. It holds
+// every slot's body length to denseMeasureBody, then scores each node, and
+// checks the class sums scoring cached. It returns the terms compared.
+func checkTerms(t *testing.T, tr *Tree, con *contribution) int {
+	t.Helper()
+	probe, compared := tr.Clone(), 0
+	same := func(what string, n Node, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("node %d: %s term %v, dense %v", n.ID(), what, got, want)
+		}
+		compared++
+	}
+	probe.Walk(func(n Node) bool {
+		if n.rec().kids == 0 {
+			return true
+		}
+		probe.apply(n.i, con)
+		total := probe.nodes[n.i].count
+		same("parent", n, plainTerm(total, total, probe.classSum(n.i)), probe.denseClassTerm(n.i, none, nil, total))
+		same("singleton", n, probe.classTerm(none, none, con, total), probe.denseClassTerm(none, none, con, total))
+		kids := children(n)
+		for x, c := range kids {
+			same("child", n, plainTerm(c.Count(), total, probe.classSum(c.i)), probe.denseClassTerm(c.i, none, nil, total))
+			same("host", n, probe.classTerm(c.i, none, con, total), probe.denseClassTerm(c.i, none, con, total))
+			for gc := range c.Children() {
+				same("grandchild", n, plainTerm(gc.Count(), total, probe.classSum(gc.i)), probe.denseClassTerm(gc.i, none, nil, total))
+			}
+			for _, d := range kids[x+1:] {
+				same("fusion", n, probe.classTerm(c.i, d.i, nil, total), probe.denseClassTerm(c.i, d.i, nil, total))
+				same("fused host", n, probe.classTerm(c.i, d.i, con, total), probe.denseClassTerm(c.i, d.i, con, total))
+			}
+		}
+		return true
+	})
+	for i := range probe.nodes {
+		if got, want := probe.measureBody(int32(i)), probe.denseMeasureBody(int32(i)); got != want {
+			t.Fatalf("slot %d: body measured %d bytes, dense %d", i, got, want)
+		}
+	}
+	probe.Walk(func(n Node) bool {
+		if n.rec().kids > 0 {
+			probe.scoreOperators(n.i, con, 0)
+			probe.closestPair(n.i)
+		}
+		return true
+	})
+	checkCaches(t, probe)
+	return compared
+}
+
+// TestTermsMatchDenseOracle holds the masked class terms, cached class
+// sums and body lengths to the dense references on three kinds of tree:
+// medical hierarchies; hierarchies DecodeWire accepted from encodings
+// AppendWire never writes (explicit zero, negative-zero and infinite counts,
+// NaN grades, a childless root with NaN counts); and hierarchies over a BK
+// inferred with 40 labels per numeric attribute, whose 92-column rows take
+// two mask words. Each contribution is checked on the tree, then
+// incorporated, so later ones meet the caches the writer left.
+func TestTermsMatchDenseOracle(t *testing.T) {
+	wide, wideCells := wideTrees(t)
+	if w := wide[0].words(); w < 2 {
+		t.Fatalf("inferred BK has %d columns, want more than 64", wide[0].stride())
+	}
+	medical := medicalStore(t, 5, 60).Cells()
+	for _, tc := range []struct {
+		name  string
+		trees []*Tree
+		cells []*cells.Cell
+	}{
+		{"medical", goldenTrees(t), medical},
+		{"decoded", oddTrees(t), medical},
+		{"wide", wide, wideCells},
+	} {
+		compared := 0
+		for _, tr := range tc.trees {
+			for x, c := range tc.cells[:12] {
+				con := tr.newContribution()
+				if err := tr.contributionOf(c, nil, con); err != nil {
+					t.Fatal(err)
+				}
+				compared += checkTerms(t, tr, con)
+				if err := tr.Incorporate(c, PeerID(x%3)); err != nil {
+					t.Fatal(err)
+				}
+				checkCaches(t, tr)
+			}
+		}
+		t.Logf("%s: %d terms match the dense oracle", tc.name, compared)
+	}
+}
+
+// oddTrees decodes the golden trees, and a childless root, from encodings
+// that write every column of every row, zeros included. Before encoding,
+// leaf rows get explicit negative zeros and NaN grades on zero-count
+// columns, and one infinite count each; the root's counts are NaN,
+// infinite, zero and negative.
+func oddTrees(t testing.TB) []*Tree {
+	t.Helper()
+	var out []*Tree
+	for k, tr := range goldenTrees(t) {
+		odd := tr.Clone()
+		for x, leaf := range odd.Leaves() {
+			counts, grades := odd.row(odd.counts, leaf.i), odd.row(odd.grades, leaf.i)
+			for l, c := range counts {
+				switch {
+				case c != 0 && x == 3*k:
+					counts[l] = math.Inf(1)
+				case c == 0 && (l+x)%3 == 0:
+					grades[l] = math.NaN()
+				case c == 0 && (l+x)%3 == 1:
+					counts[l] = math.Copysign(0, -1)
+				}
+			}
+		}
+		out = append(out, decodeAllColumns(t, odd))
+	}
+	bare := New(bk.Medical(), DefaultConfig())
+	bare.nodes[root].count = math.NaN()
+	copy(bare.row(bare.counts, root), []float64{math.NaN(), math.Inf(1), 0, -2, 3})
+	return append(out, decodeAllColumns(t, bare))
+}
+
+// decodeAllColumns encodes tr in the wire format, writing every column of
+// every row where AppendWire writes only the non-zero ones, and decodes it.
+func decodeAllColumns(t testing.TB, tr *Tree) *Tree {
+	t.Helper()
+	var e wire.Enc
+	e.Varint(int64(tr.cfg.MaxChildren))
+	e.Varint(int64(tr.cfg.MaxSplitRounds))
+	e.Uvarint(uint64(len(tr.attrs)))
+	for _, a := range tr.attrs {
+		e.String(a.name)
+		e.Strings(a.labels)
+		e.Bool(a.numeric)
+	}
+	e.Uvarint(uint64(tr.NodeCount()))
+	next := 0
+	var write func(n int32, parent int)
+	write = func(n int32, parent int) {
+		idx := next
+		next++
+		e.Varint(int64(parent))
+		e.String(tr.nodes[n].key)
+		e.Float64(tr.nodes[n].count)
+		for a := range tr.attrs {
+			counts, grades := tr.attrRow(tr.counts, n, a), tr.attrRow(tr.grades, n, a)
+			e.Uvarint(uint64(len(counts)))
+			for j := range counts {
+				e.Uvarint(uint64(j))
+				e.Float64(counts[j])
+				e.Float64(grades[j])
+			}
+			m := tr.measureRow(n)[a]
+			for _, f := range []float64{m.Weight, m.Min, m.Max, m.Sum, m.SumSq} {
+				e.Float64(f)
+			}
+		}
+		e.Uvarint(uint64(tr.nodes[n].peerLen))
+		for _, p := range tr.extent(n) {
+			e.Varint(int64(p))
+		}
+		for c := tr.nodes[n].first; c != none; c = tr.nodes[c].next {
+			write(c, idx)
+		}
+	}
+	write(root, -1)
+	out, err := DecodeWire(wire.NewDec(e.Bytes()))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return out
+}
+
+// wideTrees returns hierarchies over a BK inferred from 400 generated
+// patients with 40 labels per numeric attribute: a local summary, a merge of
+// four, and a tight-arity one. It also returns the cells of all 400 rows.
+func wideTrees(t testing.TB) ([]*Tree, []*cells.Cell) {
+	t.Helper()
+	rel := data.NewPatientGenerator(11, nil).Generate("wide", 400)
+	b, err := bk.Infer(rel, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := cells.NewMapper(b, rel.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := cells.NewStore(m)
+	all.AddRelation(rel)
+	part := func(i int) *cells.Store {
+		s := cells.NewStore(m)
+		for _, rec := range rel.Records()[100*i : 100*(i+1)] {
+			s.AddRecord(rec)
+		}
+		return s
+	}
+	var locals []*Tree
+	merged, tight := New(b, DefaultConfig()), New(b, Config{MaxChildren: 3})
+	for i := 0; i < 4; i++ {
+		l := New(b, DefaultConfig())
+		if err := l.IncorporateStore(part(i), PeerID(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := merged.Merge(l); err != nil {
+			t.Fatal(err)
+		}
+		locals = append(locals, l)
+	}
+	if err := tight.IncorporateStore(part(1), 7); err != nil {
+		t.Fatal(err)
+	}
+	return []*Tree{locals[0], merged, tight}, all.Cells()
 }

@@ -65,6 +65,7 @@ type Tree struct {
 	counts   []float64       // slot x column: weighted descriptor counts
 	grades   []float64       // slot x column: max membership grade seen
 	measures []cells.Measure // slot x attribute: weighted stats of numeric attributes
+	masks    []uint64        // slot x word: a bit per column that may be non-zero in counts or grades (maskRow)
 	peers    []PeerID        // backing array of the peer-extent spans
 	sizes    []int32         // slot: cached encoded body length, 0 when unknown (encode.go)
 	free     int32           // head of the chain of slots freed by splits
@@ -128,6 +129,26 @@ func (t *Tree) attrRow(arr []float64, i int32, a int) []float64 {
 	return arr[b+t.off[a] : b+t.off[a+1]]
 }
 
+// words is the length of a mask row: one bit per column of a row.
+func (t *Tree) words() int { return (t.stride() + 63) >> 6 }
+
+// maskRow returns slot i's column mask: ⌈stride/64⌉ words, bit l%64 of
+// word l/64 standing for column l. A clear bit means the column is zero in
+// both the counts and the grades row; a set bit promises nothing, so
+// readers still test the values. alloc clears the mask, apply and
+// DecodeWire mark the columns they write, and demoteLeaf and mergeChildren
+// carry their sources' bits over.
+func (t *Tree) maskRow(i int32) []uint64 {
+	w := t.words()
+	b := int(i) * w
+	return t.masks[b : b+w : b+w]
+}
+
+// mark sets column l's bit in slot i's mask.
+func (t *Tree) mark(i int32, l int) {
+	t.masks[int(i)*t.words()+l>>6] |= 1 << (l & 63)
+}
+
 // measureRow returns slot i's measures, one per attribute.
 func (t *Tree) measureRow(i int32) []cells.Measure {
 	na := len(t.attrs)
@@ -138,7 +159,7 @@ func (t *Tree) measureRow(i int32) []cells.Measure {
 // alloc returns a zeroed, unlinked slot: the most recently freed one, whose
 // peer span it keeps for reuse, or a new one at the end of the arena.
 func (t *Tree) alloc() int32 {
-	blank := node{parent: none, first: none, last: none, next: none}
+	blank := node{sum: unsummed, parent: none, first: none, last: none, next: none}
 	if i := t.free; i != none {
 		nd := &t.nodes[i]
 		t.free, t.freed = nd.next, t.freed-1
@@ -146,6 +167,7 @@ func (t *Tree) alloc() int32 {
 		*nd = blank
 		clear(t.row(t.counts, i))
 		clear(t.row(t.grades, i))
+		clear(t.maskRow(i))
 		clear(t.measureRow(i))
 		t.sizes[i] = 0
 		return i
@@ -155,6 +177,7 @@ func (t *Tree) alloc() int32 {
 	t.counts = append(t.counts, make([]float64, t.stride())...)
 	t.grades = append(t.grades, make([]float64, t.stride())...)
 	t.measures = append(t.measures, make([]cells.Measure, len(t.attrs))...)
+	t.masks = append(t.masks, make([]uint64, t.words())...)
 	t.sizes = append(t.sizes, 0)
 	return i
 }
@@ -415,6 +438,9 @@ func (t *Tree) incorporate(key string, con *contribution) {
 // IncorporateStore folds a whole mapped store in (leaf order is
 // deterministic), filling one contribution for every cell.
 func (t *Tree) IncorporateStore(s *cells.Store, peers ...PeerID) error {
+	if t.Empty() { // every cell is a new leaf
+		t.reserveLeaves(s.Len())
+	}
 	con := t.newContribution()
 	for _, c := range s.Cells() {
 		if err := t.contributionOf(c, peers, con); err != nil {
@@ -538,6 +564,7 @@ func (t *Tree) demoteLeaf(leaf int32, key string, con *contribution) {
 	t.nodes[old].count = t.nodes[leaf].count
 	copy(t.row(t.counts, old), t.row(t.counts, leaf))
 	copy(t.row(t.grades, old), t.row(t.grades, leaf))
+	copy(t.maskRow(old), t.maskRow(leaf))
 	copy(t.measureRow(old), t.measureRow(leaf))
 	t.copyPeers(old, t.extent(leaf))
 	t.byKey[t.nodes[old].key] = old
@@ -559,6 +586,10 @@ func (t *Tree) mergeChildren(n int32, i, j int) int32 {
 	for l := range mc {
 		mc[l] = ac[l] + bc[l]
 		mg[l] = max(ag[l], bg[l])
+	}
+	mw, aw, bw := t.maskRow(m), t.maskRow(a), t.maskRow(b)
+	for w := range mw {
+		mw[w] = aw[w] | bw[w]
 	}
 	mm, am, bm := t.measureRow(m), t.measureRow(a), t.measureRow(b)
 	for at := range mm {

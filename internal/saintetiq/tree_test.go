@@ -450,18 +450,29 @@ func TestHierarchyStabilization(t *testing.T) {
 	}
 }
 
-// TestConcurrentSizing: sizing and cloning are reads, so several readers may
-// run them on one tree at once, and they share its cache of encoded node
-// lengths. Each must see the written length; run with -race.
+// TestConcurrentSizing: sizing, cloning and measuring are reads, so several
+// readers may run them on one tree at once. They share its cache of encoded
+// node lengths, which readers fill; the cached class sums are the writer's,
+// and a write right before the readers leaves its path without them, so a
+// Measure that filled them would race. Each reader must see the written
+// length and the same quality; run with -race.
 func TestConcurrentSizing(t *testing.T) {
-	tr := mergedTree(t, DefaultConfig(), 3, 12, 60) // nothing sized yet
-	want := len(encodeTree(tr))                     // writing fills no cache
+	tr := mergedTree(t, DefaultConfig(), 3, 12, 60)
+	if err := tr.IncorporateStore(medicalStore(t, 77, 20), 12); err != nil {
+		t.Fatal(err)
+	}
+	want := len(encodeTree(tr)) // writing fills no cache
+	wantQ := tr.Measure()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
+				if q := tr.Measure(); q != wantQ {
+					t.Errorf("measured %v, first %v", q, wantQ)
+					return
+				}
 				if n := tr.EncodedSize(); n != want {
 					t.Errorf("counted %d bytes, wrote %d", n, want)
 					return
