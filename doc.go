@@ -384,8 +384,8 @@
 //     of deadlocking.
 //
 //   - Transport.Settle returns only after every in-flight message, relayed
-//     send, drop and fired timer has been handled, so drivers may read
-//     protocol state afterwards without synchronization.
+//     send, drop, fired timer and zero-delay timer has been handled, so
+//     drivers may read protocol state afterwards without synchronization.
 //
 // Domains stay independent the way the paper keeps them independent: by
 // messages alone (§4: each domain keeps its own global summary). What does
@@ -498,6 +498,10 @@
 //	                           package's own comment.
 //	par.ForEach                owns its worker pool; results slots are
 //	                           index-addressed so workers never share.
+//	                           Used by sweeps, replica runs and the
+//	                           store's large merges and install splits;
+//	                           a query takes its shard read locks one
+//	                           at a time on the caller's goroutine.
 //
 // # Storage layer
 //
@@ -509,10 +513,10 @@
 // install replaces with the reconciled version itself. Partner merges
 // touch only the shards owning the delta's leaves, reconciliation installs
 // per-shard deltas (unchanged shards keep their tree), and queries compile
-// once, prune to the candidate shards named by their clauses, fan out
-// across internal/par, and merge graded results. SimOptions.Shards (and
-// -shards on p2psim) selects the shard count; every count answers
-// structure-invariant queries identically.
+// once, prune to the candidate shards named by their clauses, walk those
+// in shard order on the caller's goroutine, and merge graded results.
+// SimOptions.Shards (and -shards on p2psim) selects the shard count; every
+// count answers structure-invariant queries identically.
 //
 // Transports also provide a serialized timer (Transport.After) that the
 // reconciliation protocol uses for loss recovery: a dropped §4.2.2 ring

@@ -141,8 +141,9 @@ func (s *System) promote(p *Peer, dead p2p.NodeID) {
 
 // repairOrphans runs the election at every local online node whose view
 // claim names a confirmed-dead node, each deferred onto the transport's
-// serialized lane as a timer owned by the member, since it mutates that
-// member's state. Three events call it, each of which can move an
+// serialized lane as a zero-delay timer owned by the member, since it
+// mutates that member's state; Settle waits for such timers on every
+// transport. Three events call it, each of which can move an
 // election: this process confirming a death, a gossip merge that changed
 // the view (a death, a successor's marked claim, a candidate going
 // offline, a member first heard of), and a local promotion. Only with

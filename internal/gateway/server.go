@@ -23,7 +23,10 @@ import (
 // same unit layout as the TCP transport), and the three gateway message
 // types are registered payload codecs like any protocol message. A session
 // is one hello exchange followed by pipelined query/result frames
-// correlated by QID; responses replay a cached entry's pre-encoded bytes,
+// correlated by QID. The session's reader hands each query to an idle
+// answer goroutine of the session, starting one only when all are busy,
+// so frames in flight together run concurrently and results return in
+// completion order. Responses replay a cached entry's pre-encoded bytes,
 // so a cache hit costs no answer re-encoding. The client reads each result
 // frame into a body of its own and decodes the answer as views into it:
 // its strings are never copied, and the body lives as long as the answer.
@@ -199,9 +202,13 @@ func (g *Gateway) ServeWire(ln net.Listener) error {
 	}
 }
 
-// serveConn drives one session: hello handshake, then pipelined queries —
-// each query runs in its own goroutine so a slow upstream never blocks
-// the next read, and responses interleave under the write mutex.
+// serveConn drives one session: hello handshake, then pipelined queries.
+// The reader hands each query frame to an idle answer goroutine of the
+// session and starts a new one only when every one it has is busy, so a
+// slow upstream never blocks the next read, frames in flight together are
+// answered concurrently, and a session that sends one query at a time
+// keeps reusing one goroutine. Responses interleave under the write
+// mutex; the answer goroutines exit when the connection closes.
 func (g *Gateway) serveConn(conn net.Conn) {
 	defer conn.Close()
 	c := g.Connect()
@@ -224,6 +231,8 @@ func (g *Gateway) serveConn(conn net.Conn) {
 
 	var wg sync.WaitGroup
 	defer wg.Wait()
+	queries := make(chan ClientQueryPayload) // unbuffered: a send lands only on an idle goroutine
+	defer close(queries)
 	for {
 		f, err := readFrameUnit(br, hdr, &body)
 		if err != nil {
@@ -241,11 +250,18 @@ func (g *Gateway) serveConn(conn net.Conn) {
 			return // malformed query frame: drop the session
 		}
 		pl := payload.(ClientQueryPayload)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.answer(c, &wmu, conn, pl)
-		}()
+		select {
+		case queries <- pl:
+		default:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				g.answer(c, &wmu, conn, pl)
+				for pl := range queries {
+					g.answer(c, &wmu, conn, pl)
+				}
+			}()
+		}
 	}
 }
 

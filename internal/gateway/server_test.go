@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"net"
@@ -134,9 +135,9 @@ func TestServeWire(t *testing.T) {
 	}
 }
 
-// TestServeWirePipelined: many concurrent asks on separate sessions against
-// one blocked upstream — the server must keep reading (per-query
-// goroutines) and the flights must coalesce.
+// TestServeWirePipelined: many concurrent asks, one session each, against
+// one blocked upstream — every session's reader must hand its query to an
+// answer goroutine and keep reading, and the flights must coalesce.
 func TestServeWirePipelined(t *testing.T) {
 	be := &fakeBackend{block: make(chan struct{}), entered: make(chan struct{})}
 	g := New(Config{Rate: 1e9}, be)
@@ -183,6 +184,103 @@ func TestServeWirePipelined(t *testing.T) {
 	}
 	if got := be.execs.Load(); got != 1 {
 		t.Fatalf("upstream executions = %d, want 1", got)
+	}
+}
+
+// gateBackend is a fakeBackend whose Execute parks every query on the
+// disease label blocked until release closes.
+type gateBackend struct {
+	fakeBackend
+	blocked string
+	entered chan struct{} // closed when the blocked query reaches Execute
+	release chan struct{}
+}
+
+func (b *gateBackend) Execute(origin p2p.NodeID, q query.Query) (*routing.DataAnswer, error) {
+	if q.Where[0].Labels[0] == b.blocked {
+		close(b.entered)
+		<-b.release
+	}
+	return b.fakeBackend.Execute(origin, q)
+}
+
+// TestServeConnPipelinesOneSession: two query frames written back to back
+// on one raw session, the first parked upstream. The second must be
+// answered while the first is still parked, so the session's reader cannot
+// be the goroutine that answers. Closing the connection with the first
+// still parked must then end serveConn, which returns only after every
+// answer goroutine of the session has exited.
+func TestServeConnPipelinesOneSession(t *testing.T) {
+	be := &gateBackend{blocked: "malaria", entered: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(be.release) }) }
+	defer release()
+	g := New(Config{Rate: 1e9}, be)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		if conn, err := ln.Accept(); err == nil {
+			g.serveConn(conn)
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br, hdr := bufio.NewReader(conn), make([]byte, 4)
+	var body []byte
+	var wmu sync.Mutex
+	if err := writeFrameUnit(&wmu, conn, MsgGwHello, func(pe *wire.Enc) { pe.String("raw") }); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := readFrameUnit(br, hdr, &body); err != nil || f.Type != MsgGwHello {
+		t.Fatalf("hello: %v", err)
+	}
+	for qid, disease := range []string{"malaria", "influenza"} {
+		if err := writeFrameUnit(&wmu, conn, MsgGwQuery, func(pe *wire.Enc) {
+			pe.Uvarint(uint64(qid + 1))
+			pe.Varint(3)
+			routing.EncodeFlexQuery(pe, diseaseQuery(disease))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-be.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first query never reached the upstream")
+	}
+	f, err := readFrameUnit(br, hdr, &body)
+	if err != nil {
+		t.Fatalf("no result while the first query is parked: %v", err)
+	}
+	pl, err := decodeResult(wire.NewDecShared(f.Payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.QID != 2 || pl.Err != "" {
+		t.Fatalf("first result: qid %d, error %q; want qid 2 answered", pl.QID, pl.Err)
+	}
+
+	conn.Close()
+	release()
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("serveConn still running after its connection closed")
+	}
+	if s := g.Snapshot(); s.ActiveClients != 0 {
+		t.Errorf("active clients = %d after the session ended, want 0", s.ActiveClients)
 	}
 }
 

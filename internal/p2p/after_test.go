@@ -63,6 +63,28 @@ func TestChannelSettleDoesNotWaitForPendingTimer(t *testing.T) {
 	}
 }
 
+// TestChannelSettleWaitsForZeroDelayTimers: a zero-delay timer is work
+// due now, so Settle waits for it and for the zero-delay timers it arms in
+// turn, as the event engine's run to quiescence does. The §4.3 election
+// defers each member's adoption this way and is read right after Settle.
+func TestChannelSettleWaitsForZeroDelayTimers(t *testing.T) {
+	ct := NewChannelTransport(afterGraph(t, 5), 5, ChannelConfig{})
+	defer ct.Close()
+	const chain = 50
+	var ran atomic.Int32
+	var arm func()
+	arm = func() {
+		if ran.Add(1) < chain {
+			ct.After(0, 0, arm)
+		}
+	}
+	ct.After(0, 0, arm)
+	ct.Settle()
+	if got := ran.Load(); got != chain {
+		t.Fatalf("Settle returned after %d of %d chained zero-delay timers", got, chain)
+	}
+}
+
 // TestChannelAfterDroppedOnClose: a timer that fires after Close is
 // discarded without panicking or resurrecting the dispatcher.
 func TestChannelAfterDroppedOnClose(t *testing.T) {

@@ -111,9 +111,10 @@ func (t *ChannelTransport) Exec(fn func()) { t.eng.exec(fn) }
 // protocol timers need: they mutate the arming node's (owner's) state. A
 // pending timer does not count as in-flight — Settle does not wait for it
 // — but once the real-time delay elapses, fn runs on the dispatcher and a
-// concurrent Settle blocks until it has run. Close cancels every armed
-// timer; timers that already fired observe the closed transport and are
-// dropped.
+// concurrent Settle blocks until it has run. A zero delay arms no timer:
+// fn counts as in flight at once, so Settle waits for it. Close cancels
+// every armed timer; timers that already fired observe the closed
+// transport and are dropped.
 func (t *ChannelTransport) After(owner NodeID, delaySeconds float64, fn func()) {
 	scale := t.cfg.LatencyScale
 	if scale <= 0 {

@@ -204,11 +204,21 @@ func (e *dispatchEngine) exec(fn func()) {
 // A pending timer does not count as in-flight — Settle does not wait for
 // it — but once it fires the callback is counted before the engine lock
 // drops, so Close keeps the dispatcher alive until the envelope has been
-// handled.
+// handled. A zero delay arms no timer: fn is work already due, counted at
+// once like a sent message, so a Settle that follows waits for it (and
+// for whatever it arms in turn) just as the event engine runs a timer due
+// now.
 func (e *dispatchEngine) after(delay time.Duration, fn func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
+		return
+	}
+	if delay <= 0 {
+		e.pending++
+		// A goroutine carries it, as it carries a drop: the caller may be
+		// the dispatcher, and the inbox may be full.
+		go func() { e.inbox <- envelope{timer: fn} }()
 		return
 	}
 	var tm *time.Timer

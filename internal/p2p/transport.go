@@ -113,7 +113,10 @@ type Transport interface {
 	// §4.2.2 reconciliation token).
 	// On the channel transport a pending timer does not count as an
 	// in-flight message — Settle does not wait for it — and Close cancels
-	// timers that have not fired. fn must not call Exec or Settle.
+	// timers that have not fired. A zero delay is the exception: fn is
+	// due now and counts like a message, so Settle waits for it, as the
+	// event engine's run to quiescence does. fn must not call Exec or
+	// Settle.
 	After(owner NodeID, delaySeconds float64, fn func())
 	// Settle blocks until every in-flight message (and everything sent
 	// while delivering it) has been handled. Protocol drivers call it to

@@ -1,6 +1,8 @@
 // Package par is the tiny worker-pool primitive shared by the experiment
-// sweeps, the CLI replica harness and the sharded summary store: fan n
-// index-addressed jobs across a bounded set of goroutines.
+// sweeps, the CLI replica harness and the sharded summary store's large
+// merges and install splits: fan n index-addressed jobs across a bounded
+// set of goroutines. It is for work that outweighs a goroutine's start;
+// a §5.2 query walks its shards on the caller's goroutine instead.
 package par
 
 import (

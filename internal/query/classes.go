@@ -104,9 +104,9 @@ func (acc *accumulator) add(z saintetiq.Node) {
 	p := acc.p
 	key := acc.key[:0]
 	for _, i := range p.keyed {
-		a := p.c.attrs[i]
+		counts := z.LabelCounts(p.c.attrs[i])
 		for _, j := range p.c.labels[i] {
-			if z.HasLabel(a, j) {
+			if counts[j] > 0 {
 				key = binary.AppendUvarint(key, uint64(j)+1)
 			}
 		}
@@ -135,8 +135,8 @@ func (acc *accumulator) add(z saintetiq.Node) {
 	}
 	for s, a := range p.attrs {
 		row := cl.present[p.off[s]:p.off[s+1]]
-		for j := range row {
-			if z.HasLabel(a, j) {
+		for j, cnt := range z.LabelCounts(a) {
+			if cnt > 0 {
 				row[j] = true
 			}
 		}
@@ -193,9 +193,11 @@ func (acc *accumulator) merge(src *accumulator) {
 }
 
 // answer builds the Answer, classes ordered by their classKey, and PQ: the
-// union of the class peer extents. Every class row is a capped window of
-// one per-answer slab of its kind — label sets, measures, labels, peers —
-// so a caller's append copies instead of overwriting a neighbour.
+// union of the class peer extents, merged from those ascending extents
+// into the second half of the peers slab. Every class row is a capped
+// window of one per-answer slab of its kind — label sets, measures,
+// labels, peers — so a caller's append copies instead of overwriting a
+// neighbour.
 func (acc *accumulator) answer() (*Answer, []saintetiq.PeerID) {
 	p := acc.p
 	n := len(acc.classes)
@@ -266,11 +268,36 @@ func (acc *accumulator) answer() (*Answer, []saintetiq.PeerID) {
 			ans.Classes[i] = out[i].c
 		}
 	}
-	union := peers[len(peers):]
+	union, u := peers[len(peers):cap(peers)], 0
 	for i := range acc.classes {
-		union = append(union, acc.classes[i].peers...)
+		u = mergeInto(union, u, acc.classes[i].peers)
 	}
-	return ans, sortedPeers(union)
+	return ans, union[:u:u]
+}
+
+// mergeInto merges the ascending, duplicate-free ext into the ascending,
+// duplicate-free buf[:n] in place and returns the union's length; buf must
+// have room for n+len(ext). The merge runs back to front, so it never
+// overwrites an element of buf[:n] it has yet to read, and then closes the
+// gap the common elements left.
+func mergeInto(buf []saintetiq.PeerID, n int, ext []saintetiq.PeerID) int {
+	i, j, w := n-1, len(ext)-1, n+len(ext)
+	for j >= 0 {
+		w--
+		switch {
+		case i >= 0 && buf[i] > ext[j]:
+			buf[w], i = buf[i], i-1
+		case i >= 0 && buf[i] == ext[j]:
+			buf[w], i, j = ext[j], i-1, j-1
+		default:
+			buf[w], j = ext[j], j-1
+		}
+	}
+	end := n + len(ext)
+	if w > i+1 {
+		copy(buf[i+1:], buf[w:end])
+	}
+	return i + 1 + end - w
 }
 
 // appendClassKey appends the canonical grouping key of an interpretation —

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"p2psum/internal/bk"
@@ -278,9 +279,10 @@ func (c *compiled) valuate(n saintetiq.Node) Valuation {
 	result := FullSat
 	for i, a := range c.attrs {
 		met, beyond := false, false
-		for j, in := range c.masks[i] {
-			if n.HasLabel(a, j) {
-				if in {
+		mask := c.masks[i]
+		for j, cnt := range n.LabelCounts(a) {
+			if cnt > 0 {
+				if mask[j] {
 					met = true
 				} else {
 					beyond = true
@@ -321,7 +323,7 @@ func Select(t *saintetiq.Tree, q Query) (*Selection, error) {
 
 // selectTree runs the ZQ walk with an already-compiled proposition. The
 // compiled form is vocabulary-level, so one compilation serves every
-// hierarchy sharing the BK — the store fan-out compiles once and walks
+// hierarchy sharing the BK — a store query compiles once and walks
 // every shard with it.
 func (c *compiled) selectTree(t *saintetiq.Tree) *Selection {
 	sel := &Selection{}
@@ -330,31 +332,35 @@ func (c *compiled) selectTree(t *saintetiq.Tree) *Selection {
 }
 
 // walk is the ZQ descent: it hands every selected summary to take, in
-// preorder, and returns the number of nodes visited.
+// preorder, and returns the number of nodes visited. The descent keeps a
+// stack of the nodes still to visit: a partially satisfying internal node
+// pushes its children last first, so they pop in order.
 func (c *compiled) walk(t *saintetiq.Tree, take func(saintetiq.Node)) int {
 	if t.Empty() {
 		return 0
 	}
+	var buf [64]saintetiq.Node
+	stack := append(buf[:0], t.Root())
 	visited := 0
-	var walk func(n saintetiq.Node)
-	walk = func(n saintetiq.Node) {
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		visited++
 		switch c.valuate(n) {
-		case NotSat:
-			return
 		case FullSat:
 			take(n)
 		case PartialSat:
 			if n.IsLeaf() {
 				take(n)
-				return
+				continue
 			}
+			top := len(stack)
 			for ch := range n.Children() {
-				walk(ch)
+				stack = append(stack, ch)
 			}
+			slices.Reverse(stack[top:])
 		}
 	}
-	walk(t.Root())
 	return visited
 }
 

@@ -1,35 +1,33 @@
 package query
 
 import (
-	"p2psum/internal/par"
 	"p2psum/internal/saintetiq"
 	"p2psum/internal/summarystore"
 )
 
 // Store-level querying: the §5.2 services evaluated against a
 // summarystore.Store instead of a bare hierarchy. The proposition compiles
-// once (it is vocabulary-level), the store prunes the fan-out to the
+// once (it is vocabulary-level), the store prunes the walk to the
 // candidate shards (clauses on a descriptor-range partition attribute name
-// their owning shards directly), each candidate is explored under its own
-// read lock — the per-shard work fans out across internal/par — and the
-// per-shard outcomes are merged: selections concatenate, graded results
-// re-rank, approximate-answer classes with the same interpretation
-// coalesce. A shard's answer stays in label-index space (classes.go): the
-// shard folds its selection into a class accumulator under its lock, the
-// accumulators merge in shard order, and strings — label names, the
-// attribute-ordered label sets, the class keys that order the classes —
-// are built once per merged class, after every lock is released. Because
-// every leaf cell lives in exactly one shard and pruned shards cannot own
-// matching leaves, the structure-invariant outputs (peer localization,
-// selection weight, the union of answered descriptors) are identical to
-// evaluating the same data in a single tree; only the intermediate
-// abstraction levels (which summaries represent the matching cells) depend
-// on the layout.
+// their owning shards directly), each candidate is explored in shard order
+// under its own read lock on the caller's goroutine, and the per-shard
+// outcomes are merged: selections concatenate, graded results re-rank,
+// approximate-answer classes with the same interpretation coalesce. A
+// shard's answer stays in label-index space (classes.go): the shard folds
+// its selection into a class accumulator under its lock, the accumulators
+// merge in shard order, and strings — label names, the attribute-ordered
+// label sets, the class keys that order the classes — are built once per
+// merged class, after every lock is released. Because every leaf cell
+// lives in exactly one shard and pruned shards cannot own matching leaves,
+// the structure-invariant outputs (peer localization, selection weight,
+// the union of answered descriptors) are identical to evaluating the same
+// data in a single tree; only the intermediate abstraction levels (which
+// summaries represent the matching cells) depend on the layout.
 
 // candidateShards intersects the store's per-clause pruning hints: a
 // conjunctive query only needs the shards every clause admits. With a
 // descriptor-range partition, a clause on the partition attribute narrows
-// the fan-out to the clause labels' shards; anything else keeps all
+// the walk to the clause labels' shards; anything else keeps all
 // shards.
 func candidateShards(st *summarystore.Store, c *compiled) []int {
 	n := st.NumShards()
@@ -74,7 +72,7 @@ func Candidates(st *summarystore.Store, q Query) ([]int, error) {
 	return candidateShards(st, c), nil
 }
 
-// StoreAnswer is the merged outcome of one fanned-out store query: peer
+// StoreAnswer is the merged outcome of one store query: peer
 // localization (§5.2.1) plus approximate answering (§5.2.2) evaluated
 // shard by shard. It carries no live tree nodes, so it stays valid after
 // concurrent writers move the store on.
@@ -90,11 +88,12 @@ type StoreAnswer struct {
 	Visited int
 }
 
-// AnswerStore evaluates the query against every shard concurrently — each
-// shard's selection folds into its own class accumulator under that
-// shard's read lock — and merges the accumulators in shard order. Classes
-// sharing an interpretation are coalesced: weights add, answered
-// descriptors and peer extents union, measures merge.
+// AnswerStore evaluates the query against the candidate shards one after
+// another on the calling goroutine — each shard's selection folds into its
+// own class accumulator under that shard's read lock — and merges the
+// accumulators in shard order. Classes sharing an interpretation are
+// coalesced: weights add, answered descriptors and peer extents union,
+// measures merge.
 func AnswerStore(st *summarystore.Store, q Query) (*StoreAnswer, error) {
 	vocab := st.Vocab()
 	// Compile the proposition and resolve the select attributes once; both
@@ -107,22 +106,20 @@ func AnswerStore(st *summarystore.Store, q Query) (*StoreAnswer, error) {
 	if err != nil {
 		return nil, err
 	}
-	cands := candidateShards(st, c)
-	accs := make([]*accumulator, len(cands))
-	err = par.ForEach(0, len(cands), func(k int) error {
+	var merged *accumulator
+	for _, s := range candidateShards(st, c) {
 		acc := p.accumulator()
-		st.View(cands[k], func(t *saintetiq.Tree) {
+		st.View(s, func(t *saintetiq.Tree) {
 			acc.visited = c.walk(t, acc.add)
 		})
-		accs[k] = acc
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	merged := p.accumulator()
-	for _, acc := range accs {
+		if merged == nil {
+			merged = acc // merging into an empty accumulator would copy it
+			continue
+		}
 		merged.merge(acc)
+	}
+	if merged == nil {
+		merged = p.accumulator()
 	}
 	ans, peers := merged.answer()
 	return &StoreAnswer{Answer: ans, Peers: peers, Weight: merged.weight, Visited: merged.visited}, nil

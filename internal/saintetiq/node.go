@@ -120,6 +120,15 @@ func (n Node) LabelIndexes(a int) []int {
 // node's intent — LabelIndexes without the slice.
 func (n Node) HasLabel(a, j int) bool { return n.t.attrRow(n.t.counts, n.i, a)[j] > 0 }
 
+// LabelCounts returns the node's descriptor counts on attribute a, indexed
+// by canonical label: descriptor j is in the intent when its count is
+// positive. The row is the tree's own, read in place: callers must not
+// modify it, nor keep it past the next write to the tree.
+func (n Node) LabelCounts(a int) []float64 {
+	row := n.t.attrRow(n.t.counts, n.i, a)
+	return row[:len(row):len(row)]
+}
+
 // Grade returns the maximal membership grade of label j on attribute a.
 func (n Node) Grade(a, j int) float64 { return n.t.attrRow(n.t.grades, n.i, a)[j] }
 

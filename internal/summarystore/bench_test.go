@@ -163,9 +163,10 @@ func BenchmarkStoreSwapFrom(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreQueryLatency measures one query's latency on an otherwise
-// idle store: the fan-out's parallel shard walk against the single tree's
-// sequential descent.
+// BenchmarkStoreQueryLatency measures one query on an otherwise idle
+// store: compiling it, walking its candidate shards one after another on
+// the calling goroutine and building the merged answer. CI gates its
+// allocs/op, a count that does not follow host load the way the time does.
 func BenchmarkStoreQueryLatency(b *testing.B) {
 	for _, shards := range shardCounts {
 		b.Run(shardName(shards), func(b *testing.B) {

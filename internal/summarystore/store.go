@@ -7,9 +7,9 @@
 // its own RWMutex, following the hierarchical-partitioning direction of
 // distributed directory summarization: shards merge independently (and
 // concurrently), reconciliation installs per-shard deltas instead of one
-// whole-tree replacement, and queries fan out across shards and merge
-// their graded results. A merge into one shard never blocks readers of the
-// others, which is what lets a domain serve heavy concurrent query
+// whole-tree replacement, and queries visit their candidate shards and
+// merge their graded results. A merge into one shard never blocks readers
+// of the others, which is what lets a domain serve heavy concurrent query
 // traffic.
 //
 // The paper's layout — the whole global summary as one in-memory tree
