@@ -124,6 +124,16 @@
 // sample). Payload-less messages need no codec — the frame alone carries
 // them.
 //
+// Summary hierarchies are most of the data-level bytes (localsum, push and
+// the reconciliation token), and their one encoding (saintetiq.AppendWire,
+// layout in internal/saintetiq/encode.go) carries only what a receiver
+// cannot recompute: counts, the numeric sums, and each leaf's labels,
+// grades, Min, Max and peer extent. DecodeWire rebuilds the leaf keys,
+// internal grades, extents, Min and Max and every measure's Weight bit for
+// bit, so a decoded tree equals the sent one field by field. Frame version
+// 2 marks this layout; version 1 frames, which wrote every field, are
+// refused.
+//
 // Registration buys two things. First, byte accounting is exact on every
 // transport: a Send is charged the real encoded frame length (identical
 // across Network, ChannelTransport and TCPTransport) — so the paper's §6

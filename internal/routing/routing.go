@@ -411,8 +411,8 @@ func RouteData(sys *core.System, origin p2p.NodeID, q query.Query) (*DataAnswer,
 		return nil, err
 	}
 	da := &DataAnswer{Answer: sa.Answer, Visited: sa.Visited}
-	for _, p := range sa.Peers {
-		da.Peers = append(da.Peers, p2p.NodeID(p))
+	if len(sa.Peers) > 0 { // an empty PQ stays nil: JSON null, as answers have always read
+		da.Peers = PeersOf(sa.Peers)
 	}
 	return da, nil
 }

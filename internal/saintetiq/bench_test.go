@@ -5,6 +5,7 @@ import (
 
 	"p2psum/internal/bk"
 	"p2psum/internal/cells"
+	"p2psum/internal/wire"
 )
 
 // The benchmarks follow the data-level reconciliation ring: every peer
@@ -48,6 +49,23 @@ func BenchmarkTreeEncodedSize(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
 	})
+}
+
+// BenchmarkTreeDecodeWire decodes the 120-member ring token that
+// BenchmarkTreeEncodedSize sizes, from its wire bytes: what a TCP receiver
+// pays for every summary-carrying frame.
+func BenchmarkTreeDecodeWire(b *testing.B) {
+	tr := mergedTree(b, DefaultConfig(), 42, 120, 60)
+	buf := encodeTree(tr)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		back, err := DecodeWire(wire.NewDec(buf))
+		if err != nil || back.NodeCount() != tr.NodeCount() {
+			b.Fatal("decode:", err)
+		}
+	}
+	b.ReportMetric(float64(len(buf)), "bytes")
 }
 
 // BenchmarkTreeClone copies a 120-member ring token: one copy per arena

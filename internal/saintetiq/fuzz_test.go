@@ -2,7 +2,11 @@ package saintetiq
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"p2psum/internal/bk"
@@ -14,7 +18,11 @@ import (
 // and whatever it accepts is a valid hierarchy whose re-encoding is a fixed
 // point — encode(decode(b)) decodes to the same leaves and encodes to the
 // same bytes again (the first re-encoding may differ from b: peer lists come
-// back as ascending sets and explicit zero descriptors are dropped).
+// back as ascending sets and explicit zero counts are dropped), and its
+// caches hold to its rows. The corpus also holds the frames
+// TestDecodeWireRejects must see refused, and a root that counts nothing
+// where a child grades a descriptor (a near-zero count within Validate's
+// tolerance), whose mask must still mark that grade.
 func FuzzDecodeWire(f *testing.F) {
 	small := New(bk.PaperExample(), DefaultConfig()) // three leaves: cheap to mutate
 	if err := small.IncorporateStore(paperStore(f), 2, 1); err != nil {
@@ -28,6 +36,12 @@ func FuzzDecodeWire(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
+	for _, bad := range rejectedFrames() {
+		f.Add(bad.frame)
+	}
+	f.Add(handFrame(handNode{parent: -1, count: 1, counts: [2]float64{1, 0}},
+		handNode{parent: 0, leaf: true, count: 1, label: 0},
+		handNode{parent: 0, leaf: true, count: 1e-9, label: 1}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := DecodeWire(wire.NewDec(data))
 		if err != nil {
@@ -36,6 +50,7 @@ func FuzzDecodeWire(f *testing.F) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("accepted tree is invalid: %v", err)
 		}
+		checkCaches(t, tr)
 		once := encodeTree(tr)
 		if tr.EncodedSize() != len(once) {
 			t.Fatalf("EncodedSize %d, encoding is %d bytes", tr.EncodedSize(), len(once))
@@ -141,14 +156,17 @@ func opCell(t *Tree, arg byte) (*cells.Cell, PeerID) {
 }
 
 // checkArena holds a tree to its bytes: it validates, its caches hold to
-// its rows (checkCaches), its counted length is its written length, and
-// those bytes decode and re-encode to themselves.
+// its rows (checkCaches), the fields the encoding leaves out are derivable
+// (checkDerivable), its counted length is its written length, and those
+// bytes decode to the same tree, field by field (sameTree), which writes
+// them again.
 func checkArena(t *testing.T, tr *Tree) {
 	t.Helper()
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	checkCaches(t, tr)
+	checkDerivable(t, tr)
 	written := encodeTree(tr)
 	if n := tr.EncodedSize(); n != len(written) {
 		t.Fatalf("counted %d bytes, wrote %d", n, len(written))
@@ -157,7 +175,258 @@ func checkArena(t *testing.T, tr *Tree) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
+	sameTree(t, back, tr)
+	checkCaches(t, back)
 	if again := encodeTree(back); !bytes.Equal(again, written) {
 		t.Fatalf("decoded tree re-encodes to %d bytes, not its %d", len(again), len(written))
+	}
+}
+
+// checkDerivable asserts, as bits, each invariant DecodeWire relies on to
+// rebuild what the encoding leaves out:
+//   - a leaf has a positive count and, per attribute, one non-zero column
+//     (count or grade), whose count is the leaf's; its key is its labels
+//     joined by cells.KeySep;
+//   - a categorical attribute's measure is cells.NewMeasure, and a numeric
+//     one's Weight is its node's count;
+//   - an internal node's grades are the column-wise max of its children's,
+//     its extent is their union, and a numeric measure's Min and Max are
+//     the min and max of theirs.
+func checkDerivable(t testing.TB, tr *Tree) {
+	t.Helper()
+	empty := cells.NewMeasure()
+	tr.Walk(func(n Node) bool {
+		nd, i := n.rec(), n.i
+		for a, m := range tr.measureRow(i) {
+			if !tr.attrs[a].numeric && !sameMeasure(m, empty) {
+				t.Fatalf("node %d: categorical attr %d has measure %+v", nd.id, a, m)
+			}
+			if tr.attrs[a].numeric && math.Float64bits(m.Weight) != math.Float64bits(nd.count) {
+				t.Fatalf("node %d: attr %d Weight %v, count %v", nd.id, a, m.Weight, nd.count)
+			}
+		}
+		if n.IsLeaf() {
+			if !(nd.count > 0) {
+				t.Fatalf("leaf %d has count %v", nd.id, nd.count)
+			}
+			labels := make([]string, len(tr.attrs))
+			for a := range tr.attrs {
+				counts, grades := tr.attrRow(tr.counts, i, a), tr.attrRow(tr.grades, i, a)
+				nnz := 0
+				for j := range counts {
+					if counts[j] != 0 || grades[j] != 0 {
+						nnz++
+						labels[a] = tr.attrs[a].labels[j]
+						if math.Float64bits(counts[j]) != math.Float64bits(nd.count) {
+							t.Fatalf("leaf %d attr %d: column count %v, leaf count %v", nd.id, a, counts[j], nd.count)
+						}
+					}
+				}
+				if nnz != 1 {
+					t.Fatalf("leaf %d attr %d has %d non-zero columns", nd.id, a, nnz)
+				}
+			}
+			if key := strings.Join(labels, cells.KeySep); key != nd.key {
+				t.Fatalf("leaf %d key %q, its labels join to %q", nd.id, nd.key, key)
+			}
+			return true
+		}
+		grades := make([]float64, tr.stride())
+		own, derived := tr.measureRow(i), make([]cells.Measure, len(tr.attrs))
+		for a := range derived {
+			derived[a] = cells.NewMeasure()
+		}
+		var ext []PeerID
+		for c := range n.Children() {
+			for l, g := range tr.row(tr.grades, c.i) {
+				if g > grades[l] {
+					grades[l] = g
+				}
+			}
+			for a, m := range tr.measureRow(c.i) {
+				derived[a].Min, derived[a].Max = min(derived[a].Min, m.Min), max(derived[a].Max, m.Max)
+			}
+			ext = append(ext, c.peers()...)
+		}
+		slices.Sort(ext)
+		ext = slices.Compact(ext)
+		if l, ok := sameBits(tr.row(tr.grades, i), grades); !ok {
+			t.Fatalf("node %d: column %d grade %v, its children's max %v", nd.id, l, tr.row(tr.grades, i)[l], grades[l])
+		}
+		if !slices.Equal(n.peers(), ext) {
+			t.Fatalf("node %d: extent %v, its children's union %v", nd.id, n.peers(), ext)
+		}
+		for a, m := range derived {
+			if math.Float64bits(own[a].Min) != math.Float64bits(m.Min) || math.Float64bits(own[a].Max) != math.Float64bits(m.Max) {
+				t.Fatalf("node %d attr %d: Min/Max %v/%v, its children's %v/%v", nd.id, a, own[a].Min, own[a].Max, m.Min, m.Max)
+			}
+		}
+		return true
+	})
+}
+
+// sameTree holds got to want in preorder, slot by slot: key, count, the
+// counts and grades rows and every measure field as bits, the peer extent,
+// and the structure (each node's children, in order).
+func sameTree(t testing.TB, got, want *Tree) {
+	t.Helper()
+	if got.cfg != want.cfg || got.CompatibleWith(want) != nil || got.NodeCount() != want.NodeCount() ||
+		got.LeafCount() != want.LeafCount() {
+		t.Fatalf("decoded tree has config %+v, %d nodes and %d leaves, want %+v, %d and %d",
+			got.cfg, got.NodeCount(), got.LeafCount(), want.cfg, want.NodeCount(), want.LeafCount())
+	}
+	for a := range want.attrs {
+		if got.attrs[a].numeric != want.attrs[a].numeric {
+			t.Fatalf("attr %d numeric %v, want %v", a, got.attrs[a].numeric, want.attrs[a].numeric)
+		}
+	}
+	var walk func(g, w Node, at string)
+	walk = func(g, w Node, at string) {
+		gn, wn := g.rec(), w.rec()
+		fail := func(what string, gv, wv any) {
+			t.Helper()
+			t.Fatalf("node %s: %s %v, want %v", at, what, gv, wv)
+		}
+		if gn.key != wn.key {
+			fail("key", gn.key, wn.key)
+		}
+		if math.Float64bits(gn.count) != math.Float64bits(wn.count) {
+			fail("count", gn.count, wn.count)
+		}
+		if l, ok := sameBits(got.row(got.counts, g.i), want.row(want.counts, w.i)); !ok {
+			fail("column "+strconv.Itoa(l)+" count", got.row(got.counts, g.i)[l], want.row(want.counts, w.i)[l])
+		}
+		if l, ok := sameBits(got.row(got.grades, g.i), want.row(want.grades, w.i)); !ok {
+			fail("column "+strconv.Itoa(l)+" grade", got.row(got.grades, g.i)[l], want.row(want.grades, w.i)[l])
+		}
+		for a, m := range got.measureRow(g.i) {
+			if wm := want.measureRow(w.i)[a]; !sameMeasure(m, wm) {
+				fail("attr "+strconv.Itoa(a)+" measure", m, wm)
+			}
+		}
+		if !slices.Equal(g.peers(), w.peers()) {
+			fail("extent", g.peers(), w.peers())
+		}
+		gk, wk := children(g), children(w)
+		if len(gk) != len(wk) {
+			fail("children", len(gk), len(wk))
+		}
+		for k := range gk {
+			walk(gk[k], wk[k], at+"."+strconv.Itoa(k))
+		}
+	}
+	walk(got.Root(), want.Root(), "root")
+}
+
+// sameBits reports whether two rows hold the same float64 bits, and the
+// first column where they differ.
+func sameBits(a, b []float64) (int, bool) {
+	for l := range a {
+		if math.Float64bits(a[l]) != math.Float64bits(b[l]) {
+			return l, false
+		}
+	}
+	return 0, len(a) == len(b)
+}
+
+// sameMeasure compares two measures field by field, as bits.
+func sameMeasure(a, b cells.Measure) bool {
+	_, ok := sameBits([]float64{a.Weight, a.Min, a.Max, a.Sum, a.SumSq}, []float64{b.Weight, b.Min, b.Max, b.Sum, b.SumSq})
+	return ok
+}
+
+// handNode is one node of a frame built by hand over one categorical
+// attribute "a" with labels x and y: a leaf writes its label with grade 1,
+// an internal node its non-zero counts.
+type handNode struct {
+	parent int64
+	leaf   bool
+	count  float64
+	label  uint64     // a leaf's
+	counts [2]float64 // an internal node's
+	peers  []int64    // a leaf's, as written
+}
+
+// handFrame encodes nodes, in order, in the wire layout.
+func handFrame(nodes ...handNode) []byte {
+	var e wire.Enc
+	e.Varint(6) // MaxChildren
+	e.Varint(2) // MaxSplitRounds
+	e.Uvarint(1)
+	e.String("a")
+	e.Strings([]string{"x", "y"})
+	e.Bool(false)
+	e.Uvarint(uint64(len(nodes)))
+	for _, n := range nodes {
+		e.Varint(n.parent)
+		e.Bool(n.leaf)
+		e.Float64(n.count)
+		if n.leaf {
+			e.Uvarint(n.label)
+			e.Float64(1)
+			e.Uvarint(uint64(len(n.peers)))
+			for _, p := range n.peers {
+				e.Varint(p)
+			}
+			continue
+		}
+		nnz := 0
+		for _, c := range n.counts {
+			if c != 0 {
+				nnz++
+			}
+		}
+		e.Uvarint(uint64(nnz))
+		for j, c := range n.counts {
+			if c != 0 {
+				e.Uvarint(uint64(j))
+				e.Float64(c)
+			}
+		}
+	}
+	return e.Bytes()
+}
+
+// rejectedFrames are frames DecodeWire must refuse, each with a fragment of
+// its error.
+func rejectedFrames() []struct {
+	name, err string
+	frame     []byte
+} {
+	root := handNode{parent: -1, count: 2, counts: [2]float64{1, 1}}
+	return []struct {
+		name, err string
+		frame     []byte
+	}{
+		{"leaf with children", "leaf 1 has children", handFrame(root,
+			handNode{parent: 0, leaf: true, count: 2, label: 0},
+			handNode{parent: 1, leaf: true, count: 2, label: 1})},
+		{"two leaves, one key", "one key", handFrame(root,
+			handNode{parent: 0, leaf: true, count: 1, label: 0},
+			handNode{parent: 0, leaf: true, count: 1, label: 0})},
+		{"label out of range", "out of vocabulary", handFrame(root,
+			handNode{parent: 0, leaf: true, count: 1, label: 0},
+			handNode{parent: 0, leaf: true, count: 1, label: 2})},
+		{"leaf without weight", "leaf 2 has count", handFrame(root,
+			handNode{parent: 0, leaf: true, count: 2, label: 0},
+			handNode{parent: 0, leaf: true, count: 0, label: 1})},
+		{"leaf root", "root is a leaf", handFrame(handNode{parent: -1, leaf: true, count: 1})},
+	}
+}
+
+// TestDecodeWireRejects decodes frames that are well-formed up to one
+// violation of the layout's invariants: each must fail, with its error.
+func TestDecodeWireRejects(t *testing.T) {
+	for _, bad := range rejectedFrames() {
+		_, err := DecodeWire(wire.NewDec(bad.frame))
+		if err == nil || !strings.Contains(err.Error(), bad.err) {
+			t.Errorf("%s: decode error %v, want one containing %q", bad.name, err, bad.err)
+		}
+	}
+	good := handFrame(handNode{parent: -1, count: 2, counts: [2]float64{1, 1}},
+		handNode{parent: 0, leaf: true, count: 1, label: 0},
+		handNode{parent: 0, leaf: true, count: 1, label: 1})
+	if _, err := DecodeWire(wire.NewDec(good)); err != nil {
+		t.Fatalf("the frames' valid form: %v", err)
 	}
 }

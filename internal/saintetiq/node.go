@@ -33,7 +33,9 @@
 // length, a tree is sized on each Send: every slot caches the encoded length
 // of its body, every write to the node clears it, and sizing sums the cached
 // lengths over a preorder walk, re-measuring only the nodes that changed,
-// over their marked columns (encode.go).
+// over their marked columns. The encoding leaves out every field the
+// receiver derives bit for bit from the rest of the tree — leaf keys,
+// internal grades, extents, Min and Max, and measure weights (encode.go).
 package saintetiq
 
 import (

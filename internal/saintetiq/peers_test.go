@@ -1,7 +1,6 @@
 package saintetiq
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -130,38 +129,15 @@ func TestPeerExtentInvariants(t *testing.T) {
 	}
 }
 
-// TestDecodeWireSortsPeers hand-builds a frame whose peer lists are unordered
-// and repeat ids: decoding yields the set, ascending.
+// TestDecodeWireSortsPeers hand-builds a frame whose leaves' peer lists are
+// unordered and repeat ids: decoding yields the sets, ascending, and the
+// root's extent is their union.
 func TestDecodeWireSortsPeers(t *testing.T) {
-	var e wire.Enc
-	e.Varint(6) // MaxChildren
-	e.Varint(2) // MaxSplitRounds
-	e.Uvarint(1)
-	e.String("a")
-	e.Strings([]string{"x", "y"})
-	e.Bool(false)
-	e.Uvarint(2) // nodes: root, one leaf
-	for _, n := range []struct {
-		parent int64
-		key    string
-		peers  []int64
-	}{{-1, "", []int64{9, 2, 9, 7, 2}}, {0, "x", []int64{7, 2, 2}}} {
-		e.Varint(n.parent)
-		e.String(n.key)
-		e.Float64(1)
-		e.Uvarint(1) // one descriptor: label 0, count 1, grade 1
-		e.Uvarint(0)
-		e.Float64(1)
-		e.Float64(1)
-		for _, f := range []float64{0, math.Inf(1), math.Inf(-1), 0, 0} {
-			e.Float64(f)
-		}
-		e.Uvarint(uint64(len(n.peers)))
-		for _, p := range n.peers {
-			e.Varint(p)
-		}
-	}
-	tr, err := DecodeWire(wire.NewDec(e.Bytes()))
+	tr, err := DecodeWire(wire.NewDec(handFrame(
+		handNode{parent: -1, count: 2, counts: [2]float64{1, 1}},
+		handNode{parent: 0, leaf: true, count: 1, label: 0, peers: []int64{7, 2, 2}},
+		handNode{parent: 0, leaf: true, count: 1, label: 1, peers: []int64{9, 2, 9, 7}},
+	)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +145,10 @@ func TestDecodeWireSortsPeers(t *testing.T) {
 		t.Errorf("root extent = %v, want [2 7 9]", got)
 	}
 	if leaf, _ := tr.leaf("x"); !slices.Equal(leaf.peers(), []PeerID{2, 7}) {
-		t.Errorf("leaf extent = %v, want [2 7]", leaf.peers())
+		t.Errorf("leaf x extent = %v, want [2 7]", leaf.peers())
+	}
+	if leaf, _ := tr.leaf("y"); !slices.Equal(leaf.peers(), []PeerID{2, 7, 9}) {
+		t.Errorf("leaf y extent = %v, want [2 7 9]", leaf.peers())
 	}
 }
 

@@ -350,24 +350,41 @@ func (t *Tree) denseSum(i int32) float64 {
 	return sum
 }
 
-// denseMeasureBody is measureBody before the column masks.
+// denseMeasureBody is measureBody before the column masks: a pass over
+// every column of the row.
 func (t *Tree) denseMeasureBody(i int32) int {
 	nd := &t.nodes[i]
-	n := wire.StringLen(nd.key) + wire.Float64Len(nd.count)
+	leaf := nd.key != ""
+	n := 1 + wire.Float64Len(nd.count)
 	measures := t.measureRow(i)
-	for a := range t.attrs {
+	for a, info := range t.attrs {
 		counts, grades := t.attrRow(t.counts, i, a), t.attrRow(t.grades, i, a)
-		nnz := 0
-		for j := range counts {
-			if counts[j] != 0 || grades[j] != 0 {
-				nnz++
-				n += wire.UvarintLen(uint64(j)) + wire.Float64Len(counts[j]) + wire.Float64Len(grades[j])
+		if leaf {
+			for j, c := range counts {
+				if c > 0 {
+					n += wire.UvarintLen(uint64(j)) + wire.Float64Len(grades[j])
+					break
+				}
+			}
+		} else {
+			nnz := 0
+			for j, c := range counts {
+				if c != 0 {
+					nnz++
+					n += wire.UvarintLen(uint64(j)) + wire.Float64Len(c)
+				}
+			}
+			n += wire.UvarintLen(uint64(nnz))
+		}
+		if m := measures[a]; info.numeric {
+			n += wire.Float64Len(m.Sum) + wire.Float64Len(m.SumSq)
+			if leaf {
+				n += wire.Float64Len(m.Min) + wire.Float64Len(m.Max)
 			}
 		}
-		m := measures[a]
-		n += wire.UvarintLen(uint64(nnz)) +
-			wire.Float64Len(m.Weight) + wire.Float64Len(m.Min) + wire.Float64Len(m.Max) +
-			wire.Float64Len(m.Sum) + wire.Float64Len(m.SumSq)
+	}
+	if !leaf {
+		return n
 	}
 	peers := t.extent(i)
 	return n + wire.UvarintLen(uint64(len(peers))) + wire.VarintsLen(peers)
@@ -489,28 +506,39 @@ func TestTermsMatchDenseOracle(t *testing.T) {
 }
 
 // oddTrees decodes the golden trees, and a childless root, from encodings
-// that write every column of every row, zeros included. Before encoding,
-// leaf rows get explicit negative zeros and NaN grades on zero-count
-// columns, and one infinite count each; the root's counts are NaN,
-// infinite, zero and negative.
+// that write every column of every internal row, zeros included. Before
+// encoding, internal rows get explicit negative zeros and one infinite count
+// each on zero-count columns, one leaf each an infinite count and every
+// third leaf a NaN grade; the root's counts are NaN, infinite, zero and
+// negative.
 func oddTrees(t testing.TB) []*Tree {
 	t.Helper()
 	var out []*Tree
 	for k, tr := range goldenTrees(t) {
 		odd := tr.Clone()
-		for x, leaf := range odd.Leaves() {
-			counts, grades := odd.row(odd.counts, leaf.i), odd.row(odd.grades, leaf.i)
-			for l, c := range counts {
+		x, leaves := 0, 0
+		odd.Walk(func(n Node) bool {
+			x++
+			if n.IsLeaf() {
+				if leaves%3 == k {
+					odd.grades[int(n.i)*odd.stride()+odd.leafCol(n.i, 0)] = math.NaN()
+				}
+				if leaves == 3*k {
+					odd.nodes[n.i].count = math.Inf(1)
+				}
+				leaves++
+				return true
+			}
+			for l, c := range odd.row(odd.counts, n.i) {
 				switch {
-				case c != 0 && x == 3*k:
-					counts[l] = math.Inf(1)
-				case c == 0 && (l+x)%3 == 0:
-					grades[l] = math.NaN()
+				case c == 0 && x == 2*k+2 && l%2 == 0:
+					odd.row(odd.counts, n.i)[l] = math.Inf(1)
 				case c == 0 && (l+x)%3 == 1:
-					counts[l] = math.Copysign(0, -1)
+					odd.row(odd.counts, n.i)[l] = math.Copysign(0, -1)
 				}
 			}
-		}
+			return true
+		})
 		out = append(out, decodeAllColumns(t, odd))
 	}
 	bare := New(bk.Medical(), DefaultConfig())
@@ -519,8 +547,9 @@ func oddTrees(t testing.TB) []*Tree {
 	return append(out, decodeAllColumns(t, bare))
 }
 
-// decodeAllColumns encodes tr in the wire format, writing every column of
-// every row where AppendWire writes only the non-zero ones, and decodes it.
+// decodeAllColumns encodes tr in the wire layout, writing every column of
+// every internal row where AppendWire writes only the non-zero ones, and
+// decodes it.
 func decodeAllColumns(t testing.TB, tr *Tree) *Tree {
 	t.Helper()
 	var e wire.Enc
@@ -538,25 +567,38 @@ func decodeAllColumns(t testing.TB, tr *Tree) *Tree {
 	write = func(n int32, parent int) {
 		idx := next
 		next++
+		leaf := tr.nodes[n].key != ""
 		e.Varint(int64(parent))
-		e.String(tr.nodes[n].key)
+		e.Bool(leaf)
 		e.Float64(tr.nodes[n].count)
-		for a := range tr.attrs {
-			counts, grades := tr.attrRow(tr.counts, n, a), tr.attrRow(tr.grades, n, a)
-			e.Uvarint(uint64(len(counts)))
-			for j := range counts {
-				e.Uvarint(uint64(j))
-				e.Float64(counts[j])
-				e.Float64(grades[j])
-			}
+		for a, info := range tr.attrs {
 			m := tr.measureRow(n)[a]
-			for _, f := range []float64{m.Weight, m.Min, m.Max, m.Sum, m.SumSq} {
-				e.Float64(f)
+			if leaf {
+				l := tr.leafCol(n, a)
+				e.Uvarint(uint64(l - tr.off[a]))
+				e.Float64(tr.row(tr.grades, n)[l])
+				if info.numeric {
+					e.Float64(m.Min)
+					e.Float64(m.Max)
+				}
+			} else {
+				counts := tr.attrRow(tr.counts, n, a)
+				e.Uvarint(uint64(len(counts)))
+				for j, c := range counts {
+					e.Uvarint(uint64(j))
+					e.Float64(c)
+				}
+			}
+			if info.numeric {
+				e.Float64(m.Sum)
+				e.Float64(m.SumSq)
 			}
 		}
-		e.Uvarint(uint64(tr.nodes[n].peerLen))
-		for _, p := range tr.extent(n) {
-			e.Varint(int64(p))
+		if leaf {
+			e.Uvarint(uint64(tr.nodes[n].peerLen))
+			for _, p := range tr.extent(n) {
+				e.Varint(int64(p))
+			}
 		}
 		for c := tr.nodes[n].first; c != none; c = tr.nodes[c].next {
 			write(c, idx)

@@ -136,8 +136,8 @@ func (t *Tree) words() int { return (t.stride() + 63) >> 6 }
 // word l/64 standing for column l. A clear bit means the column is zero in
 // both the counts and the grades row; a set bit promises nothing, so
 // readers still test the values. alloc clears the mask, apply and
-// DecodeWire mark the columns they write, and demoteLeaf and mergeChildren
-// carry their sources' bits over.
+// DecodeWire mark the columns they write, and demoteLeaf, mergeChildren and
+// DecodeWire's derived internal grades carry their sources' bits over.
 func (t *Tree) maskRow(i int32) []uint64 {
 	w := t.words()
 	b := int(i) * w
@@ -388,6 +388,9 @@ func (t *Tree) newContribution() *contribution {
 func (t *Tree) contributionOf(c *cells.Cell, peers []PeerID, con *contribution) error {
 	if len(c.Labels) != len(t.attrs) {
 		return fmt.Errorf("saintetiq: cell has %d labels, tree has %d attributes", len(c.Labels), len(t.attrs))
+	}
+	if !(c.Count > 0) { // a leaf's descriptors are the columns that count it
+		return fmt.Errorf("saintetiq: cell has count %v, want a positive one", c.Count)
 	}
 	for a, lab := range c.Labels {
 		j := t.LabelIndex(a, lab)

@@ -10,7 +10,9 @@
 //	        -gate BenchmarkFrameEncode=0 -gate BenchmarkEventDispatch=0
 //
 // Each -gate is NAME=MAX where NAME is a substring match against the
-// benchmark name (the part before the parallelism suffix) and MAX the
+// benchmark name (less the -GOMAXPROCS suffix `go test` appends when
+// GOMAXPROCS is not 1; benchgate assumes it runs under the GOMAXPROCS of
+// the benchmarks it reads, as at the end of a pipe) and MAX the
 // allowed allocs/op; the flag repeats for multiple gates. The legacy
 // single-gate form -bench NAME -max-allocs N is still accepted. Every
 // result line matching a gate must satisfy its bound, and every gate must
@@ -23,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -66,7 +69,7 @@ func main() {
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line) // pass the report through for the CI log
-		name, allocs, ok := parseBenchLine(line)
+		name, allocs, ok := parseBenchLine(line, runtime.GOMAXPROCS(0))
 		if !ok {
 			continue
 		}
@@ -102,13 +105,15 @@ func main() {
 }
 
 // parseBenchLine extracts the name and allocs/op from one `go test -bench
-// -benchmem` result line, e.g.
+// -benchmem` result line run at the given GOMAXPROCS, e.g.
 //
 //	BenchmarkFrameEncode-8   28143813   44.32 ns/op   0 B/op   0 allocs/op
 //
-// ok is false for non-result lines and for results without the -benchmem
-// allocation column.
-func parseBenchLine(line string) (name string, allocs int64, ok bool) {
+// The name loses only its trailing -procs suffix (which `go test` omits at
+// 1), so a sub-benchmark named sharded-2 keeps its own name. ok is false
+// for non-result lines and for results without the -benchmem allocation
+// column.
+func parseBenchLine(line string, procs int) (name string, allocs int64, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 3 || !strings.HasPrefix(fields[0], "Benchmark") {
 		return "", 0, false
@@ -119,7 +124,10 @@ func parseBenchLine(line string) (name string, allocs int64, ok bool) {
 			if err != nil {
 				return "", 0, false
 			}
-			name, _, _ = strings.Cut(fields[0], "-")
+			name = fields[0]
+			if procs != 1 {
+				name = strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
+			}
 			return name, n, true
 		}
 	}

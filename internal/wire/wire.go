@@ -42,7 +42,9 @@ import (
 
 // FrameVersion is the encoding version stamped on every frame; decoders
 // reject frames from a different version instead of misparsing them.
-const FrameVersion = 1
+// Version 2 changed the summary layout inside payloads (saintetiq's
+// encode.go): a summary no longer carries the fields its receiver derives.
+const FrameVersion = 2
 
 // Enc appends primitive values to a growing buffer. The zero value is
 // ready to use. A counting Enc (NewCountEnc) runs the identical encoding
@@ -152,9 +154,6 @@ func VarintLen(v int64) int { return UvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
 
 // Float64Len is the encoded size of a float64 (see Enc.Float64).
 func Float64Len(f float64) int { return UvarintLen(bits.ReverseBytes64(math.Float64bits(f))) }
-
-// StringLen is the encoded size of a length-prefixed string.
-func StringLen(s string) int { return UvarintLen(uint64(len(s))) + len(s) }
 
 // Uint8 appends one raw byte.
 func (e *Enc) Uint8(b uint8) {
