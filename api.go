@@ -344,18 +344,23 @@ func TopKSummaries(t *Tree, q Query, k int) ([]GradedSummary, error) {
 func RankClasses(a *Answer) []AnswerClass { return query.RankClasses(a) }
 
 // EncodeSummary serializes a hierarchy for shipping or persistence, in the
-// wire encoding the protocol messages carry.
+// wire encoding the protocol messages carry, behind one byte of layout
+// version (wire.FrameVersion).
 func EncodeSummary(t *Tree) ([]byte, error) {
 	e := wire.GetEnc()
 	defer e.Release()
+	e.Uint8(wire.FrameVersion)
 	t.AppendWire(e)
 	return append([]byte(nil), e.Bytes()...), nil
 }
 
-// DecodeSummary reconstructs a serialized hierarchy; trailing bytes are an
-// error.
+// DecodeSummary reconstructs a serialized hierarchy; a layout version other
+// than this build's and trailing bytes are errors.
 func DecodeSummary(b []byte) (*Tree, error) {
 	d := wire.NewDec(b)
+	if v := d.Uint8(); d.Err() == nil && v != wire.FrameVersion {
+		return nil, fmt.Errorf("p2psum: summary layout version %d, want %d", v, wire.FrameVersion)
+	}
 	t, err := saintetiq.DecodeWire(d)
 	if err != nil {
 		return nil, err

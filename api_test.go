@@ -1,9 +1,12 @@
 package p2psum
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
+
+	"p2psum/internal/wire"
 )
 
 // TestPaperWalkthrough drives the full §3–§5 walkthrough through the public
@@ -103,6 +106,14 @@ func TestEncodeDecodeSummary(t *testing.T) {
 	}
 	if back.LeafCount() != tree.LeafCount() {
 		t.Error("round trip changed the tree")
+	}
+	// A summary written in another layout is refused by version, not
+	// misparsed as this one.
+	blob[0] ^= 0xff
+	_, err = DecodeSummary(blob)
+	want := fmt.Sprintf("summary layout version %d, want %d", wire.FrameVersion^0xff, wire.FrameVersion)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("flipped version byte: err = %v, want one naming %q", err, want)
 	}
 }
 

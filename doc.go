@@ -193,10 +193,13 @@
 // TCPTransport.PeerStats snapshots them (rates, bytes, units, flushes,
 // queued batch, in-flight frames, keepalive RTT), cmd/p2pnode dumps them
 // on SIGUSR1, and CI's benchgate step fails the build if encoding a
-// frame through the pooled path ever allocates again. Idle links are
-// probed: a connection silent for TCPConfig.KeepAlive gets a ping whose
-// pong carries the RTT into PeerStats, and a ping unanswered for twice
-// that tears the connection down into the reconnect/liveness machinery.
+// frame through the pooled path ever allocates again. Connection
+// management is one fixed policy, not configuration: idle links are
+// probed — a connection silent for 15 s gets a ping whose pong carries the
+// RTT into PeerStats, and a ping unanswered for twice that tears the
+// connection down into the reconnect/liveness machinery; a broken link is
+// redialed up to 8 times with backoff from 100 ms to 3 s; and a peer whose
+// unflushed backlog passes 64 MiB or 30 s is cut into the §4.3 drop path.
 //
 // # The liveness layer
 //
@@ -335,7 +338,7 @@
 //
 //   - Admission: every client session owns a token bucket (Config.Rate/
 //     Burst), and queries that pass it queue for a bounded number of
-//     upstream slots (Config.MaxConcurrent) in per-client FIFOs drained
+//     upstream slots (16) in per-client FIFOs drained
 //     round-robin — one chatty client cannot starve the rest, and a full
 //     queue sheds with ErrOverloaded instead of growing.
 //

@@ -83,7 +83,7 @@ func (p *Peer) maybeReconcile() {
 		return
 	}
 	p.reconciling = true
-	p.retriesLeft = p.sys.reconcileRetries()
+	p.retriesLeft = reconcileRetries
 	p.startRing()
 }
 
@@ -100,16 +100,10 @@ func (p *Peer) startRing() {
 	p.forwardReconcile(pl)
 }
 
-// reconcileRetries resolves the configured retransmit budget (0 = default).
-func (s *System) reconcileRetries() int {
-	if s.cfg.ReconcileRetries == 0 {
-		return 3
-	}
-	if s.cfg.ReconcileRetries < 0 {
-		return 0
-	}
-	return s.cfg.ReconcileRetries
-}
+// reconcileRetries bounds consecutive retransmits of one reconciliation;
+// when they are spent the summary peer abandons the round (the next push
+// re-triggers it).
+const reconcileRetries = 3
 
 // armReconcileTimer schedules the loss timeout for the current ring
 // generation: the configured base (0 = the 30 s default; negative disables

@@ -36,7 +36,7 @@ func TestReconcileTimerRetransmits(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := sys.SummaryPeers()[0]
-	p := lostToken(sys, sp, sys.reconcileRetries())
+	p := lostToken(sys, sp, reconcileRetries)
 	e.Run()
 	st := sys.Stats()
 	if st.ReconcileRetransmits != 1 {
@@ -100,7 +100,7 @@ func TestReconcileTimeoutDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := sys.SummaryPeers()[0]
-	p := lostToken(sys, sp, sys.reconcileRetries())
+	p := lostToken(sys, sp, reconcileRetries)
 	e.Run()
 	if !p.reconciling {
 		t.Error("recovery ran although the timeout is disabled")
@@ -202,7 +202,6 @@ func TestReconcileLossRecoveryChannel(t *testing.T) {
 	t.Cleanup(ct.Close)
 	cfg := DefaultConfig()
 	cfg.ReconcileTimeout = 5 // virtual seconds -> ~5ms real at default timer scale
-	cfg.ReconcileRetries = 10
 	sys, err := NewSystem(ct, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -73,10 +73,6 @@ type Config struct {
 	// restarts the ring instead of sticking in `reconciling` forever.
 	// 0 uses DefaultConfig's timeout; negative disables the timer.
 	ReconcileTimeout float64
-	// ReconcileRetries bounds consecutive retransmits of one
-	// reconciliation; when exhausted the summary peer abandons the round
-	// (the next push re-triggers it). 0 uses the default.
-	ReconcileRetries int
 	// GossipInterval arms a periodic anti-entropy liveness gossip per
 	// local node, every this many virtual seconds (§4.3 made symmetric: the
 	// processes of a TCP deployment converge on one membership view). 0
@@ -122,7 +118,6 @@ func DefaultConfig() Config {
 		Mode:             OneBit,
 		TreeCfg:          saintetiq.DefaultConfig(),
 		ReconcileTimeout: 30,
-		ReconcileRetries: 3,
 	}
 }
 

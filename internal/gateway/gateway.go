@@ -30,7 +30,7 @@
 //     process (the summary peer lives across a TCP link) the cache falls
 //     back to a TTL derived from the paper's α freshness threshold: α of
 //     the observed mean install interval (System.OnInstall feeds the
-//     estimate), clamped to [Config.MinTTL, Config.MaxTTL]. An entry keeps
+//     estimate), clamped to [100ms, 30s]. An entry keeps
 //     what its callers read back: once the wire frontend has encoded an
 //     entry's result body, the entry keeps those exact-size bytes and drops
 //     the decoded answer graph, and the graph is rebuilt from the bytes on
@@ -63,7 +63,7 @@ var (
 	ErrThrottled = errors.New("gateway: client over admission rate")
 	// ErrOverloaded: the client already has a full queue of waiters.
 	ErrOverloaded = errors.New("gateway: per-client queue full")
-	// ErrQueueTimeout: no upstream slot freed up within QueueTimeout.
+	// ErrQueueTimeout: no upstream slot freed up within five seconds.
 	ErrQueueTimeout = errors.New("gateway: timed out waiting for an upstream slot")
 )
 
@@ -144,34 +144,37 @@ func (b SystemBackend) Execute(origin p2p.NodeID, q query.Query) (*routing.DataA
 // Alpha returns the system's configured freshness threshold.
 func (b SystemBackend) Alpha() float64 { return b.Sys.Config().Alpha }
 
-// Config tunes the gateway. The zero value gets serving defaults.
+// Config holds a gateway's per-client admission rate; everything else the
+// serving edge runs with is fixed (the constants below). The zero value
+// gets serving defaults.
 type Config struct {
 	// Rate is the per-client token refill rate in queries/second
 	// (default 100).
 	Rate float64
 	// Burst is the token-bucket capacity (default 2*Rate, min 1).
 	Burst float64
-	// MaxConcurrent is the number of concurrent upstream executions
-	// (default 16); excess misses wait in the fair queue.
-	MaxConcurrent int
-	// MaxQueuePerClient bounds one client's waiters in the fair queue
-	// (default 64); beyond it the request is shed with ErrOverloaded.
-	MaxQueuePerClient int
-	// QueueTimeout bounds the wait for an upstream slot (default 5s).
-	QueueTimeout time.Duration
-	// TTL, when positive, fixes the freshness window of cache entries
-	// that cannot be generation-validated (remote domains). When zero the
-	// window is α × the observed mean install interval of the domain,
-	// clamped to [MinTTL, MaxTTL] (defaults 100ms, 30s); a domain with no
-	// observed installs uses MaxTTL — no installs means nothing is
-	// refreshing the summary, so serving longer matches the α semantics.
-	TTL    time.Duration
-	MinTTL time.Duration
-	MaxTTL time.Duration
-	// CacheCapacity bounds the cache entry count (default 4096); at
-	// capacity an arbitrary entry of the insert's cache shard is evicted.
-	CacheCapacity int
 }
+
+const (
+	// maxConcurrent is the number of concurrent upstream executions;
+	// excess misses wait in the fair queue.
+	maxConcurrent = 16
+	// maxQueuePerClient bounds one client's waiters in the fair queue;
+	// beyond it the request is shed with ErrOverloaded.
+	maxQueuePerClient = 64
+	// queueTimeout bounds the wait for an upstream slot.
+	queueTimeout = 5 * time.Second
+	// minTTL and maxTTL clamp the freshness window of cache entries that
+	// cannot be generation-validated (remote domains): α × the observed
+	// mean install interval of the domain. A domain with no observed
+	// installs uses maxTTL — no installs means nothing is refreshing the
+	// summary, so serving longer matches the α semantics.
+	minTTL = 100 * time.Millisecond
+	maxTTL = 30 * time.Second
+	// cacheCapacity bounds the cache entry count; at capacity an arbitrary
+	// entry of the insert's cache shard is evicted.
+	cacheCapacity = 4096
+)
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
@@ -183,24 +186,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Burst < 1 {
 		c.Burst = 1
-	}
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 16
-	}
-	if c.MaxQueuePerClient <= 0 {
-		c.MaxQueuePerClient = 64
-	}
-	if c.QueueTimeout <= 0 {
-		c.QueueTimeout = 5 * time.Second
-	}
-	if c.MinTTL <= 0 {
-		c.MinTTL = 100 * time.Millisecond
-	}
-	if c.MaxTTL <= 0 {
-		c.MaxTTL = 30 * time.Second
-	}
-	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = 4096
 	}
 	return c
 }
@@ -302,8 +287,8 @@ func New(cfg Config, be Backend) *Gateway {
 		sessions: make(map[string]*Client),
 		clocks:   make(map[p2p.NodeID]*domainClock),
 	}
-	g.cache.init(cfg.CacheCapacity)
-	g.queue.init(cfg.MaxConcurrent, cfg.MaxQueuePerClient)
+	g.cache.init(cacheCapacity)
+	g.queue.init(maxConcurrent, maxQueuePerClient)
 	return g
 }
 
@@ -361,32 +346,22 @@ func (g *Gateway) noteInstall(sp p2p.NodeID, now time.Time) {
 }
 
 // ttl returns the freshness window for a new cache entry of the domain:
-// the fixed Config.TTL if set, else α × the observed mean install
-// interval clamped to [MinTTL, MaxTTL] (MaxTTL while no cadence is known).
+// α × the observed mean install interval clamped to [minTTL, maxTTL]
+// (maxTTL while no cadence is known).
 func (g *Gateway) ttl(domain p2p.NodeID) time.Duration {
-	if g.cfg.TTL > 0 {
-		return g.cfg.TTL
-	}
 	g.kmu.Lock()
 	dc := g.clocks[domain]
 	g.kmu.Unlock()
 	if dc == nil {
-		return g.cfg.MaxTTL
+		return maxTTL
 	}
 	dc.mu.Lock()
 	ewma := dc.ewma
 	dc.mu.Unlock()
 	if ewma <= 0 {
-		return g.cfg.MaxTTL
+		return maxTTL
 	}
-	ttl := time.Duration(g.be.Alpha() * float64(ewma))
-	if ttl < g.cfg.MinTTL {
-		ttl = g.cfg.MinTTL
-	}
-	if ttl > g.cfg.MaxTTL {
-		ttl = g.cfg.MaxTTL
-	}
-	return ttl
+	return min(max(time.Duration(g.be.Alpha()*float64(ewma)), minTTL), maxTTL)
 }
 
 // Snapshot returns the current counter values.
@@ -556,7 +531,7 @@ func (g *Gateway) miss(c *Client, h uint64, domain, origin p2p.NodeID, q query.Q
 // execute acquires an upstream slot fairly, captures the freshness basis,
 // and runs the backend execution.
 func (g *Gateway) execute(c *Client, domain, origin p2p.NodeID, q query.Query) (*entry, error) {
-	if err := g.queue.acquire(c, g.cfg.QueueTimeout); err != nil {
+	if err := g.queue.acquire(c, queueTimeout); err != nil {
 		g.ctr.shed.Add(1)
 		return nil, err
 	}

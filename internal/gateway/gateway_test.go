@@ -120,7 +120,7 @@ func newShardedStore(t testing.TB) *summarystore.Store {
 func TestSingleflight(t *testing.T) {
 	const n = 32
 	be := &fakeBackend{block: make(chan struct{}), entered: make(chan struct{})}
-	g := New(Config{Rate: 1e9, MaxConcurrent: 4}, be)
+	g := New(Config{Rate: 1e9}, be)
 	q := diseaseQuery("malaria")
 
 	answers := make(chan *routing.DataAnswer, n)
@@ -182,7 +182,7 @@ func TestSingleflight(t *testing.T) {
 func TestSingleflightFollowerAfterInstall(t *testing.T) {
 	st := newShardedStore(t)
 	be := &fakeBackend{st: st, block: make(chan struct{}), entered: make(chan struct{})}
-	g := New(Config{Rate: 1e9, MaxConcurrent: 4}, be)
+	g := New(Config{Rate: 1e9}, be)
 	q := diseaseQuery("malaria")
 	ask := func(out chan<- *routing.DataAnswer) {
 		c := g.Connect()
@@ -435,10 +435,14 @@ func TestFairQueueBounds(t *testing.T) {
 }
 
 // TestTTLFallback: without a readable store the cache falls back to the
-// TTL window; entries expire, and the Expired counter says so.
+// α window; two installs 1 ms apart clamp it to minTTL, entries expire
+// after it, and the Expired counter says so.
 func TestTTLFallback(t *testing.T) {
 	be := &fakeBackend{} // st == nil: no generation basis
-	g := New(Config{Rate: 1e9, TTL: 30 * time.Millisecond}, be)
+	g := New(Config{Rate: 1e9}, be)
+	t0 := time.Now()
+	g.noteInstall(fakeDomain, t0.Add(-time.Millisecond))
+	g.noteInstall(fakeDomain, t0)
 	c := g.Connect()
 	defer c.Close()
 	q := diseaseQuery("malaria")
@@ -448,7 +452,7 @@ func TestTTLFallback(t *testing.T) {
 	if _, hit, _ := c.Query(3, q); !hit {
 		t.Fatal("warm entry missed inside the TTL window")
 	}
-	time.Sleep(40 * time.Millisecond)
+	time.Sleep(minTTL + 20*time.Millisecond)
 	if _, hit, _ := c.Query(3, q); hit {
 		t.Fatal("entry served past its TTL")
 	}
@@ -457,14 +461,14 @@ func TestTTLFallback(t *testing.T) {
 	}
 }
 
-// TestAlphaTTL: with no fixed TTL the window is α × the observed install
-// cadence, clamped to [MinTTL, MaxTTL].
+// TestAlphaTTL: the window is α × the observed install cadence, clamped to
+// [minTTL, maxTTL].
 func TestAlphaTTL(t *testing.T) {
 	be := &fakeBackend{alpha: 0.5}
-	g := New(Config{MinTTL: time.Millisecond, MaxTTL: time.Hour}, be)
+	g := New(Config{}, be)
 	d := p2p.NodeID(4)
-	if got := g.ttl(d); got != time.Hour {
-		t.Fatalf("unobserved domain ttl = %v, want MaxTTL", got)
+	if got := g.ttl(d); got != maxTTL {
+		t.Fatalf("unobserved domain ttl = %v, want maxTTL", got)
 	}
 	t0 := time.Now()
 	g.noteInstall(d, t0)
@@ -472,34 +476,34 @@ func TestAlphaTTL(t *testing.T) {
 	if got := g.ttl(d); got != 500*time.Millisecond {
 		t.Fatalf("ttl = %v, want 500ms (α=0.5 × 1s)", got)
 	}
-	g2 := New(Config{MinTTL: time.Second, MaxTTL: time.Hour}, be)
+	g2 := New(Config{}, be)
 	g2.noteInstall(d, t0)
 	g2.noteInstall(d, t0.Add(time.Millisecond))
-	if got := g2.ttl(d); got != time.Second {
-		t.Fatalf("ttl = %v, want MinTTL clamp", got)
+	if got := g2.ttl(d); got != minTTL {
+		t.Fatalf("ttl = %v, want minTTL clamp", got)
+	}
+	g3 := New(Config{}, be)
+	g3.noteInstall(d, t0)
+	g3.noteInstall(d, t0.Add(time.Hour))
+	if got := g3.ttl(d); got != maxTTL {
+		t.Fatalf("ttl = %v, want maxTTL clamp", got)
 	}
 }
 
 // TestCacheEviction: a full cache stripe evicts to admit new entries and
 // counts it.
 func TestCacheEviction(t *testing.T) {
-	be := &fakeBackend{}
-	g := New(Config{Rate: 1e9, TTL: time.Hour, CacheCapacity: cacheShards}, be) // 1 entry per stripe
-	c := g.Connect()
-	defer c.Close()
-	diseases := bk.Medical().Attrs()[3].Labels()
-	for _, d := range diseases {
-		if _, _, err := c.Query(3, diseaseQuery(d)); err != nil {
-			t.Fatal(err)
-		}
+	var c cache
+	c.init(cacheShards) // 1 entry per stripe
+	var ctr counters
+	for h := uint64(0); h < 4*cacheShards; h++ {
+		c.put(h, &entry{domain: fakeDomain}, &ctr)
 	}
-	if got := g.cache.len(); got > cacheShards {
+	if got := c.len(); got != cacheShards {
 		t.Errorf("cache holds %d entries, capacity %d", got, cacheShards)
 	}
-	if len(diseases) > cacheShards {
-		if s := g.Snapshot(); s.Evicted == 0 {
-			t.Error("full cache evicted nothing")
-		}
+	if got := ctr.evicted.Load(); got != 3*cacheShards {
+		t.Errorf("evicted = %d, want %d", got, 3*cacheShards)
 	}
 }
 

@@ -25,14 +25,11 @@ type ChannelConfig struct {
 	// genuine packet loss, unlike the offline-receiver drops protocols
 	// detect via SetDrop.
 	LossRate float64
-	// DirectLatency (virtual seconds) is used for node pairs without an
-	// overlay edge. Defaults to 0.100, matching Network.
-	DirectLatency float64
 }
 
 // DefaultChannelConfig returns the defaults described on ChannelConfig.
 func DefaultChannelConfig() ChannelConfig {
-	return ChannelConfig{LatencyScale: time.Millisecond, DirectLatency: 0.100}
+	return ChannelConfig{LatencyScale: time.Millisecond}
 }
 
 // ChannelTransport is the concurrent, real-time Transport: every unicast is
@@ -67,9 +64,6 @@ type ChannelTransport struct {
 func NewChannelTransport(graph *topology.Graph, seed int64, cfg ChannelConfig) *ChannelTransport {
 	if cfg.LatencyScale < 0 {
 		cfg.LatencyScale = 0
-	}
-	if cfg.DirectLatency == 0 {
-		cfg.DirectLatency = 0.100
 	}
 	n := graph.Len()
 	t := &ChannelTransport{
@@ -169,7 +163,7 @@ func (t *ChannelTransport) Send(msg *Message) {
 		panic("p2p: send on closed ChannelTransport")
 	}
 	t.charge(msg.Type, 1, size)
-	lat := t.latencyBetween(msg.From, msg.To, t.cfg.DirectLatency)
+	lat := t.latencyBetween(msg.From, msg.To)
 	delay := time.Duration(lat * float64(t.cfg.LatencyScale))
 	go func() {
 		if delay > 0 {

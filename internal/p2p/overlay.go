@@ -95,14 +95,18 @@ func (o *overlay) deliverable(from, to NodeID) bool {
 	return o.view.Online(int(to)) && !o.gate.severed(from, to)
 }
 
+// directLatency (virtual seconds) is the latency of a message between two
+// nodes without an overlay edge (e.g. a query sent straight to a relevant
+// peer found in a summary).
+const directLatency = 0.100
+
 // latencyBetween picks the edge latency (virtual seconds) when a and b are
-// adjacent, direct otherwise (e.g. a query sent straight to a relevant peer
-// found in a summary).
-func (o *overlay) latencyBetween(a, b NodeID, direct float64) float64 {
+// adjacent, directLatency otherwise.
+func (o *overlay) latencyBetween(a, b NodeID) float64 {
 	if l, ok := o.graph.LatencyOK(int(a), int(b)); ok {
 		return l
 	}
-	return direct
+	return directLatency
 }
 
 // linkGate is the atomic holder for a transport's installed LinkFilter. The

@@ -126,9 +126,6 @@ type Network struct {
 	// one suffices.
 	codecs []wire.PayloadCodec
 	sizer  *wire.Enc
-	// DirectLatency is used for node pairs without an overlay edge (e.g. a
-	// query sent straight to a relevant peer found in a summary).
-	DirectLatency float64
 	// drop is invoked (if set via SetDrop) whenever a message addressed
 	// to an offline node is discarded; protocols use it to detect
 	// failures (§4.3: "a partner who has tried to send push or query
@@ -141,12 +138,11 @@ type Network struct {
 // carries one Network.
 func NewNetwork(engine *sim.Engine, graph *topology.Graph, seed int64) *Network {
 	n := &Network{
-		overlay:       overlay{graph: graph, view: liveness.NewView(graph.Len(), nil)},
-		engine:        engine,
-		rng:           rand.New(rand.NewSource(seed)),
-		handler:       make([]Handler, graph.Len()),
-		sizer:         wire.NewCountEnc(),
-		DirectLatency: 0.100,
+		overlay: overlay{graph: graph, view: liveness.NewView(graph.Len(), nil)},
+		engine:  engine,
+		rng:     rand.New(rand.NewSource(seed)),
+		handler: make([]Handler, graph.Len()),
+		sizer:   wire.NewCountEnc(),
 	}
 	engine.SetDeliver(n.deliver)
 	return n
@@ -231,7 +227,7 @@ func (n *Network) Send(msg *Message) {
 	n.charge(msg)
 	idx := n.take()
 	n.slab[idx] = *msg
-	lat := n.latencyBetween(msg.From, msg.To, n.DirectLatency)
+	lat := n.latencyBetween(msg.From, msg.To)
 	n.engine.AfterDeliver(sim.Seconds(lat), idx)
 }
 

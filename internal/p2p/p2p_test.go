@@ -61,14 +61,14 @@ func TestSendLatency(t *testing.T) {
 	if at != sim.Seconds(0.01) {
 		t.Errorf("edge delivery at %v, want 0.01", at)
 	}
-	// Non-adjacent: DirectLatency.
+	// Non-adjacent: directLatency.
 	var at2 sim.Time
 	net.SetHandler(2, func(m *Message) { at2 = e.Now() })
 	start := e.Now()
 	net.SendNew("x", 0, 2, 0, nil)
 	e.Run()
-	if at2-start != sim.Seconds(net.DirectLatency) {
-		t.Errorf("direct delivery took %v, want %v", at2-start, net.DirectLatency)
+	if at2-start != sim.Seconds(directLatency) {
+		t.Errorf("direct delivery took %v, want %v", at2-start, directLatency)
 	}
 }
 

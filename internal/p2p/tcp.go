@@ -59,7 +59,7 @@ import (
 type TCPTransport struct {
 	overlay
 	ledger
-	cfg   TCPConfig
+	lim   tcpLimits
 	eng   *dispatchEngine
 	ln    net.Listener
 	laddr string
@@ -69,7 +69,7 @@ type TCPTransport struct {
 
 	connMu       sync.Mutex
 	conns        map[string]*tcpConn // peer listen address -> registered connection
-	allConns     []*tcpConn          // every started connection, for Close
+	allConns     []*tcpConn          // every started connection until connDead, for Settle and Close
 	reconnecting map[string]bool     // peer addresses with a live backoff loop
 	closed       bool
 	closeCh      chan struct{} // closed by Close; aborts reconnect backoffs
@@ -88,7 +88,11 @@ type TCPTransport struct {
 	wg      sync.WaitGroup
 }
 
-// TCPConfig configures a TCPTransport.
+// TCPConfig configures a TCPTransport: where it listens and which process
+// hosts which node. Connection management is one fixed policy (the
+// constants below): a broken registered link is redialed, an idle one is
+// probed, and a peer whose send backlog outgrows its bounds is cut into
+// the §4.3 drop path.
 type TCPConfig struct {
 	// Listen is the TCP listen address, e.g. "127.0.0.1:7701". Use port 0
 	// to let the kernel pick (ListenAddr reports the result).
@@ -99,36 +103,40 @@ type TCPConfig struct {
 	// hosting it. It may also be installed later via SetHosts (before any
 	// traffic), which test setups with kernel-picked ports need.
 	Hosts map[NodeID]string
-	// ReconnectAttempts bounds the background redial loop started when a
+}
+
+// The connection-management policy every TCPTransport runs.
+const (
+	// redialAttempts bounds the background redial loop started when a
 	// registered peer connection breaks: the transport retries with
-	// exponential backoff until the peer answers or the budget is spent
-	// (default 8; negative disables reconnection — sends keep failing into
-	// the §4.3 drop path until a send-triggered dial succeeds). A
-	// successful redial re-runs the hello handshake, and the protocol
-	// layer's liveness gossip reconciles the peer's nodes back to online.
-	ReconnectAttempts int
-	// ReconnectBackoff is the first redial delay (default 100ms).
-	ReconnectBackoff time.Duration
-	// ReconnectMax caps the growing redial delay (default 3s).
-	ReconnectMax time.Duration
-	// KeepAlive is the idle-link probe interval: a connection that has
-	// received nothing for this long is pinged, and torn down when the pong
-	// stays out for another 2×KeepAlive — the cheap liveness signal for
-	// idle links, where no data frame would ever bounce (default 15s;
-	// negative disables probing).
-	KeepAlive time.Duration
-	// MaxBacklogBytes bounds the unflushed send backlog of one peer
-	// connection: when the batch a stalled writer is accumulating exceeds
-	// this many bytes, the connection is cut and its queued units
-	// discarded — senders fall into the §4.3 drop path instead of queueing
-	// without bound behind a peer that stopped reading (default 0:
-	// unbounded).
-	MaxBacklogBytes int
-	// MaxBacklogAge cuts a connection whose oldest unflushed unit has
-	// waited this long for the socket (checked on the keepalive tick) —
-	// the time-domain complement of MaxBacklogBytes for slow-but-not-
-	// stopped peers (default 0: no age bound).
-	MaxBacklogAge time.Duration
+	// exponential backoff, from redialBackoff doubling up to
+	// redialMaxBackoff, until the peer answers or the budget is spent —
+	// sends meanwhile fall into the §4.3 drop path. A successful redial
+	// re-runs the hello handshake, and the protocol layer's liveness
+	// gossip reconciles the peer's nodes back to online.
+	redialAttempts   = 8
+	redialBackoff    = 100 * time.Millisecond
+	redialMaxBackoff = 3 * time.Second
+	// keepAliveInterval is the idle-link probe interval: a connection that
+	// has received nothing for this long is pinged, and torn down when the
+	// pong stays out for another 2×keepAliveInterval — the cheap liveness
+	// signal for idle links, where no data frame would ever bounce. The
+	// keepalive tick runs every half interval and also enforces the
+	// backlog age bound of 2×keepAliveInterval.
+	keepAliveInterval = 15 * time.Second
+	// maxBacklogBytes bounds the unflushed send backlog of one peer
+	// connection: past it the connection is cut and its queued units
+	// discarded. It equals the largest unit a reader accepts.
+	maxBacklogBytes = maxFrame
+)
+
+// tcpLimits carries the probe interval and the backlog byte bound into a
+// transport. NewTCPTransport always runs keepAliveInterval and
+// maxBacklogBytes; in-package tests shorten them through newTCPTransport so
+// a probe or a backlog cut fits into a test's run time.
+type tcpLimits struct {
+	keepAlive    time.Duration // probe interval; tick keepAlive/2, backlog age bound 2×keepAlive
+	backlogBytes int
 }
 
 const (
@@ -198,10 +206,10 @@ type WireStats struct {
 // a peer's socket backpressure, or two processes flooding each other could
 // deadlock in a cycle (dispatcher -> full send queue -> peer's reader ->
 // peer's full inbox -> peer's dispatcher -> ...). Backpressure is applied
-// by disconnection instead: the TCPConfig.MaxBacklogBytes/MaxBacklogAge
-// budgets cut a connection whose backlog grows past bounds, so a stalled
-// peer is dropped (§4.3 failure path), not waited on. Appending never
-// blocks and never holds a lock across I/O.
+// by disconnection instead: a connection whose unflushed backlog passes
+// maxBacklogBytes, or whose oldest unflushed unit waited 2×keepAliveInterval,
+// is cut, so a stalled peer is dropped (§4.3 failure path), not waited
+// on. Appending never blocks and never holds a lock across I/O.
 type tcpConn struct {
 	c    net.Conn
 	dead atomic.Bool
@@ -340,25 +348,18 @@ func (c *tcpConn) shutdown() {
 // local nodes. Close must be called or the listener, dispatcher and
 // connection goroutines leak.
 func NewTCPTransport(graph *topology.Graph, cfg TCPConfig) (*TCPTransport, error) {
+	return newTCPTransport(graph, cfg, tcpLimits{keepAliveInterval, maxBacklogBytes})
+}
+
+// newTCPTransport is NewTCPTransport under the given connection limits.
+func newTCPTransport(graph *topology.Graph, cfg TCPConfig, lim tcpLimits) (*TCPTransport, error) {
 	if len(cfg.Local) == 0 {
 		return nil, errors.New("p2p: TCP transport needs at least one local node")
-	}
-	if cfg.ReconnectAttempts == 0 {
-		cfg.ReconnectAttempts = 8
-	}
-	if cfg.ReconnectBackoff <= 0 {
-		cfg.ReconnectBackoff = 100 * time.Millisecond
-	}
-	if cfg.ReconnectMax <= 0 {
-		cfg.ReconnectMax = 3 * time.Second
-	}
-	if cfg.KeepAlive == 0 {
-		cfg.KeepAlive = 15 * time.Second
 	}
 	n := graph.Len()
 	t := &TCPTransport{
 		overlay:      overlay{graph: graph},
-		cfg:          cfg,
+		lim:          lim,
 		local:        make([]bool, n),
 		hostOf:       make([]string, n),
 		conns:        make(map[string]*tcpConn),
@@ -384,12 +385,9 @@ func NewTCPTransport(graph *topology.Graph, cfg TCPConfig) (*TCPTransport, error
 	t.ln = ln
 	t.laddr = ln.Addr().String()
 	t.eng = newDispatchEngine(n, t.deliver)
-	t.wg.Add(1)
+	t.wg.Add(2)
 	go t.acceptLoop()
-	if cfg.KeepAlive > 0 || cfg.MaxBacklogAge > 0 {
-		t.wg.Add(1)
-		go t.keepaliveLoop()
-	}
+	go t.keepaliveLoop()
 	return t, nil
 }
 
@@ -521,33 +519,19 @@ func (o *peerStatOrder) Swap(i, j int) {
 	o.conns[i], o.conns[j] = o.conns[j], o.conns[i]
 }
 
-// probeInterval picks the keepalive tick: half of the tightest active
-// bound (KeepAlive, MaxBacklogAge), floored at one millisecond.
-func (t *TCPTransport) probeInterval() time.Duration {
-	var iv time.Duration
-	if t.cfg.KeepAlive > 0 {
-		iv = t.cfg.KeepAlive / 2
-	}
-	if a := t.cfg.MaxBacklogAge / 2; a > 0 && (iv == 0 || a < iv) {
-		iv = a
-	}
-	if iv < time.Millisecond {
-		iv = time.Millisecond
-	}
-	return iv
-}
-
-// keepaliveLoop probes idle registered connections: a connection that has
-// received nothing for KeepAlive gets a ping (the pong carries the RTT
-// into PeerStats), and a ping unanswered for 2×KeepAlive tears the
-// connection down — the cheap liveness signal for idle links, which would
-// otherwise only notice a silently dead peer on the next data frame. The
-// same tick enforces MaxBacklogAge: a connection whose oldest unflushed
-// unit has waited out the budget is cut (its writer is stuck in a socket
-// write the peer refuses to drain).
+// keepaliveLoop probes idle registered connections every half keepalive
+// interval: a connection that has received nothing for the interval gets a
+// ping (the pong carries the RTT into PeerStats), and a ping unanswered
+// for twice the interval tears the connection down — the cheap liveness
+// signal for idle links, which would otherwise only notice a silently dead
+// peer on the next data frame. The same tick enforces the backlog age
+// bound: a connection whose oldest unflushed unit has waited twice the
+// interval is cut (its writer is stuck in a socket write the peer refuses
+// to drain).
 func (t *TCPTransport) keepaliveLoop() {
 	defer t.wg.Done()
-	tick := time.NewTicker(t.probeInterval())
+	ka := t.lim.keepAlive
+	tick := time.NewTicker(ka / 2)
 	defer tick.Stop()
 	for {
 		select {
@@ -561,22 +545,17 @@ func (t *TCPTransport) keepaliveLoop() {
 			}
 			t.connMu.Unlock()
 			for _, c := range conns {
-				if age := t.cfg.MaxBacklogAge; age > 0 {
-					if o := c.oldest.Load(); o != 0 && now.Sub(time.Unix(0, o)) > age {
-						t.connDead(c) // writer stalled: the backlog aged out
-						continue
-					}
-				}
-				if t.cfg.KeepAlive <= 0 {
+				if o := c.oldest.Load(); o != 0 && now.Sub(time.Unix(0, o)) > 2*ka {
+					t.connDead(c) // writer stalled: the backlog aged out
 					continue
 				}
 				if ps := c.pingSent.Load(); ps != 0 {
-					if now.Sub(time.Unix(0, ps)) > 2*t.cfg.KeepAlive {
+					if now.Sub(time.Unix(0, ps)) > 2*ka {
 						t.connDead(c) // peer hung: ping stayed unanswered
 					}
 					continue
 				}
-				if now.Sub(time.Unix(0, c.lastRecv.Load())) < t.cfg.KeepAlive {
+				if now.Sub(time.Unix(0, c.lastRecv.Load())) < ka {
 					continue
 				}
 				nanos := now.UnixNano()
@@ -777,8 +756,9 @@ func (t *TCPTransport) readLoop(conn *tcpConn) {
 // maxReadBuf bounds the reused read buffer kept across units.
 const maxReadBuf = 1 << 20
 
-// connDead unregisters a broken connection, shuts it down and — when the
-// peer is part of the host map — starts the background reconnect loop.
+// connDead unregisters a broken connection, drops it from allConns, shuts
+// it down and — when the peer is part of the host map — starts the
+// background reconnect loop.
 func (t *TCPTransport) connDead(conn *tcpConn) {
 	if conn.dead.Load() {
 		return
@@ -787,6 +767,9 @@ func (t *TCPTransport) connDead(conn *tcpConn) {
 	addr := conn.peerAddr()
 	wasRegistered := false
 	t.connMu.Lock()
+	if i := slices.Index(t.allConns, conn); i >= 0 {
+		t.allConns = slices.Delete(t.allConns, i, i+1)
+	}
 	if addr != "" && t.conns[addr] == conn {
 		delete(t.conns, addr)
 		wasRegistered = true
@@ -809,15 +792,12 @@ func (t *TCPTransport) isPeerAddr(addr string) bool {
 }
 
 // scheduleReconnect starts one background redial loop for the peer, with
-// bounded exponential backoff (TCPConfig.ReconnectAttempts/Backoff/Max).
-// At most one loop runs per address; Close aborts the backoff sleep. A
-// successful dial re-runs the hello handshake (dial always sends it), after
-// which the protocol layer's liveness gossip reconciles the peer's nodes
-// back to online in both views.
+// bounded exponential backoff (redialAttempts, redialBackoff,
+// redialMaxBackoff). At most one loop runs per address; Close aborts the
+// backoff sleep. A successful dial re-runs the hello handshake (dial always
+// sends it), after which the protocol layer's liveness gossip reconciles
+// the peer's nodes back to online in both views.
 func (t *TCPTransport) scheduleReconnect(addr string) {
-	if t.cfg.ReconnectAttempts < 0 {
-		return
-	}
 	t.connMu.Lock()
 	if t.closed || t.reconnecting[addr] {
 		t.connMu.Unlock()
@@ -833,8 +813,8 @@ func (t *TCPTransport) scheduleReconnect(addr string) {
 			delete(t.reconnecting, addr)
 			t.connMu.Unlock()
 		}()
-		backoff := t.cfg.ReconnectBackoff
-		for attempt := 0; attempt < t.cfg.ReconnectAttempts; attempt++ {
+		backoff := redialBackoff
+		for attempt := 0; attempt < redialAttempts; attempt++ {
 			select {
 			case <-time.After(backoff):
 			case <-t.closeCh:
@@ -846,7 +826,7 @@ func (t *TCPTransport) scheduleReconnect(addr string) {
 			if _, err := t.dial(addr); err == nil {
 				return
 			}
-			backoff = min(2*backoff, t.cfg.ReconnectMax)
+			backoff = min(2*backoff, redialMaxBackoff)
 		}
 	}()
 }
@@ -864,20 +844,17 @@ func (t *TCPTransport) connFor(addr string) (*tcpConn, bool) {
 }
 
 // backlogExceeded reports whether the connection's unflushed backlog is
-// over the byte budget. It takes and releases the queue lock itself —
+// over the byte bound. It takes and releases the queue lock itself —
 // callers must not hold it, because the teardown they trigger on a true
 // result (shutdown) locks the same mutex.
 func (t *TCPTransport) backlogExceeded(conn *tcpConn) bool {
-	if t.cfg.MaxBacklogBytes <= 0 {
-		return false
-	}
 	conn.qmu.Lock()
 	queued := 0
 	if conn.batch != nil {
 		queued = conn.batch.Len()
 	}
 	conn.qmu.Unlock()
-	return queued > t.cfg.MaxBacklogBytes
+	return queued > t.lim.backlogBytes
 }
 
 // enqueue hands one control unit to the peer's writer, dialing once on

@@ -295,12 +295,9 @@ func TestTCPSettleForgetsFramesLostWithConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, err := NewTCPTransport(g, TCPConfig{
-		Listen:            "127.0.0.1:0",
-		Local:             []NodeID{0},
-		Hosts:             map[NodeID]string{1: addr},
-		ReconnectAttempts: 50,
-		ReconnectBackoff:  10 * time.Millisecond,
-		ReconnectMax:      50 * time.Millisecond,
+		Listen: "127.0.0.1:0",
+		Local:  []NodeID{0},
+		Hosts:  map[NodeID]string{1: addr},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -367,40 +364,34 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestTCPReconnectDisabled pins the opt-out: with a negative attempt budget
-// a broken link stays broken until a send-path dial re-establishes it.
-func TestTCPReconnectDisabled(t *testing.T) {
-	g := topology.NewGraph(2)
-	if err := g.AddEdge(0, 1, 0.01); err != nil {
-		t.Fatal(err)
+// TestTCPAllConnsForgetsDeadConnections cuts the registered link again and
+// again and lets the redial loops restore it each time: every cut socket
+// must leave allConns, which Settle and Close scan, so the list holds the
+// live connections only instead of one entry per socket ever opened.
+func TestTCPAllConnsForgetsDeadConnections(t *testing.T) {
+	a, b := tcpPair(t, 2, 1)
+	for i := 0; i < 5; i++ {
+		conn, ok := a.liveConn(b.ListenAddr())
+		if !ok {
+			t.Fatal("no registered connection to B")
+		}
+		a.connDead(conn)
+		waitFor(t, "the redial loop to re-register the peer", func() bool {
+			c, ok := a.liveConn(b.ListenAddr())
+			return ok && c != conn
+		})
 	}
-	a, err := NewTCPTransport(g, TCPConfig{Listen: "127.0.0.1:0", Local: []NodeID{0}, ReconnectAttempts: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(a.Close)
-	b, err := NewTCPTransport(g, TCPConfig{Listen: "127.0.0.1:0", Local: []NodeID{1}, ReconnectAttempts: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(b.Close)
-	if err := a.SetHosts(map[NodeID]string{1: b.ListenAddr()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetHosts(map[NodeID]string{0: a.ListenAddr()}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.DialPeers(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	conn, ok := a.liveConn(b.ListenAddr())
-	if !ok {
-		t.Fatal("no registered connection to B")
-	}
-	a.connDead(conn)
-	time.Sleep(300 * time.Millisecond)
-	if _, ok := a.liveConn(b.ListenAddr()); ok {
-		t.Fatal("connection re-registered although reconnection is disabled")
+	for _, tr := range []*TCPTransport{a, b} {
+		waitFor(t, "allConns to hold the live connections only", func() bool {
+			tr.connMu.Lock()
+			defer tr.connMu.Unlock()
+			for _, c := range tr.allConns {
+				if c.dead.Load() {
+					return false
+				}
+			}
+			return true
+		})
 	}
 }
 
@@ -442,23 +433,22 @@ func stallListener(t *testing.T) string {
 
 // TestTCPBacklogBytesCutsStalledPeer floods a peer that accepts but never
 // reads: once the kernel buffers fill, the writer blocks mid-write, the
-// batch accumulates past MaxBacklogBytes and the budget cuts the
-// connection — the sender falls into the §4.3 drop path instead of
-// queueing memory without bound.
+// batch accumulates past the byte bound and the connection is cut — the
+// sender falls into the §4.3 drop path instead of queueing memory without
+// bound. The bound is lowered from maxFrame to 32 KiB so the test does not
+// have to queue 64 MiB first.
 func TestTCPBacklogBytesCutsStalledPeer(t *testing.T) {
 	addr := stallListener(t)
 	g := topology.NewGraph(2)
 	if err := g.AddEdge(0, 1, 0.01); err != nil {
 		t.Fatal(err)
 	}
-	const budget = 32 << 10
-	a, err := NewTCPTransport(g, TCPConfig{
-		Listen:            "127.0.0.1:0",
-		Local:             []NodeID{0},
-		Hosts:             map[NodeID]string{1: addr},
-		ReconnectAttempts: -1,
-		MaxBacklogBytes:   budget,
-	})
+	lim := tcpLimits{keepAlive: keepAliveInterval, backlogBytes: 32 << 10}
+	a, err := newTCPTransport(g, TCPConfig{
+		Listen: "127.0.0.1:0",
+		Local:  []NodeID{0},
+		Hosts:  map[NodeID]string{1: addr},
+	}, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,32 +473,32 @@ func TestTCPBacklogBytesCutsStalledPeer(t *testing.T) {
 	if !cut {
 		t.Fatal("stalled peer was never disconnected by the backlog budget")
 	}
-	// The send that tripped the budget was rerouted into the §4.3 drop
-	// path (its frame died with the cut batch). Drop callbacks run on the
-	// dispatcher, so settle before asserting.
-	a.Settle()
-	if dropped.Load() == 0 {
-		t.Fatal("no send classified as dropped despite the cut")
-	}
+	// The send that tripped the bound was rerouted into the §4.3 drop path
+	// (its frame died with the cut batch). Drop callbacks run on the
+	// dispatcher; Settle cannot wait for them here, because the redial loop
+	// reconnects to the peer that never answers a status probe.
+	waitFor(t, "a send classified as dropped after the cut", func() bool {
+		return dropped.Load() > 0
+	})
 }
 
-// TestTCPBacklogAgeCutsStalledPeer pins the time-domain budget: a unit
-// sitting unflushed past MaxBacklogAge gets the connection cut on the
-// keepalive tick even when the byte budget is never reached.
+// TestTCPBacklogAgeCutsStalledPeer pins the time-domain bound: a unit
+// sitting unflushed past twice the keepalive interval gets the connection
+// cut on the keepalive tick even when the byte bound is never reached. The
+// interval is shortened to one second: the age cut comes on the first tick
+// (0.5 s), while the unanswered-ping cut cannot come before 3 s.
 func TestTCPBacklogAgeCutsStalledPeer(t *testing.T) {
 	addr := stallListener(t)
 	g := topology.NewGraph(2)
 	if err := g.AddEdge(0, 1, 0.01); err != nil {
 		t.Fatal(err)
 	}
-	a, err := NewTCPTransport(g, TCPConfig{
-		Listen:            "127.0.0.1:0",
-		Local:             []NodeID{0},
-		Hosts:             map[NodeID]string{1: addr},
-		ReconnectAttempts: -1,
-		KeepAlive:         -1, // only the age budget runs the prober
-		MaxBacklogAge:     30 * time.Millisecond,
-	})
+	lim := tcpLimits{keepAlive: time.Second, backlogBytes: maxBacklogBytes}
+	a, err := newTCPTransport(g, TCPConfig{
+		Listen: "127.0.0.1:0",
+		Local:  []NodeID{0},
+		Hosts:  map[NodeID]string{1: addr},
+	}, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,12 +519,14 @@ func TestTCPBacklogAgeCutsStalledPeer(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	conn.oldest.Store(time.Now().Add(-time.Second).UnixNano())
+	conn.oldest.Store(time.Now().Add(-10 * time.Second).UnixNano())
 	// connDead marks the connection dead before it unregisters it, so the
-	// cut is complete once both have happened.
+	// cut is complete once both have happened. The redial loop may have
+	// registered a new connection to the peer by then.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		_, registered := a.liveConn(addr)
+		c, ok := a.liveConn(addr)
+		registered := ok && c == conn
 		if conn.dead.Load() && !registered {
 			break
 		}

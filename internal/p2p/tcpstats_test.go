@@ -15,21 +15,18 @@ import (
 // pair shares a single socket: a registers the conn it dialed, b registers
 // the inbound side of the same conn — which makes both directions of the
 // flow counters visible from both processes.
-func singleDialPair(t *testing.T, cfg TCPConfig) (a, b *TCPTransport) {
+func singleDialPair(t *testing.T, lim tcpLimits) (a, b *TCPTransport) {
 	t.Helper()
 	g := topology.NewGraph(2)
 	if err := g.AddEdge(0, 1, 0.01); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Listen = "127.0.0.1:0"
-	cfg.Local = []NodeID{0}
-	a, err := NewTCPTransport(g, cfg)
+	a, err := newTCPTransport(g, TCPConfig{Listen: "127.0.0.1:0", Local: []NodeID{0}}, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(a.Close)
-	cfg.Local = []NodeID{1}
-	b, err = NewTCPTransport(g, cfg)
+	b, err = newTCPTransport(g, TCPConfig{Listen: "127.0.0.1:0", Local: []NodeID{1}}, lim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +49,7 @@ func singleDialPair(t *testing.T, cfg TCPConfig) (a, b *TCPTransport) {
 // the same flow from the other side; Settle's status exchange drains the
 // in-flight estimate back to zero.
 func TestTCPPeerStatsFlowCounters(t *testing.T) {
-	a, b := singleDialPair(t, TCPConfig{})
+	a, b := singleDialPair(t, tcpLimits{keepAliveInterval, maxBacklogBytes})
 	b.SetHandler(1, func(*Message) {})
 	const burst = 40
 	for i := 0; i < burst; i++ {
@@ -146,10 +143,11 @@ func TestTCPPeerStatsOrdered(t *testing.T) {
 
 // TestTCPKeepAliveRTT: on an idle link the keepalive loop sends a ping,
 // the pong comes back, and the measured round trip lands in PeerStats —
-// without the probe tearing down the healthy connection.
+// without the probe tearing down the healthy connection. The interval is
+// shortened from 15 s so the probe runs within the test.
 func TestTCPKeepAliveRTT(t *testing.T) {
-	const interval = 40 * time.Millisecond
-	a, _ := singleDialPair(t, TCPConfig{KeepAlive: interval})
+	const interval = 100 * time.Millisecond
+	a, _ := singleDialPair(t, tcpLimits{keepAlive: interval, backlogBytes: maxBacklogBytes})
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -163,7 +161,7 @@ func TestTCPKeepAliveRTT(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// Several keepalive periods later the probed link must still be up:
-	// answered pings never trip the 2×KeepAlive teardown.
+	// answered pings never trip the teardown after twice the interval.
 	time.Sleep(4 * interval)
 	if stats := a.PeerStats(); len(stats) != 1 {
 		t.Fatalf("keepalive tore down a healthy connection: %d stats", len(stats))

@@ -111,22 +111,26 @@ func (r *Result) add(typ string, n int64) {
 	r.Messages += n
 }
 
-// SQRouter routes queries through the summary management system.
+// SQRouter routes queries through the summary management system, with the
+// paper's fixed §5.2.2 flooding parameters (interDomainTTL, spLinks).
 type SQRouter struct {
 	sys *core.System
-	// InterDomainTTL bounds the §5.2.2 flooding stage (the paper keeps it
-	// deliberately small; 1 reproduces the Figure 7 factors).
-	InterDomainTTL int
-	// SPLinks is the number of long-range summary-peer links used per
-	// flooding stage (the paper assumes ~k links).
-	SPLinks int
 	// Mode selects the §6.1.2 recall/precision trade-off.
 	Mode Mode
 }
 
-// NewSQRouter wires a router with the paper's defaults.
+const (
+	// interDomainTTL bounds the §5.2.2 flooding stage (the paper keeps it
+	// deliberately small; 1 reproduces the Figure 7 factors).
+	interDomainTTL = 1
+	// spLinks is the number of long-range summary-peer links used per
+	// flooding stage (the paper assumes ~k links).
+	spLinks = 4
+)
+
+// NewSQRouter wires a router over the system.
 func NewSQRouter(sys *core.System) *SQRouter {
-	return &SQRouter{sys: sys, InterDomainTTL: 1, SPLinks: 4}
+	return &SQRouter{sys: sys}
 }
 
 // relevantPeers derives PQ for one domain from its cooperation list and the
@@ -259,7 +263,7 @@ func (r *SQRouter) floodStage(res *Result, sp, origin p2p.NodeID, responders []p
 			node p2p.NodeID
 			ttl  int
 		}
-		frontier := []hop{{f, r.InterDomainTTL}}
+		frontier := []hop{{f, interDomainTTL}}
 		seen := map[p2p.NodeID]bool{f: true}
 		for len(frontier) > 0 {
 			h := frontier[0]
@@ -295,7 +299,7 @@ func (r *SQRouter) floodStage(res *Result, sp, origin p2p.NodeID, responders []p
 		res.add(MsgSPLink, 1)
 		found[other] = true
 		links++
-		if links >= r.SPLinks {
+		if links >= spLinks {
 			break
 		}
 	}

@@ -75,8 +75,8 @@ func (t *Tree) EncodedSize() int {
 // of the nodes its merge passed through. The encoding is sparse: an
 // internal node writes only its non-zero counts and a leaf one descriptor
 // per attribute, so a node costs its intent rather than the full
-// vocabulary. The layout is versioned by the surrounding frame
-// (wire.FrameVersion).
+// vocabulary. The layout is versioned by the surrounding frame, or by the
+// leading byte p2psum.EncodeSummary writes (wire.FrameVersion).
 func (t *Tree) AppendWire(e *wire.Enc) {
 	e.Varint(int64(t.cfg.MaxChildren))
 	e.Varint(int64(t.cfg.MaxSplitRounds))
