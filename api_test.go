@@ -2,6 +2,7 @@ package p2psum
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -477,38 +478,34 @@ func TestSaveLoadSummaryAndEstimateCount(t *testing.T) {
 	}
 }
 
-func TestSimulationChannelTransport(t *testing.T) {
-	// Full stack over the channel transport: construction, churn and
-	// querying must behave like any other transport configuration
-	// (invariants, not bit-equality — wall-clock delivery is not
-	// deterministic on an arbitrary overlay).
-	s, err := NewSimulation(SimOptions{
-		Peers: 200, SummaryPeers: 4, Seed: 21,
-		Transport: TransportChannel,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestSimulationLoss runs the full stack under seeded packet loss:
+// construction, churn and querying reproduce from the seed alone, loss
+// changes the traffic, and a rate outside [0,1) is refused.
+func TestSimulationLoss(t *testing.T) {
+	run := func(loss float64) map[string]int64 {
+		s, err := NewSimulation(SimOptions{Peers: 200, SummaryPeers: 4, Seed: 21, LossRate: loss})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Construct(); err != nil {
+			t.Fatal(err)
+		}
+		s.RunChurn(1, 0.8)
+		if _, err := s.QueryProtocol(s.RandomClient(), s.RandomMatchOracle(0.10), 0); err != nil {
+			t.Fatal(err)
+		}
+		return s.MessageCounts()
 	}
-	defer s.Close()
-	if err := s.Construct(); err != nil {
-		t.Fatal(err)
+	a, b := run(0.2), run(0.2)
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Errorf("one seed, two traffic mixes:\n%v\n%v", a, b)
 	}
-	if s.Coverage() != 1 {
-		t.Errorf("coverage = %g after construction", s.Coverage())
+	if lossless := run(0); fmt.Sprint(a) == fmt.Sprint(lossless) {
+		t.Errorf("loss 0.2 left the traffic of loss 0: %v", a)
 	}
-	s.RunChurn(1, 0.8)
-	if s.OnlinePeers() == 0 {
-		t.Fatal("everyone left")
-	}
-	oracle := s.RandomMatchOracle(0.10)
-	res, err := s.QueryProtocol(s.RandomClient(), oracle, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Results == 0 {
-		t.Error("channel-transport run answered nothing")
-	}
-	if s.TotalMessages() == 0 {
-		t.Error("no messages counted")
+	for _, p := range []float64{math.NaN(), -0.1, 1.0} {
+		if _, err := NewSimulation(SimOptions{Peers: 20, Seed: 11, LossRate: p}); err == nil {
+			t.Errorf("LossRate %g accepted", p)
+		}
 	}
 }

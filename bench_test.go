@@ -420,12 +420,12 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 }
 
-// benchTransport measures §4.1 construction plus a graceful-leave/rejoin
-// wave on the given transport.
-func benchTransport(b *testing.B, kind p2psum.TransportKind) {
+// BenchmarkTransportSim measures §4.1 construction plus a
+// graceful-leave/rejoin wave on the deterministic discrete-event transport.
+func BenchmarkTransportSim(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s, err := p2psum.NewSimulation(p2psum.SimOptions{
-			Peers: 500, SummaryPeers: 10, Seed: int64(50 + i), Transport: kind,
+			Peers: 500, SummaryPeers: 10, Seed: int64(50 + i),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -442,18 +442,8 @@ func benchTransport(b *testing.B, kind p2psum.TransportKind) {
 		if s.Coverage() != 1 {
 			b.Fatal("incomplete coverage")
 		}
-		s.Close()
 	}
 }
-
-// BenchmarkTransportSim drives the protocol over the deterministic
-// discrete-event transport.
-func BenchmarkTransportSim(b *testing.B) { benchTransport(b, p2psum.TransportSim) }
-
-// BenchmarkTransportChannel drives the identical protocol over the
-// concurrent channel-based transport (goroutine delivery, scaled per-link
-// latencies).
-func BenchmarkTransportChannel(b *testing.B) { benchTransport(b, p2psum.TransportChannel) }
 
 // BenchmarkTopKSummaries measures graded retrieval on a warm hierarchy.
 func BenchmarkTopKSummaries(b *testing.B) {

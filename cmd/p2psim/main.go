@@ -7,8 +7,7 @@
 //
 //	p2psim [-peers 1000] [-sps 10] [-alpha 0.3] [-hours 6] [-queries 50]
 //	       [-hit 0.10] [-graceful 0.8] [-mode balanced|precise|max-recall]
-//	       [-transport sim|channel] [-loss 0.0] [-shards 1]
-//	       [-seed 1] [-runs 1] [-parallel 0]
+//	       [-loss 0.0] [-shards 1] [-seed 1] [-runs 1] [-parallel 0]
 //
 // Flags:
 //
@@ -21,10 +20,8 @@
 //	-graceful     probability a departure notifies its summary peer (§4.3)
 //	-mode         SQ router mode: balanced (PQ), precise (PQ ∩ Pfresh),
 //	              max-recall (PQ ∪ Pold) — the §6.1.2 trade-off
-//	-transport    overlay substrate: sim (deterministic discrete-event
-//	              engine, the default) or channel (concurrent goroutine
-//	              delivery in real time)
-//	-loss         packet-loss probability in [0,1) (channel transport only)
+//	-loss         packet-loss probability in [0,1) (event engine;
+//	              reproducible per seed)
 //	-shards       global-summary store shards per domain (1 = the paper's
 //	              single tree; visible in data-level runs, otherwise only
 //	              selects the store layout)
@@ -53,7 +50,6 @@ type options struct {
 	alpha, hours                float64
 	hit, graceful, loss         float64
 	mode                        p2psum.RoutingMode
-	transport                   p2psum.TransportKind
 	seed                        int64
 }
 
@@ -77,14 +73,12 @@ func runOne(o options) (*runResult, error) {
 		SummaryPeers: o.sps,
 		Alpha:        o.alpha,
 		Seed:         o.seed,
-		Transport:    o.transport,
 		LossRate:     o.loss,
 		Shards:       o.shards,
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer sim.Close()
 	sim.SetRoutingMode(o.mode)
 
 	if err := sim.Construct(); err != nil {
@@ -157,8 +151,7 @@ func main() {
 	hit := flag.Float64("hit", 0.10, "per-query match fraction")
 	graceful := flag.Float64("graceful", 0.8, "probability a departure is graceful")
 	mode := flag.String("mode", "balanced", "routing mode: balanced, precise, max-recall")
-	transport := flag.String("transport", "sim", "transport: sim (deterministic) or channel (concurrent)")
-	loss := flag.Float64("loss", 0, "packet-loss probability (channel transport only)")
+	loss := flag.Float64("loss", 0, "packet-loss probability in [0,1) (event engine; reproducible per seed)")
 	shards := flag.Int("shards", 1, "global-summary store shards per domain (data-level runs; 1 = single tree)")
 	seed := flag.Int64("seed", 1, "random seed (first replica)")
 	runs := flag.Int("runs", 1, "independently seeded replicas (seed, seed+1, ...)")
@@ -180,14 +173,6 @@ func main() {
 		o.mode = p2psum.RouteMaxRecall
 	default:
 		fail(fmt.Errorf("unknown mode %q", *mode))
-	}
-	switch *transport {
-	case "sim":
-		o.transport = p2psum.TransportSim
-	case "channel":
-		o.transport = p2psum.TransportChannel
-	default:
-		fail(fmt.Errorf("unknown transport %q", *transport))
 	}
 
 	if *runs <= 1 {
@@ -219,8 +204,8 @@ func main() {
 		fail(err)
 	}
 
-	fmt.Printf("%d runs of %d peers / %d domains (%s transport, %d workers):\n",
-		*runs, o.peers, o.sps, *transport, workers)
+	fmt.Printf("%d runs of %d peers / %d domains (%d workers):\n",
+		*runs, o.peers, o.sps, workers)
 	var agg runResult
 	for _, r := range results {
 		fmt.Printf("  seed=%-4d coverage=%5.1f%% maint=%-8d sq=%8.1f flood=%9.1f precision=%.3f recall=%.3f\n",

@@ -18,7 +18,6 @@ func runScenario(t *testing.T, seed int64) map[string]int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
 	if err := sim.Construct(); err != nil {
 		t.Fatal(err)
 	}

@@ -70,12 +70,11 @@
 //
 // internal/core and internal/routing depend only on the p2p.Transport
 // interface, never on a concrete transport. The sim-backed Network makes
-// every run reproducible bit-for-bit given a seed; the channel-based
-// transport trades that determinism for real concurrency, scaled per-link
-// latencies and optional packet loss; the TCP transport runs the same
-// protocol stack across real OS processes. SimOptions.Transport selects
-// between the in-memory two for simulations; cmd/p2pnode deploys the TCP
-// one.
+// every run reproducible bit-for-bit given a seed, seeded packet loss
+// (SimOptions.LossRate) included, and runs every Simulation; the
+// channel-based transport trades that determinism for real concurrency and
+// scaled per-link latencies; the TCP transport runs the same protocol
+// stack across real OS processes, and cmd/p2pnode deploys it.
 //
 // A simulated send costs only its payload. The Network copies the message
 // into a slot of a slab it owns and schedules a delivery event naming the

@@ -172,6 +172,23 @@ func TestElectionDeterminismAcrossDispatchers(t *testing.T) {
 	}
 }
 
+// waitForState polls the view until the node reaches the state or the
+// deadline passes (suspicion confirmation rides real-time After timers on
+// the channel transport).
+func waitForState(t *testing.T, v *liveness.View, id p2p.NodeID, want liveness.State, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for {
+		if got := v.StateOf(int(id)); got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node %d stuck in %s, want %s", id, v.StateOf(int(id)), want)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestProactiveElectionSilentFailureChannel runs the real-time path: a
 // summary peer dies silently on the channel transport, the suspicion
 // confirms on a wall-clock timer, and the surviving partners elect —

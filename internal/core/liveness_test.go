@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"p2psum/internal/liveness"
 	"p2psum/internal/p2p"
@@ -13,40 +12,23 @@ import (
 
 // The liveness-layer suite: the §4.3 peer-dynamicity transitions as seen by
 // the membership view — silent failure -> suspect -> dead -> rejoin ->
-// alive — exercised on the lossy channel transport, plus the guard rails of
-// the gossip configuration.
-
-// waitForState polls the view until the node reaches the state or the
-// deadline passes (suspicion confirmation rides real-time After timers on
-// the channel transport).
-func waitForState(t *testing.T, v *liveness.View, id p2p.NodeID, want liveness.State, within time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(within)
-	for {
-		if got := v.StateOf(int(id)); got == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("node %d stuck in %s, want %s", id, v.StateOf(int(id)), want)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
+// alive — exercised on the event engine under seeded packet loss, plus the
+// guard rails of the gossip configuration.
 
 // TestLivenessTransitionsUnderLoss round-trips the §4.3 state machine on
-// the channel transport with 20%% packet loss: a silent Leave files a
-// suspicion immediately, the confirmation timer promotes it to dead, and a
-// Join supersedes the death with a fresh incarnation — repeatedly, while
-// gossip (periodic and piggybacked) keeps flowing over the lossy links.
+// the event engine with 20% packet loss: a silent Leave files a suspicion
+// immediately, the confirmation timer promotes it to dead, and a Join
+// supersedes the death with a fresh incarnation — repeatedly, while gossip
+// (explicit rounds and piggybacked tails) keeps flowing over the lossy
+// links.
 func TestLivenessTransitionsUnderLoss(t *testing.T) {
 	g, hubs := topology.DisjointStars(1, 10, 0.02)
-	ct := p2p.NewChannelTransport(g, 7, p2p.ChannelConfig{LossRate: 0.2})
-	t.Cleanup(ct.Close)
+	net := p2p.NewNetwork(sim.New(), g, 7)
+	net.SetLossRate(0.2)
 	cfg := DefaultConfig()
-	cfg.GossipInterval = 25 // 25 virtual s = 25 ms real at the default scale
 	cfg.GossipPiggyback = true
 	cfg.SuspectTimeout = 10
-	sys, err := NewSystem(ct, cfg)
+	sys, err := NewSystem(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +36,7 @@ func TestLivenessTransitionsUnderLoss(t *testing.T) {
 	if err := sys.Construct(); err != nil {
 		t.Fatal(err)
 	}
-	view := ct.Liveness()
+	view := net.Liveness()
 
 	spoke := p2p.NodeID(3)
 	for round := 0; round < 3; round++ {
@@ -63,10 +45,14 @@ func TestLivenessTransitionsUnderLoss(t *testing.T) {
 		if got := view.StateOf(int(spoke)); got != liveness.Suspect {
 			t.Fatalf("round %d: state after silent leave = %s, want suspect", round, got)
 		}
-		if ct.Online(spoke) {
+		if net.Online(spoke) {
 			t.Fatalf("round %d: suspect node still counts online", round)
 		}
-		waitForState(t, view, spoke, liveness.Dead, 5*time.Second)
+		sys.GossipRound()
+		net.Settle()
+		if got := view.StateOf(int(spoke)); got != liveness.Dead {
+			t.Fatalf("round %d: node %d in %s after the confirmation timer, want dead", round, spoke, got)
+		}
 		if got := view.EntryOf(int(spoke)).Inc; got != inc {
 			t.Fatalf("round %d: suspicion/confirmation changed the incarnation (%d -> %d)", round, inc, got)
 		}
@@ -77,15 +63,15 @@ func TestLivenessTransitionsUnderLoss(t *testing.T) {
 		if got := view.EntryOf(int(spoke)).Inc; got <= inc {
 			t.Fatalf("round %d: rejoin did not advance the incarnation (%d -> %d)", round, inc, got)
 		}
-		ct.Settle()
+		sys.GossipRound()
+		net.Settle()
 	}
 
 	// A join racing the confirmation timer must win: the higher incarnation
 	// makes the stale Confirm a no-op.
 	sys.Leave(spoke, false)
 	sys.Join(spoke)
-	time.Sleep(60 * time.Millisecond) // well past the 10 ms suspect timeout
-	ct.Settle()
+	net.Settle() // runs the stale confirmation timer
 	if !view.Online(int(spoke)) {
 		t.Fatalf("stale confirmation killed a rejoined node: %s", view.StateOf(int(spoke)))
 	}
@@ -93,16 +79,15 @@ func TestLivenessTransitionsUnderLoss(t *testing.T) {
 	// The domain still works after the churn: pushes under loss eventually
 	// reconcile (pushes and ring tokens are both lossy, so hammer them until
 	// the loss recovery lands one round), and coverage recovers.
-	deadline := time.Now().Add(20 * time.Second)
-	for sys.Stats().Reconciliations == 0 {
+	for round := 0; sys.Stats().Reconciliations == 0; round++ {
+		if round == 100 {
+			t.Fatal("no reconciliation in 100 rounds after the liveness churn")
+		}
 		for i := 1; i < 10; i++ {
 			sys.MarkModified(p2p.NodeID(i))
 		}
-		ct.Settle()
-		if time.Now().After(deadline) {
-			t.Fatal("no reconciliation after the liveness churn")
-		}
-		time.Sleep(2 * time.Millisecond)
+		sys.GossipRound()
+		net.Settle()
 	}
 	if cov := sys.Coverage(); cov != 1 {
 		t.Errorf("coverage after recovery = %v, want 1", cov)

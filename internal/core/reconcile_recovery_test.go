@@ -8,15 +8,15 @@ import (
 	"time"
 
 	"p2psum/internal/p2p"
+	"p2psum/internal/sim"
 	"p2psum/internal/topology"
 )
 
 // Reconciliation loss recovery (ROADMAP bug): a §4.2.2 ring token dropped
 // by a lossy link used to leave the summary peer in `reconciling` forever.
 // The retransmit timer restarts the ring; after the retry budget it aborts
-// so the next push can re-trigger. The deterministic tests simulate a lost
-// token directly (the event engine is lossless by construction); the
-// channel test drives real packet loss.
+// so the next push can re-trigger. Most tests below simulate a lost token
+// directly; TestReconcileLossRecovery drives seeded packet loss.
 
 // lostToken puts the summary peer in the exact state a dropped token
 // leaves behind: reconciling, a live ring generation, no token in flight.
@@ -189,20 +189,20 @@ func TestSummaryPeerFailureMidRing(t *testing.T) {
 	}
 }
 
-// TestReconcileLossRecoveryChannel: under real packet loss on the channel
-// transport, the summary peer never sticks in `reconciling` — the
-// ROADMAP's observed -loss 0.2 hang. Rounds either complete (possibly
-// after retransmits) or abort and get re-triggered by the next push.
-func TestReconcileLossRecoveryChannel(t *testing.T) {
+// TestReconcileLossRecovery: under seeded packet loss on the event engine,
+// the summary peer never sticks in `reconciling` — the hang once seen at
+// -loss 0.2. Rounds either complete (possibly after retransmits) or abort
+// and get re-triggered by the next push.
+func TestReconcileLossRecovery(t *testing.T) {
 	g, err := topology.BarabasiAlbert(14, 2, nil, rand.New(rand.NewSource(31)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := p2p.NewChannelTransport(g, 31, p2p.ChannelConfig{LossRate: 0.2})
-	t.Cleanup(ct.Close)
+	net := p2p.NewNetwork(sim.New(), g, 31)
+	net.SetLossRate(0.2)
 	cfg := DefaultConfig()
-	cfg.ReconcileTimeout = 5 // virtual seconds -> ~5ms real at default timer scale
-	sys, err := NewSystem(ct, cfg)
+	cfg.ReconcileTimeout = 5
+	sys, err := NewSystem(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,29 +212,19 @@ func TestReconcileLossRecoveryChannel(t *testing.T) {
 	}
 	sp := sys.SummaryPeers()[0]
 
-	deadline := time.Now().Add(20 * time.Second)
-	for {
+	for round := 0; ; round++ {
 		// Hammer modifications so pushes (themselves lossy) keep tripping α.
-		var partners []p2p.NodeID
-		ct.Exec(func() { partners = sys.Peer(sp).CooperationList().Partners() })
-		for _, id := range partners {
+		for _, id := range sys.Peer(sp).CooperationList().Partners() {
 			sys.MarkModified(id)
 		}
-		ct.Settle()
-
-		var st Stats
-		var reconciling bool
-		ct.Exec(func() {
-			st = sys.Stats()
-			reconciling = sys.Peer(sp).reconciling
-		})
+		net.Settle()
+		st, reconciling := sys.Stats(), sys.Peer(sp).reconciling
 		if st.Reconciliations > 0 && !reconciling {
 			return // recovered: at least one round completed and none is stuck
 		}
-		if time.Now().After(deadline) {
+		if round == 100 {
 			t.Fatalf("no completed reconciliation under loss: stats=%+v reconciling=%v", st, reconciling)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"p2psum/internal/core"
 	"p2psum/internal/data"
 	"p2psum/internal/p2p"
+	"p2psum/internal/par"
 	"p2psum/internal/query"
 	"p2psum/internal/routing"
 	"p2psum/internal/saintetiq"
@@ -53,7 +54,7 @@ func AblationMaintenance(cfg Config) (*stats.Table, error) {
 		}
 	}
 	all := make([]*domainObservation, len(grid))
-	if err := forEach(cfg.Workers, len(grid), func(i int) error {
+	if err := par.ForEach(cfg.Workers, len(grid), func(i int) error {
 		var runErr error
 		all[i], runErr = runDomain(cfg, grid[i].n, grid[i].v.alpha, cfg.Seed+int64(grid[i].n), routing.Balanced, grid[i].v.sysCfg)
 		return runErr
@@ -169,7 +170,7 @@ func AblationWalks(cfg Config) (*stats.Table, error) {
 		sel, blind, sf, rf float64
 	}
 	points := make([]walkPoint, len(sizes))
-	if err := forEach(cfg.Workers, len(sizes), func(i int) error {
+	if err := par.ForEach(cfg.Workers, len(sizes), func(i int) error {
 		n := sizes[i]
 		g, err := topology.BarabasiAlbert(n, 2, nil, rand.New(rand.NewSource(cfg.Seed+int64(n))))
 		if err != nil {

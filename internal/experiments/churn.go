@@ -6,6 +6,7 @@ import (
 
 	"p2psum/internal/core"
 	"p2psum/internal/p2p"
+	"p2psum/internal/par"
 	"p2psum/internal/sim"
 	"p2psum/internal/stats"
 	"p2psum/internal/topology"
@@ -221,7 +222,7 @@ func ChurnExperiment(cfg Config) (*stats.Table, *ChurnResult, error) {
 		Machine:           thisMachine(),
 		Rates:             make([]ChurnRateResult, len(rates)),
 	}
-	err := forEach(cfg.Workers, len(rates), func(i int) error {
+	err := par.ForEach(cfg.Workers, len(rates), func(i int) error {
 		var runErr error
 		res.Rates[i], runErr = runChurnRate(cfg, n, domains, rates[i])
 		return runErr

@@ -17,6 +17,7 @@ import (
 	"p2psum/internal/costmodel"
 	"p2psum/internal/data"
 	"p2psum/internal/p2p"
+	"p2psum/internal/par"
 	"p2psum/internal/routing"
 	"p2psum/internal/sim"
 	"p2psum/internal/stats"
@@ -46,8 +47,10 @@ type Config struct {
 	// Seed drives all randomness.
 	Seed int64
 	// Workers bounds the number of concurrently simulated sweep points
-	// (0 = one per CPU, 1 = sequential). Every point is seeded
-	// independently, so any worker count yields bit-identical tables.
+	// (0 = one per CPU, 1 = sequential). Every grid point is an
+	// independent simulation with its own engine and RNGs, seeded purely
+	// from Seed and the point's parameters, so any worker count yields
+	// bit-identical tables; only wall-clock changes.
 	Workers int
 	// ScalePeers is the overlay-size sweep of the scale experiment
 	// (construct + reconcile on the discrete-event engine).
@@ -313,7 +316,7 @@ func sweepDomains(cfg Config, alphas []float64, sizes []int, mode routing.Mode, 
 		}
 	}
 	obs := make([]*domainObservation, len(jobs))
-	err := forEach(cfg.Workers, len(jobs), func(i int) error {
+	err := par.ForEach(cfg.Workers, len(jobs), func(i int) error {
 		var runErr error
 		obs[i], runErr = runDomain(cfg, jobs[i].n, jobs[i].alpha, cfg.Seed+int64(jobs[i].n), mode, sysCfg)
 		return runErr
@@ -509,7 +512,7 @@ func Figure7(cfg Config) (*stats.Table, error) {
 		}
 	}
 	points := make([]figure7Point, len(sizes))
-	err := forEach(cfg.Workers, len(sizes), func(i int) error {
+	err := par.ForEach(cfg.Workers, len(sizes), func(i int) error {
 		var runErr error
 		points[i], runErr = runFigure7Point(cfg, sizes[i])
 		return runErr

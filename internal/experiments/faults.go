@@ -7,6 +7,7 @@ import (
 
 	"p2psum/internal/core"
 	"p2psum/internal/p2p"
+	"p2psum/internal/par"
 	"p2psum/internal/scenario"
 	"p2psum/internal/sim"
 	"p2psum/internal/stats"
@@ -462,7 +463,7 @@ func FaultsExperiment(cfg Config) (*stats.Table, *FaultsResult, error) {
 		f := f
 		runners = append(runners, func() (FaultsPoint, error) { return runSPKillPoint(cfg, n, domains, f) })
 	}
-	err := forEach(cfg.Workers, len(runners), func(i int) error {
+	err := par.ForEach(cfg.Workers, len(runners), func(i int) error {
 		var runErr error
 		res.Points[i], runErr = runners[i]()
 		return runErr

@@ -95,8 +95,6 @@ type SystemBackend struct {
 	// QS answers queries for domains without a local store; nil restricts
 	// the backend to locally-served domains.
 	QS *routing.QueryService
-	// Timeout bounds a remote Ask (default 30s).
-	Timeout time.Duration
 }
 
 // Domain resolves origin's summary peer with bounds checking (origins
@@ -134,11 +132,7 @@ func (b SystemBackend) Execute(origin p2p.NodeID, q query.Query) (*routing.DataA
 	if b.QS == nil {
 		return nil, fmt.Errorf("gateway: domain %d is remote and no query service is wired", domain)
 	}
-	timeout := b.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	return b.QS.Ask(origin, q, timeout)
+	return b.QS.Ask(origin, q, remoteAskTimeout)
 }
 
 // Alpha returns the system's configured freshness threshold.
@@ -164,6 +158,8 @@ const (
 	maxQueuePerClient = 64
 	// queueTimeout bounds the wait for an upstream slot.
 	queueTimeout = 5 * time.Second
+	// remoteAskTimeout bounds a SystemBackend's remote Ask.
+	remoteAskTimeout = 30 * time.Second
 	// minTTL and maxTTL clamp the freshness window of cache entries that
 	// cannot be generation-validated (remote domains): α × the observed
 	// mean install interval of the domain. A domain with no observed

@@ -36,7 +36,7 @@ func TestNetworkAfter(t *testing.T) {
 // with handlers) after the scaled delay, and a Settle issued afterwards
 // observes its effects.
 func TestChannelAfterFires(t *testing.T) {
-	ct := NewChannelTransport(afterGraph(t, 4), 4, DefaultChannelConfig())
+	ct := NewChannelTransport(afterGraph(t, 4), 4, ChannelConfig{LatencyScale: time.Millisecond})
 	defer ct.Close()
 	var fired atomic.Bool
 	ct.After(0, 1, func() { fired.Store(true) }) // 1 virtual s -> 1ms real
@@ -53,7 +53,7 @@ func TestChannelAfterFires(t *testing.T) {
 // TestChannelSettleDoesNotWaitForPendingTimer: a timer far in the future
 // must not stall Settle — timers are not in-flight messages.
 func TestChannelSettleDoesNotWaitForPendingTimer(t *testing.T) {
-	ct := NewChannelTransport(afterGraph(t, 5), 5, DefaultChannelConfig())
+	ct := NewChannelTransport(afterGraph(t, 5), 5, ChannelConfig{LatencyScale: time.Millisecond})
 	defer ct.Close()
 	ct.After(0, 60_000, func() {}) // one virtual minute -> 60s real: never fires in-test
 	start := time.Now()
@@ -88,7 +88,7 @@ func TestChannelSettleWaitsForZeroDelayTimers(t *testing.T) {
 // TestChannelAfterDroppedOnClose: a timer that fires after Close is
 // discarded without panicking or resurrecting the dispatcher.
 func TestChannelAfterDroppedOnClose(t *testing.T) {
-	ct := NewChannelTransport(afterGraph(t, 6), 6, DefaultChannelConfig())
+	ct := NewChannelTransport(afterGraph(t, 6), 6, ChannelConfig{LatencyScale: time.Millisecond})
 	var fired atomic.Bool
 	ct.After(0, 20, func() { fired.Store(true) }) // ~20ms real
 	ct.Close()

@@ -2,8 +2,6 @@ package p2p
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,22 +12,11 @@ import (
 // ChannelConfig tunes the concurrent in-memory transport.
 type ChannelConfig struct {
 	// LatencyScale maps one virtual second of link latency onto real time.
-	// Overlay link latencies are 0.01–0.2 virtual seconds, so the default
-	// of 1ms yields 10–200µs sleeps per hop — real concurrency without
-	// making protocol runs crawl. Zero delivers as fast as the scheduler
-	// allows (messages still traverse goroutines and may interleave).
+	// Overlay link latencies are 0.01–0.2 virtual seconds, so 1ms yields
+	// 10–200µs sleeps per hop — real concurrency without making protocol
+	// runs crawl. Zero delivers as fast as the scheduler allows (messages
+	// still traverse goroutines and may interleave).
 	LatencyScale time.Duration
-	// LossRate silently drops each unicast with this probability in
-	// [0,1): the message is counted as sent (the bytes hit the wire) but
-	// never delivered and never reported through the drop callback —
-	// genuine packet loss, unlike the offline-receiver drops protocols
-	// detect via SetDrop.
-	LossRate float64
-}
-
-// DefaultChannelConfig returns the defaults described on ChannelConfig.
-func DefaultChannelConfig() ChannelConfig {
-	return ChannelConfig{LatencyScale: time.Millisecond}
 }
 
 // ChannelTransport is the concurrent, real-time Transport: every unicast is
@@ -43,24 +30,24 @@ func DefaultChannelConfig() ChannelConfig {
 //
 // Unlike Network, runs are not deterministic: wall-clock scheduling decides
 // the delivery interleaving of same-window messages. Use it for scenarios
-// the event engine cannot express (real elapsed time, lossy links,
-// concurrent load); use Network when bit-for-bit reproducibility matters.
+// the event engine cannot express (real elapsed time, concurrent load);
+// use Network when bit-for-bit reproducibility matters, packet loss
+// included (Network.SetLossRate).
 //
 // Close must be called when the transport is no longer needed, or the
 // dispatcher goroutine leaks.
 type ChannelTransport struct {
 	overlay
 	ledger
-	cfg ChannelConfig
-	eng *dispatchEngine
-
-	rngMu   sync.Mutex // guards rng
-	rng     *rand.Rand
+	cfg     ChannelConfig
+	eng     *dispatchEngine
 	nextMsg atomic.Uint64
 }
 
 // NewChannelTransport builds a concurrent transport over the graph. All
-// nodes start online. The dispatcher goroutine starts immediately.
+// nodes start online. The dispatcher goroutine starts immediately. The
+// transport draws nothing at random, so seed is unused; it stays in the
+// signature for the callers that pass one.
 func NewChannelTransport(graph *topology.Graph, seed int64, cfg ChannelConfig) *ChannelTransport {
 	if cfg.LatencyScale < 0 {
 		cfg.LatencyScale = 0
@@ -69,8 +56,8 @@ func NewChannelTransport(graph *topology.Graph, seed int64, cfg ChannelConfig) *
 	t := &ChannelTransport{
 		overlay: overlay{graph: graph, view: liveness.NewView(n, nil)},
 		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(seed)),
 	}
+	t.hops = t.chargeHops
 	t.eng = newDispatchEngine(n, t.deliver)
 	return t
 }
@@ -135,8 +122,7 @@ func (t *ChannelTransport) SetHandler(id NodeID, h Handler) { t.eng.setHandler(i
 func (t *ChannelTransport) SetDrop(fn func(*Message)) { t.eng.setDrop(fn) }
 
 // Send counts the message and launches its delivery: a goroutine sleeps
-// the scaled link latency and hands the message to the dispatcher. Lossy
-// links (LossRate > 0) may swallow it silently after counting.
+// the scaled link latency and hands the message to the dispatcher.
 func (t *ChannelTransport) Send(msg *Message) {
 	if msg.To < 0 || int(msg.To) >= t.graph.Len() {
 		panic(fmt.Sprintf("p2p: send to out-of-range node %d", msg.To))
@@ -149,16 +135,6 @@ func (t *ChannelTransport) Send(msg *Message) {
 		msg.ID = id
 	}
 	size := frameSize(msg)
-	if t.cfg.LossRate > 0 {
-		t.rngMu.Lock()
-		lost := t.rng.Float64() < t.cfg.LossRate
-		t.rngMu.Unlock()
-		if lost {
-			// Lost on the wire: counted as sent, never delivered.
-			t.charge(msg.Type, 1, size)
-			return
-		}
-	}
 	if !t.eng.beginSend() {
 		panic("p2p: send on closed ChannelTransport")
 	}
@@ -176,17 +152,6 @@ func (t *ChannelTransport) Send(msg *Message) {
 // SendNew builds and sends a message.
 func (t *ChannelTransport) SendNew(typ string, from, to NodeID, ttl int, payload any) {
 	t.Send(&Message{Type: typ, From: from, To: to, TTL: ttl, Payload: payload})
-}
-
-// Flood delivers a message of the given type from src to every node within
-// ttl hops using Gnutella-style constrained broadcast (§6.2.3).
-func (t *ChannelTransport) Flood(typ string, src NodeID, ttl int, payload any, visit func(NodeID)) map[NodeID]bool {
-	return t.flood(t.chargeHops, typ, src, ttl, visit)
-}
-
-// SelectiveWalk performs the §4.1 find-protocol walk.
-func (t *ChannelTransport) SelectiveWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	return t.walk(t.chargeHops, typ, src, maxHops, accept, t.selective)
 }
 
 // Settle blocks until every in-flight message — including messages sent by

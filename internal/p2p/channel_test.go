@@ -23,7 +23,7 @@ func testGraph(t *testing.T, n int, seed int64) *topology.Graph {
 
 func TestChannelTransportDelivery(t *testing.T) {
 	g := testGraph(t, 32, 1)
-	ct := NewChannelTransport(g, 1, DefaultChannelConfig())
+	ct := NewChannelTransport(g, 1, ChannelConfig{LatencyScale: time.Millisecond})
 	defer ct.Close()
 
 	var mu sync.Mutex
@@ -133,29 +133,6 @@ func TestChannelTransportOfflineDrop(t *testing.T) {
 	}
 }
 
-func TestChannelTransportLoss(t *testing.T) {
-	g := testGraph(t, 8, 4)
-	ct := NewChannelTransport(g, 4, ChannelConfig{LossRate: 1.0})
-	defer ct.Close()
-
-	delivered, droppedCb := 0, 0
-	ct.SetHandler(1, func(msg *Message) { delivered++ })
-	ct.SetDrop(func(msg *Message) { droppedCb++ })
-	for i := 0; i < 50; i++ {
-		ct.SendNew("lossy", 0, 1, 0, nil)
-	}
-	ct.Settle()
-	if delivered != 0 {
-		t.Errorf("delivered %d messages at 100%% loss", delivered)
-	}
-	if droppedCb != 0 {
-		t.Errorf("packet loss must be silent, drop callback fired %d times", droppedCb)
-	}
-	if ct.Counter().Get("lossy") != 50 {
-		t.Errorf("lost messages must be counted as sent, got %d", ct.Counter().Get("lossy"))
-	}
-}
-
 // TestTransportParity pins all three transports to identical traversal
 // semantics: floods and selective walks are deterministic given the same
 // graph and online state, so reach sets, paths and message charges must
@@ -205,7 +182,7 @@ func TestTransportParity(t *testing.T) {
 
 func TestChannelTransportCloseDrains(t *testing.T) {
 	g := testGraph(t, 16, 6)
-	ct := NewChannelTransport(g, 6, DefaultChannelConfig())
+	ct := NewChannelTransport(g, 6, ChannelConfig{LatencyScale: time.Millisecond})
 	var mu sync.Mutex
 	n := 0
 	ct.SetHandler(1, func(msg *Message) { mu.Lock(); n++; mu.Unlock() })

@@ -3,6 +3,7 @@ package p2p
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"p2psum/internal/sim"
 )
@@ -33,7 +34,7 @@ func TestLinkFilter(t *testing.T) {
 			return n, n
 		}},
 		{"Channel", func(t *testing.T) (Transport, Transport) {
-			ct := NewChannelTransport(lineGraph(t, 3), 1, DefaultChannelConfig())
+			ct := NewChannelTransport(lineGraph(t, 3), 1, ChannelConfig{LatencyScale: time.Millisecond})
 			t.Cleanup(ct.Close)
 			return ct, ct
 		}},

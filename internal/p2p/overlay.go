@@ -11,19 +11,22 @@ import (
 
 // This file is the overlay core every transport embeds: the membership and
 // topology block (overlay), the traffic books (ledger) and the two
-// traversals that need nothing but those (flood, walk). Topology,
+// traversals that need nothing but those (Flood, SelectiveWalk). Topology,
 // membership and traffic accounting are overlay-management functions, not
 // message transport, so they are written once here; Network,
 // ChannelTransport and TCPTransport add only how a message moves.
 
 // overlay is the static topology, the liveness view and the partition gate
 // of one transport. Its exported methods are promoted into all three
-// transports and are ten of the Transport interface's methods; none of
+// transports and are twelve of the Transport interface's methods; none of
 // them depends on how messages are carried.
 type overlay struct {
 	graph *topology.Graph
 	view  *liveness.View
 	gate  linkGate
+	// hops books n payload-less transmissions (walk and flood hops) on the
+	// transport's ledger; the transport sets it at construction.
+	hops func(typ string, n int64)
 }
 
 // Len returns the number of overlay nodes.
@@ -207,13 +210,15 @@ func (l *ledger) Bytes() *stats.Counter {
 	return l.snapshot(l.bytes)
 }
 
-// flood is the Gnutella-style constrained broadcast of all three
-// transports, so the §6.2.3 traversal semantics are identical by
+// Flood delivers a message of the given type from src to every node within
+// ttl hops using Gnutella-style constrained broadcast. It returns the nodes
+// reached and counts every transmission (§6.2.3). It is the flood of all
+// three transports, so the traversal semantics are identical by
 // construction: each node forwards to all its neighbors except the sender,
 // and duplicate deliveries (cycles) are transmitted but not re-forwarded —
-// the paper's "pure flooding algorithm" cost behaviour. charge books the
-// transmissions on the calling transport.
-func (o *overlay) flood(charge func(typ string, n int64), typ string, src NodeID, ttl int, visit func(NodeID)) map[NodeID]bool {
+// the paper's "pure flooding algorithm" cost behaviour. Over TCP it
+// traverses the shared topology in the calling process.
+func (o *overlay) Flood(typ string, src NodeID, ttl int, payload any, visit func(NodeID)) map[NodeID]bool {
 	type hop struct {
 		node NodeID
 		from NodeID
@@ -234,7 +239,7 @@ func (o *overlay) flood(charge func(typ string, n int64), typ string, src NodeID
 			if nb == h.from {
 				continue
 			}
-			charge(typ, 1) // transmission on the wire
+			o.hops(typ, 1) // transmission on the wire
 			if reached[nb] {
 				continue // duplicate: received, dropped, not re-forwarded
 			}
@@ -248,11 +253,19 @@ func (o *overlay) flood(charge func(typ string, n int64), typ string, src NodeID
 	return reached
 }
 
+// SelectiveWalk performs the paper's find protocol walk (§4.1, after [23]):
+// starting at src, repeatedly move to the highest-degree unvisited online
+// neighbor until accept returns true or maxHops is exhausted. Ties break on
+// the lower node id; dead ends backtrack. Over TCP the accept callback
+// sees only this process's protocol state.
+func (o *overlay) SelectiveWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
+	return o.walk(typ, src, maxHops, accept, o.selective)
+}
+
 // walk is the TTL-bounded walk of all three transports: move to the
 // neighbor picked by choose until accept returns true or maxHops is
-// exhausted; dead ends backtrack. charge books the hops on the calling
-// transport.
-func (o *overlay) walk(charge func(typ string, n int64), typ string, src NodeID, maxHops int, accept func(NodeID) bool, choose func([]NodeID) NodeID) WalkResult {
+// exhausted; dead ends backtrack.
+func (o *overlay) walk(typ string, src NodeID, maxHops int, accept func(NodeID) bool, choose func([]NodeID) NodeID) WalkResult {
 	res := WalkResult{Found: -1, Path: []NodeID{src}}
 	if accept(src) {
 		res.Found = src
@@ -279,7 +292,7 @@ func (o *overlay) walk(charge func(typ string, n int64), typ string, src NodeID,
 		}
 		next := choose(cands)
 		visited[next] = true
-		charge(typ, 1)
+		o.hops(typ, 1)
 		res.Messages++
 		res.Path = append(res.Path, next)
 		stack = append(stack, next)

@@ -10,8 +10,8 @@
 // Network (deterministic, discrete-event), ChannelTransport (concurrent,
 // real-time) and TCPTransport (real sockets between OS processes). All
 // three embed one overlay core (overlay.go) — topology, membership,
-// partition gate and traffic books are written once — and the two
-// goroutine-backed ones share one dispatch engine (engine.go).
+// partition gate, traffic books, flood and walk are written once — and
+// the two goroutine-backed ones share one dispatch engine (engine.go).
 //
 // # Which lock protects what
 //
@@ -39,7 +39,6 @@
 //	                           is the message-id counter. Its ledger's
 //	                           mutex is held across sizing a send. Its
 //	                           liveness view locks itself.
-//	ChannelTransport.rngMu     the loss rng.
 //	TCPTransport               connMu (connection table + reconnect loops),
 //	                           wireMu (socket frame counters),
 //	                           statusMu/barrierMu (the settle and barrier
@@ -115,6 +114,10 @@ type Network struct {
 	handler []Handler
 	// nextMsg counts sends; a message without an id takes the count.
 	nextMsg uint64
+	// seed and loss decide packet loss (see SetLossRate): a send is lost
+	// by a hash of seed and its ordinal, so loss draws nothing from rng.
+	seed uint64
+	loss float64
 	// slab holds every in-flight message by value; a delivery event names
 	// its slot. free lists the slots to reuse. A slot is taken by Send and
 	// released after its handler (or drop callback) returns.
@@ -141,11 +144,33 @@ func NewNetwork(engine *sim.Engine, graph *topology.Graph, seed int64) *Network 
 		overlay: overlay{graph: graph, view: liveness.NewView(graph.Len(), nil)},
 		engine:  engine,
 		rng:     rand.New(rand.NewSource(seed)),
+		seed:    uint64(seed),
 		handler: make([]Handler, graph.Len()),
 		sizer:   wire.NewCountEnc(),
 	}
+	n.hops = n.chargeHops
 	engine.SetDeliver(n.deliver)
 	return n
+}
+
+// SetLossRate makes every later unicast lost with probability p in [0,1]:
+// a lost message is charged to the ledger as sent (the bytes hit the wire)
+// but never delivered, and the drop callback does not fire — packet loss,
+// unlike the offline-receiver drops protocols detect via SetDrop. Whether
+// a send is lost is a pure function of the NewNetwork seed and the send's
+// ordinal, so a seed reproduces the losses and RandomWalk streams do not
+// move. Walk and flood hops are never lost. Call it before traffic.
+func (n *Network) SetLossRate(p float64) { n.loss = p }
+
+// lost reports whether the send with the given ordinal is lost: a
+// splitmix64 finalizer over seed^ordinal, its top 53 bits scaled to [0,1).
+func (n *Network) lost(ordinal uint64) bool {
+	x := n.seed ^ ordinal
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	x ^= x >> 31
+	return float64(x>>11)/(1<<53) < n.loss
 }
 
 // SetHandler installs the message handler of a node.
@@ -212,7 +237,8 @@ func (n *Network) Settle() { n.engine.Run() }
 // Send schedules delivery of msg from msg.From to msg.To after the link
 // latency, charging it under msg.Type. Messages to offline or
 // handler-less nodes are counted as sent (the bytes hit the wire) but
-// trigger Drop instead of a handler.
+// trigger Drop instead of a handler; lost ones (SetLossRate) are counted
+// and go nowhere.
 //
 // Send copies *msg (after giving it an id when it has none) into a slab
 // slot and keeps no reference to msg: changing msg afterwards changes
@@ -225,6 +251,9 @@ func (n *Network) Send(msg *Message) {
 		msg.ID = n.nextMsg
 	}
 	n.charge(msg)
+	if n.loss > 0 && n.lost(n.nextMsg) {
+		return
+	}
 	idx := n.take()
 	n.slab[idx] = *msg
 	lat := n.latencyBetween(msg.From, msg.To)
@@ -297,13 +326,6 @@ func (n *Network) SendNew(typ string, from, to NodeID, ttl int, payload any) {
 	n.Send(&msg)
 }
 
-// Flood delivers a message of the given type from src to every node within
-// ttl hops using Gnutella-style constrained broadcast. It returns the nodes
-// reached and counts every transmission (§6.2.3).
-func (n *Network) Flood(typ string, src NodeID, ttl int, payload any, visit func(NodeID)) map[NodeID]bool {
-	return n.flood(n.chargeHops, typ, src, ttl, visit)
-}
-
 // WalkResult is the outcome of a walk.
 type WalkResult struct {
 	// Found is the node that satisfied the predicate, or -1.
@@ -314,17 +336,9 @@ type WalkResult struct {
 	Messages int
 }
 
-// SelectiveWalk performs the paper's find protocol walk (§4.1, after [23]):
-// starting at src, repeatedly move to the highest-degree unvisited online
-// neighbor until accept returns true or maxHops is exhausted. Ties break on
-// the lower node id; dead ends backtrack.
-func (n *Network) SelectiveWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	return n.walk(n.chargeHops, typ, src, maxHops, accept, n.selective)
-}
-
 // RandomWalk is the blind baseline: uniform random unvisited neighbor.
 func (n *Network) RandomWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	return n.walk(n.chargeHops, typ, src, maxHops, accept, func(cands []NodeID) NodeID {
+	return n.walk(typ, src, maxHops, accept, func(cands []NodeID) NodeID {
 		return cands[n.rng.Intn(len(cands))]
 	})
 }

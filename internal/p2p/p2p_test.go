@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"p2psum/internal/sim"
 	"p2psum/internal/topology"
@@ -94,6 +95,63 @@ func TestSendToOffline(t *testing.T) {
 	ids := net.OnlineIDs()
 	if len(ids) != 1 || ids[0] != 0 {
 		t.Errorf("OnlineIDs = %v", ids)
+	}
+}
+
+// TestNetworkLoss pins seeded packet loss: a lost unicast is counted as
+// sent, never delivered and never reported through the drop callback, and
+// which sends are lost is a function of the seed alone.
+func TestNetworkLoss(t *testing.T) {
+	e := sim.New()
+	net := NewNetwork(e, testGraph(t, 8, 4), 4)
+	net.SetLossRate(1.0)
+	delivered, droppedCb := 0, 0
+	net.SetHandler(1, func(msg *Message) { delivered++ })
+	net.SetDrop(func(msg *Message) { droppedCb++ })
+	for i := 0; i < 50; i++ {
+		net.SendNew("lossy", 0, 1, 0, nil)
+	}
+	e.Run()
+	if delivered != 0 {
+		t.Errorf("delivered %d messages at 100%% loss", delivered)
+	}
+	if droppedCb != 0 {
+		t.Errorf("packet loss must be silent, drop callback fired %d times", droppedCb)
+	}
+	if got := net.Counter().Get("lossy"); got != 50 {
+		t.Errorf("lost messages must be counted as sent, got %d", got)
+	}
+
+	// At 20% loss the delivered id set depends on the seed only, and the
+	// losses draw nothing from the RandomWalk stream.
+	run := func(seed int64, loss float64) (string, []NodeID) {
+		e := sim.New()
+		net := NewNetwork(e, testGraph(t, 8, 4), seed)
+		net.SetLossRate(loss)
+		var ids []string
+		net.SetHandler(1, func(msg *Message) { ids = append(ids, strconv.FormatUint(msg.ID, 10)) })
+		for i := 0; i < 200; i++ {
+			net.SendNew("lossy", 0, 1, 0, nil)
+		}
+		e.Run()
+		walk := net.RandomWalk("walk", 0, 5, func(NodeID) bool { return false })
+		return strings.Join(ids, ","), walk.Path
+	}
+	a, walkA := run(4, 0.2)
+	b, _ := run(4, 0.2)
+	c, _ := run(5, 0.2)
+	_, walkLossless := run(4, 0)
+	if a != b {
+		t.Errorf("one seed delivered different id sets:\n%s\n%s", a, b)
+	}
+	if a == c {
+		t.Error("seeds 4 and 5 lost the same sends")
+	}
+	if n := strings.Count(a, ",") + 1; n < 140 || n > 180 {
+		t.Errorf("delivered %d of 200 at 20%% loss", n)
+	}
+	if fmt.Sprint(walkA) != fmt.Sprint(walkLossless) {
+		t.Errorf("loss moved the RandomWalk stream: %v vs %v", walkA, walkLossless)
 	}
 }
 
@@ -329,7 +387,7 @@ func TestUnframeablePayloadPanics(t *testing.T) {
 	transports := map[string]func(t *testing.T) Transport{
 		"Network": func(t *testing.T) Transport { return NewNetwork(sim.New(), lineGraph(t, 2), 1) },
 		"Channel": func(t *testing.T) Transport {
-			ct := NewChannelTransport(lineGraph(t, 2), 1, DefaultChannelConfig())
+			ct := NewChannelTransport(lineGraph(t, 2), 1, ChannelConfig{LatencyScale: time.Millisecond})
 			t.Cleanup(ct.Close)
 			return ct
 		},

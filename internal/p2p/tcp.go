@@ -369,6 +369,7 @@ func newTCPTransport(graph *topology.Graph, cfg TCPConfig, lim tcpLimits) (*TCPT
 		barriers:     make(map[uint32]map[string]bool),
 	}
 	t.view = liveness.NewView(n, func(id int) bool { return t.IsLocal(NodeID(id)) })
+	t.hops = t.chargeHops
 	for _, id := range cfg.Local {
 		if id < 0 || int(id) >= n {
 			return nil, fmt.Errorf("p2p: local node %d out of range", id)
@@ -1152,19 +1153,6 @@ func (t *TCPTransport) Send(msg *Message) {
 // SendNew builds and sends a message.
 func (t *TCPTransport) SendNew(typ string, from, to NodeID, ttl int, payload any) {
 	t.Send(&Message{Type: typ, From: from, To: to, TTL: ttl, Payload: payload})
-}
-
-// Flood delivers a message of the given type from src to every node within
-// ttl hops using Gnutella-style constrained broadcast, traversing the
-// shared topology in this process (§6.2.3 accounting semantics).
-func (t *TCPTransport) Flood(typ string, src NodeID, ttl int, payload any, visit func(NodeID)) map[NodeID]bool {
-	return t.flood(t.chargeHops, typ, src, ttl, visit)
-}
-
-// SelectiveWalk performs the §4.1 find-protocol walk over the shared
-// topology; the accept callback only sees local protocol state.
-func (t *TCPTransport) SelectiveWalk(typ string, src NodeID, maxHops int, accept func(NodeID) bool) WalkResult {
-	return t.walk(t.chargeHops, typ, src, maxHops, accept, t.selective)
 }
 
 // Exec runs fn serialized with every local handler (see

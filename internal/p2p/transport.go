@@ -23,9 +23,9 @@ import (
 //     Runs are reproducible bit-for-bit given a seed.
 //
 //   - ChannelTransport runs concurrently on goroutines in real time, with
-//     per-link latencies and optional packet loss. It expresses scenarios
-//     the discrete-event engine cannot (wall-clock interleavings, lossy
-//     links) at the price of determinism.
+//     scaled per-link latencies. It expresses what the discrete-event
+//     engine cannot (wall-clock interleavings, concurrent drivers) at the
+//     price of determinism.
 //
 //   - TCPTransport hosts part of the overlay in this process and ships wire
 //     frames to the processes hosting the rest over real sockets.

@@ -13,9 +13,8 @@
 // benchmark name (less the -GOMAXPROCS suffix `go test` appends when
 // GOMAXPROCS is not 1; benchgate assumes it runs under the GOMAXPROCS of
 // the benchmarks it reads, as at the end of a pipe) and MAX the
-// allowed allocs/op; the flag repeats for multiple gates. The legacy
-// single-gate form -bench NAME -max-allocs N is still accepted. Every
-// result line matching a gate must satisfy its bound, and every gate must
+// allowed allocs/op; the flag repeats for multiple gates. Every result
+// line matching a gate must satisfy its bound, and every gate must
 // match at least one line — a benchmark that silently stopped running is
 // itself a failure.
 package main
@@ -52,12 +51,7 @@ func main() {
 		gates = append(gates, &gate{name: name, maxAllocs: n})
 		return nil
 	})
-	bench := flag.String("bench", "", "benchmark name substring to gate (legacy single-gate form)")
-	maxAllocs := flag.Int64("max-allocs", 0, "maximum allowed allocs/op (with -bench)")
 	flag.Parse()
-	if *bench != "" {
-		gates = append(gates, &gate{name: *bench, maxAllocs: *maxAllocs})
-	}
 	if len(gates) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: benchgate -gate NAME=MAX [-gate NAME=MAX ...] < bench-output")
 		os.Exit(2)

@@ -2,7 +2,6 @@ package p2psum
 
 import (
 	"math/rand"
-	"sort"
 
 	"p2psum/internal/core"
 	"p2psum/internal/p2p"
@@ -63,12 +62,10 @@ type SimOptions struct {
 	// paper's power-law graph), TopologySmallWorld (Watts–Strogatz) or
 	// TopologyWaxman (BRITE's flat random model).
 	Topology TopologyModel
-	// Transport selects the overlay substrate: TransportSim (default, the
-	// deterministic discrete-event engine) or TransportChannel (the
-	// concurrent real-time transport).
-	Transport TransportKind
-	// LossRate silently drops each unicast with this probability
-	// (TransportChannel only; the event engine is lossless).
+	// LossRate silently drops each unicast with this probability in
+	// [0,1): a lost message is counted as sent but never delivered. Which
+	// sends are lost follows from Seed, so runs stay reproducible; walks
+	// and floods are never lost.
 	LossRate float64
 	// Shards partitions each domain's global summary across this many
 	// independently lockable store shards (data level only): merges and
@@ -76,20 +73,6 @@ type SimOptions struct {
 	// shards. 0 or 1 keeps the paper's single-tree layout.
 	Shards int
 }
-
-// TransportKind names a Transport implementation.
-type TransportKind int
-
-// Transport kinds.
-const (
-	// TransportSim is the deterministic discrete-event transport — runs
-	// are reproducible bit-for-bit given a seed.
-	TransportSim TransportKind = iota
-	// TransportChannel is the concurrent in-memory transport: goroutines
-	// carry messages in real time with scaled per-link latencies and
-	// optional packet loss. Not deterministic.
-	TransportChannel
-)
 
 // TopologyModel names an overlay generator.
 type TopologyModel int
@@ -105,12 +88,12 @@ const (
 )
 
 // Simulation is a complete summary-managed P2P network: a power-law
-// overlay, a Transport (discrete-event or concurrent channel-based), the
-// §4 management protocols and the §5 query routing.
+// overlay on the deterministic discrete-event engine, the §4 management
+// protocols and the §5 query routing.
 type Simulation struct {
 	opts   SimOptions
-	engine *sim.Engine // nil for TransportChannel
-	net    p2p.Transport
+	engine *sim.Engine
+	net    *p2p.Network
 	sys    *core.System
 	router *routing.SQRouter
 	rng    *rand.Rand
@@ -132,6 +115,9 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 	if opts.ConstructionTTL == 0 {
 		opts.ConstructionTTL = 2
 	}
+	if p := opts.LossRate; !(p >= 0 && p < 1) {
+		return nil, guardf("p2psum: LossRate %g out of [0,1)", p)
+	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	var g *topology.Graph
 	var err error
@@ -146,25 +132,9 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	var (
-		engine *sim.Engine
-		net    p2p.Transport
-	)
-	switch opts.Transport {
-	case TransportChannel:
-		if opts.LossRate < 0 || opts.LossRate >= 1 {
-			return nil, guardf("p2psum: LossRate %g out of [0,1)", opts.LossRate)
-		}
-		ccfg := p2p.DefaultChannelConfig()
-		ccfg.LossRate = opts.LossRate
-		net = p2p.NewChannelTransport(g, opts.Seed, ccfg)
-	default:
-		if opts.LossRate != 0 {
-			return nil, guardf("p2psum: LossRate requires TransportChannel")
-		}
-		engine = sim.New()
-		net = p2p.NewNetwork(engine, g, opts.Seed)
-	}
+	engine := sim.New()
+	net := p2p.NewNetwork(engine, g, opts.Seed)
+	net.SetLossRate(opts.LossRate)
 	cfg := core.DefaultConfig()
 	cfg.Alpha = opts.Alpha
 	cfg.ConstructionTTL = opts.ConstructionTTL
@@ -263,60 +233,29 @@ func (s *Simulation) MarkModified(id NodeID) {
 }
 
 // RunChurn simulates session churn for the given number of hours using the
-// paper's lognormal lifetimes (mean 3 h, median 1 h). On the discrete-event
-// transport the sessions are scheduled in virtual time; on the channel
-// transport the same session plan is applied in timestamp order, settling
-// the network between events (virtual inter-event time is collapsed — the
-// protocol sees the identical join/leave sequence).
+// paper's lognormal lifetimes (mean 3 h, median 1 h), scheduling the
+// sessions in virtual time.
 func (s *Simulation) RunChurn(hours float64, gracefulProb float64) {
 	churn := workload.Churn{Lifetimes: workload.PaperLifetimes(), OfflineFactor: 0.5}
 	sps := make(map[NodeID]bool)
 	for _, sp := range s.sys.SummaryPeers() {
 		sps[sp] = true
 	}
-	type churnEvent struct {
-		at sim.Time
-		fn func()
-	}
-	var events []churnEvent
+	now := s.engine.Now()
 	for _, sess := range churn.Plan(s.rng, s.opts.Peers, sim.Hours(hours)) {
 		id := NodeID(sess.Peer)
 		if sps[id] {
 			continue
 		}
 		if sess.Start > 0 {
-			events = append(events, churnEvent{sess.Start, func() { s.sys.Join(id) }})
+			s.engine.At(now+sess.Start, func() { s.sys.Join(id) })
 		}
 		if sess.End < sim.Hours(hours) {
 			graceful := s.rng.Float64() < gracefulProb
-			events = append(events, churnEvent{sess.End, func() { s.sys.Leave(id, graceful) }})
+			s.engine.At(now+sess.End, func() { s.sys.Leave(id, graceful) })
 		}
 	}
-	if s.engine != nil {
-		horizon := s.engine.Now() + sim.Hours(hours)
-		now := s.engine.Now()
-		for _, ev := range events {
-			s.engine.At(now+ev.at, ev.fn)
-		}
-		s.engine.RunUntil(horizon)
-		return
-	}
-	// Channel transport: apply the plan in time order. Settling after each
-	// event serializes protocol-state mutation with the dispatcher.
-	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
-	for _, ev := range events {
-		ev.fn()
-		s.net.Settle()
-	}
-}
-
-// Close releases transport resources (the channel transport's dispatcher
-// goroutine). It is a no-op on the discrete-event transport and after the
-// first call.
-func (s *Simulation) Close() {
-	if ct, ok := s.net.(*p2p.ChannelTransport); ok {
-		ct.Close()
-	}
+	s.engine.RunUntil(now + sim.Hours(hours))
 }
 
 // QueryProtocol routes a protocol-level query (ground truth supplied by
@@ -408,14 +347,8 @@ func (s *Simulation) Reconciliations() int { return s.sys.Stats().Reconciliation
 // OnlinePeers returns the number of connected peers.
 func (s *Simulation) OnlinePeers() int { return s.net.OnlineCount() }
 
-// Now returns the current virtual time in seconds. The channel transport
-// runs in real time and has no virtual clock; Now returns 0 there.
-func (s *Simulation) Now() float64 {
-	if s.engine == nil {
-		return 0
-	}
-	return float64(s.engine.Now())
-}
+// Now returns the current virtual time in seconds.
+func (s *Simulation) Now() float64 { return float64(s.engine.Now()) }
 
 // DomainReport is a point-in-time snapshot of one domain's health.
 type DomainReport = core.DomainReport
