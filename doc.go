@@ -109,8 +109,9 @@
 //
 // internal/wire turns protocol messages into bytes: a versioned,
 // self-delimiting frame encoding (header + payload blob, varint integers,
-// compact varint floats) plus a registry mapping each message type to a
-// PayloadCodec. The protocol packages register their payloads from init —
+// compact varint floats, and fixed-width ones where a payload is decoded
+// more often than its size matters) plus a registry mapping each message
+// type to a PayloadCodec. The protocol packages register their payloads from init —
 // core registers sumpeer/localsum/push/reconcile, routing registers
 // query/query-response — so importing a protocol layer makes its messages
 // serializable everywhere.
@@ -129,9 +130,25 @@
 // cannot recompute: counts, the numeric sums, and each leaf's labels,
 // grades, Min, Max and peer extent. DecodeWire rebuilds the leaf keys,
 // internal grades, extents, Min and Max and every measure's Weight bit for
-// bit, so a decoded tree equals the sent one field by field. Frame version
-// 2 marks this layout; version 1 frames, which wrote every field, are
-// refused.
+// bit, so a decoded tree equals the sent one field by field.
+//
+// Queries and §5.2.2 answers (routing's query/query-response payloads and
+// the gateway's gw-query/gw-result frames; layout in
+// internal/routing/remote.go) are laid out to decode in one pass. A query
+// leads with the number of strings its lists hold. An answer with classes
+// follows its class count with its totals of label sets, labels, measures
+// and peers, then an attribute table: its distinct row attributes,
+// written once each in ascending order. Interpretation, answers and
+// measures rows name their attribute by its index in that table, and
+// class weights and measures are 8 little-endian bytes a float
+// (wire.Float64Fixed). The decoder allocates its slabs from the totals
+// and refuses a body whose totals, table or indexes are other than the
+// encoder writes, so decoding stays canonical.
+//
+// Frame version 3 marks these layouts. Version 2 frames, whose queries
+// and answers carried none of it, and version 1 frames, whose summaries
+// wrote every field, are refused. p2psum.EncodeSummary stamps the same
+// version byte, so a summary saved by an earlier build is refused too.
 //
 // Registration buys two things. First, byte accounting is exact on every
 // transport: a Send is charged the real encoded frame length (identical
@@ -356,9 +373,11 @@
 //     built it and drops the answer graph; the graph is rebuilt from the
 //     body on the entry's first in-process hit and kept from then on, so
 //     in-process hits stay allocation-free too. An answer decodes as
-//     views: its strings point into the body, and its class rows are
-//     carved out of a few per-answer slabs — the socket client does the
-//     same with each result frame, read into a body of its own. An entry is keyed on the
+//     views in one pass: its strings point into the body, every row's
+//     attribute is a view of the answer's attribute table, and its class
+//     rows are carved out of a few per-answer slabs sized by the totals
+//     the body declares — the socket client does the same with each
+//     result frame, read into a body of its own. An entry is keyed on the
 //     per-shard generation counters of its candidate shards, captured
 //     BEFORE the upstream execution: the summary store bumps a shard's
 //     generation on every mutation, and completeReconcile's install hook

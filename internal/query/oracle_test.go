@@ -42,7 +42,8 @@ type refAnswer struct {
 }
 
 // refEncode is the DataAnswer wire body of a map-based answer, every map
-// written in sorted key order.
+// written in sorted key order, its keys named by their index in the
+// sorted table of all of them.
 func refEncode(a *refAnswer, peers []saintetiq.PeerID, visited int) []byte {
 	e := new(wire.Enc)
 	e.Uvarint(uint64(len(peers)))
@@ -53,18 +54,45 @@ func refEncode(a *refAnswer, peers []saintetiq.PeerID, visited int) []byte {
 	e.Bool(true)
 	routing.EncodeFlexQuery(e, a.Query)
 	e.Uvarint(uint64(len(a.Classes)))
+	if len(a.Classes) == 0 {
+		return e.Bytes()
+	}
+	// The row totals, then the attribute table: every key of every map
+	// once, sorted, which the rows name by index.
+	table := map[string]int{}
+	var sets, labels, measures, npeers int
+	for _, c := range a.Classes {
+		for _, m := range []map[string][]string{c.Interpretation, c.Answers} {
+			for k, ls := range m {
+				table[k], labels = 0, labels+len(ls)
+			}
+			sets += len(m)
+		}
+		for k := range c.Measures {
+			table[k] = 0
+		}
+		measures, npeers = measures+len(c.Measures), npeers+len(c.Peers)
+	}
+	attrs := sortedKeys(table)
+	for i, k := range attrs {
+		table[k] = i
+	}
+	for _, n := range []int{sets, labels, measures, npeers} {
+		e.Uvarint(uint64(n))
+	}
+	e.Strings(attrs)
 	labelSets := func(m map[string][]string) {
 		keys := sortedKeys(m)
 		e.Uvarint(uint64(len(keys)))
 		for _, k := range keys {
-			e.String(k)
+			e.Uvarint(uint64(table[k]))
 			e.Strings(m[k])
 		}
 	}
 	for _, c := range a.Classes {
 		labelSets(c.Interpretation)
 		labelSets(c.Answers)
-		e.Float64(c.Weight)
+		e.Float64Fixed(c.Weight)
 		e.Uvarint(uint64(len(c.Peers)))
 		for _, p := range c.Peers {
 			e.Varint(int64(p))
@@ -73,12 +101,12 @@ func refEncode(a *refAnswer, peers []saintetiq.PeerID, visited int) []byte {
 		e.Uvarint(uint64(len(keys)))
 		for _, k := range keys {
 			m := c.Measures[k]
-			e.String(k)
-			e.Float64(m.Weight)
-			e.Float64(m.Min)
-			e.Float64(m.Max)
-			e.Float64(m.Sum)
-			e.Float64(m.SumSq)
+			e.Uvarint(uint64(table[k]))
+			e.Float64Fixed(m.Weight)
+			e.Float64Fixed(m.Min)
+			e.Float64Fixed(m.Max)
+			e.Float64Fixed(m.Sum)
+			e.Float64Fixed(m.SumSq)
 		}
 	}
 	return e.Bytes()

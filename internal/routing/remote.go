@@ -3,6 +3,7 @@ package routing
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,8 +52,21 @@ func init() {
 }
 
 // EncodeFlexQuery appends a flexible query's wire form — shared by the
-// MsgQuery payload codec and the gateway's client framing.
+// MsgQuery payload codec and the gateway's client framing:
+//
+//	strings  uvarint   select attributes plus every clause's labels
+//	select   uvarint count + strings
+//	where    uvarint count; per clause its attribute (string) and
+//	         its labels (uvarint count + strings)
+//
+// The leading total sizes the one slab DecodeFlexQuery carves every list
+// out of, so the decode is a single pass.
 func EncodeFlexQuery(e *wire.Enc, q query.Query) {
+	n := len(q.Select)
+	for _, c := range q.Where {
+		n += len(c.Labels)
+	}
+	e.Uvarint(uint64(n))
 	e.Strings(q.Select)
 	e.Uvarint(uint64(len(q.Where)))
 	for _, c := range q.Where {
@@ -62,22 +76,12 @@ func EncodeFlexQuery(e *wire.Enc, q query.Query) {
 }
 
 // DecodeFlexQuery reads the form EncodeFlexQuery writes; on malformed
-// input it returns the zero query and leaves the error on d. A dry run
-// over a copy of d sizes one slab that every label list is carved from.
+// input it returns the zero query and leaves the error on d. A body whose
+// lists hold more or fewer strings than its leading total is refused
+// with errTotals, so decoding stays canonical.
 func DecodeFlexQuery(d *wire.Dec) query.Query {
-	scan := *d
-	strs := skipStrings(&scan)
-	n := scan.Count()
-	for i := 0; i < n; i++ {
-		scan.SkipString()
-		strs += skipStrings(&scan)
-	}
-	if scan.Err() != nil {
-		*d = scan
-		return query.Query{}
-	}
 	var q query.Query
-	slab := make([]string, 0, strs)
+	slab := make([]string, 0, d.Count())
 	q.Select, slab = carveStrings(d, slab)
 	if n := d.Count(); n > 0 {
 		q.Where = make([]query.Clause, n)
@@ -86,25 +90,33 @@ func DecodeFlexQuery(d *wire.Dec) query.Query {
 			q.Where[i].Labels, slab = carveStrings(d, slab)
 		}
 	}
+	if len(slab) != cap(slab) {
+		d.Fail(errTotals)
+	}
+	if d.Err() != nil {
+		return query.Query{}
+	}
 	return q
 }
 
-// skipStrings reads past a counted string list and returns its length.
-func skipStrings(d *wire.Dec) int {
-	n := d.Count()
-	for i := n; i > 0; i-- {
-		d.SkipString()
-	}
-	return n
-}
+// errTotals refuses a body whose declared totals disagree with the rows
+// it holds: the slabs are sized by the totals, and encoders write them
+// exactly.
+var errTotals = errors.New("routing: declared totals disagree with the rows")
 
 // carveStrings reads a counted string list onto the end of slab and
 // returns it as an exact-capacity window (non-nil when slab is), with the
-// grown slab.
+// grown slab. A list that would outgrow slab's capacity fails d with
+// errTotals.
 func carveStrings(d *wire.Dec, slab []string) ([]string, []string) {
-	lo := len(slab)
-	for n := d.Count(); n > 0; n-- {
-		slab = append(slab, d.String())
+	lo, n := len(slab), d.Count()
+	if n > cap(slab)-lo {
+		d.Fail(errTotals)
+		return slab[lo:lo:lo], slab
+	}
+	slab = slab[:lo+n]
+	for i := lo; i < len(slab); i++ {
+		slab[i] = d.String()
 	}
 	return slab[lo:len(slab):len(slab)], slab
 }
@@ -125,12 +137,67 @@ func decodeQuery(data []byte) (any, error) {
 	return p, d.Done()
 }
 
-// encodeLabelSets writes a class's label sets in their ascending attribute
-// order, so equal payloads encode to equal bytes.
-func encodeLabelSets(e *wire.Enc, sets query.LabelSets) {
+// The answer layout (encodeAnswer, decodeAnswer), after a presence bool
+// and the answer's flexible query:
+//
+//	classes   uvarint n; nothing follows when n is 0
+//	totals    uvarint each: label sets, labels, measures and peers over
+//	          all n classes
+//	attrs     uvarint count + strings, strictly ascending: the distinct
+//	          attributes of the class rows, each written once
+//	n classes interpretation and answers (per row: uvarint count, then
+//	          per set its attribute index and its labels as uvarint
+//	          count + strings), weight (8 bytes), peers (uvarint count +
+//	          varints), measures (uvarint count, then per measure its
+//	          attribute index and Weight, Min, Max, Sum, SumSq at 8
+//	          bytes each)
+//
+// Floats are wire.Float64Fixed: little-endian IEEE bits. A row names its
+// attributes by index into attrs, ascending. The decoder allocates its
+// slabs from the totals and reads the body once; it refuses totals that
+// disagree with the rows, a table that is not strictly ascending or has
+// an entry no row names, an index out of range and a row whose indexes
+// do not ascend — so every accepted body is the encoding of what it
+// decodes to.
+
+// maxStackAttrs is the attribute-table size encodeAnswer builds without
+// allocating; a larger table spills to the heap.
+const maxStackAttrs = 16
+
+// attrAt finds attr in the ascending table attrs. It scans from *at
+// first, where a row's next attribute lies when the row ascends (each row
+// starts at 0), and falls back to a binary search. It reports attr's index,
+// or where to insert it, and whether it was found, and leaves *at past it.
+func attrAt(attrs []string, at *int, attr string) (int, bool) {
+	for i := *at; i < len(attrs); i++ {
+		if attrs[i] == attr {
+			*at = i + 1
+			return i, true
+		}
+	}
+	i, found := slices.BinarySearch(attrs, attr)
+	*at = i + 1
+	return i, found
+}
+
+// addAttr inserts attr into the ascending table attrs unless it is there
+// (see attrAt for at).
+func addAttr(attrs []string, at *int, attr string) []string {
+	if i, found := attrAt(attrs, at, attr); !found {
+		attrs = slices.Insert(attrs, i, attr)
+	}
+	return attrs
+}
+
+// encodeLabelSets writes a class's label sets in their given order (the
+// ascending attribute order for a well-formed class), each naming its
+// attribute by its index in attrs.
+func encodeLabelSets(e *wire.Enc, attrs []string, sets query.LabelSets) {
 	e.Uvarint(uint64(len(sets)))
+	at := 0
 	for _, ls := range sets {
-		e.String(ls.Attr)
+		i, _ := attrAt(attrs, &at, ls.Attr)
+		e.Uvarint(uint64(i))
 		e.Strings(ls.Labels)
 	}
 }
@@ -143,74 +210,134 @@ func encodeAnswer(e *wire.Enc, a *query.Answer) {
 	e.Bool(true)
 	EncodeFlexQuery(e, a.Query)
 	e.Uvarint(uint64(len(a.Classes)))
-	for _, c := range a.Classes {
-		encodeLabelSets(e, c.Interpretation)
-		encodeLabelSets(e, c.Answers)
-		e.Float64(c.Weight)
+	if len(a.Classes) == 0 {
+		return
+	}
+	var stack [maxStackAttrs]string
+	attrs := stack[:0]
+	var sets, labels, measures, peers int
+	for i := range a.Classes {
+		c := &a.Classes[i]
+		for _, rows := range [2]query.LabelSets{c.Interpretation, c.Answers} {
+			at := 0
+			for _, ls := range rows {
+				labels += len(ls.Labels)
+				attrs = addAttr(attrs, &at, ls.Attr)
+			}
+			sets += len(rows)
+		}
+		at := 0
+		for _, am := range c.Measures {
+			attrs = addAttr(attrs, &at, am.Attr)
+		}
+		measures += len(c.Measures)
+		peers += len(c.Peers)
+	}
+	e.Uvarint(uint64(sets))
+	e.Uvarint(uint64(labels))
+	e.Uvarint(uint64(measures))
+	e.Uvarint(uint64(peers))
+	e.Strings(attrs)
+	for i := range a.Classes {
+		c := &a.Classes[i]
+		encodeLabelSets(e, attrs, c.Interpretation)
+		encodeLabelSets(e, attrs, c.Answers)
+		e.Float64Fixed(c.Weight)
 		e.Uvarint(uint64(len(c.Peers)))
 		for _, p := range c.Peers {
 			e.Varint(int64(p))
 		}
 		e.Uvarint(uint64(len(c.Measures)))
+		at := 0
 		for _, am := range c.Measures {
 			m := am.Measure
-			e.String(am.Attr)
-			e.Float64(m.Weight)
-			e.Float64(m.Min)
-			e.Float64(m.Max)
-			e.Float64(m.Sum)
-			e.Float64(m.SumSq)
+			i, _ := attrAt(attrs, &at, am.Attr)
+			e.Uvarint(uint64(i))
+			e.Float64Fixed(m.Weight)
+			e.Float64Fixed(m.Min)
+			e.Float64Fixed(m.Max)
+			e.Float64Fixed(m.Sum)
+			e.Float64Fixed(m.SumSq)
 		}
 	}
 }
 
-// errAttrOrder rejects a class row whose attributes are not strictly
-// ascending: encodeAnswer never writes one, so decoding stays canonical.
-var errAttrOrder = errors.New("routing: answer attributes not strictly ascending")
+// The refusals of the answer decoder beyond errTotals.
+var (
+	// errAttrOrder rejects a class row whose attribute indexes do not
+	// strictly ascend.
+	errAttrOrder = errors.New("routing: answer attributes not strictly ascending")
+	// errAttrTable rejects an attribute table that is not strictly
+	// ascending.
+	errAttrTable = errors.New("routing: answer attribute table not strictly ascending")
+	// errAttrIndex rejects a row that names an attribute beyond the table.
+	errAttrIndex = errors.New("routing: answer attribute index out of range")
+	// errAttrUnused rejects a table entry that no row names.
+	errAttrUnused = errors.New("routing: answer attribute table entry unused")
+)
+
+// Minimum encoded sizes: a class (two row counts, its weight, peer and
+// measure counts), a label set (index, label count) and a measure (index,
+// five floats). A label, a peer and a table entry take at least a byte.
+const minClassBytes, minSetBytes, minMeasureBytes = 12, 2, 41
 
 // answerSlabs are the backing arrays every class row of one decoded answer
-// is carved out of, each sized exactly by a dry run over the encoding.
+// is carved out of, each sized exactly by the totals the answer declares.
+// The attribute table and its used-marks ride at the heads of the labels
+// and peers slabs, so they cost no allocation of their own; no row window
+// reaches them.
 type answerSlabs struct {
+	attrs    []string           // the attribute table: the head of labels
+	used     []saintetiq.PeerID // entry i is non-zero once a row names attrs[i]: the head of peers
 	sets     []query.LabelSet
 	labels   []string
 	measures []query.AttrMeasure
 	peers    []saintetiq.PeerID
 }
 
-// size reads n encoded classes off d, counting what they hold, and
-// allocates the slabs. d is a copy: the dry run reads no string.
-func (s *answerSlabs) size(d wire.Dec, n int) error {
-	var sets, labels, measures, peers int
-	for ; n > 0 && d.Err() == nil; n-- {
-		for k := 0; k < 2; k++ { // interpretation, answers
-			for i := d.Count(); i > 0; i-- {
-				d.SkipString()
-				sets, labels = sets+1, labels+skipStrings(&d)
-			}
-		}
-		d.Float64()
-		m := d.Count()
-		peers += m
-		for ; m > 0; m-- {
-			d.Varint()
-		}
-		m = d.Count()
-		measures += m
-		for ; m > 0; m-- {
-			d.SkipString()
-			for f := 0; f < 5; f++ {
-				d.Float64()
-			}
-		}
-	}
+// init reads the totals and the attribute table that follow a class count
+// of n and allocates the slabs. Totals the rest of the body cannot hold
+// are refused before anything is sized by them.
+func (s *answerSlabs) init(d *wire.Dec, n int) error {
+	sets, labels, measures, peers := d.Count(), d.Count(), d.Count(), d.Count()
+	attrs := d.Count()
 	if err := d.Err(); err != nil {
 		return err
 	}
+	if minClassBytes*n+minSetBytes*sets+labels+minMeasureBytes*measures+peers+attrs > d.Remaining() {
+		return errTotals
+	}
+	s.labels = make([]string, attrs, attrs+labels)
+	s.attrs = s.labels[:attrs:attrs]
+	for i := range s.attrs {
+		s.attrs[i] = d.String()
+		if i > 0 && s.attrs[i] <= s.attrs[i-1] && d.Err() == nil {
+			return errAttrTable
+		}
+	}
 	s.sets = make([]query.LabelSet, 0, sets)
-	s.labels = make([]string, 0, labels)
 	s.measures = make([]query.AttrMeasure, 0, measures)
-	s.peers = make([]saintetiq.PeerID, 0, peers)
-	return nil
+	s.peers = make([]saintetiq.PeerID, attrs, attrs+peers)
+	s.used = s.peers[:attrs:attrs]
+	return d.Err()
+}
+
+// attr reads a row's next attribute index, which must name a table entry
+// after the row's previous one (*prev, -1 at the row's start), marks the
+// entry used and returns its name.
+func (s *answerSlabs) attr(d *wire.Dec, prev *int) (string, error) {
+	u := d.Uvarint()
+	switch {
+	case d.Err() != nil:
+		return "", d.Err()
+	case u >= uint64(len(s.attrs)):
+		return "", errAttrIndex
+	case int(u) <= *prev:
+		return "", errAttrOrder
+	}
+	*prev = int(u)
+	s.used[u] = 1
+	return s.attrs[u], nil
 }
 
 // labelSets carves one class's label sets out of the slabs; nil when the
@@ -221,11 +348,16 @@ func (s *answerSlabs) labelSets(d *wire.Dec) (query.LabelSets, error) {
 		return nil, nil
 	}
 	lo := len(s.sets)
+	if n > cap(s.sets)-lo {
+		return nil, errTotals
+	}
+	prev := -1
 	for i := 0; i < n; i++ {
-		ls := query.LabelSet{Attr: d.String()}
-		if i > 0 && ls.Attr <= s.sets[len(s.sets)-1].Attr {
-			return nil, errAttrOrder
+		attr, err := s.attr(d, &prev)
+		if err != nil {
+			return nil, err
 		}
+		ls := query.LabelSet{Attr: attr}
 		ls.Labels, s.labels = carveStrings(d, s.labels)
 		s.sets = append(s.sets, ls)
 	}
@@ -240,9 +372,12 @@ func (s *answerSlabs) class(d *wire.Dec, c *query.Class) (err error) {
 	if c.Answers, err = s.labelSets(d); err != nil {
 		return err
 	}
-	c.Weight = d.Float64()
+	c.Weight = d.Float64Fixed()
 	if n := d.Count(); n > 0 {
 		lo := len(s.peers)
+		if n > cap(s.peers)-lo {
+			return errTotals
+		}
 		for ; n > 0; n-- {
 			s.peers = append(s.peers, saintetiq.PeerID(d.Varint()))
 		}
@@ -253,25 +388,45 @@ func (s *answerSlabs) class(d *wire.Dec, c *query.Class) (err error) {
 		return nil
 	}
 	lo := len(s.measures)
+	if n > cap(s.measures)-lo {
+		return errTotals
+	}
+	prev := -1
 	for i := 0; i < n; i++ {
-		attr := d.String()
-		if i > 0 && attr <= s.measures[len(s.measures)-1].Attr {
-			return errAttrOrder
+		attr, err := s.attr(d, &prev)
+		if err != nil {
+			return err
 		}
 		s.measures = append(s.measures, query.AttrMeasure{Attr: attr, Measure: cells.Measure{
-			Weight: d.Float64(),
-			Min:    d.Float64(),
-			Max:    d.Float64(),
-			Sum:    d.Float64(),
-			SumSq:  d.Float64(),
+			Weight: d.Float64Fixed(),
+			Min:    d.Float64Fixed(),
+			Max:    d.Float64Fixed(),
+			Sum:    d.Float64Fixed(),
+			SumSq:  d.Float64Fixed(),
 		}})
 	}
 	c.Measures = s.measures[lo:len(s.measures):len(s.measures)]
 	return nil
 }
 
+// done checks, once every class is read, that the rows filled each slab
+// to the declared total and named every table entry.
+func (s *answerSlabs) done() error {
+	if len(s.sets) != cap(s.sets) || len(s.labels) != cap(s.labels) ||
+		len(s.measures) != cap(s.measures) || len(s.peers) != cap(s.peers) {
+		return errTotals
+	}
+	for _, u := range s.used {
+		if u == 0 {
+			return errAttrUnused
+		}
+	}
+	return nil
+}
+
 // decodeAnswer reads the form encodeAnswer writes. Its strings are views
-// into the buffer when d is shared.
+// into the buffer when d is shared; every row's attribute is a view of
+// the one table entry it names.
 func decodeAnswer(d *wire.Dec) (*query.Answer, error) {
 	if !d.Bool() {
 		return nil, d.Err()
@@ -282,7 +437,7 @@ func decodeAnswer(d *wire.Dec) (*query.Answer, error) {
 		return a, d.Err()
 	}
 	var s answerSlabs
-	if err := s.size(*d, n); err != nil {
+	if err := s.init(d, n); err != nil {
 		return nil, err
 	}
 	a.Classes = make([]query.Class, n)
@@ -291,7 +446,13 @@ func decodeAnswer(d *wire.Dec) (*query.Answer, error) {
 			return nil, err
 		}
 	}
-	return a, d.Err()
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if err := s.done(); err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // EncodeDataAnswer appends a DataAnswer's wire form — peers, visited

@@ -3,6 +3,7 @@ package saintetiq
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -275,7 +276,8 @@ func DecodeWire(d *wire.Dec) (*Tree, error) {
 	// reserve.
 	slots := int(min(nodeCount, uint64(d.Remaining()/(3+len(attrs)))))
 	t.reserveSlots(slots)
-	leaves := make([]int32, 0, slots)
+	leaves := make([]decodedLeaf, 0, slots)
+	lo, hi := PeerID(math.MaxInt), PeerID(math.MinInt) // the leaves' peer ids lie in [lo, hi]
 	for i := uint64(0); i < nodeCount; i++ {
 		parent := int(d.Varint())
 		leaf := d.Bool()
@@ -319,14 +321,14 @@ func DecodeWire(d *wire.Dec) (*Tree, error) {
 				return nil, fmt.Errorf("saintetiq: decode: leaf %d has count %v", i, count)
 			}
 			peerCount := d.Uvarint()
-			t.reserve(n, int(min(peerCount, uint64(d.Remaining()))))
+			leaves = append(leaves, decodedLeaf{n: n, peers: int(min(peerCount, uint64(d.Remaining()))), at: *d})
 			for k := uint64(0); k < peerCount; k++ {
-				t.addPeer(n, PeerID(d.Varint()))
+				p := PeerID(d.Varint())
 				if d.Err() != nil {
 					return nil, d.Err()
 				}
+				lo, hi = min(lo, p), max(hi, p)
 			}
-			leaves = append(leaves, n)
 		}
 		if d.Err() != nil {
 			return nil, d.Err()
@@ -345,6 +347,7 @@ func DecodeWire(d *wire.Dec) (*Tree, error) {
 	if err := t.deriveKeys(leaves); err != nil {
 		return nil, err
 	}
+	t.decodePeers(leaves, uint64(hi)-uint64(lo)+1)
 	t.deriveInternal()
 	t.nextID = len(t.nodes)
 	if err := t.Validate(); err != nil {
@@ -353,11 +356,54 @@ func DecodeWire(d *wire.Dec) (*Tree, error) {
 	return t, nil
 }
 
+// decodedLeaf is a leaf of a tree being decoded whose peer extent is not
+// stored yet: DecodeWire reads past its ids and decodePeers reads them
+// again from at, once the peers array is sized.
+type decodedLeaf struct {
+	n     int32
+	peers int      // the ids the leaf lists
+	at    wire.Dec // positioned at the leaf's first id
+}
+
+// decodePeers allocates the peers array of a decoded tree once, with room
+// for every extent it will hold, and reads each leaf's extent into it.
+// A leaf holds at most the ids it lists, and an internal node at most the
+// sum of its children's and at most span, the number of ids in the range
+// the leaves' ids lie in (0 standing for 2^64): deriveInternal writes the
+// internal unions into the room left, so the array never regrows on the
+// way.
+func (t *Tree) decodePeers(leaves []decodedLeaf, span uint64) {
+	bound := make([]int, len(t.nodes))
+	for _, l := range leaves {
+		bound[l.n] = l.peers
+	}
+	total := 0
+	for n := int32(len(t.nodes)) - 1; n >= 0; n-- {
+		if nd := &t.nodes[n]; nd.key == "" {
+			for c := nd.first; c != none; c = t.nodes[c].next {
+				bound[n] += bound[c]
+			}
+			if span != 0 && uint64(bound[n]) > span {
+				bound[n] = int(span)
+			}
+		}
+		total += bound[n]
+	}
+	t.peers = make([]PeerID, 0, total)
+	for _, l := range leaves {
+		t.reserve(l.n, l.peers)
+		for k := 0; k < l.peers; k++ {
+			t.addPeer(l.n, PeerID(l.at.Varint()))
+		}
+	}
+}
+
 // deriveKeys names every leaf of a decoded tree by its labels joined with
 // cells.KeySep and registers it. The keys share one string.
-func (t *Tree) deriveKeys(leaves []int32) error {
+func (t *Tree) deriveKeys(leaves []decodedLeaf) error {
 	size := 0
-	for _, n := range leaves {
+	for _, l := range leaves {
+		n := l.n
 		for a := range t.attrs {
 			size += len(cells.KeySep) + len(t.leafLabel(n, a))
 		}
@@ -365,8 +411,8 @@ func (t *Tree) deriveKeys(leaves []int32) error {
 	var sb strings.Builder
 	sb.Grow(size)
 	t.byKey = make(map[string]int32, len(leaves))
-	for _, n := range leaves {
-		at := sb.Len()
+	for _, l := range leaves {
+		n, at := l.n, sb.Len()
 		for a := range t.attrs {
 			if a > 0 {
 				sb.WriteString(cells.KeySep)

@@ -22,10 +22,12 @@
 //	payload  bool + blob (present only when the message carried a payload)
 //
 // Integers use the standard varint encodings in minimal form (Dec rejects
-// any other, so decoding is canonical), floats are byte-reversed
-// IEEE bits varint-encoded (low-precision values cost a few bytes),
-// strings and blobs are uvarint-length-prefixed. A frame is fully
-// self-delimiting, so truncation is always detected by Dec's error state.
+// any other, so decoding is canonical), floats are byte-reversed IEEE bits
+// varint-encoded (low-precision values cost a few bytes) or, where a
+// payload wants decode speed over size, 8 little-endian bytes
+// (Float64Fixed), strings and blobs are uvarint-length-prefixed. A frame
+// is fully self-delimiting, so truncation is always detected by Dec's
+// error state.
 package wire
 
 import (
@@ -44,7 +46,10 @@ import (
 // reject frames from a different version instead of misparsing them.
 // Version 2 changed the summary layout inside payloads (saintetiq's
 // encode.go): a summary no longer carries the fields its receiver derives.
-const FrameVersion = 2
+// Version 3 changed the query and answer layouts (internal/routing's
+// remote.go): string and row totals up front, fixed-width answer floats
+// and a per-answer attribute table.
+const FrameVersion = 3
 
 // Enc appends primitive values to a growing buffer. The zero value is
 // ready to use. A counting Enc (NewCountEnc) runs the identical encoding
@@ -245,6 +250,18 @@ func (e *Enc) Float64(f float64) {
 	e.Uvarint(bits.ReverseBytes64(math.Float64bits(f)))
 }
 
+// Float64Fixed appends the IEEE bits as 8 little-endian bytes: larger
+// than Float64 for low-precision values, but read with one bounds check
+// and no loop. Every bit pattern round-trips, NaN payloads included.
+func (e *Enc) Float64Fixed(f float64) {
+	e.check()
+	if e.count {
+		e.n += 8
+		return
+	}
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
+}
+
 // String appends a length-prefixed string.
 func (e *Enc) String(s string) {
 	e.Uvarint(uint64(len(s)))
@@ -378,9 +395,14 @@ func (d *Dec) Done() error {
 }
 
 // fail latches ErrTruncated unless an earlier error is latched already.
-func (d *Dec) fail() {
+func (d *Dec) fail() { d.Fail(ErrTruncated) }
+
+// Fail latches err unless an earlier error is latched already: the way
+// for a payload decoder to refuse a body whose primitives all read well
+// but whose structure is wrong. Every later read returns the zero value.
+func (d *Dec) Fail(err error) {
 	if d.err == nil {
-		d.err = ErrTruncated
+		d.err = err
 	}
 }
 
@@ -395,8 +417,21 @@ func (d *Dec) Uint8() uint8 {
 	return b
 }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. A value below 0x80 is one byte, read
+// without binary.Uvarint's loop; any other goes through uvarintSlow.
 func (d *Dec) Uvarint() uint64 {
+	if d.err == nil && d.off < len(d.buf) && d.buf[d.off] < 0x80 {
+		b := d.buf[d.off]
+		d.off++
+		return uint64(b)
+	}
+	return d.uvarintSlow()
+}
+
+// uvarintSlow reads a varint of two or more bytes, or fails: a latched
+// error, an empty remainder, a truncated, overflowing or non-minimal
+// encoding.
+func (d *Dec) uvarintSlow() uint64 {
 	if d.err != nil {
 		return 0
 	}
@@ -450,6 +485,17 @@ func (d *Dec) Float64() float64 {
 	return math.Float64frombits(bits.ReverseBytes64(d.Uvarint()))
 }
 
+// Float64Fixed reads a float written by Enc.Float64Fixed.
+func (d *Dec) Float64Fixed() float64 {
+	if d.err != nil || d.Remaining() < 8 {
+		d.fail()
+		return 0
+	}
+	u := binary.LittleEndian.Uint64(d.buf[d.off:])
+	d.off += 8
+	return math.Float64frombits(u)
+}
+
 // String reads a length-prefixed string. On a shared Dec the result is a
 // view over the input buffer (no copy, no allocation).
 func (d *Dec) String() string {
@@ -488,17 +534,6 @@ func (d *Dec) Blob() []byte {
 	}
 	d.off = end
 	return b
-}
-
-// SkipString reads past a length-prefixed string (or blob) without
-// copying it.
-func (d *Dec) SkipString() {
-	n := d.Uvarint()
-	if d.err != nil || uint64(d.Remaining()) < n {
-		d.fail()
-		return
-	}
-	d.off += int(n)
 }
 
 // Count reads the length prefix of a list whose every element takes at

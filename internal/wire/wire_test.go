@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -62,8 +63,8 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 }
 
 // TestDecCanonical: each value has one accepted encoding — an overlong
-// varint or a bool byte other than 0/1 fails the decode — and Count and
-// SkipString refuse lengths beyond the buffer.
+// varint or a bool byte other than 0/1 fails the decode — and Count
+// refuses a length beyond the buffer.
 func TestDecCanonical(t *testing.T) {
 	for name, read := range map[string]func(d *Dec){
 		"uvarint": func(d *Dec) { d.Uvarint() },
@@ -93,13 +94,9 @@ func TestDecCanonical(t *testing.T) {
 		t.Errorf("count 3 over 2 bytes: err %v, want ErrTruncated", d.Err())
 	}
 	d := NewDec([]byte{2, 'a', 'b', 0})
-	d.SkipString()
+	d.Blob()
 	if d.Count() != 0 || d.Done() != nil {
-		t.Errorf("skip then count 0: %v", d.Err())
-	}
-	d = NewDec([]byte{3, 'a', 'b'})
-	if d.SkipString(); d.Err() != ErrTruncated {
-		t.Errorf("skip 3 over 2 bytes: err %v, want ErrTruncated", d.Err())
+		t.Errorf("blob then count 0: %v", d.Err())
 	}
 }
 
@@ -167,6 +164,72 @@ func TestVarintsCountMatchesWrite(t *testing.T) {
 	}
 }
 
+// TestUvarintFastPath: Uvarint, whose one-byte values skip
+// binary.Uvarint, agrees with it on every 1- and 2-byte input — value,
+// bytes consumed, a truncated varint failing with ErrTruncated — and still
+// refuses a non-minimal one.
+func TestUvarintFastPath(t *testing.T) {
+	check := func(b []byte) {
+		d := NewDec(b)
+		got := d.Uvarint()
+		want, n := binary.Uvarint(b)
+		switch {
+		case n <= 0:
+			if d.Err() != ErrTruncated {
+				t.Fatalf("% x: err %v, want ErrTruncated", b, d.Err())
+			}
+		case n > 1 && b[n-1] == 0:
+			if d.Err() != ErrNonCanonical {
+				t.Fatalf("% x: err %v, want ErrNonCanonical", b, d.Err())
+			}
+		case d.Err() != nil || got != want || d.Remaining() != len(b)-n:
+			t.Fatalf("% x: read %d (err %v, %d left), binary.Uvarint read %d in %d bytes",
+				b, got, d.Err(), d.Remaining(), want, n)
+		}
+	}
+	for b0 := 0; b0 < 256; b0++ {
+		check([]byte{byte(b0)})
+		for b1 := 0; b1 < 256; b1++ {
+			check([]byte{byte(b0), byte(b1)})
+		}
+	}
+	if d := NewDec([]byte{0x80, 0x00}); d.Uvarint() != 0 || d.Err() != ErrNonCanonical {
+		t.Fatalf("80 00: err %v, want ErrNonCanonical", d.Err())
+	}
+	// A latched error stops the fast path too.
+	d := NewDec([]byte{0x80, 0x00, 0x05})
+	d.Uvarint()
+	if d.Uvarint() != 0 || d.Err() != ErrNonCanonical {
+		t.Fatalf("read after a failure: err %v", d.Err())
+	}
+}
+
+// TestFloat64Fixed: the fixed-width float is 8 bytes written and
+// counted, round-trips -0, the infinities and NaN payloads bit for bit,
+// and a cut one fails with ErrTruncated.
+func TestFloat64Fixed(t *testing.T) {
+	for _, u := range []uint64{
+		math.Float64bits(math.Copysign(0, -1)), math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)),
+		0x7ff8000000000001, 0xfff0000000000001, 0x7fffffffffffffff, math.Float64bits(1.5), 0,
+	} {
+		var e Enc
+		c := NewCountEnc()
+		e.Float64Fixed(math.Float64frombits(u))
+		c.Float64Fixed(math.Float64frombits(u))
+		if e.Len() != 8 || c.Len() != 8 {
+			t.Fatalf("%#x: wrote %d bytes, counted %d", u, e.Len(), c.Len())
+		}
+		d := NewDec(e.Bytes())
+		if got := math.Float64bits(d.Float64Fixed()); got != u || d.Done() != nil {
+			t.Fatalf("%#x round-tripped to %#x (err %v)", u, got, d.Done())
+		}
+		d = NewDec(e.Bytes()[:7])
+		if d.Float64Fixed() != 0 || d.Err() != ErrTruncated {
+			t.Fatalf("%#x cut to 7 bytes: err %v, want ErrTruncated", u, d.Err())
+		}
+	}
+}
+
 // TestFloatSpecials pins the IEEE specials the measures layer produces
 // (empty measures carry ±Inf bounds).
 func TestFloatSpecials(t *testing.T) {
@@ -227,10 +290,12 @@ func TestFrameTruncation(t *testing.T) {
 
 // TestFrameVersionMismatch: a frame stamped with a past or a future version
 // must be rejected, not misparsed. Version 1 frames carried summaries with
-// every derivable field; their layout is not this one.
+// every derivable field, and version 2 frames queries and answers without
+// their totals, attribute table and fixed-width floats; neither layout is
+// this one.
 func TestFrameVersionMismatch(t *testing.T) {
 	f := &Frame{Type: "push"}
-	for _, v := range []uint8{1, FrameVersion + 1} {
+	for _, v := range []uint8{1, 2, FrameVersion + 1} {
 		b := f.Encode()
 		b[0] = v
 		if _, err := DecodeFrame(b); err == nil {
