@@ -485,6 +485,10 @@
 //	                           under the lock, the handoff itself happens
 //	                           outside.
 //	gateway.Client.mu          one session's token bucket (refill + take).
+//	query.accPool              sync.Pool of §5.2 class accumulators: a
+//	                           store query takes one, owns it alone for
+//	                           the query and returns it cleared; nothing
+//	                           the answer holds points into it.
 //	summarystore.shard.mu      one RWMutex PER SHARD: merges lock only the
 //	                           shards owning the delta's leaves, queries
 //	                           fan out under read locks — cross-domain and
@@ -545,7 +549,11 @@
 // touch only the shards owning the delta's leaves, reconciliation installs
 // per-shard deltas (unchanged shards keep their tree), and queries compile
 // once, prune to the candidate shards named by their clauses, walk those
-// in shard order on the caller's goroutine, and merge graded results.
+// in shard order on the caller's goroutine, and merge graded results. An
+// approximate answer folds every shard into one pooled class accumulator:
+// a class met in an earlier shard adds a per-shard partial that is folded
+// into its totals in shard order, so the floats sum as a shard-by-shard
+// merge would, and only the returned answer is fresh memory.
 // SimOptions.Shards (and -shards on p2psim) selects the shard count; every
 // count answers structure-invariant queries identically.
 //

@@ -131,18 +131,29 @@ func (c *cache) get(h uint64, domain p2p.NodeID, q query.Query, now time.Time, c
 		return e, true
 	}
 	cs.mu.RUnlock()
-	// Stale: drop it (if still the resident entry) and report a miss.
-	if e.st != nil {
-		ctr.invalidated.Add(1)
-	} else {
-		ctr.expired.Add(1)
-	}
+	c.drop(h, e, ctr) // stale: drop it and report a miss
+	return nil, false
+}
+
+// drop removes the stale e from h's slot if it is still the resident
+// entry, counting the removal as invalidated (a generation-validated
+// entry) or expired. Only the call that removes e counts it: two readers
+// of one stale entry, or a reader racing scrub, report one removal once.
+func (c *cache) drop(h uint64, e *entry, ctr *counters) {
+	cs := &c.shards[h%cacheShards]
 	cs.mu.Lock()
-	if cs.m[h] == e {
+	resident := cs.m[h] == e
+	if resident {
 		delete(cs.m, h)
 	}
 	cs.mu.Unlock()
-	return nil, false
+	switch {
+	case !resident:
+	case e.st != nil:
+		ctr.invalidated.Add(1)
+	default:
+		ctr.expired.Add(1)
+	}
 }
 
 // put publishes e under h, evicting an arbitrary entry of the stripe when

@@ -292,6 +292,33 @@ func TestOnInstallScrub(t *testing.T) {
 	}
 }
 
+// TestStaleDropCountsOnce: the drop step of a stale lookup counts a
+// removal only when it made it. Of two readers that found one stale
+// entry, the second counts nothing, and so does a reader whose entry
+// scrub removed first.
+func TestStaleDropCountsOnce(t *testing.T) {
+	st := newShardedStore(t)
+	var c cache
+	c.init(cacheCapacity)
+	var ctr counters
+	stale := &entry{domain: fakeDomain, st: st, shards: []int{0}, gens: []uint64{st.Generation(0) + 1}}
+	expired := &entry{domain: fakeDomain}
+	for h, e := range []*entry{stale, expired} {
+		c.put(uint64(h), e, &ctr)
+		c.drop(uint64(h), e, &ctr)
+		c.drop(uint64(h), e, &ctr)
+	}
+	if inv, exp := ctr.invalidated.Load(), ctr.expired.Load(); inv != 1 || exp != 1 {
+		t.Fatalf("two drops of one entry: invalidated=%d expired=%d, want 1 and 1", inv, exp)
+	}
+	c.put(2, stale, &ctr)
+	ctr.invalidated.Add(uint64(c.scrub(fakeDomain, st)))
+	c.drop(2, stale, &ctr)
+	if inv := ctr.invalidated.Load(); inv != 2 {
+		t.Errorf("scrub then drop of one entry: invalidated=%d, want 2", inv)
+	}
+}
+
 // TestAdmissionThrottle: a client over its token bucket is shed with
 // ErrThrottled; a second client is unaffected (per-client buckets).
 func TestAdmissionThrottle(t *testing.T) {

@@ -106,7 +106,11 @@ func encodeGwQuery(e *wire.Enc, payload any) error {
 	return nil
 }
 
-func decodeGwQuery(data []byte) (any, error) {
+func decodeGwQuery(data []byte) (any, error) { return readGwQuery(data) }
+
+// readGwQuery decodes a gw-query body into its payload unboxed: serveConn
+// reads every query frame through it.
+func readGwQuery(data []byte) (ClientQueryPayload, error) {
 	d := wire.NewDec(data)
 	p := ClientQueryPayload{QID: d.Uvarint(), Origin: p2p.NodeID(d.Varint()), Query: routing.DecodeFlexQuery(d)}
 	return p, d.Done()
@@ -241,15 +245,10 @@ func (g *Gateway) serveConn(conn net.Conn) {
 		if f.Type != MsgGwQuery || !f.HasPayload {
 			continue
 		}
-		codec, ok := wire.Lookup(MsgGwQuery)
-		if !ok {
-			return
-		}
-		payload, err := codec.Decode(f.Payload)
+		pl, err := readGwQuery(f.Payload)
 		if err != nil {
 			return // malformed query frame: drop the session
 		}
-		pl := payload.(ClientQueryPayload)
 		select {
 		case queries <- pl:
 		default:

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"p2psum/internal/bk"
@@ -672,6 +673,87 @@ func TestAnswersMatchReference(t *testing.T) {
 	}
 	if 2*nonEmpty < answers {
 		t.Fatalf("only %d of %d answers have a class: the battery checks too little", nonEmpty, answers)
+	}
+}
+
+// TestAnswerStorePoolConcurrent: the pooled accumulators behind
+// AnswerStore are safe to share. On 1 and 4 shards a sequential pass over
+// the oracle battery must match the reference; then four goroutines run
+// the battery, each from its own rotation of an order that alternates the
+// widest answers with empty ones, so the accumulator a query takes from
+// the pool last served a query of another shape, and every answer must
+// encode like the sequential one. Re-encoding the sequential answers at
+// the end shows that no later query wrote into memory they hold.
+func TestAnswerStorePoolConcurrent(t *testing.T) {
+	b := bk.Medical()
+	stores := oracleStores(t, b)
+	qs := oracleQueries(b, 300)
+	for _, st := range []*summarystore.Store{stores[0], stores[2]} {
+		seq := make([]*query.StoreAnswer, len(qs))
+		encs := make([][]byte, len(qs))
+		var wide, empty []int
+		for i, q := range qs {
+			sa, err := query.AnswerStore(st, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ra, rp, _, _ := refStore(st, q)
+			seq[i], encs[i] = sa, encodeAnswer(sa.Answer, sa.Peers, sa.Visited)
+			if !bytes.Equal(encs[i], refEncode(ra, rp, sa.Visited)) {
+				t.Fatalf("shards=%d query %d (%s): sequential answer differs from the reference", st.NumShards(), i, q)
+			}
+			if len(sa.Answer.Classes) == 0 {
+				empty = append(empty, i)
+			} else {
+				wide = append(wide, i)
+			}
+		}
+		if len(wide) == 0 || len(empty) == 0 {
+			t.Fatalf("shards=%d: %d non-empty and %d empty answers, want both", st.NumShards(), len(wide), len(empty))
+		}
+		sort.SliceStable(wide, func(i, j int) bool {
+			return len(seq[wide[i]].Answer.Classes) > len(seq[wide[j]].Answer.Classes)
+		})
+		var order []int
+		for i := 0; i < len(wide) || i < len(empty); i++ {
+			if i < len(wide) {
+				order = append(order, wide[i])
+			}
+			if i < len(empty) {
+				order = append(order, empty[i])
+			}
+		}
+		const workers = 4
+		errs := make(chan error, workers)
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range order {
+					i := order[(k+g*len(order)/workers)%len(order)]
+					sa, err := query.AnswerStore(st, qs[i])
+					if err != nil {
+						errs <- err
+						return
+					}
+					if !bytes.Equal(encodeAnswer(sa.Answer, sa.Peers, sa.Visited), encs[i]) || sa.Weight != seq[i].Weight {
+						errs <- fmt.Errorf("shards=%d worker %d query %d (%s): answer differs from the sequential pass", st.NumShards(), g, i, qs[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		for i, sa := range seq {
+			if !bytes.Equal(encodeAnswer(sa.Answer, sa.Peers, sa.Visited), encs[i]) {
+				t.Fatalf("shards=%d query %d (%s): the answer changed after later queries ran", st.NumShards(), i, qs[i])
+			}
+		}
 	}
 }
 

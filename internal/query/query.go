@@ -494,6 +494,7 @@ func Approximate(t *saintetiq.Tree, q Query, sel *Selection) (*Answer, error) {
 		acc.add(z)
 	}
 	ans, _ := acc.answer()
+	acc.release()
 	return ans, nil
 }
 

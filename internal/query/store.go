@@ -1,6 +1,8 @@
 package query
 
 import (
+	"slices"
+
 	"p2psum/internal/saintetiq"
 	"p2psum/internal/summarystore"
 )
@@ -11,18 +13,20 @@ import (
 // candidate shards (clauses on a descriptor-range partition attribute name
 // their owning shards directly), each candidate is explored in shard order
 // under its own read lock on the caller's goroutine, and the per-shard
-// outcomes are merged: selections concatenate, graded results re-rank,
-// approximate-answer classes with the same interpretation coalesce. A
-// shard's answer stays in label-index space (classes.go): the shard folds
-// its selection into a class accumulator under its lock, the accumulators
-// merge in shard order, and strings — label names, the attribute-ordered
-// label sets, the class keys that order the classes — are built once per
-// merged class, after every lock is released. Because every leaf cell
-// lives in exactly one shard and pruned shards cannot own matching leaves,
-// the structure-invariant outputs (peer localization, selection weight,
-// the union of answered descriptors) are identical to evaluating the same
-// data in a single tree; only the intermediate abstraction levels (which
-// summaries represent the matching cells) depend on the layout.
+// outcomes combine: selections concatenate, graded results re-rank,
+// approximate-answer classes with the same interpretation coalesce. The
+// approximate answer stays in label-index space (classes.go): every shard
+// folds its selection into the query's one class accumulator under its
+// lock, a class first met in an earlier shard through a per-shard partial
+// that endShard adds to the class totals when the shard is done. Strings
+// — label names, the attribute-ordered label sets, the class keys that
+// order the classes — are built once per class, after every lock is
+// released. Because every leaf cell lives in exactly one shard and pruned
+// shards cannot own matching leaves, the structure-invariant outputs (peer
+// localization, selection weight, the union of answered descriptors) are
+// identical to evaluating the same data in a single tree; only the
+// intermediate abstraction levels (which summaries represent the matching
+// cells) depend on the layout.
 
 // candidateShards intersects the store's per-clause pruning hints: a
 // conjunctive query only needs the shards every clause admits. With a
@@ -30,29 +34,22 @@ import (
 // the walk to the clause labels' shards; anything else keeps all
 // shards.
 func candidateShards(st *summarystore.Store, c *compiled) []int {
-	n := st.NumShards()
-	keep := make([]bool, n)
-	for i := range keep {
-		keep[i] = true
+	out := make([]int, st.NumShards())
+	for i := range out {
+		out[i] = i
 	}
 	for i, a := range c.attrs {
 		shards := st.CandidateShards(a, c.labels[i])
 		if shards == nil {
 			continue // no pruning on this attribute
 		}
-		mask := make([]bool, n)
-		for _, s := range shards {
-			mask[s] = true
+		kept := out[:0]
+		for _, s := range out {
+			if _, ok := slices.BinarySearch(shards, s); ok {
+				kept = append(kept, s)
+			}
 		}
-		for j := range keep {
-			keep[j] = keep[j] && mask[j]
-		}
-	}
-	out := make([]int, 0, n)
-	for i, k := range keep {
-		if k {
-			out = append(out, i)
-		}
+		out = kept
 	}
 	return out
 }
@@ -89,11 +86,11 @@ type StoreAnswer struct {
 }
 
 // AnswerStore evaluates the query against the candidate shards one after
-// another on the calling goroutine — each shard's selection folds into its
-// own class accumulator under that shard's read lock — and merges the
-// accumulators in shard order. Classes sharing an interpretation are
-// coalesced: weights add, answered descriptors and peer extents union,
-// measures merge.
+// another on the calling goroutine, folding each shard's selection into
+// one class accumulator under that shard's read lock. Classes sharing an
+// interpretation are coalesced: weights add, answered descriptors and peer
+// extents union, measures merge — per-shard partials folded in shard
+// order.
 func AnswerStore(st *summarystore.Store, q Query) (*StoreAnswer, error) {
 	vocab := st.Vocab()
 	// Compile the proposition and resolve the select attributes once; both
@@ -106,21 +103,14 @@ func AnswerStore(st *summarystore.Store, q Query) (*StoreAnswer, error) {
 	if err != nil {
 		return nil, err
 	}
-	var merged *accumulator
+	acc := p.accumulator()
+	view := func(t *saintetiq.Tree) { acc.visited += c.walk(t, acc.add) }
 	for _, s := range candidateShards(st, c) {
-		acc := p.accumulator()
-		st.View(s, func(t *saintetiq.Tree) {
-			acc.visited = c.walk(t, acc.add)
-		})
-		if merged == nil {
-			merged = acc // merging into an empty accumulator would copy it
-			continue
-		}
-		merged.merge(acc)
+		st.View(s, view)
+		acc.endShard()
 	}
-	if merged == nil {
-		merged = p.accumulator()
-	}
-	ans, peers := merged.answer()
-	return &StoreAnswer{Answer: ans, Peers: peers, Weight: merged.weight, Visited: merged.visited}, nil
+	ans, peers := acc.answer()
+	sa := &StoreAnswer{Answer: ans, Peers: peers, Weight: acc.weight, Visited: acc.visited}
+	acc.release()
+	return sa, nil
 }

@@ -24,6 +24,7 @@ package summarystore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -254,20 +255,15 @@ func (s *Store) Vocab() *saintetiq.Tree {
 // means "cannot prune on this attribute" (every shard is a candidate), as
 // for opaque partitions and other attributes.
 func (s *Store) CandidateShards(attr int, labels []int) []int {
-	if attr != s.partitionAttr || s.partitionAttr < 0 || labels == nil {
+	if attr != s.partitionAttr || s.partitionAttr < 0 || len(labels) == 0 {
 		return nil
 	}
-	n := len(s.shards)
-	seen := make([]bool, n)
-	var out []int
-	for _, j := range labels {
-		if i := j % n; !seen[i] {
-			seen[i] = true
-			out = append(out, i)
-		}
+	out := make([]int, len(labels))
+	for k, j := range labels {
+		out[k] = j % len(s.shards)
 	}
 	sort.Ints(out)
-	return out
+	return slices.Compact(out)
 }
 
 // Generation returns shard i's install generation: a counter that
