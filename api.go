@@ -238,7 +238,9 @@ func NewSummarizer(b *BK, schema *Schema, peer PeerID) (*Summarizer, error) {
 // O(cells) amortized).
 func (s *Summarizer) AddRecord(rec Record) error {
 	for _, c := range s.store.Mapper().Map(rec) {
-		s.store.AddCell(c)
+		if err := s.store.AddCell(c); err != nil {
+			return err
+		}
 		if err := s.tree.Incorporate(c, s.peer); err != nil {
 			return err
 		}

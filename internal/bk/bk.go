@@ -80,16 +80,34 @@ func (a *AttrBK) MapNumeric(x float64) []fuzzy.Membership {
 // label (grade 1). Unknown values map to nothing, mirroring how the mapping
 // service drops values outside the BK grid.
 func (a *AttrBK) MapCategorical(raw string) []fuzzy.Membership {
-	norm := raw
-	if a.Synonyms != nil {
-		if s, ok := a.Synonyms[raw]; ok {
-			norm = s
-		}
-	}
+	norm := a.normalize(raw)
 	if !a.HasLabel(norm) {
 		return nil
 	}
 	return []fuzzy.Membership{{Label: norm, Grade: 1}}
+}
+
+// normalize folds a raw categorical value through the synonyms.
+func (a *AttrBK) normalize(raw string) string {
+	if s, ok := a.Synonyms[raw]; ok {
+		return s
+	}
+	return raw
+}
+
+// AppendGraded maps one raw value of the attribute by label position: it
+// appends the value's positively graded descriptors to dst, in label order
+// (Fuzzify for a numeric attribute, the normalized label at grade 1 for a
+// categorical one, nothing for a value outside the BK). It allocates
+// nothing once dst has room for them.
+func (a *AttrBK) AppendGraded(dst []fuzzy.Graded, v data.Value) []fuzzy.Graded {
+	if a.Kind == data.Numeric {
+		return a.Variable.AppendFuzzify(dst, v.Num)
+	}
+	if j := a.LabelIndex(a.normalize(v.Str)); j >= 0 {
+		dst = append(dst, fuzzy.Graded{Index: j, Grade: 1})
+	}
+	return dst
 }
 
 // BK is a Background Knowledge over a relational schema: the ordered set of

@@ -12,6 +12,18 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// cellOf returns the store's cell of the given labels, one per attribute,
+// read off Cells(), or nil.
+func cellOf(s *Store, labels ...string) *Cell {
+	key := strings.Join(labels, KeySep)
+	for _, c := range s.Cells() {
+		if c.Key() == key {
+			return c
+		}
+	}
+	return nil
+}
+
 func paperMapper(t *testing.T) *Mapper {
 	t.Helper()
 	m, err := NewMapper(bk.PaperExample(), data.PatientSchema())
@@ -32,21 +44,21 @@ func TestTable2Mapping(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("got %d cells, want 3:\n%s", s.Len(), s)
 	}
-	c1 := s.cells["young"+KeySep+"underweight"]
+	c1 := cellOf(s, "young", "underweight")
 	if c1 == nil || !almost(c1.Count, 2) {
 		t.Errorf("c1 = %v, want count 2", c1)
 	}
 	if c1 != nil && (!almost(c1.Grades[0], 1) || !almost(c1.Grades[1], 1)) {
 		t.Errorf("c1 grades = %v, want [1 1]", c1.Grades)
 	}
-	c2 := s.cells["young"+KeySep+"normal"]
+	c2 := cellOf(s, "young", "normal")
 	if c2 == nil || !almost(c2.Count, 0.7) {
 		t.Errorf("c2 = %v, want count 0.7", c2)
 	}
 	if c2 != nil && !almost(c2.Grades[0], 0.7) {
 		t.Errorf("c2 young grade = %g, want 0.7", c2.Grades[0])
 	}
-	c3 := s.cells["adult"+KeySep+"normal"]
+	c3 := cellOf(s, "adult", "normal")
 	if c3 == nil || !almost(c3.Count, 0.3) {
 		t.Errorf("c3 = %v, want count 0.3", c3)
 	}
@@ -61,7 +73,7 @@ func TestTable2Mapping(t *testing.T) {
 func TestCellMeasures(t *testing.T) {
 	s := NewStore(paperMapper(t))
 	s.AddRelation(data.PaperPatients())
-	c1 := s.cells["young"+KeySep+"underweight"]
+	c1 := cellOf(s, "young", "underweight")
 	if c1 == nil {
 		t.Fatal("c1 missing")
 	}
@@ -158,7 +170,9 @@ func TestStoreAddCellAndSnapshot(t *testing.T) {
 	// store holds copies.
 	s2 := NewStore(paperMapper(t))
 	for _, c := range s.Cells() {
-		s2.AddCell(c)
+		if err := s2.AddCell(c); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s2.Cells()[0].Count = 999
 	if s.Cells()[0].Count == 999 {

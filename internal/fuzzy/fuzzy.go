@@ -219,6 +219,25 @@ func (v *Variable) Fuzzify(x float64) []Membership {
 	return out
 }
 
+// Graded is one label of a variable by its position in the vocabulary,
+// with the grade a value takes in it.
+type Graded struct {
+	Index int
+	Grade Grade
+}
+
+// AppendFuzzify is Fuzzify by label position: it appends the value's
+// graded labels to dst, in declaration order, discarding grades below
+// Epsilon. It allocates nothing once dst has room for them.
+func (v *Variable) AppendFuzzify(dst []Graded, x float64) []Graded {
+	for i, t := range v.terms {
+		if g := t.MF.Grade(x); g > Epsilon {
+			dst = append(dst, Graded{Index: i, Grade: g})
+		}
+	}
+	return dst
+}
+
 // LabelsIntersecting returns the labels whose support intersects the
 // interval [lo, hi] (used by query reformulation: "BMI < 19" selects every
 // label that could describe a value under 19).

@@ -1174,14 +1174,18 @@ func (t *TCPTransport) After(owner NodeID, delaySeconds float64, fn func()) {
 // on that connection, and has sent nothing on it we have not handled. The
 // counters belong to the connection, so frames lost with a cut socket drop
 // out of the comparison with it; a peer with no live connection is treated
-// as departed (its frames were dropped). Calling Settle from a handler
-// panics.
+// as departed (its frames were dropped). So is a connection whose peer
+// missed settleMisses status probes in a row (it accepts frames but hangs):
+// Settle returns within settleMisses+1 probe timeouts of such a peer's last
+// answer, and the peer rejoins the comparison once it answers again.
+// Calling Settle from a handler panics.
 func (t *TCPTransport) Settle() {
 	if t.eng.onDispatcher() {
 		panic("p2p: Settle called from a handler/timer on the dispatcher (would deadlock); drivers only")
 	}
 	stable := 0
 	prev := make(map[*tcpConn][2]int64)
+	missed := make(map[*tcpConn]int) // consecutive unanswered probes per connection
 	for stable < 2 {
 		t.eng.waitIdle()
 		quiet := true
@@ -1203,10 +1207,14 @@ func (t *TCPTransport) Settle() {
 			if !ok {
 				// The connection broke, or the peer did not answer in time
 				// (e.g. buried in a long merge): not quiescent yet — a
-				// broken connection is gone from the next round.
-				quiet = false
+				// broken connection is gone from the next round, and a
+				// peer that keeps missing probes counts as gone.
+				if missed[c]++; missed[c] < settleMisses {
+					quiet = false
+				}
 				continue
 			}
+			delete(missed, c)
 			if !st.idle || st.handled != c.dataSent.Load() || st.sent != c.dataHandled.Load() {
 				quiet = false
 			}
@@ -1226,6 +1234,10 @@ func (t *TCPTransport) Settle() {
 		}
 	}
 }
+
+// settleMisses is the number of consecutive status probes a peer may
+// leave unanswered before Settle counts its connection as gone.
+const settleMisses = 3
 
 // peerConns returns the live connections to processes of the host map
 // whose hello has arrived — registered or not: after simultaneous dials a

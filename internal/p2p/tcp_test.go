@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -398,7 +399,16 @@ func TestTCPAllConnsForgetsDeadConnections(t *testing.T) {
 // stallListener accepts connections and never reads them, so a sender's
 // socket and batch buffer fill up — the stalled-peer scenario of the
 // backpressure budget.
-func stallListener(t *testing.T) string {
+func stallListener(t *testing.T) string { return heldListener(t, false) }
+
+// mutedListener accepts connections and reads everything sent on them, but
+// never writes a byte: a peer process that hangs without closing its
+// sockets, so no status probe is ever answered.
+func mutedListener(t *testing.T) string { return heldListener(t, true) }
+
+// heldListener accepts connections and holds them open until the test
+// ends, draining what arrives on them when read is set.
+func heldListener(t *testing.T, read bool) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -417,6 +427,9 @@ func stallListener(t *testing.T) string {
 			mu.Lock()
 			held = append(held, c)
 			mu.Unlock()
+			if read {
+				go io.Copy(io.Discard, c)
+			}
 		}
 	}()
 	t.Cleanup(func() {
@@ -480,6 +493,47 @@ func TestTCPBacklogBytesCutsStalledPeer(t *testing.T) {
 	waitFor(t, "a send classified as dropped after the cut", func() bool {
 		return dropped.Load() > 0
 	})
+}
+
+// TestTCPSettleBoundsMutedPeer settles a transport connected to a peer that
+// reads every frame but answers no status probe. Every probe times out
+// after 2 s; after settleMisses of them in a row the peer counts as gone,
+// so Settle returns within settleMisses+1 probe timeouts instead of
+// probing it forever.
+func TestTCPSettleBoundsMutedPeer(t *testing.T) {
+	t.Parallel()
+	addr := mutedListener(t)
+	g := topology.NewGraph(2)
+	if err := g.AddEdge(0, 1, 0.01); err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewTCPTransport(g, TCPConfig{
+		Listen: "127.0.0.1:0",
+		Local:  []NodeID{0},
+		Hosts:  map[NodeID]string{1: addr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(a.Close)
+	a.SendNew("tcp-test", 0, 1, 0, tcpTestPayload{N: 1})
+	waitFor(t, "a connection to the muted peer", func() bool {
+		_, ok := a.liveConn(addr)
+		return ok
+	})
+	done := make(chan struct{})
+	start := time.Now()
+	go func() {
+		a.Settle()
+		close(done)
+	}()
+	bound := time.Duration(settleMisses+1)*2*time.Second + 4*time.Second
+	select {
+	case <-done:
+		t.Logf("settled in %v", time.Since(start).Round(time.Millisecond))
+	case <-time.After(bound):
+		t.Fatalf("Settle still probing the muted peer after %v", bound)
+	}
 }
 
 // TestTCPBacklogAgeCutsStalledPeer pins the time-domain bound: a unit

@@ -38,11 +38,8 @@ func BenchmarkTreeEncodedSize(b *testing.B) {
 		con.count, con.grades, con.measures = 1, make([]float64, len(tr.attrs)), make([]cells.Measure, len(tr.attrs))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			leaf := leaves[i%len(leaves)].i
-			for a := range con.cols {
-				con.cols[a] = tr.leafCol(leaf, a)
-			}
-			tr.incorporate(tr.nodes[leaf].key, con)
+			copy(con.cols, tr.cellRow(leaves[i%len(leaves)].i))
+			tr.incorporate(con)
 			if tr.EncodedSize() == 0 {
 				b.Fatal("empty encoding")
 			}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"strings"
 	"sync/atomic"
 
 	"p2psum/internal/cells"
@@ -33,8 +32,11 @@ import (
 //	           numeric attribute's Sum and SumSq (float64s)
 //
 // DecodeWire derives the rest bit for bit, children before their parent:
-//   - a leaf's key is its labels joined by cells.KeySep, and the count of
-//     its one descriptor per attribute is the leaf's own count;
+//   - a leaf's cell is its label index per attribute, and the count of its
+//     one descriptor per attribute is the leaf's own count; the leaf index
+//     is the leaves sorted by cell, once (a leaf's key, its labels joined by
+//     cells.KeySep, is derived from the cell when asked for, and was never
+//     on the wire);
 //   - an internal node's grades are the column-wise max of its children's,
 //     its peer extent is the union of theirs, and a numeric measure's Min
 //     and Max are the min and max of theirs;
@@ -100,7 +102,7 @@ func (t *Tree) AppendWire(e *wire.Enc) {
 // idx and whose parent's is parent, and returns the next free index.
 func (t *Tree) appendNode(e *wire.Enc, n int32, parent, idx int) int {
 	nd := &t.nodes[n]
-	leaf := nd.key != ""
+	leaf := nd.leaf
 	e.Varint(int64(parent))
 	e.Bool(leaf)
 	e.Float64(nd.count)
@@ -189,13 +191,12 @@ func (t *Tree) copySizes(dst []int32) {
 }
 
 // measureBody computes what appendNode writes for slot i after the parent
-// index, without an Enc. It visits only the columns marked in the slot's
-// mask, ascending: a leaf's first positive column of each attribute is its
-// descriptor, and an internal node closes an attribute's count of non-zero
-// columns when the columns pass its end.
+// index, without an Enc. A leaf reads its cell's columns; an internal node
+// visits only the columns marked in its mask, ascending, and closes an
+// attribute's count of non-zero columns when the columns pass its end.
 func (t *Tree) measureBody(i int32) int {
 	nd := &t.nodes[i]
-	leaf := nd.key != ""
+	leaf := nd.leaf
 	n := 1 + wire.Float64Len(nd.count) // the leaf flag and the count
 	measures := t.measureRow(i)
 	for a, info := range t.attrs {
@@ -206,25 +207,15 @@ func (t *Tree) measureBody(i int32) int {
 			}
 		}
 	}
-	counts := t.row(t.counts, i)
 	if leaf {
 		grades := t.row(t.grades, i)
-		a := -1 // the attribute whose descriptor was counted last
-		for w, set := range t.maskRow(i) {
-			for ; set != 0; set &= set - 1 {
-				l := w<<6 | bits.TrailingZeros64(set)
-				if !(counts[l] > 0) || l < t.off[a+1] {
-					continue
-				}
-				for l >= t.off[a+1] {
-					a++
-				}
-				n += wire.UvarintLen(uint64(l-t.off[a])) + wire.Float64Len(grades[l])
-			}
+		for a, l := range t.cellRow(i) {
+			n += wire.UvarintLen(uint64(int(l)-t.off[a])) + wire.Float64Len(grades[l])
 		}
 		peers := t.extent(i)
 		return n + wire.UvarintLen(uint64(len(peers))) + wire.VarintsLen(peers)
 	}
+	counts := t.row(t.counts, i)
 	a, nnz := 0, 0
 	for w, set := range t.maskRow(i) {
 		for ; set != 0; set &= set - 1 {
@@ -271,7 +262,8 @@ func DecodeWire(d *wire.Dec) (*Tree, error) {
 	if nodeCount == 0 {
 		return nil, errors.New("saintetiq: decode: empty tree")
 	}
-	t := emptyTree(cfg, attrs, offsets(attrs))
+	off, rank := layout(attrs)
+	t := emptyTree(cfg, attrs, off, rank)
 	// A node takes at least 3+attrs bytes, which bounds what the count may
 	// reserve.
 	slots := int(min(nodeCount, uint64(d.Remaining()/(3+len(attrs)))))
@@ -282,7 +274,7 @@ func DecodeWire(d *wire.Dec) (*Tree, error) {
 		parent := int(d.Varint())
 		leaf := d.Bool()
 		n := t.alloc()
-		t.nodes[n].id = n
+		t.nodes[n].id, t.nodes[n].leaf = n, leaf
 		count := d.Float64()
 		t.nodes[n].count = count
 		measures := t.measureRow(n)
@@ -303,6 +295,7 @@ func DecodeWire(d *wire.Dec) (*Tree, error) {
 				}
 				if leaf {
 					counts[j], grades[j] = count, d.Float64()
+					t.cellRow(n)[a] = int32(t.off[a] + int(j))
 				} else {
 					counts[j] = d.Float64()
 				}
@@ -344,7 +337,7 @@ func DecodeWire(d *wire.Dec) (*Tree, error) {
 			return nil, errors.New("saintetiq: decode: the root is a leaf")
 		}
 	}
-	if err := t.deriveKeys(leaves); err != nil {
+	if err := t.indexLeaves(leaves); err != nil {
 		return nil, err
 	}
 	t.decodePeers(leaves, uint64(hi)-uint64(lo)+1)
@@ -379,7 +372,7 @@ func (t *Tree) decodePeers(leaves []decodedLeaf, span uint64) {
 	}
 	total := 0
 	for n := int32(len(t.nodes)) - 1; n >= 0; n-- {
-		if nd := &t.nodes[n]; nd.key == "" {
+		if nd := &t.nodes[n]; !nd.leaf {
 			for c := nd.first; c != none; c = t.nodes[c].next {
 				bound[n] += bound[c]
 			}
@@ -392,49 +385,33 @@ func (t *Tree) decodePeers(leaves []decodedLeaf, span uint64) {
 	t.peers = make([]PeerID, 0, total)
 	for _, l := range leaves {
 		t.reserve(l.n, l.peers)
-		for k := 0; k < l.peers; k++ {
-			t.addPeer(l.n, PeerID(l.at.Varint()))
+		nd := &t.nodes[l.n]
+		ext := t.peers[nd.peerOff : nd.peerOff+int32(l.peers)]
+		for k := range ext {
+			ext[k] = PeerID(l.at.Varint())
 		}
+		slices.Sort(ext)
+		nd.peerLen = int32(len(slices.Compact(ext)))
 	}
 }
 
-// deriveKeys names every leaf of a decoded tree by its labels joined with
-// cells.KeySep and registers it. The keys share one string.
-func (t *Tree) deriveKeys(leaves []decodedLeaf) error {
-	size := 0
-	for _, l := range leaves {
-		n := l.n
-		for a := range t.attrs {
-			size += len(cells.KeySep) + len(t.leafLabel(n, a))
+// indexLeaves builds the leaf index of a decoded tree: its leaves sorted by
+// cell, no two of which may agree, and none of which may have an empty key.
+func (t *Tree) indexLeaves(leaves []decodedLeaf) error {
+	t.leaves = make([]int32, len(leaves))
+	for k, l := range leaves {
+		t.leaves[k] = l.n
+		if len(t.attrs) < 2 && (Node{t, l.n}).Key() == "" { // only a separator-free key can be empty
+			return fmt.Errorf("saintetiq: decode: leaf %d has an empty key", l.n)
 		}
 	}
-	var sb strings.Builder
-	sb.Grow(size)
-	t.byKey = make(map[string]int32, len(leaves))
-	for _, l := range leaves {
-		n, at := l.n, sb.Len()
-		for a := range t.attrs {
-			if a > 0 {
-				sb.WriteString(cells.KeySep)
-			}
-			sb.WriteString(t.leafLabel(n, a))
+	slices.SortFunc(t.leaves, func(x, y int32) int { return t.cmpCells(t.cellRow(x), t.cellRow(y)) })
+	for k := 1; k < len(t.leaves); k++ {
+		if x, y := t.leaves[k-1], t.leaves[k]; t.cmpCells(t.cellRow(x), t.cellRow(y)) == 0 {
+			return fmt.Errorf("saintetiq: decode: leaves %d and %d have one key %q", min(x, y), max(x, y), Node{t, y}.Key())
 		}
-		key := sb.String()[at:] // the builder never regrows: one allocation in all
-		if key == "" {
-			return fmt.Errorf("saintetiq: decode: leaf %d has an empty key", n)
-		}
-		if other, dup := t.byKey[key]; dup {
-			return fmt.Errorf("saintetiq: decode: leaves %d and %d have one key %q", other, n, key)
-		}
-		t.nodes[n].key = key
-		t.byKey[key] = n
 	}
 	return nil
-}
-
-// leafLabel is the label of leaf n's descriptor on attribute a.
-func (t *Tree) leafLabel(n int32, a int) string {
-	return t.attrs[a].labels[t.leafCol(n, a)-t.off[a]]
 }
 
 // deriveInternal fills in what the encoding leaves out of a decoded tree's
@@ -447,7 +424,7 @@ func (t *Tree) deriveInternal() {
 	var ext, scratch []PeerID
 	for n := int32(len(t.nodes)) - 1; n >= 0; n-- {
 		nd := &t.nodes[n]
-		if nd.key != "" {
+		if nd.leaf {
 			continue
 		}
 		grades, mask, measures := t.row(t.grades, n), t.maskRow(n), t.measureRow(n)
@@ -497,11 +474,15 @@ func unionPeerSets(dst, a, b []PeerID) []PeerID {
 // each: a placement adds the leaf and, when it demotes a leaf or the arity
 // cap merges two children, one internal node. Left to append's growth, the
 // arena would copy every array several times over on its way there.
-func (t *Tree) reserveLeaves(n int) { t.reserveSlots(2 * n) }
+func (t *Tree) reserveLeaves(n int) {
+	t.reserveSlots(2 * n)
+	t.leaves = slices.Grow(t.leaves, n)
+}
 
 // reserveSlots makes room for n slots in every arena array.
 func (t *Tree) reserveSlots(n int) {
 	t.nodes = slices.Grow(t.nodes, n)
+	t.cols = slices.Grow(t.cols, n*len(t.attrs))
 	t.counts = slices.Grow(t.counts, n*t.stride())
 	t.grades = slices.Grow(t.grades, n*t.stride())
 	t.measures = slices.Grow(t.measures, n*len(t.attrs))

@@ -155,8 +155,9 @@ func opCell(t *Tree, arg byte) (*cells.Cell, PeerID) {
 	return c, PeerID(x%7) - 1 // NoPeer or 0..5
 }
 
-// checkArena holds a tree to its bytes: it validates, its caches hold to
-// its rows (checkCaches), the fields the encoding leaves out are derivable
+// checkArena holds a tree to its bytes: it validates, its leaf index holds
+// to its leaves (checkLeafIndex), its caches hold to its rows
+// (checkCaches), the fields the encoding leaves out are derivable
 // (checkDerivable), its counted length is its written length, and those
 // bytes decode to the same tree, field by field (sameTree), which writes
 // them again.
@@ -165,6 +166,7 @@ func checkArena(t *testing.T, tr *Tree) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	checkLeafIndex(t, tr)
 	checkCaches(t, tr)
 	checkDerivable(t, tr)
 	written := encodeTree(tr)
@@ -176,9 +178,42 @@ func checkArena(t *testing.T, tr *Tree) {
 		t.Fatalf("decode: %v", err)
 	}
 	sameTree(t, back, tr)
+	checkLeafIndex(t, back)
 	checkCaches(t, back)
 	if again := encodeTree(back); !bytes.Equal(again, written) {
 		t.Fatalf("decoded tree re-encodes to %d bytes, not its %d", len(again), len(written))
+	}
+}
+
+// checkLeafIndex holds the leaf index to the arena: strictly ascending by
+// cell, so without duplicates, in the order sort.Strings gives the leaves'
+// keys, and covering exactly the slots that hold a leaf of the tree.
+func checkLeafIndex(t testing.TB, tr *Tree) {
+	t.Helper()
+	for k := 1; k < len(tr.leaves); k++ {
+		x, y := tr.leaves[k-1], tr.leaves[k]
+		if tr.cmpCells(tr.cellRow(x), tr.cellRow(y)) >= 0 {
+			t.Fatalf("leaf index: slots %d and %d at %d are not ascending", x, y, k)
+		}
+		if kx, ky := (Node{tr, x}).Key(), (Node{tr, y}).Key(); kx >= ky {
+			t.Fatalf("leaf index: key %q before %q", kx, ky)
+		}
+	}
+	var slots []int32
+	tr.Walk(func(n Node) bool {
+		if n.IsLeaf() {
+			slots = append(slots, n.i)
+		}
+		return true
+	})
+	for i := range tr.nodes {
+		if tr.nodes[i].leaf && !slices.Contains(slots, int32(i)) {
+			t.Fatalf("slot %d is a leaf outside the tree", i)
+		}
+	}
+	slices.Sort(slots)
+	if index := slices.Sorted(slices.Values(tr.leaves)); !slices.Equal(index, slots) {
+		t.Fatalf("leaf index holds slots %v, the tree's leaves are %v", index, slots)
 	}
 }
 
@@ -220,14 +255,17 @@ func checkDerivable(t testing.TB, tr *Tree) {
 						if math.Float64bits(counts[j]) != math.Float64bits(nd.count) {
 							t.Fatalf("leaf %d attr %d: column count %v, leaf count %v", nd.id, a, counts[j], nd.count)
 						}
+						if col := tr.cellRow(i)[a]; int(col) != tr.off[a]+j {
+							t.Fatalf("leaf %d attr %d: cell column %d, its non-zero column %d", nd.id, a, col, tr.off[a]+j)
+						}
 					}
 				}
 				if nnz != 1 {
 					t.Fatalf("leaf %d attr %d has %d non-zero columns", nd.id, a, nnz)
 				}
 			}
-			if key := strings.Join(labels, cells.KeySep); key != nd.key {
-				t.Fatalf("leaf %d key %q, its labels join to %q", nd.id, nd.key, key)
+			if key := strings.Join(labels, cells.KeySep); key != n.Key() {
+				t.Fatalf("leaf %d key %q, its labels join to %q", nd.id, n.Key(), key)
 			}
 			return true
 		}
@@ -287,8 +325,8 @@ func sameTree(t testing.TB, got, want *Tree) {
 			t.Helper()
 			t.Fatalf("node %s: %s %v, want %v", at, what, gv, wv)
 		}
-		if gn.key != wn.key {
-			fail("key", gn.key, wn.key)
+		if gn.leaf != wn.leaf || g.Key() != w.Key() {
+			fail("leaf and key", g.Key(), w.Key())
 		}
 		if math.Float64bits(gn.count) != math.Float64bits(wn.count) {
 			fail("count", gn.count, wn.count)

@@ -71,8 +71,12 @@ func countRows(n Node) [][]float64 {
 
 // leaf returns the leaf of a cell key, and whether there is one.
 func (t *Tree) leaf(key string) (Node, bool) {
-	i, ok := t.byKey[key]
-	return Node{t, i}, ok
+	for _, n := range t.Leaves() {
+		if n.Key() == key {
+			return n, true
+		}
+	}
+	return Node{}, false
 }
 
 // TestGoldenEncoding pins the three golden trees twice: their wire bytes,
@@ -146,7 +150,7 @@ func (t *Tree) appendWireV1(e *wire.Enc) {
 func (t *Tree) appendNodeV1(e *wire.Enc, n int32, parent, idx int) int {
 	nd := &t.nodes[n]
 	e.Varint(int64(parent))
-	e.String(nd.key)
+	e.String(Node{t, n}.Key())
 	e.Float64(nd.count)
 	measures := t.measureRow(n)
 	for a := range t.attrs {

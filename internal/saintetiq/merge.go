@@ -34,16 +34,8 @@ func (t *Tree) CompatibleWith(o *Tree) error {
 }
 
 // leafCol returns the column of a leaf's descriptor on attribute a in its
-// row, or -1: a leaf built by incorporation has exactly one descriptor per
-// attribute.
-func (t *Tree) leafCol(i int32, a int) int {
-	for j, c := range t.attrRow(t.counts, i, a) {
-		if c > 0 {
-			return t.off[a] + j
-		}
-	}
-	return -1
-}
+// row.
+func (t *Tree) leafCol(i int32, a int) int { return int(t.cellRow(i)[a]) }
 
 // Merge incorporates every leaf of src into t (Merging(src, t)). Peer
 // extents are preserved. src is not modified.
@@ -56,8 +48,8 @@ func (t *Tree) Merge(src *Tree) error {
 // shard splitting: a summary store carves a tree into shards by incorporating
 // leaf subsets into NewLike trees.
 func (t *Tree) NewLike() *Tree {
-	out := emptyTree(t.cfg, t.attrs, t.off)
-	out.newNode("")
+	out := emptyTree(t.cfg, t.attrs, t.off, t.rank)
+	out.newNode()
 	return out
 }
 
@@ -77,28 +69,24 @@ func (t *Tree) MergeLeaves(src *Tree, leaves []Node) error {
 	if t.Empty() { // every leaf is new
 		t.reserveLeaves(len(leaves))
 	}
-	// The vocabularies agree, so a leaf is its own contribution: its label
-	// columns, key and extent carry over without a detour through strings.
+	// The vocabularies agree, so a leaf is its own contribution: its cell
+	// and extent carry over without a detour through strings.
 	con := t.newContribution()
 	con.grades = make([]float64, len(t.attrs))
 	for _, leaf := range leaves {
 		i := leaf.i
 		con.count, con.measures, con.peers = src.nodes[i].count, src.measureRow(i), src.extent(i)
 		grades := src.row(src.grades, i)
-		for a := range t.attrs {
-			col := src.leafCol(i, a)
-			if col < 0 {
-				return fmt.Errorf("saintetiq: leaf %q has no descriptor on attribute %q", src.nodes[i].key, t.attrs[a].name)
-			}
+		for a, col := range src.cellRow(i) {
 			con.cols[a], con.grades[a] = col, grades[col]
 		}
-		t.incorporate(src.nodes[i].key, con)
+		t.incorporate(con)
 	}
 	return nil
 }
 
 // LeavesEqual reports whether two hierarchies describe the same grid cells
-// with the same aggregates: identical leaf key sets and, per leaf, equal
+// with the same aggregates: identical leaf cells and, per leaf, equal
 // tuple weight, descriptor grades, measures and peer extents (weights,
 // grades and measures are compared with a small relative tolerance — the
 // same contributions summed in a different order may differ in the last
@@ -110,16 +98,16 @@ func (t *Tree) MergeLeaves(src *Tree, leaves []Node) error {
 // as the per-shard delta test: a shard whose leaves did not change keeps its
 // current tree instead of being replaced.
 func (t *Tree) LeavesEqual(o *Tree) bool {
-	if len(t.byKey) != len(o.byKey) {
+	if len(t.leaves) != len(o.leaves) {
 		return false
 	}
 	if err := t.CompatibleWith(o); err != nil {
 		return false
 	}
 	const tol = 1e-9
-	for key, a := range t.byKey {
-		b, ok := o.byKey[key]
-		if !ok {
+	for k, a := range t.leaves { // both indexes ascend in one order
+		b := o.leaves[k]
+		if !slices.Equal(t.cellRow(a), o.cellRow(b)) {
 			return false
 		}
 		if !approxEq(t.nodes[a].count, o.nodes[b].count, tol) || !slices.Equal(t.extent(a), o.extent(b)) {
@@ -145,14 +133,15 @@ func (t *Tree) LeavesEqual(o *Tree) bool {
 }
 
 // Clone deep-copies the hierarchy: one copy per arena array, with the peer
-// extents packed without room (a clone is mostly read), plus the leaf index
-// rebuilt from the copied records.
+// extents packed without room (a clone is mostly read), plus the leaf index.
 func (t *Tree) Clone() *Tree {
 	out := &Tree{
 		cfg:      t.cfg,
 		attrs:    t.attrs,
 		off:      t.off,
+		rank:     t.rank,
 		nodes:    slices.Clone(t.nodes),
+		cols:     slices.Clone(t.cols),
 		counts:   slices.Clone(t.counts),
 		grades:   slices.Clone(t.grades),
 		measures: slices.Clone(t.measures),
@@ -160,20 +149,15 @@ func (t *Tree) Clone() *Tree {
 		sizes:    make([]int32, len(t.sizes)),
 		free:     t.free,
 		freed:    t.freed,
-		byKey:    make(map[string]int32, len(t.byKey)),
+		leaves:   slices.Clone(t.leaves),
 		nextID:   t.nextID,
 		stats:    t.stats,
 		epoch:    t.epoch,
 	}
 	out.peers = t.packPeers(out.nodes)
 	t.copySizes(out.sizes)
-	for i := range out.nodes {
-		if k := out.nodes[i].key; k != "" {
-			out.byKey[k] = int32(i)
-		}
-	}
 	return out
 }
 
 // Empty reports whether the hierarchy holds no data yet.
-func (t *Tree) Empty() bool { return len(t.byKey) == 0 }
+func (t *Tree) Empty() bool { return len(t.leaves) == 0 }

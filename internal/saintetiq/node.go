@@ -16,8 +16,24 @@
 // (strided by the total label count, attribute-major), one row of its masks
 // array (a bit per column that may be non-zero), one row of its measures
 // array (strided by the attribute count), and one ascending span of its
-// peers array. A Node is a value handle (tree, slot); a slot freed by a
-// split is reused by the next new node, and Clone is a copy of the arrays.
+// peers array; a leaf's slot also holds its cell in the cols array. A Node
+// is a value handle (tree, slot); a slot freed by a split is reused by the
+// next new node, and Clone is a copy of the arrays.
+//
+// A leaf is its cell, and a cell is its label-index tuple: per attribute,
+// the column of the leaf's one descriptor. Cobweb is order-dependent, so
+// leaves are enumerated, merged and compared in one fixed order, that of
+// their cell keys (the labels joined by cells.KeySep) as sort.Strings
+// sorts them. One sorted leaf index of slots keeps that order without a
+// key string: cells compare rank by rank, attribute by attribute, where
+// every attribute but the last ranks its labels by label+KeySep and the
+// last by the plain label (cells.AppendLabelRanks; the cells package
+// comment shows why that is joined-key order for labels without KeySep).
+// The writers keep the index: a new leaf is inserted by binary search, a
+// demoted leaf's copy takes its place, DecodeWire sorts it once and Clone
+// copies it, so a lookup is a binary search and Leaves() a pure read that
+// concurrent readers may share. Node.Key() derives the joined key from the
+// cell when called; nothing stores it.
 //
 // The paper's maintenance cost model rests on two costs of the hierarchy
 // itself, and the code keeps to them. Incorporating a cell is a walk that
@@ -62,7 +78,6 @@ const none int32 = -1
 // slot; its peer extent is peers[peerOff : peerOff+peerLen] of the tree's
 // peers array, with room for peerCap.
 type node struct {
-	key   string  // cell key for leaves, "" for internal nodes and free slots
 	count float64 // extent: total tuple weight below this node
 	sum   float64 // class sum of the counts row, unsummed when unknown (score.go)
 	id    int32   // tree-unique identifier, in creation order
@@ -71,6 +86,8 @@ type node struct {
 	kids                      int32 // number of children
 
 	peerOff, peerLen, peerCap int32
+
+	leaf bool // a grid cell, whose descriptors are the slot's cellRow
 }
 
 // Node is a handle on one summary of a hierarchy: its tree and its slot. It
@@ -87,10 +104,26 @@ func (n Node) rec() *node { return &n.t.nodes[n.i] }
 func (n Node) ID() int { return int(n.rec().id) }
 
 // IsLeaf reports whether the node is a grid cell.
-func (n Node) IsLeaf() bool { return n.rec().key != "" }
+func (n Node) IsLeaf() bool { return n.rec().leaf }
 
-// Key returns the cell key of a leaf ("" for internal nodes).
-func (n Node) Key() string { return n.rec().key }
+// Key returns the cell key of a leaf, its labels joined by cells.KeySep
+// ("" for internal nodes). It is derived from the leaf's cell when called.
+func (n Node) Key() string { return string(n.AppendKey(nil)) }
+
+// AppendKey appends the cell key of a leaf to dst (nothing for an internal
+// node).
+func (n Node) AppendKey(dst []byte) []byte {
+	if !n.IsLeaf() {
+		return dst
+	}
+	for a, col := range n.t.cellRow(n.i) {
+		if a > 0 {
+			dst = append(dst, cells.KeySep...)
+		}
+		dst = append(dst, n.t.attrs[a].labels[int(col)-n.t.off[a]]...)
+	}
+	return dst
+}
 
 // Count returns the node's extent weight (Rz cardinality under Ruspini BKs).
 func (n Node) Count() float64 { return n.rec().count }
@@ -160,10 +193,10 @@ func (n Node) Depth() int {
 // measures and peers may alias the cell or the source leaf they came from.
 type contribution struct {
 	count    float64
-	cols     []int // per attribute, the column of its label in a node row
+	cols     []int32 // the cell: per attribute, the column of its label in a node row
 	grades   []float64
 	measures []cells.Measure
-	peers    []PeerID
+	peers    []PeerID // ascending, without NoPeer
 }
 
 // apply folds the contribution into the aggregates of the node at slot i.
@@ -175,15 +208,11 @@ func (t *Tree) apply(i int32, c *contribution) {
 		if c.grades[a] > grades[col] {
 			grades[col] = c.grades[a]
 		}
-		t.mark(i, col)
+		t.mark(i, int(col))
 		measures[a].Merge(c.measures[a])
 	}
 	t.nodes[i].sum = unsummed
-	for _, p := range c.peers {
-		if p != NoPeer {
-			t.addPeer(i, p)
-		}
-	}
+	t.addPeers(i, c.peers)
 	t.touch(i)
 }
 

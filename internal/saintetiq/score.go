@@ -108,7 +108,7 @@ func (t *Tree) classTerm(a, b int32, con *contribution, total float64) float64 {
 			set |= otherMask[w]
 		}
 		var bumps uint64 // the contribution's columns in word w
-		for ; con != nil && k < len(con.cols) && con.cols[k]>>6 == w; k++ {
+		for ; con != nil && k < len(con.cols) && int(con.cols[k])>>6 == w; k++ {
 			bumps |= 1 << (con.cols[k] & 63)
 		}
 		for set |= bumps; set != 0; set &= set - 1 {
@@ -208,7 +208,7 @@ func (t *Tree) scoreOperators(n int32, con *contribution, round int) (s operator
 	// Split: replace the best child by its children, the contribution hosted
 	// into its best grandchild (approximated by the singleton-create view,
 	// which lower-bounds the split benefit and keeps the evaluation O(K)).
-	if best >= 0 && t.nodes[kids[best]].key == "" && round < t.cfg.MaxSplitRounds {
+	if best >= 0 && !t.nodes[kids[best]].leaf && round < t.cfg.MaxSplitRounds {
 		intra, grand := sumExcept(terms, best, -1), 0
 		for gc := t.nodes[kids[best]].first; gc != none; gc = t.nodes[gc].next {
 			intra += plainTerm(t.nodes[gc].count, total, t.cachedSum(gc))

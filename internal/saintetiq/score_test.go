@@ -31,7 +31,7 @@ func (t *Tree) statPlus(n nodeStat, con *contribution) nodeStat {
 	counts := make([][]float64, len(t.attrs))
 	for a := range t.attrs {
 		counts[a] = append([]float64(nil), n.counts[a]...)
-		counts[a][con.cols[a]-t.off[a]] += con.count
+		counts[a][int(con.cols[a])-t.off[a]] += con.count
 	}
 	return nodeStat{count: n.count + con.count, counts: counts}
 }
@@ -41,7 +41,7 @@ func (t *Tree) statOfContribution(con *contribution) nodeStat {
 	counts := make([][]float64, len(t.attrs))
 	for a := range t.attrs {
 		counts[a] = make([]float64, len(t.attrs[a].labels))
-		counts[a][con.cols[a]-t.off[a]] = con.count
+		counts[a][int(con.cols[a])-t.off[a]] = con.count
 	}
 	return nodeStat{count: con.count, counts: counts}
 }
@@ -317,7 +317,7 @@ func (t *Tree) denseClassTerm(a, b int32, con *contribution, total float64) floa
 	}
 	bump, k := -1, 0 // the next column the contribution adds to
 	if con != nil && len(con.cols) > 0 {
-		bump = con.cols[0]
+		bump = int(con.cols[0])
 	}
 	for l, c := range row {
 		if other != nil {
@@ -326,7 +326,7 @@ func (t *Tree) denseClassTerm(a, b int32, con *contribution, total float64) floa
 		if l == bump {
 			c += con.count
 			if k++; k < len(con.cols) {
-				bump = con.cols[k]
+				bump = int(con.cols[k])
 			}
 		}
 		if c > 0 {
@@ -354,7 +354,7 @@ func (t *Tree) denseSum(i int32) float64 {
 // every column of the row.
 func (t *Tree) denseMeasureBody(i int32) int {
 	nd := &t.nodes[i]
-	leaf := nd.key != ""
+	leaf := nd.leaf
 	n := 1 + wire.Float64Len(nd.count)
 	measures := t.measureRow(i)
 	for a, info := range t.attrs {
@@ -567,7 +567,7 @@ func decodeAllColumns(t testing.TB, tr *Tree) *Tree {
 	write = func(n int32, parent int) {
 		idx := next
 		next++
-		leaf := tr.nodes[n].key != ""
+		leaf := tr.nodes[n].leaf
 		e.Varint(int64(parent))
 		e.Bool(leaf)
 		e.Float64(tr.nodes[n].count)

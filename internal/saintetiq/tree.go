@@ -1,11 +1,11 @@
 package saintetiq
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"p2psum/internal/bk"
@@ -60,8 +60,10 @@ type Tree struct {
 	cfg   Config
 	attrs []attrInfo // immutable after New, shared by Clone and NewLike
 	off   []int      // a row's columns of attribute a are off[a]..off[a+1]; the last entry is the row stride
+	rank  []int32    // per column, its label's rank in leaf order (cells.AppendLabelRanks); shared like attrs
 
 	nodes    []node
+	cols     []int32         // slot x attribute: a leaf's descriptor column, its cell (cellRow)
 	counts   []float64       // slot x column: weighted descriptor counts
 	grades   []float64       // slot x column: max membership grade seen
 	measures []cells.Measure // slot x attribute: weighted stats of numeric attributes
@@ -71,7 +73,7 @@ type Tree struct {
 	free     int32           // head of the chain of slots freed by splits
 	freed    int             // length of that chain
 
-	byKey  map[string]int32 // leaf slot per cell key
+	leaves []int32 // the leaf slots, ascending by cell (cmpCells); every writer keeps it so
 	nextID int
 	stats  OpStats
 	epoch  int // bumped by every structural change; used for cheap change detection
@@ -93,23 +95,29 @@ func New(b *bk.BK, cfg Config) *Tree {
 		}
 		attrs = append(attrs, info)
 	}
-	t := emptyTree(cfg, attrs, offsets(attrs))
-	t.newNode("")
+	off, rank := layout(attrs)
+	t := emptyTree(cfg, attrs, off, rank)
+	t.newNode()
 	return t
 }
 
-// offsets lays the attributes' labels out along a row, attribute-major.
-func offsets(attrs []attrInfo) []int {
-	off := make([]int, len(attrs)+1)
+// layout lays the attributes' labels out along a row, attribute-major, and
+// ranks every column's label in leaf order.
+func layout(attrs []attrInfo) (off []int, rank []int32) {
+	off = make([]int, len(attrs)+1)
 	for a, info := range attrs {
 		off[a+1] = off[a] + len(info.labels)
 	}
-	return off
+	rank = make([]int32, 0, off[len(attrs)])
+	for a, info := range attrs {
+		rank = cells.AppendLabelRanks(rank, info.labels, a == len(attrs)-1)
+	}
+	return off, rank
 }
 
 // emptyTree returns a tree without a single slot.
-func emptyTree(cfg Config, attrs []attrInfo, off []int) *Tree {
-	return &Tree{cfg: cfg, attrs: attrs, off: off, free: none, byKey: make(map[string]int32)}
+func emptyTree(cfg Config, attrs []attrInfo, off []int, rank []int32) *Tree {
+	return &Tree{cfg: cfg, attrs: attrs, off: off, rank: rank, free: none}
 }
 
 // stride is the number of columns in a counts or grades row.
@@ -149,6 +157,44 @@ func (t *Tree) mark(i int32, l int) {
 	t.masks[int(i)*t.words()+l>>6] |= 1 << (l & 63)
 }
 
+// cellRow returns slot i's cell: per attribute, the column of the leaf's
+// descriptor. Only a leaf's row is meaningful.
+func (t *Tree) cellRow(i int32) []int32 {
+	na := len(t.attrs)
+	b := int(i) * na
+	return t.cols[b : b+na : b+na]
+}
+
+// cmpCells orders two cells, given as descriptor columns, as their joined
+// keys sort: rank by rank, attribute by attribute (see the package
+// comment).
+func (t *Tree) cmpCells(x, y []int32) int {
+	for a, c := range x {
+		if rx, ry := t.rank[c], t.rank[y[a]]; rx != ry {
+			return cmp.Compare(rx, ry)
+		}
+	}
+	return 0
+}
+
+// findLeaf returns the position in the leaf index of the leaf of a cell,
+// or where that leaf would go, and whether there is one.
+func (t *Tree) findLeaf(cell []int32) (int, bool) {
+	lo, hi := 0, len(t.leaves)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := t.cmpCells(t.cellRow(t.leaves[mid]), cell); {
+		case c < 0:
+			lo = mid + 1
+		case c > 0:
+			hi = mid
+		default:
+			return mid, true
+		}
+	}
+	return lo, false
+}
+
 // measureRow returns slot i's measures, one per attribute.
 func (t *Tree) measureRow(i int32) []cells.Measure {
 	na := len(t.attrs)
@@ -174,6 +220,7 @@ func (t *Tree) alloc() int32 {
 	}
 	i := int32(len(t.nodes))
 	t.nodes = append(t.nodes, blank)
+	t.cols = append(t.cols, make([]int32, len(t.attrs))...)
 	t.counts = append(t.counts, make([]float64, t.stride())...)
 	t.grades = append(t.grades, make([]float64, t.stride())...)
 	t.measures = append(t.measures, make([]cells.Measure, len(t.attrs))...)
@@ -185,16 +232,17 @@ func (t *Tree) alloc() int32 {
 // release puts a slot that no longer belongs to the tree on the free chain.
 func (t *Tree) release(i int32) {
 	nd := &t.nodes[i]
-	nd.key, nd.peerLen = "", 0
+	nd.leaf, nd.peerLen = false, 0
 	nd.parent, nd.next = none, t.free
 	t.free = i
 	t.freed++
 }
 
-// newNode allocates a node with the next id and empty aggregates.
-func (t *Tree) newNode(key string) int32 {
+// newNode allocates an internal node with the next id and empty
+// aggregates.
+func (t *Tree) newNode() int32 {
 	i := t.alloc()
-	t.nodes[i].key, t.nodes[i].id = key, int32(t.nextID)
+	t.nodes[i].id = int32(t.nextID)
 	t.nextID++
 	m := t.measureRow(i)
 	for a := range m {
@@ -245,29 +293,67 @@ func (t *Tree) packPeers(nodes []node) []PeerID {
 	return out
 }
 
-// addPeer inserts p into slot i's extent, keeping it ascending and
-// duplicate-free. An extent is a small set (at most the domain) that is
-// written rarely and enumerated in order by every encode, merge and query.
-func (t *Tree) addPeer(i int32, p PeerID) {
-	at, ok := slices.BinarySearch(t.extent(i), p)
-	if ok {
+// addPeers folds the ascending set ps into slot i's extent, keeping it
+// ascending and duplicate-free, with a binary search per peer, one merge
+// and at most one reserve. An extent is a small set (at most the domain)
+// that is written rarely and enumerated in order by every encode, merge
+// and query. ps must not lie in slot i's span.
+func (t *Tree) addPeers(i int32, ps []PeerID) {
+	ext := t.extent(i)
+	fresh := 0 // the peers of ps not in ext, each found by binary search
+	for j, k := 0, 0; k < len(ps); k++ {
+		at, ok := slices.BinarySearch(ext[j:], ps[k])
+		if j += at; ok {
+			j++
+		} else {
+			fresh++
+		}
+	}
+	if fresh == 0 {
 		return
 	}
-	t.reserve(i, int(t.nodes[i].peerLen)+1)
+	t.reserve(i, len(ext)+fresh)
 	nd := &t.nodes[i]
-	span := t.peers[nd.peerOff : nd.peerOff+nd.peerLen+1]
-	copy(span[at+1:], span[at:])
-	span[at] = p
-	nd.peerLen++
+	span := t.peers[nd.peerOff : nd.peerOff+nd.peerLen+int32(fresh)]
+	// Merge from the back: an entry of the extent moves before it is
+	// overwritten.
+	j, k := int(nd.peerLen)-1, len(ps)-1
+	for w := len(span) - 1; k >= 0; w-- {
+		switch {
+		case j >= 0 && span[j] > ps[k]:
+			span[w], j = span[j], j-1
+		case j >= 0 && span[j] == ps[k]:
+			span[w], j, k = span[j], j-1, k-1
+		default:
+			span[w], k = ps[k], k-1
+		}
+	}
+	nd.peerLen += int32(fresh)
 	t.touch(i)
 }
 
-// unionPeers sets slot m's extent to the union of the extents of a and b.
+// unionPeers sets slot m's extent to the union of the extents of a and b,
+// reserving room for both once.
 func (t *Tree) unionPeers(m, a, b int32) {
-	t.copyPeers(m, t.extent(a))
-	for _, p := range t.extent(b) { // stays valid if addPeer moves the array
-		t.addPeer(m, p)
+	t.nodes[m].peerLen = 0
+	t.reserve(m, int(t.nodes[a].peerLen+t.nodes[b].peerLen))
+	nd := &t.nodes[m]
+	span := t.peers[nd.peerOff : nd.peerOff : nd.peerOff+nd.peerCap] // room enough: the union is written in place
+	nd.peerLen = int32(len(unionPeerSets(span, t.extent(a), t.extent(b))))
+	t.touch(m)
+}
+
+// peerSet returns peers as an ascending set without NoPeer, the form a
+// contribution carries: peers itself when it is one already.
+func peerSet(peers []PeerID) []PeerID {
+	for k, p := range peers {
+		if p == NoPeer || k > 0 && p <= peers[k-1] {
+			set := slices.DeleteFunc(slices.Clone(peers), func(p PeerID) bool { return p == NoPeer })
+			slices.Sort(set)
+			return slices.Compact(set)
+		}
 	}
+	return peers
 }
 
 // copyPeers sets slot i's extent to a copy of the ascending set src.
@@ -313,7 +399,7 @@ func (t *Tree) Root() Node { return Node{t, root} }
 func (t *Tree) Stats() OpStats { return t.stats }
 
 // LeafCount returns the number of leaves (grid cells) in the hierarchy.
-func (t *Tree) LeafCount() int { return len(t.byKey) }
+func (t *Tree) LeafCount() int { return len(t.leaves) }
 
 // NodeCount returns the total number of nodes.
 func (t *Tree) NodeCount() int { return len(t.nodes) - t.freed }
@@ -363,28 +449,23 @@ func (t *Tree) Walk(fn func(Node) bool) {
 	rec(root)
 }
 
-// Leaves returns the leaves sorted by cell key.
+// Leaves returns the leaves sorted by cell key: a read of the leaf index.
 func (t *Tree) Leaves() []Node {
-	keys := make([]string, 0, len(t.byKey))
-	for k := range t.byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Node, len(keys))
-	for i, k := range keys {
-		out[i] = Node{t, t.byKey[k]}
+	out := make([]Node, len(t.leaves))
+	for k, leaf := range t.leaves {
+		out[k] = Node{t, leaf}
 	}
 	return out
 }
 
 // newContribution returns a contribution whose column buffer fits t.
 func (t *Tree) newContribution() *contribution {
-	return &contribution{cols: make([]int, len(t.attrs))}
+	return &contribution{cols: make([]int32, len(t.attrs))}
 }
 
 // contributionOf fills con with the incremental update the insertion of a
-// cell (with provenance) applies; con aliases the cell's grades and
-// measures.
+// cell (with provenance, an ascending set without NoPeer) applies, looking
+// each label up by name; con aliases the cell's grades and measures.
 func (t *Tree) contributionOf(c *cells.Cell, peers []PeerID, con *contribution) error {
 	if len(c.Labels) != len(t.attrs) {
 		return fmt.Errorf("saintetiq: cell has %d labels, tree has %d attributes", len(c.Labels), len(t.attrs))
@@ -397,7 +478,7 @@ func (t *Tree) contributionOf(c *cells.Cell, peers []PeerID, con *contribution) 
 		if j < 0 {
 			return fmt.Errorf("saintetiq: label %q unknown on attribute %q", lab, t.attrs[a].name)
 		}
-		con.cols[a] = t.off[a] + j
+		con.cols[a] = int32(t.off[a] + j)
 	}
 	con.count, con.grades, con.measures, con.peers = c.Count, c.Grades, c.Measures, peers
 	return nil
@@ -407,58 +488,90 @@ func (t *Tree) contributionOf(c *cells.Cell, peers []PeerID, con *contribution) 
 // hierarchy. This is the O(K)-amortized online operation of §3.2.3.
 func (t *Tree) Incorporate(c *cells.Cell, peers ...PeerID) error {
 	con := t.newContribution()
-	if err := t.contributionOf(c, peers, con); err != nil {
+	if err := t.contributionOf(c, peerSet(peers), con); err != nil {
 		return err
 	}
-	t.incorporate(c.Key(), con)
+	t.incorporate(con)
 	return nil
 }
 
-// incorporate places the contribution of the cell with the given key.
-func (t *Tree) incorporate(key string, con *contribution) {
+// incorporate places a contribution.
+func (t *Tree) incorporate(con *contribution) {
 	t.stats.Incorporations++
-	if leaf, ok := t.byKey[key]; ok {
+	if at, ok := t.findLeaf(con.cols); ok {
 		// Stabilized fast path: the combination exists; sorting the cell
 		// into the tree is a pure walk (no structural operator).
 		t.stats.FastPath++
-		for i := leaf; i != none; i = t.nodes[i].parent {
+		for i := t.leaves[at]; i != none; i = t.nodes[i].parent {
 			t.apply(i, con)
 		}
 		return
 	}
 
-	if len(t.byKey) == 0 {
+	if len(t.leaves) == 0 {
 		// First cell: the root describes exactly it, and the leaf hangs
 		// directly below the root.
 		t.apply(root, con)
-		t.attach(root, t.leafFor(key, con))
+		t.attach(root, t.leafFor(con))
 		t.stats.Creates++
 		return
 	}
-	t.insert(root, key, con)
+	t.insert(root, con)
 }
 
 // IncorporateStore folds a whole mapped store in (leaf order is
-// deterministic), filling one contribution for every cell.
+// deterministic), filling one contribution for every cell. The store's
+// vocabulary is checked once: when it is t's, a cell's label indexes are
+// its columns, and only a vocabulary that differs looks labels up by name.
 func (t *Tree) IncorporateStore(s *cells.Store, peers ...PeerID) error {
 	if t.Empty() { // every cell is a new leaf
 		t.reserveLeaves(s.Len())
 	}
 	con := t.newContribution()
+	ps := peerSet(peers)
+	direct := t.sameLabels(s.Mapper())
 	for _, c := range s.Cells() {
-		if err := t.contributionOf(c, peers, con); err != nil {
-			return err
+		switch {
+		case !direct:
+			if err := t.contributionOf(c, ps, con); err != nil {
+				return err
+			}
+		case !(c.Count > 0):
+			return fmt.Errorf("saintetiq: cell has count %v, want a positive one", c.Count)
+		default:
+			for a, j := range c.Index() {
+				con.cols[a] = int32(t.off[a]) + j
+			}
+			con.count, con.grades, con.measures, con.peers = c.Count, c.Grades, c.Measures, ps
 		}
-		t.incorporate(c.Key(), con)
+		t.incorporate(con)
 	}
 	return nil
 }
 
-// leafFor builds a new leaf node carrying exactly one contribution.
-func (t *Tree) leafFor(key string, con *contribution) int32 {
-	leaf := t.newNode(key)
+// sameLabels reports whether the mapper's vocabulary is t's, attribute by
+// attribute and label by label.
+func (t *Tree) sameLabels(m *cells.Mapper) bool {
+	if m.Len() != len(t.attrs) {
+		return false
+	}
+	for a := range t.attrs {
+		if !slices.Equal(m.Labels(a), t.attrs[a].labels) {
+			return false
+		}
+	}
+	return true
+}
+
+// leafFor builds a new leaf node carrying exactly one contribution and
+// enters it in the leaf index.
+func (t *Tree) leafFor(con *contribution) int32 {
+	leaf := t.newNode()
+	t.nodes[leaf].leaf = true
+	copy(t.cellRow(leaf), con.cols)
 	t.apply(leaf, con)
-	t.byKey[key] = leaf
+	at, _ := t.findLeaf(con.cols)
+	t.leaves = slices.Insert(t.leaves, at, leaf)
 	return leaf
 }
 
@@ -512,14 +625,14 @@ func (t *Tree) child(n int32, k int) int32 {
 	return c
 }
 
-// insert places a new-key cell below node n (n's aggregates are updated
+// insert places a new cell below node n (n's aggregates are updated
 // here). n must be internal.
-func (t *Tree) insert(n int32, key string, con *contribution) {
+func (t *Tree) insert(n int32, con *contribution) {
 	t.apply(n, con)
 
 	if t.nodes[n].kids == 0 {
 		// Degenerate internal node (can appear transiently after splits).
-		t.attach(n, t.leafFor(key, con))
+		t.attach(n, t.leafFor(con))
 		t.stats.Creates++
 		return
 	}
@@ -529,25 +642,25 @@ func (t *Tree) insert(n int32, key string, con *contribution) {
 		switch op {
 		case opHost:
 			child := t.child(n, best)
-			if t.nodes[child].key != "" {
-				// Hosting into a leaf with a different key demotes the leaf:
+			if t.nodes[child].leaf {
+				// Hosting into a leaf with a different cell demotes the leaf:
 				// it becomes an internal node over {old cell, new cell}.
-				t.demoteLeaf(child, key, con)
+				t.demoteLeaf(child, con)
 				t.stats.Hosts++
 				return
 			}
 			t.stats.Hosts++
-			t.insert(child, key, con)
+			t.insert(child, con)
 			return
 		case opCreate:
-			t.attach(n, t.leafFor(key, con))
+			t.attach(n, t.leafFor(con))
 			t.stats.Creates++
 			t.enforceArity(n)
 			return
 		case opMerge:
 			m := t.mergeChildren(n, best, second)
 			t.stats.Merges++
-			t.insert(m, key, con)
+			t.insert(m, con)
 			return
 		case opSplit:
 			t.splitChild(n, best)
@@ -561,28 +674,32 @@ func (t *Tree) insert(n int32, key string, con *contribution) {
 }
 
 // demoteLeaf turns leaf into an internal node holding a copy of its old cell
-// and the new cell as children.
-func (t *Tree) demoteLeaf(leaf int32, key string, con *contribution) {
-	old := t.newNode(t.nodes[leaf].key)
+// and the new cell as children. The copy takes the leaf's place in the leaf
+// index.
+func (t *Tree) demoteLeaf(leaf int32, con *contribution) {
+	old := t.newNode()
+	t.nodes[old].leaf = true
+	copy(t.cellRow(old), t.cellRow(leaf))
 	t.nodes[old].count = t.nodes[leaf].count
 	copy(t.row(t.counts, old), t.row(t.counts, leaf))
 	copy(t.row(t.grades, old), t.row(t.grades, leaf))
 	copy(t.maskRow(old), t.maskRow(leaf))
 	copy(t.measureRow(old), t.measureRow(leaf))
 	t.copyPeers(old, t.extent(leaf))
-	t.byKey[t.nodes[old].key] = old
+	at, _ := t.findLeaf(t.cellRow(leaf))
+	t.leaves[at] = old
 
-	t.nodes[leaf].key = "" // becomes internal
+	t.nodes[leaf].leaf = false // becomes internal
 	t.apply(leaf, con)
 	t.attach(leaf, old)
-	t.attach(leaf, t.leafFor(key, con))
+	t.attach(leaf, t.leafFor(con))
 }
 
 // mergeChildren replaces children i and j of n by a single node covering
 // both (the Cobweb merge operator).
 func (t *Tree) mergeChildren(n int32, i, j int) int32 {
 	a, b := t.child(n, i), t.child(n, j)
-	m := t.newNode("")
+	m := t.newNode()
 	t.nodes[m].count = t.nodes[a].count + t.nodes[b].count
 	mc, ac, bc := t.row(t.counts, m), t.row(t.counts, a), t.row(t.counts, b)
 	mg, ag, bg := t.row(t.grades, m), t.row(t.grades, a), t.row(t.grades, b)
@@ -643,7 +760,7 @@ func (t *Tree) String() string {
 }
 
 // Validate checks the structural invariants: parent aggregates equal the sum
-// of child aggregates, leaf keys are registered, parent and sibling links
+// of child aggregates, leaves are in the leaf index, parent and sibling links
 // are consistent, and every slot is either in the tree or on the free chain.
 // It is used by tests and by merge/reconciliation assertions.
 func (t *Tree) Validate() error {
@@ -655,10 +772,10 @@ func (t *Tree) Validate() error {
 		if reached > len(t.nodes) {
 			return errors.New("saintetiq: tree links form a cycle")
 		}
-		if nd.key != "" {
+		if nd.leaf {
 			leaves++
-			if i, ok := t.byKey[nd.key]; !ok || i != n {
-				return fmt.Errorf("saintetiq: leaf %d key %q not registered", nd.id, nd.key)
+			if at, ok := t.findLeaf(t.cellRow(n)); !ok || t.leaves[at] != n {
+				return fmt.Errorf("saintetiq: leaf %d key %q not registered", nd.id, Node{t, n}.Key())
 			}
 			if nd.first != none {
 				return fmt.Errorf("saintetiq: leaf %d has children", nd.id)
@@ -705,9 +822,9 @@ func (t *Tree) Validate() error {
 	if err := walk(root); err != nil {
 		return err
 	}
-	if reached != t.NodeCount() || leaves != len(t.byKey) {
+	if reached != t.NodeCount() || leaves != len(t.leaves) {
 		return fmt.Errorf("saintetiq: %d nodes and %d leaves reachable, arena holds %d and %d",
-			reached, leaves, t.NodeCount(), len(t.byKey))
+			reached, leaves, t.NodeCount(), len(t.leaves))
 	}
 	return nil
 }

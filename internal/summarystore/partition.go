@@ -36,7 +36,7 @@ func byDescriptor(attr int) partition {
 // shard).
 func byKeyHash(_ *saintetiq.Tree, leaf saintetiq.Node, n int) int {
 	h := fnv.New32a()
-	h.Write([]byte(leaf.Key()))
+	h.Write(leaf.AppendKey(nil))
 	return int(h.Sum32() % uint32(n))
 }
 
